@@ -328,10 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="local NLS solver by registry name")
     fact.add_argument("--kernel", default=None,
                       choices=registered_kernels() + ["auto"],
-                      help="BPP inner engine (scalar = reference column loop, "
-                           "batched = vectorized + stacked Cholesky, numba = "
-                           "JIT-compiled when numba is installed, auto = "
-                           "fastest available); default scalar")
+                      help="BPP inner engine (batched = vectorized, stacked "
+                           "Cholesky + substitution; scalar = per-column "
+                           "reference oracle; numba = JIT-compiled when numba "
+                           "is installed; auto = fastest available); default "
+                           "batched")
     fact.add_argument("--iters", type=int, default=20, help="outer iterations")
     fact.add_argument("--seed", type=int, default=42)
     fact.add_argument("--no-overlap", action="store_true",

@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.nls.kernels import DEFAULT_KERNEL
 from repro.util.errors import ShapeError
 
 
@@ -77,11 +78,13 @@ class NMFConfig:
         the measured-speedup substrate).  See :mod:`repro.comm.backends`.
         Ignored by the sequential algorithm.
     kernel:
-        BPP inner-engine selection, by kernels-registry name: ``"scalar"``
-        (default; the reference column loop), ``"batched"`` (vectorized pivot
-        rules + stacked Cholesky, byte-identical to scalar), ``"numba"``
-        (JIT-compiled, requires numba) or ``"auto"`` (fastest available).
-        See :mod:`repro.nls.kernels`.  Ignored by the element-wise solvers.
+        BPP inner-engine selection, by kernels-registry name: ``"batched"``
+        (the default, :data:`repro.nls.kernels.DEFAULT_KERNEL`: vectorized
+        pivot rules, one stacked Cholesky and substitution per pattern size
+        and round), ``"scalar"`` (the per-column reference oracle, byte-identical
+        to batched), ``"numba"`` (JIT-compiled, requires numba) or ``"auto"``
+        (fastest available).  See :mod:`repro.nls.kernels`.  Ignored by the
+        element-wise solvers.
     overlap:
         Whether the parallel loops run the pipelined schedule (default):
         factor all-gathers and the line-4 Gram all-reduce are issued as
@@ -122,7 +125,7 @@ class NMFConfig:
     compute_error: bool = True
     inner_iters: int = 1
     backend: str = "thread"
-    kernel: str = "scalar"
+    kernel: str = DEFAULT_KERNEL
     overlap: bool = True
     panel_comm: bool = True
     storage: str = "memory"

@@ -24,9 +24,9 @@ Implemented solvers:
   Lawson–Hanson active set, used as a correctness oracle in the tests.
 
 BPP's inner engine is pluggable via the kernels registry
-(:mod:`repro.nls.kernels`): ``scalar`` (the reference column loop),
-``batched`` (vectorized pivot rules + stacked Cholesky, byte-identical to
-scalar) and ``numba`` (JIT-compiled, behind a capability flag).
+(:mod:`repro.nls.kernels`): ``batched`` (the default: vectorized pivot rules,
+stacked Cholesky and substitution), ``scalar`` (the per-column reference
+oracle, byte-identical) and ``numba`` (JIT-compiled, behind a capability flag).
 """
 
 from repro.nls.base import NLSSolver, NLSState, make_solver, available_solvers

@@ -22,8 +22,8 @@ factor being updated): columns that share the same passive set are grouped so
 one Cholesky factorization of ``G[F, F]`` serves the whole group — the
 standard trick that makes BPP practical for NMF, where c is m/p or n/p and k
 is small.  The inner engine that does the grouping, factorization and pivot
-bookkeeping is pluggable: see :mod:`repro.nls.kernels` for the ``scalar`` /
-``batched`` / ``numba`` kernels and their byte-identity contract.
+bookkeeping is pluggable: see :mod:`repro.nls.kernels` for the ``batched``
+(default) / ``scalar`` / ``numba`` kernels and their byte-identity contract.
 """
 
 from __future__ import annotations
@@ -33,27 +33,8 @@ from typing import Optional
 import numpy as np
 
 from repro.nls.base import NLSSolver, register_solver
-from repro.nls.kernels import ScalarKernel, make_kernel
+from repro.nls.kernels import make_kernel
 from repro.util.errors import SolverError
-
-
-def _solve_passive_groups(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    passive: np.ndarray,
-    x: np.ndarray,
-    columns: np.ndarray,
-) -> None:
-    """Solve the unconstrained LS on the passive set of each listed column.
-
-    Compatibility wrapper around the scalar kernel's group solve (the
-    grouping/factorization logic now lives in :mod:`repro.nls.kernels`).
-    ``x`` is updated in place; entries outside the passive set are set to 0.
-    """
-    from repro.nls.base import NLSState
-
-    state = NLSState(extra={"cholesky_flops": 0.0, "triangular_solve_flops": 0.0})
-    ScalarKernel._solve_groups(gram, rhs, passive, x, np.asarray(columns), {}, state)
 
 
 @register_solver
@@ -73,9 +54,9 @@ class BlockPrincipalPivoting(NLSSolver):
         Feasibility tolerance: entries of x and y above ``-tol`` count as
         nonnegative.
     kernel:
-        Inner-engine selection: ``'scalar'`` (default), ``'batched'``,
-        ``'numba'``, or ``'auto'`` (fastest available).  See
-        :mod:`repro.nls.kernels`.
+        Inner-engine selection: ``'batched'`` (what ``None``, the default,
+        means), ``'scalar'`` (the reference oracle), ``'numba'``, or
+        ``'auto'`` (fastest available).  See :mod:`repro.nls.kernels`.
     persistent_cache:
         Keep the passive-pattern → Cholesky-factor cache alive *across*
         ``solve`` calls.  Only valid when every call passes the same ``gram``
@@ -107,12 +88,12 @@ class BlockPrincipalPivoting(NLSSolver):
         self.max_iters = int(max_iters)
         self.tol = float(tol)
         self.kernel = make_kernel(kernel)
-        self._cache: Optional[dict] = {} if persistent_cache else None
+        self._cache = self.kernel.make_cache() if persistent_cache else None
 
     def reset_cache(self) -> None:
         """Drop cached factorizations (call when the Gram matrix changes)."""
         if self._cache is not None:
-            self._cache.clear()
+            self._cache = self.kernel.make_cache()
 
     @property
     def cached_patterns(self) -> int:
@@ -130,12 +111,12 @@ class BlockPrincipalPivoting(NLSSolver):
 
         # Regularize an exactly singular Gram matrix minimally; the NMF outer
         # iteration keeps Gram well conditioned in practice (k << m, n).
-        diag = np.diag(gram)
-        if np.any(diag <= 0):
+        diag = gram.diagonal()
+        if (diag <= 0).any():
             gram = gram + np.eye(k) * max(np.max(diag), 1.0) * 1e-14
 
         if self._cache is not None and len(self._cache) > self.CACHE_LIMIT:
-            self._cache.clear()
+            self.reset_cache()
         x, state = self.kernel.solve(
             gram,
             rhs,

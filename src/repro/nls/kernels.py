@@ -1,52 +1,48 @@
 """NLS kernels registry: interchangeable inner engines for the BPP solver.
 
-The PR-5 bench baseline showed that ~60% of per-rank time is spent inside the
-pure-Python column-at-a-time BPP pivot loop — the local NLS solve that Kannan,
-Ballard & Park implement as a dense batched kernel to get their MPI-scale
-wins.  This module factors that inner engine out of
-:class:`~repro.nls.bpp.BlockPrincipalPivoting` into a *kernel* registry that
-mirrors the variant (``repro.core.variants``), solver (``repro.nls.base``) and
-backend (``repro.comm.backends``) registries:
+The local NLS solve is the largest per-iteration bar of the paper's default
+configuration (§6.3), so :class:`~repro.nls.bpp.BlockPrincipalPivoting`
+delegates its pivot loop to a *kernel* from this registry (a sibling of the
+variant, solver and backend registries):
 
+``batched`` (the default, :data:`DEFAULT_KERNEL`)
+    Vectorized so that one pivot round costs O(k) Python/LAPACK dispatches,
+    not O(distinct passive-set patterns): boolean-array exchange rules,
+    patterns grouped with ``packbits`` + one ``np.unique``, and per pattern
+    *size* one stacked ``np.linalg.cholesky`` of the uncached patterns and one
+    element-wise forward/back substitution over every column of that size, on
+    a compact ``s × s × columns`` stack of factors.
 ``scalar``
-    The original column-at-a-time driver: a Python loop applies the Kim &
-    Park exchange rules per column, and columns sharing a passive-set pattern
-    are grouped so one Cholesky serves the group.  Always available.
-``batched``
-    A fully vectorized driver: the exchange rules are applied to all columns
-    at once with boolean array arithmetic, passive-set patterns are grouped
-    with ``packbits``/``lexsort`` instead of a Python dict, and all
-    same-size passive blocks are factorized with ONE stacked
-    ``np.linalg.cholesky`` call.  Always available; byte-identical to
-    ``scalar`` (see below).
+    The readable reference oracle: Python loops apply the Kim & Park exchange
+    rules per column and solve one passive-set pattern at a time.  Always
+    available; byte-identical to ``batched`` (see below).
 ``numba``
-    A JIT-compiled per-column engine (``repro.nls.kernels_numba``), selected
-    at runtime behind a capability flag; when numba is not importable the
-    kernel reports itself unavailable and ``auto`` falls back to ``batched``.
+    A JIT-compiled per-column engine (``repro.nls.kernels_numba``) behind a
+    capability flag; when numba is not importable it reports itself
+    unavailable and ``auto`` falls back to ``batched``.
 
 Byte-identity contract
 ----------------------
-``scalar`` and ``batched`` share the exact same floating-point primitives —
-``np.linalg.cholesky`` for factorization (whose stacked gufunc is bit-identical
-to per-matrix calls), ``scipy.linalg.cho_solve`` for the triangular solves,
-and the same ``gram @ x - rhs`` dual update — so the two kernels produce
-byte-identical solutions.  ``tests/core/test_kernel_parity.py`` pins this at
-the full-factorization level.  The ``numba`` kernel uses its own compiled
-Cholesky and is only guaranteed to agree to solver tolerance.
-
-Both NumPy kernels also keep a per-solve factorization cache keyed by the
-passive-set pattern: a pattern revisited in a later pivot round reuses the
-factor computed earlier (the Gram matrix never changes within a solve), which
-is bit-safe because recomputing would produce the same bits.
+``scalar`` and ``batched`` factorize with ``np.linalg.cholesky`` (whose
+stacked gufunc is bit-identical to per-matrix calls) and solve the same compact
+``s × s`` systems through one primitive, :func:`_substitute`, made of
+element-wise multiply / subtract / divide steps only — no reductions — so a
+column's solution depends on ``(gram, pattern, rhs column)`` and not on which
+columns share the call, the rank's block, the micro-batch or the workspace
+chunk.  ``scalar`` hands it one pattern's factor, ``batched`` a stack of them.
+``tests/core/test_kernel_parity.py`` pins this at the full-factorization
+level.  ``numba`` compiles its own Cholesky and only agrees to solver
+tolerance.  Both NumPy kernels cache factors by passive-set pattern (the Gram
+matrix never changes within a solve): recomputing would give the same bits.
 """
 
 from __future__ import annotations
 
 import abc
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.nls.base import NLSState
 from repro.util.errors import SolverError
@@ -61,9 +57,19 @@ __all__ = [
     "available_kernels",
     "resolve_kernel",
     "make_kernel",
+    "DEFAULT_KERNEL",
     "cholesky_flops",
     "triangular_solve_flops",
 ]
+
+
+#: What ``kernel=None`` means everywhere (config, solver, serving, planner).
+DEFAULT_KERNEL = "batched"
+
+#: Byte cap on the factor stack one substitution sweeps over (``8 s²`` bytes
+#: per column of a size-``s`` class); larger classes go through in chunks.  A
+#: safety valve, not a knob: columns are independent, so no bit can change.
+WORKSPACE_BYTES = 8 << 20
 
 
 # -- flop accounting primitives ---------------------------------------------
@@ -77,44 +83,61 @@ def triangular_solve_flops(size: int, columns: int = 1) -> float:
     return 2.0 * size * size * columns
 
 
-# -- shared numerical primitives --------------------------------------------
-# Every kernel that claims byte-parity must route factorization and
-# triangular solves through these two helpers so the bits agree by
-# construction, not by coincidence.
+# -- shared numerical primitives (byte-parity by construction) ---------------
+def _solve_form(factors: np.ndarray) -> np.ndarray:
+    """Cholesky factors ``(..., s, s)`` in the form :func:`_substitute` reads.
+
+    ``L = L̃ D`` with ``L̃`` unit lower triangular, so ``L Lᵀ = L̃ D² L̃ᵀ``:
+    the strict lower triangle holds ``L̃`` and the diagonal ``D²``, which
+    takes the per-step division out of both sweeps.
+    """
+    diag = np.diagonal(factors, axis1=-2, axis2=-1)
+    form = factors / diag[..., None, :]
+    at = np.arange(factors.shape[-1])
+    form[..., at, at] = diag * diag
+    return form
 
 
-def _factorize_pattern(
-    gram: np.ndarray, idx: np.ndarray, state: NLSState
-) -> Optional[np.ndarray]:
-    """Cholesky factor of ``gram[idx, idx]`` or ``None`` if singular."""
+def _factorize_pattern(gram, idx, state: NLSState) -> np.ndarray:
+    """Solve form of ``chol(gram[idx, idx])``; all NaN if that block is singular."""
     try:
         L = np.linalg.cholesky(gram[np.ix_(idx, idx)])
     except np.linalg.LinAlgError:
-        return None
+        return np.full((idx.size, idx.size), np.nan)
     state.extra["cholesky_flops"] += cholesky_flops(idx.size)
-    return L
+    return _solve_form(L)
 
 
-def _apply_pattern_solve(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    idx: np.ndarray,
-    L: Optional[np.ndarray],
-    cols: np.ndarray,
-    x: np.ndarray,
-    state: NLSState,
-) -> None:
-    """Solve the passive-restricted system for one pattern group, in place."""
-    sub_rhs = rhs[np.ix_(idx, cols)]
-    if L is None:
-        # Singular passive block: minimum-norm solution, as before.
-        sol = np.linalg.lstsq(gram[np.ix_(idx, idx)], sub_rhs, rcond=None)[0]
+def _substitute(form: np.ndarray, b: np.ndarray) -> None:
+    """Solve ``L Lᵀ x = b`` in place for a stack of factors, element-wise.
+
+    ``form`` is ``s × s × n`` (:func:`_solve_form`, factor index last): one
+    factor per column of ``b``, or ``n == 1``, one factor broadcast over all
+    of them.  Column-oriented substitution: every step is an element-wise
+    multiply and subtract, so no column's result depends on its neighbours.
+    """
+    s = b.shape[0]
+    for j in range(s - 1):
+        below = b[j + 1 :]
+        below -= form[j + 1 :, j] * b[j]
+    b /= form.diagonal().T
+    for j in range(s - 1, 0, -1):
+        above = b[:j]
+        above -= form[j, :j] * b[j]
+
+
+def _solve_pattern(gram, rhs, idx, form, state: NLSState) -> np.ndarray:
+    """Every column of ``rhs`` solved on one pattern's compact system (rows ``idx``)."""
+    x = np.zeros(rhs.shape)
+    sub = rhs[idx]
+    if np.isnan(form[:1, :1]).any():
+        # Singular passive block (no Cholesky factor): minimum-norm solution.
+        sub = np.linalg.lstsq(gram[np.ix_(idx, idx)], sub, rcond=None)[0]
     else:
-        sol = sla.cho_solve((L, True), sub_rhs, check_finite=False)
-        state.extra["triangular_solve_flops"] += triangular_solve_flops(
-            idx.size, cols.size
-        )
-    x[np.ix_(idx, cols)] = sol
+        _substitute(form[:, :, None], sub)
+        state.extra["triangular_solve_flops"] += triangular_solve_flops(idx.size, sub.shape[1])
+    x[idx] = sub
+    return x
 
 
 class NLSKernel(abc.ABC):
@@ -128,6 +151,10 @@ class NLSKernel(abc.ABC):
         """Whether this kernel can run on the current host."""
         return True
 
+    def make_cache(self):
+        """A fresh, empty pattern → factor cache of this kernel's own kind."""
+        return {}
+
     @abc.abstractmethod
     def solve(
         self,
@@ -138,7 +165,7 @@ class NLSKernel(abc.ABC):
         max_backup: int,
         max_iters: int,
         tol: float,
-        cache: Optional[Dict[bytes, Tuple[np.ndarray, Optional[np.ndarray]]]] = None,
+        cache=None,
     ) -> Tuple[np.ndarray, NLSState]:
         """Run BPP on pre-validated inputs; return ``(x, state)``.
 
@@ -146,26 +173,60 @@ class NLSKernel(abc.ABC):
         carries pivot diagnostics plus measured flop tallies in
         ``state.extra['cholesky_flops']`` / ``['triangular_solve_flops']``.
 
-        ``cache`` is the passive-pattern → ``(idx, L)`` factorization cache.
-        ``None`` (the default) gives each call a fresh one, the historical
-        behaviour.  A caller that solves against the SAME ``gram`` repeatedly
-        — the serving layer, where ``gram = WᵀW`` is fixed per model version —
-        may pass a persistent dict so Cholesky factors survive across calls.
-        Reuse is bit-safe precisely because the Gram matrix is unchanged:
-        recomputing a cached factor would produce the same bits.  Passing a
-        cache populated under a *different* Gram matrix is undefined
-        behaviour; invalidate (pass a fresh dict) whenever ``gram`` changes.
-        The compiled ``numba`` kernel keeps no Python-side cache and ignores
-        the argument.
+        ``cache`` is the passive-pattern → factor cache, an object from
+        :meth:`make_cache` (sized with ``len()``); ``None`` gives each call a
+        fresh one.  A caller that solves against the SAME ``gram`` repeatedly
+        (serving: ``gram = WᵀW`` is fixed per model version) may pass a
+        persistent one so factors survive across calls; replace it whenever
+        ``gram`` changes.  Only completed factorizations are inserted, so an
+        exception mid-solve leaves no half-made entry.  The compiled ``numba``
+        kernel keeps no Python-side cache.
         """
 
-    # -- shared driver pieces ------------------------------------------------
     @staticmethod
     def _fresh_state() -> NLSState:
         return NLSState(extra={"cholesky_flops": 0.0, "triangular_solve_flops": 0.0})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+class _PivotLoop(NLSKernel):
+    """The BPP pivot loop the NumPy kernels share; they differ in two hooks over
+    the unconverged columns ``cols`` (an index array or ``slice(None)``):
+    ``_exchange`` (Kim & Park's rules) and ``_solve_groups`` (their systems).
+    """
+
+    def solve(self, gram, rhs, x0, *, max_backup, max_iters, tol, cache=None):
+        k, c = rhs.shape
+        state = self._fresh_state()
+        if cache is None:
+            cache = self.make_cache()
+        x = np.zeros((k, c))
+        y = -rhs
+        passive = np.zeros((k, c), dtype=bool)
+        if x0 is not None and np.any(x0 > 0):
+            passive = x0 > 0
+            self._solve_groups(gram, rhs, passive, x, slice(None), cache, state)
+            y = gram @ x - rhs
+        alpha = np.full(c, max_backup)  # remaining full exchanges per column
+        beta = np.full(c, k + 1)  # best (lowest) infeasibility count per column
+
+        for iteration in range(max_iters):
+            infeasible = np.where(passive, x < -tol, y < -tol)
+            counts = infeasible.sum(axis=0)
+            not_done = counts.nonzero()[0]
+            if not_done.size == 0:
+                state.iterations, state.converged = iteration, True
+                return x, state
+            # While every column is still pivoting (a whole serving batch, the
+            # first rounds of a fit) plain views replace the fancy copies.
+            cols = slice(None) if not_done.size == c else not_done
+            self._exchange(passive, infeasible, counts, cols, alpha, beta, max_backup, state)
+            self._solve_groups(gram, rhs, passive, x, cols, cache, state)
+            y[:, cols] = gram @ x[:, cols] - rhs[:, cols]
+        state.iterations, state.converged = max_iters, False
+        return x, state
 
 
 # -- registry ----------------------------------------------------------------
@@ -191,14 +252,13 @@ def available_kernels() -> List[str]:
 def resolve_kernel(name: Optional[str]) -> str:
     """Normalize a requested kernel name to a concrete, available one.
 
-    ``None`` means "the default" (``scalar``, preserving historical
-    behaviour); ``"auto"`` picks the fastest available engine (``numba`` when
-    importable, else ``batched``).  Explicitly requesting an unavailable or
-    unknown kernel raises :class:`SolverError` — a typo must not silently
-    fall back.
+    ``None`` means :data:`DEFAULT_KERNEL` (``batched``); ``"auto"`` picks the
+    fastest available engine (``numba`` when importable, else ``batched``).
+    Explicitly requesting an unavailable or unknown kernel raises
+    :class:`SolverError` — a typo must not silently fall back.
     """
     if name is None:
-        return "scalar"
+        return DEFAULT_KERNEL
     name = name.lower()
     if name == "auto":
         return "numba" if _KERNELS["numba"].is_available() else "batched"
@@ -223,223 +283,184 @@ def make_kernel(name: Optional[str] = None) -> NLSKernel:
 
 # -- kernels -----------------------------------------------------------------
 @register_kernel
-class ScalarKernel(NLSKernel):
-    """The original column-at-a-time BPP engine (pure NumPy + Python loop).
+class ScalarKernel(_PivotLoop):
+    """The column-at-a-time reference BPP engine (pure NumPy + Python loops).
 
     Columns sharing a passive-set pattern are grouped in a dict so one
-    Cholesky serves the group; a per-solve cache reuses factors across pivot
-    rounds.  This is the reference engine every other kernel is tested
-    against.
+    Cholesky serves the group; each group's compact system goes through
+    :func:`_substitute` on its own.  The oracle other kernels are tested against.
     """
 
     name = "scalar"
 
-    def solve(self, gram, rhs, x0, *, max_backup, max_iters, tol, cache=None):
-        k, c = rhs.shape
-        state = self._fresh_state()
-        if cache is None:
-            cache = {}
-
-        x = np.zeros((k, c))
-        y = -rhs.copy()
-        passive = np.zeros((k, c), dtype=bool)
-        if x0 is not None and np.any(x0 > 0):
-            passive = x0 > 0
-            self._solve_groups(gram, rhs, passive, x, np.arange(c), cache, state)
-            y = gram @ x - rhs
-
-        alpha = np.full(c, max_backup)  # remaining full exchanges per column
-        beta = np.full(c, k + 1)  # best (lowest) infeasibility count per column
-
-        for iteration in range(max_iters):
-            x_infeasible = passive & (x < -tol)
-            y_infeasible = (~passive) & (y < -tol)
-            infeasible = x_infeasible | y_infeasible
-            n_infeasible = infeasible.sum(axis=0)
-            not_done = np.flatnonzero(n_infeasible > 0)
-            if not_done.size == 0:
-                state.iterations = iteration
-                state.converged = True
-                break
-
-            for col in not_done:
-                count = n_infeasible[col]
-                if count < beta[col]:
-                    # Progress: remember the new best and reset the budget.
-                    beta[col] = count
-                    alpha[col] = max_backup
-                    exchange = infeasible[:, col]
-                    state.full_exchanges += 1
-                elif alpha[col] >= 1:
-                    # No progress but budget remains: full exchange anyway.
-                    alpha[col] -= 1
-                    exchange = infeasible[:, col]
-                    state.full_exchanges += 1
-                else:
-                    # Backup rule: exchange only the largest infeasible index.
-                    exchange = np.zeros(k, dtype=bool)
-                    exchange[np.flatnonzero(infeasible[:, col]).max()] = True
-                    state.backup_exchanges += 1
-                passive[exchange, col] = ~passive[exchange, col]
-
-            self._solve_groups(gram, rhs, passive, x, not_done, cache, state)
-            y[:, not_done] = gram @ x[:, not_done] - rhs[:, not_done]
-        else:
-            state.iterations = max_iters
-            state.converged = False
-        return x, state
+    @staticmethod
+    def _exchange(passive, infeasible, n_infeasible, cols, alpha, beta, max_backup, state):
+        for col in np.arange(passive.shape[1])[cols]:
+            count = n_infeasible[col]
+            if count < beta[col]:
+                # Progress: remember the new best and reset the budget.
+                beta[col] = count
+                alpha[col] = max_backup
+                exchange = infeasible[:, col]
+                state.full_exchanges += 1
+            elif alpha[col] >= 1:
+                # No progress but budget remains: full exchange anyway.
+                alpha[col] -= 1
+                exchange = infeasible[:, col]
+                state.full_exchanges += 1
+            else:
+                # Backup rule: exchange only the largest infeasible index.
+                exchange = np.zeros(passive.shape[0], dtype=bool)
+                exchange[np.flatnonzero(infeasible[:, col]).max()] = True
+                state.backup_exchanges += 1
+            passive[exchange, col] = ~passive[exchange, col]
 
     @staticmethod
-    def _solve_groups(gram, rhs, passive, x, columns, cache, state):
-        if columns.size == 0:
-            return
+    def _solve_groups(gram, rhs, passive, x, cols, cache, state):
         patterns: Dict[bytes, list] = {}
-        for col in columns:
+        for col in np.arange(passive.shape[1])[cols]:
             patterns.setdefault(passive[:, col].tobytes(), []).append(col)
-        for pattern, cols in patterns.items():
-            cols = np.asarray(cols)
-            x[:, cols] = 0.0
+        for pattern, members in patterns.items():
             entry = cache.get(pattern)
             if entry is None:
                 idx = np.flatnonzero(np.frombuffer(pattern, dtype=bool))
-                L = _factorize_pattern(gram, idx, state) if idx.size else None
-                entry = (idx, L)
-                cache[pattern] = entry
-            idx, L = entry
-            if idx.size == 0:
-                continue
-            _apply_pattern_solve(gram, rhs, idx, L, cols, x, state)
+                entry = cache[pattern] = (idx, _factorize_pattern(gram, idx, state))
+            x[:, members] = _solve_pattern(gram, rhs[:, members], *entry, state)
+
+
+class _FactorStacks:
+    """The batched kernel's cache: pattern key → slot in its size's factor stack.
+
+    ``forms[s]`` is ``s × s × capacity``, factor index last: the compact solve
+    forms of every size-``s`` pattern seen (NaN for a singular one), so one
+    ``take`` hands :func:`_substitute` the per-column stack of a size class
+    and a cached factor is never restacked.
+    """
+
+    def __init__(self) -> None:
+        self.slots: Dict[bytes, int] = {}
+        self.forms: Dict[int, np.ndarray] = {}
+        self.used: Dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def slots_for(self, gram, keys: List[bytes], idx: np.ndarray, state) -> np.ndarray:
+        """Slots of same-size patterns (a row of ``idx`` each), factorizing the new ones."""
+        slots = np.fromiter(map(self.slots.get, keys, repeat(-1)), np.intp, len(keys))
+        new = (slots < 0).nonzero()[0]
+        if new.size == 0:
+            return slots
+        size = idx.shape[1]
+        used, forms = self.used.get(size, 0), self.forms.get(size)
+        if forms is None or used + new.size > forms.shape[2]:
+            grown = np.empty((size, size, used + max(used // 2, new.size)))
+            if used:
+                grown[:, :, :used] = forms[:, :, :used]
+            forms = grown
+        blocks = idx[new]
+        try:
+            # One stacked Cholesky for the whole size class.
+            made = _solve_form(np.linalg.cholesky(gram[blocks[:, :, None], blocks[:, None, :]]))
+            state.extra["cholesky_flops"] += new.size * cholesky_flops(size)
+        except np.linalg.LinAlgError:
+            # At least one singular block: per-pattern calls (bit-identical
+            # for the nonsingular ones).
+            made = np.stack([_factorize_pattern(gram, block, state) for block in blocks])
+        fresh = np.arange(used, used + new.size)
+        forms[:, :, used : used + new.size] = np.moveaxis(made, 0, 2)
+        # Commit only now, so an exception above leaves no half-made entry.
+        self.forms[size], self.used[size] = forms, used + new.size
+        self.slots.update(zip(map(keys.__getitem__, new.tolist()), fresh.tolist()))
+        slots[new] = fresh
+        return slots
 
 
 @register_kernel
-class BatchedKernel(NLSKernel):
-    """Vectorized BPP engine: batched pivot rules + stacked Cholesky.
+class BatchedKernel(_PivotLoop):
+    """Vectorized BPP engine (the default; see the module docstring).
 
-    Per pivot round the exchange rules are applied to every unconverged
-    column at once with boolean array arithmetic; passive-set patterns are
-    grouped via ``packbits``/``lexsort``; and all uncached same-size passive
-    blocks are factorized with a single stacked ``np.linalg.cholesky`` call
-    (one LAPACK dispatch instead of one per pattern).  Because NumPy's
-    stacked Cholesky gufunc produces the same bits as per-matrix calls, and
-    the triangular solves go through the same ``cho_solve`` primitive, this
-    kernel is byte-identical to :class:`ScalarKernel`.
+    Per pivot round: array-at-once exchange rules, one ``np.unique`` grouping,
+    and per pattern *size* one stacked Cholesky of the uncached patterns and
+    one :func:`_substitute` sweep.  Byte-identical to :class:`ScalarKernel`.
     """
 
     name = "batched"
 
-    def solve(self, gram, rhs, x0, *, max_backup, max_iters, tol, cache=None):
-        k, c = rhs.shape
-        state = self._fresh_state()
-        if cache is None:
-            cache = {}
-
-        x = np.zeros((k, c))
-        y = -rhs.copy()
-        passive = np.zeros((k, c), dtype=bool)
-        if x0 is not None and np.any(x0 > 0):
-            passive = x0 > 0
-            self._solve_groups(gram, rhs, passive, x, np.arange(c), cache, state)
-            y = gram @ x - rhs
-
-        alpha = np.full(c, max_backup)
-        beta = np.full(c, k + 1)
-
-        for iteration in range(max_iters):
-            x_infeasible = passive & (x < -tol)
-            y_infeasible = (~passive) & (y < -tol)
-            infeasible = x_infeasible | y_infeasible
-            n_infeasible = infeasible.sum(axis=0)
-            not_done = np.flatnonzero(n_infeasible > 0)
-            if not_done.size == 0:
-                state.iterations = iteration
-                state.converged = True
-                break
-
-            # Kim & Park's three exchange rules, applied to all columns at once.
-            counts = n_infeasible[not_done]
-            improved = counts < beta[not_done]
-            budget = (~improved) & (alpha[not_done] >= 1)
-            full_mask = improved | budget
-            beta[not_done[improved]] = counts[improved]
-            alpha[not_done[improved]] = max_backup
-            alpha[not_done[budget]] -= 1
-
-            full_cols = not_done[full_mask]
-            backup_cols = not_done[~full_mask]
-            state.full_exchanges += int(full_cols.size)
-            state.backup_exchanges += int(backup_cols.size)
-            if full_cols.size:
-                passive[:, full_cols] ^= infeasible[:, full_cols]
-            if backup_cols.size:
-                # Largest infeasible index per backup column.
-                rows = (k - 1) - np.argmax(infeasible[::-1][:, backup_cols], axis=0)
-                passive[rows, backup_cols] = ~passive[rows, backup_cols]
-
-            self._solve_groups(gram, rhs, passive, x, not_done, cache, state)
-            y[:, not_done] = gram @ x[:, not_done] - rhs[:, not_done]
-        else:
-            state.iterations = max_iters
-            state.converged = False
-        return x, state
+    def make_cache(self) -> _FactorStacks:
+        return _FactorStacks()
 
     @staticmethod
-    def _solve_groups(gram, rhs, passive, x, columns, cache, state):
-        if columns.size == 0:
-            return
-        # Group columns by passive-set pattern without a Python dict pass:
-        # pack each pattern into bytes, lex-sort, and split at boundaries.
-        pats = passive[:, columns]
-        packed = np.packbits(pats, axis=0)
-        order = np.lexsort(packed[::-1])
-        sorted_cols = columns[order]
-        sorted_packed = packed[:, order]
-        if sorted_cols.size > 1:
-            changed = np.any(sorted_packed[:, 1:] != sorted_packed[:, :-1], axis=0)
-            boundaries = np.flatnonzero(changed) + 1
-            groups = np.split(sorted_cols, boundaries)
+    def _exchange(passive, infeasible, n_infeasible, cols, alpha, beta, max_backup, state):
+        counts, best = n_infeasible[cols], beta[cols]
+        flips = infeasible[:, cols]
+        stuck = counts >= best  # no progress: spend budget, or back up without any
+        beta[cols] = np.minimum(counts, best)
+        n_backup = 0
+        if stuck.any():
+            budget = alpha[cols]
+            retry = stuck & (budget >= 1)
+            alpha[cols] = np.where(stuck, budget - retry, max_backup)
+            backup = stuck ^ retry
+            n_backup = int(np.count_nonzero(backup))
         else:
-            groups = [sorted_cols]
+            alpha[cols] = max_backup
+        if n_backup:
+            # Backup rule: flip only the largest infeasible index.
+            last = (passive.shape[0] - 1) - np.argmax(flips[::-1], axis=0)
+            flips = flips & ~backup
+            flips[last[backup], np.flatnonzero(backup)] = True
+        state.full_exchanges += counts.size - n_backup
+        state.backup_exchanges += n_backup
+        passive[:, cols] ^= flips
 
-        # Factorize every uncached pattern, batching same-size blocks into a
-        # single stacked Cholesky call.
-        group_keys = []
-        to_factor: Dict[int, list] = {}
-        for cols in groups:
-            key = passive[:, cols[0]].tobytes()
-            group_keys.append(key)
-            if key in cache:
-                continue
-            idx = np.flatnonzero(passive[:, cols[0]])
+    @staticmethod
+    def _solve_groups(gram, rhs, passive, x, cols, stacks, state):
+        patterns, targets = passive[:, cols], rhs[:, cols]
+        first = patterns[:, 0]
+        if (patterns == first[:, None]).all():
+            # One pattern covers the call (serving; a W-update at convergence):
+            # no grouping, and its factor is broadcast, not gathered per column.
+            idx, key = first.nonzero()[0], np.packbits(first).tobytes()
             if idx.size == 0:
-                cache[key] = (idx, None)
-            else:
-                to_factor.setdefault(idx.size, []).append((key, idx))
-                cache[key] = (idx, None)  # placeholder, filled below
-        for size, entries in to_factor.items():
-            if len(entries) == 1:
-                key, idx = entries[0]
-                cache[key] = (idx, _factorize_pattern(gram, idx, state))
-                continue
-            idx_mat = np.array([idx for _, idx in entries])
-            stack = gram[idx_mat[:, :, None], idx_mat[:, None, :]]
-            try:
-                factors = np.linalg.cholesky(stack)
-            except np.linalg.LinAlgError:
-                # At least one singular block: fall back to per-pattern calls
-                # (bit-identical for the nonsingular ones).
-                for key, idx in entries:
-                    cache[key] = (idx, _factorize_pattern(gram, idx, state))
-                continue
-            state.extra["cholesky_flops"] += len(entries) * cholesky_flops(size)
-            for (key, idx), L in zip(entries, factors):
-                cache[key] = (idx, L)
-
-        for key, cols in zip(group_keys, groups):
-            x[:, cols] = 0.0
-            idx, L = cache[key]
-            if idx.size == 0:
-                continue
-            _apply_pattern_solve(gram, rhs, idx, L, cols, x, state)
+                x[:, cols] = 0.0
+                return
+            slot = stacks.slots.get(key)
+            if slot is None:
+                slot = stacks.slots_for(gram, [key], idx[None], state)[0]
+            form = stacks.forms[idx.size][:, :, slot]
+            x[:, cols] = _solve_pattern(gram, targets, idx, form, state)
+            return
+        packed = np.ascontiguousarray(np.packbits(patterns, axis=0).T)
+        packed = packed.view(f"V{packed.shape[1]}").ravel()  # any k: multi-byte keys
+        keys, at, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        distinct = patterns[:, at]
+        sizes = distinct.sum(axis=0)
+        out = np.zeros(targets.shape)
+        for size in np.unique(sizes[sizes > 0]):
+            groups = np.flatnonzero(sizes == size)
+            idx = np.nonzero(distinct[:, groups].T)[1].reshape(-1, size)
+            slots = stacks.slots_for(gram, keys[groups].tolist(), idx, state)
+            forms = stacks.forms[size]
+            members = np.flatnonzero(sizes[inverse] == size)
+            local = np.searchsorted(groups, inverse[members])
+            # A lone pattern's factor is broadcast; a gathered stack stays under the cap.
+            alone = groups.size == 1
+            step = members.size if alone else max(1, WORKSPACE_BYTES // (8 * size * size))
+            for lo in range(0, members.size, step):
+                part, which = members[lo : lo + step], local[lo : lo + step]
+                rows = idx[which].T
+                b = targets[rows, part]
+                _substitute(forms[:, :, slots] if alone else forms.take(slots[which], axis=2), b)
+                out[rows, part] = b
+            solved = members.size
+            for group in np.flatnonzero(np.isnan(forms[0, 0, slots])):
+                theirs = members[local == group]
+                bad = forms[:, :, slots[group]]
+                out[:, theirs] = _solve_pattern(gram, targets[:, theirs], idx[group], bad, state)
+                solved -= theirs.size
+            state.extra["triangular_solve_flops"] += triangular_solve_flops(int(size), solved)
+        x[:, cols] = out
 
 
 @register_kernel
@@ -463,8 +484,6 @@ class NumbaKernel(NLSKernel):
         return NUMBA_AVAILABLE
 
     def solve(self, gram, rhs, x0, *, max_backup, max_iters, tol, cache=None):
-        # ``cache`` is accepted for interface uniformity but unused: the
-        # compiled core keeps its factorizations in native arrays per call.
         from repro.nls.kernels_numba import bpp_columns
 
         k, c = rhs.shape

@@ -35,14 +35,17 @@ EDISON_NODE = {
     "mpi_latency_us": 1.3,
 }
 
-#: Assumed NLS throughput of each BPP kernel relative to ``scalar``, used when
-#: a spec carries no measured ratios (``MachineSpec.calibrate`` measures the
-#: real ones).  ``scalar`` is 1.0 by definition, so default pricing is
-#: unchanged for code that never asks about kernels.
+#: NLS throughput of each BPP kernel relative to the default kernel
+#: (``repro.nls.kernels.DEFAULT_KERNEL``, 1.0 by definition, so default
+#: pricing is what ``kernel=None`` runs), used when a spec carries no measured
+#: ratios (``MachineSpec.calibrate`` measures the real ones).  Measured (PR 12,
+#: 2-CPU host, BLAS pinned): the 80 per-rank solves of a 20-iteration
+#: ``dense_bpp`` fit replay in 1.98 s on ``scalar`` and 0.34 s on ``batched``.
+#: ``numba`` has no entry because no host with numba has measured it: it
+#: prices like the default until ``calibrate`` fills it in.
 DEFAULT_KERNEL_SPEEDUPS: Mapping[str, float] = {
-    "scalar": 1.0,
-    "batched": 2.5,
-    "numba": 6.0,
+    "batched": 1.0,
+    "scalar": 0.17,
 }
 
 #: Fraction of *overlappable* communication each backend actually hides when
@@ -98,7 +101,7 @@ class MachineSpec:
     bpp_iterations: float = 10.0
     #: Fraction of columns whose passive set is unique (cannot share a Cholesky).
     bpp_grouping_factor: float = 0.5
-    #: Measured NLS throughput of each BPP kernel relative to ``scalar``
+    #: Measured NLS throughput of each BPP kernel relative to the default one
     #: (``None`` = use :data:`DEFAULT_KERNEL_SPEEDUPS`).  Filled in by
     #: :meth:`calibrate`; read by :meth:`kernel_speedup` / :meth:`for_kernel`.
     kernel_speedups: Optional[Mapping[str, float]] = None
@@ -136,9 +139,9 @@ class MachineSpec:
         return seconds
 
     def kernel_speedup(self, kernel: str) -> float:
-        """NLS throughput of a BPP kernel relative to ``scalar`` (>= 0).
+        """NLS throughput of a BPP kernel relative to the default one (>= 0).
 
-        Unknown kernel names price like ``scalar`` (ratio 1.0) rather than
+        Unknown kernel names price like the default (ratio 1.0) rather than
         raising — the planner validates names before pricing.
         """
         table = self.kernel_speedups or DEFAULT_KERNEL_SPEEDUPS
@@ -200,8 +203,8 @@ class MachineSpec:
         cost hooks without changing their signatures: the returned spec's
         ``nls_efficiency`` is scaled by the kernel's speedup ratio, so every
         downstream ``nls_seconds`` call prices the chosen engine.  ``None``
-        or ``scalar`` (ratio 1.0) return ``self`` unchanged, keeping default
-        pricing byte-stable.
+        or the default kernel (ratio 1.0) return ``self`` unchanged, keeping
+        default pricing byte-stable.
         """
         if kernel is None:
             return self
@@ -326,6 +329,7 @@ class MachineSpec:
         kernel_speedups = None
         if rate_kernels:
             from repro.nls import available_kernels, make_solver
+            from repro.nls.kernels import DEFAULT_KERNEL
 
             kk, cc = 10, 128
             C = rng.standard_normal((2 * kk, kk))
@@ -340,8 +344,8 @@ class MachineSpec:
                     _timed(lambda: solver.solve(gram_mat, rhs))
                     for _ in range(max(repeats, 1))
                 )
-            scalar_time = times["scalar"]
-            kernel_speedups = {k: scalar_time / t for k, t in times.items()}
+            default_time = times[DEFAULT_KERNEL]
+            kernel_speedups = {k: default_time / t for k, t in times.items()}
 
         overlap_efficiency = None
         if rate_overlap:

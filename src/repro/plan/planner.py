@@ -52,7 +52,7 @@ class ExecutionPlan:
         Execution backend and local NLS solver recorded for provenance.
     kernel:
         BPP kernel the plan was priced for (``None`` = default pricing, i.e.
-        the ``scalar`` engine); see :mod:`repro.nls.kernels`.
+        :data:`repro.nls.kernels.DEFAULT_KERNEL`); see :mod:`repro.nls.kernels`.
     machine:
         Name of the :class:`~repro.perf.machine.MachineSpec` the prediction
         used (``"edison"`` unless calibrated).
@@ -189,8 +189,8 @@ def plan_candidates(
         BPP kernel to price the NLS term for (``'scalar'``, ``'batched'``,
         ``'numba'`` or ``'auto'``); resolved against the kernels registry,
         then threaded through the cost hooks via
-        :meth:`MachineSpec.for_kernel`.  ``None`` keeps default (scalar)
-        pricing.
+        :meth:`MachineSpec.for_kernel`.  ``None`` keeps default-kernel
+        (``batched``) pricing.
     backend:
         Execution backend the plans will run on.  Enables the pipelined
         twins (scored with the backend's overlap efficiency) and, for the

@@ -7,9 +7,9 @@ frames), find
     ``H = argmin_{H ≥ 0} ‖X − W H‖_F``
 
 one small NLS problem per column, solved through the same kernels registry
-(:mod:`repro.nls.kernels`) the training loops use — ``batched`` coalesces the
-whole micro-batch into one stacked solve, ``scalar`` is the per-column
-reference, ``numba`` the JIT engine.
+(:mod:`repro.nls.kernels`) the training loops use — ``batched`` (the default)
+coalesces the whole micro-batch into one stacked solve, ``scalar`` is the
+per-column reference, ``numba`` the JIT engine.
 
 Byte-identity contract
 ----------------------
@@ -23,8 +23,8 @@ batch.  Two implementation choices make the response bytes batch-invariant:
    BLAS accumulation order (and therefore low bits) would depend on the
    co-batched strangers;
 2. the BPP kernels solve each column's pivot sequence independently and the
-   shared primitives (``np.linalg.cholesky`` + ``scipy.linalg.cho_solve``)
-   are column-independent, so a column solved inside a coalesced batch is
+   shared triangular-solve primitive is element-wise (no reductions across
+   or along columns), so a column solved inside a coalesced batch is
    bit-identical to the same column solved alone (pinned by
    ``tests/serve/``).
 

@@ -131,7 +131,7 @@ class ProjectionService:
         batch.
     kernel:
         BPP kernel the batched calls route through (``None`` = registry
-        default ``scalar``; the CLI defaults to ``auto``).
+        default ``batched``; the CLI defaults to ``auto``).
     """
 
     def __init__(

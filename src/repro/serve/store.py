@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.result import NMFResult
 from repro.nls.bpp import BlockPrincipalPivoting
+from repro.nls.kernels import resolve_kernel
 from repro.serve.errors import ModelLoadError, ModelNotFoundError
 
 __all__ = ["ModelEntry", "ModelStore"]
@@ -85,11 +86,11 @@ class ModelEntry:
 
     def solver_for(self, kernel: Optional[str]) -> BlockPrincipalPivoting:
         """The entry's persistent-cache BPP solver for ``kernel`` (memoised)."""
-        key = kernel or "scalar"
+        key = resolve_kernel(kernel)
         with self._lock:
             solver = self._solvers.get(key)
             if solver is None:
-                solver = BlockPrincipalPivoting(kernel=kernel, persistent_cache=True)
+                solver = BlockPrincipalPivoting(kernel=key, persistent_cache=True)
                 self._solvers[key] = solver
             return solver
 

@@ -3,9 +3,9 @@
 The contract under test (see docs/ARCHITECTURE.md "Kernels registry"):
 
 * ``scalar`` and ``batched`` are *byte-identical* — same factor bytes, same
-  pivot counters — because both are built from the same factorization
-  primitives (``np.linalg.cholesky`` + ``cho_solve``) applied to the same
-  passive-set groups in the same order;
+  pivot counters — because both factorize with ``np.linalg.cholesky`` and
+  solve through one element-wise, per-column-independent substitution
+  primitive (``tests/nls/test_stacked_solve.py`` pins the engine itself);
 * ``numba`` agrees to solver tolerance (its hand-rolled Cholesky is a
   different instruction stream) and is gated behind a capability flag;
 * every kernel tallies its Cholesky/triangular-solve flops into
@@ -24,7 +24,7 @@ from repro.nls import (
     resolve_kernel,
 )
 from repro.nls.bpp import BlockPrincipalPivoting, bpp_flops_estimate
-from repro.nls.kernels import cholesky_flops, triangular_solve_flops
+from repro.nls.kernels import DEFAULT_KERNEL, cholesky_flops, triangular_solve_flops
 from repro.nls.kernels_numba import NUMBA_AVAILABLE
 from repro.util.errors import SolverError
 
@@ -48,8 +48,8 @@ class TestRegistry:
     def test_numba_availability_matches_flag(self):
         assert ("numba" in available_kernels()) == NUMBA_AVAILABLE
 
-    def test_resolve_default_is_scalar(self):
-        assert resolve_kernel(None) == "scalar"
+    def test_resolve_default_is_batched(self):
+        assert resolve_kernel(None) == DEFAULT_KERNEL == "batched"
 
     def test_resolve_auto_prefers_numba_else_batched(self):
         expected = "numba" if NUMBA_AVAILABLE else "batched"
@@ -137,8 +137,8 @@ class TestFlopAccounting:
 
     def test_scalar_and_batched_tally_identically(self):
         # Both kernels factorize each unique passive-set pattern exactly once
-        # per solve and push the same column groups through cho_solve, so the
-        # tallies agree up to float summation order.
+        # per solve and substitute the same columns, so the tallies agree up
+        # to float summation order.
         gram, rhs = _problem(12, 200, seed=2)
         scalar, batched = (BlockPrincipalPivoting(kernel=k) for k in ("scalar", "batched"))
         scalar.solve(gram, rhs)

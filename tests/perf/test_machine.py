@@ -62,36 +62,40 @@ def test_laptop_machine_factory():
 
 
 class TestKernelSpeedups:
-    def test_default_table_prices_scalar_at_unity(self):
+    def test_default_table_prices_the_default_kernel_at_unity(self):
+        from repro.nls.kernels import DEFAULT_KERNEL
+
         machine = edison_machine()
-        assert machine.kernel_speedup("scalar") == 1.0
-        assert machine.kernel_speedup("batched") > 1.0
-        assert machine.kernel_speedup("numba") > machine.kernel_speedup("batched")
-        # Unknown names price like scalar: the planner validates names first.
+        assert machine.kernel_speedup(DEFAULT_KERNEL) == 1.0
+        assert machine.kernel_speedup("scalar") < machine.kernel_speedup("batched")
+        # Unmeasured (numba) and unknown names price like the default: the
+        # planner validates names first.
+        assert machine.kernel_speedup("numba") == 1.0
         assert machine.kernel_speedup("mystery") == 1.0
 
     def test_for_kernel_scales_nls_efficiency(self):
         machine = edison_machine()
-        batched = machine.for_kernel("batched")
-        ratio = machine.kernel_speedup("batched")
-        assert batched.nls_efficiency == pytest.approx(
+        scalar = machine.for_kernel("scalar")
+        ratio = machine.kernel_speedup("scalar")
+        assert ratio != 1.0
+        assert scalar.nls_efficiency == pytest.approx(
             machine.nls_efficiency * ratio
         )
-        # NLS gets cheaper by exactly the speedup; other kernels unchanged.
-        assert batched.nls_seconds(1e9) == pytest.approx(
+        # NLS is repriced by exactly the ratio; other kernels unchanged.
+        assert scalar.nls_seconds(1e9) == pytest.approx(
             machine.nls_seconds(1e9) / ratio
         )
-        assert batched.dense_mm_seconds(1e9) == machine.dense_mm_seconds(1e9)
+        assert scalar.dense_mm_seconds(1e9) == machine.dense_mm_seconds(1e9)
 
     def test_for_kernel_identity_cases(self):
         machine = edison_machine()
         assert machine.for_kernel(None) is machine
-        assert machine.for_kernel("scalar") is machine
+        assert machine.for_kernel("batched") is machine
 
     def test_nls_seconds_accepts_kernel_directly(self):
         machine = edison_machine()
-        assert machine.nls_seconds(1e9, kernel="batched") == pytest.approx(
-            machine.nls_seconds(1e9) / machine.kernel_speedup("batched")
+        assert machine.nls_seconds(1e9, kernel="scalar") == pytest.approx(
+            machine.nls_seconds(1e9) / machine.kernel_speedup("scalar")
         )
 
     def test_measured_ratios_override_defaults(self):
@@ -127,14 +131,14 @@ class TestCalibrate:
         machine = MachineSpec.calibrate(size=64, repeats=1)
         assert machine.kernel_speedups is not None
         assert set(machine.kernel_speedups) == set(available_kernels())
-        assert machine.kernel_speedups["scalar"] == pytest.approx(1.0)
+        assert machine.kernel_speedups["batched"] == pytest.approx(1.0)
         assert all(v > 0 for v in machine.kernel_speedups.values())
 
     def test_kernel_rating_can_be_skipped(self):
         machine = MachineSpec.calibrate(size=64, repeats=1, rate_kernels=False)
         assert machine.kernel_speedups is None
         # Falls back to the documented default table.
-        assert machine.kernel_speedup("batched") > 1.0
+        assert machine.kernel_speedup("scalar") < 1.0
 
     def test_parallel_calibration_measures_contended_gemm_rate(self):
         """ranks > 1 times the GEMM with that many concurrent OS processes,

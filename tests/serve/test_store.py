@@ -7,6 +7,7 @@ from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.core.result import NMFResult
 from repro.data.lowrank import planted_lowrank
+from repro.nls import resolve_kernel
 from repro.serve import ModelLoadError, ModelNotFoundError, ModelStore
 
 
@@ -113,6 +114,10 @@ class TestEntry:
         a = entry.solver_for("scalar")
         assert entry.solver_for("scalar") is a
         assert entry.solver_for("batched") is not a
+        # one engine, one pattern cache: None / "auto" resolve before memoising
+        assert entry.solver_for(None) is entry.solver_for(resolve_kernel(None))
+        assert entry.solver_for(None).kernel.name == "batched"
+        assert entry.solver_for("auto") is entry.solver_for(resolve_kernel("auto"))
         # persistent pattern cache enabled: repeated solves reuse factors
         assert a.cached_patterns == 0
         a.solve(np.asarray(entry.gram), np.abs(np.ones((entry.k, 2))))
