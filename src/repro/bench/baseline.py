@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.comm.backends.process import available_cpus
+from repro.comm.backends.base import available_cpus
 
 #: Problem sizes per scale.  Chosen so the *tiny* dense panel is dominated by
 #: the pure-Python BPP solves (the GIL-bound work the process backend

@@ -116,7 +116,7 @@ def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
     # measures the achieved compute/comm hiding ratio per backend, so the
     # pipelined candidates' exposed/hidden split reflects this host rather
     # than the static DEFAULT_OVERLAP_EFFICIENCY guesses.
-    from repro.comm.backends.process import available_cpus
+    from repro.comm.backends.base import available_cpus
 
     return MachineSpec.calibrate(
         ranks=max(1, min(ranks, available_cpus())), rate_overlap=True

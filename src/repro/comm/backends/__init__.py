@@ -12,12 +12,16 @@ substrate that actually runs the per-rank programs:
 * :mod:`~repro.comm.backends.lockstep` — ``"lockstep"``: cooperative
   rank-ordered scheduling with at most one rank running at any instant —
   deterministic, deadlock-diagnosing, and able to simulate hundreds of ranks;
-* :mod:`~repro.comm.backends.process` — ``"process"``: one OS process per
-  rank over shared-memory collectives — ranks escape the GIL, hence a
-  measured-speedup substrate (:mod:`repro.bench` records its trajectory);
-* :mod:`~repro.comm.backends.socket` — ``"socket"``: one OS process per rank
-  over a TCP mesh of length-prefixed frames (:mod:`repro.comm.wire`) — the
-  wire backend whose collectives genuinely serialize onto a byte stream;
+* :mod:`~repro.comm.backends.forked` — the one runtime under both forked
+  backends: launcher, TCP-mesh token transport (barriers, point-to-point),
+  result collection, dead-rank reaping and teardown;
+* :mod:`~repro.comm.backends.process` — ``"process"``: that runtime with
+  collective payloads in shared-memory deposit slots — ranks escape the GIL,
+  hence a measured-speedup substrate (:mod:`repro.bench` records its
+  trajectory);
+* :mod:`~repro.comm.backends.socket` — ``"socket"``: that runtime with
+  collective payloads as length-prefixed frames (:mod:`repro.comm.wire`) —
+  the wire backend whose collectives genuinely serialize onto a byte stream;
 * :mod:`~repro.comm.backends.mpi` — ``"mpi"``: the same interface mapped
   onto real MPI collectives via ``mpi4py``; registers only when ``mpi4py``
   is importable (check :data:`~repro.comm.backends.mpi.MPI4PY_AVAILABLE`),

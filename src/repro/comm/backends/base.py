@@ -14,12 +14,14 @@ communicator only, so backends are interchangeable:
   at communication points — deterministic interleaving, deterministic
   deadlock detection, and no concurrent-thread pressure even at hundreds of
   simulated ranks.
-* ``"process"`` (:class:`~repro.comm.backends.process.ProcessBackend`) runs
-  one OS process per rank over shared-memory deposit slots — ranks escape
-  the GIL, so real parallel speedups are measurable.
-* ``"socket"`` (:class:`~repro.comm.backends.socket.SocketBackend`) runs one
-  OS process per rank over a TCP mesh of length-prefixed frames — the wire
-  backend whose collectives genuinely serialize onto a byte stream.
+* ``"process"`` (:class:`~repro.comm.backends.process.ProcessBackend`) and
+  ``"socket"`` (:class:`~repro.comm.backends.socket.SocketBackend`) run one
+  forked OS process per rank on one shared runtime
+  (:mod:`repro.comm.backends.forked`) — ranks escape the GIL, so real
+  parallel speedups are measurable.  They differ in where collective
+  payloads go: shared-memory deposit slots, or length-prefixed frames on a
+  TCP mesh (the wire backend whose collectives genuinely serialize onto a
+  byte stream).
 * ``"mpi"`` (:class:`~repro.comm.backends.mpi.MPIBackend`) maps the same
   interface onto real MPI collectives via ``mpi4py``; it registers only when
   ``mpi4py`` is importable, otherwise the name resolves to a clear
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import abc
 import difflib
+import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -67,6 +70,20 @@ class _RankFailure:
 
     rank: int
     exception: BaseException
+
+
+def available_cpus() -> int:
+    """CPUs actually available to this process (affinity/cgroup aware).
+
+    ``os.cpu_count()`` reports the host's logical CPUs, which overstates what
+    a container pinned to a subset of cores can use — that would both hide
+    real oversubscription and make CI speedup floors fire on hardware that
+    cannot meet them.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
 
 
 def raise_first_failure(results: List[Any]) -> None:

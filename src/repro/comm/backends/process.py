@@ -1,19 +1,17 @@
-"""The multi-process SPMD backend: true parallelism over shared memory.
+"""The shared-memory backend: collective payloads go through deposit slots.
 
 :class:`ProcessBackend` runs one OS process per rank, so the ranks escape the
 GIL and genuinely execute concurrently — including the pure-Python hot spots
 (the BPP active-set bookkeeping inside NLS) that the thread backend can only
 interleave.  This is the substrate that can actually *observe* the speedups
-the paper's §6 evaluation measures, rather than merely verifying the
-communication structure of Algorithms 2 and 3.
+the paper's §6 evaluation measures.
 
-Design
-------
-The algorithms in :mod:`repro.core` only ever talk to
-:class:`~repro.comm.communicator.Comm`, and ``Comm``'s native collectives
-follow a deposit / barrier / read / barrier protocol against the group
-state's ``slots``.  The process backend therefore swaps in a group state
-whose pieces cross process boundaries:
+The launcher, the barriers, point-to-point messages and the failure handling
+are the shared forked runtime (:mod:`repro.comm.backends.forked`); what this
+module adds is the choice of *where collective payloads go*.  ``Comm``'s
+native collectives follow a deposit / barrier / read / barrier protocol
+against the group state's ``slots``, and here the slots cross process
+boundaries:
 
 * **deposit slots** live in :mod:`multiprocessing.shared_memory` segments,
   one per world rank (single writer, any reader).  A deposit writes a small
@@ -28,53 +26,29 @@ whose pieces cross process boundaries:
   creates a fresh, doubled segment named ``<session>-r<rank>-g<gen>`` and
   publishes the new generation number in a tiny shared control array;
   readers re-attach by name when they observe a bumped generation.
-* **barriers** are dissemination barriers over per-rank message queues
-  (``log2 p`` rounds of tokens), so sub-communicators created *after* the
-  fork — the processor grid's row/column communicators — synchronize without
-  needing pre-created OS primitives.
-* **point-to-point** messages ride the same per-destination queue, tagged by
-  (group, source); the receiver buffers out-of-order tokens, preserving
-  per-sender FIFO order.
 
-Failure handling: a rank that raises broadcasts an abort token and ships its
-exception to the parent; the parent also watches for ranks that die without
-reporting (killed, segfaulted) and injects a
-:class:`~repro.util.errors.CommunicatorError` **naming the dead rank** into
-the survivors, which unwind as :class:`PeerAbortError` echoes so
-:func:`raise_first_failure` surfaces the root cause.
-
-The backend requires the ``fork`` start method (the SPMD programs close over
-unpicklable state — matrices, configs, observers — which fork inherits for
-free) and is therefore POSIX-only; :func:`make_backend` raises a clear
-:class:`~repro.util.errors.CommunicatorError` elsewhere.  Determinism: all
-reductions still run in rank order inside ``Comm``, so for a fixed seed the
-factors are byte-identical to the thread and lockstep backends (asserted by
-the parity tests).
+Determinism: all reductions still run in rank order inside ``Comm``, so for a
+fixed seed the factors are byte-identical to the thread and lockstep backends
+(asserted by the parity tests).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue
 import struct
-import threading
-import time
 import uuid
-import warnings
-from collections import deque
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.comm.backends.base import (
-    Backend,
-    PeerAbortError,
-    SharedGroupState,
-    _RankFailure,
-    raise_first_failure,
-    register_backend,
+from repro.comm.backends.base import register_backend
+from repro.comm.backends.forked import (
+    DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_TIMEOUT,
+    ForkedBackend,
+    ForkedRuntime,
 )
 from repro.util.errors import CommunicatorError
 
@@ -87,26 +61,8 @@ _DTYPE_BYTES = 64
 
 _KIND_EMPTY, _KIND_ARRAY, _KIND_PICKLE = 0, 1, 2
 
-#: Key prefix of abort tokens (never collides with barrier/message keys,
-#: which are tuples).
-_ABORT = "__abort__"
-
 #: Initial per-rank deposit-slot capacity; grows by doubling on demand.
 DEFAULT_SLOT_BYTES = 1 << 20
-
-
-def available_cpus() -> int:
-    """CPUs actually available to this process (affinity/cgroup aware).
-
-    ``os.cpu_count()`` reports the host's logical CPUs, which overstates what
-    a container pinned to a subset of cores can use — that would both hide
-    real oversubscription and make CI speedup floors fire on hardware that
-    cannot meet them.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -122,22 +78,17 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-class _ProcessRuntime:
-    """Fork-inherited plumbing shared by the parent and every rank process.
+class _SharedMemoryRuntime(ForkedRuntime):
+    """The forked runtime plus one generation-grown deposit slot per rank.
 
-    Created in the parent *before* the fork, so the queues, the control
-    segment and the generation-0 data segments are plain inherited OS
-    resources.  After the fork each process calls :meth:`bind` with its rank;
-    everything mutable past that point (token buffers, segment caches, barrier
-    epochs) is per-process state.
+    Created in the parent *before* the fork, so the control segment and the
+    generation-0 data segments are plain inherited OS resources; segment
+    caches and grown segments are per-process state past that point.
     """
 
-    def __init__(self, ctx, n_ranks: int, slot_bytes: int, timeout: float):
-        self.n_ranks = n_ranks
-        self.timeout = timeout
+    def __init__(self, n_ranks: int, timeout: float, connect_timeout: float, slot_bytes: int):
+        super().__init__(n_ranks, timeout, connect_timeout)
         self.session = f"repro-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        #: One incoming token queue per world rank (barrier + p2p traffic).
-        self.queues = [ctx.Queue() for _ in range(n_ranks)]
         #: Published data-segment generation per world rank (shared int64s).
         self.control = shared_memory.SharedMemory(
             create=True, name=f"{self.session}-ctl", size=8 * n_ranks
@@ -151,29 +102,16 @@ class _ProcessRuntime:
             )
             for r in range(n_ranks)
         }
-        # -- per-process state (reset by bind() in each child) --------------
-        self.rank: Optional[int] = None  # None = the parent/monitor process
-        self._buffers: Dict[Any, deque] = {}
-        # Token demux is shared by the rank's main thread and the nonblocking
-        # helper threads: the condition guards _buffers, _draining elects a
-        # single queue drainer at a time (the rank has exactly one incoming
-        # queue), and waiters for already-buffered keys wake on notify_all.
-        # Created pre-fork while single-threaded, so fork inheritance is safe.
-        self._buf_cond = threading.Condition()
-        self._draining = False
-        self._epochs: Dict[Any, int] = {}
+        #: Segments this (child) process created by growing its own slot.
         self._grown: List[shared_memory.SharedMemory] = []
-        self._aborted = False
-        self._abort_reason: Optional[str] = None
+
+    # -- deposit slots ------------------------------------------------------
+    def make_slots(self, members: Tuple[int, ...]) -> "_ProcessSlots":
+        return _ProcessSlots(self, members)
 
     def _segment_name(self, rank: int, generation: int) -> str:
         return f"{self.session}-r{rank}-g{generation}"
 
-    def bind(self, rank: int) -> None:
-        """Adopt ``rank``'s identity in a freshly forked child."""
-        self.rank = rank
-
-    # -- deposit slots ------------------------------------------------------
     def _segment(self, rank: int) -> shared_memory.SharedMemory:
         """The current-generation segment of ``rank``, attaching if it grew."""
         generation = int(self.generations[rank])
@@ -253,108 +191,11 @@ class _ProcessRuntime:
             "(collective protocol violation)"
         )
 
-    # -- token transport (barriers + point-to-point) ------------------------
-    def send_token(self, dst: int, key: Any, payload: Any) -> None:
-        if dst == self.rank:
-            with self._buf_cond:
-                self._buffers.setdefault(key, deque()).append(payload)
-                self._buf_cond.notify_all()
-            return
-        self.queues[dst].put((key, payload))
-
-    #: Drain slice for the elected queue reader: short enough that a waiter
-    #: whose token was stolen into the buffer sees it promptly, long enough
-    #: that an idle wait is not a busy loop.
-    _DRAIN_SLICE = 0.05
-
-    def recv_token(self, key: Any, timeout: float, empty_on_timeout: bool = False) -> Any:
-        """Wait for a token matching ``key``, buffering out-of-order arrivals.
-
-        Thread-safe: the rank's main thread (barriers, blocking p2p) and its
-        nonblocking helper threads may wait concurrently.  One caller at a
-        time is elected to drain the rank's single incoming queue in short
-        slices; everything it pulls is buffered by key under the condition,
-        so the other waiters wake via ``notify_all`` when their key lands.
-        """
-        deadline = time.monotonic() + timeout
-        own = self.queues[self.rank]
-        with self._buf_cond:
-            while True:
-                bucket = self._buffers.get(key)
-                if bucket:
-                    return bucket.popleft()
-                if self._aborted:
-                    self._raise_abort()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    if empty_on_timeout:
-                        raise queue.Empty
-                    raise CommunicatorError(
-                        f"rank {self.rank} timed out after {timeout:g}s waiting "
-                        f"for token {key!r}; a peer rank likely crashed or is stuck"
-                    )
-                if self._draining:
-                    # Another thread holds the queue; sleep until it buffers
-                    # something (or our slice elapses and we re-check).
-                    self._buf_cond.wait(timeout=min(remaining, self._DRAIN_SLICE))
-                    continue
-                self._draining = True
-                self._buf_cond.release()
-                got = None
-                try:
-                    try:
-                        got = own.get(timeout=min(remaining, self._DRAIN_SLICE))
-                    except queue.Empty:
-                        pass
-                finally:
-                    self._buf_cond.acquire()
-                    self._draining = False
-                if got is None:
-                    self._buf_cond.notify_all()
-                    continue
-                got_key, payload = got
-                if got_key == _ABORT:
-                    self._aborted = True
-                    self._abort_reason = payload
-                    self._buf_cond.notify_all()
-                    self._raise_abort()
-                self._buffers.setdefault(got_key, deque()).append(payload)
-                self._buf_cond.notify_all()
-
-    def _raise_abort(self) -> None:
-        raise PeerAbortError(self._abort_reason or "a peer rank failed; run aborted")
-
-    def broadcast_abort(self, reason: str) -> None:
-        """Wake every rank (blocked or not) with an abort token."""
-        with self._buf_cond:
-            self._aborted = True
-            self._abort_reason = reason
-            self._buf_cond.notify_all()
-        for r in range(self.n_ranks):
-            if r != self.rank:
-                self.queues[r].put((_ABORT, reason))
-
-    # -- dissemination barrier ----------------------------------------------
-    def barrier(self, uid: Any, members: Tuple[int, ...]) -> None:
-        """Synchronize the ``members`` group (log2 rounds of shifted tokens)."""
-        n = len(members)
-        if n == 1:
-            if self._aborted:
-                self._raise_abort()
-            return
-        me = members.index(self.rank)
-        epoch = self._epochs.get(uid, 0)
-        self._epochs[uid] = epoch + 1
-        distance, round_no = 1, 0
-        while distance < n:
-            dst = members[(me + distance) % n]
-            src = members[(me - distance) % n]
-            self.send_token(dst, ("bar", uid, epoch, round_no, self.rank), None)
-            self.recv_token(("bar", uid, epoch, round_no, src), timeout=self.timeout)
-            distance *= 2
-            round_no += 1
-
     # -- cleanup ------------------------------------------------------------
+    def close(self) -> None:
+        super().close()
+        self.release_grown()
+
     def release_grown(self) -> None:
         """Unlink the segments this (child) process created by growing its slot.
 
@@ -403,15 +244,12 @@ class _ProcessRuntime:
             self.control.close()
         except (FileNotFoundError, BufferError):  # pragma: no cover
             pass
-        for q in self.queues:
-            q.cancel_join_thread()
-            q.close()
 
 
 class _ProcessSlots:
     """Group-local view of the per-world-rank shared-memory deposit slots."""
 
-    def __init__(self, runtime: _ProcessRuntime, members: Tuple[int, ...]):
+    def __init__(self, runtime: "_SharedMemoryRuntime", members: Tuple[int, ...]):
         self._runtime = runtime
         self._members = members
 
@@ -434,85 +272,7 @@ class _ProcessSlots:
         return (self[i] for i in range(len(self._members)))
 
 
-class _ProcessMailbox:
-    """FIFO (src → dst) channel over the destination rank's token queue."""
-
-    def __init__(self, runtime: _ProcessRuntime, uid: Any, src: int, dst: int):
-        self._runtime = runtime
-        self._key = ("msg", uid, src)
-        self._dst = dst
-
-    def put(self, item: Any) -> None:
-        self._runtime.send_token(self._dst, self._key, item)
-
-    def get(self, timeout: Optional[float] = None) -> Any:
-        effective = self._runtime.timeout if timeout is None else timeout
-        # queue.Empty on timeout matches Comm.recv's diagnostic handling.
-        return self._runtime.recv_token(self._key, effective, empty_on_timeout=True)
-
-
-class ProcessGroupState(SharedGroupState):
-    """Group state whose slots, barriers and mailboxes cross process boundaries.
-
-    The deposit / barrier / read / barrier protocol of the native collectives
-    is inherited from :class:`Comm` unchanged; only the substrate differs —
-    shared-memory slots, dissemination barriers, queue-backed mailboxes.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        runtime: _ProcessRuntime,
-        uid: Any,
-        members: Tuple[int, ...],
-    ):
-        super().__init__(size)
-        if len(members) != size:
-            raise CommunicatorError(
-                f"group of size {size} constructed with {len(members)} members"
-            )
-        self.runtime = runtime
-        self.uid = uid
-        self.members = tuple(members)
-        self.slots = _ProcessSlots(runtime, self.members)
-
-    def _new_mailbox(self, src: int, dst: int) -> _ProcessMailbox:
-        return _ProcessMailbox(
-            self.runtime, self.uid, self.members[src], self.members[dst]
-        )
-
-    def make_subgroup(self, size, members=None, reg_key=None) -> "ProcessGroupState":
-        if members is None:
-            raise CommunicatorError(
-                "process-backend subgroups need the member ranks; update the "
-                "caller to pass make_subgroup(size, members=..., reg_key=...)"
-            )
-        world_members = tuple(self.members[i] for i in members)
-        return ProcessGroupState(
-            size, self.runtime, (self.uid, reg_key), world_members
-        )
-
-    def wait(self) -> None:
-        self.runtime.barrier(self.uid, self.members)
-
-    def abort(self) -> None:
-        self.runtime.broadcast_abort(
-            f"rank {self.runtime.rank} failed; peers aborted"
-        )
-
-
-def _picklable_exception(rank: int, exc: BaseException) -> BaseException:
-    """The exception itself if it survives pickling, else a faithful stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return CommunicatorError(
-            f"rank {rank} failed with unpicklable {type(exc).__name__}: {exc}"
-        )
-
-
-class ProcessBackend(Backend):
+class ProcessBackend(ForkedBackend):
     """Launches an SPMD program on ``n_ranks`` OS processes (fork + shared memory).
 
     Parameters
@@ -531,8 +291,7 @@ class ProcessBackend(Backend):
         stuck (a generous bound on the slowest rank's compute phase).
     """
 
-    parallel_python = True
-    cross_process = True
+    registry_name = "process"
 
     def __init__(
         self,
@@ -540,159 +299,15 @@ class ProcessBackend(Backend):
         name: str = "spmd",
         *,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
-        timeout: float = 300.0,
+        timeout: float = DEFAULT_TIMEOUT,
     ):
-        super().__init__(n_ranks, name=name)
+        super().__init__(n_ranks, name, timeout)
         self.slot_bytes = int(slot_bytes)
-        self.timeout = float(timeout)
-        cpus = available_cpus()
-        if n_ranks > cpus:
-            warnings.warn(
-                f"process backend: {n_ranks} ranks oversubscribe the "
-                f"{cpus} available CPU(s); ranks will time-slice rather than "
-                "run concurrently (consider n_ranks <= cpu count, or the "
-                "'lockstep' backend for large simulated grids)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
-    @staticmethod
-    def _fork_context():
-        import multiprocessing as mp
-
-        try:
-            return mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            raise CommunicatorError(
-                "the 'process' backend requires the fork start method "
-                "(POSIX only); use the 'thread' or 'lockstep' backend here"
-            ) from None
-
-    def run(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
-        # Imported here to avoid a circular import at module load time.
-        from repro.comm.communicator import Comm
-
-        if self.n_ranks == 1:
-            # A single rank needs no cross-process machinery; run inline on
-            # ordinary in-process group state, like the other backends.
-            comm = Comm(state=SharedGroupState(1), rank=0, group_ranks=(0,))
-            return [program(comm, *args, **kwargs)]
-
-        ctx = self._fork_context()
-        runtime = _ProcessRuntime(ctx, self.n_ranks, self.slot_bytes, self.timeout)
-        world = ProcessGroupState(
-            self.n_ranks, runtime, uid=("world",), members=tuple(range(self.n_ranks))
+    def _make_runtime(self) -> _SharedMemoryRuntime:
+        return _SharedMemoryRuntime(
+            self.n_ranks, self.timeout, DEFAULT_CONNECT_TIMEOUT, self.slot_bytes
         )
-        result_queue = ctx.Queue()
-        observers = kwargs.get("observers") or ()
-
-        def worker(rank: int) -> None:
-            runtime.bind(rank)
-            comm = Comm(
-                state=world, rank=rank, group_ranks=tuple(range(self.n_ranks))
-            )
-            try:
-                value = program(comm, *args, **kwargs)
-                extra = None
-                if rank == 0 and observers:
-                    # Ship rank 0's observer state home so stateful observers
-                    # (history recorders, checkpointers) behave as they do on
-                    # the in-process backends.  Best-effort: unpicklable
-                    # observers simply keep their parent-side state.
-                    try:
-                        states = [getattr(o, "__dict__", None) for o in observers]
-                        pickle.dumps(states)
-                        extra = states
-                    except Exception:
-                        extra = None
-                result_queue.put((rank, "ok", value, extra))
-            except BaseException as exc:  # noqa: BLE001 - must not strand peers
-                runtime.broadcast_abort(
-                    f"rank {rank} failed: {type(exc).__name__}: {exc}"
-                )
-                result_queue.put((rank, "err", _picklable_exception(rank, exc), None))
-            finally:
-                runtime.release_grown()
-
-        processes = [
-            ctx.Process(target=worker, args=(rank,), name=f"{self.name}-rank{rank}")
-            for rank in range(self.n_ranks)
-        ]
-        for proc in processes:
-            proc.start()
-
-        results: List[Any] = [None] * self.n_ranks
-        collected = [False] * self.n_ranks
-        observer_states = None
-        try:
-            while not all(collected):
-                try:
-                    rank, status, payload, extra = result_queue.get(timeout=0.1)
-                except queue.Empty:
-                    self._reap_dead_ranks(
-                        processes, collected, results, result_queue, runtime
-                    )
-                    continue
-                collected[rank] = True
-                if status == "ok":
-                    results[rank] = payload
-                    if rank == 0:
-                        observer_states = extra
-                else:
-                    results[rank] = _RankFailure(rank, payload)
-            for proc in processes:
-                proc.join()
-        finally:
-            for proc in processes:
-                if proc.is_alive():  # pragma: no cover - defensive teardown
-                    proc.terminate()
-                    proc.join()
-            result_queue.cancel_join_thread()
-            result_queue.close()
-            runtime.release_parent()
-
-        if observer_states is not None:
-            for observer, state in zip(observers, observer_states):
-                if isinstance(state, dict):
-                    observer.__dict__.update(state)
-        raise_first_failure(results)
-        return results
-
-    def _reap_dead_ranks(
-        self, processes, collected, results, result_queue, runtime
-    ) -> None:
-        """Detect ranks that died without reporting and unblock their peers."""
-        for rank, proc in enumerate(processes):
-            if collected[rank] or proc.is_alive() or proc.exitcode is None:
-                continue
-            # The process is gone; give any in-flight result a moment to
-            # drain through the queue's feeder thread before declaring death.
-            deadline = time.monotonic() + 1.0
-            drained = False
-            while time.monotonic() < deadline:
-                try:
-                    got = result_queue.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                other_rank, status, payload, extra = got
-                collected[other_rank] = True
-                if status == "ok":
-                    results[other_rank] = payload
-                else:
-                    results[other_rank] = _RankFailure(other_rank, payload)
-                if other_rank == rank:
-                    drained = True
-                    break
-            if drained:
-                continue
-            message = (
-                f"rank {rank} (pid {proc.pid}) died with exit code "
-                f"{proc.exitcode} before returning its result; "
-                "surviving ranks were aborted"
-            )
-            collected[rank] = True
-            results[rank] = _RankFailure(rank, CommunicatorError(message))
-            runtime.broadcast_abort(message)
 
 
-register_backend("process", ProcessBackend)
+register_backend(ProcessBackend.registry_name, ProcessBackend)

@@ -1,46 +1,24 @@
-"""The TCP wire backend: one OS process per rank over a real socket mesh.
+"""The TCP wire backend: collective payloads travel as frames, not shared memory.
 
-:class:`SocketBackend` is the first substrate whose ranks communicate the way
-a distributed-memory machine does — length-prefixed frames over persistent
-TCP connections (see :mod:`repro.comm.wire` for the frame layout) instead of
-shared memory.  Today the ranks are forked onto one host and connect over
-loopback; because nothing below :class:`_SocketRuntime` assumes a shared
-kernel, pointing the rank mesh at a ``--hosts`` rank file is a launcher
-change, not a transport change (tracked as future work in ROADMAP.md).
+:class:`SocketBackend` is the substrate whose ranks communicate the way a
+distributed-memory machine does — length-prefixed frames over persistent TCP
+connections (see :mod:`repro.comm.wire` for the frame layout).  The launcher,
+the mesh, the token transport and the failure handling are the shared forked
+runtime (:mod:`repro.comm.backends.forked`); what this module adds is the
+choice of *where collective payloads go*: onto the wire.
 
-Design
-------
-* **Mesh construction.**  The parent binds one listening socket per rank on
-  ``127.0.0.1:0`` *before* forking, so every child knows every port and the
-  kernel backlog absorbs early connectors.  After the fork, rank ``r`` keeps
-  its own listener, *connects* to every rank ``s < r`` (announcing itself
-  with a hello frame) and *accepts* from every rank ``t > r`` — a full mesh
-  of ``p(p-1)/2`` persistent ``TCP_NODELAY`` connections.
-* **Frame demux.**  One daemon reader thread per peer connection decodes
-  incoming frames and buckets them by key under a shared condition; waiting
-  is purely key-based, so the rank's main thread and its nonblocking helper
-  threads (:mod:`repro.comm.nonblocking`) can block on different tokens
-  concurrently.  Sends take a per-peer lock, so frames never interleave.
-* **Collectives.**  The native :class:`~repro.comm.communicator.Comm`
-  collectives need shared deposit slots, which do not exist on a wire.
-  :class:`SocketComm` therefore overrides them with point-to-point
-  algorithms from :mod:`repro.comm.collectives`: gathers ride
-  :func:`~repro.comm.collectives.recursive_doubling_allgather` (bitwise
-  exact — it only moves bytes), and the reductions gather the full
-  contributions the same way, then apply the native rank-order
-  ``ReduceOp.combine`` locally — the exact recipe the nonblocking helper
-  bodies already use, so the factors stay **byte-identical** to the thread /
-  process / lockstep backends (recursive halving's pairwise partial sums
-  would not be).  The physical p2p traffic is silenced on the cost ledger
-  and each collective books the one modeled §2.3 entry instead, so ledgers
-  match the other backends entry for entry.
-* **Failure handling.**  A reader that sees EOF or a reset raises an abort
-  *naming the dead peer*; every blocked waiter wakes immediately with a
-  :class:`~repro.util.errors.CommunicatorError` subclass carrying that name.
-  Recv timeouts (``timeout=``) and mesh-construction timeouts
-  (``connect_timeout=``) also name the peer they were waiting for.  The
-  parent additionally reaps ranks that die without reporting, exactly like
-  the process backend.
+The native :class:`~repro.comm.communicator.Comm` collectives need shared
+deposit slots, which do not exist on a wire (:class:`_WireSlots` refuses any
+touch).  :class:`SocketComm` therefore overrides them with point-to-point
+algorithms from :mod:`repro.comm.collectives`: gathers ride
+:func:`~repro.comm.collectives.recursive_doubling_allgather` (bitwise exact —
+it only moves bytes), and the reductions gather the full contributions the
+same way, then apply the native rank-order ``ReduceOp.combine`` locally — the
+exact recipe the nonblocking helper bodies already use, so the factors stay
+**byte-identical** to the thread / process / lockstep backends (recursive
+halving's pairwise partial sums would not be).  The physical p2p traffic is
+silenced on the cost ledger and each collective books the one modeled §2.3
+entry instead, so ledgers match the other backends entry for entry.
 
 Capability flags: ``parallel_python`` and ``cross_process`` (forked OS
 processes), plus ``wire_transport`` — the collectives genuinely serialize
@@ -50,29 +28,16 @@ deployments in a way the shared-memory backends' cannot.
 
 from __future__ import annotations
 
-import os
-import pickle
-import queue
-import socket as socketlib
-import threading
-import time
-import uuid
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.backends.base import (
-    Backend,
-    PeerAbortError,
-    SharedGroupState,
-    _RankFailure,
-    raise_first_failure,
-    register_backend,
-)
-from repro.comm.backends.process import (
-    _picklable_exception,
-    available_cpus,
+from repro.comm.backends.base import register_backend
+from repro.comm.backends.forked import (
+    DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_TIMEOUT,
+    ForkedBackend,
+    ForkedRuntime,
 )
 from repro.comm.collectives import recursive_doubling_allgather
 from repro.comm.communicator import (
@@ -81,265 +46,7 @@ from repro.comm.communicator import (
     _nwords,
     _require_safe_cast,
 )
-from repro.comm.wire import encode_frame, read_frame, recv_exact
 from repro.util.errors import CommunicatorError
-
-#: Key of abort frames (never collides with the tuple-typed token keys).
-_ABORT = "__abort__"
-#: Key of the connection-handshake frame announcing the connecting rank.
-_HELLO = "__hello__"
-
-#: Default seconds a rank waits on a barrier/recv token before declaring the
-#: group stuck, and for the full mesh to come up.
-DEFAULT_TIMEOUT = 300.0
-DEFAULT_CONNECT_TIMEOUT = 30.0
-
-
-class _SocketRuntime:
-    """Fork-inherited wire plumbing shared by the parent and every rank.
-
-    Created in the parent before the fork so the listening sockets (and
-    their ports) are plain inherited resources; everything mutable past
-    :meth:`bind` — connections, reader threads, token buffers — is
-    per-process state.
-    """
-
-    def __init__(self, n_ranks: int, timeout: float, connect_timeout: float):
-        self.n_ranks = n_ranks
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.session = f"repro-socket-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        #: One pre-bound listener per rank; children keep only their own.
-        self.listeners = [
-            socketlib.create_server(("127.0.0.1", 0), backlog=max(n_ranks, 8))
-            for _ in range(n_ranks)
-        ]
-        self.ports = [sock.getsockname()[1] for sock in self.listeners]
-        # -- per-process state (populated by bind() in each child) -----------
-        self.rank: Optional[int] = None
-        self._conns: Dict[int, socketlib.socket] = {}
-        self._send_locks: Dict[int, threading.Lock] = {}
-        self._readers: List[threading.Thread] = []
-        self._buffers: Dict[Any, deque] = {}
-        self._cond = threading.Condition()
-        self._aborted = False
-        self._abort_reason: Optional[str] = None
-        self._closing = False
-        self._epochs: Dict[Any, int] = {}
-
-    # -- mesh construction ---------------------------------------------------
-    def bind(self, rank: int) -> None:
-        """Adopt ``rank``'s identity: build this rank's side of the TCP mesh."""
-        self.rank = rank
-        for other, listener in enumerate(self.listeners):
-            if other != rank:
-                listener.close()
-        own = self.listeners[rank]
-        own.settimeout(self.connect_timeout)
-
-        accepted: Dict[int, socketlib.socket] = {}
-        accept_error: List[BaseException] = []
-        expected_from = set(range(rank + 1, self.n_ranks))
-
-        def acceptor() -> None:
-            try:
-                while len(accepted) < len(expected_from):
-                    conn, _ = own.accept()
-                    conn.settimeout(self.connect_timeout)
-                    key, peer = read_frame(lambda n: recv_exact(conn, n))
-                    if key != _HELLO or peer not in expected_from or peer in accepted:
-                        conn.close()
-                        raise CommunicatorError(
-                            f"rank {rank} received a malformed hello "
-                            f"({key!r}, {peer!r}) while building the mesh"
-                        )
-                    accepted[peer] = conn
-            except BaseException as exc:  # noqa: BLE001 - reported by bind()
-                accept_error.append(exc)
-
-        accept_thread = None
-        if expected_from:
-            accept_thread = threading.Thread(
-                target=acceptor, name=f"{self.session}-r{rank}-accept", daemon=True
-            )
-            accept_thread.start()
-
-        try:
-            for peer in range(rank):
-                try:
-                    conn = socketlib.create_connection(
-                        ("127.0.0.1", self.ports[peer]), timeout=self.connect_timeout
-                    )
-                except OSError as exc:
-                    raise CommunicatorError(
-                        f"rank {rank} could not connect to peer rank {peer} on "
-                        f"port {self.ports[peer]} within "
-                        f"{self.connect_timeout:g}s: {exc}"
-                    ) from exc
-                conn.sendall(encode_frame(_HELLO, rank))
-                self._register(peer, conn)
-            if accept_thread is not None:
-                accept_thread.join(self.connect_timeout)
-                if accept_thread.is_alive():
-                    missing = sorted(expected_from - set(accepted))
-                    raise CommunicatorError(
-                        f"rank {rank} timed out after {self.connect_timeout:g}s "
-                        f"waiting for peer rank(s) {missing} to connect while "
-                        "building the socket mesh"
-                    )
-                if accept_error:
-                    raise CommunicatorError(
-                        f"rank {rank} failed to accept its peers: {accept_error[0]}"
-                    ) from accept_error[0]
-                for peer, conn in accepted.items():
-                    self._register(peer, conn)
-        finally:
-            own.close()
-
-        for peer in sorted(self._conns):
-            reader = threading.Thread(
-                target=self._reader,
-                args=(peer, self._conns[peer]),
-                name=f"{self.session}-r{rank}-from{peer}",
-                daemon=True,
-            )
-            reader.start()
-            self._readers.append(reader)
-
-    def _register(self, peer: int, conn: socketlib.socket) -> None:
-        conn.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
-        conn.settimeout(None)  # reader threads block; EOF ends them
-        self._conns[peer] = conn
-        self._send_locks[peer] = threading.Lock()
-
-    def close_listeners(self) -> None:
-        """Parent-side cleanup after the fork: the children own the mesh now."""
-        for listener in self.listeners:
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-
-    # -- frame demux ---------------------------------------------------------
-    def _reader(self, peer: int, conn: socketlib.socket) -> None:
-        """Decode frames from ``peer`` forever, bucketing tokens by key."""
-        try:
-            while True:
-                key, payload = read_frame(lambda n: recv_exact(conn, n))
-                with self._cond:
-                    if key == _ABORT:
-                        self._aborted = True
-                        self._abort_reason = payload
-                    else:
-                        self._buffers.setdefault(key, deque()).append(payload)
-                    self._cond.notify_all()
-        except (ConnectionError, OSError, CommunicatorError):
-            with self._cond:
-                if not self._closing and not self._aborted:
-                    self._aborted = True
-                    self._abort_reason = (
-                        f"rank {self.rank} lost the connection to peer rank "
-                        f"{peer} (connection closed mid-stream); peer rank "
-                        f"{peer} likely crashed or was killed"
-                    )
-                self._cond.notify_all()
-
-    # -- token transport -----------------------------------------------------
-    def send_token(self, dst: int, key: Any, payload: Any) -> None:
-        if dst == self.rank:
-            with self._cond:
-                self._buffers.setdefault(key, deque()).append(payload)
-                self._cond.notify_all()
-            return
-        frame = encode_frame(key, payload)
-        conn = self._conns[dst]
-        try:
-            with self._send_locks[dst]:
-                conn.sendall(frame)
-        except OSError as exc:
-            raise PeerAbortError(
-                f"rank {self.rank} could not send to peer rank {dst} "
-                f"({exc}); peer rank {dst} likely crashed or was killed"
-            ) from exc
-
-    def recv_token(
-        self, key: Any, timeout: float, empty_on_timeout: bool = False
-    ) -> Any:
-        """Wait for a token matching ``key`` (reader threads fill the buckets)."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while True:
-                bucket = self._buffers.get(key)
-                if bucket:
-                    return bucket.popleft()
-                if self._aborted:
-                    raise PeerAbortError(
-                        self._abort_reason or "a peer rank failed; run aborted"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    if empty_on_timeout:
-                        raise queue.Empty
-                    raise CommunicatorError(
-                        f"rank {self.rank} timed out after {timeout:g}s waiting "
-                        f"for wire token {key!r}; a peer rank likely crashed or "
-                        "is stuck"
-                    )
-                self._cond.wait(remaining)
-
-    def broadcast_abort(self, reason: str) -> None:
-        """Wake every rank (local waiters and all peers) with an abort notice."""
-        with self._cond:
-            self._aborted = True
-            self._abort_reason = reason
-            self._cond.notify_all()
-        for peer in list(self._conns):
-            try:
-                with self._send_locks[peer]:
-                    self._conns[peer].sendall(encode_frame(_ABORT, reason))
-            except OSError:  # peer already gone; its readers saw EOF
-                pass
-
-    # -- dissemination barrier -----------------------------------------------
-    def barrier(self, uid: Any, members: Tuple[int, ...]) -> None:
-        """Synchronize the ``members`` group (log2 rounds of shifted tokens)."""
-        n = len(members)
-        if n == 1:
-            with self._cond:
-                if self._aborted:
-                    raise PeerAbortError(
-                        self._abort_reason or "a peer rank failed; run aborted"
-                    )
-            return
-        me = members.index(self.rank)
-        epoch = self._epochs.get(uid, 0)
-        self._epochs[uid] = epoch + 1
-        distance, round_no = 1, 0
-        while distance < n:
-            dst = members[(me + distance) % n]
-            src = members[(me - distance) % n]
-            self.send_token(dst, ("bar", uid, epoch, round_no, self.rank), None)
-            self.recv_token(("bar", uid, epoch, round_no, src), timeout=self.timeout)
-            distance *= 2
-            round_no += 1
-
-    # -- teardown ------------------------------------------------------------
-    def close(self) -> None:
-        """Tear down this rank's side of the mesh (peers see clean EOFs)."""
-        with self._cond:
-            self._closing = True
-            self._cond.notify_all()
-        for conn in self._conns.values():
-            try:
-                conn.shutdown(socketlib.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-        for reader in self._readers:
-            reader.join(timeout=1.0)
 
 
 class _WireSlots:
@@ -363,70 +70,6 @@ class _WireSlots:
 
     def __setitem__(self, index, value):
         self._refuse()
-
-
-class _SocketMailbox:
-    """FIFO (src → dst) channel over the destination rank's frame stream."""
-
-    def __init__(self, runtime: _SocketRuntime, uid: Any, src: int, dst: int):
-        self._runtime = runtime
-        self._key = ("msg", uid, src)
-        self._dst = dst
-
-    def put(self, item: Any) -> None:
-        self._runtime.send_token(self._dst, self._key, item)
-
-    def get(self, timeout: Optional[float] = None) -> Any:
-        effective = self._runtime.timeout if timeout is None else timeout
-        # queue.Empty on timeout matches Comm.recv's diagnostic handling.
-        return self._runtime.recv_token(self._key, effective, empty_on_timeout=True)
-
-
-class SocketGroupState(SharedGroupState):
-    """Group state whose barriers and mailboxes ride the TCP mesh.
-
-    ``slots`` is a refusal guard: the wire has no shared memory, so
-    :class:`SocketComm` overrides every slot-based collective.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        runtime: _SocketRuntime,
-        uid: Any,
-        members: Tuple[int, ...],
-    ):
-        super().__init__(size)
-        if len(members) != size:
-            raise CommunicatorError(
-                f"group of size {size} constructed with {len(members)} members"
-            )
-        self.runtime = runtime
-        self.uid = uid
-        self.members = tuple(members)
-        self.slots = _WireSlots(size)
-
-    def _new_mailbox(self, src: int, dst: int) -> _SocketMailbox:
-        return _SocketMailbox(
-            self.runtime, self.uid, self.members[src], self.members[dst]
-        )
-
-    def make_subgroup(self, size, members=None, reg_key=None) -> "SocketGroupState":
-        if members is None:
-            raise CommunicatorError(
-                "socket-backend subgroups need the member ranks; update the "
-                "caller to pass make_subgroup(size, members=..., reg_key=...)"
-            )
-        world_members = tuple(self.members[i] for i in members)
-        return SocketGroupState(size, self.runtime, (self.uid, reg_key), world_members)
-
-    def wait(self) -> None:
-        self.runtime.barrier(self.uid, self.members)
-
-    def abort(self) -> None:
-        self.runtime.broadcast_abort(
-            f"rank {self.runtime.rank} failed; peers aborted"
-        )
 
 
 #: Tag for the object-collective star exchanges (setup-phase metadata only);
@@ -629,7 +272,14 @@ class SocketComm(Comm):
         return result
 
 
-class SocketBackend(Backend):
+class _WireRuntime(ForkedRuntime):
+    """The forked runtime with nowhere to deposit: payloads ride the frames."""
+
+    def make_slots(self, members: Tuple[int, ...]) -> _WireSlots:
+        return _WireSlots(len(members))
+
+
+class SocketBackend(ForkedBackend):
     """Launches an SPMD program on ``n_ranks`` processes over a TCP mesh.
 
     Parameters
@@ -649,9 +299,9 @@ class SocketBackend(Backend):
         and its port.
     """
 
-    parallel_python = True
-    cross_process = True
     wire_transport = True
+    registry_name = "socket"
+    comm_class = SocketComm
 
     def __init__(
         self,
@@ -661,163 +311,11 @@ class SocketBackend(Backend):
         timeout: float = DEFAULT_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
-        super().__init__(n_ranks, name=name)
-        self.timeout = float(timeout)
+        super().__init__(n_ranks, name, timeout)
         self.connect_timeout = float(connect_timeout)
-        cpus = available_cpus()
-        if n_ranks > cpus:
-            import warnings
 
-            warnings.warn(
-                f"socket backend: {n_ranks} ranks oversubscribe the "
-                f"{cpus} available CPU(s); ranks will time-slice rather than "
-                "run concurrently (consider n_ranks <= cpu count, or the "
-                "'lockstep' backend for large simulated grids)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    @staticmethod
-    def _fork_context():
-        import multiprocessing as mp
-
-        try:
-            return mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            raise CommunicatorError(
-                "the 'socket' backend requires the fork start method "
-                "(POSIX only); use the 'thread' or 'lockstep' backend here"
-            ) from None
-
-    def run(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
-        if self.n_ranks == 1:
-            # A single rank needs no wire; run inline like the other backends.
-            comm = Comm(state=SharedGroupState(1), rank=0, group_ranks=(0,))
-            return [program(comm, *args, **kwargs)]
-
-        ctx = self._fork_context()
-        runtime = _SocketRuntime(self.n_ranks, self.timeout, self.connect_timeout)
-        world = SocketGroupState(
-            self.n_ranks, runtime, uid=("world",), members=tuple(range(self.n_ranks))
-        )
-        all_ranks = tuple(range(self.n_ranks))
-        result_queue = ctx.Queue()
-        observers = kwargs.get("observers") or ()
-
-        def worker(rank: int) -> None:
-            try:
-                runtime.bind(rank)
-            except BaseException as exc:  # noqa: BLE001 - must reach the parent
-                result_queue.put((rank, "err", _picklable_exception(rank, exc), None))
-                runtime.close()
-                return
-            comm = SocketComm(state=world, rank=rank, group_ranks=all_ranks)
-            try:
-                value = program(comm, *args, **kwargs)
-                extra = None
-                if rank == 0 and observers:
-                    # Ship rank 0's observer state home, as on the process
-                    # backend.  Best-effort: unpicklable observers simply
-                    # keep their parent-side state.
-                    try:
-                        states = [getattr(o, "__dict__", None) for o in observers]
-                        pickle.dumps(states)
-                        extra = states
-                    except Exception:
-                        extra = None
-                try:
-                    # All ranks drain in-flight frames before anyone tears the
-                    # mesh down, so a fast rank's close never aborts a slow one.
-                    runtime.barrier(("shutdown",), all_ranks)
-                except PeerAbortError:
-                    # A peer failed after this rank finished; the failing rank
-                    # reports the root cause, this rank's value is still good.
-                    pass
-                result_queue.put((rank, "ok", value, extra))
-            except BaseException as exc:  # noqa: BLE001 - must not strand peers
-                runtime.broadcast_abort(
-                    f"rank {rank} failed: {type(exc).__name__}: {exc}"
-                )
-                result_queue.put((rank, "err", _picklable_exception(rank, exc), None))
-            finally:
-                runtime.close()
-
-        processes = [
-            ctx.Process(target=worker, args=(rank,), name=f"{self.name}-rank{rank}")
-            for rank in range(self.n_ranks)
-        ]
-        for proc in processes:
-            proc.start()
-        runtime.close_listeners()
-
-        results: List[Any] = [None] * self.n_ranks
-        collected = [False] * self.n_ranks
-        observer_states = None
-        try:
-            while not all(collected):
-                try:
-                    rank, status, payload, extra = result_queue.get(timeout=0.1)
-                except queue.Empty:
-                    self._reap_dead_ranks(processes, collected, results, result_queue)
-                    continue
-                collected[rank] = True
-                if status == "ok":
-                    results[rank] = payload
-                    if rank == 0:
-                        observer_states = extra
-                else:
-                    results[rank] = _RankFailure(rank, payload)
-            for proc in processes:
-                proc.join()
-        finally:
-            for proc in processes:
-                if proc.is_alive():  # pragma: no cover - defensive teardown
-                    proc.terminate()
-                    proc.join()
-            result_queue.cancel_join_thread()
-            result_queue.close()
-
-        if observer_states is not None:
-            for observer, state in zip(observers, observer_states):
-                if isinstance(state, dict):
-                    observer.__dict__.update(state)
-        raise_first_failure(results)
-        return results
-
-    def _reap_dead_ranks(self, processes, collected, results, result_queue) -> None:
-        """Detect ranks that died without reporting and record the failure.
-
-        Surviving ranks unblock on their own: the dead rank's sockets close,
-        its peers' reader threads see EOF and raise an abort naming it.
-        """
-        for rank, proc in enumerate(processes):
-            if collected[rank] or proc.is_alive() or proc.exitcode is None:
-                continue
-            deadline = time.monotonic() + 1.0
-            drained = False
-            while time.monotonic() < deadline:
-                try:
-                    got = result_queue.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                other_rank, status, payload, _extra = got
-                collected[other_rank] = True
-                if status == "ok":
-                    results[other_rank] = payload
-                else:
-                    results[other_rank] = _RankFailure(other_rank, payload)
-                if other_rank == rank:
-                    drained = True
-                    break
-            if drained:
-                continue
-            message = (
-                f"rank {rank} (pid {proc.pid}) died with exit code "
-                f"{proc.exitcode} before returning its result; "
-                "surviving ranks were aborted"
-            )
-            collected[rank] = True
-            results[rank] = _RankFailure(rank, CommunicatorError(message))
+    def _make_runtime(self) -> _WireRuntime:
+        return _WireRuntime(self.n_ranks, self.timeout, self.connect_timeout)
 
 
-register_backend("socket", SocketBackend)
+register_backend(SocketBackend.registry_name, SocketBackend)

@@ -8,7 +8,7 @@ matching mpi4py's uppercase, buffer-based API (the fast path the mpi4py
 tutorial recommends for array data).
 
 Collectives follow a deposit / barrier / compute / barrier protocol on the
-shared slots of the group's :class:`~repro.comm.backend.SharedGroupState`:
+shared slots of the group's :class:`~repro.comm.backends.base.SharedGroupState`:
 every rank deposits its contribution, waits, reads the contributions of all
 ranks to compute its own result, and waits again so no rank can start the
 next collective while a peer is still reading.  Reductions are evaluated in

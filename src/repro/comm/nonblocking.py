@@ -17,12 +17,12 @@ Execution strategy — chosen per backend via
   scheduler stays a deterministic single-runnable-rank baton pass, which
   preserves it as the byte-identical semantics oracle for the pipelined
   schedules.
-* ``"helper"`` (thread and process backends): a per-communicator daemon
-  thread executes the operation over the point-to-point mailboxes of a
+* ``"helper"`` (thread, process and socket backends): a per-communicator
+  daemon thread executes the operation over the point-to-point mailboxes of a
   *silent shadow communicator* (a ``split`` of the issuing communicator that
   never records ledger entries).  Progress is genuinely asynchronous
-  wherever the transport releases the GIL — always on the process backend,
-  whose per-rank token queues live in ``multiprocessing`` pipes.
+  wherever the transport releases the GIL — always on the forked backends,
+  whose mailboxes are frames on a TCP mesh.
 
 Byte-identity
 -------------

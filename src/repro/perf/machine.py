@@ -51,7 +51,7 @@ DEFAULT_KERNEL_SPEEDUPS: Mapping[str, float] = {
 #: Fraction of *overlappable* communication each backend actually hides when
 #: the pipelined schedule runs (see :mod:`repro.comm.nonblocking`).  The
 #: process backend's helper threads make real progress while the main process
-#: computes (pipes + shared memory release the GIL); the thread backend only
+#: computes (sockets + shared memory release the GIL); the thread backend only
 #: overlaps where BLAS releases the GIL; lockstep completes nonblocking ops
 #: eagerly at issue, so nothing is ever hidden.
 DEFAULT_OVERLAP_EFFICIENCY: Mapping[str, float] = {

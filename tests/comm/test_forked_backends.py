@@ -1,0 +1,331 @@
+"""The forked SPMD backends: one runtime, two places for collective payloads.
+
+``"process"`` (shared-memory deposit slots) and ``"socket"`` (TCP frames)
+share one launcher, token transport and reaper
+(:mod:`repro.comm.backends.forked`), so one suite runs against both: the same
+``Comm`` surface as the in-process backends — identical collective results
+(including the ``out=``/workspace fast paths, post-fork ``split``
+sub-communicators and the nonblocking ``CommHandle`` path), faithful failure
+propagation, timeouts and dead ranks that name the peer, and nothing left
+behind.  The cases that only make sense for one payload path follow the
+shared ones.
+"""
+
+import multiprocessing
+import os
+import queue
+import re
+import threading
+import warnings
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.comm.backends import (
+    Backend,
+    ProcessBackend,
+    SocketBackend,
+    available_backends,
+    backend_capabilities,
+    get_backend_class,
+    run_spmd,
+)
+from repro.comm.backends.base import available_cpus
+from repro.comm.backends.forked import _Collector
+from repro.comm.backends.socket import _WireSlots
+from repro.util.errors import CommunicatorError
+
+FORKED = ["process", "socket"]
+
+
+@pytest.fixture(params=FORKED)
+def backend(request):
+    return request.param
+
+
+@pytest.fixture(autouse=True)
+def _silence_oversubscription():
+    # This suite deliberately runs more ranks than the host may have CPUs;
+    # the oversubscription warning itself is asserted in its own test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        yield
+
+
+def _shm_segments():
+    return {f for f in os.listdir("/dev/shm") if f.startswith("repro-")}
+
+
+@pytest.fixture(autouse=True)
+def _nothing_left_behind():
+    """After every run, clean or failed: no rank process, segment or thread."""
+    segments_before = _shm_segments()
+    yield
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= segments_before
+    stray = [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("nb-helper") or re.match(r"repro-r\d+-(from|accept)", t.name)
+    ]
+    assert stray == []
+
+
+def _collective_program(comm):
+    local = np.arange(3.0) + 10 * comm.rank
+    total = comm.allreduce(local)
+    gathered = comm.allgatherv(np.array([float(comm.rank)]))
+    piece = comm.reduce_scatter(np.arange(comm.size, dtype=float))
+    sub = comm.split(color=comm.rank % 2)
+    subsum = sub.allreduce_scalar(comm.rank)
+    reused = comm.workspace.get("acc", (3,))
+    comm.allreduce(local, out=reused)
+    return total.tolist(), gathered.tolist(), piece.tolist(), subsum, reused.tolist()
+
+
+def _nonblocking_program(comm):
+    """The pipelined loops' exact pattern: issue, overlap, wait, shut down."""
+    handle = comm.iallreduce(np.arange(4.0) + comm.rank)
+    local = float(np.sum(np.arange(10.0) * comm.rank))  # overlapped compute
+    total = handle.wait()
+    gather = comm.iallgatherv(np.full(2, float(comm.rank)))
+    scatter = comm.ireduce_scatter(np.arange(2.0 * comm.size))
+    results = total.tolist(), local, gather.wait().tolist(), scatter.wait().tolist()
+    comm.shutdown_nonblocking()  # the thread reference run shares the parent
+    return results
+
+
+class TestRegistry:
+    def test_backend_is_registered(self, backend):
+        cls = {"process": ProcessBackend, "socket": SocketBackend}[backend]
+        assert backend in available_backends()
+        assert get_backend_class(backend) is cls
+        assert issubclass(cls, Backend)
+
+    def test_capability_flags(self):
+        caps = backend_capabilities()
+        for name in FORKED:
+            assert caps[name]["parallel_python"] is True
+            assert caps[name]["cross_process"] is True
+        assert caps["thread"]["parallel_python"] is False
+        assert caps["lockstep"]["deterministic_schedule"] is True
+        assert caps["lockstep"]["simulates_large_grids"] is True
+        # Only the socket backend serializes collectives onto a byte stream.
+        assert caps["socket"]["wire_transport"] is True
+        assert caps["thread"]["wire_transport"] is False
+        assert caps["process"]["wire_transport"] is False
+        assert caps["lockstep"]["wire_transport"] is False
+
+    def test_unknown_backend_suggests_close_match(self):
+        with pytest.raises(CommunicatorError, match="did you mean 'process'"):
+            get_backend_class("proces")
+
+
+class TestForkedBackends:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_matches_thread_backend(self, backend, p):
+        """Collectives (incl. non-power-of-two groups and post-fork splits)
+        produce the same values as the in-process substrate."""
+        via_forked = run_spmd(p, _collective_program, backend=backend)
+        via_thread = run_spmd(p, _collective_program, backend="thread")
+        assert via_forked == via_thread
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_nonblocking_handles_match_thread_backend(self, backend, p):
+        """The CommHandle path (iallreduce/iallgatherv/ireduce_scatter) must
+        work unchanged — the pipelined schedules depend on it."""
+        via_forked = run_spmd(p, _nonblocking_program, backend=backend)
+        via_thread = run_spmd(p, _nonblocking_program, backend="thread")
+        assert via_forked == via_thread
+
+    def test_point_to_point_ring(self, backend):
+        def program(comm):
+            right = (comm.rank + 1) % comm.size
+            left = (comm.rank - 1) % comm.size
+            return comm.sendrecv(comm.rank, dest=right, source=left)
+
+        assert run_spmd(5, program, backend=backend) == [4, 0, 1, 2, 3]
+
+    def test_grid_split_after_the_fork(self, backend):
+        """Row/column sub-communicators (the 2D grid's backbone) work after
+        the world group was wired up: split must build fresh mailboxes."""
+
+        def program(comm):
+            row = comm.split(color=comm.rank // 2)
+            col = comm.split(color=comm.rank % 2)
+            return row.allreduce_scalar(comm.rank), col.allreduce_scalar(comm.rank)
+
+        assert run_spmd(4, program, backend=backend) == [
+            (1.0, 2.0), (1.0, 4.0), (5.0, 2.0), (5.0, 4.0),
+        ]
+
+    def test_object_payloads_take_the_pickle_path(self, backend):
+        def program(comm):
+            meta = comm.allgather_object({"rank": comm.rank, "tag": "x" * comm.rank})
+            broadcast = comm.bcast({"from": comm.rank} if comm.rank == 1 else None,
+                                   root=1)
+            return [m["rank"] for m in meta], broadcast["from"]
+
+        assert run_spmd(3, program, backend=backend) == [([0, 1, 2], 1)] * 3
+
+    def test_bcast_and_allgather_object_results_survive_later_collectives(self, backend):
+        """Slot reads must be detached before they escape: a bcast/gathered
+        array must not be rewritten when its owner's segment is reused."""
+
+        def program(comm):
+            broadcast = comm.bcast(np.arange(4.0) + comm.rank, root=0)
+            gathered = comm.allgather_object(np.full(4, float(comm.rank)))
+            comm.allreduce(np.full(4, 99.0))  # reuses every deposit segment
+            ok_bcast = broadcast.tolist() == [0.0, 1.0, 2.0, 3.0]
+            ok_gather = all(
+                g.tolist() == [float(r)] * 4 for r, g in enumerate(gathered)
+            )
+            return ok_bcast and ok_gather
+
+        assert all(run_spmd(3, program, backend=backend))
+
+    def test_exception_propagates_with_real_failure_preferred(self, backend):
+        def program(comm):
+            comm.barrier()
+            if comm.rank == 1:
+                raise ValueError("rank 1 exploded")
+            comm.barrier()
+
+        with pytest.raises(ValueError, match="rank 1 exploded"):
+            run_spmd(3, program, backend=backend)
+
+    def test_recv_timeout_raises_naming_the_silent_peer(self, backend):
+        def program(comm):
+            if comm.rank == 1:
+                # Nobody ever sends: must time out, not hang, and the error
+                # must say who rank 1 was waiting for.
+                comm.recv(source=0, tag=7, timeout=0.3)
+            return True
+
+        with pytest.raises(CommunicatorError, match="timed out") as excinfo:
+            run_spmd(2, program, backend=backend)
+        assert "rank 0" in str(excinfo.value)
+
+    def test_dead_rank_is_detected_and_named(self, backend):
+        """A rank that dies without reporting (killed, segfaulted) must not
+        hang its peers, and the reported failure must name the dead rank and
+        its exit code."""
+
+        def program(comm):
+            if comm.rank == 2:
+                os._exit(3)
+            comm.allreduce(np.ones(4))
+            return True
+
+        with pytest.raises(CommunicatorError, match="rank 2") as excinfo:
+            run_spmd(4, program, backend=backend)
+        assert "exit code 3" in str(excinfo.value)
+
+    def test_survivors_see_an_abort_naming_the_dead_peer(self, backend):
+        """Fault injection from the survivor's seat: the CommunicatorError a
+        blocked rank gets when a peer dies mid-collective must name that
+        peer, not just say the collective failed."""
+
+        def program(comm):
+            if comm.rank == 2:
+                os._exit(9)
+            try:
+                comm.allreduce(np.ones(8))
+            except CommunicatorError as exc:
+                # Re-raise as a non-communicator error so raise_first_failure
+                # prefers it over the parent's died-without-reporting record
+                # and the survivor-side message becomes assertable here.
+                raise RuntimeError(f"survivor saw: {exc}") from exc
+            return "collective unexpectedly succeeded"
+
+        with pytest.raises(RuntimeError, match="survivor saw:") as excinfo:
+            run_spmd(4, program, backend=backend)
+        assert "rank 2" in str(excinfo.value)
+
+    def test_observer_state_survives_the_reap_path(self, backend):
+        """Rank 0's report may be drained by the reaper (its process has
+        already exited when the main loop polls); the observer state riding
+        on it must reach the parent's observers all the same."""
+
+        class Exited:
+            pid, exitcode = 4242, 0
+
+            def is_alive(self):
+                return False
+
+        class Running(Exited):
+            exitcode = None
+
+            def is_alive(self):
+                return True
+
+        observer = SimpleNamespace(iterations_seen=0)
+        collector = _Collector(2, [observer])
+        reports = queue.Queue()
+        reports.put((0, "ok", "rank 0's value", [{"iterations_seen": 7}]))
+        get_backend_class(backend)(2)._reap_dead_ranks(
+            [Exited(), Running()], reports, collector
+        )
+        assert collector.collected == [True, False]
+        assert collector.results[0] == "rank 0's value"
+        assert observer.iterations_seen == 7
+
+    def test_oversubscription_warns(self, backend):
+        with pytest.warns(RuntimeWarning, match=f"{backend} backend: .* oversubscribe"):
+            get_backend_class(backend)(available_cpus() + 1)
+
+    def test_fit_oversubscription_warns_instead_of_silently_running(self, backend):
+        from repro.core.api import fit
+
+        cpus = available_cpus()
+        if cpus > 8:
+            pytest.skip("would fork cpu_count+1 processes on a large host")
+        A = np.abs(np.random.default_rng(0).standard_normal((24, 16)))
+        with pytest.warns(RuntimeWarning, match="oversubscribe"):
+            result = fit(A, 2, variant="hpc2d", n_ranks=cpus + 1,
+                         backend=backend, max_iters=2, seed=1)
+        assert result.n_ranks == cpus + 1  # warned, but still ran
+
+    def test_single_rank_runs_inline(self, backend):
+        runner = get_backend_class(backend)(1)
+        assert runner.run(lambda comm: (os.getpid(), comm.size)) == [(os.getpid(), 1)]
+
+
+class TestSharedMemorySlots:
+    def test_slot_growth_beyond_initial_capacity(self):
+        """A deposit larger than the shared segment grows it by generation."""
+
+        def program(comm):
+            big = np.full(50_000, float(comm.rank + 1))  # 400 kB > 64 kB slots
+            return float(comm.allreduce(big)[0])
+
+        backend = ProcessBackend(3, slot_bytes=1 << 16)
+        assert backend.run(program) == [6.0, 6.0, 6.0]
+
+    def test_no_shared_memory_leaked(self):
+        before = _shm_segments()
+        run_spmd(3, _collective_program, backend="process")
+        assert _shm_segments() <= before
+
+
+class TestWirePayloads:
+    def test_wire_slots_refuse_shared_memory_semantics(self):
+        slots = _WireSlots(4)
+        assert len(slots) == 4
+        with pytest.raises(CommunicatorError, match="no shared deposit slots"):
+            slots[0]
+        with pytest.raises(CommunicatorError, match="no shared deposit slots"):
+            slots[1] = object()
+
+    def test_large_array_crosses_in_one_frame(self):
+        def program(comm):
+            big = np.full(300_000, float(comm.rank + 1))  # 2.4 MB per frame
+            return float(comm.allreduce(big)[0])
+
+        assert run_spmd(3, program, backend="socket") == [6.0, 6.0, 6.0]
+
+    def test_timeouts_are_configurable(self):
+        backend = SocketBackend(2, timeout=5.0, connect_timeout=2.5)
+        assert backend.timeout == 5.0
+        assert backend.connect_timeout == 2.5
+        assert backend.run(lambda comm: comm.allreduce_scalar(1.0)) == [2.0, 2.0]
