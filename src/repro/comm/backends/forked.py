@@ -42,6 +42,7 @@ backends are POSIX-only.
 from __future__ import annotations
 
 import abc
+import functools
 import pickle
 import queue
 import socket as socketlib
@@ -60,7 +61,13 @@ from repro.comm.backends.base import (
     raise_first_failure,
 )
 from repro.comm.communicator import Comm
-from repro.comm.wire import encode_frame, read_frame, recv_exact
+from repro.comm.wire import (
+    encode_frame,
+    encode_frame_parts,
+    read_frame,
+    recv_into_exact,
+    send_frame,
+)
 from repro.util.errors import CommunicatorError
 
 #: Key of abort frames (never collides with the tuple-typed token keys).
@@ -130,7 +137,7 @@ class ForkedRuntime:
                 while len(accepted) < len(expected_from):
                     conn, _ = own.accept()
                     conn.settimeout(self.connect_timeout)
-                    key, peer = read_frame(lambda n: recv_exact(conn, n))
+                    key, peer = read_frame(functools.partial(recv_into_exact, conn))
                     if key != _HELLO or peer not in expected_from or peer in accepted:
                         conn.close()
                         raise CommunicatorError(
@@ -207,9 +214,10 @@ class ForkedRuntime:
     # -- frame demux ---------------------------------------------------------
     def _reader(self, peer: int, conn: socketlib.socket) -> None:
         """Decode frames from ``peer`` forever, bucketing tokens by key."""
+        read_into = functools.partial(recv_into_exact, conn)
         try:
             while True:
-                key, payload = read_frame(lambda n: recv_exact(conn, n))
+                key, payload = read_frame(read_into)
                 with self._cond:
                     if key == _ABORT:
                         self._aborted = True
@@ -235,11 +243,13 @@ class ForkedRuntime:
                 self._buffers.setdefault(key, deque()).append(payload)
                 self._cond.notify_all()
             return
-        frame = encode_frame(key, payload)
+        # Array segments are views of the caller's arrays (no staging copy);
+        # the blocking send returns once the kernel has taken every byte.
+        parts = encode_frame_parts(key, payload)
         conn = self._conns[dst]
         try:
             with self._send_locks[dst]:
-                conn.sendall(frame)
+                send_frame(conn, parts)
         except OSError as exc:
             raise PeerAbortError(
                 f"rank {self.rank} could not send to peer rank {dst} "
@@ -330,6 +340,9 @@ class ForkedRuntime:
 
 class _Mailbox:
     """FIFO (src → dst) channel over the destination rank's frame stream."""
+
+    #: ``put`` returns once the frame is written, so senders need not copy.
+    serializes = True
 
     def __init__(self, runtime: ForkedRuntime, uid: Any, src: int, dst: int):
         self._runtime = runtime

@@ -21,10 +21,11 @@ scatter) map directly onto ``mpi4py``'s pickle-based collectives — they
 move bytes exactly.  Reductions deliberately do **not** use ``MPI.SUM``:
 MPI's internal reduction-tree order differs from the native backends'
 rank-order combine, so :class:`MPIComm` inherits the socket backend's
-gather-all-then-combine-in-rank-order implementation (its
-:meth:`~repro.comm.backends.socket.SocketComm._gather_all` hook re-routed
-through ``mpicomm.allgather``), keeping factors byte-identical to
-thread/process/lockstep/socket.
+move-bytes-then-combine-in-rank-order implementations — ``allreduce`` and
+``reduce`` through the :meth:`~repro.comm.backends.socket.SocketComm._gather_all`
+hook (re-routed through ``mpicomm.allgather``), ``reduce_scatter`` as the
+point-to-point slice exchange over the mailboxes below — keeping factors
+byte-identical to thread/process/lockstep/socket.
 
 Nonblocking collectives run in **eager** mode (the lockstep precedent):
 ``CommHandle`` completes at issue time, because helper-thread progress would
@@ -70,13 +71,24 @@ _POLL_INTERVAL = 0.0005
 class _MPIMailbox:
     """FIFO (src → dst) channel over MPI point-to-point messages."""
 
+    #: ``isend`` pickles the item before it returns, so senders need not copy.
+    serializes = True
+
     def __init__(self, mpicomm, src: int, dst: int):
         self._mpicomm = mpicomm
         self._src = src
         self._dst = dst
+        self._in_flight: List[Any] = []
 
     def put(self, item: Any) -> None:
-        self._mpicomm.send(item, dest=self._dst, tag=_P2P_TAG)
+        # isend, not send: Comm.send is buffered, and the exchanges of
+        # repro.comm.collectives have both partners send before they receive —
+        # a blocking send would deadlock on MPI's rendezvous path.  A request
+        # owns its pickled buffer, so it is kept until it has completed.
+        self._in_flight = [req for req in self._in_flight if not req.Test()]
+        self._in_flight.append(
+            self._mpicomm.isend(item, dest=self._dst, tag=_P2P_TAG)
+        )
 
     def get(self, timeout: Optional[float] = None) -> Any:
         effective = 60.0 if timeout is None else timeout
@@ -122,8 +134,9 @@ class MPIComm(SocketComm):
     """A :class:`~repro.comm.communicator.Comm` over real MPI collectives.
 
     Data movement uses ``mpi4py`` collectives directly; reductions inherit
-    the socket backend's gather-then-rank-order-combine (via the
-    :meth:`_gather_all` hook) for byte identity with every other backend.
+    the socket backend's move-then-rank-order-combine (the :meth:`_gather_all`
+    hook, and the slice-exchange ``reduce_scatter`` over the MPI mailboxes)
+    for byte identity with every other backend.
     """
 
     def _make_comm(self, state, rank, group_ranks, parent):

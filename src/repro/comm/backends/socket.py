@@ -10,13 +10,27 @@ choice of *where collective payloads go*: onto the wire.
 The native :class:`~repro.comm.communicator.Comm` collectives need shared
 deposit slots, which do not exist on a wire (:class:`_WireSlots` refuses any
 touch).  :class:`SocketComm` therefore overrides them with point-to-point
-algorithms from :mod:`repro.comm.collectives`: gathers ride
-:func:`~repro.comm.collectives.recursive_doubling_allgather` (bitwise exact —
-it only moves bytes), and the reductions gather the full contributions the
-same way, then apply the native rank-order ``ReduceOp.combine`` locally — the
-exact recipe the nonblocking helper bodies already use, so the factors stay
+algorithms from :mod:`repro.comm.collectives` that *only move bytes*, and
+applies the native rank-order ``ReduceOp.combine`` to what arrives — the
+recipe the nonblocking helper bodies use, so the factors stay
 **byte-identical** to the thread / process / lockstep backends (recursive
-halving's pairwise partial sums would not be).  The physical p2p traffic is
+halving's pairwise partial sums would not be):
+
+* gathers ride :func:`~repro.comm.collectives.recursive_doubling_allgather`
+  (``log p`` messages, each block forwarded once);
+* ``reduce_scatter`` is
+  :func:`~repro.comm.collectives.slice_exchange_reduce_scatter`: rank ``r``
+  sends rank ``t`` only the slice ``t`` will own and combines the ``p``
+  slices of its own index — ``p - 1`` messages instead of ``log p``;
+* ``allreduce`` / ``reduce`` still gather every rank's whole contribution and
+  combine locally.  They carry the ``k × k`` Grams and scalars, which are
+  latency-bound: a reduce-scatter + all-gather would double the messages to
+  save bytes that do not matter.
+
+So for the two collectives that carry the factor blocks the bytes on the wire
+are the bytes of the §2.3 model — ``(p-1)/p · n`` words per rank — and a
+contiguous block goes to and comes from the kernel without a staging copy in
+user space (see :mod:`repro.comm.wire`).  The physical p2p traffic is
 silenced on the cost ledger and each collective books the one modeled §2.3
 entry instead, so ledgers match the other backends entry for entry.
 
@@ -39,7 +53,10 @@ from repro.comm.backends.forked import (
     ForkedBackend,
     ForkedRuntime,
 )
-from repro.comm.collectives import recursive_doubling_allgather
+from repro.comm.collectives import (
+    recursive_doubling_allgather,
+    slice_exchange_reduce_scatter,
+)
 from repro.comm.communicator import (
     Comm,
     ReduceOp,
@@ -80,12 +97,13 @@ _OBJ_TAG = 2002
 class SocketComm(Comm):
     """A :class:`Comm` whose collectives run point-to-point over TCP.
 
-    Gathers use :func:`recursive_doubling_allgather` (moves bytes only, so
-    bitwise exact); reductions gather the full contributions and combine
-    them locally in rank order — byte-identical to the native slot-based
-    collectives on every backend.  Physical p2p traffic is silenced on the
-    ledger; each collective books the single modeled §2.3 entry the native
-    implementation would have recorded.
+    Gathers use :func:`recursive_doubling_allgather`, ``reduce_scatter`` uses
+    :func:`slice_exchange_reduce_scatter` (both move bytes only, and exactly
+    the modeled ``(p-1)/p · n`` words); ``allreduce`` and ``reduce`` gather the
+    full contributions.  Every reduction then combines locally in rank order
+    — byte-identical to the native slot-based collectives on every backend.
+    Physical p2p traffic is silenced on the ledger; each collective books the
+    single modeled §2.3 entry the native implementation would have recorded.
     """
 
     def _make_comm(self, state, rank, group_ranks, parent):
@@ -241,33 +259,13 @@ class SocketComm(Comm):
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         array = np.asarray(array)
-        length = array.shape[axis]
-        if counts is None:
-            base, rem = divmod(length, self.size)
-            counts = [base + (1 if r < rem else 0) for r in range(self.size)]
-        counts = list(counts)
-        if len(counts) != self.size:
-            raise CommunicatorError(
-                f"counts must have length {self.size}, got {len(counts)}"
-            )
-        if sum(counts) != length:
-            raise CommunicatorError(
-                f"counts sum to {sum(counts)} but axis {axis} has length {length}"
-            )
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        expected_shape = list(array.shape)
-        expected_shape[axis] = counts[self.rank]
-        self._validate_out(out, array, expected_shape=tuple(expected_shape))
+        counts = self._scatter_counts(array, counts, axis, out)
         if self.size == 1:
             if out is None:
                 return array.copy()
             return self._copy_result(out, array)
-        parts = self._gather_all(array)
-        lo, hi = offsets[self.rank], offsets[self.rank + 1]
-        index: List[Any] = [slice(None)] * array.ndim
-        index[axis] = slice(int(lo), int(hi))
-        pieces = [p[tuple(index)] for p in parts]
-        result = op.combine(pieces, out=out)
+        with self._silenced():
+            result = slice_exchange_reduce_scatter(self, array, counts, axis, op, out)
         self._record("reduce_scatter", _nwords(array))
         return result
 

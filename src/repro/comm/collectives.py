@@ -18,11 +18,13 @@ only ``send``/``recv`` so that
 
 All functions are SPMD: every rank of ``comm`` must call them collectively.
 
-The nonblocking collectives (:mod:`repro.comm.nonblocking`) build on
-:func:`recursive_doubling_allgather`: it is bitwise exact (it only moves
-bytes), so a helper thread can run it on a shadow communicator and apply the
-native rank-order combine locally, reproducing the blocking collective's
-result byte-for-byte while the issuing rank keeps computing.
+The nonblocking collectives (:mod:`repro.comm.nonblocking`) and the wire
+communicator (:class:`~repro.comm.backends.socket.SocketComm`) build on the two
+functions here that only *move* bytes and leave the arithmetic to the native
+rank-order :meth:`ReduceOp.combine`, so their results equal the slot-based
+blocking collectives' byte for byte: :func:`recursive_doubling_allgather`
+(all-gathers, and the small all-reduces) and
+:func:`slice_exchange_reduce_scatter` (every reduce-scatter).
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def _largest_power_of_two_below(p: int) -> int:
 #: tags 0..log2(p)-1 of the main phases.
 _FOLD_TAG = 1001
 _UNFOLD_TAG = 1002
+#: Tag of the slice-exchange reduce-scatter's single round.
+_SLICE_TAG = 1003
 
 
 def _fold_into_pairs(comm: Comm, work: np.ndarray, op: ReduceOp):
@@ -157,6 +161,53 @@ def recursive_doubling_allgather(comm: Comm, array: np.ndarray) -> List[np.ndarr
     if r + p2 < p:
         comm.send(sorted(owned.items()), dest=r + p2, tag=_UNFOLD_TAG)
     return [owned[i] for i in range(p)]
+
+
+def slice_exchange_reduce_scatter(
+    comm: Comm,
+    array: np.ndarray,
+    counts: Sequence[int],
+    axis: int = 0,
+    op: ReduceOp = ReduceOp.SUM,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Reduce-scatter by direct slice exchange, combined in rank order.
+
+    Rank ``r`` sends rank ``t`` only slice ``t`` of its input (the
+    ``counts[t]`` entries along ``axis`` that ``t`` will own), receives the
+    ``p - 1`` slices of its own index and reduces the ``p`` of them with
+    :meth:`ReduceOp.combine` in rank order — the values and the order the
+    slot-based :meth:`Comm.reduce_scatter` combines, so the result is
+    bitwise equal to it (recursive halving's pairwise partial sums are not).
+
+    Each rank sends ``n - counts[r]·row_words`` words — the §2.3 volume
+    ``(p-1)/p · n`` for an even split — in ``p - 1`` messages rather than
+    recursive halving's ``log p``.  An empty slice is not sent at all, so a
+    one-hot ``counts`` (one panel of :func:`repro.comm.panels.
+    stream_reduce_scatter`) travels only to the rank that owns it.
+
+    ``counts`` must already be validated (one entry per rank, summing to the
+    axis length); with ``out`` the block is reduced into that buffer.
+    """
+    array = np.asarray(array)
+    p, r = comm.size, comm.rank
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(int)
+
+    def piece(t: int) -> np.ndarray:
+        index = [slice(None)] * array.ndim
+        index[axis] = slice(offsets[t], offsets[t + 1])
+        return array[tuple(index)]
+
+    for step in range(1, p):  # staggered, so no rank is everyone's first target
+        t = (r + step) % p
+        if counts[t]:
+            comm.send(piece(t), dest=t, tag=_SLICE_TAG)
+    if not counts[r]:
+        return op.combine([piece(r)], out=out)
+    pieces = [
+        piece(r) if s == r else comm.recv(source=s, tag=_SLICE_TAG) for s in range(p)
+    ]
+    return op.combine(pieces, out=out)
 
 
 def recursive_halving_reduce_scatter(

@@ -224,6 +224,36 @@ class Comm:
             )
         _require_safe_cast(array.dtype, out, "contribution")
 
+    def _scatter_counts(
+        self,
+        array: np.ndarray,
+        counts: Optional[Sequence[int]],
+        axis: int,
+        out: Optional[np.ndarray],
+    ) -> List[int]:
+        """The validated split of a reduce-scatter (and its ``out`` check).
+
+        Omitted ``counts`` split the axis as evenly as possible, first
+        ``remainder`` blocks one element larger.
+        """
+        length = array.shape[axis]
+        if counts is None:
+            base, rem = divmod(length, self.size)
+            counts = [base + (1 if r < rem else 0) for r in range(self.size)]
+        counts = [int(c) for c in counts]
+        if len(counts) != self.size:
+            raise CommunicatorError(
+                f"counts must have length {self.size}, got {len(counts)}"
+            )
+        if sum(counts) != length:
+            raise CommunicatorError(
+                f"counts sum to {sum(counts)} but axis {axis} has length {length}"
+            )
+        expected_shape = list(array.shape)
+        expected_shape[axis] = counts[self.rank]
+        self._validate_out(out, array, expected_shape=tuple(expected_shape))
+        return counts
+
     @staticmethod
     def _copy_result(out: np.ndarray, array: np.ndarray) -> np.ndarray:
         """Copy ``array`` into ``out`` with the same safe-cast rule as combine.
@@ -303,8 +333,12 @@ class Comm:
             raise CommunicatorError(f"dest {dest} out of range for size {self.size}")
         if dest == self.rank:
             raise CommunicatorError("send to self is not supported; use local data directly")
-        payload = obj.copy() if isinstance(obj, np.ndarray) else obj
-        self._state.mailbox(self.rank, dest).put((tag, payload))
+        box = self._state.mailbox(self.rank, dest)
+        # An in-process mailbox hands the receiver this very object, so an
+        # array is snapshotted; one that serializes on put already has.
+        if isinstance(obj, np.ndarray) and not getattr(box, "serializes", False):
+            obj = obj.copy()
+        box.put((tag, obj))
         self._record("send", _nwords(obj))
 
     def recv(self, source: int, tag: int = 0, timeout: float = 60.0) -> Any:
@@ -537,27 +571,12 @@ class Comm:
         (which is returned); ``out`` must not alias ``array``.
         """
         array = np.asarray(array)
-        length = array.shape[axis]
-        if counts is None:
-            base, rem = divmod(length, self.size)
-            counts = [base + (1 if r < rem else 0) for r in range(self.size)]
-        counts = list(counts)
-        if len(counts) != self.size:
-            raise CommunicatorError(
-                f"counts must have length {self.size}, got {len(counts)}"
-            )
-        if sum(counts) != length:
-            raise CommunicatorError(
-                f"counts sum to {sum(counts)} but axis {axis} has length {length}"
-            )
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        expected_shape = list(array.shape)
-        expected_shape[axis] = counts[self.rank]
-        self._validate_out(out, array, expected_shape=tuple(expected_shape))
+        counts = self._scatter_counts(array, counts, axis, out)
         if self.size == 1:
             if out is None:
                 return array.copy()
             return self._copy_result(out, array)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
         self._state.slots[self.rank] = array
         with self._compute_phase():
             lo, hi = offsets[self.rank], offsets[self.rank + 1]
@@ -765,30 +784,11 @@ class Comm:
         (panel streaming, :mod:`repro.comm.panels`).
         """
         array = np.asarray(array)
-        length = array.shape[axis]
-        if counts is None:
-            base, rem = divmod(length, self.size)
-            counts = [base + (1 if r < rem else 0) for r in range(self.size)]
-        counts = list(counts)
-        if len(counts) != self.size:
-            raise CommunicatorError(
-                f"counts must have length {self.size}, got {len(counts)}"
-            )
-        if sum(counts) != length:
-            raise CommunicatorError(
-                f"counts sum to {sum(counts)} but axis {axis} has length {length}"
-            )
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        expected_shape = list(array.shape)
-        expected_shape[axis] = counts[self.rank]
-        self._validate_out(out, array, expected_shape=tuple(expected_shape))
-        index: List[Any] = [slice(None)] * array.ndim
-        index[axis] = slice(int(offsets[self.rank]), int(offsets[self.rank + 1]))
-        index = tuple(index)
+        counts = self._scatter_counts(array, counts, axis, out)
         return self._issue(
             "ireduce_scatter",
             lambda: self.reduce_scatter(array, counts=counts, axis=axis, op=op, out=out),
-            lambda: _reduce_scatter_body(array.copy(), index, op, out),
+            lambda: _reduce_scatter_body(array.copy(), counts, axis, op, out),
             "reduce_scatter",
             out,
             record=record,

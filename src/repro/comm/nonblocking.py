@@ -30,22 +30,36 @@ The native blocking reductions combine all ``p`` contributions **in rank
 order** (that is what makes every backend bitwise-reproducible), whereas the
 recursive-halving/doubling reduction algorithms combine pairwise — different
 floating-point rounding.  The helper path therefore composes every
-nonblocking operation from :func:`recursive_doubling_allgather` (bitwise
-exact: it only moves bytes) followed by the same rank-order
-:meth:`ReduceOp.combine` / ``np.concatenate`` the native collective performs.
-A nonblocking collective returns a result byte-identical to its blocking
-counterpart on every backend, which is what lets the pipelined and blocking
-schedules produce byte-identical factors.
+nonblocking operation from a point-to-point algorithm that *only moves
+bytes* — :func:`~repro.comm.collectives.recursive_doubling_allgather` for the
+all-gather and the all-reduce,
+:func:`~repro.comm.collectives.slice_exchange_reduce_scatter` for the
+reduce-scatter — followed by the same rank-order :meth:`ReduceOp.combine` /
+``np.concatenate`` the native collective performs.  A nonblocking collective
+returns a result byte-identical to its blocking counterpart on every
+backend, which is what lets the pipelined and blocking schedules produce
+byte-identical factors.
 
 Cost accounting
 ---------------
-The helper's gather-based reduction physically moves more bytes than the
-optimal §2.3 algorithm, but the :class:`CostLedger` records *modeled*
-optimal-collective volume, not physical movement: each handle records the
-same operation name and word count as the blocking call would, on the
-issuing communicator, when the handle completes.  Pipelined and blocking
-schedules therefore produce identical ledgers (the acceptance criterion that
-communication *volume* stays on the paper's Table 2).
+For the two collectives that carry the factor blocks, what the helper
+physically moves is what the §2.3 model charges: the slice exchange sends
+rank ``t`` only the slice ``t`` will own, and recursive doubling forwards
+each block once, so a rank sends ``(p-1)/p · n`` words per reduce-scatter or
+all-gather (on power-of-two sizes; the fold/unfold rounds of other sizes
+re-send some blocks).  The reduce-scatter takes ``p - 1`` messages where the
+model's recursive halving takes ``log p`` — the price of combining in rank
+order.  The all-reduce still gathers every rank's whole contribution and
+combines locally, ``(p-1) · n`` words instead of ``2 (p-1)/p · n``: it only
+ever carries the ``k × k`` Grams and scalars, which are latency-bound, and a
+reduce-scatter + all-gather would double their message count.
+
+The :class:`CostLedger` records *modeled* optimal-collective volume either
+way: each handle records the same operation name and word count as the
+blocking call would, on the issuing communicator, when the handle completes.
+Pipelined and blocking schedules therefore produce identical ledgers (the
+acceptance criterion that communication *volume* stays on the paper's
+Table 2).
 
 One modeled collective may be carried by several physical handles: the
 panel-streamed reduce-scatter (:mod:`repro.comm.panels`) issues one
@@ -69,7 +83,7 @@ import queue
 import threading
 import time
 import weakref
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,9 +299,9 @@ def _nwords(obj: Any) -> float:
 
 # -- the helper-side operation bodies ---------------------------------------
 # Each returns (result, ledger_words) and must be byte-identical to the
-# native blocking collective it stands in for: recursive-doubling allgather
-# moves the full contributions, then the rank-order combine/concatenate of
-# the native protocol runs locally.
+# native blocking collective it stands in for: the point-to-point algorithm
+# only moves bytes, then the rank-order combine/concatenate of the native
+# protocol runs locally.
 
 def _allgatherv_body(
     array: np.ndarray, axis: int, out: Optional[np.ndarray]
@@ -326,16 +340,16 @@ def _allreduce_body(
 
 def _reduce_scatter_body(
     array: np.ndarray,
-    index: Tuple[Any, ...],
+    counts: Sequence[int],
+    axis: int,
     op: Any,
     out: Optional[np.ndarray],
 ) -> Callable[[Any], Tuple[np.ndarray, float]]:
     def run(shadow: Any) -> Tuple[np.ndarray, float]:
-        from repro.comm.collectives import recursive_doubling_allgather
+        from repro.comm.collectives import slice_exchange_reduce_scatter
 
-        parts = recursive_doubling_allgather(shadow, array)
-        pieces = [np.asarray(p)[index] for p in parts]
-        return op.combine(pieces, out=out), _nwords(array)
+        result = slice_exchange_reduce_scatter(shadow, array, counts, axis, op, out)
+        return result, _nwords(array)
 
     return run
 

@@ -44,7 +44,13 @@ from repro.comm.panels import panel_slices, stream_reduce_scatter
 from repro.comm.profiler import Profiler, TaskCategory
 from repro.core.config import Algorithm, NMFConfig
 from repro.core.initialization import init_h_slice
-from repro.core.local_ops import gram, local_cross_term, matmul_a_ht, matmul_wt_a
+from repro.core.local_ops import (
+    gram,
+    local_cross_term,
+    matmul_a_ht,
+    matmul_wt_a,
+    transpose_into,
+)
 from repro.core.objective import objective_from_grams
 from repro.core.observers import IterationObserver, LoopControl
 from repro.core.result import NMFResult
@@ -189,6 +195,12 @@ def hpc_nmf(
     v_buf = ws.get("v_block", (local_rows, k))
     y_buf = ws.get("y_block", (k, local_cols))
     w_local_buf = ws.get("w_local", (w_sub_rows, k))
+    # The line-8 NLS works on k × (m/p) operands.  It gets them C-ordered —
+    # the reduce-scattered (A Hᵀ)_i turned into this buffer, and its own
+    # previous (W_i)_jᵀ as the warm start — because the solvers sweep row by
+    # row and copy a strided view before they start.
+    aht_t_buf = ws.get("aht_block_t", (k, w_sub_rows))
+    Wt_local = np.zeros((k, w_sub_rows))
 
     variant_name = "hpc1d" if config.algorithm == Algorithm.HPC_1D else "hpc2d"
     control = LoopControl(config, observers, comm=comm, variant=variant_name).start()
@@ -307,8 +319,8 @@ def hpc_nmf(
             with profiler.task(TaskCategory.NLS):
                 Wt_local = solver.solve(                             # line 8
                     gram_h,
-                    aht_block.T,
-                    x0=W_fac.local.T if np.any(W_fac.local) else None,
+                    transpose_into(aht_block, aht_t_buf),
+                    x0=Wt_local if np.any(Wt_local) else None,
                 )
             np.copyto(w_local_buf, Wt_local.T)
             W_fac.local = w_local_buf

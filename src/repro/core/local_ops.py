@@ -38,16 +38,41 @@ def matmul_a_ht(A_block, Ht: np.ndarray) -> np.ndarray:
     return np.asarray(result)
 
 
+#: Rows of the tall operand moved per step of :func:`transpose_into`: a
+#: 256 × k block of doubles stays cache-resident for k up to a few hundred.
+_TRANSPOSE_BLOCK_ROWS = 256
+
+
+def transpose_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``src.T`` into ``out`` (both C-ordered) one row block at a time.
+
+    The factor blocks are tall and skinny (``n × k`` with ``k`` in the tens)
+    and the NLS solvers want them as ``k × n``.  A plain strided copy of that
+    transpose writes ``k`` far-apart output rows per input row and misses
+    cache on every element (19–25 ms at 60000–80000 × 32); moving one
+    cache-sized row block at a time costs 4–6 ms.  The opposite direction
+    (``k × n → n × k``) is already fast as a plain ``np.copyto``.
+    """
+    if out.shape != src.shape[::-1]:
+        raise ValueError(f"out has shape {out.shape}, expected {src.shape[::-1]}")
+    step = _TRANSPOSE_BLOCK_ROWS
+    for lo in range(0, src.shape[0], step):
+        out[:, lo:lo + step] = src[lo:lo + step].T
+    return out
+
+
 def matmul_wt_a(W_block: np.ndarray, A_block) -> np.ndarray:
     """``W_blockᵀ @ A_block`` giving a (k, n_local) dense array.
 
     This is ``Y_ij = W_iᵀ A_ij`` (line 12 of Algorithm 3).  For sparse blocks
     the product is computed as ``(A_blockᵀ @ W_block)ᵀ`` so the sparse operand
-    stays on the left (scipy only implements sparse @ dense efficiently).
+    stays on the left (scipy only implements sparse @ dense efficiently); the
+    ``n_local × k`` product is then turned with :func:`transpose_into`.
     """
     W_block = np.asarray(W_block)
     if is_sparse(A_block):
-        return np.ascontiguousarray((A_block.T @ W_block).T)
+        product = np.asarray(A_block.T @ W_block)
+        return transpose_into(product, np.empty(product.shape[::-1], product.dtype))
     return W_block.T @ A_block
 
 

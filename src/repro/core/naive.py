@@ -31,7 +31,13 @@ from repro.comm.nonblocking import finish
 from repro.comm.profiler import Profiler, TaskCategory
 from repro.core.config import Algorithm, NMFConfig
 from repro.core.initialization import init_h_slice
-from repro.core.local_ops import gram, local_cross_term, matmul_a_ht, matmul_wt_a
+from repro.core.local_ops import (
+    gram,
+    local_cross_term,
+    matmul_a_ht,
+    matmul_wt_a,
+    transpose_into,
+)
 from repro.core.objective import objective_from_grams
 from repro.core.observers import IterationObserver, LoopControl
 from repro.core.result import NMFResult
@@ -102,6 +108,12 @@ def naive_parallel_nmf(
     H_full_buf = ws.get("H_full", (k, n))
     W_full_buf = ws.get("W_full", (m, k))
     gram_h_new_buf = ws.get("gram_h_new", (k, k))
+    # The W-update NLS gets C-ordered k × (m/p) operands (see hpc_nmf): A_i Hᵀ
+    # turned into a_ht_t_buf and its own previous W_iᵀ as the warm start; the
+    # solution is turned back into W's persistent C-ordered home.
+    a_ht_t_buf = ws.get("a_ht_t", (k, row_hi - row_lo))
+    w_local_buf = ws.get("w_local", (row_hi - row_lo, k))
+    Wt_local = np.zeros((k, row_hi - row_lo))
 
     # Gram cache across half-iterations: the error path already all-reduces
     # H Hᵀ from the per-rank pieces, which is the same quantity (up to
@@ -176,9 +188,12 @@ def naive_parallel_nmf(
                 gram_h = claim_pending()
             with profiler.task(TaskCategory.NLS):
                 Wt_local = solver.solve(
-                    gram_h, a_ht.T, x0=W_local.T if np.any(W_local) else None
+                    gram_h,
+                    transpose_into(a_ht, a_ht_t_buf),
+                    x0=Wt_local if np.any(Wt_local) else None,
                 )
-            W_local = Wt_local.T
+            np.copyto(w_local_buf, Wt_local.T)
+            W_local = w_local_buf
 
             # --- Compute H given W (lines 5-6) ----------------------------
             with profiler.task(TaskCategory.ALL_GATHER):

@@ -72,8 +72,11 @@ DEFAULT_OVERLAP_EFFICIENCY: Mapping[str, float] = {
 #: price ``repro plan --backend socket|mpi``.  In-process backends have **no**
 #: entry on purpose: they communicate at the machine's own memory constants,
 #: so their pricing stays byte-stable.  The socket defaults describe loopback
-#: TCP through the frame codec (tens-of-microseconds latency, a few GB/s);
-#: the mpi defaults reuse the Edison Aries constants (§6.1.2).
+#: TCP through the frame codec as the layered benchmark's 2-rank probe
+#: measures it on a quiet 2-CPU host (``comm.backends.socket.p2p_lat_us``
+#: 35-60, ``p2p_bw_mbs`` 1600-2700 since array frames stopped being staged
+#: in user space; 260-370 before); the mpi defaults reuse the Edison Aries
+#: constants (§6.1.2).
 #: ``MachineSpec.calibrate(rate_links=True)`` replaces the socket entry with
 #: a measured 2-rank ping/stream probe.
 DEFAULT_LINK_COSTS: Mapping[str, tuple] = {

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm import ReduceOp, run_spmd
+from repro.comm import CostLedger, ReduceOp, run_spmd
 from repro.comm.collectives import (
     binomial_broadcast,
     recursive_doubling_allgather,
@@ -11,6 +11,7 @@ from repro.comm.collectives import (
     recursive_halving_reduce_scatter,
     reduce_scatter_allgather_allreduce,
     ring_allgather,
+    slice_exchange_reduce_scatter,
 )
 
 
@@ -103,3 +104,69 @@ def test_max_reduce_scatter():
         return True
 
     assert all(run_spmd(4, program))
+
+
+# -- slice-exchange reduce-scatter: physical volume == modeled volume ---------
+
+def _split(p, spread, one_hot):
+    """Scatter counts for ``p`` ranks: even, uneven, or all on rank ``one_hot``."""
+    if one_hot is not None:
+        return [5 if t == one_hot else 0 for t in range(p)]
+    return [3 + (spread * t) % 4 for t in range(p)]
+
+
+def _exchange_program(comm, counts, axis, op):
+    """Run one slice exchange on an un-silenced comm; report what it sent."""
+    rng = np.random.default_rng(40 + comm.rank)
+    shape = (sum(counts), 3) if axis == 0 else (3, sum(counts))
+    local = rng.standard_normal(shape)
+    native = comm.reduce_scatter(local, counts=counts, axis=axis, op=op)
+
+    ledger = CostLedger()
+    comm.attach_ledger(ledger)
+    dests = []
+    plain_send = comm.send
+
+    def spying_send(obj, dest, tag=0):
+        dests.append(dest)
+        plain_send(obj, dest, tag=tag)
+
+    comm.send = spying_send
+    mine = slice_exchange_reduce_scatter(comm, local, counts, axis=axis, op=op)
+    comm.attach_ledger(None)
+    return {
+        "bitwise": mine.tobytes() == native.tobytes() and mine.shape == native.shape,
+        "send_words": ledger.words_for("send"),
+        "dests": dests,
+    }
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("spread", [0, 1], ids=["even", "uneven"])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_slice_exchange_sends_the_modeled_volume_and_matches_native(p, spread, axis):
+    counts = _split(p, spread, None)
+    reports = run_spmd(p, _exchange_program, counts, axis, ReduceOp.SUM)
+    n_words, row_words = 3 * sum(counts), 3
+    for rank, report in enumerate(reports):
+        assert report["bitwise"]
+        # Every word but the rank's own slice leaves it: (p-1)/p · n when even.
+        assert report["send_words"] == n_words - counts[rank] * row_words
+        assert sorted(report["dests"]) == [t for t in range(p) if t != rank]
+    if spread == 0:
+        assert reports[0]["send_words"] == pytest.approx((p - 1) / p * n_words)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_one_hot_panel_travels_only_to_its_owner(p, axis):
+    owner = p // 2
+    counts = _split(p, 0, owner)
+    reports = run_spmd(p, _exchange_program, counts, axis, ReduceOp.MAX)
+    for rank, report in enumerate(reports):
+        assert report["bitwise"]
+        if rank == owner:
+            assert report["dests"] == [] and report["send_words"] == 0.0
+        else:
+            assert report["dests"] == [owner]
+            assert report["send_words"] == 5 * 3

@@ -23,7 +23,7 @@ from repro.data.lowrank import planted_lowrank
 @pytest.fixture(autouse=True)
 def _silence_oversubscription():
     # p=4 oversubscribes small hosts; the warning has its own test in
-    # tests/comm/test_process_backend.py.
+    # tests/comm/test_forked_backends.py.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         yield
