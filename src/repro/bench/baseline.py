@@ -121,38 +121,30 @@ def run_overlap_panel(
     repeats: int = 2,
     seed: int = 7,
 ) -> dict:
-    """Time the three collective schedules on the dense panel.
+    """Time the two completion modes of the parallel loop on the dense panel.
 
-    For each backend the dense panel runs three times — ``overlap=False``
-    (strictly blocking), ``overlap=True, panel_comm=False`` (the PR-7
-    pipelined schedule: nonblocking gathers/all-reduces, monolithic blocking
-    reduce-scatters) and the default (pipelined *plus* panel-streamed
-    reduce-scatters and the deferred error path) — and the ratios
-    ``blocking / pipelined`` and ``pipelined / panel`` are reported per
-    backend.  The committed baseline floors
-    ``dense:process_pipelined_vs_blocking`` and
-    ``dense:process_panel_vs_pipelined``; all three runs produce
-    byte-identical factors, so any ratio change is pure schedule performance.
-    Each row also records the profiler's exposed vs. hidden communication
-    seconds per schedule — the split the BENCH artifact exports for the
-    overlap trajectory.
+    For each backend the dense panel runs twice — ``overlap=False`` (every
+    collective completes at its issue point: strictly blocking) and the
+    default (collectives complete in the background, overlapping compute) —
+    and the ratio ``blocking / default`` is reported per backend as
+    ``pipelined_vs_blocking``.  The committed baseline floors
+    ``dense:process_pipelined_vs_blocking``; both runs execute the same
+    program and produce byte-identical factors, so any ratio change is pure
+    overlap performance.  Each row also records the profiler's exposed vs.
+    hidden communication seconds per mode — the split the BENCH artifact
+    exports for the overlap trajectory.
     """
     spec = SCALES[scale]["dense"]
     k, iters = int(spec["k"]), int(spec["iters"])
     A = _panel_matrix("dense", spec, seed)
-    schedules = (
-        ("blocking", {"overlap": False}),
-        ("pipelined", {"overlap": True, "panel_comm": False}),
-        ("panel", {"overlap": True, "panel_comm": True}),
-    )
     rows: List[dict] = []
     for backend in backends:
         walls: Dict[str, float] = {}
         comm_split: Dict[str, Dict[str, float]] = {}
-        for name, options in schedules:
+        for name, overlap in (("blocking", False), ("default", True)):
             wall, res = _timed_fit(
                 A, k, iters, seed, repeats,
-                variant=variant, n_ranks=p, backend=backend, **options,
+                variant=variant, n_ranks=p, backend=backend, overlap=overlap,
             )
             walls[name] = wall
             comm_split[name] = {
@@ -162,11 +154,8 @@ def run_overlap_panel(
         rows.append({
             "panel": "dense", "variant": variant, "backend": backend, "p": p,
             "wall_blocking_s": walls["blocking"],
-            "wall_pipelined_s": walls["pipelined"],
-            "wall_panel_s": walls["panel"],
-            "pipelined_vs_blocking": walls["blocking"] / walls["pipelined"],
-            "panel_vs_pipelined": walls["pipelined"] / walls["panel"],
-            "panel_vs_blocking": walls["blocking"] / walls["panel"],
+            "wall_default_s": walls["default"],
+            "pipelined_vs_blocking": walls["blocking"] / walls["default"],
             "comm_split": comm_split,
         })
     return {
@@ -287,9 +276,6 @@ def run_baseline(
             payload["speedups"][
                 f"dense:{row['backend']}_pipelined_vs_blocking"
             ] = row["pipelined_vs_blocking"]
-            payload["speedups"][
-                f"dense:{row['backend']}_panel_vs_pipelined"
-            ] = row["panel_vs_pipelined"]
     if serve:
         from repro.bench.serve_panel import run_serve_panel
 
@@ -380,23 +366,20 @@ def render_baseline(payload: dict) -> str:
     overlap_panel = payload.get("overlap")
     if overlap_panel:
         lines.append(
-            f"overlap (blocking / pipelined / panel-streamed, dense, "
+            f"overlap (blocking / default, dense, "
             f"{overlap_panel['variant']} p={overlap_panel['p']}):"
         )
         lines.append(
-            f"{'':>7}  {'backend':>10}  {'block s':>8}  {'pipe s':>8}  "
-            f"{'panel s':>8}  {'pipe/blk':>8}  {'pan/pipe':>8}  "
-            f"{'exposed s':>9}  {'hidden s':>8}"
+            f"{'':>7}  {'backend':>10}  {'block s':>8}  {'deflt s':>8}  "
+            f"{'blk/dflt':>8}  {'exposed s':>9}  {'hidden s':>8}"
         )
         for row in overlap_panel["rows"]:
-            split = row.get("comm_split", {}).get("panel", {})
+            split = row.get("comm_split", {}).get("default", {})
             lines.append(
                 f"{'':>7}  {row['backend']:>10}  "
                 f"{row['wall_blocking_s']:>8.3f}  "
-                f"{row['wall_pipelined_s']:>8.3f}  "
-                f"{row['wall_panel_s']:>8.3f}  "
+                f"{row['wall_default_s']:>8.3f}  "
                 f"{row['pipelined_vs_blocking']:>8.2f}  "
-                f"{row['panel_vs_pipelined']:>8.2f}  "
                 f"{split.get('exposed_comm_s', float('nan')):>9.3f}  "
                 f"{split.get('hidden_comm_s', float('nan')):>8.3f}"
             )

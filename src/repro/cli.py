@@ -94,7 +94,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         seed=args.seed,
         **({"kernel": args.kernel} if args.kernel else {}),
         **({"overlap": False} if args.no_overlap else {}),
-        **({"panel_comm": False} if args.no_panel_comm else {}),
         **({"storage": args.storage} if args.storage else {}),
     )
     print(result.summary())
@@ -336,21 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     fact.add_argument("--iters", type=int, default=20, help="outer iterations")
     fact.add_argument("--seed", type=int, default=42)
     fact.add_argument("--no-overlap", action="store_true",
-                      help="run the strictly blocking Algorithm 2/3 schedules "
-                           "instead of the default pipelined one (nonblocking "
-                           "collectives overlapping compute); results are "
-                           "byte-identical either way")
+                      help="complete every collective of the Algorithm 2/3 "
+                           "loops at its issue point (strictly blocking, no "
+                           "helper threads) instead of in the background, "
+                           "overlapping compute; results are byte-identical "
+                           "either way")
     fact.add_argument("--storage", default=None, choices=list(STORAGE_MODES),
                       help="where each rank's local block of A lives (memory = "
                            "resident, memmap = np.memmap-backed temp files for "
                            "out-of-core blocks; sparse blocks stay in memory); "
                            "results are byte-identical either way")
-    fact.add_argument("--no-panel-comm", action="store_true",
-                      help="keep the pipelined schedule but issue the "
-                           "line-7/line-13 reduce-scatters as monolithic "
-                           "blocking calls instead of panel-streaming them "
-                           "behind the tiled MM; results are byte-identical "
-                           "either way")
     fact.add_argument("--save", help="write the full result to this .npz path")
     fact.set_defaults(func=_cmd_factorize)
 

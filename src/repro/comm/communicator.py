@@ -137,9 +137,11 @@ class Comm:
         # Nonblocking-collective state: shadow-communicator traffic must
         # never hit the ledger (_silent), handles get a per-communicator
         # issue tag (_nb_seq), and helper-mode backends lazily get one
-        # daemon runner thread (_nb_runner).
+        # daemon runner thread (_nb_runner) unless the caller asked for
+        # eager completion (_nb_eager).
         self._silent = False
         self._nb_seq = 0
+        self._nb_eager = False
         self._nb_runner: Optional[_HelperRunner] = None
 
     # -- identity ----------------------------------------------------------
@@ -593,11 +595,12 @@ class Comm:
     def _nonblocking_eager(self) -> bool:
         """Whether handles complete at issue time on this substrate.
 
-        True for size-1 communicators (nothing to overlap) and for group
+        True for size-1 communicators (nothing to overlap), for group
         states that declare ``nonblocking_mode == "eager"`` (lockstep, whose
-        deterministic baton schedule must not gain helper threads).
+        deterministic baton schedule must not gain helper threads), and when
+        the caller asked for it with ``ensure_nonblocking(eager=True)``.
         """
-        if self.size == 1:
+        if self.size == 1 or self._nb_eager:
             return True
         return getattr(self._state, "nonblocking_mode", "helper") == "eager"
 
@@ -636,7 +639,7 @@ class Comm:
         shadow._parent = None
         return shadow
 
-    def ensure_nonblocking(self) -> bool:
+    def ensure_nonblocking(self, eager: bool = False) -> bool:
         """Collectively prepare this communicator for nonblocking collectives.
 
         On helper-mode backends this creates the silent shadow communicator
@@ -644,8 +647,13 @@ class Comm:
         point) and starts the daemon runner thread; call it during setup,
         before attaching a ledger, so first use inside a timed loop pays no
         hidden split.  Eager substrates and size-1 communicators need no
-        preparation.  Returns True when a helper runner is active.
+        preparation.  ``eager=True`` (every rank alike) makes this
+        communicator eager until :meth:`shutdown_nonblocking`: handles
+        complete at issue through the native blocking collective, with no
+        helper thread and no shadow split — how ``overlap=False`` runs the
+        Algorithm 2/3 loops.  Returns True when a helper runner is active.
         """
+        self._nb_eager = eager
         if self._nonblocking_eager:
             return False
         if self._nb_runner is None:
@@ -657,8 +665,9 @@ class Comm:
 
         Pending handles still complete (the runner finishes its queue before
         exiting) and remain waitable.  Idempotent; a later nonblocking call
-        would lazily recreate the helper.
+        would lazily recreate the helper.  Also ends a requested eager mode.
         """
+        self._nb_eager = False
         runner = self._nb_runner
         self._nb_runner = None
         if runner is not None:

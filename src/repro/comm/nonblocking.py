@@ -4,25 +4,28 @@
 :meth:`Comm.ireduce_scatter` return a :class:`CommHandle` immediately; the
 collective completes in the background and the caller claims the result with
 ``wait()`` (blocking, idempotent) or polls with ``test()``.  This is the
-primitive the pipelined Algorithm 2/3 loops use to hide the factor
-all-gathers behind the opposite half-iteration's local compute (paper §4.3:
-the collective terms are the dominant exposed cost once the local NLS is
-fast).
+primitive the Algorithm 2/3 loops are written against (one program; see
+:mod:`repro.core.spmd_loop`): it is what lets the factor all-gathers hide
+behind the opposite half-iteration's local compute (paper §4.3: the
+collective terms are the dominant exposed cost once the local NLS is fast).
 
-Execution strategy — chosen per backend via
-``SharedGroupState.nonblocking_mode``:
+Execution strategy — per communicator:
 
-* ``"eager"`` (lockstep, and any size-1 communicator): the handle completes
-  *at issue time* by running the native blocking collective.  The lockstep
-  scheduler stays a deterministic single-runnable-rank baton pass, which
-  preserves it as the byte-identical semantics oracle for the pipelined
-  schedules.
-* ``"helper"`` (thread, process and socket backends): a per-communicator
-  daemon thread executes the operation over the point-to-point mailboxes of a
-  *silent shadow communicator* (a ``split`` of the issuing communicator that
-  never records ledger entries).  Progress is genuinely asynchronous
-  wherever the transport releases the GIL — always on the forked backends,
-  whose mailboxes are frames on a TCP mesh.
+* ``"eager"``: the handle completes *at issue time* by running the native
+  blocking collective; its seconds are booked exposed, there is no helper
+  thread and no shadow communicator.  Three reasons a communicator is eager:
+  the backend declares it (``SharedGroupState.nonblocking_mode`` — lockstep,
+  whose scheduler must stay a deterministic single-runnable-rank baton pass
+  to remain the byte-identical semantics oracle, and mpi); its size is 1
+  (nothing to overlap); or the caller asked for it
+  (``ensure_nonblocking(eager=True)`` — how ``overlap=False`` runs the loops
+  strictly blocking).
+* ``"helper"`` (thread, process and socket backends otherwise): a
+  per-communicator daemon thread executes the operation over the
+  point-to-point mailboxes of a *silent shadow communicator* (a ``split`` of
+  the issuing communicator that never records ledger entries).  Progress is
+  genuinely asynchronous wherever the transport releases the GIL — always on
+  the forked backends, whose mailboxes are frames on a TCP mesh.
 
 Byte-identity
 -------------
@@ -37,8 +40,8 @@ all-gather and the all-reduce,
 reduce-scatter — followed by the same rank-order :meth:`ReduceOp.combine` /
 ``np.concatenate`` the native collective performs.  A nonblocking collective
 returns a result byte-identical to its blocking counterpart on every
-backend, which is what lets the pipelined and blocking schedules produce
-byte-identical factors.
+backend, which is what makes the loops' factors independent of the
+completion mode.
 
 Cost accounting
 ---------------
@@ -57,16 +60,15 @@ reduce-scatter + all-gather would double their message count.
 The :class:`CostLedger` records *modeled* optimal-collective volume either
 way: each handle records the same operation name and word count as the
 blocking call would, on the issuing communicator, when the handle completes.
-Pipelined and blocking schedules therefore produce identical ledgers (the
-acceptance criterion that communication *volume* stays on the paper's
-Table 2).
+Helper and eager runs therefore produce identical ledgers (the acceptance
+criterion that communication *volume* stays on the paper's Table 2).
 
 One modeled collective may be carried by several physical handles: the
 panel-streamed reduce-scatter (:mod:`repro.comm.panels`) issues one
 ``ireduce_scatter(record=False)`` per MM panel — suppressing the per-handle
 ledger entry — and books a single :meth:`Comm.record_collective` with the
-monolithic call's word count once the stream completes, keeping the ledger
-indistinguishable from the blocking schedule's.
+monolithic call's word count once the stream completes, so the ledger
+shows one reduce-scatter of the full input.
 
 Workspace safety
 ----------------
@@ -90,7 +92,7 @@ import numpy as np
 from repro.comm.profiler import Profiler, TaskCategory
 from repro.util.errors import CommunicatorError
 
-__all__ = ["CommHandle", "finish"]
+__all__ = ["CommHandle", "drain", "finish"]
 
 _SHUTDOWN = object()
 
@@ -372,3 +374,18 @@ def finish(
         if handle.hidden_seconds > 0.0:
             profiler.add(TaskCategory.HIDDEN_COMM, handle.hidden_seconds)
     return result
+
+
+def drain(handles: Sequence[CommHandle]) -> None:
+    """Wait every handle, discarding results and failures (error-path cleanup).
+
+    For ``finally`` blocks that abandon in-flight operations because
+    something else already failed: the waits unpin workspace buffers and
+    empty the helper's queue; a wait that fails too must not replace the
+    exception being propagated.
+    """
+    for handle in handles:
+        try:
+            handle.wait()
+        except Exception:  # noqa: BLE001 - the caller's own exception surfaces
+            pass

@@ -2,8 +2,8 @@
 
 Algorithm 3's dominant per-iteration transfers are the line-7 and line-13
 reduce-scatters, each fed by the local matmul directly before it (lines 6 and
-12) — which is why the PR-7 pipelined schedule left them blocking: the whole
-input only exists once the whole MM is done.  But the reduce-scatter's split
+12): issued as one collective, the whole input only exists once the whole MM
+is done and nothing can overlap it.  But the reduce-scatter's split
 boundaries (the ``w_scatter_counts`` / ``h_scatter_counts`` sub-blocking of
 :mod:`repro.dist`) also tile the MM itself: the rows (columns) of ``V_ij``
 (``Y_ij``) destined for rank ``t`` depend only on the matching row (column)
@@ -17,15 +17,19 @@ panel of the local data block.  :func:`stream_reduce_scatter` therefore
 3. after the last panel, waits the handles in issue order and hands rank
    ``t`` its own reduced sub-block.
 
+This is the only way the Algorithm 3 loop runs lines 6-7 and 12-13; on an
+eager communicator (``overlap=False``, lockstep, mpi) each panel's collective
+simply completes at step 2.
+
 Byte-identity
 -------------
-Panel ``t``'s collective combines, in rank order, exactly the slices the
-monolithic blocking call would combine for rank ``t`` — same values, same
-order, same destination buffer — so the streamed result is bitwise equal to
-the blocking reduce-scatter of the assembled MM output.  The loops tile the
-MM identically on *both* schedules (the blocking schedule assembles the
-panels into one buffer and issues the monolithic call), so schedule choice
-never changes a single GEMM rounding either.
+Panel ``t``'s collective combines, in rank order, exactly the slices a
+monolithic ``reduce_scatter`` of the assembled MM output would combine for
+rank ``t`` — same values, same order, same destination buffer — so the
+streamed result is bitwise equal to it (pinned by
+``tests/comm/test_panels.py``).  Whether a handle completes at issue or in
+the background moves no byte: the panels, their order and the rank-order
+combine are the same.
 
 Ledger purity
 -------------
@@ -43,7 +47,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.nonblocking import finish
+from repro.comm.nonblocking import drain, finish
 from repro.comm.profiler import Profiler, TaskCategory
 
 __all__ = ["panel_slices", "stream_reduce_scatter"]
@@ -101,30 +105,34 @@ def stream_reduce_scatter(
         )
     handles = []
     total_words = 0.0
-    for t in range(len(counts)):
-        if profiler is not None:
-            with profiler.task(compute_category):
+    try:
+        for t in range(len(counts)):
+            if profiler is not None:
+                with profiler.task(compute_category):
+                    panel = compute_panel(t)
+            else:
                 panel = compute_panel(t)
-        else:
-            panel = compute_panel(t)
-        panel = np.asarray(panel)
-        if panel.shape[axis] != counts[t]:
-            raise ValueError(
-                f"panel {t} has extent {panel.shape[axis]} along axis {axis}, "
-                f"expected counts[{t}] = {counts[t]}"
+            panel = np.asarray(panel)
+            if panel.shape[axis] != counts[t]:
+                raise ValueError(
+                    f"panel {t} has extent {panel.shape[axis]} along axis {axis}, "
+                    f"expected counts[{t}] = {counts[t]}"
+                )
+            total_words += panel.size * panel.itemsize / 8.0
+            panel_counts = [0] * len(counts)
+            panel_counts[t] = counts[t]
+            handles.append(
+                comm.ireduce_scatter(
+                    panel,
+                    counts=panel_counts,
+                    axis=axis,
+                    out=out if t == comm.rank else None,
+                    record=False,
+                )
             )
-        total_words += panel.size * panel.itemsize / 8.0
-        panel_counts = [0] * len(counts)
-        panel_counts[t] = counts[t]
-        handles.append(
-            comm.ireduce_scatter(
-                panel,
-                counts=panel_counts,
-                axis=axis,
-                out=out if t == comm.rank else None,
-                record=False,
-            )
-        )
+    except BaseException:
+        drain(handles)  # earlier panels are in flight: unpin ``out``, empty the queue
+        raise
     result = None
     for t, handle in enumerate(handles):
         reduced = finish(handle, profiler, TaskCategory.REDUCE_SCATTER)

@@ -11,10 +11,9 @@ and ``rhs = (A Hᵀ)ᵀ`` and returns ``Wᵀ``; likewise the H-subproblem uses
 distributed algorithms assemble with their collectives, so the same solver
 object is reused verbatim there.
 
-``config.overlap`` is a no-op here: the sequential loop has no collectives
-to pipeline, so the blocking and "pipelined" schedules are the same program
-(the parallel loops in :mod:`repro.core.naive` / :mod:`repro.core.hpc_nmf`
-are where the flag takes effect).
+The ``overlap`` option is a no-op here: the sequential loop has no
+collectives whose completion it could move (:mod:`repro.core.spmd_loop` is
+where the parallel loops read it).
 """
 
 from __future__ import annotations

@@ -86,25 +86,17 @@ class NMFConfig:
         (fastest available).  See :mod:`repro.nls.kernels`.  Ignored by the
         element-wise solvers.
     overlap:
-        Whether the parallel loops run the pipelined schedule (default):
-        factor all-gathers and the line-4 Gram all-reduce are issued as
-        nonblocking collectives (:meth:`Comm.iallgatherv` /
-        :meth:`Comm.iallreduce`) and overlap the opposite half-iteration's
-        local compute.  ``False`` restores the strictly blocking Algorithm
-        2/3 schedules (the CLI's ``--no-overlap``).  Both schedules produce
-        byte-identical factors and identical cost ledgers; the sequential
-        algorithm has no collectives and ignores the flag.
-    panel_comm:
-        Whether the pipelined HPC loops additionally *panel-stream* the
-        line-7/line-13 reduce-scatters (default): the line-6/line-12 matmul
-        is tiled along the scatter split boundaries and each finished panel
-        is issued as a nonblocking ``ireduce_scatter``, so panel ``t``'s
-        communication overlaps panel ``t+1``'s GEMM (see
-        :mod:`repro.comm.panels`).  ``False`` keeps the PR-7 schedule
-        (monolithic blocking reduce-scatters) — the bench baseline times the
-        two against each other (``dense:process_panel_vs_pipelined``).  Only
-        meaningful when ``overlap`` is on; all schedules stay byte-identical
-        in factors and cost ledgers.  The CLI flag is ``--no-panel-comm``.
+        How the parallel loops' collectives complete.  The loops are one
+        program written against nonblocking handles (see
+        :mod:`repro.core.spmd_loop`): factor all-gathers, the line-4 Gram
+        all-reduce and the per-panel reduce-scatters are issued as early as
+        their inputs exist and claimed where first needed.  ``True``
+        (default) lets them complete in the background, overlapping local
+        compute; ``False`` (the CLI's ``--no-overlap``) completes each at its
+        issue point through the blocking collective — the strictly blocking
+        schedule, with no helper threads.  Byte-identical factors and
+        identical cost ledgers either way; the sequential algorithm has no
+        collectives and ignores the flag.
     storage:
         Where each rank's local block of ``A`` lives (HPC-NMF's 2D layout):
         ``"memory"`` (default) keeps it resident, ``"memmap"`` rehomes dense
@@ -127,7 +119,6 @@ class NMFConfig:
     backend: str = "thread"
     kernel: str = DEFAULT_KERNEL
     overlap: bool = True
-    panel_comm: bool = True
     storage: str = "memory"
 
     def __post_init__(self):
@@ -151,13 +142,8 @@ class NMFConfig:
             )
         if not isinstance(self.overlap, bool):
             raise ShapeError(
-                f"overlap must be a bool (pipelined vs blocking schedule), "
+                f"overlap must be a bool (background vs at-issue completion), "
                 f"got {self.overlap!r}"
-            )
-        if not isinstance(self.panel_comm, bool):
-            raise ShapeError(
-                f"panel_comm must be a bool (panel-streamed vs monolithic "
-                f"reduce-scatters), got {self.panel_comm!r}"
             )
         from repro.dist.storage import validate_storage
 

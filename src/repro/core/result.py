@@ -285,7 +285,11 @@ class NMFResult:
                     path=path,
                     missing_key=key,
                 )
-        config_dict = dict(meta["config"])
+        # Keep only the options this version knows: an artifact saved by a
+        # version with other fields (a since-removed schedule knob, a future
+        # option) must still load; defaults fill whatever it lacks.
+        known = {f.name for f in dataclasses.fields(NMFConfig)}
+        config_dict = {k: v for k, v in meta["config"].items() if k in known}
         grid = config_dict.get("grid")
         config_dict["grid"] = tuple(grid) if grid else None
         if cls is NMFResult and meta.get("variant"):

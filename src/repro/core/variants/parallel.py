@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from repro.comm.backends import run_spmd
 from repro.core.config import Algorithm, NMFConfig
-from repro.core.hpc_nmf import assemble_hpc_result, hpc_nmf
-from repro.core.naive import assemble_naive_result, naive_parallel_nmf
+from repro.core.hpc_nmf import hpc_nmf
+from repro.core.naive import naive_parallel_nmf
 from repro.core.observers import notify_finish
 from repro.core.result import NMFResult
+from repro.core.spmd_loop import assemble_result
 from repro.core.variants.base import Variant, register_variant
 from repro.util.validation import check_matrix, check_nonnegative, check_rank
 
@@ -63,7 +64,7 @@ class NaiveVariant(_SPMDVariant):
             backend=cfg.backend,
             observers=tuple(observers or ()),
         )
-        return notify_finish(observers, assemble_naive_result(per_rank, cfg))
+        return notify_finish(observers, assemble_result(per_rank, cfg))
 
 
 class _HpcVariant(_SPMDVariant):
@@ -99,7 +100,7 @@ class _HpcVariant(_SPMDVariant):
             backend=cfg.backend,
             observers=tuple(observers or ()),
         )
-        return notify_finish(observers, assemble_hpc_result(per_rank, cfg))
+        return notify_finish(observers, assemble_result(per_rank, cfg))
 
 
 @register_variant

@@ -26,7 +26,7 @@ The nesting is what makes Algorithm 3's collectives line up exactly:
 Ownership invariant: the ``global_range`` intervals of all ``p`` ranks tile
 ``[0, m)`` (for ``W``) / ``[0, n)`` (for ``H``) without gaps or overlap, so
 concatenating every rank's ``local`` reassembles the global factor exactly
-(this is what :func:`repro.core.hpc_nmf.assemble_hpc_result` does).
+(this is what :func:`repro.core.spmd_loop.assemble_result` does).
 """
 
 from __future__ import annotations
@@ -76,24 +76,21 @@ class DistributedFactorW:
         """An all-zero ``(W_i)_j`` (W needs no initialisation; see §6.1.3)."""
         return cls(grid, m, k)
 
-    def row_block(self, out: np.ndarray = None) -> np.ndarray:
-        """All-gather ``W_i (m/pr × k)`` over the grid row (line 11, collective).
-
-        The row communicator orders ranks by grid column ``j``, matching the
-        sub-block order, so a plain concatenation along axis 0 reassembles
-        ``W_i`` with its rows in global order.  ``out`` (shape
-        ``m/pr × k``) receives the gathered block without allocating.
-        """
-        return self.grid.row_comm.allgatherv(self.local, axis=0, out=out)
-
     def irow_block(self, out: np.ndarray = None):
-        """Nonblocking :meth:`row_block`; returns a ``CommHandle``.
+        """Issue the all-gather of ``W_i (m/pr × k)`` over the grid row (line 11).
 
-        The pipelined Algorithm 3 schedule issues this right after line 8's
-        NLS so the gather overlaps the lines 9-10 Gram + all-reduce;
-        ``handle.wait()`` yields the byte-identical gathered block.
+        Collective; returns a ``CommHandle``.  The row communicator orders
+        ranks by grid column ``j``, matching the sub-block order, so a plain
+        concatenation along axis 0 reassembles ``W_i`` with its rows in
+        global order.  ``out`` (shape ``m/pr × k``) receives the gathered
+        block without allocating.  Algorithm 3 issues this right after line
+        8's NLS so the gather overlaps the lines 9-10 Gram + all-reduce.
         """
         return self.grid.row_comm.iallgatherv(self.local, axis=0, out=out)
+
+    def row_block(self, out: np.ndarray = None) -> np.ndarray:
+        """:meth:`irow_block`, waited: the gathered ``W_i``."""
+        return self.irow_block(out).wait()
 
     def __repr__(self) -> str:
         return (
@@ -133,24 +130,22 @@ class DistributedFactorH:
         """An all-zero ``(H_j)_i`` (callers seed it with ``init_h_slice``)."""
         return cls(grid, k, n)
 
-    def col_block(self, out: np.ndarray = None) -> np.ndarray:
-        """All-gather ``H_j (k × n/pc)`` over the grid column (line 5, collective).
-
-        The column communicator orders ranks by grid row ``i``, matching the
-        sub-block order, so concatenation along axis 1 reassembles ``H_j``
-        with its columns in global order.  ``out`` (shape ``k × n/pc``)
-        receives the gathered block without allocating.
-        """
-        return self.grid.col_comm.allgatherv(self.local, axis=1, out=out)
-
     def icol_block(self, out: np.ndarray = None):
-        """Nonblocking :meth:`col_block`; returns a ``CommHandle``.
+        """Issue the all-gather of ``H_j (k × n/pc)`` over the grid column (line 5).
 
-        The pipelined Algorithm 3 schedule issues the *next* iteration's
-        ``H_j`` gather right after line 14's NLS so it overlaps the error
-        path and the next iteration's lines 3-4.
+        Collective; returns a ``CommHandle``.  The column communicator orders
+        ranks by grid row ``i``, matching the sub-block order, so
+        concatenation along axis 1 reassembles ``H_j`` with its columns in
+        global order.  ``out`` (shape ``k × n/pc``) receives the gathered
+        block without allocating.  Algorithm 3 issues the *next* iteration's
+        gather right after line 14's NLS so it overlaps the error path and
+        the next iteration's lines 3-4.
         """
         return self.grid.col_comm.iallgatherv(self.local, axis=1, out=out)
+
+    def col_block(self, out: np.ndarray = None) -> np.ndarray:
+        """:meth:`icol_block`, waited: the gathered ``H_j``."""
+        return self.icol_block(out).wait()
 
     def __repr__(self) -> str:
         return (

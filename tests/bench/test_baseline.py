@@ -68,23 +68,17 @@ class TestRunBaseline:
         assert scalar_row["speedup_vs_scalar"] == 1.0
         assert "bpp_batched_vs_scalar" in measured["speedups"]
 
-    def test_overlap_panel_measures_three_schedules(self, measured):
+    def test_overlap_panel_measures_both_completion_modes(self, measured):
         overlap = measured["overlap"]
         assert overlap["panel"] == "dense"
         for row in overlap["rows"]:
-            for key in ("wall_blocking_s", "wall_pipelined_s", "wall_panel_s"):
+            for key in ("wall_blocking_s", "wall_default_s"):
                 assert row[key] > 0
             assert row["pipelined_vs_blocking"] == pytest.approx(
-                row["wall_blocking_s"] / row["wall_pipelined_s"]
+                row["wall_blocking_s"] / row["wall_default_s"]
             )
-            assert row["panel_vs_pipelined"] == pytest.approx(
-                row["wall_pipelined_s"] / row["wall_panel_s"]
-            )
-            assert row["panel_vs_blocking"] == pytest.approx(
-                row["wall_blocking_s"] / row["wall_panel_s"]
-            )
-            # Exposed-vs-hidden split per schedule, for the BENCH artifact.
-            assert set(row["comm_split"]) == {"blocking", "pipelined", "panel"}
+            # Exposed-vs-hidden split per mode, for the BENCH artifact.
+            assert set(row["comm_split"]) == {"blocking", "default"}
             for split in row["comm_split"].values():
                 assert split["exposed_comm_s"] >= 0.0
                 assert split["hidden_comm_s"] >= 0.0
@@ -92,8 +86,7 @@ class TestRunBaseline:
             assert row["comm_split"]["blocking"]["hidden_comm_s"] == 0.0
         speedups = measured["speedups"]
         assert "dense:process_pipelined_vs_blocking" in speedups
-        assert "dense:process_panel_vs_pipelined" in speedups
-        assert "dense:thread_panel_vs_pipelined" in speedups
+        assert "dense:thread_pipelined_vs_blocking" in speedups
 
     def test_kernel_panel_can_be_skipped(self):
         with warnings.catch_warnings():
@@ -136,9 +129,9 @@ class TestArtifactIO:
 
     def test_render_mentions_overlap_panel(self, measured):
         table = render_baseline(measured)
-        assert "panel-streamed" in table
-        assert "pan/pipe" in table
-        assert "dense:process_panel_vs_pipelined" in table
+        assert "blocking / default" in table
+        assert "blk/dflt" in table
+        assert "dense:process_pipelined_vs_blocking" in table
 
 
 class TestCheckBaseline:
@@ -199,7 +192,7 @@ class TestCheckBaseline:
         assert floor["min"] >= 2.0
         assert floor["requires_cpus"] >= 4
 
-    def test_committed_baseline_gates_panel_streaming(self):
+    def test_committed_baseline_gates_the_default_schedule(self):
         from pathlib import Path
 
         committed = json.loads(
@@ -207,6 +200,7 @@ class TestCheckBaseline:
              / "benchmarks" / "baselines" / "BENCH_baseline.json").read_text()
         )
         floor = next(f for f in committed["floors"]
-                     if f["metric"] == "dense:process_panel_vs_pipelined")
+                     if f["metric"] == "dense:process_pipelined_vs_blocking")
         assert floor["min"] >= 1.0
         assert floor["requires_cpus"] >= 4
+        assert len(committed["floors"]) == 5

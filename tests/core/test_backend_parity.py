@@ -121,18 +121,16 @@ def test_ssyn_acceptance_socket_matches_process_byte_for_byte():
     assert via_socket.grid_shape == via_process.grid_shape
 
 
-@pytest.mark.parametrize("panel_comm", [False, True])
-def test_pipelined_schedules_stay_byte_identical_over_the_wire(panel_comm):
+def test_pipelined_schedule_stays_byte_identical_over_the_wire():
     """The nonblocking CommHandle path must work unchanged over TCP: the
-    pipelined (and panel-streamed) schedules give the same bytes on the
-    socket backend as the blocking schedule on the thread backend."""
+    default (background-completing, panel-streamed) schedule gives the same
+    bytes on the socket backend as overlap=False on the thread backend."""
     from repro.core.api import fit
 
     A = _dense()
     kwargs = dict(variant="hpc2d", n_ranks=4, max_iters=4, seed=9)
     blocking = fit(A, 3, backend="thread", overlap=False, **kwargs)
-    wired = fit(A, 3, backend="socket", overlap=True, panel_comm=panel_comm,
-                **kwargs)
+    wired = fit(A, 3, backend="socket", overlap=True, **kwargs)
     assert blocking.W.tobytes() == wired.W.tobytes()
     assert blocking.H.tobytes() == wired.H.tobytes()
 

@@ -14,7 +14,8 @@ import pytest
 
 from repro.comm.backends import run_spmd
 from repro.core.config import NMFConfig
-from repro.core.hpc_nmf import assemble_hpc_result, hpc_nmf
+from repro.core.hpc_nmf import hpc_nmf
+from repro.core.spmd_loop import assemble_result
 from repro.data.synthetic import dense_synthetic, dense_synthetic_block, sparse_synthetic_block
 from repro.util.errors import CommunicatorError
 
@@ -31,8 +32,8 @@ def test_generator_slicing_virtual_matrix_matches_from_global():
     per_rank_generated = run_spmd(
         p, hpc_nmf, None, cfg, block_generator=sliced_generator, global_shape=(m, n)
     )
-    res_global = assemble_hpc_result(per_rank_global, cfg)
-    res_generated = assemble_hpc_result(per_rank_generated, cfg)
+    res_global = assemble_result(per_rank_global, cfg)
+    res_generated = assemble_result(per_rank_generated, cfg)
     np.testing.assert_allclose(res_generated.W, res_global.W, rtol=1e-12)
     np.testing.assert_allclose(res_generated.H, res_global.H, rtol=1e-12)
 
@@ -45,7 +46,7 @@ def test_per_rank_random_generation_produces_valid_factorization():
         return dense_synthetic_block(row_range, col_range, rank, seed=7)
 
     per_rank = run_spmd(p, hpc_nmf, None, cfg, block_generator=generator, global_shape=(m, n))
-    result = assemble_hpc_result(per_rank, cfg)
+    result = assemble_result(per_rank, cfg)
     assert result.W.shape == (m, k)
     assert np.all(result.W >= 0) and np.all(result.H >= 0)
     history = result.relative_error_history
@@ -60,7 +61,7 @@ def test_sparse_per_rank_generation():
         return sparse_synthetic_block(row_range, col_range, rank, density=0.1, seed=5)
 
     per_rank = run_spmd(p, hpc_nmf, None, cfg, block_generator=generator, global_shape=(m, n))
-    result = assemble_hpc_result(per_rank, cfg)
+    result = assemble_result(per_rank, cfg)
     assert result.relative_error <= 1.0
 
 

@@ -1,22 +1,49 @@
-"""Pipelined vs. blocking schedule parity for the Algorithm 2/3 loops.
+"""Schedule parity for the Algorithm 2/3 loops: one program, two completion modes.
 
-The acceptance contract of the pipelined schedule: ``overlap=True`` and
-``overlap=False`` produce byte-identical factors and identical cost ledgers
-on every backend, and the pipelined run on the concurrent backends matches
-the lockstep oracle bit for bit.  Anything less means the nonblocking
-collectives reordered or re-rounded something.
+The loops are written once against nonblocking handles; ``overlap=True``
+lets the handles complete in the background, ``overlap=False`` completes
+each at its issue point (eager communicators, no helper threads).  The
+contract: both modes — on every backend — produce byte-identical factors,
+the same error history and identical cost ledgers, and all of them match the
+lockstep oracle bit for bit.  Anything less means a nonblocking collective
+reordered or re-rounded something.
+
+Streamed vs monolithic reduce-scatter is compared where it belongs, in
+``tests/comm/test_panels.py``.
 """
+
+import functools
+import logging
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.hpc_nmf as hpc_mod
+import repro.core.naive as naive_mod
+import repro.core.spmd_loop as loop_mod
+from repro.comm.backends import run_spmd
+from repro.comm.communicator import SelfComm
+from repro.comm.profiler import Profiler, TaskCategory
 from repro.core.api import fit
+from repro.core.config import NMFConfig
 
-PARALLEL_VARIANTS = ("naive", "hpc1d", "hpc2d")
+VARIANTS = ("naive", "hpc1d", "hpc2d")
+BACKENDS = ("lockstep", "thread", "process", "socket")
+# p = 6 as 2×3 with m = 62 makes every block_counts split ragged (31 rows
+# three ways, 15/14 columns two ways): uneven panel boundaries.
+GRIDS = {4: (2, 2), 6: (2, 3)}
+MODES = {
+    "default": dict(max_iters=4),
+    "early_stop": dict(max_iters=12, tol=1e-3),   # stops at iteration 7-8
+    "no_error": dict(max_iters=4, compute_error=False),
+}
 
 
-def _dense(seed=0, m=60, n=44):
+def _dense(seed=0, m=62, n=44):
     rng = np.random.default_rng(seed)
     return np.abs(rng.standard_normal((m, n)))
 
@@ -25,62 +52,182 @@ def _sparse(seed=3, m=70, n=50):
     return sp.random(m, n, density=0.15, random_state=seed, format="csr")
 
 
-def _run(A, variant, backend, p=4, **options):
-    return fit(
-        A, 5, variant=variant, backend=backend, n_ranks=p, max_iters=4,
-        seed=11, **options,
-    )
+def _run(variant, backend, kind, p, mode, overlap):
+    A = _dense(seed=7) if kind == "dense" else _sparse(seed=9)
+    grid = {"grid": GRIDS[p]} if variant == "hpc2d" else {}
+    return fit(A, 5, variant=variant, backend=backend, n_ranks=p, seed=11,
+               overlap=overlap, **grid, **MODES[mode])
 
 
-@pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
-@pytest.mark.parametrize("panel", ["dense", "sparse"])
-def test_pipelined_equals_blocking_on_lockstep(variant, panel):
-    A = _dense() if panel == "dense" else _sparse()
-    blocking = _run(A, variant, "lockstep", overlap=False)
-    pipelined = _run(A, variant, "lockstep", overlap=True)
-    np.testing.assert_array_equal(blocking.W, pipelined.W)
-    np.testing.assert_array_equal(blocking.H, pipelined.H)
-    assert blocking.ledger_summary == pipelined.ledger_summary
+@functools.lru_cache(maxsize=None)
+def _oracle(variant, kind, p, mode):
+    return _run(variant, "lockstep", kind, p, mode, overlap=False)
 
 
-@pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
-@pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("panel", ["dense", "sparse"])
-def test_pipelined_backends_match_lockstep_oracle(variant, backend, panel):
-    A = _dense(seed=7) if panel == "dense" else _sparse(seed=9)
-    oracle = _run(A, variant, "lockstep", overlap=False)
-    pipelined = _run(A, variant, backend, overlap=True)
-    np.testing.assert_array_equal(oracle.W, pipelined.W)
-    np.testing.assert_array_equal(oracle.H, pipelined.H)
-    assert oracle.ledger_summary == pipelined.ledger_summary
+def _assert_same_run(a, b):
+    assert a.W.tobytes() == b.W.tobytes()
+    assert a.H.tobytes() == b.H.tobytes()
+    assert a.relative_error_history == b.relative_error_history
+    assert a.iterations == b.iterations
+    assert a.ledger_summary == b.ledger_summary
 
 
-@pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
-def test_parity_with_early_stop(variant):
-    """tol > 0 disables speculative issue but parity must still hold."""
-    A = _dense(seed=5)
-    blocking = _run(A, variant, "thread", overlap=False, tol=1e-9)
-    pipelined = _run(A, variant, "thread", overlap=True, tol=1e-9)
-    np.testing.assert_array_equal(blocking.W, pipelined.W)
-    assert blocking.iterations == pipelined.iterations
-    assert blocking.ledger_summary == pipelined.ledger_summary
+# p = 4 and 6 forked ranks oversubscribe small hosts on purpose: parity, not speed.
+@pytest.mark.filterwarnings("ignore:.*oversubscribe.*:RuntimeWarning")
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("p", list(GRIDS))
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_schedule_parity(variant, backend, kind, p, mode):
+    oracle = _oracle(variant, kind, p, mode)
+    blocking = _run(variant, backend, kind, p, mode, overlap=False)
+    default = _run(variant, backend, kind, p, mode, overlap=True)
+    _assert_same_run(blocking, default)
+    _assert_same_run(oracle, default)
+    if mode == "early_stop":
+        assert default.converged and default.iterations < MODES[mode]["max_iters"]
 
 
-@pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
-def test_parity_without_error_tracking(variant):
-    """compute_error=False removes the overlap window after the NLS; the
-    speculative gather then overlaps nothing but must stay correct."""
-    A = _dense(seed=6)
-    blocking = _run(A, variant, "process", overlap=False, compute_error=False)
-    pipelined = _run(A, variant, "process", overlap=True, compute_error=False)
-    np.testing.assert_array_equal(blocking.W, pipelined.W)
-    np.testing.assert_array_equal(blocking.H, pipelined.H)
-    assert blocking.ledger_summary == pipelined.ledger_summary
+@pytest.mark.parametrize("grid", [(2, 3), (3, 2)])
+@settings(max_examples=8, deadline=None)
+@given(m=st.integers(min_value=13, max_value=34), n=st.integers(min_value=11, max_value=30))
+def test_uneven_panel_boundaries_stay_byte_identical(grid, m, n):
+    """Non-power-of-two grids make block_counts uneven (m % pr != 0 etc.),
+    driving zero-padding-free ragged panel splits through the stream — on
+    helper threads (thread, default) and at issue (lockstep oracle)."""
+    A = np.abs(np.random.default_rng(m * 100 + n).standard_normal((m, n)))
+    common = dict(variant="hpc2d", n_ranks=6, grid=grid, max_iters=2, seed=17)
+    oracle = fit(A, 3, backend="lockstep", overlap=False, **common)
+    streamed = fit(A, 3, backend="thread", **common)
+    _assert_same_run(oracle, streamed)
+
+
+# -- the two facts the one-program design rests on -----------------------------
+
+def _helper_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("nb-helper")]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocking_mode_starts_no_helper_thread(variant, monkeypatch):
+    """overlap=False is the same program with handles that are already done:
+    no helper thread is ever constructed and nothing is booked as hidden."""
+    import repro.comm.communicator as comm_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("overlap=False started a nonblocking helper thread")
+
+    monkeypatch.setattr(comm_mod, "_HelperRunner", forbidden)
+    res = fit(_dense(seed=8), 5, variant=variant, backend="thread", n_ranks=4,
+              max_iters=3, seed=11, overlap=False)
+    assert res.breakdown.hidden_communication == 0.0
+    assert res.iterations == 3
+
+
+def test_exception_with_handles_in_flight_drains_everything(monkeypatch):
+    """matmul_a_ht raises on the second panel of iteration 1: the deferred
+    H-Gram all-reduce and panel 0's reduce-scatter are both outstanding.  The
+    exception surfaces as itself on every rank, and the one ``finally`` leaves
+    no helper thread and no pinned workspace buffer behind."""
+    calls = threading.local()
+    real = hpc_mod.matmul_a_ht
+
+    class Boom(RuntimeError):
+        pass
+
+    def failing(a_panel, ht):
+        calls.n = getattr(calls, "n", 0) + 1
+        if calls.n == 4:  # pc = 2 panels per iteration → iteration 1, panel 1
+            raise Boom("panel GEMM failed")
+        return real(a_panel, ht)
+
+    monkeypatch.setattr(hpc_mod, "matmul_a_ht", failing)
+    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d", grid=(2, 2))
+    A = _dense(seed=4, m=24, n=18)
+
+    def program(comm):
+        try:
+            hpc_mod.hpc_nmf(comm, A, config)
+        except Boom as exc:
+            return type(exc).__name__, comm.workspace.pinned_names
+        return "no exception", ()
+
+    per_rank = run_spmd(4, program, backend="thread")
+    assert per_rank == [("Boom", ())] * 4
+    assert _helper_threads() == []
+
+    with pytest.raises(Boom):
+        fit(A, 4, variant="hpc2d", backend="thread", n_ranks=4, grid=(2, 2),
+            max_iters=3, seed=1)
+    assert _helper_threads() == []
+
+
+@pytest.mark.parametrize("overlap, handles", [(True, "helper"), (False, "eager")])
+def test_fit_logs_which_schedule_ran(caplog, overlap, handles):
+    """One DEBUG record per fit from rank 0 — silent unless asked for."""
+    with caplog.at_level(logging.DEBUG, logger="repro.core"):
+        fit(_dense(seed=8), 5, variant="hpc2d", backend="thread", n_ranks=4,
+            max_iters=3, seed=11, overlap=overlap)
+    (record,) = [r for r in caplog.records if r.name == "repro.core"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    for fact in ("hpc2d", "grid=2x2", "backend=thread", f"handles={handles}",
+                 "speculative=True", "max_iters=3"):
+        assert fact in message
+
+
+# -- checks no matrix cell covers ----------------------------------------------
+
+def _capture_profilers(monkeypatch):
+    captured = []
+
+    class CapturingProfiler(Profiler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            captured.append(self)
+
+    monkeypatch.setattr(loop_mod, "Profiler", CapturingProfiler)
+    return captured
+
+
+def test_hpc_error_path_allreduces_are_booked(monkeypatch):
+    """The cross-term allreduce_scalar counts as AllReduce wall time: at
+    p=1, T iterations with error tracking book 4 + 3(T-1) AllReduce tasks
+    (iteration 0: line 4, line 10, cross, gram_h_new; later iterations skip
+    line 4 via the gram cache)."""
+    captured = _capture_profilers(monkeypatch)
+    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d")
+    hpc_mod.hpc_nmf(SelfComm(), _dense(seed=4, m=24, n=18), config)
+    (profiler,) = captured
+    assert profiler.calls(TaskCategory.ALL_REDUCE) == 4 + 3 * (3 - 1)
+
+
+def test_naive_error_path_allreduces_are_booked(monkeypatch):
+    """Naive books 2 AllReduce tasks per iteration with error tracking: the
+    cross term and the H-Gram reduction (its gram_h is computed redundantly,
+    not reduced)."""
+    captured = _capture_profilers(monkeypatch)
+    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="naive")
+    naive_mod.naive_parallel_nmf(SelfComm(), _dense(seed=4, m=24, n=18), config)
+    (profiler,) = captured
+    assert profiler.calls(TaskCategory.ALL_REDUCE) == 2 * 3
+
+
+def test_no_per_iteration_transpose_copy():
+    """The line-8 result transpose lands in the persistent w_local workspace
+    buffer — the same array object every iteration, not a fresh
+    ascontiguousarray copy."""
+    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d")
+    comm = SelfComm()
+    out = hpc_mod.hpc_nmf(comm, _dense(seed=4, m=24, n=18), config)
+    assert out["W_local"] is comm.workspace.get("w_local", out["W_local"].shape)
+    assert out["W_local"].flags["C_CONTIGUOUS"]
 
 
 def test_pipelined_breakdown_total_excludes_hidden_comm():
-    A = _dense(seed=8)
-    res = _run(A, "hpc2d", "thread", overlap=True)
+    res = fit(_dense(seed=8), 5, variant="hpc2d", backend="thread", n_ranks=4,
+              max_iters=4, seed=11, overlap=True)
     bd = res.breakdown
     assert bd.hidden_communication >= 0.0
     assert bd.total == pytest.approx(

@@ -113,6 +113,26 @@ class TestRoundTrip:
         assert type(loaded) is NMFResult
         assert loaded.variant == "long-gone-variant"
 
+    @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
+    def test_artifact_with_unknown_config_fields_still_loads(self, tmp_path, through):
+        """An artifact saved by a version with other NMFConfig fields — every
+        one saved before PR 15 carries the since-removed ``panel_comm`` — loads,
+        the unknown keys dropped and defaults filling the rest."""
+        from repro.serve import ModelStore
+
+        res = fit(_dense(), 2, max_iters=2, seed=1)
+        path = res.save(tmp_path / "old.npz")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        meta["config"].update(panel_comm=True, some_future_option=3)
+        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+        if through == "NMFResult.load":
+            loaded = NMFResult.load(path)
+        else:
+            loaded = ModelStore().load(path).result
+        assert loaded.config == res.config
+        assert np.array_equal(loaded.W, res.W)
+
     def test_save_appends_npz_suffix(self, tmp_path):
         res = fit(_dense(), 2, max_iters=2)
         written = res.save(tmp_path / "bare")
