@@ -1,4 +1,4 @@
-"""The one forked-SPMD runtime: launcher, token transport, collection, reaping.
+"""The one forked-SPMD runtime: launcher, token transport, collection.
 
 Every backend that runs one forked OS process per rank — ``"process"`` and
 ``"socket"`` — is this module plus one decision: *where collective payloads
@@ -28,7 +28,8 @@ go*.  :class:`ForkedBackend` owns everything else:
   (killed, segfaulted) closes its sockets: every survivor's reader sees EOF
   and wakes its blocked waiters with a
   :class:`~repro.comm.backends.base.PeerAbortError` *naming the dead peer*,
-  while the parent's reaper records the death with its pid and exit code.
+  while the parent reads EOF where the rank's report frame should be and
+  records the death with its pid and exit code.
   Recv and mesh-construction timeouts also name the peer they waited for.
 * **Teardown.**  Ranks pass a shutdown barrier before closing their side of
   the mesh, so a fast rank's close never aborts a slow one; the parent
@@ -45,6 +46,7 @@ import abc
 import functools
 import pickle
 import queue
+import select
 import socket as socketlib
 import threading
 import time
@@ -416,8 +418,7 @@ class _Collector:
         """Record one ``(rank, status, payload, observer_states)`` report.
 
         ``observer_states`` is rank 0's observer ``__dict__`` list (``None``
-        from every other rank); it is applied to the parent's observers here,
-        so it arrives whichever path — main loop or reaper — drained it.
+        from every other rank); it is applied to the parent's observers here.
         """
         rank, status, payload, observer_states = message
         self.collected[rank] = True
@@ -484,14 +485,26 @@ class ForkedBackend(Backend):
         runtime = self._make_runtime()
         all_ranks = tuple(range(self.n_ranks))
         world = ForkedGroupState(runtime, ("world",), all_ranks)
-        result_queue = ctx.Queue()
+        # One stream per rank for its report.  The report leaves as a wire
+        # frame written by the rank's main thread — factor blocks as raw
+        # segments of the arrays themselves, no pickled copy, nothing running
+        # behind the rank's teardown — and EOF without a frame is a dead rank.
+        reports = [socketlib.socketpair() for _ in all_ranks]
         observers = kwargs.get("observers") or ()
 
         def worker(rank: int) -> None:
+            for other, (reader, writer) in enumerate(reports):
+                reader.close()
+                if other != rank:
+                    writer.close()
+
+            def report(status: str, payload: Any, states: Any = None) -> None:
+                send_frame(reports[rank][1], encode_frame_parts(rank, (status, payload, states)))
+
             try:
                 runtime.bind(rank)
             except BaseException as exc:  # noqa: BLE001 - must reach the parent
-                result_queue.put((rank, "err", _picklable_exception(rank, exc), None))
+                report("err", _picklable_exception(rank, exc))
                 runtime.close()
                 return
             comm = self.comm_class(state=world, rank=rank, group_ranks=all_ranks)
@@ -516,12 +529,12 @@ class ForkedBackend(Backend):
                     # A peer failed after this rank finished; the failing rank
                     # reports the root cause, this rank's value is still good.
                     pass
-                result_queue.put((rank, "ok", value, states))
+                report("ok", value, states)
             except BaseException as exc:  # noqa: BLE001 - must not strand peers
                 runtime.broadcast_abort(
                     f"rank {rank} failed: {type(exc).__name__}: {exc}"
                 )
-                result_queue.put((rank, "err", _picklable_exception(rank, exc), None))
+                report("err", _picklable_exception(rank, exc))
             finally:
                 runtime.close()
 
@@ -534,11 +547,14 @@ class ForkedBackend(Backend):
             for proc in processes:
                 proc.start()
             runtime.after_fork()
-            while not all(collector.collected):
-                try:
-                    collector.collect(result_queue.get(timeout=0.1))
-                except queue.Empty:
-                    self._reap_dead_ranks(processes, result_queue, collector)
+            pending = {}
+            for rank, (reader, writer) in enumerate(reports):
+                writer.close()  # the rank holds the only write end: its exit is an EOF here
+                pending[reader] = rank
+            while pending:
+                for reader in select.select(list(pending), [], [])[0]:
+                    rank = pending.pop(reader)
+                    collector.collect(self._read_report(reader, rank, processes[rank]))
             for proc in processes:
                 proc.join()
         finally:
@@ -546,35 +562,29 @@ class ForkedBackend(Backend):
                 if proc.is_alive():  # pragma: no cover - defensive teardown
                     proc.terminate()
                     proc.join()
-            result_queue.cancel_join_thread()
-            result_queue.close()
+            for reader, writer in reports:
+                reader.close()
+                writer.close()
             runtime.release_parent()
 
         raise_first_failure(collector.results)
         return collector.results
 
-    def _reap_dead_ranks(self, processes, result_queue, collector: _Collector) -> None:
-        """Detect ranks that died without reporting and record the failure.
+    @staticmethod
+    def _read_report(reader, rank: int, proc) -> Tuple[int, str, Any, Any]:
+        """Rank ``rank``'s report frame, or the record of its silent death.
 
         Surviving ranks unblock on their own: the dead rank's sockets close,
         its peers' reader threads see EOF and raise an abort naming it.
         """
-        for rank, proc in enumerate(processes):
-            if collector.collected[rank] or proc.is_alive() or proc.exitcode is None:
-                continue
-            # The process is gone; give any in-flight result a moment to
-            # drain through the queue's feeder thread before declaring death.
-            deadline = time.monotonic() + 1.0
-            while not collector.collected[rank] and time.monotonic() < deadline:
-                try:
-                    collector.collect(result_queue.get(timeout=0.1))
-                except queue.Empty:
-                    pass
-            if collector.collected[rank]:
-                continue
+        try:
+            _, (status, payload, states) = read_frame(functools.partial(recv_into_exact, reader))
+            return rank, status, payload, states
+        except ConnectionError:
+            proc.join()
             error = CommunicatorError(
                 f"rank {rank} (pid {proc.pid}) died with exit code "
                 f"{proc.exitcode} before returning its result; "
                 "surviving ranks were aborted"
             )
-            collector.collect((rank, "err", error, None))
+            return rank, "err", error, None

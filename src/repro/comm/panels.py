@@ -5,7 +5,7 @@ reduce-scatters, each fed by the local matmul directly before it (lines 6 and
 12): issued as one collective, the whole input only exists once the whole MM
 is done and nothing can overlap it.  But the reduce-scatter's split
 boundaries (the ``w_scatter_counts`` / ``h_scatter_counts`` sub-blocking of
-:mod:`repro.dist`) also tile the MM itself: the rows (columns) of ``V_ij``
+:mod:`repro.dist`) also tile the MM itself: the columns of ``V_ijᵀ``
 (``Y_ij``) destined for rank ``t`` depend only on the matching row (column)
 panel of the local data block.  :func:`stream_reduce_scatter` therefore
 
@@ -86,7 +86,9 @@ def stream_reduce_scatter(
         ``h_scatter_counts``); empty panels (count 0) are still issued so
         every rank runs the same collective schedule.
     axis:
-        Scatter axis of the monolithic call (0 for ``V_ij``, 1 for ``Y_ij``).
+        Scatter axis of the monolithic call (1 for both ``V_ijᵀ`` and
+        ``Y_ij``: the MM products are ``k × rows``, see
+        :mod:`repro.core.local_ops`).
     out:
         This rank's receive buffer for its own sub-block (panel
         ``t == comm.rank``); foreign panels produce empty results that are

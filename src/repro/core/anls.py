@@ -26,7 +26,7 @@ import numpy as np
 from repro.comm.profiler import Profiler, TaskCategory
 from repro.core.config import Algorithm, NMFConfig
 from repro.core.initialization import init_h_global
-from repro.core.local_ops import gram, matmul_a_ht, matmul_wt_a
+from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.objective import frobenius_norm_squared, objective_from_grams
 from repro.core.observers import CallbackObserver, IterationObserver, LoopControl
 from repro.core.result import NMFResult
@@ -94,9 +94,9 @@ def anls_nmf(
             with profiler.task(TaskCategory.GRAM):
                 gram_h = gram(H, transpose_first=False)  # H Hᵀ, k × k
         with profiler.task(TaskCategory.MM):
-            a_ht = matmul_a_ht(A, H.T)               # A Hᵀ, m × k
+            h_at = matmul_h_at(H, A)                 # H Aᵀ, k × m
         with profiler.task(TaskCategory.NLS):
-            Wt = solver.solve(gram_h, a_ht.T, x0=Wt if np.any(Wt) else None)
+            Wt = solver.solve(gram_h, h_at, x0=Wt if np.any(Wt) else None)
         W = Wt.T
 
         # --- H-update: argmin_H ||A - W H|| via (Wᵀ W) H = Wᵀ A ------------

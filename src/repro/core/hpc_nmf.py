@@ -10,7 +10,7 @@ line  operation                                               task category
  3    ``U_ij = (H_j)_i (H_j)_iᵀ``                              Gram
  4    ``H Hᵀ = Σ U_ij``            (all-reduce, all procs)     All-Reduce
  5    collect ``H_j``              (all-gather, proc column)   All-Gather
- 6    ``V_ij = A_ij H_jᵀ``                                     MM
+ 6    ``V_ij = A_ij H_jᵀ``  (computed as ``H_j A_ijᵀ``)         MM
  7    ``(A Hᵀ)_i = Σ_j V_ij``      (reduce-scatter, proc row)  Reduce-Scatter
  8    solve for ``(W_i)_j``                                    NLS
  9    ``X_ij = (W_i)_jᵀ (W_i)_j``                              Gram
@@ -42,7 +42,7 @@ from repro.comm.panels import panel_slices, stream_reduce_scatter
 from repro.comm.profiler import TaskCategory
 from repro.core.config import Algorithm, NMFConfig
 from repro.core.initialization import init_h_slice
-from repro.core.local_ops import gram, matmul_a_ht, matmul_wt_a, transpose_into
+from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.observers import IterationObserver
 from repro.core.spmd_loop import SpmdLoop
 from repro.dist.distmatrix import DistMatrix2D
@@ -134,23 +134,28 @@ def hpc_nmf(
 
     norm_a_sq = data.frobenius_norm_squared()
 
-    # Reduce-scatter block sizes: the m/pr rows of V_ij split pc ways, and the
-    # n/pc columns of Y_ij split pr ways — exactly the (W_i)_j / (H_j)_i
-    # sub-blocking, so each rank receives precisely its own sub-block.
+    # Reduce-scatter block sizes: the m/pr columns of V_ijᵀ (k × m/pr, see
+    # repro.core.local_ops) split pc ways, and the n/pc columns of Y_ij split
+    # pr ways — exactly the (W_i)_j / (H_j)_i sub-blocking, so each rank
+    # receives precisely its own sub-block.
     local_rows = data.row_range[1] - data.row_range[0]
     local_cols = data.col_range[1] - data.col_range[0]
     w_scatter_counts = block_counts(local_rows, pc)
     h_scatter_counts = block_counts(local_cols, pr)
 
-    # The scatter boundaries also tile the line-6/line-12 matmuls: the rows
-    # of V_ij bound for row-comm rank t come from the matching row panel of
-    # A_ij, the columns of Y_ij for col-comm rank t from the matching column
-    # panel (pre-cut once; for sparse CSR the column cut is the one real
-    # copy).  Each panel is reduce-scattered the moment it is computed, so
-    # panel t's communication overlaps panel t+1's GEMM and the full MM
-    # output is never materialised (see repro.comm.panels).
-    a_row_panels = [data.block[s] for s in panel_slices(w_scatter_counts)]
-    a_col_panels = [data.block[:, s] for s in panel_slices(h_scatter_counts)]
+    # The scatter boundaries also tile the line-6/line-12 matmuls: the
+    # columns of V_ijᵀ bound for row-comm rank t come from the matching row
+    # panel of A_ij, the columns of Y_ij for col-comm rank t from the matching
+    # column panel (pre-cut once; slicing a sparse block copies it, so a
+    # one-part split is the block itself).  Each panel is reduce-scattered the
+    # moment it is computed, so panel t's communication overlaps panel t+1's
+    # GEMM and the full MM output is never materialised (see
+    # repro.comm.panels).
+    a_row_panels, a_col_panels = [data.block], [data.block]
+    if pc > 1:
+        a_row_panels = [data.block[s] for s in panel_slices(w_scatter_counts)]
+    if pr > 1:
+        a_col_panels = [data.block[:, s] for s in panel_slices(h_scatter_counts)]
 
     # Reusable collective workspaces: every iteration runs the same
     # collectives on the same shapes, so their results are written into
@@ -163,17 +168,17 @@ def hpc_nmf(
     gram_w_buf = ws.get("gram_w", (k, k))
     H_j_buf = ws.get("H_j", (k, local_cols))
     W_i_buf = ws.get("W_i", (local_rows, k))
-    aht_buf = ws.get("aht_block", (w_sub_rows, k))
+    # Both reduce-scatters land in the C-ordered k × (m/p) / k × (n/p) buffer
+    # the NLS after them reads.
+    aht_buf = ws.get("aht_block", (k, w_sub_rows))
     wta_buf = ws.get("wta_block", (k, h_sub_cols))
     # The persistent home of W's local sub-block — the line-8 NLS returns
     # (W_i)_jᵀ, whose transpose is copied here instead of allocating a fresh
     # contiguous array every iteration.
     w_local_buf = ws.get("w_local", (w_sub_rows, k))
-    # The line-8 NLS works on k × (m/p) operands.  It gets them C-ordered —
-    # the reduce-scattered (A Hᵀ)_i turned into this buffer, and its own
-    # previous (W_i)_jᵀ as the warm start — because the solvers sweep row by
-    # row and copy a strided view before they start.
-    aht_t_buf = ws.get("aht_block_t", (k, w_sub_rows))
+    # The line-8 NLS warm-starts from its own previous (W_i)_jᵀ, C-ordered
+    # like its right-hand side: the solvers sweep row by row and copy a
+    # strided view before they start.
     Wt_local = np.zeros((k, w_sub_rows))
 
     variant_name = "hpc1d" if config.algorithm == Algorithm.HPC_1D else "hpc2d"
@@ -204,12 +209,12 @@ def hpc_nmf(
                 with profiler.task(TaskCategory.GRAM):
                     U_ij = gram(H_fac.local, transpose_first=False)  # line 3
                 gram_h_handle = loop.issue(comm.iallreduce(U_ij, out=gram_h_buf))  # line 4
-            Ht = loop.finish(h_gather, TaskCategory.ALL_GATHER).T    # line 5
+            H_j = loop.finish(h_gather, TaskCategory.ALL_GATHER)     # line 5
             aht_block = stream_reduce_scatter(                       # lines 6-7
                 grid.row_comm,
-                lambda t: matmul_a_ht(a_row_panels[t], Ht),
+                lambda t: matmul_h_at(H_j, a_row_panels[t]),
                 w_scatter_counts,
-                axis=0,
+                axis=1,
                 out=aht_buf,
                 profiler=profiler,
             )
@@ -219,9 +224,7 @@ def hpc_nmf(
                 gram_h = loop.claim()
             with profiler.task(TaskCategory.NLS):
                 Wt_local = solver.solve(                             # line 8
-                    gram_h,
-                    transpose_into(aht_block, aht_t_buf),
-                    x0=Wt_local if np.any(Wt_local) else None,
+                    gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None
                 )
             np.copyto(w_local_buf, Wt_local.T)
             W_fac.local = w_local_buf

@@ -29,7 +29,7 @@ from repro.comm.communicator import Comm
 from repro.comm.profiler import TaskCategory
 from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
-from repro.core.local_ops import gram, matmul_a_ht, matmul_wt_a, transpose_into
+from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.observers import IterationObserver
 from repro.core.spmd_loop import SpmdLoop
 from repro.dist.distmatrix import DoublePartitioned1D
@@ -91,10 +91,10 @@ def naive_parallel_nmf(
     ws = comm.workspace
     H_full_buf = ws.get("H_full", (k, n))
     W_full_buf = ws.get("W_full", (m, k))
-    # The W-update NLS gets C-ordered k × (m/p) operands (see hpc_nmf): A_i Hᵀ
-    # turned into a_ht_t_buf and its own previous W_iᵀ as the warm start; the
-    # solution is turned back into W's persistent C-ordered home.
-    a_ht_t_buf = ws.get("a_ht_t", (k, row_hi - row_lo))
+    # The W-update NLS gets C-ordered k × (m/p) operands (see hpc_nmf): the MM
+    # writes (A_i Hᵀ)ᵀ into h_at_buf and its own previous W_iᵀ is the warm
+    # start; the solution is turned back into W's persistent C-ordered home.
+    h_at_buf = ws.get("h_at", (k, row_hi - row_lo))
     w_local_buf = ws.get("w_local", (row_hi - row_lo, k))
     Wt_local = np.zeros((k, row_hi - row_lo))
 
@@ -123,14 +123,12 @@ def naive_parallel_nmf(
                 with profiler.task(TaskCategory.GRAM):
                     gram_h = gram(H, transpose_first=False)  # redundant on every rank
             with profiler.task(TaskCategory.MM):
-                a_ht = matmul_a_ht(data.row_block, H.T)      # (m/p) × k
+                h_at = matmul_h_at(H, data.row_block, out=h_at_buf)  # k × (m/p)
             if gram_h is None:
                 gram_h = loop.claim()
             with profiler.task(TaskCategory.NLS):
                 Wt_local = solver.solve(
-                    gram_h,
-                    transpose_into(a_ht, a_ht_t_buf),
-                    x0=Wt_local if np.any(Wt_local) else None,
+                    gram_h, h_at, x0=Wt_local if np.any(Wt_local) else None
                 )
             np.copyto(w_local_buf, Wt_local.T)
             W_local = w_local_buf

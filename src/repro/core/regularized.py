@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.local_ops import gram, matmul_a_ht, matmul_wt_a
+from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.objective import frobenius_norm_squared, objective_from_grams
 from repro.core.observers import IterationObserver, LoopControl
 from repro.core.result import NMFResult
@@ -129,8 +129,8 @@ def regularized_nmf(
         start = time.perf_counter()
 
         gram_h = gram(H, transpose_first=False)
-        a_ht = matmul_a_ht(A, H.T)
-        g, r = regularize_gram_rhs(gram_h, a_ht.T, reg)
+        h_at = matmul_h_at(H, A)
+        g, r = regularize_gram_rhs(gram_h, h_at, reg)
         Wt = solver.solve(g, r, x0=Wt if np.any(Wt) else None)
         W = Wt.T
 

@@ -29,7 +29,7 @@ from typing import Deque, Optional
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.local_ops import gram, matmul_a_ht, matmul_wt_a
+from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.objective import relative_error
 from repro.util.errors import ShapeError
 from repro.util.validation import check_rank
@@ -152,8 +152,8 @@ class StreamingNMF:
         Wt = self.W.T
         for _ in range(self.refresh_iters):
             gram_h = gram(H, transpose_first=False)
-            a_ht = matmul_a_ht(A, H.T)
-            Wt = self._solver.solve(gram_h, a_ht.T, x0=Wt)
+            h_at = matmul_h_at(H, A)
+            Wt = self._solver.solve(gram_h, h_at, x0=Wt)
             W = Wt.T
             gram_w = gram(W, transpose_first=True)
             wt_a = matmul_wt_a(W, A)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.local_ops import gram, matmul_a_ht, matmul_wt_a
+from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.initialization import init_h_global
 from repro.core.objective import frobenius_norm_squared
 from repro.core.observers import IterationObserver, LoopControl
@@ -139,7 +139,7 @@ def symmetric_nmf(
 
         # W-step: min ||S - W H||² + alpha ||W - Hᵀ||².
         gram_h = gram(H, transpose_first=False) + alpha * eye
-        rhs_w = (matmul_a_ht(S, H.T) + alpha * H.T).T          # k × n
+        rhs_w = matmul_h_at(H, S) + alpha * H                   # k × n
         W = nls.solve(gram_h, rhs_w, x0=W.T).T
 
         # H-step: min ||S - W H||² + alpha ||Hᵀ - W||².

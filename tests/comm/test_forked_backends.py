@@ -13,8 +13,8 @@ shared ones.
 
 import multiprocessing
 import os
-import queue
 import re
+import socket
 import threading
 import warnings
 from types import SimpleNamespace
@@ -34,6 +34,7 @@ from repro.comm.backends import (
 from repro.comm.backends.base import available_cpus
 from repro.comm.backends.forked import _Collector
 from repro.comm.backends.socket import _WireSlots
+from repro.comm.wire import encode_frame_parts, send_frame
 from repro.util.errors import CommunicatorError
 
 FORKED = ["process", "socket"]
@@ -242,33 +243,48 @@ class TestForkedBackends:
             run_spmd(4, program, backend=backend)
         assert "rank 2" in str(excinfo.value)
 
-    def test_observer_state_survives_the_reap_path(self, backend):
-        """Rank 0's report may be drained by the reaper (its process has
-        already exited when the main loop polls); the observer state riding
-        on it must reach the parent's observers all the same."""
+    def test_report_stream_yields_the_frame_or_names_the_dead_rank(self, backend):
+        """The parent's end of a rank's report stream: a frame written before
+        the rank exited is still read (observer state included) and reaches
+        the parent's observers; EOF with no frame is the rank's death."""
 
         class Exited:
-            pid, exitcode = 4242, 0
+            pid, exitcode = 4242, 3
 
-            def is_alive(self):
-                return False
+            def join(self):
+                pass
 
-        class Running(Exited):
-            exitcode = None
-
-            def is_alive(self):
-                return True
-
+        read_report = get_backend_class(backend)._read_report
         observer = SimpleNamespace(iterations_seen=0)
         collector = _Collector(2, [observer])
-        reports = queue.Queue()
-        reports.put((0, "ok", "rank 0's value", [{"iterations_seen": 7}]))
-        get_backend_class(backend)(2)._reap_dead_ranks(
-            [Exited(), Running()], reports, collector
-        )
-        assert collector.collected == [True, False]
-        assert collector.results[0] == "rank 0's value"
+        block = np.arange(6.0).reshape(2, 3)
+        for rank, report in enumerate(
+            [("ok", {"W_local": block}, [{"iterations_seen": 7}]), None]
+        ):
+            reader, writer = socket.socketpair()
+            with reader, writer:
+                if report is not None:
+                    send_frame(writer, encode_frame_parts(rank, report))
+                writer.close()
+                collector.collect(read_report(reader, rank, Exited()))
+        assert collector.collected == [True, True]
+        np.testing.assert_array_equal(collector.results[0]["W_local"], block)
         assert observer.iterations_seen == 7
+        failure = collector.results[1].exception
+        assert isinstance(failure, CommunicatorError)
+        assert "rank 1 (pid 4242) died with exit code 3" in str(failure)
+
+    def test_large_results_come_home_intact(self, backend):
+        """Results far larger than a socket buffer, from every rank at once."""
+
+        def program(comm):
+            return np.full((300_000,), float(comm.rank)), {"rank": comm.rank}
+
+        results = run_spmd(3, program, backend=backend)
+        for rank, (block, meta) in enumerate(results):
+            assert meta == {"rank": rank}
+            assert block.shape == (300_000,) and (block == rank).all()
+            assert block.flags.writeable
 
     def test_oversubscription_warns(self, backend):
         with pytest.warns(RuntimeWarning, match=f"{backend} backend: .* oversubscribe"):

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.hpc_nmf as hpc_mod
+import repro.core.local_ops as local_ops_mod
 import repro.core.naive as naive_mod
 import repro.core.spmd_loop as loop_mod
 from repro.comm.backends import run_spmd
@@ -126,23 +127,23 @@ def test_blocking_mode_starts_no_helper_thread(variant, monkeypatch):
 
 
 def test_exception_with_handles_in_flight_drains_everything(monkeypatch):
-    """matmul_a_ht raises on the second panel of iteration 1: the deferred
+    """matmul_h_at raises on the second panel of iteration 1: the deferred
     H-Gram all-reduce and panel 0's reduce-scatter are both outstanding.  The
     exception surfaces as itself on every rank, and the one ``finally`` leaves
     no helper thread and no pinned workspace buffer behind."""
     calls = threading.local()
-    real = hpc_mod.matmul_a_ht
+    real = hpc_mod.matmul_h_at
 
     class Boom(RuntimeError):
         pass
 
-    def failing(a_panel, ht):
+    def failing(h_j, a_panel):
         calls.n = getattr(calls, "n", 0) + 1
         if calls.n == 4:  # pc = 2 panels per iteration → iteration 1, panel 1
             raise Boom("panel GEMM failed")
-        return real(a_panel, ht)
+        return real(h_j, a_panel)
 
-    monkeypatch.setattr(hpc_mod, "matmul_a_ht", failing)
+    monkeypatch.setattr(hpc_mod, "matmul_h_at", failing)
     config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d", grid=(2, 2))
     A = _dense(seed=4, m=24, n=18)
 
@@ -214,7 +215,7 @@ def test_naive_error_path_allreduces_are_booked(monkeypatch):
     assert profiler.calls(TaskCategory.ALL_REDUCE) == 2 * 3
 
 
-def test_no_per_iteration_transpose_copy():
+def test_w_local_lives_in_its_workspace_buffer():
     """The line-8 result transpose lands in the persistent w_local workspace
     buffer — the same array object every iteration, not a fresh
     ascontiguousarray copy."""
@@ -223,6 +224,125 @@ def test_no_per_iteration_transpose_copy():
     out = hpc_mod.hpc_nmf(comm, _dense(seed=4, m=24, n=18), config)
     assert out["W_local"] is comm.workspace.get("w_local", out["W_local"].shape)
     assert out["W_local"].flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("variant", ("sequential",) + VARIANTS)
+def test_dense_fit_never_transposes(variant, monkeypatch):
+    """Line 6 is computed as H·Aᵀ, so a dense fit has nothing to turn."""
+    def forbidden(src, out):
+        raise AssertionError("a dense fit called transpose_into")
+
+    monkeypatch.setattr(local_ops_mod, "transpose_into", forbidden)
+    parallel = dict(backend="thread", n_ranks=4) if variant != "sequential" else {}
+    res = fit(_dense(seed=8), 5, variant=variant, max_iters=3, seed=11, **parallel)
+    assert res.iterations == 3
+
+
+def _record_solver_rhs(monkeypatch):
+    """Every solver a fit builds logs the ``rhs`` of each solve, per thread."""
+    seen = threading.local()
+    real_make_solver = NMFConfig.make_solver
+
+    def make_recording_solver(config):
+        solver = real_make_solver(config)
+        real_solve = solver.solve
+
+        def solve(gram, rhs, x0=None):
+            if not hasattr(seen, "rhs"):
+                seen.rhs = []
+            seen.rhs.append(rhs)
+            return real_solve(gram, rhs, x0=x0)
+
+        solver.solve = solve
+        return solver
+
+    monkeypatch.setattr(NMFConfig, "make_solver", make_recording_solver)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "variant, buffer_name", [("naive", "h_at"), ("hpc1d", "aht_block"), ("hpc2d", "aht_block")]
+)
+def test_line8_rhs_is_the_buffer_the_mm_wrote(variant, buffer_name, monkeypatch):
+    """The W-update NLS reads the k × m/p workspace buffer the MM (naive) or
+    the line-7 reduce-scatter (hpc) wrote — the same C-ordered array every
+    iteration, no transposed copy in between."""
+    seen = _record_solver_rhs(monkeypatch)
+    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm=variant)
+    A = _dense(seed=4, m=26, n=18)
+    program = naive_mod.naive_parallel_nmf if variant == "naive" else hpc_mod.hpc_nmf
+
+    def rank_program(comm):
+        program(comm, A, config)
+        w_rhs = seen.rhs[0::2]  # solves alternate W-update, H-update
+        buffer = comm.workspace.get(buffer_name, w_rhs[0].shape)
+        return len(w_rhs), all(r is buffer for r in w_rhs), buffer.flags.c_contiguous
+
+    assert run_spmd(4, rank_program, backend="thread") == [(3, True, True)] * 4
+
+
+def test_sequential_line8_rhs_is_c_contiguous(monkeypatch):
+    seen = _record_solver_rhs(monkeypatch)
+    fit(_dense(seed=8), 5, variant="sequential", max_iters=3, seed=11)
+    assert len(seen.rhs) == 6
+    assert all(r.flags.c_contiguous for r in seen.rhs)
+
+
+@pytest.mark.parametrize("variant, p, grid, per_rank_per_iter", [
+    ("naive", 3, None, 2),       # A_i Hᵀ and Wᵀ Aⁱ
+    ("hpc1d", 3, None, 4),       # pc = 1 row panel + pr = 3 column panels
+    ("hpc2d", 2, (2, 1), 3),     # sparse_wire's grid
+])
+def test_sparse_fit_turns_each_spmm_once(variant, p, grid, per_rank_per_iter, monkeypatch):
+    """scipy's sparse-leading products come out rows × k: one transpose_into
+    per SpMM panel, pc + pr of them per rank and iteration on a pr × pc grid."""
+    calls = []
+    real = local_ops_mod.transpose_into
+
+    def counting(src, out):
+        calls.append(1)
+        return real(src, out)
+
+    monkeypatch.setattr(local_ops_mod, "transpose_into", counting)
+    extra = {"grid": grid} if grid else {}
+    fit(_sparse(seed=9), 5, variant=variant, backend="thread", n_ranks=p,
+        max_iters=3, seed=11, **extra)
+    assert len(calls) == per_rank_per_iter * p * 3
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("grid", [(3, 1), (1, 3)])
+def test_single_part_panels_are_the_block(grid, kind, monkeypatch):
+    """A scatter with one part does not cut the block: slicing a sparse block
+    copies it, and a size-1 row (column) communicator's only MM panel is
+    ``A_ij`` itself."""
+    seen = threading.local()
+
+    class SpyMatrix(hpc_mod.DistMatrix2D):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.block = self.block
+
+    monkeypatch.setattr(hpc_mod, "DistMatrix2D", SpyMatrix)
+    pr, pc = grid
+    # The product whose panel split has one part: line 6 when pc = 1, line 12 when pr = 1.
+    name = "matmul_h_at" if pc == 1 else "matmul_wt_a"
+    real = getattr(hpc_mod, name)
+
+    def product(factor, panel):
+        seen.panels.append(panel)
+        return real(factor, panel)
+
+    monkeypatch.setattr(hpc_mod, name, product)
+    A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
+    config = NMFConfig(k=4, max_iters=2, seed=1, algorithm="hpc2d", grid=grid)
+
+    def rank_program(comm):
+        seen.panels = []
+        hpc_mod.hpc_nmf(comm, A, config)
+        return len(seen.panels), all(panel is seen.block for panel in seen.panels)
+
+    assert run_spmd(3, rank_program, backend="thread") == [(2, True)] * 3
 
 
 def test_pipelined_breakdown_total_excludes_hidden_comm():
