@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Scaling study: regenerate the paper's evaluation tables from the command line.
+"""Scaling study: regenerate the paper's evaluation series from two public calls.
 
-Prints, for any of the paper's four datasets,
+A *modeled* Figure-3 / Table-3 cell is one row of ``repro.plan_candidates``
+(the closed forms of §4.3/§5 on the Edison constants, at the paper's data
+sizes and core counts — what ``repro plan SSYN -k 10 -p 600`` prints); a
+*measured* cell is one ``repro.fit(...).breakdown`` on this machine with the
+scaled-down dataset.  This script is the loop over those two calls:
 
-* the Figure-3-style comparison (per-iteration time vs k at 600 cores) and
-  strong-scaling series from the analytic Edison model, and
-* a measured comparison run on this machine's SPMD backend with the
-  scaled-down dataset.
+* Figure 3 a/c/e/g — comparison: p = 600 cores, k ∈ {10..50};
+* Figure 3 b/d/f/h — strong scaling: k = 50, the paper's core counts;
+* Table 3 — total seconds per (variant, dataset, cores) at k = 50.
 
 Run with::
 
@@ -18,33 +21,97 @@ from __future__ import annotations
 
 import argparse
 
-from repro.perf.experiments import comparison_vs_k, strong_scaling, table3_grid
-from repro.perf.report import render_breakdown_table, render_table3
+from repro import ProblemSpec, fit, get_variant, plan_candidates
+from repro.comm.grid import choose_grid
+from repro.data.registry import measured_scale, paper_scale
 
 DATASETS = ("DSYN", "SSYN", "Video", "Webbase")
+#: The three variants the paper's evaluation compares, by registry name.
+VARIANTS = ("naive", "hpc1d", "hpc2d")
+#: §6: rank sweep at 600 cores; core sweep at k = 50 (the dense datasets only
+#: fit on 9+ nodes, so their sweep starts at 216).
+PAPER_RANKS = (10, 20, 30, 40, 50)
+PAPER_CORES = (24, 96, 216, 384, 600)
+PAPER_CORES_DENSE = (216, 384, 600)
+TASKS = ("NLS", "MM", "Gram", "AllGather", "ReduceScatter", "AllReduce")
 
 
-def run_dataset(dataset: str, measured: bool) -> None:
+def modeled(dataset: str, k: int, p: int) -> dict:
+    """``{variant: per-iteration TimeBreakdown}`` at paper scale.
+
+    ``hpc2d`` is read at the §5-rule grid (the paper's HPC-NMF-2D), not at
+    the planner's brute-force argmin over all factorizations of ``p``.
+    """
+    spec = paper_scale(dataset)
+    rule_grid = choose_grid(spec.m, spec.n, p)
+    plans = plan_candidates(ProblemSpec.from_dataset(spec, k), p, variants=VARIANTS)
+    return {
+        plan.variant: plan.breakdown
+        for plan in plans
+        if plan.variant != "hpc2d" or plan.grid == rule_grid
+    }
+
+
+def measured(dataset: str, k: int, p: int, iterations: int = 3) -> dict:
+    """``{variant: per-iteration TimeBreakdown}`` of real runs on this machine."""
+    A = measured_scale(dataset).load()
+    cells = {}
+    for variant in VARIANTS:
+        # No error computation: the six categories of Figure 3 only.
+        result = fit(A, k, variant=variant, n_ranks=p, max_iters=iterations,
+                     compute_error=False, seed=1)
+        cells[variant] = result.breakdown.scaled(1.0 / result.iterations)
+    return cells
+
+
+def print_series(title: str, cells_by_x: dict) -> None:
+    """One Figure-3 panel: a row per (variant, x) with the per-task split."""
+    print(title)
+    print(f"{'variant':>10}  {'x':>4}  " + "  ".join(f"{t:>13}" for t in TASKS) + f"  {'total':>8}")
+    for variant in VARIANTS:
+        for x, cells in cells_by_x.items():
+            b = cells[variant]
+            print(f"{get_variant(variant).label:>10}  {x:>4}  "
+                  + "  ".join(f"{b.get(t):>13.4f}" for t in TASKS) + f"  {b.total:>8.4f}")
+    print()
+
+
+def run_dataset(dataset: str, with_measured: bool) -> dict:
+    """Print one dataset's panels; returns its k = 50 scaling series for Table 3."""
     print("=" * 78)
     print(f"Dataset: {dataset}")
     print("=" * 78)
 
-    comparison = comparison_vs_k(dataset, mode="modeled")
-    print(render_breakdown_table(comparison, x_axis="k"))
-    speedups = comparison.speedup("naive", "hpc2d")
-    best = max(speedups.values())
-    print(f"\nLargest modeled Naive/HPC-2D speedup: {best:.2f}x "
-          f"(paper reports up to 4.4x on SSYN, k=10)\n")
+    comparison = {k: modeled(dataset, k, 600) for k in PAPER_RANKS}
+    print_series("modeled per-iteration seconds vs k (x) at p = 600", comparison)
+    for k, cells in comparison.items():
+        print(f"  k={k}: modeled Naive / HPC-NMF-2D speedup "
+              f"{cells['naive'].total / cells['hpc2d'].total:.2f}x")
+    print("  (paper reports up to 4.4x on SSYN, k=10)\n")
 
-    scaling = strong_scaling(dataset, mode="modeled", k=50)
-    print(render_breakdown_table(scaling, x_axis="p"))
-    print()
+    cores = PAPER_CORES if paper_scale(dataset).is_sparse else PAPER_CORES_DENSE
+    scaling = {p: modeled(dataset, 50, p) for p in cores}
+    print_series("modeled per-iteration seconds vs cores (x) at k = 50", scaling)
 
-    if measured:
-        print("-- measured on this machine (scaled-down dataset, SPMD threads) --")
-        measured_result = comparison_vs_k(dataset, mode="measured", ks=[2, 4, 8], cores=4)
-        print(render_breakdown_table(measured_result, x_axis="k"))
-        print()
+    if with_measured:
+        cells_by_k = {k: measured(dataset, k, 4) for k in (2, 4, 8)}
+        print_series("measured on this machine (scaled-down dataset, p = 4) vs k (x)",
+                     cells_by_k)
+    return scaling
+
+
+def print_table3(scaling_by_dataset: dict) -> None:
+    print("=" * 78)
+    print("Table 3 analogue (modeled at paper scale, k = 50, seconds per iteration)")
+    print("=" * 78)
+    print(f"{'cores':>18}  " + "  ".join(f"{p:>8}" for p in PAPER_CORES))
+    for dataset, scaling in scaling_by_dataset.items():
+        for variant in VARIANTS:
+            row = "  ".join(
+                f"{scaling[p][variant].total:>8.4f}" if p in scaling else f"{'-':>8}"
+                for p in PAPER_CORES
+            )
+            print(f"{variant + ':' + dataset:>18}  {row}")
 
 
 def main() -> None:
@@ -57,13 +124,7 @@ def main() -> None:
     args = parser.parse_args()
 
     datasets = args.datasets if args.datasets else list(DATASETS)
-    for dataset in datasets:
-        run_dataset(dataset, args.measured)
-
-    print("=" * 78)
-    print("Table 3 analogue (modeled at paper scale)")
-    print("=" * 78)
-    print(render_table3(table3_grid(mode="modeled", k=50), k=50))
+    print_table3({dataset: run_dataset(dataset, args.measured) for dataset in datasets})
 
 
 if __name__ == "__main__":

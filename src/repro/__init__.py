@@ -18,8 +18,8 @@ Factorization" (Kannan, Ballard, Park; PPoPP 2016):
 * the paper's algorithms: sequential ANLS (Algorithm 1), Naive-Parallel-NMF
   (Algorithm 2) and HPC-NMF (Algorithm 3) in :mod:`repro.core`,
 * dataset generators matching the paper's evaluation (:mod:`repro.data`),
-* the performance model and experiment harness that regenerate every table
-  and figure of the evaluation section (:mod:`repro.perf`), and
+* the closed-form performance model of the evaluation section and the
+  machine constants it is priced on (:mod:`repro.perf`), and
 * the planning layer (:mod:`repro.plan`): the §5 cost model as an executable
   selection rule — ``fit(A, k, variant="auto", grid="auto")`` scores every
   modeled variant × grid and runs the argmin, recording the chosen
@@ -51,8 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "fit",
     "NMF",
-    "nmf",
-    "parallel_nmf",
     "NMFConfig",
     "NMFResult",
     "IterationObserver",
@@ -69,8 +67,6 @@ __all__ = [
 _LAZY_EXPORTS = {
     "fit": ("repro.core.api", "fit"),
     "NMF": ("repro.core.api", "NMF"),
-    "nmf": ("repro.core.api", "nmf"),
-    "parallel_nmf": ("repro.core.api", "parallel_nmf"),
     "NMFConfig": ("repro.core.config", "NMFConfig"),
     "NMFResult": ("repro.core.result", "NMFResult"),
     "IterationObserver": ("repro.core.observers", "IterationObserver"),

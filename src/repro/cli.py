@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-The subcommands cover the common workflows:
+The five subcommands cover the common workflows:
 
 * ``factorize`` — run any registered NMF variant on a registered dataset or
   an ``.npy``/``.npz`` file and print the result summary;
@@ -8,16 +8,14 @@ The subcommands cover the common workflows:
   per-task split, total, words moved) for a dataset or an ad-hoc
   ``--shape M N [--density D]`` problem, paper-Table-2 style;
 * ``variants`` — list the registered variants and their capability flags;
-* ``experiment`` — regenerate one of the paper's figures/tables (modeled at
-  paper scale, optionally measured at laptop scale);
-* ``bench`` — measure the benchmark-baseline panels and write BENCH_*.json;
 * ``serve`` — deploy saved models behind the micro-batched projection
   server (``repro serve model.npz``; see :mod:`repro.serve`);
 * ``datasets`` — list the registered datasets and their dimensions.
 
 The ``--variant``, ``--solver`` and ``--backend`` choices are derived from
 the variant / solver / backend registries, so registering a new entry
-anywhere makes it immediately reachable from the CLI.
+anywhere makes it immediately reachable from the CLI.  Timing a fit is not
+a subcommand: ``benchmarks/layered/run.py`` is the repository's stopwatch.
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ from repro.data.registry import DATASETS, PAPER_DATASETS, load_dataset, measured
 from repro.dist.storage import STORAGE_MODES
 from repro.nls.base import available_solvers
 from repro.nls.kernels import registered_kernels
-from repro.perf.experiments import comparison_vs_k, strong_scaling, table3_grid
 from repro.perf.machine import MachineSpec, edison_machine, laptop_machine
-from repro.perf.report import render_breakdown_table, render_table3, to_csv
 from repro.plan import ProblemSpec, plan_candidates, render_plan_table
 from repro.util.errors import ShapeError, SolverError
 
@@ -74,28 +70,24 @@ def _load_input(name_or_path: str):
 def _cmd_factorize(args: argparse.Namespace) -> int:
     if args.ranks < 1:
         raise SystemExit(f"--ranks must be >= 1, got {args.ranks}")
-    variant = get_variant(args.variant)
-    if args.ranks > 1 and not variant.parallelizable:
-        parallel = [v for v in available_variants() if get_variant(v).parallelizable]
-        raise SystemExit(
-            f"--ranks {args.ranks} needs a parallelizable variant, but "
-            f"{variant.name!r} is sequential-only; pick one of {parallel} "
-            "or drop --ranks"
-        )
     A = _load_input(args.input)
-    result = fit(
-        A,
-        args.k,
-        variant=args.variant,
-        n_ranks=args.ranks if variant.parallelizable else None,
-        backend=args.backend,
-        max_iters=args.iters,
-        solver=args.solver,
-        seed=args.seed,
-        **({"kernel": args.kernel} if args.kernel else {}),
-        **({"overlap": False} if args.no_overlap else {}),
-        **({"storage": args.storage} if args.storage else {}),
-    )
+    try:
+        # No --variant: fit's own rule (sequential on one rank, hpc2d above).
+        result = fit(
+            A,
+            args.k,
+            variant=args.variant,
+            n_ranks=args.ranks,
+            backend=args.backend,
+            max_iters=args.iters,
+            solver=args.solver,
+            seed=args.seed,
+            **({"kernel": args.kernel} if args.kernel else {}),
+            **({"overlap": False} if args.no_overlap else {}),
+            **({"storage": args.storage} if args.storage else {}),
+        )
+    except ShapeError as exc:  # e.g. a sequential-only variant with --ranks 4
+        raise SystemExit(str(exc)) from None
     print(result.summary())
     if args.save:
         written = result.save(args.save)
@@ -191,36 +183,6 @@ def _cmd_variants(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.name == "table3":
-        table = table3_grid(
-            mode=args.mode,
-            k=50 if args.mode == "modeled" else 8,
-            backend=args.backend,
-        )
-        print(render_table3(table))
-        return 0
-    dataset = args.dataset or "SSYN"
-    if args.name == "comparison":
-        result = comparison_vs_k(dataset, mode=args.mode, backend=args.backend)
-        print(render_breakdown_table(result, x_axis="k"))
-    elif args.name == "scaling":
-        result = strong_scaling(dataset, mode=args.mode, backend=args.backend)
-        print(render_breakdown_table(result, x_axis="p"))
-    else:  # pragma: no cover - argparse choices prevent this
-        raise SystemExit(f"unknown experiment {args.name!r}")
-    if args.csv:
-        Path(args.csv).write_text(to_csv(result))
-        print(f"\nCSV written to {args.csv}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    return bench_main(args=args)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
@@ -314,10 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     fact.add_argument("-k", type=int, required=True, help="target rank")
     fact.add_argument("--ranks", type=int, default=1,
                       help="number of SPMD ranks (parallelizable variants only)")
-    fact.add_argument("--variant", "--algorithm", dest="variant", default="hpc2d",
-                      choices=available_variants(),
-                      help="NMF variant by registry name "
-                           "(--algorithm is a deprecated alias)")
+    fact.add_argument("--variant", default=None, choices=available_variants(),
+                      help="NMF variant by registry name (default: sequential "
+                           "at --ranks 1, hpc2d above — the library's rule)")
     fact.add_argument("--backend", default=None, choices=available_backends(),
                       help="SPMD execution backend (lockstep = deterministic, "
                            "scales to hundreds of simulated ranks; process = "
@@ -390,25 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     var = sub.add_parser("variants", help="list registered NMF variants")
     var.set_defaults(func=_cmd_variants)
-
-    exp = sub.add_parser("experiment", help="regenerate a paper figure or table")
-    exp.add_argument("name", choices=["comparison", "scaling", "table3"])
-    exp.add_argument("--dataset", choices=sorted(PAPER_DATASETS))
-    exp.add_argument("--mode", default="modeled", choices=["modeled", "measured"])
-    exp.add_argument("--backend", default="thread", choices=available_backends(),
-                     help="SPMD execution backend for measured mode")
-    exp.add_argument("--csv", help="also write the series to this CSV path")
-    exp.set_defaults(func=_cmd_experiment)
-
-    from repro.bench.__main__ import add_bench_arguments
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure the benchmark baseline panels and write BENCH_*.json "
-             "(same options as python -m repro.bench)",
-    )
-    add_bench_arguments(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
         "serve",

@@ -17,8 +17,7 @@ substrate that actually runs the per-rank programs:
   result collection, dead-rank reaping and teardown;
 * :mod:`~repro.comm.backends.process` — ``"process"``: that runtime with
   collective payloads in shared-memory deposit slots — ranks escape the GIL,
-  hence a measured-speedup substrate (:mod:`repro.bench` records its
-  trajectory);
+  hence the measured-speedup substrate (what ``benchmarks/layered`` times);
 * :mod:`~repro.comm.backends.socket` — ``"socket"``: that runtime with
   collective payloads as length-prefixed frames (:mod:`repro.comm.wire`) —
   the wire backend whose collectives genuinely serialize onto a byte stream;
@@ -28,8 +27,7 @@ substrate that actually runs the per-rank programs:
   otherwise the name resolves to an actionable "unavailable" error.
 
 Select a backend by name anywhere downstream: ``NMFConfig(backend=...)``,
-``fit(..., backend=...)``, the CLI's ``--backend`` flag, or
-``$REPRO_BENCH_BACKEND`` for the benchmark harness.
+``fit(..., backend=...)`` or the CLI's ``--backend`` flag.
 """
 
 from repro.comm.backends.base import (

@@ -12,8 +12,8 @@ The paper reports per-iteration time split into six tasks:
 :class:`Profiler` accumulates wall-clock time per category; the parallel
 algorithms wrap each step in ``with profiler.task(TaskCategory.MM): ...``.
 :class:`TimeBreakdown` is the immutable result attached to
-:class:`repro.core.result.NMFResult` and rendered by the experiment harness in
-the same stacked form as Figure 3.
+:class:`repro.core.result.NMFResult`, in the same six categories Figure 3
+stacks.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@
 * :mod:`repro.core.spmd_loop` — what the two parallel loops share: in-flight
   handle registry, the error path, the one ``overlap`` switch, result assembly;
 * :mod:`repro.core.api` — the user-facing front door: :func:`repro.fit` and
-  the :class:`repro.NMF` estimator (plus the deprecated ``nmf`` /
-  ``parallel_nmf`` shims) used by the examples and benchmarks;
+  the :class:`repro.NMF` estimator, used by the examples and benchmarks;
 * :mod:`repro.core.variants` — the variant registry behind ``fit``; one
-  registered descriptor per NMF flavor, with capability flags;
+  registered descriptor per NMF flavor, with capability flags.  The registry
+  name is the only spelling of "which algorithm";
 * :mod:`repro.core.observers` — the per-iteration observer protocol threaded
   through every variant's outer loop, plus the composable built-in observers
   (history capture, tolerance stop, wall-clock budget, checkpointing,
@@ -29,7 +29,7 @@ and future-work discussion):
   (the §6.1.1 streaming scenario).
 """
 
-from repro.core.api import NMF, fit, nmf, parallel_nmf
+from repro.core.api import NMF, fit
 from repro.core.anls import anls_nmf
 from repro.core.config import NMFConfig
 from repro.core.observers import (
@@ -61,8 +61,6 @@ from repro.core.variants import (
 __all__ = [
     "fit",
     "NMF",
-    "nmf",
-    "parallel_nmf",
     "anls_nmf",
     "NMFConfig",
     "NMFResult",

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.comm.profiler import Profiler, TaskCategory
-from repro.core.config import Algorithm, NMFConfig
+from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_global
 from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.objective import frobenius_norm_squared, objective_from_grams
@@ -46,8 +46,8 @@ def anls_nmf(
     A:
         ``m × n`` nonnegative matrix (ndarray or scipy sparse).
     config:
-        Run options; ``config.algorithm`` is ignored (this is always the
-        sequential reference).
+        Run options; the parallel-execution fields (``n_ranks``, ``grid``,
+        ``backend``, ``overlap``) are ignored.
     callback:
         Optional ``callback(iteration, relative_error)`` invoked after each
         iteration when error computation is enabled.  Deprecated spelling of
@@ -128,7 +128,7 @@ def anls_nmf(
     result = NMFResult(
         W=np.ascontiguousarray(W),
         H=np.ascontiguousarray(H),
-        config=config.with_options(algorithm=Algorithm.SEQUENTIAL),
+        config=config,
         iterations=control.iterations,
         history=control.history,
         breakdown=profiler.snapshot(),

@@ -8,9 +8,6 @@ in the registry (:mod:`repro.core.variants`), build the
 flags, and hand off to its uniform ``run(A, config, observers)`` entry
 point.  :class:`NMF` is the estimator-style spelling of the same thing.
 
-The pre-registry entry points :func:`nmf` and :func:`parallel_nmf` survive
-as thin deprecation shims over :func:`fit`.
-
 Examples
 --------
 >>> import numpy as np
@@ -28,13 +25,12 @@ True
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import fields as dataclass_fields
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.config import Algorithm, NMFConfig
+from repro.core.config import NMFConfig
 from repro.core.observers import IterationObserver
 from repro.core.result import NMFResult
 from repro.core.variants import available_variants, get_variant, variant_name
@@ -163,25 +159,6 @@ def fit(
 
     config_options = {key: val for key, val in options.items() if key in _CONFIG_FIELDS}
     extras = {key: val for key, val in options.items() if key not in _CONFIG_FIELDS}
-
-    # ``algorithm=`` is the legacy spelling of ``variant=`` (and an NMFConfig
-    # field, so it would otherwise slip through the unknown-option check and
-    # be silently overwritten by the chosen variant).  Honour it, loudly.
-    legacy_algorithm = config_options.pop("algorithm", None)
-    if legacy_algorithm is not None:
-        warnings.warn(
-            "fit(algorithm=...) is deprecated; pass variant=... instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        legacy_name = getattr(legacy_algorithm, "value", legacy_algorithm)
-        if variant is None:
-            variant = legacy_name
-        elif getattr(variant, "value", variant) != legacy_name:
-            raise TypeError(
-                f"conflicting selections: variant={variant!r} vs "
-                f"algorithm={legacy_name!r}; pass variant= only"
-            )
 
     if variant is None:
         ranks = n_ranks
@@ -358,89 +335,3 @@ class NMF:
         # count), which is distinct from variant="auto" (planner mode).
         variant = self.variant if self.variant is not None else "default"
         return f"NMF(k={self.k}, variant={variant!r})"
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims (the pre-registry entry points)
-# ---------------------------------------------------------------------------
-
-def nmf(
-    A,
-    k: int,
-    *,
-    config: Optional[NMFConfig] = None,
-    **options,
-) -> NMFResult:
-    """Sequential rank-``k`` NMF of ``A`` (Algorithm 1).
-
-    .. deprecated::
-        Thin shim over ``fit(A, k, variant="sequential", ...)``; prefer
-        :func:`fit`.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> rng = np.random.default_rng(0)
-    >>> A = rng.random((60, 40)) @ np.eye(40)      # arbitrary nonnegative data
-    >>> res = nmf(A, k=5, max_iters=10, seed=1)
-    >>> res.W.shape, res.H.shape
-    ((60, 5), (5, 40))
-    >>> res.relative_error < 1.0
-    True
-    """
-    warnings.warn(
-        "nmf() is deprecated; use repro.fit(A, k) (variant='sequential' is the default)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return fit(A, k, variant="sequential", config=config, **options)
-
-
-def parallel_nmf(
-    A,
-    k: int,
-    n_ranks: int,
-    *,
-    algorithm: Union[str, Algorithm] = Algorithm.HPC_2D,
-    grid: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    config: Optional[NMFConfig] = None,
-    **options,
-) -> NMFResult:
-    """Rank-``k`` NMF with one of the parallel algorithms.
-
-    .. deprecated::
-        Thin shim over ``fit(A, k, variant=..., n_ranks=...)``; prefer
-        :func:`fit`.  The ``algorithm`` names coincide with the variant
-        registry names, and the legacy quirk of silently ignoring
-        ``n_ranks`` for ``algorithm="sequential"`` is preserved here —
-        :func:`fit` itself rejects that combination.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> A = np.abs(np.random.default_rng(3).standard_normal((48, 36)))
-    >>> res = parallel_nmf(A, k=4, n_ranks=4, algorithm="hpc2d", max_iters=5)
-    >>> res.n_ranks, res.grid_shape
-    (4, (2, 2))
-    """
-    warnings.warn(
-        "parallel_nmf() is deprecated; use repro.fit(A, k, variant=..., n_ranks=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if n_ranks < 1:
-        raise ShapeError(f"n_ranks must be >= 1, got {n_ranks}")
-    name = Algorithm(algorithm).value
-    if name == Algorithm.SEQUENTIAL.value:
-        return fit(A, k, variant="sequential", config=config, **options)
-    return fit(
-        A,
-        k,
-        variant=name,
-        n_ranks=n_ranks,
-        grid=grid,
-        backend=backend,
-        config=config,
-        **options,
-    )

@@ -1,36 +1,19 @@
 """Configuration for the NMF algorithms.
 
-A single :class:`NMFConfig` drives the sequential reference, Algorithm 2 and
-Algorithm 3, so experiments can hold everything fixed and vary exactly one
-knob (algorithm, solver, grid shape, rank), the way the paper's evaluation
-does.
+A single :class:`NMFConfig` drives every registered variant, so experiments
+can hold everything fixed and vary exactly one knob (solver, grid shape,
+rank), the way the paper's evaluation does.  *Which* algorithm runs is not a
+config field: it is the variant registry name passed to :func:`repro.fit`
+(see :mod:`repro.core.variants`) and recorded as ``NMFResult.variant``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.nls.kernels import DEFAULT_KERNEL
 from repro.util.errors import ShapeError
-
-
-class Algorithm(str, enum.Enum):
-    """Which parallel algorithm to run.
-
-    .. deprecated::
-        New code selects algorithms by **variant registry name** through
-        :func:`repro.fit` (see :mod:`repro.core.variants`); this enum survives
-        for backward compatibility and as the internal grid-selection switch
-        of the HPC family (its values coincide with the registry names of the
-        Algorithm 1/2/3 variants).
-    """
-
-    SEQUENTIAL = "sequential"  # Algorithm 1 (reference)
-    NAIVE = "naive"            # Algorithm 2
-    HPC_1D = "hpc1d"           # Algorithm 3 with pr = p, pc = 1
-    HPC_2D = "hpc2d"           # Algorithm 3 with the §5 grid-selection rule
 
 
 @dataclass(frozen=True)
@@ -53,10 +36,6 @@ class NMFConfig:
     seed:
         Seed used to initialise ``H`` (§6.1.3: the same seed is reused across
         algorithms so they perform the same computations).
-    algorithm:
-        Which variant to run (sequential / naive / hpc1d / hpc2d).
-        Deprecated in favour of the variant registry (:func:`repro.fit`);
-        kept so existing configs keep working.
     n_ranks:
         Number of SPMD ranks ``p`` for the parallel variants (``1`` runs a
         single-rank SPMD world; sequential variants ignore it).
@@ -111,7 +90,6 @@ class NMFConfig:
     tol: float = 0.0
     solver: str = "bpp"
     seed: int = 42
-    algorithm: Algorithm = Algorithm.HPC_2D
     n_ranks: int = 1
     grid: Optional[Tuple[int, int]] = None
     compute_error: bool = True
@@ -148,8 +126,6 @@ class NMFConfig:
         from repro.dist.storage import validate_storage
 
         validate_storage(self.storage)
-        # Normalise the algorithm field so strings are accepted.
-        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
 
     def with_options(self, **kwargs) -> "NMFConfig":
         """Return a copy with the given fields replaced."""

@@ -40,7 +40,7 @@ from repro.comm.communicator import Comm
 from repro.comm.grid import ProcessGrid, choose_grid
 from repro.comm.panels import panel_slices, stream_reduce_scatter
 from repro.comm.profiler import TaskCategory
-from repro.core.config import Algorithm, NMFConfig
+from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
 from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
 from repro.core.observers import IterationObserver
@@ -54,8 +54,8 @@ from repro.util.errors import CommunicatorError
 def resolve_grid(config: NMFConfig, m: int, n: int, p: int) -> Tuple[int, int]:
     """Determine the processor grid for a run.
 
-    Explicit ``config.grid`` wins; otherwise ``hpc1d`` forces ``(p, 1)`` and
-    ``hpc2d`` applies the paper's grid-selection rule (§5).
+    Explicit ``config.grid`` wins; otherwise the paper's grid-selection rule
+    (§5) applies.  (The ``hpc1d`` variant *is* the explicit grid ``(p, 1)``.)
     """
     if config.grid is not None:
         pr, pc = config.grid
@@ -64,8 +64,6 @@ def resolve_grid(config: NMFConfig, m: int, n: int, p: int) -> Tuple[int, int]:
                 f"requested grid {pr}x{pc} does not match {p} processes"
             )
         return pr, pc
-    if config.algorithm == Algorithm.HPC_1D:
-        return (p, 1)
     return choose_grid(m, n, p)
 
 
@@ -76,6 +74,7 @@ def hpc_nmf(
     block_generator: Optional[Callable] = None,
     global_shape: Optional[Tuple[int, int]] = None,
     observers: Optional[Sequence[IterationObserver]] = None,
+    variant: str = "hpc2d",
 ) -> dict:
     """SPMD per-rank program for Algorithm 3.
 
@@ -97,6 +96,9 @@ def hpc_nmf(
     observers:
         Iteration observers, notified on rank 0 (see
         :mod:`repro.core.observers` for the SPMD dispatch rules).
+    variant:
+        Registry name of the variant running this program (``"hpc1d"`` or
+        ``"hpc2d"``): provenance for the result and the observers.
 
     Returns
     -------
@@ -181,10 +183,8 @@ def hpc_nmf(
     # strided view before they start.
     Wt_local = np.zeros((k, w_sub_rows))
 
-    variant_name = "hpc1d" if config.algorithm == Algorithm.HPC_1D else "hpc2d"
     loop = SpmdLoop(
-        (comm, grid.row_comm, grid.col_comm), config, observers, variant_name,
-        (pr, pc), norm_a_sq,
+        (comm, grid.row_comm, grid.col_comm), config, observers, variant, (pr, pc), norm_a_sq,
     )
     profiler = loop.profiler
     last = config.max_iters - 1

@@ -40,6 +40,7 @@ def naive_parallel_nmf(
     A,
     config: NMFConfig,
     observers: Optional[Sequence[IterationObserver]] = None,
+    variant: str = "naive",
 ) -> dict:
     """SPMD per-rank program for Algorithm 2.
 
@@ -55,6 +56,9 @@ def naive_parallel_nmf(
     observers:
         Iteration observers, notified on rank 0 (see
         :mod:`repro.core.observers` for the SPMD dispatch rules).
+    variant:
+        Registry name of the variant running this program (provenance for
+        the result and the observers).
 
     Returns
     -------
@@ -100,7 +104,7 @@ def naive_parallel_nmf(
 
     # Attaches the ledger after the setup-phase reduction, so it records only
     # the per-iteration communication (§4.3's (m+n)k words of all-gather).
-    loop = SpmdLoop((comm,), config, observers, "naive", (p, 1), norm_a_sq)
+    loop = SpmdLoop((comm,), config, observers, variant, (p, 1), norm_a_sq)
     profiler = loop.profiler
     last = config.max_iters - 1
 

@@ -1,6 +1,6 @@
 """Result containers for NMF runs.
 
-:class:`NMFResult` carries everything the examples, tests and the experiment
+:class:`NMFResult` carries everything the examples, tests and the benchmark
 harness need: the factors, per-iteration objective values, the per-task time
 breakdown (the six categories of Figure 3), the communication ledger of the
 run, and provenance (which registered **variant**, execution **backend** and
@@ -67,7 +67,9 @@ class NMFResult:
         Provenance: the registry name of the variant that produced this
         result (see :mod:`repro.core.variants`), the execution backend it ran
         on (``None`` for in-process sequential variants) and the local NLS
-        solver it used.  Filled from ``config`` when not set explicitly.
+        solver it used.  ``backend`` and ``solver`` are filled from ``config``
+        when not set explicitly; ``variant`` is whatever the producer says
+        (``""`` for a hand-built result — the config does not know it).
     plan:
         The :class:`~repro.plan.planner.ExecutionPlan` the planner chose when
         the run used ``variant="auto"`` / ``grid="auto"`` (``None``
@@ -93,8 +95,6 @@ class NMFResult:
     plan: Optional["ExecutionPlan"] = None
 
     def __post_init__(self):
-        if not self.variant:
-            self.variant = self.config.algorithm.value
         if not self.solver:
             self.solver = self.config.solver
         if self.backend is None and self.n_ranks > 1:
@@ -187,7 +187,6 @@ class NMFResult:
         overriding this method.
         """
         config = dataclasses.asdict(self.config)
-        config["algorithm"] = self.config.algorithm.value
         config["grid"] = list(self.config.grid) if self.config.grid else None
         payload = {
             "W": self.W,
@@ -292,11 +291,13 @@ class NMFResult:
         config_dict = {k: v for k, v in meta["config"].items() if k in known}
         grid = config_dict.get("grid")
         config_dict["grid"] = tuple(grid) if grid else None
-        if cls is NMFResult and meta.get("variant"):
+        # Artifacts older than the ``variant`` entry named it in the config.
+        variant = meta.get("variant") or meta["config"].get("algorithm", "")
+        if cls is NMFResult and variant:
             from repro.core.variants import get_variant
 
             try:
-                cls = get_variant(meta["variant"]).result_class
+                cls = get_variant(variant).result_class
             except KeyError:
                 pass  # saved by an unregistered variant: keep the base class
         base_fields = {f.name for f in dataclasses.fields(NMFResult)}
@@ -323,7 +324,7 @@ class NMFResult:
             n_ranks=meta["n_ranks"],
             grid_shape=tuple(grid_shape) if grid_shape else None,
             converged=meta["converged"],
-            variant=meta.get("variant", ""),
+            variant=variant,
             backend=meta.get("backend"),
             solver=meta.get("solver", ""),
             plan=plan,

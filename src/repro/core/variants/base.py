@@ -144,13 +144,8 @@ _REGISTRY: Dict[str, Variant] = {}
 
 
 def variant_name(variant) -> str:
-    """Normalise a variant selector to its lower-case registry name.
-
-    Accepts a registry name string or anything with a ``.value`` (the
-    deprecated ``AlgorithmVariant`` enum members) — the one coercion every
-    layer (front door, planner, experiment harness) shares.
-    """
-    return str(getattr(variant, "value", variant)).lower()
+    """Normalise a variant selector to its lower-case registry name."""
+    return str(variant).lower()
 
 
 def register_variant(cls):

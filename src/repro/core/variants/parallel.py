@@ -10,7 +10,7 @@ and assembles the per-rank factor blocks into one global
 from __future__ import annotations
 
 from repro.comm.backends import run_spmd
-from repro.core.config import Algorithm, NMFConfig
+from repro.core.config import NMFConfig
 from repro.core.hpc_nmf import hpc_nmf
 from repro.core.naive import naive_parallel_nmf
 from repro.core.observers import notify_finish
@@ -54,23 +54,21 @@ class NaiveVariant(_SPMDVariant):
 
     def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
         A = self._validate(A, config)
-        cfg = config.with_options(algorithm=Algorithm.NAIVE)
         per_rank = run_spmd(
-            cfg.n_ranks,
+            config.n_ranks,
             naive_parallel_nmf,
             A,
-            cfg,
+            config,
             name="naive-nmf",
-            backend=cfg.backend,
+            backend=config.backend,
             observers=tuple(observers or ()),
+            variant=self.name,
         )
-        return notify_finish(observers, assemble_result(per_rank, cfg))
+        return notify_finish(observers, assemble_result(per_rank, config))
 
 
 class _HpcVariant(_SPMDVariant):
     """Algorithm 3 scaffolding; subclasses pin the grid-selection mode."""
-
-    algorithm: Algorithm
 
     def _default_grid(self, problem, p):
         """The grid this variant runs on when none is given explicitly."""
@@ -90,17 +88,17 @@ class _HpcVariant(_SPMDVariant):
 
     def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
         A = self._validate(A, config)
-        cfg = config.with_options(algorithm=self.algorithm)
         per_rank = run_spmd(
-            cfg.n_ranks,
+            config.n_ranks,
             hpc_nmf,
             A,
-            cfg,
+            config,
             name="hpc-nmf",
-            backend=cfg.backend,
+            backend=config.backend,
             observers=tuple(observers or ()),
+            variant=self.name,
         )
-        return notify_finish(observers, assemble_result(per_rank, cfg))
+        return notify_finish(observers, assemble_result(per_rank, config))
 
 
 @register_variant
@@ -110,13 +108,16 @@ class Hpc1DVariant(_HpcVariant):
     name = "hpc1d"
     label = "HPC-NMF-1D"
     summary = "Algorithm 3 on a 1D grid (pr = p, pc = 1)"
-    algorithm = Algorithm.HPC_1D
 
     def _default_grid(self, problem, p):
         return (p, 1)
 
     def candidate_grids(self, problem, p):
         return ((p, 1),)
+
+    def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
+        grid = config.grid or (config.n_ranks, 1)
+        return super().run(A, config.with_options(grid=grid), observers)
 
 
 @register_variant
@@ -126,7 +127,6 @@ class Hpc2DVariant(_HpcVariant):
     name = "hpc2d"
     label = "HPC-NMF-2D"
     summary = "Algorithm 3: HPC-NMF on the §5-selected pr x pc grid"
-    algorithm = Algorithm.HPC_2D
 
     def _default_grid(self, problem, p):
         from repro.comm.grid import choose_grid

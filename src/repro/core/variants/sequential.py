@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.anls import anls_nmf
-from repro.core.config import Algorithm, NMFConfig
+from repro.core.config import NMFConfig
 from repro.core.result import NMFResult
 from repro.core.variants.base import Variant, register_variant
 
@@ -35,5 +35,5 @@ class SequentialVariant(Variant):
         return 0.0 if p == 1 else None
 
     def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
-        cfg = config.with_options(algorithm=Algorithm.SEQUENTIAL, n_ranks=1)
+        cfg = config.with_options(n_ranks=1)
         return anls_nmf(A, cfg, observers=observers)

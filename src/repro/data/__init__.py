@@ -17,7 +17,7 @@ scaled-down presets for measured runs on a single machine:
 
 :mod:`~repro.data.lowrank` additionally provides planted nonnegative low-rank
 matrices used by the recovery tests, and :mod:`~repro.data.registry` names the
-paper-scale and measured-scale configurations used by the experiment harness.
+paper-scale and measured-scale configurations used by the planner CLI and the examples.
 """
 
 from repro.data.synthetic import dense_synthetic, sparse_synthetic

@@ -1,4 +1,4 @@
-"""Named dataset configurations used by the experiment harness.
+"""Named dataset configurations: the paper's four datasets at two scales.
 
 Each of the paper's four datasets appears twice:
 
@@ -7,7 +7,7 @@ Each of the paper's four datasets appears twice:
   regenerates Figure 3 / Table 3 at 600 cores (no data is materialised);
 * the **measured-scale** spec is a proportionally scaled-down instance small
   enough to factorize for real on a single machine with the SPMD backend;
-  these drive the measured-mode benchmarks and the integration tests.
+  these drive the examples, the CLI and the integration tests.
 """
 
 from __future__ import annotations

@@ -1,23 +1,19 @@
-"""Performance model and experiment harness.
+"""Performance model: closed-form costs and the machine they are priced on.
 
-Two modes regenerate the paper's evaluation:
+:mod:`repro.perf.model` holds the per-iteration, per-task closed forms of
+Naive / HPC-NMF-1D / HPC-NMF-2D (the formulas of §4.3, §5 and Table 2);
+:mod:`repro.perf.machine` the alpha-beta-gamma :class:`MachineSpec` they are
+evaluated under (Edison constants, or this host via
+``MachineSpec.calibrate()``).
 
-* **modeled** — evaluate the closed-form per-iteration, per-task costs of
-  Naive / HPC-NMF-1D / HPC-NMF-2D (the formulas of §4.3, §5 and Table 2)
-  under an alpha-beta-gamma machine calibrated to Edison, at the paper's data
-  sizes and core counts.  This reproduces the *shape* of Figure 3 and Table 3
-  (who wins, by what factor, where the crossovers fall).
-* **measured** — actually run the three algorithms on the SPMD thread backend
-  with scaled-down datasets and report real wall-clock breakdowns.
-
-:mod:`repro.perf.model` holds the closed forms; *which* closed form prices
-which variant lives on the variant registry (each
-:class:`~repro.core.variants.Variant` exposes ``predicted_breakdown``),
-which is also what the planning layer (:mod:`repro.plan`) consumes to pick
-variants and grids at ``fit(..., variant="auto")`` time.
-:mod:`repro.perf.experiments` holds the drivers for each figure/table, and
-:mod:`repro.perf.report` the CSV/ASCII rendering used by the benchmark
-harness.
+*Which* closed form prices which variant lives on the variant registry: each
+:class:`~repro.core.variants.Variant` exposes ``predicted_breakdown``, which
+is what the planning layer (:mod:`repro.plan`) consumes to pick variants and
+grids at ``fit(..., variant="auto")`` time.  A modeled Figure-3 / Table-3
+cell is one :func:`repro.plan.plan_candidates` row (``repro plan SSYN -k 10
+-p 600``); a measured cell is one ``fit(...).breakdown`` — see
+``examples/scaling_study.py``.  Timing a fit end to end or layer by layer is
+``benchmarks/layered``'s job, not this package's.
 """
 
 from repro.perf.machine import (
@@ -33,51 +29,19 @@ from repro.perf.model import (
     naive_words_per_iteration,
     hpc_breakdown,
     hpc_words_per_iteration,
-    predicted_breakdown,
     table2_costs,
 )
-from repro.perf.experiments import (
-    PAPER_VARIANTS,
-    ComparisonPoint,
-    comparison_vs_k,
-    strong_scaling,
-    table3_grid,
-    measured_breakdown,
-)
-from repro.perf.report import render_breakdown_table, render_table3, to_csv
 
 __all__ = [
     "MachineSpec",
     "EDISON_NODE",
     "edison_machine",
     "laptop_machine",
-    # NB: the deprecated AlgorithmVariant alias stays importable by name via
-    # __getattr__ below but is deliberately NOT in __all__, so star imports
-    # do not trip its DeprecationWarning.
-    "PAPER_VARIANTS",
     "dense_flops_per_iteration",
     "sparse_flops_per_iteration",
     "naive_breakdown",
     "naive_words_per_iteration",
     "hpc_breakdown",
     "hpc_words_per_iteration",
-    "predicted_breakdown",
     "table2_costs",
-    "ComparisonPoint",
-    "comparison_vs_k",
-    "strong_scaling",
-    "table3_grid",
-    "measured_breakdown",
-    "render_breakdown_table",
-    "render_table3",
-    "to_csv",
 ]
-
-
-def __getattr__(name: str):
-    """Forward the deprecated ``AlgorithmVariant`` alias (warns in model)."""
-    if name == "AlgorithmVariant":
-        from repro.perf import model
-
-        return model.AlgorithmVariant
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

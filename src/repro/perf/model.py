@@ -12,8 +12,9 @@ This module holds the closed forms only.  *Which* closed form prices which
 variant lives on the variant registry — each
 :class:`~repro.core.variants.Variant` descriptor exposes
 ``predicted_breakdown(problem, p, grid, machine)`` — and the planning layer
-(:mod:`repro.plan`) consumes that interface; :func:`predicted_breakdown`
-here is the registry-dispatching convenience the experiment harness calls.
+(:mod:`repro.plan`) consumes that interface:
+``get_variant(name).predicted_breakdown(ProblemSpec(...), p)`` is one modeled
+Figure-3 / Table-3 cell.
 
 Computation terms
 -----------------
@@ -40,9 +41,7 @@ Communication terms (§2.3 collective costs)
 
 from __future__ import annotations
 
-import enum
 import math
-import warnings
 from typing import Optional, Tuple
 
 from repro.comm.grid import choose_grid
@@ -61,7 +60,6 @@ __all__ = [
     "naive_words_per_iteration",
     "hpc_words_per_iteration",
     "pipelined_breakdown",
-    "predicted_breakdown",
     "table2_costs",
     "OVERLAPPABLE_FRACTIONS",
 ]
@@ -322,34 +320,6 @@ def hpc_words_per_iteration(
     return 2.0 * factor_words + 2.0 * all_reduce_words
 
 
-def predicted_breakdown(
-    variant,
-    spec,
-    k: int,
-    p: int,
-    machine: Optional[MachineSpec] = None,
-) -> TimeBreakdown:
-    """Predicted per-iteration breakdown of a registered variant.
-
-    ``variant`` is a variant registry name (the deprecated
-    ``AlgorithmVariant`` enum members still work — their values *are* the
-    registry names).  Dispatch goes through the variant registry's per-variant
-    cost hooks, the same unification the execution path uses: no if/elif
-    dispatch table here.
-    """
-    from repro.core.variants import get_variant
-
-    name = str(getattr(variant, "value", variant)).lower()
-    problem = as_problem(spec, k)
-    breakdown = get_variant(name).predicted_breakdown(problem, p, machine=machine)
-    if breakdown is None:
-        raise ValueError(
-            f"variant {name!r} does not expose an analytic cost model "
-            "(Variant.predicted_breakdown returned None)"
-        )
-    return breakdown
-
-
 # ---------------------------------------------------------------------------
 # Table 2: asymptotic costs
 # ---------------------------------------------------------------------------
@@ -385,51 +355,3 @@ def table2_costs(m: int, n: int, k: int, p: int) -> dict:
             "memory": m * n / p + (m + n) * k / p,
         },
     }
-
-
-# ---------------------------------------------------------------------------
-# deprecated alias (pre-registry variant taxonomy)
-# ---------------------------------------------------------------------------
-
-_algorithm_variant_enum = None
-
-
-def _deprecated_algorithm_variant():
-    """Build (once) the legacy enum; its values are the registry names."""
-    global _algorithm_variant_enum
-    if _algorithm_variant_enum is None:
-
-        class AlgorithmVariant(str, enum.Enum):
-            """Deprecated: the three paper variants, now variant registry names."""
-
-            NAIVE = "naive"
-            HPC_1D = "hpc1d"
-            HPC_2D = "hpc2d"
-
-            @property
-            def label(self) -> str:
-                from repro.core.variants import get_variant
-
-                return get_variant(self.value).label
-
-        _algorithm_variant_enum = AlgorithmVariant
-    return _algorithm_variant_enum
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``AlgorithmVariant`` lives on as a warned alias.
-
-    The enum duplicated the variant registry's taxonomy; new code passes
-    registry names (``"naive"``, ``"hpc1d"``, ``"hpc2d"``) directly.  This
-    mirrors the ``nmf``/``parallel_nmf`` shim convention.
-    """
-    if name == "AlgorithmVariant":
-        warnings.warn(
-            "repro.perf.model.AlgorithmVariant is deprecated; pass variant "
-            "registry names ('naive', 'hpc1d', 'hpc2d') instead — see "
-            "repro.core.variants.available_variants()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_algorithm_variant()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,9 +10,9 @@ those five numbers and nothing else, and is derivable from
 * any in-memory matrix (dense ndarray or scipy sparse) via
   :meth:`ProblemSpec.from_matrix` — this is what ``fit(A, k,
   variant="auto")`` uses,
-* a registered dataset via :meth:`ProblemSpec.from_dataset` — the thin
-  adapter that keeps the figure harness and the Table 2 benchmarks working
-  on :class:`DatasetSpec` unchanged,
+* a registered dataset via :meth:`ProblemSpec.from_dataset` — what
+  ``repro plan SSYN`` and ``examples/scaling_study.py`` price the paper's
+  datasets through,
 * bare dimensions via the constructor (the CLI's ``repro plan --shape``).
 
 :func:`as_problem` is the coercion helper the cost functions use so they

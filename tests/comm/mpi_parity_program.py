@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from mpi4py import MPI
 
-from repro.core.api import parallel_nmf
+from repro.core.api import fit
 from repro.data.lowrank import planted_lowrank
 
 
@@ -39,16 +39,16 @@ def main() -> int:
     with warnings.catch_warnings():
         # p ranks of threads inside each MPI process oversubscribe any host.
         warnings.simplefilter("ignore", RuntimeWarning)
-        for algorithm in ("naive", "hpc1d", "hpc2d"):
+        for variant in ("naive", "hpc1d", "hpc2d"):
             for label, A in (("dense", dense), ("sparse", sparse)):
-                kwargs = dict(n_ranks=p, algorithm=algorithm, max_iters=4, seed=9)
-                via_mpi = parallel_nmf(A, 3, backend="mpi", **kwargs)
-                via_thread = parallel_nmf(A, 3, backend="thread", **kwargs)
+                kwargs = dict(n_ranks=p, variant=variant, max_iters=4, seed=9)
+                via_mpi = fit(A, 3, backend="mpi", **kwargs)
+                via_thread = fit(A, 3, backend="thread", **kwargs)
                 assert via_mpi.W.tobytes() == via_thread.W.tobytes(), (
-                    f"{algorithm}/{label}: W bytes diverge over MPI"
+                    f"{variant}/{label}: W bytes diverge over MPI"
                 )
                 assert via_mpi.H.tobytes() == via_thread.H.tobytes(), (
-                    f"{algorithm}/{label}: H bytes diverge over MPI"
+                    f"{variant}/{label}: H bytes diverge over MPI"
                 )
                 assert via_mpi.grid_shape == via_thread.grid_shape
                 np.testing.assert_array_equal(
@@ -58,12 +58,10 @@ def main() -> int:
                 checked += 1
         # The nonblocking CommHandle path (the pipelined schedule is the
         # default above; this pins the blocking one too).
-        blocking = parallel_nmf(dense, 3, backend="mpi", n_ranks=p,
-                                algorithm="hpc2d", max_iters=4, seed=9,
-                                overlap=False)
-        pipelined = parallel_nmf(dense, 3, backend="mpi", n_ranks=p,
-                                 algorithm="hpc2d", max_iters=4, seed=9,
-                                 overlap=True)
+        blocking = fit(dense, 3, variant="hpc2d", n_ranks=p, backend="mpi",
+                       max_iters=4, seed=9, overlap=False)
+        pipelined = fit(dense, 3, variant="hpc2d", n_ranks=p, backend="mpi",
+                        max_iters=4, seed=9, overlap=True)
         assert blocking.W.tobytes() == pipelined.W.tobytes()
         assert blocking.H.tobytes() == pipelined.H.tobytes()
         checked += 1

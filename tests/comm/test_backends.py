@@ -144,15 +144,15 @@ class TestLockstepBackend:
 
     def test_simulates_256_ranks_on_a_16x16_grid(self):
         """Acceptance: p = 256 HPC-NMF completes with one runnable rank."""
-        from repro.core.api import parallel_nmf
+        from repro.core.api import fit
 
         A = np.abs(np.random.default_rng(0).standard_normal((256, 256)))
         backend_threads_before = threading.active_count()
-        res = parallel_nmf(
+        res = fit(
             A,
             2,
             n_ranks=256,
-            algorithm="hpc2d",
+            variant="hpc2d",
             grid=(16, 16),
             backend="lockstep",
             max_iters=3,

@@ -20,6 +20,10 @@ from repro.util.errors import WorkspacePinnedError
 
 BACKENDS = ("lockstep", "thread", "process")
 
+# 3-4 forked ranks oversubscribe small hosts on purpose: parity, not speed (the
+# warning has its own test in tests/comm/test_forked_backends.py).
+pytestmark = pytest.mark.filterwarnings("ignore:.*oversubscribe.*:RuntimeWarning")
+
 
 def _ops_program(comm):
     """Run all three nonblocking ops and their blocking twins; compare bytes."""

@@ -18,6 +18,10 @@ from repro.comm.profiler import Profiler, TaskCategory
 
 BACKENDS = ("lockstep", "thread", "process")
 
+# 3-4 forked ranks oversubscribe small hosts on purpose: parity, not speed (the
+# warning has its own test in tests/comm/test_forked_backends.py).
+pytestmark = pytest.mark.filterwarnings("ignore:.*oversubscribe.*:RuntimeWarning")
+
 
 def test_panel_slices_partition_the_axis():
     counts = [3, 0, 4, 2]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.api import parallel_nmf
+from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.data.lowrank import planted_lowrank
 
@@ -42,9 +42,9 @@ def _sparse():
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_backends_produce_identical_factors(algorithm, kind, other_backend):
     A = _dense() if kind == "dense" else _sparse()
-    kwargs = dict(n_ranks=4, algorithm=algorithm, max_iters=4, seed=9)
-    via_thread = parallel_nmf(A, 3, backend="thread", **kwargs)
-    via_other = parallel_nmf(A, 3, backend=other_backend, **kwargs)
+    kwargs = dict(n_ranks=4, variant=algorithm, max_iters=4, seed=9)
+    via_thread = fit(A, 3, backend="thread", **kwargs)
+    via_other = fit(A, 3, backend=other_backend, **kwargs)
     assert via_thread.W.tobytes() == via_other.W.tobytes()
     assert via_thread.H.tobytes() == via_other.H.tobytes()
     assert via_thread.grid_shape == via_other.grid_shape
@@ -56,9 +56,9 @@ def test_backends_produce_identical_factors(algorithm, kind, other_backend):
 @pytest.mark.parametrize("algorithm", ["naive", "hpc2d"])
 def test_lockstep_is_deterministic_run_to_run(algorithm):
     A = _dense()
-    first = parallel_nmf(A, 3, n_ranks=4, algorithm=algorithm,
+    first = fit(A, 3, n_ranks=4, variant=algorithm,
                          backend="lockstep", max_iters=5, seed=3)
-    second = parallel_nmf(A, 3, n_ranks=4, algorithm=algorithm,
+    second = fit(A, 3, n_ranks=4, variant=algorithm,
                           backend="lockstep", max_iters=5, seed=3)
     assert first.W.tobytes() == second.W.tobytes()
     assert first.H.tobytes() == second.H.tobytes()
@@ -67,8 +67,8 @@ def test_lockstep_is_deterministic_run_to_run(algorithm):
 def test_backend_flows_through_config():
     A = _dense()
     cfg = NMFConfig(k=3, max_iters=3, seed=2, backend="lockstep")
-    via_config = parallel_nmf(A, 3, n_ranks=4, config=cfg)
-    via_kwarg = parallel_nmf(A, 3, n_ranks=4, backend="lockstep", max_iters=3, seed=2)
+    via_config = fit(A, 3, n_ranks=4, config=cfg)
+    via_kwarg = fit(A, 3, n_ranks=4, backend="lockstep", max_iters=3, seed=2)
     assert via_config.W.tobytes() == via_kwarg.W.tobytes()
     assert via_config.config.backend == "lockstep"
 
@@ -77,7 +77,7 @@ def test_unknown_backend_raises_helpful_error():
     from repro.util.errors import CommunicatorError
 
     with pytest.raises(CommunicatorError, match="unknown backend"):
-        parallel_nmf(_dense(), 3, n_ranks=2, backend="carrier-pigeon", max_iters=2)
+        fit(_dense(), 3, n_ranks=2, backend="carrier-pigeon", max_iters=2)
 
 
 def test_fit_rejects_unknown_backend_eagerly_with_suggestions():

@@ -13,16 +13,17 @@ forms, which is precisely the claim of Table 2.
 import numpy as np
 import pytest
 
-from repro.core.api import parallel_nmf
+from repro.comm.grid import choose_grid, factor_pairs
+from repro.core.api import fit
 from repro.data.synthetic import dense_synthetic
 
 
 def run_and_get_ledger(A, k, p, algorithm, grid=None, iters=2):
-    res = parallel_nmf(
+    res = fit(
         A,
         k,
         n_ranks=p,
-        algorithm=algorithm,
+        variant=algorithm,
         grid=grid,
         max_iters=iters,
         seed=3,
@@ -96,6 +97,17 @@ class TestHPCVolume:
 
         assert total_words(hpc2d) < total_words(naive)
         assert total_words(hpc2d) < total_words(hpc1d)
+
+    def test_section5_rule_picks_a_volume_minimising_grid(self):
+        # Table 3's grid experiment in words: of every factorization of p, the
+        # grid choose_grid selects moves (one of) the fewest ledger words.
+        m, n, k, p = 288, 192, 8, 8
+        A = dense_synthetic(m, n, seed=2)
+        volumes = {}
+        for grid in factor_pairs(p):
+            _, ledger = run_and_get_ledger(A, k, p, "hpc2d", grid=grid)
+            volumes[grid] = sum(entry["words"] for entry in ledger.values())
+        assert volumes[choose_grid(m, n, p)] <= min(volumes.values()) * 1.01
 
     def test_message_counts_logarithmic(self):
         m, n, k, p = 48, 36, 3, 4

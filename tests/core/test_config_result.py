@@ -1,10 +1,12 @@
 """Tests for NMFConfig and NMFResult."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.comm.profiler import TimeBreakdown
-from repro.core.config import Algorithm, NMFConfig
+from repro.core.config import NMFConfig
 from repro.core.result import IterationStats, NMFResult
 from repro.util.errors import ShapeError
 
@@ -13,12 +15,14 @@ class TestNMFConfig:
     def test_defaults(self):
         cfg = NMFConfig(k=10)
         assert cfg.solver == "bpp"
-        assert cfg.algorithm == Algorithm.HPC_2D
         assert cfg.max_iters == 30
 
-    def test_algorithm_string_coercion(self):
-        cfg = NMFConfig(k=5, algorithm="naive")
-        assert cfg.algorithm is Algorithm.NAIVE
+    def test_algorithm_is_not_a_config_field(self):
+        # Which algorithm runs is the variant registry name given to fit(),
+        # recorded as NMFResult.variant — the config does not carry it.
+        assert len(dataclasses.fields(NMFConfig)) == 13
+        with pytest.raises(TypeError, match="algorithm"):
+            NMFConfig(k=5, algorithm="naive")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ShapeError):
@@ -29,8 +33,6 @@ class TestNMFConfig:
             NMFConfig(k=2, tol=-1.0)
         with pytest.raises(ShapeError):
             NMFConfig(k=2, inner_iters=0)
-        with pytest.raises(ValueError):
-            NMFConfig(k=2, algorithm="not-an-algorithm")
 
     def test_with_options_returns_modified_copy(self):
         cfg = NMFConfig(k=5)

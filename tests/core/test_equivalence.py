@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.api import nmf, parallel_nmf
+from repro.core.api import fit
 from repro.data.lowrank import planted_lowrank
 from repro.data.synthetic import dense_synthetic, sparse_synthetic
 
@@ -27,35 +27,35 @@ def sparse_A():
 
 @pytest.fixture(scope="module")
 def sequential_dense(dense_A):
-    return nmf(dense_A, k=4, max_iters=6, seed=7)
+    return fit(dense_A, k=4, variant="sequential", max_iters=6, seed=7)
 
 
 @pytest.fixture(scope="module")
 def sequential_sparse(sparse_A):
-    return nmf(sparse_A, k=4, max_iters=6, seed=7)
+    return fit(sparse_A, k=4, variant="sequential", max_iters=6, seed=7)
 
 
 class TestDenseEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
     def test_naive_matches_sequential(self, dense_A, sequential_dense, p):
-        res = parallel_nmf(dense_A, k=4, n_ranks=p, algorithm="naive", max_iters=6, seed=7)
+        res = fit(dense_A, k=4, n_ranks=p, variant="naive", max_iters=6, seed=7)
         np.testing.assert_allclose(res.W, sequential_dense.W, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(res.H, sequential_dense.H, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6, 9])
     def test_hpc2d_matches_sequential(self, dense_A, sequential_dense, p):
-        res = parallel_nmf(dense_A, k=4, n_ranks=p, algorithm="hpc2d", max_iters=6, seed=7)
+        res = fit(dense_A, k=4, n_ranks=p, variant="hpc2d", max_iters=6, seed=7)
         np.testing.assert_allclose(res.W, sequential_dense.W, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(res.H, sequential_dense.H, rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_hpc1d_matches_sequential(self, dense_A, sequential_dense, p):
-        res = parallel_nmf(dense_A, k=4, n_ranks=p, algorithm="hpc1d", max_iters=6, seed=7)
+        res = fit(dense_A, k=4, n_ranks=p, variant="hpc1d", max_iters=6, seed=7)
         np.testing.assert_allclose(res.W, sequential_dense.W, rtol=1e-5, atol=1e-7)
 
     def test_final_error_identical_across_variants(self, dense_A, sequential_dense):
-        naive = parallel_nmf(dense_A, k=4, n_ranks=4, algorithm="naive", max_iters=6, seed=7)
-        hpc = parallel_nmf(dense_A, k=4, n_ranks=4, algorithm="hpc2d", max_iters=6, seed=7)
+        naive = fit(dense_A, k=4, n_ranks=4, variant="naive", max_iters=6, seed=7)
+        hpc = fit(dense_A, k=4, n_ranks=4, variant="hpc2d", max_iters=6, seed=7)
         assert naive.relative_error == pytest.approx(sequential_dense.relative_error, rel=1e-6)
         assert hpc.relative_error == pytest.approx(sequential_dense.relative_error, rel=1e-6)
 
@@ -63,12 +63,12 @@ class TestDenseEquivalence:
 class TestSparseEquivalence:
     @pytest.mark.parametrize("p", [2, 4])
     def test_naive_matches_sequential(self, sparse_A, sequential_sparse, p):
-        res = parallel_nmf(sparse_A, k=4, n_ranks=p, algorithm="naive", max_iters=6, seed=7)
+        res = fit(sparse_A, k=4, n_ranks=p, variant="naive", max_iters=6, seed=7)
         np.testing.assert_allclose(res.W, sequential_sparse.W, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_hpc2d_matches_sequential(self, sparse_A, sequential_sparse, p):
-        res = parallel_nmf(sparse_A, k=4, n_ranks=p, algorithm="hpc2d", max_iters=6, seed=7)
+        res = fit(sparse_A, k=4, n_ranks=p, variant="hpc2d", max_iters=6, seed=7)
         np.testing.assert_allclose(res.W, sequential_sparse.W, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(res.H, sequential_sparse.H, rtol=1e-5, atol=1e-7)
 
@@ -77,16 +77,16 @@ class TestSolverEquivalence:
     @pytest.mark.parametrize("solver", ["mu", "hals"])
     def test_iterative_solvers_also_match(self, solver):
         A = planted_lowrank(40, 30, 3, seed=9, noise_std=0.01)
-        seq = nmf(A, k=3, max_iters=5, solver=solver, seed=11)
-        par = parallel_nmf(A, k=3, n_ranks=4, algorithm="hpc2d", solver=solver, max_iters=5, seed=11)
+        seq = fit(A, k=3, variant="sequential", max_iters=5, solver=solver, seed=11)
+        par = fit(A, k=3, n_ranks=4, variant="hpc2d", solver=solver, max_iters=5, seed=11)
         np.testing.assert_allclose(par.W, seq.W, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(par.H, seq.H, rtol=1e-5, atol=1e-7)
 
 
 class TestIterationHistoryConsistency:
     def test_history_matches_between_naive_and_hpc(self, dense_A):
-        naive = parallel_nmf(dense_A, k=3, n_ranks=4, algorithm="naive", max_iters=5, seed=13)
-        hpc = parallel_nmf(dense_A, k=3, n_ranks=4, algorithm="hpc2d", max_iters=5, seed=13)
+        naive = fit(dense_A, k=3, n_ranks=4, variant="naive", max_iters=5, seed=13)
+        hpc = fit(dense_A, k=3, n_ranks=4, variant="hpc2d", max_iters=5, seed=13)
         np.testing.assert_allclose(
             naive.relative_error_history, hpc.relative_error_history, rtol=1e-6
         )

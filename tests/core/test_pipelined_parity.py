@@ -144,7 +144,7 @@ def test_exception_with_handles_in_flight_drains_everything(monkeypatch):
         return real(h_j, a_panel)
 
     monkeypatch.setattr(hpc_mod, "matmul_h_at", failing)
-    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d", grid=(2, 2))
+    config = NMFConfig(k=4, max_iters=3, seed=1, grid=(2, 2))
     A = _dense(seed=4, m=24, n=18)
 
     def program(comm):
@@ -198,7 +198,7 @@ def test_hpc_error_path_allreduces_are_booked(monkeypatch):
     (iteration 0: line 4, line 10, cross, gram_h_new; later iterations skip
     line 4 via the gram cache)."""
     captured = _capture_profilers(monkeypatch)
-    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d")
+    config = NMFConfig(k=4, max_iters=3, seed=1)
     hpc_mod.hpc_nmf(SelfComm(), _dense(seed=4, m=24, n=18), config)
     (profiler,) = captured
     assert profiler.calls(TaskCategory.ALL_REDUCE) == 4 + 3 * (3 - 1)
@@ -209,7 +209,7 @@ def test_naive_error_path_allreduces_are_booked(monkeypatch):
     cross term and the H-Gram reduction (its gram_h is computed redundantly,
     not reduced)."""
     captured = _capture_profilers(monkeypatch)
-    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="naive")
+    config = NMFConfig(k=4, max_iters=3, seed=1)
     naive_mod.naive_parallel_nmf(SelfComm(), _dense(seed=4, m=24, n=18), config)
     (profiler,) = captured
     assert profiler.calls(TaskCategory.ALL_REDUCE) == 2 * 3
@@ -219,7 +219,7 @@ def test_w_local_lives_in_its_workspace_buffer():
     """The line-8 result transpose lands in the persistent w_local workspace
     buffer — the same array object every iteration, not a fresh
     ascontiguousarray copy."""
-    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm="hpc2d")
+    config = NMFConfig(k=4, max_iters=3, seed=1)
     comm = SelfComm()
     out = hpc_mod.hpc_nmf(comm, _dense(seed=4, m=24, n=18), config)
     assert out["W_local"] is comm.workspace.get("w_local", out["W_local"].shape)
@@ -268,7 +268,7 @@ def test_line8_rhs_is_the_buffer_the_mm_wrote(variant, buffer_name, monkeypatch)
     the line-7 reduce-scatter (hpc) wrote — the same C-ordered array every
     iteration, no transposed copy in between."""
     seen = _record_solver_rhs(monkeypatch)
-    config = NMFConfig(k=4, max_iters=3, seed=1, algorithm=variant)
+    config = NMFConfig(k=4, max_iters=3, seed=1, grid=(4, 1) if variant == "hpc1d" else None)
     A = _dense(seed=4, m=26, n=18)
     program = naive_mod.naive_parallel_nmf if variant == "naive" else hpc_mod.hpc_nmf
 
@@ -335,7 +335,7 @@ def test_single_part_panels_are_the_block(grid, kind, monkeypatch):
 
     monkeypatch.setattr(hpc_mod, name, product)
     A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
-    config = NMFConfig(k=4, max_iters=2, seed=1, algorithm="hpc2d", grid=grid)
+    config = NMFConfig(k=4, max_iters=2, seed=1, grid=grid)
 
     def rank_program(comm):
         seen.panels = []

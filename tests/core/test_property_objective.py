@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import nmf
+from repro.core.api import fit
 from repro.core.objective import frobenius_error, relative_error
 
 
@@ -35,7 +35,7 @@ def test_nmf_factors_nonnegative_and_error_bounded(m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.random((m, n))
     k = min(3, min(m, n))
-    result = nmf(A, k=k, max_iters=3, seed=seed % 1000)
+    result = fit(A, k=k, variant="sequential", max_iters=3, seed=seed % 1000)
     assert np.all(result.W >= 0)
     assert np.all(result.H >= 0)
     # Relative error of any NMF is at most 1 (the zero factorization).

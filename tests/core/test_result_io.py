@@ -116,22 +116,29 @@ class TestRoundTrip:
     @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
     def test_artifact_with_unknown_config_fields_still_loads(self, tmp_path, through):
         """An artifact saved by a version with other NMFConfig fields — every
-        one saved before PR 15 carries the since-removed ``panel_comm`` — loads,
-        the unknown keys dropped and defaults filling the rest."""
+        one saved before PR 15 carries the since-removed ``panel_comm``, every
+        one before PR 17 ``algorithm`` — loads, the unknown keys dropped and
+        defaults filling the rest.  ``config["algorithm"]`` is read exactly
+        once: as the variant of an artifact too old to have a top-level one."""
         from repro.serve import ModelStore
 
-        res = fit(_dense(), 2, max_iters=2, seed=1)
+        res = fit(_dense(), 2, variant="naive", n_ranks=2, max_iters=2, seed=1)
         path = res.save(tmp_path / "old.npz")
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-        meta["config"].update(panel_comm=True, some_future_option=3)
-        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
-        if through == "NMFResult.load":
-            loaded = NMFResult.load(path)
-        else:
-            loaded = ModelStore().load(path).result
-        assert loaded.config == res.config
-        assert np.array_equal(loaded.W, res.W)
+        assert "algorithm" not in meta["config"]
+        meta["config"].update(panel_comm=True, some_future_option=3, algorithm="naive")
+        for top_level_variant in (True, False):
+            if not top_level_variant:
+                del meta["variant"]
+            np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+            if through == "NMFResult.load":
+                loaded = NMFResult.load(path)
+            else:
+                loaded = ModelStore().load(path).result
+            assert loaded.config == res.config
+            assert loaded.variant == "naive"
+            assert np.array_equal(loaded.W, res.W)
 
     def test_save_appends_npz_suffix(self, tmp_path):
         res = fit(_dense(), 2, max_iters=2)
@@ -160,6 +167,8 @@ class TestProvenance:
             assert res.backend == "thread"
         else:
             assert res.backend is None
+        # The variant is recorded once, next to the config — not inside it.
+        assert "algorithm" not in res.to_dict()["config"]
 
     @pytest.mark.parametrize("variant", ["naive", "hpc1d", "hpc2d"])
     @pytest.mark.parametrize("backend", ["thread", "lockstep"])
@@ -191,7 +200,7 @@ class TestProvenance:
             W=np.ones((4, 2)), H=np.ones((2, 3)),
             config=NMFConfig(k=2, solver="mu"), iterations=1,
         )
-        assert res.variant == "hpc2d"  # config default algorithm
+        assert res.variant == ""  # nobody said; the config does not know
         assert res.solver == "mu"
         assert res.backend is None  # n_ranks == 1
 

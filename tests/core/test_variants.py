@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro
-from repro.core.api import NMF, fit, nmf, parallel_nmf
+from repro.core.api import NMF, fit
 from repro.core.config import NMFConfig
 from repro.core.symmetric import SymNMFResult
 from repro.core.variants import (
@@ -95,23 +95,6 @@ class TestFitFrontDoor:
         assert res.iterations >= 1
         assert np.all(res.W >= 0) and np.all(res.H >= 0)
 
-    def test_matches_legacy_sequential_entry_point(self):
-        A = _matrix()
-        with pytest.deprecated_call():
-            legacy = nmf(A, 2, max_iters=4, seed=5)
-        front = fit(A, 2, variant="sequential", max_iters=4, seed=5)
-        assert legacy.W.tobytes() == front.W.tobytes()
-        assert legacy.H.tobytes() == front.H.tobytes()
-
-    def test_matches_legacy_parallel_entry_point(self):
-        A = _matrix()
-        with pytest.deprecated_call():
-            legacy = parallel_nmf(A, 2, n_ranks=4, algorithm="hpc2d", max_iters=4, seed=5)
-        front = fit(A, 2, variant="hpc2d", n_ranks=4, max_iters=4, seed=5)
-        assert legacy.W.tobytes() == front.W.tobytes()
-        assert legacy.H.tobytes() == front.H.tobytes()
-        assert legacy.grid_shape == front.grid_shape
-
     def test_k_config_mismatch_raises(self):
         with pytest.raises(ShapeError, match="rank mismatch"):
             fit(_matrix(), 3, config=NMFConfig(k=2))
@@ -130,17 +113,15 @@ class TestFitFrontDoor:
         with pytest.raises(TypeError, match="hpc2d.*alpha"):
             fit(_matrix(), 2, variant="hpc2d", n_ranks=2, alpha=1.0)
 
-    def test_legacy_algorithm_keyword_selects_variant(self):
-        # algorithm= is an NMFConfig field; fit must not let it slip through
-        # and silently run a different algorithm than requested.
-        with pytest.deprecated_call():
-            res = fit(_matrix(), 2, n_ranks=2, algorithm="naive", max_iters=2)
-        assert res.variant == "naive"
+    def test_algorithm_keyword_is_an_unknown_option(self):
+        # variant= is the only spelling; the removed algorithm= keyword is
+        # rejected like any other typo, never silently ignored.
+        with pytest.raises(TypeError, match="does not accept option.*algorithm"):
+            fit(_matrix(), 2, n_ranks=2, algorithm="naive", max_iters=2)
 
     def test_conflicting_algorithm_and_variant_raise(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="conflicting"):
-                fit(_matrix(), 2, variant="hpc2d", n_ranks=2, algorithm="naive")
+        with pytest.raises(TypeError, match="hpc2d.*algorithm"):
+            fit(_matrix(), 2, variant="hpc2d", n_ranks=2, algorithm="naive")
 
     def test_symmetric_honours_tol_and_compute_error(self):
         A = _matrix()
@@ -224,21 +205,3 @@ class TestEstimator:
         assert model.result_.variant == "hpc2d"
         assert model.result_.backend == "lockstep"
         assert model.result_.n_ranks == 4
-
-
-class TestShims:
-    def test_shims_warn_deprecation(self):
-        A = _matrix()
-        with pytest.deprecated_call():
-            nmf(A, 2, max_iters=2)
-        with pytest.deprecated_call():
-            parallel_nmf(A, 2, n_ranks=2, max_iters=2)
-
-    def test_parallel_shim_keeps_sequential_ranks_quirk(self):
-        # The legacy entry point silently ignored n_ranks for "sequential";
-        # the shim preserves that, while fit() itself rejects it.
-        with pytest.deprecated_call():
-            res = parallel_nmf(_matrix(), 2, n_ranks=5, algorithm="sequential", max_iters=2)
-        assert res.n_ranks == 1
-        with pytest.raises(ShapeError):
-            fit(_matrix(), 2, variant="sequential", n_ranks=5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.api import nmf
+from repro.core.api import fit
 from repro.data.video import (
     VideoSceneConfig,
     background_foreground_split,
@@ -48,7 +48,7 @@ class TestBackgroundSubtraction:
         config = VideoSceneConfig(height=16, width=16, frames=30, n_objects=2, seed=4,
                                   noise_std=0.0)
         A = video_matrix(config)
-        res = nmf(A, k=4, max_iters=25, seed=0)
+        res = fit(A, k=4, variant="sequential", max_iters=25, seed=0)
         background, foreground = background_foreground_split(A, res.W, res.H)
         assert background.shape == A.shape
         assert foreground.shape == A.shape

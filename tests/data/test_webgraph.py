@@ -46,9 +46,9 @@ class TestWebGraph:
             web_graph_matrix(10, 0)
 
     def test_nmf_runs_on_graph_adjacency(self):
-        from repro.core.api import parallel_nmf
+        from repro.core.api import fit
 
         A = web_graph_matrix(400, 3000, seed=5)
-        res = parallel_nmf(A, k=4, n_ranks=4, algorithm="hpc2d", max_iters=4, seed=1)
+        res = fit(A, k=4, n_ranks=4, variant="hpc2d", max_iters=4, seed=1)
         assert res.W.shape == (400, 4)
         assert res.relative_error <= 1.0

@@ -96,6 +96,15 @@ class TestRandomPermutationBalance:
             after = imbalance_factor(permuted, *grid).imbalance
             assert after <= before * 1.25
 
+    def test_does_not_hurt_web_graph_balance_on_finer_grids(self):
+        # §7's anticipated mitigation, at the ablation's size and grids.
+        A = web_graph_matrix(4_000, 40_000, seed=9)
+        permuted, _, _ = random_permutation_balance(A, seed=1)
+        for grid in ((2, 2), (4, 4), (8, 8)):
+            before = imbalance_factor(A, *grid).imbalance
+            after = imbalance_factor(permuted, *grid).imbalance
+            assert after <= before * 1.25, grid
+
     def test_unpermute_round_trips_factors(self):
         rng = np.random.default_rng(10)
         W, H = rng.random((12, 3)), rng.random((3, 9))

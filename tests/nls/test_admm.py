@@ -48,11 +48,11 @@ class TestADMM:
         assert make_solver("admm").name == "admm"
 
     def test_plugs_into_nmf(self):
-        from repro.core.api import nmf
+        from repro.core.api import fit
         from repro.data.lowrank import planted_lowrank
 
         A = planted_lowrank(30, 24, 3, seed=5, noise_std=0.02)
-        res = nmf(A, k=3, max_iters=8, solver="admm", seed=1)
+        res = fit(A, k=3, variant="sequential", max_iters=8, solver="admm", seed=1)
         history = res.relative_error_history
         assert history[-1] <= history[0]
         assert np.all(res.W >= 0) and np.all(res.H >= 0)

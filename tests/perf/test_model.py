@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.variants import get_variant
 from repro.data.registry import paper_scale
 from repro.perf.machine import edison_machine
 from repro.perf.model import (
@@ -13,16 +14,21 @@ from repro.perf.model import (
     hpc_words_per_iteration,
     naive_breakdown,
     naive_words_per_iteration,
-    predicted_breakdown,
     sparse_flops_per_iteration,
     table2_costs,
 )
-from repro.plan.problem import ProblemSpec
+from repro.plan import ProblemSpec, plan_candidates
 
 
 @pytest.fixture(scope="module")
 def machine():
     return edison_machine()
+
+
+def modeled(variant, dataset, k, p, machine):
+    """One modeled Figure-3 / Table-3 cell: the variant's own cost hook."""
+    problem = ProblemSpec.from_dataset(paper_scale(dataset), k)
+    return get_variant(variant).predicted_breakdown(problem, p, machine=machine)
 
 
 class TestFlopCounts:
@@ -72,17 +78,21 @@ class TestBreakdowns:
             hpc_breakdown(paper_scale("DSYN"), 50, 600, grid=(7, 7), machine=machine)
 
     def test_dispatch_by_variant(self, machine):
-        spec = paper_scale("SSYN")
-        assert predicted_breakdown("naive", spec, 10, 24, machine).get(
-            "AllReduce"
-        ) == 0.0
-        b1d = predicted_breakdown("hpc1d", spec, 10, 24, machine)
-        b2d = predicted_breakdown("hpc2d", spec, 10, 24, machine)
+        # Which closed form prices which variant lives on the registry.
+        assert modeled("naive", "SSYN", 10, 24, machine).get("AllReduce") == 0.0
+        b1d = modeled("hpc1d", "SSYN", 10, 24, machine)
+        b2d = modeled("hpc2d", "SSYN", 10, 24, machine)
         assert b2d.communication <= b1d.communication
+        spec = paper_scale("SSYN")
+        assert b1d.as_dict() == hpc_breakdown(spec, 10, 24, grid=(24, 1), machine=machine).as_dict()
+        assert b2d.as_dict() == hpc_breakdown(spec, 10, 24, machine=machine).as_dict()
 
     def test_dispatch_rejects_unmodeled_variant(self, machine):
-        with pytest.raises(ValueError, match="cost model"):
-            predicted_breakdown("streaming", paper_scale("SSYN"), 10, 24, machine)
+        # No analytic model: the hook says so and the planner refuses.
+        assert modeled("streaming", "SSYN", 10, 24, machine) is None
+        problem = ProblemSpec.from_dataset(paper_scale("SSYN"), 10)
+        with pytest.raises(ValueError, match="no registered variant can model"):
+            plan_candidates(problem, 24, machine=machine, variants=["streaming"])
 
     def test_breakdowns_accept_problem_specs(self, machine):
         # The DatasetSpec adapter and a raw ProblemSpec must price identically.
@@ -164,57 +174,60 @@ class TestPaperShapeClaims:
         assert t216 / t600 > 1.8  # paper: 2.7x over a 2.8x core increase
 
 
-class TestDeprecatedAlgorithmVariant:
-    """Satellite: the pre-registry enum survives as a warned alias."""
+class TestPaperSeries:
+    """The Figure-3 / Table-3 series, read off the variants' cost hooks at
+    the paper's ranks and core counts (examples/scaling_study.py prints them)."""
 
-    def test_import_warns_and_maps_to_registry_names(self):
-        import repro.perf.model as model
+    VARIANTS = ("naive", "hpc1d", "hpc2d")
+    RANKS = (10, 20, 30, 40, 50)
+    CORES = (24, 96, 216, 384, 600)
+    CORES_DENSE = (216, 384, 600)  # §6: the dense datasets need 9+ nodes
 
-        with pytest.warns(DeprecationWarning, match="AlgorithmVariant is deprecated"):
-            enum_cls = model.AlgorithmVariant
-        from repro.core.variants import available_variants
+    @pytest.mark.parametrize("dataset", ["DSYN", "SSYN"])
+    def test_totals_increase_with_k(self, machine, dataset):
+        for variant in self.VARIANTS:
+            totals = [modeled(variant, dataset, k, 600, machine).total for k in self.RANKS]
+            assert totals == sorted(totals) and totals[0] > 0, variant
 
-        values = [member.value for member in enum_cls]
-        assert values == ["naive", "hpc1d", "hpc2d"]
-        assert set(values) <= set(available_variants())
+    def test_hpc2d_beats_naive_at_every_rank(self, machine):
+        for k in self.RANKS:
+            naive = modeled("naive", "SSYN", k, 600, machine).total
+            assert naive / modeled("hpc2d", "SSYN", k, 600, machine).total > 1.0, k
 
-    def test_package_level_alias_forwards(self):
-        import repro.perf as perf
+    @pytest.mark.parametrize("dataset", ["DSYN", "SSYN", "Video", "Webbase"])
+    def test_hpc2d_totals_decrease_with_cores(self, machine, dataset):
+        # Dense sweeps start at 216 cores, sparse ones at 24, as in Table 3.
+        cores = self.CORES if paper_scale(dataset).is_sparse else self.CORES_DENSE
+        totals = [modeled("hpc2d", dataset, 50, p, machine).total for p in cores]
+        assert totals == sorted(totals, reverse=True)
 
-        with pytest.warns(DeprecationWarning):
-            enum_cls = perf.AlgorithmVariant
-        assert enum_cls.HPC_2D.value == "hpc2d"
-
-    def test_labels_come_from_the_registry(self):
-        import repro.perf.model as model
-
-        with pytest.warns(DeprecationWarning):
-            enum_cls = model.AlgorithmVariant
-        from repro.core.variants import get_variant
-
-        for member in enum_cls:
-            assert member.label == get_variant(member.value).label
-
-    def test_members_still_work_in_the_dispatcher(self, machine):
-        import repro.perf.model as model
-
-        with pytest.warns(DeprecationWarning):
-            enum_cls = model.AlgorithmVariant
-        spec = paper_scale("SSYN")
-        legacy = predicted_breakdown(enum_cls.HPC_2D, spec, 10, 24, machine)
-        modern = predicted_breakdown("hpc2d", spec, 10, 24, machine)
-        assert legacy.as_dict() == modern.as_dict()
+    def test_a_cell_is_one_planner_row(self, machine):
+        # `repro plan SSYN -k 10 -p 600` prints the same numbers.
+        problem = ProblemSpec.from_dataset(paper_scale("SSYN"), 10)
+        plans = plan_candidates(problem, 600, machine=machine, variants=self.VARIANTS)
+        rows = {(plan.variant, plan.grid): plan.breakdown.total for plan in plans}
+        assert rows["naive", None] == modeled("naive", "SSYN", 10, 600, machine).total
+        assert rows["hpc1d", (600, 1)] == modeled("hpc1d", "SSYN", 10, 600, machine).total
+        assert rows["hpc2d", (30, 20)] == modeled("hpc2d", "SSYN", 10, 600, machine).total
+        keys = (("naive", None), ("hpc1d", (600, 1)), ("hpc2d", (30, 20)))
+        assert [round(rows[key], 4) for key in keys] == [0.0747, 0.0580, 0.0081]
 
 
 class TestTable2:
+    #: DSYN at the paper's five core counts, plus Video in its tall-skinny regime.
+    CASES = [(172_800, 115_200, 50, p) for p in (24, 96, 216, 384, 600)] + [
+        (1_013_400, 2_400, 50, 216)
+    ]
+
     def test_lower_bound_never_exceeds_hpc_words(self):
-        for m, n, k, p in [(172_800, 115_200, 50, 600), (1_013_400, 2_400, 50, 216)]:
+        for m, n, k, p in self.CASES:
             costs = table2_costs(m, n, k, p)
             assert costs["lower_bound"]["words"] <= costs["hpc"]["words"] * (1 + 1e-9)
 
     def test_hpc_words_improve_on_naive_words(self):
-        costs = table2_costs(172_800, 115_200, 50, 600)
-        assert costs["hpc"]["words"] < costs["naive"]["words"]
+        for m, n, k, p in self.CASES:
+            costs = table2_costs(m, n, k, p)
+            assert costs["hpc"]["words"] < costs["naive"]["words"]
 
     def test_tall_skinny_case_uses_nk_words(self):
         # At 216 cores the Video matrix satisfies m/p > n, the paper's

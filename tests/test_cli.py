@@ -18,7 +18,7 @@ def test_factorize_registered_dataset(capsys, tmp_path):
     save = tmp_path / "factors.npz"
     code = main([
         "factorize", "video-small", "-k", "3", "--ranks", "2",
-        "--algorithm", "hpc2d", "--iters", "3", "--save", str(save),
+        "--variant", "hpc2d", "--iters", "3", "--save", str(save),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -31,10 +31,32 @@ def test_factorize_registered_dataset(capsys, tmp_path):
 def test_factorize_npy_file(capsys, tmp_path):
     path = tmp_path / "matrix.npy"
     np.save(path, np.abs(np.random.default_rng(0).standard_normal((30, 20))))
-    code = main(["factorize", str(path), "-k", "2", "--algorithm", "sequential",
+    code = main(["factorize", str(path), "-k", "2", "--variant", "sequential",
                  "--iters", "2"])
     assert code == 0
     assert "k=2" in capsys.readouterr().out
+
+
+def test_factorize_without_variant_defers_to_the_library_rule(capsys):
+    # fit's own default: sequential on one rank, hpc2d above — no one-rank
+    # SPMD world for a plain `repro factorize X -k K`.
+    assert main(["factorize", "video-small", "-k", "2", "--iters", "2"]) == 0
+    assert "variant=sequential" in capsys.readouterr().out
+    assert main(["factorize", "video-small", "-k", "2", "--iters", "2", "--ranks", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "variant=hpc2d" in out and "ranks: 2" in out
+
+
+def test_removed_spellings_are_rejected():
+    # One name for an algorithm, one stopwatch (benchmarks/layered).
+    for argv in (
+        ["factorize", "video-small", "-k", "2", "--algorithm", "hpc2d"],
+        ["experiment", "comparison"],
+        ["bench"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2  # argparse usage error
 
 
 def test_factorize_missing_input_errors():
@@ -135,26 +157,6 @@ def test_plan_unknown_dataset_errors():
 def test_plan_nonpositive_ranks_errors():
     with pytest.raises(SystemExit, match="ranks"):
         main(["plan", "SSYN", "--ranks", "0"])
-
-
-def test_experiment_comparison_modeled(capsys, tmp_path):
-    csv_path = tmp_path / "fig.csv"
-    code = main(["experiment", "comparison", "--dataset", "SSYN", "--csv", str(csv_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "HPC-NMF-2D" in out
-    assert csv_path.exists()
-    assert csv_path.read_text().startswith("dataset,variant")
-
-
-def test_experiment_table3(capsys):
-    assert main(["experiment", "table3"]) == 0
-    assert "naive:DSYN" in capsys.readouterr().out
-
-
-def test_experiment_scaling(capsys):
-    assert main(["experiment", "scaling", "--dataset", "Video"]) == 0
-    assert "Video" in capsys.readouterr().out
 
 
 def _serve_model(tmp_path):

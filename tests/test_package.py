@@ -17,8 +17,8 @@ class TestLazyExports:
         assert repro.__version__.count(".") == 2
 
     def test_lazy_attributes_resolve(self):
-        assert callable(repro.nmf)
-        assert callable(repro.parallel_nmf)
+        assert callable(repro.fit)
+        assert callable(repro.NMF)
         assert repro.NMFConfig(k=3).k == 3
         assert repro.NMFResult is not None
 
@@ -28,8 +28,9 @@ class TestLazyExports:
 
     def test_dir_lists_exports(self):
         listing = dir(repro)
-        for name in ("nmf", "parallel_nmf", "NMFConfig", "NMFResult"):
+        for name in ("fit", "NMF", "NMFConfig", "NMFResult"):
             assert name in listing
+        assert "nmf" not in listing  # the pre-registry shims are gone
 
 
 class TestInitialization:
