@@ -4,22 +4,27 @@ The paper's implementation is C++/MPI.  This package provides the equivalent
 substrate in pure Python:
 
 * :mod:`~repro.comm.backends` supplies pluggable execution backends behind a
-  registry: ``"thread"`` (:class:`ThreadBackend`, one Python thread per rank,
-  real overlap wherever BLAS releases the GIL) and ``"lockstep"``
-  (:class:`LockstepBackend`, deterministic rank-ordered cooperative
-  scheduling that can simulate hundreds of ranks and diagnoses deadlocks
-  exactly);
+  registry: ``"thread"`` (one Python thread per rank, real overlap wherever
+  BLAS releases the GIL), ``"lockstep"`` (deterministic rank-ordered
+  cooperative scheduling that can simulate hundreds of ranks and diagnoses
+  deadlocks exactly), ``"process"`` and ``"socket"`` (one forked OS process
+  per rank; collective payloads in shared memory, or as frames on a TCP
+  mesh) and ``"mpi"`` (an ``mpirun`` job via ``mpi4py``, when installed);
 * :class:`~repro.comm.communicator.Comm` exposes the MPI operations the
-  paper's algorithms use — ``send``/``recv``, ``bcast``, ``allgather``,
-  ``reduce_scatter``, ``allreduce``, ``barrier``, ``split`` — with
-  numpy-buffer semantics (mirroring mpi4py's uppercase, buffer-based API),
-  including MPI-style caller-provided receive buffers (``out=``) backed by
-  the reusable :class:`~repro.comm.workspace.CollectiveWorkspace`;
-* :mod:`~repro.comm.collectives` re-implements the textbook point-to-point
-  algorithms for these collectives (ring all-gather, recursive halving
-  reduce-scatter, recursive doubling all-reduce; arbitrary communicator
-  sizes via MPICH's fold/unfold scheme) whose costs are exactly the
-  alpha-beta-gamma expressions quoted in §2.3 of the paper;
+  paper's algorithms use — ``allgather``, ``reduce_scatter``, ``allreduce``
+  (§2.3) and their nonblocking twins, ``send``/``recv``, ``barrier``,
+  ``split`` — with numpy-buffer semantics (mirroring mpi4py's uppercase,
+  buffer-based API), including MPI-style caller-provided receive buffers
+  (``out=``) backed by the reusable
+  :class:`~repro.comm.workspace.CollectiveWorkspace`.  Each collective is
+  written once, as *movement* plus a *rank-order combine*; a backend only
+  decides how values move (deposit slots, or point-to-point);
+* :mod:`~repro.comm.collectives` holds the point-to-point algorithms: the
+  two byte movers under ``Comm``'s point-to-point movement (recursive
+  doubling all-gather, slice exchange), and the textbook §2.3 algorithms
+  (ring all-gather, recursive halving reduce-scatter, recursive doubling
+  all-reduce; arbitrary communicator sizes via MPICH's fold/unfold scheme)
+  whose costs are exactly the alpha-beta-gamma expressions the paper quotes;
 * :mod:`~repro.comm.cost` implements that alpha-beta-gamma model and a
   per-rank ledger of words/messages/flops;
 * :mod:`~repro.comm.grid` provides the ``pr × pc`` processor grid with row and

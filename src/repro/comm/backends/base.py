@@ -27,6 +27,11 @@ communicator only, so backends are interchangeable:
   ``mpi4py`` is importable, otherwise the name resolves to a clear
   "unavailable" error (see :func:`register_unavailable_backend`).
 
+A backend supplies synchronization, mailboxes and — where it has them —
+deposit slots; the collectives themselves exist once, in
+:class:`~repro.comm.communicator.Comm`, which moves through the slots when
+the group state has them and point-to-point when it does not.
+
 Each backend class carries :data:`CAPABILITY_FLAGS` class attributes
 (``deterministic_schedule``, ``parallel_python``, ``cross_process``,
 ``simulates_large_grids``, ``wire_transport``) so callers — the CLI listing,
@@ -105,8 +110,10 @@ class SharedGroupState:
 
     One instance is shared by all ranks of a communicator.  It provides
 
-    * ``slots`` — a list with one deposit slot per rank, used by the
-      native collectives (deposit, barrier, read, barrier);
+    * ``slots`` — a list with one deposit slot per rank, which the
+      collectives move through (deposit, barrier, read, barrier) — or
+      ``None`` on a substrate with nowhere to deposit (``socket``, ``mpi``),
+      whose collectives move over the mailboxes instead;
     * ``barrier`` — a reusable :class:`threading.Barrier` sized to the group;
     * ``mailboxes`` — per (src, dst) FIFO queues for point-to-point messages;
     * ``registry`` + ``lock`` — a scratch dict used to create sub-group state
@@ -126,11 +133,14 @@ class SharedGroupState:
     #: rank-ordered schedule that makes lockstep the semantics oracle.
     nonblocking_mode = "helper"
 
+    #: Seconds ``Comm.recv`` waits when the caller names no ``timeout``.
+    recv_timeout = 60.0
+
     def __init__(self, size: int):
         if size < 1:
             raise CommunicatorError(f"communicator size must be >= 1, got {size}")
         self.size = size
-        self.slots: List[Any] = [None] * size
+        self.slots: Optional[List[Any]] = [None] * size
         self.lock = threading.Lock()
         self.registry: Dict[Any, Any] = {}
         self._barrier: Optional[threading.Barrier] = None

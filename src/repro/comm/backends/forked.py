@@ -2,7 +2,10 @@
 
 Every backend that runs one forked OS process per rank — ``"process"`` and
 ``"socket"`` — is this module plus one decision: *where collective payloads
-go*.  :class:`ForkedBackend` owns everything else:
+go*, which is what :meth:`ForkedRuntime.make_slots` returns — shared-memory
+deposit slots, or ``None`` (then :class:`~repro.comm.communicator.Comm`
+moves every collective over the mailboxes below).  :class:`ForkedBackend`
+owns everything else:
 
 * **Mesh.**  The parent binds one listening socket per rank on
   ``127.0.0.1:0`` *before* forking, so every child knows every port and the
@@ -117,7 +120,11 @@ class ForkedRuntime:
         self._epochs: Dict[Any, int] = {}
 
     def make_slots(self, members: Tuple[int, ...]) -> Any:
-        """The deposit slots of the group whose world ranks are ``members``."""
+        """The deposit slots of the group whose world ranks are ``members``.
+
+        ``None`` when payloads have nowhere to be deposited: collectives on
+        that group then move point-to-point.
+        """
         raise NotImplementedError
 
     # -- mesh construction ---------------------------------------------------
@@ -354,22 +361,23 @@ class _Mailbox:
     def put(self, item: Any) -> None:
         self._runtime.send_token(self._dst, self._key, item)
 
-    def get(self, timeout: Optional[float] = None) -> Any:
-        effective = self._runtime.timeout if timeout is None else timeout
+    def get(self, timeout: float) -> Any:
         # queue.Empty on timeout matches Comm.recv's diagnostic handling.
-        return self._runtime.recv_token(self._key, effective, empty_on_timeout=True)
+        return self._runtime.recv_token(self._key, timeout, empty_on_timeout=True)
 
 
 class ForkedGroupState(SharedGroupState):
     """Group state whose barriers and mailboxes ride the runtime's TCP mesh.
 
     ``slots`` is whatever the runtime provides for ``members``: shared-memory
-    deposit slots on ``"process"``, a refusal guard on ``"socket"``.
+    deposit slots on ``"process"``, none on ``"socket"``.  A receive waits as
+    long as a barrier does: the runtime's ``timeout``.
     """
 
     def __init__(self, runtime: ForkedRuntime, uid: Any, members: Sequence[int]):
         super().__init__(len(members))
         self.runtime = runtime
+        self.recv_timeout = runtime.timeout
         self.uid = uid
         self.members = tuple(members)
         self.slots = runtime.make_slots(self.members)
@@ -434,8 +442,8 @@ class _Collector:
 class ForkedBackend(Backend):
     """Launches an SPMD program on ``n_ranks`` forked processes over one TCP mesh.
 
-    Subclasses set :attr:`registry_name` and :attr:`comm_class` and implement
-    :meth:`_make_runtime`; the driver never asks which backend it is running.
+    Subclasses set :attr:`registry_name` and implement :meth:`_make_runtime`;
+    the driver never asks which backend it is running.
     """
 
     parallel_python = True
@@ -443,9 +451,6 @@ class ForkedBackend(Backend):
 
     #: The name this backend registers under (used in diagnostics).
     registry_name: str
-    #: The communicator class every rank runs.
-    comm_class = Comm
-
     def __init__(self, n_ranks: int, name: str, timeout: float):
         super().__init__(n_ranks, name=name)
         self.timeout = float(timeout)
@@ -507,7 +512,7 @@ class ForkedBackend(Backend):
                 report("err", _picklable_exception(rank, exc))
                 runtime.close()
                 return
-            comm = self.comm_class(state=world, rank=rank, group_ranks=all_ranks)
+            comm = Comm(state=world, rank=rank, group_ranks=all_ranks)
             try:
                 value = program(comm, *args, **kwargs)
                 states = None

@@ -229,7 +229,7 @@ class _LockstepMailbox:
 class LockstepGroupState(SharedGroupState):
     """Group state whose synchronization goes through the lockstep scheduler.
 
-    The deposit-slot protocol of the native collectives is inherited
+    The deposit-slot movement of ``Comm``'s collectives is inherited
     unchanged; only ``wait``/``abort`` (barriers), the mailboxes (receive
     suspends instead of polling) and ``make_subgroup`` (sub-communicators
     share the scheduler) differ from the thread backend's state.

@@ -16,16 +16,15 @@ that ``MPI.COMM_WORLD`` matches the requested ``n_ranks`` and raises a
 result list (collected with an MPI allgather), so calling code behaves
 identically on every rank.
 
-Byte-identity: data-movement collectives (allgather, bcast, gather,
-scatter) map directly onto ``mpi4py``'s pickle-based collectives — they
-move bytes exactly.  Reductions deliberately do **not** use ``MPI.SUM``:
-MPI's internal reduction-tree order differs from the native backends'
-rank-order combine, so :class:`MPIComm` inherits the socket backend's
-move-bytes-then-combine-in-rank-order implementations — ``allreduce`` and
-``reduce`` through the :meth:`~repro.comm.backends.socket.SocketComm._gather_all`
-hook (re-routed through ``mpicomm.allgather``), ``reduce_scatter`` as the
-point-to-point slice exchange over the mailboxes below — keeping factors
-byte-identical to thread/process/lockstep/socket.
+Byte-identity: an MPI group state has no deposit slots, so
+:class:`~repro.comm.communicator.Comm` moves every collective point-to-point
+and combines in rank order, exactly as on ``socket``.  :class:`MPIComm`
+swaps in one native collective — "every rank's value" is ``mpi4py``'s
+pickle-based ``allgather``, which moves bytes exactly — and leaves the rest
+alone: reductions deliberately do **not** use ``MPI.SUM`` (MPI's internal
+reduction-tree order differs from the rank-order combine), and
+``reduce_scatter`` is the slice exchange over the mailboxes below.  Factors
+stay byte-identical to thread/process/lockstep/socket.
 
 Nonblocking collectives run in **eager** mode (the lockstep precedent):
 ``CommHandle`` completes at issue time, because helper-thread progress would
@@ -36,11 +35,10 @@ exactly that degradation.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import time
-from typing import Any, Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, List, Optional
 
 from repro.comm.backends.base import (
     Backend,
@@ -48,8 +46,7 @@ from repro.comm.backends.base import (
     register_backend,
     register_unavailable_backend,
 )
-from repro.comm.backends.socket import SocketComm, _WireSlots
-from repro.comm.communicator import Comm, _nwords
+from repro.comm.communicator import Comm
 from repro.util.errors import CommunicatorError
 
 try:  # pragma: no cover - exercised by the CI mpi leg
@@ -90,9 +87,8 @@ class _MPIMailbox:
             self._mpicomm.isend(item, dest=self._dst, tag=_P2P_TAG)
         )
 
-    def get(self, timeout: Optional[float] = None) -> Any:
-        effective = 60.0 if timeout is None else timeout
-        deadline = time.monotonic() + effective
+    def get(self, timeout: float) -> Any:
+        deadline = time.monotonic() + timeout
         # mpi4py has no timed recv; poll so Comm.recv's timeout diagnostics
         # (queue.Empty -> CommunicatorError naming the source) keep working.
         while not self._mpicomm.Iprobe(source=self._src, tag=_P2P_TAG):
@@ -112,7 +108,7 @@ class MPIGroupState(SharedGroupState):
     def __init__(self, mpicomm):
         super().__init__(mpicomm.Get_size())
         self.mpicomm = mpicomm
-        self.slots = _WireSlots(self.size)
+        self.slots = None  # nowhere to deposit: Comm moves point-to-point
 
     def _new_mailbox(self, src: int, dst: int) -> _MPIMailbox:
         return _MPIMailbox(self.mpicomm, src, dst)
@@ -130,60 +126,16 @@ class MPIGroupState(SharedGroupState):
         self.mpicomm.Abort(1)
 
 
-class MPIComm(SocketComm):
-    """A :class:`~repro.comm.communicator.Comm` over real MPI collectives.
+class MPIComm(Comm):
+    """A :class:`~repro.comm.communicator.Comm` whose gathers are ``MPI_Allgather``.
 
-    Data movement uses ``mpi4py`` collectives directly; reductions inherit
-    the socket backend's move-then-rank-order-combine (the :meth:`_gather_all`
-    hook, and the slice-exchange ``reduce_scatter`` over the MPI mailboxes)
-    for byte identity with every other backend.
+    Only the movement differs; the collective bodies — and so the rank-order
+    combine that keeps every backend byte-identical — are the base class's.
     """
 
-    def _make_comm(self, state, rank, group_ranks, parent):
-        return MPIComm(state=state, rank=rank, group_ranks=group_ranks, parent=parent)
-
-    def _gather_all(self, array: np.ndarray) -> List[np.ndarray]:
-        parts = self._state.mpicomm.allgather(array)
-        return [np.asarray(p) for p in parts]
-
-    # -- native MPI data movement -------------------------------------------
-    def allgather_object(self, obj: Any) -> List[Any]:
-        if self.size == 1:
-            return [obj]
-        items = self._state.mpicomm.allgather(obj)
-        self._record("all_gather", _nwords(obj) * self.size)
-        return list(items)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        if self.size == 1:
-            return obj
-        value = self._state.mpicomm.bcast(obj, root=root)
-        self._record("broadcast", _nwords(value))
-        return value
-
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        array = np.asarray(array)
-        if self.size == 1:
-            return [array]
-        parts = self._state.mpicomm.gather(array, root=root)
-        self._record("gather", _nwords(array) * self.size)
-        if parts is None:
-            return None
-        return [np.asarray(p) for p in parts]
-
-    def scatter(
-        self, arrays: Optional[Sequence[np.ndarray]], root: int = 0
-    ) -> np.ndarray:
-        if self.size == 1:
-            assert arrays is not None
-            return np.asarray(arrays[0])
-        if self.rank == root and (arrays is None or len(arrays) != self.size):
-            raise CommunicatorError(
-                f"root must provide exactly {self.size} arrays to scatter"
-            )
-        mine = np.asarray(self._state.mpicomm.scatter(arrays, root=root))
-        self._record("scatter", _nwords(mine) * self.size)
-        return mine
+    @contextlib.contextmanager
+    def _from_all(self, value: Any):
+        yield self._state.mpicomm.allgather(value)
 
     # -- communicator management --------------------------------------------
     def split(self, color: int, key: Optional[int] = None) -> "MPIComm":

@@ -8,10 +8,9 @@ the paper's §6 evaluation measures.
 
 The launcher, the barriers, point-to-point messages and the failure handling
 are the shared forked runtime (:mod:`repro.comm.backends.forked`); what this
-module adds is the choice of *where collective payloads go*.  ``Comm``'s
-native collectives follow a deposit / barrier / read / barrier protocol
-against the group state's ``slots``, and here the slots cross process
-boundaries:
+module adds is the choice of *where collective payloads go*.  Given slots,
+``Comm``'s collectives move by a deposit / barrier / read / barrier protocol
+against them, and here the slots cross process boundaries:
 
 * **deposit slots** live in :mod:`multiprocessing.shared_memory` segments,
   one per world rank (single writer, any reader).  A deposit writes a small
@@ -20,7 +19,7 @@ boundaries:
   No pickling happens for array payloads, so the per-iteration collectives —
   including their ``out=`` / :attr:`Comm.workspace` fast paths — move bytes
   exactly once, shared memory to caller buffer.  Non-array payloads (the
-  ``split`` metadata, ``scatter``'s block lists) fall back to pickling into
+  ``split`` and ``DistMatrix2D`` set-up metadata) fall back to pickling into
   the same segment; they are setup-phase, not hot-path.
 * **segments grow by generation**: a deposit larger than the current segment
   creates a fresh, doubled segment named ``<session>-r<rank>-g<gen>`` and

@@ -7,9 +7,9 @@ and the reduce-scatter + all-gather all-reduce
 (``2 alpha log p + (2 beta + gamma)(p-1)/p n``); see Chan et al. and
 Thakur et al. (the paper's references [2, 18]).
 
-The native collectives of :class:`~repro.comm.communicator.Comm` use shared
-memory directly; the functions here re-implement the same collectives using
-only ``send``/``recv`` so that
+Where a backend has deposit slots, :class:`~repro.comm.communicator.Comm`
+moves a collective's contributions through them; the functions here run the
+same collectives using only ``send``/``recv`` so that
 
 * the cost structure the model charges (number of rounds, bytes per round)
   exists in executable form and can be asserted in tests, and
@@ -18,18 +18,19 @@ only ``send``/``recv`` so that
 
 All functions are SPMD: every rank of ``comm`` must call them collectively.
 
-The nonblocking collectives (:mod:`repro.comm.nonblocking`) and the wire
-communicator (:class:`~repro.comm.backends.socket.SocketComm`) build on the two
-functions here that only *move* bytes and leave the arithmetic to the native
-rank-order :meth:`ReduceOp.combine`, so their results equal the slot-based
-blocking collectives' byte for byte: :func:`recursive_doubling_allgather`
-(all-gathers, and the small all-reduces) and
-:func:`slice_exchange_reduce_scatter` (every reduce-scatter).
+Two functions here only *move* values and do no arithmetic:
+:func:`recursive_doubling_allgather` and :func:`slice_exchange`.  They are the
+point-to-point form of :class:`~repro.comm.communicator.Comm`'s two movement
+primitives — what a communicator without deposit slots (the ``socket`` and
+``mpi`` backends, every nonblocking helper) runs under the one body of each
+collective, which then applies the same rank-order concatenate or
+:meth:`ReduceOp.combine` as over slots.  The other five are the §2.3
+algorithms in executable form; only tests call them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def _largest_power_of_two_below(p: int) -> int:
 #: tags 0..log2(p)-1 of the main phases.
 _FOLD_TAG = 1001
 _UNFOLD_TAG = 1002
-#: Tag of the slice-exchange reduce-scatter's single round.
+#: Tag of the slice exchange's single round.
 _SLICE_TAG = 1003
 
 
@@ -119,11 +120,13 @@ def ring_allgather(comm: Comm, array: np.ndarray) -> List[np.ndarray]:
     return [np.asarray(b) for b in blocks]
 
 
-def recursive_doubling_allgather(comm: Comm, array: np.ndarray) -> List[np.ndarray]:
+def recursive_doubling_allgather(comm: Comm, value: Any) -> List[Any]:
     """All-gather via recursive doubling (``log2 p`` rounds of pairwise exchange).
 
     In round ``t`` each rank exchanges its current collection with the partner
     at distance ``2^t``; after ``log2 p`` rounds everyone has every block.
+    A block is carried as is — an array, or any object the mailboxes can
+    carry — and returned in rank order.
 
     Non-power-of-two sizes use MPICH's fold/unfold adaptation: the trailing
     ``p - p2`` ranks (``p2`` the largest power of two ≤ ``p``) first fold
@@ -133,29 +136,24 @@ def recursive_doubling_allgather(comm: Comm, array: np.ndarray) -> List[np.ndarr
     """
     p, r = comm.size, comm.rank
     if p == 1:
-        return [np.asarray(array)]
+        return [value]
     p2 = _largest_power_of_two_below(p)
 
     if r >= p2:
         # Folded rank: contribute through the partner, then wait for the result.
-        comm.send([(r, np.asarray(array))], dest=r - p2, tag=_FOLD_TAG)
+        comm.send([(r, value)], dest=r - p2, tag=_FOLD_TAG)
         blocks = comm.recv(source=r - p2, tag=_UNFOLD_TAG)
-        return [np.asarray(b) for _, b in sorted(blocks)]
+        return [block for _, block in sorted(blocks)]
 
-    owned = {r: np.asarray(array)}
+    owned = {r: value}
     if r + p2 < p:
-        incoming = comm.recv(source=r + p2, tag=_FOLD_TAG)
-        for idx, block in incoming:
-            owned[idx] = np.asarray(block)
+        owned.update(comm.recv(source=r + p2, tag=_FOLD_TAG))
     distance = 1
     round_idx = 0
     while distance < p2:
         partner = r ^ distance
-        payload = sorted(owned.items())
-        comm.send(payload, dest=partner, tag=round_idx)
-        incoming = comm.recv(source=partner, tag=round_idx)
-        for idx, block in incoming:
-            owned[idx] = np.asarray(block)
+        comm.send(sorted(owned.items()), dest=partner, tag=round_idx)
+        owned.update(comm.recv(source=partner, tag=round_idx))
         distance <<= 1
         round_idx += 1
     if r + p2 < p:
@@ -163,22 +161,18 @@ def recursive_doubling_allgather(comm: Comm, array: np.ndarray) -> List[np.ndarr
     return [owned[i] for i in range(p)]
 
 
-def slice_exchange_reduce_scatter(
-    comm: Comm,
-    array: np.ndarray,
-    counts: Sequence[int],
-    axis: int = 0,
-    op: ReduceOp = ReduceOp.SUM,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Reduce-scatter by direct slice exchange, combined in rank order.
+def slice_exchange(
+    comm: Comm, array: np.ndarray, counts: Sequence[int], axis: int = 0
+) -> List[np.ndarray]:
+    """The movement half of a reduce-scatter: every rank's slice of my index.
 
     Rank ``r`` sends rank ``t`` only slice ``t`` of its input (the
-    ``counts[t]`` entries along ``axis`` that ``t`` will own), receives the
-    ``p - 1`` slices of its own index and reduces the ``p`` of them with
-    :meth:`ReduceOp.combine` in rank order — the values and the order the
-    slot-based :meth:`Comm.reduce_scatter` combines, so the result is
-    bitwise equal to it (recursive halving's pairwise partial sums are not).
+    ``counts[t]`` entries along ``axis`` that ``t`` will own) and returns the
+    ``p`` slices of its own index in rank order, its own a view of ``array``.
+    Reducing them with :meth:`ReduceOp.combine` reduces the values, in the
+    order, that a reduce-scatter over deposit slots reduces — so the result
+    is bitwise equal to it (recursive halving's pairwise partial sums are
+    not).
 
     Each rank sends ``n - counts[r]·row_words`` words — the §2.3 volume
     ``(p-1)/p · n`` for an even split — in ``p - 1`` messages rather than
@@ -187,7 +181,7 @@ def slice_exchange_reduce_scatter(
     stream_reduce_scatter`) travels only to the rank that owns it.
 
     ``counts`` must already be validated (one entry per rank, summing to the
-    axis length); with ``out`` the block is reduced into that buffer.
+    axis length).
     """
     array = np.asarray(array)
     p, r = comm.size, comm.rank
@@ -202,12 +196,11 @@ def slice_exchange_reduce_scatter(
         t = (r + step) % p
         if counts[t]:
             comm.send(piece(t), dest=t, tag=_SLICE_TAG)
-    if not counts[r]:
-        return op.combine([piece(r)], out=out)
-    pieces = [
+    if not counts[r]:  # nobody sent this rank anything: p empty slices
+        return [piece(r)] * p
+    return [
         piece(r) if s == r else comm.recv(source=s, tag=_SLICE_TAG) for s in range(p)
     ]
-    return op.combine(pieces, out=out)
 
 
 def recursive_halving_reduce_scatter(

@@ -1,19 +1,28 @@
 """The MPI-like communicator used by the parallel NMF algorithms.
 
 :class:`Comm` exposes the subset of MPI that Algorithms 2 and 3 of the paper
-need — point-to-point ``send``/``recv``, ``barrier``, ``bcast``, ``gather``,
-``scatter``, ``allgather`` (plus a concatenating ``allgatherv``),
-``reduce_scatter``, ``allreduce`` and ``split`` — with numpy-buffer semantics
-matching mpi4py's uppercase, buffer-based API (the fast path the mpi4py
-tutorial recommends for array data).
+need — the three collectives of §2.3 (``allgather`` plus a concatenating
+``allgatherv``, ``reduce_scatter``, ``allreduce``), their nonblocking twins,
+point-to-point ``send``/``recv``, ``barrier`` and ``split`` — with
+numpy-buffer semantics matching mpi4py's uppercase, buffer-based API (the
+fast path the mpi4py tutorial recommends for array data).
 
-Collectives follow a deposit / barrier / compute / barrier protocol on the
-shared slots of the group's :class:`~repro.comm.backends.base.SharedGroupState`:
-every rank deposits its contribution, waits, reads the contributions of all
-ranks to compute its own result, and waits again so no rank can start the
-next collective while a peer is still reading.  Reductions are evaluated in
-rank order on every rank, so all ranks observe bitwise-identical results
-(deterministic independent of thread scheduling).
+A collective is *movement* plus a *rank-order combine*, and each is written
+once.  The body validates, moves, and then runs one ``np.concatenate`` or one
+:meth:`ReduceOp.combine` over the contributions in rank order — so every rank,
+on every backend and in every completion mode, computes bitwise-identical
+results.  Movement is one of two private primitives (:meth:`Comm._from_all`:
+every rank's value; :meth:`Comm._own_slices`: the ``p`` slices of my index),
+and a communicator picks how to move from what it can observe:
+
+* **slots** — its group state has deposit slots
+  (:class:`~repro.comm.backends.base.SharedGroupState`): deposit, barrier,
+  read the peers' deposits as views, barrier again so no rank can start the
+  next collective while a peer is still reading;
+* **p2p** — the state has none (``socket``, ``mpi``), or the communicator is
+  a nonblocking helper's shadow: the two byte movers of
+  :mod:`repro.comm.collectives` over ``send``/``recv``, silenced on the
+  ledger.
 
 Each communicator can carry a :class:`~repro.comm.cost.CostLedger`; every
 collective then records the number of words and messages the *optimal* MPI
@@ -27,21 +36,13 @@ import contextlib
 import enum
 import queue
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.backends.base import SharedGroupState
 from repro.comm.cost import CostLedger
-from repro.comm.nonblocking import (
-    CommHandle,
-    _allgatherv_body,
-    _allreduce_body,
-    _AsyncHandle,
-    _EagerHandle,
-    _HelperRunner,
-    _reduce_scatter_body,
-)
+from repro.comm.nonblocking import CommHandle, _AsyncHandle, _EagerHandle, _HelperRunner
 from repro.comm.workspace import CollectiveWorkspace
 from repro.util.errors import CommunicatorError
 
@@ -134,6 +135,10 @@ class Comm:
         self._split_count = 0
         self._ledger = ledger
         self._workspace: Optional[CollectiveWorkspace] = None
+        # How collectives move (see the module docstring): point-to-point when
+        # the state has no deposit slots; _make_shadow also sets it on a
+        # helper thread's shadow, which must keep off its issuer's slots.
+        self._p2p = state.slots is None
         # Nonblocking-collective state: shadow-communicator traffic must
         # never hit the ledger (_silent), handles get a per-communicator
         # issue tag (_nb_seq), and helper-mode backends lazily get one
@@ -201,12 +206,12 @@ class Comm:
         array: np.ndarray,
         expected_shape: Optional[Tuple[int, ...]] = None,
     ) -> None:
-        """Validate a caller-provided ``out`` buffer *before* any deposit.
+        """Validate a caller-provided ``out`` buffer *before* any movement.
 
-        Raising before the first barrier keeps the failure symmetric across
-        ranks (every rank rejects its own bad buffer) and the communicator
-        usable afterwards; an exception between the two barriers of a
-        collective would leave the deposit slots in an undefined state.
+        Raising before the first deposit or send keeps the failure symmetric
+        across ranks (every rank rejects its own bad buffer) and the
+        communicator usable afterwards; an exception in mid-movement would
+        leave deposit slots or mailboxes in an undefined state.
 
         Checks: ``out`` must not alias the input (peers read the deposited
         input while the result is written), must match ``expected_shape``
@@ -225,6 +230,28 @@ class Comm:
                 f"out buffer has shape {out.shape}, expected {tuple(expected_shape)}"
             )
         _require_safe_cast(array.dtype, out, "contribution")
+
+    @classmethod
+    def _validate_gather_out(
+        cls, out: Optional[np.ndarray], array: np.ndarray, axis: int
+    ) -> None:
+        """:meth:`_validate_out` for a gather that concatenates along ``axis``.
+
+        The axis length of the result depends on every rank's block and is
+        only checkable after the gather, but the rank and the other
+        dimensions are known up front.
+        """
+        cls._validate_out(out, array)
+        if out is None:
+            return
+        norm_axis = axis % array.ndim if array.ndim else 0
+        if out.ndim != array.ndim or any(
+            out.shape[d] != array.shape[d] for d in range(array.ndim) if d != norm_axis
+        ):
+            raise CommunicatorError(
+                f"out buffer shape {out.shape} is incompatible with "
+                f"gathered blocks of shape {array.shape} along axis {axis}"
+            )
 
     def _scatter_counts(
         self,
@@ -256,18 +283,6 @@ class Comm:
         self._validate_out(out, array, expected_shape=tuple(expected_shape))
         return counts
 
-    @staticmethod
-    def _copy_result(out: np.ndarray, array: np.ndarray) -> np.ndarray:
-        """Copy ``array`` into ``out`` with the same safe-cast rule as combine.
-
-        Used by the size-1 fast paths so a lossy ``out`` dtype is rejected
-        identically regardless of communicator size.
-        """
-        array = np.asarray(array)
-        _require_safe_cast(array.dtype, out, "result")
-        np.copyto(out, array)
-        return out
-
     @contextlib.contextmanager
     def _compute_phase(self):
         """The read/compute window between a collective's two barriers.
@@ -292,7 +307,7 @@ class Comm:
         self._state.wait()
 
     def _record(self, operation: str, n_words: float) -> None:
-        if self._silent:
+        if self._silent or self.size == 1:  # a singleton moves nothing
             return
         ledger = self.ledger
         if ledger is not None:
@@ -306,11 +321,10 @@ class Comm:
         the panel-streamed reduce-scatter issues one ``ireduce_scatter`` per
         panel with ``record=False`` and then books a single monolithic entry
         here, so the ledger carries exactly the call/word/message totals the
-        blocking call would have recorded.  Mirrors the blocking collectives'
-        size-1 fast path (nothing is recorded on a singleton communicator).
+        blocking call would have recorded (nothing, on a singleton
+        communicator).
         """
-        if self.size > 1:
-            self._record(operation, n_words)
+        self._record(operation, n_words)
 
     @contextlib.contextmanager
     def _silenced(self):
@@ -343,10 +357,17 @@ class Comm:
         box.put((tag, obj))
         self._record("send", _nwords(obj))
 
-    def recv(self, source: int, tag: int = 0, timeout: float = 60.0) -> Any:
-        """Receive the next message from ``source`` with matching ``tag``."""
+    def recv(self, source: int, tag: int = 0, timeout: Optional[float] = None) -> Any:
+        """Receive the next message from ``source`` with matching ``tag``.
+
+        Without ``timeout`` the wait is bounded by the group state's
+        ``recv_timeout`` — the backend's own limit, so the receives inside a
+        point-to-point collective give up when its barriers would.
+        """
         if not 0 <= source < self.size:
             raise CommunicatorError(f"source {source} out of range for size {self.size}")
+        if timeout is None:
+            timeout = self._state.recv_timeout
         box = self._state.mailbox(source, self.rank)
         try:
             got_tag, payload = box.get(timeout=timeout)
@@ -368,57 +389,85 @@ class Comm:
         self.send(obj, dest, tag=tag)
         return self.recv(source, tag=tag)
 
+    # -- movement: the two primitives every collective is written against -----
+    @contextlib.contextmanager
+    def _from_all(self, value: Any):
+        """Every rank's ``value``, in rank order, readable until the block exits.
+
+        Over slots the peers' entries are views of their deposits — valid only
+        between the collective's two barriers, so whatever outlives the block
+        must be copied out of them inside it.
+        """
+        if self.size == 1:
+            yield [value]
+        elif self._p2p:
+            from repro.comm.collectives import recursive_doubling_allgather
+
+            with self._silenced():
+                values = recursive_doubling_allgather(self, value)
+            yield values
+        else:
+            slots = self._state.slots
+            slots[self.rank] = value
+            with self._compute_phase():
+                yield [value if r == self.rank else slots[r] for r in range(self.size)]
+
+    @contextlib.contextmanager
+    def _own_slices(self, array: np.ndarray, counts: Sequence[int], axis: int):
+        """The ``p`` slices of this rank's index, in rank order, until the block exits.
+
+        Slice ``r`` of an array is its ``counts[r]`` entries along ``axis``
+        after the first ``sum(counts[:r])``; every rank passes an identically
+        shaped ``array`` and gets each rank's slice number ``self.rank``.
+        """
+        if self.size == 1:
+            yield [array]
+        elif self._p2p:
+            from repro.comm.collectives import slice_exchange
+
+            with self._silenced():
+                pieces = slice_exchange(self, array, counts, axis)
+            yield pieces
+        else:
+            lo = sum(counts[: self.rank])
+            index: List[Any] = [slice(None)] * array.ndim
+            index[axis] = slice(lo, lo + counts[self.rank])
+            slots = self._state.slots
+            slots[self.rank] = array
+            with self._compute_phase():
+                yield [slots[r][tuple(index)] for r in range(self.size)]
+
     @staticmethod
     def _detach(value: Any) -> Any:
-        """Copy an ndarray read from a peer's deposit slot before it escapes.
+        """Copy an ndarray gathered from a peer before it escapes.
 
-        Slot reads may be views of a buffer the peer reuses for its next
-        deposit (the process backend's shared-memory segments), so any array
-        that outlives the collective's closing barrier must be detached.
-        Non-array objects keep reference semantics (the object collectives'
-        pickle-style contract).
+        A gathered value may be a view of a buffer the peer reuses for its
+        next deposit (the process backend's shared-memory segments) or the
+        peer's own array (an in-process mailbox), so any array that outlives
+        the collective must be detached.  Non-array objects keep reference
+        semantics (the object collectives' pickle-style contract).
         """
         return value.copy() if isinstance(value, np.ndarray) else value
 
-    # -- object collectives (pickle-style, small metadata only) -------------
+    # -- collectives: validate, move, one rank-order combine, one ledger entry --
     def allgather_object(self, obj: Any) -> List[Any]:
         """Gather one arbitrary Python object from every rank (returned in rank order)."""
-        if self.size == 1:
-            return [obj]
-        self._state.slots[self.rank] = obj
-        with self._compute_phase():
-            out = [
-                obj if r == self.rank else self._detach(self._state.slots[r])
-                for r in range(self.size)
+        with self._from_all(obj) as values:
+            gathered = [
+                obj if r == self.rank else self._detach(v) for r, v in enumerate(values)
             ]
         self._record("all_gather", _nwords(obj) * self.size)
-        return out
+        return gathered
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast ``obj`` from ``root`` to all ranks."""
-        if self.size == 1:
-            return obj
-        if self.rank == root:
-            self._state.slots[root] = obj
-        with self._compute_phase():
-            # The root hands back the caller's own object; peers detach their
-            # slot read so it cannot alias the root's next deposit.
-            value = obj if self.rank == root else self._detach(self._state.slots[root])
-        self._record("broadcast", _nwords(value))
-        return value
-
-    # -- array collectives ---------------------------------------------------
     def allgather(self, array: np.ndarray) -> List[np.ndarray]:
         """All-gather: every rank receives the list of all ranks' arrays."""
         array = np.asarray(array)
-        if self.size == 1:
-            return [array]
-        self._state.slots[self.rank] = array
-        with self._compute_phase():
-            gathered = [np.asarray(self._state.slots[r]).copy() if r != self.rank else array
-                        for r in range(self.size)]
-        total_words = sum(_nwords(g) for g in gathered)
-        self._record("all_gather", total_words)
+        with self._from_all(array) as parts:
+            gathered = [
+                array if r == self.rank else self._detach(part)
+                for r, part in enumerate(parts)
+            ]
+        self._record("all_gather", sum(_nwords(g) for g in gathered))
         return gathered
 
     def allgatherv(
@@ -427,97 +476,25 @@ class Comm:
         """All-gather and concatenate along ``axis`` (blocks may differ in size).
 
         With ``out`` the concatenated result is written into the provided
-        buffer (avoiding both the per-block copies and the concatenation
-        allocation) and ``out`` is returned; its shape must equal the
-        concatenated shape.
+        buffer (avoiding the concatenation allocation) and ``out`` is
+        returned; its shape must equal the concatenated shape.
         """
         array = np.asarray(array)
-        self._validate_out(out, array)
-        if out is not None:
-            # The axis length of the result depends on every rank's block and
-            # is only checkable after the gather, but the rank and the other
-            # dimensions are known now — reject bad buffers before any
-            # deposit so the failure is symmetric across ranks.
-            norm_axis = axis % array.ndim if array.ndim else 0
-            if out.ndim != array.ndim or any(
-                out.shape[d] != array.shape[d]
-                for d in range(array.ndim)
-                if d != norm_axis
-            ):
-                raise CommunicatorError(
-                    f"out buffer shape {out.shape} is incompatible with "
-                    f"gathered blocks of shape {array.shape} along axis {axis}"
-                )
-        if self.size == 1:
-            if out is None:
-                return array
-            if out.shape != array.shape:
-                raise CommunicatorError(
-                    f"out buffer has shape {out.shape}, expected {array.shape}"
-                )
-            return self._copy_result(out, array)
-        if out is None:
-            return np.concatenate(self.allgather(array), axis=axis)
-        # Concatenate straight from the deposit slots into the caller's
-        # buffer: between the two barriers peers cannot mutate their deposits,
-        # so the intermediate per-block copies of allgather() are unnecessary.
-        self._state.slots[self.rank] = array
-        with self._compute_phase():
-            parts = [np.asarray(self._state.slots[r]) for r in range(self.size)]
-            _require_safe_cast(np.result_type(*parts), out, "gathered")
+        self._validate_gather_out(out, array, axis)
+        with self._from_all(array) as parts:
+            if out is not None:
+                _require_safe_cast(np.result_type(*parts), out, "gathered")
             try:
-                np.concatenate(parts, axis=axis, out=out)
+                result = np.concatenate(parts, axis=axis, out=out)
             except ValueError as exc:
+                if out is None:
+                    raise
                 raise CommunicatorError(
                     f"out buffer shape {out.shape} does not match the "
                     f"gathered result: {exc}"
                 ) from exc
-        self._record("all_gather", sum(_nwords(p) for p in parts))
-        return out
-
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        """Gather arrays on ``root``; other ranks receive ``None``."""
-        array = np.asarray(array)
-        if self.size == 1:
-            return [array]
-        self._state.slots[self.rank] = array
-        with self._compute_phase():
-            result = None
-            if self.rank == root:
-                result = [np.asarray(self._state.slots[r]).copy() for r in range(self.size)]
-        self._record("gather", _nwords(array) * self.size)
-        return result
-
-    def scatter(self, arrays: Optional[Sequence[np.ndarray]], root: int = 0) -> np.ndarray:
-        """Scatter a per-rank list from ``root``; returns this rank's element."""
-        if self.size == 1:
-            assert arrays is not None
-            return np.asarray(arrays[0])
-        if self.rank == root:
-            if arrays is None or len(arrays) != self.size:
-                raise CommunicatorError(
-                    f"root must provide exactly {self.size} arrays to scatter"
-                )
-            self._state.slots[root] = [np.asarray(a) for a in arrays]
-        with self._compute_phase():
-            mine = np.asarray(self._state.slots[root][self.rank]).copy()
-        self._record("scatter", _nwords(mine) * self.size)
-        return mine
-
-    def reduce(self, array: np.ndarray, root: int = 0, op: ReduceOp = ReduceOp.SUM
-               ) -> Optional[np.ndarray]:
-        """Reduce arrays elementwise onto ``root``; other ranks receive ``None``."""
-        array = np.asarray(array)
-        if self.size == 1:
-            return array.copy()
-        self._state.slots[self.rank] = array
-        with self._compute_phase():
-            result = None
-            if self.rank == root:
-                result = op.combine(
-                    [np.asarray(self._state.slots[r]) for r in range(self.size)]
-                )
-        self._record("reduce", _nwords(array))
+            words = sum(_nwords(part) for part in parts)
+        self._record("all_gather", words)
         return result
 
     def allreduce(
@@ -531,18 +508,16 @@ class Comm:
         With ``out`` the reduction is computed into the provided buffer
         (which is returned) instead of a fresh allocation; ``out`` must not
         alias ``array``.
+
+        Every rank's whole contribution is moved and combined locally —
+        ``(p-1) · n`` words where a reduce-scatter + all-gather would move
+        ``2 (p-1)/p · n``: the all-reduces of Algorithms 2 and 3 carry
+        ``k × k`` Grams and scalars, which are latency-bound.
         """
         array = np.asarray(array)
         self._validate_out(out, array, expected_shape=array.shape)
-        if self.size == 1:
-            if out is None:
-                return array.copy()
-            return self._copy_result(out, array)
-        self._state.slots[self.rank] = array
-        with self._compute_phase():
-            result = op.combine(
-                [np.asarray(self._state.slots[r]) for r in range(self.size)], out=out
-            )
+        with self._from_all(array) as parts:
+            result = op.combine(parts, out=out)
         self._record("all_reduce", _nwords(array))
         return result
 
@@ -574,18 +549,7 @@ class Comm:
         """
         array = np.asarray(array)
         counts = self._scatter_counts(array, counts, axis, out)
-        if self.size == 1:
-            if out is None:
-                return array.copy()
-            return self._copy_result(out, array)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        self._state.slots[self.rank] = array
-        with self._compute_phase():
-            lo, hi = offsets[self.rank], offsets[self.rank + 1]
-            index: List[Any] = [slice(None)] * array.ndim
-            index[axis] = slice(lo, hi)
-            index = tuple(index)
-            pieces = [np.asarray(self._state.slots[r])[index] for r in range(self.size)]
+        with self._own_slices(array, counts, axis) as pieces:
             result = op.combine(pieces, out=out)
         self._record("reduce_scatter", _nwords(array))
         return result
@@ -631,12 +595,15 @@ class Comm:
         communicator is temporarily silenced during the split; the shadow is
         permanently silent and detached from the parent chain (the helper
         thread holds it, and a parent reference would keep the issuing
-        communicator alive forever).
+        communicator alive forever).  It moves point-to-point whatever the
+        backend: its mailboxes are its own, while deposit slots may be the
+        issuing rank's (the process backend has one segment per rank).
         """
         with self._silenced():
             shadow = self.split(color=0, key=self.rank)
         shadow._silent = True
         shadow._parent = None
+        shadow._p2p = True
         return shadow
 
     def ensure_nonblocking(self, eager: bool = False) -> bool:
@@ -676,13 +643,20 @@ class Comm:
     def _issue(
         self,
         op: str,
-        blocking_call,
-        body_factory,
         ledger_op: str,
+        array: np.ndarray,
         out: Optional[np.ndarray],
+        collective: Callable[["Comm", np.ndarray], np.ndarray],
+        words: Optional[float] = None,
         record: bool = True,
     ) -> CommHandle:
-        """Shared issue path: eager completion or helper submission.
+        """Shared issue path: ``collective(comm, array)`` now, or on the helper.
+
+        ``collective`` is the blocking body; eager, it runs on this
+        communicator (and books its own ledger entry); helped, it runs on
+        the silent shadow over a snapshot of ``array`` and the handle books
+        ``ledger_op`` when it completes — with ``words``, or without them the
+        size of the result (a gather's, in elements of the input's width).
 
         With ``record=False`` the operation leaves no ledger entry at all —
         the caller is expected to book one modeled collective for a whole
@@ -694,24 +668,22 @@ class Comm:
         if self._nonblocking_eager:
             start = time.perf_counter()
             try:
-                if record:
-                    result = blocking_call()
-                else:
-                    with self._silenced():
-                        result = blocking_call()
+                with contextlib.nullcontext() if record else self._silenced():
+                    result = collective(self, array)
             except BaseException:
                 if unpin is not None:
                     unpin()
                 raise
             return _EagerHandle(op, tag, result, time.perf_counter() - start, unpin=unpin)
         self.ensure_nonblocking()
-        handle = _AsyncHandle(
-            op,
-            tag,
-            unpin=unpin,
-            record=(lambda words: self._record(ledger_op, words)) if record else None,
-        )
-        self._nb_runner.submit(handle, body_factory())
+        itemsize = array.itemsize  # the handle must not keep ``array`` alive
+
+        def book(result: np.ndarray) -> None:
+            self._record(ledger_op, result.size * itemsize / 8.0 if words is None else words)
+
+        handle = _AsyncHandle(op, tag, unpin=unpin, record=book if record else None)
+        snapshot = array.copy()
+        self._nb_runner.submit(handle, lambda shadow: collective(shadow, snapshot))
         return handle
 
     def iallgatherv(
@@ -725,24 +697,13 @@ class Comm:
         ``wait()`` (workspace buffers enforce this via pinning).
         """
         array = np.asarray(array)
-        self._validate_out(out, array)
-        if out is not None:
-            norm_axis = axis % array.ndim if array.ndim else 0
-            if out.ndim != array.ndim or any(
-                out.shape[d] != array.shape[d]
-                for d in range(array.ndim)
-                if d != norm_axis
-            ):
-                raise CommunicatorError(
-                    f"out buffer shape {out.shape} is incompatible with "
-                    f"gathered blocks of shape {array.shape} along axis {axis}"
-                )
+        self._validate_gather_out(out, array, axis)
         return self._issue(
             "iallgatherv",
-            lambda: self.allgatherv(array, axis=axis, out=out),
-            lambda: _allgatherv_body(array.copy(), axis, out),
             "all_gather",
+            array,
             out,
+            lambda comm, block: comm.allgatherv(block, axis=axis, out=out),
         )
 
     def iallreduce(
@@ -753,10 +714,6 @@ class Comm:
         record: bool = True,
     ) -> CommHandle:
         """Nonblocking :meth:`allreduce`; returns a :class:`CommHandle`.
-
-        Byte-identical to the blocking call: the helper gathers the full
-        contributions point-to-point and combines them in rank order, the
-        same order the native collective uses.
 
         ``record=False`` suppresses this operation's ledger entry so a caller
         can book it via :meth:`record_collective` at the *blocking schedule's
@@ -769,10 +726,11 @@ class Comm:
         self._validate_out(out, array, expected_shape=array.shape)
         return self._issue(
             "iallreduce",
-            lambda: self.allreduce(array, op=op, out=out),
-            lambda: _allreduce_body(array.copy(), op, out),
             "all_reduce",
+            array,
             out,
+            lambda comm, block: comm.allreduce(block, op=op, out=out),
+            words=_nwords(array),
             record=record,
         )
 
@@ -796,10 +754,13 @@ class Comm:
         counts = self._scatter_counts(array, counts, axis, out)
         return self._issue(
             "ireduce_scatter",
-            lambda: self.reduce_scatter(array, counts=counts, axis=axis, op=op, out=out),
-            lambda: _reduce_scatter_body(array.copy(), counts, axis, op, out),
             "reduce_scatter",
+            array,
             out,
+            lambda comm, block: comm.reduce_scatter(
+                block, counts=counts, axis=axis, op=op, out=out
+            ),
+            words=_nwords(array),
             record=record,
         )
 
@@ -840,31 +801,9 @@ class Comm:
                 self._state.registry[reg_key] = sub_state
         # Make sure every rank observed its sub-state before anyone proceeds.
         self.barrier()
-        return self._make_comm(
-            state=sub_state,
-            rank=new_rank,
-            group_ranks=group_world_ranks,
-            parent=self,
+        return Comm(
+            state=sub_state, rank=new_rank, group_ranks=group_world_ranks, parent=self
         )
-
-    def _make_comm(
-        self,
-        state: SharedGroupState,
-        rank: int,
-        group_ranks: Tuple[int, ...],
-        parent: "Comm",
-    ) -> "Comm":
-        """Construct the communicator :meth:`split` returns (subclass hook).
-
-        Wire communicators (the socket backend's :class:`SocketComm`)
-        override this so the row/column sub-communicators of the process
-        grid — and the silent shadow communicators of the nonblocking
-        helpers — keep the wire collectives rather than degrading to the
-        slot-based base class.  Not simply ``type(self)`` because subclasses
-        with different constructor signatures (:class:`SelfComm`) must not
-        be re-instantiated blindly.
-        """
-        return Comm(state=state, rank=rank, group_ranks=group_ranks, parent=parent)
 
     def dup(self) -> "Comm":
         """Return a communicator over the same group with fresh shared state."""

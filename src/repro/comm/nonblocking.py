@@ -9,59 +9,31 @@ primitive the Algorithm 2/3 loops are written against (one program; see
 behind the opposite half-iteration's local compute (paper §4.3: the
 collective terms are the dominant exposed cost once the local NLS is fast).
 
-Execution strategy — per communicator:
+Completion mode — per communicator:
 
-* ``"eager"``: the handle completes *at issue time* by running the native
-  blocking collective; its seconds are booked exposed, there is no helper
-  thread and no shadow communicator.  Three reasons a communicator is eager:
-  the backend declares it (``SharedGroupState.nonblocking_mode`` — lockstep,
-  whose scheduler must stay a deterministic single-runnable-rank baton pass
-  to remain the byte-identical semantics oracle, and mpi); its size is 1
+* ``"eager"``: the handle completes *at issue time* by running the blocking
+  collective; its seconds are booked exposed, there is no helper thread and
+  no shadow communicator.  Three reasons a communicator is eager: the backend
+  declares it (``SharedGroupState.nonblocking_mode`` — lockstep, whose
+  scheduler must stay a deterministic single-runnable-rank baton pass to
+  remain the byte-identical semantics oracle, and mpi); its size is 1
   (nothing to overlap); or the caller asked for it
   (``ensure_nonblocking(eager=True)`` — how ``overlap=False`` runs the loops
   strictly blocking).
 * ``"helper"`` (thread, process and socket backends otherwise): a
-  per-communicator daemon thread executes the operation over the
-  point-to-point mailboxes of a *silent shadow communicator* (a ``split`` of
-  the issuing communicator that never records ledger entries).  Progress is
-  genuinely asynchronous wherever the transport releases the GIL — always on
-  the forked backends, whose mailboxes are frames on a TCP mesh.
+  per-communicator daemon thread runs **the same blocking body** on a *silent
+  shadow communicator* (a ``split`` of the issuing communicator that never
+  records ledger entries and always moves point-to-point; see
+  :mod:`repro.comm.communicator`).  Progress is genuinely asynchronous
+  wherever the transport releases the GIL — always on the forked backends,
+  whose mailboxes are frames on a TCP mesh.
 
-Byte-identity
--------------
-The native blocking reductions combine all ``p`` contributions **in rank
-order** (that is what makes every backend bitwise-reproducible), whereas the
-recursive-halving/doubling reduction algorithms combine pairwise — different
-floating-point rounding.  The helper path therefore composes every
-nonblocking operation from a point-to-point algorithm that *only moves
-bytes* — :func:`~repro.comm.collectives.recursive_doubling_allgather` for the
-all-gather and the all-reduce,
-:func:`~repro.comm.collectives.slice_exchange_reduce_scatter` for the
-reduce-scatter — followed by the same rank-order :meth:`ReduceOp.combine` /
-``np.concatenate`` the native collective performs.  A nonblocking collective
-returns a result byte-identical to its blocking counterpart on every
-backend, which is what makes the loops' factors independent of the
-completion mode.
-
-Cost accounting
----------------
-For the two collectives that carry the factor blocks, what the helper
-physically moves is what the §2.3 model charges: the slice exchange sends
-rank ``t`` only the slice ``t`` will own, and recursive doubling forwards
-each block once, so a rank sends ``(p-1)/p · n`` words per reduce-scatter or
-all-gather (on power-of-two sizes; the fold/unfold rounds of other sizes
-re-send some blocks).  The reduce-scatter takes ``p - 1`` messages where the
-model's recursive halving takes ``log p`` — the price of combining in rank
-order.  The all-reduce still gathers every rank's whole contribution and
-combines locally, ``(p-1) · n`` words instead of ``2 (p-1)/p · n``: it only
-ever carries the ``k × k`` Grams and scalars, which are latency-bound, and a
-reduce-scatter + all-gather would double their message count.
-
-The :class:`CostLedger` records *modeled* optimal-collective volume either
-way: each handle records the same operation name and word count as the
-blocking call would, on the issuing communicator, when the handle completes.
-Helper and eager runs therefore produce identical ledgers (the acceptance
-criterion that communication *volume* stays on the paper's Table 2).
+There is one body per collective, so a handle's result is byte-identical to
+the blocking call's by construction, and what the helper physically moves is
+what the ``socket`` backend moves.  The :class:`CostLedger` records *modeled*
+optimal-collective volume either way: the handle books the operation name and
+word count the blocking call would, on the issuing communicator, when it
+completes — helper and eager runs produce identical ledgers.
 
 One modeled collective may be carried by several physical handles: the
 panel-streamed reduce-scatter (:mod:`repro.comm.panels`) issues one
@@ -85,12 +57,9 @@ import queue
 import threading
 import time
 import weakref
-from typing import Any, Callable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Optional, Sequence
 
 from repro.comm.profiler import Profiler, TaskCategory
-from repro.util.errors import CommunicatorError
 
 __all__ = ["CommHandle", "drain", "finish"]
 
@@ -185,20 +154,19 @@ class _AsyncHandle(CommHandle):
         op: str,
         tag: int,
         unpin: Optional[Callable[[], None]] = None,
-        record: Optional[Callable[[float], None]] = None,
+        record: Optional[Callable[[Any], None]] = None,
     ):
         super().__init__(op, tag, unpin=unpin)
+        #: Books the ledger entry from the result, on the caller's thread.
         self._record = record
         self._event = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
         self._duration = 0.0
-        self._words = 0.0
 
     # -- helper-thread side --------------------------------------------------
-    def _complete(self, result: Any, words: float, duration: float) -> None:
+    def _complete(self, result: Any, duration: float) -> None:
         self._result = result
-        self._words = words
         self._duration = duration
         self._event.set()
 
@@ -220,7 +188,7 @@ class _AsyncHandle(CommHandle):
         self.hidden_seconds = max(0.0, self._duration - self.exposed_seconds)
         super()._finalize_once()
         if self._error is None and self._record is not None:
-            self._record(self._words)
+            self._record(self._result)
 
     def wait(self) -> Any:
         if not self._event.is_set():
@@ -265,7 +233,8 @@ class _HelperRunner:
         # keep them alive forever); the queue alone is enough.
         self._finalizer = weakref.finalize(owner, _request_shutdown, self._queue)
 
-    def submit(self, handle: _AsyncHandle, fn: Callable[[Any], Tuple[Any, float]]) -> None:
+    def submit(self, handle: _AsyncHandle, fn: Callable[[Any], Any]) -> None:
+        """Queue ``fn(shadow)``; its return value completes ``handle``."""
         self._queue.put((handle, fn))
 
     def shutdown(self, timeout: float = 5.0) -> None:
@@ -282,78 +251,15 @@ class _HelperRunner:
             handle, fn = item
             start = time.perf_counter()
             try:
-                result, words = fn(self._shadow)
+                result = fn(self._shadow)
             except BaseException as exc:  # noqa: BLE001 - delivered via wait()
                 handle._fail(exc, time.perf_counter() - start)
             else:
-                handle._complete(result, words, time.perf_counter() - start)
+                handle._complete(result, time.perf_counter() - start)
 
 
 def _request_shutdown(q: "queue.SimpleQueue") -> None:
     q.put(_SHUTDOWN)
-
-
-def _nwords(obj: Any) -> float:
-    from repro.comm.communicator import _nwords as nwords
-
-    return nwords(obj)
-
-
-# -- the helper-side operation bodies ---------------------------------------
-# Each returns (result, ledger_words) and must be byte-identical to the
-# native blocking collective it stands in for: the point-to-point algorithm
-# only moves bytes, then the rank-order combine/concatenate of the native
-# protocol runs locally.
-
-def _allgatherv_body(
-    array: np.ndarray, axis: int, out: Optional[np.ndarray]
-) -> Callable[[Any], Tuple[np.ndarray, float]]:
-    def run(shadow: Any) -> Tuple[np.ndarray, float]:
-        from repro.comm.collectives import recursive_doubling_allgather
-        from repro.comm.communicator import _require_safe_cast
-
-        parts = recursive_doubling_allgather(shadow, array)
-        words = float(sum(_nwords(p) for p in parts))
-        if out is None:
-            return np.concatenate(parts, axis=axis), words
-        _require_safe_cast(np.result_type(*parts), out, "gathered")
-        try:
-            np.concatenate(parts, axis=axis, out=out)
-        except ValueError as exc:
-            raise CommunicatorError(
-                f"out buffer shape {out.shape} does not match the gathered result: {exc}"
-            ) from exc
-        return out, words
-
-    return run
-
-
-def _allreduce_body(
-    array: np.ndarray, op: Any, out: Optional[np.ndarray]
-) -> Callable[[Any], Tuple[np.ndarray, float]]:
-    def run(shadow: Any) -> Tuple[np.ndarray, float]:
-        from repro.comm.collectives import recursive_doubling_allgather
-
-        parts = recursive_doubling_allgather(shadow, array)
-        return op.combine(parts, out=out), _nwords(array)
-
-    return run
-
-
-def _reduce_scatter_body(
-    array: np.ndarray,
-    counts: Sequence[int],
-    axis: int,
-    op: Any,
-    out: Optional[np.ndarray],
-) -> Callable[[Any], Tuple[np.ndarray, float]]:
-    def run(shadow: Any) -> Tuple[np.ndarray, float]:
-        from repro.comm.collectives import slice_exchange_reduce_scatter
-
-        result = slice_exchange_reduce_scatter(shadow, array, counts, axis, op, out)
-        return result, _nwords(array)
-
-    return run
 
 
 def finish(

@@ -52,10 +52,12 @@ class NMFConfig:
         Execution backend for the parallel algorithms, by registry name:
         ``"thread"`` (default; one thread per rank, real overlap where BLAS
         releases the GIL), ``"lockstep"`` (deterministic rank-ordered
-        scheduling, scales to hundreds of simulated ranks) or ``"process"``
+        scheduling, scales to hundreds of simulated ranks), ``"process"``
         (one OS process per rank over shared memory — true parallelism,
-        the measured-speedup substrate).  See :mod:`repro.comm.backends`.
-        Ignored by the sequential algorithm.
+        the measured-speedup substrate), ``"socket"`` (the same processes
+        with every collective as frames on a TCP mesh) or ``"mpi"`` (an
+        ``mpirun`` job, when ``mpi4py`` is installed).  See
+        :mod:`repro.comm.backends`.  Ignored by the sequential algorithm.
     kernel:
         BPP inner-engine selection, by kernels-registry name: ``"batched"``
         (the default, :data:`repro.nls.kernels.DEFAULT_KERNEL`: vectorized

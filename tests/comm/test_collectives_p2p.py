@@ -11,7 +11,7 @@ from repro.comm.collectives import (
     recursive_halving_reduce_scatter,
     reduce_scatter_allgather_allreduce,
     ring_allgather,
-    slice_exchange_reduce_scatter,
+    slice_exchange,
 )
 
 
@@ -106,7 +106,7 @@ def test_max_reduce_scatter():
     assert all(run_spmd(4, program))
 
 
-# -- slice-exchange reduce-scatter: physical volume == modeled volume ---------
+# -- slice exchange (reduce-scatter's movement): physical volume == modeled ----
 
 def _split(p, spread, one_hot):
     """Scatter counts for ``p`` ranks: even, uneven, or all on rank ``one_hot``."""
@@ -132,7 +132,8 @@ def _exchange_program(comm, counts, axis, op):
         plain_send(obj, dest, tag=tag)
 
     comm.send = spying_send
-    mine = slice_exchange_reduce_scatter(comm, local, counts, axis=axis, op=op)
+    pieces = slice_exchange(comm, local, counts, axis=axis)
+    mine = op.combine(pieces)  # the mover only moves; the body combines
     comm.attach_ledger(None)
     return {
         "bitwise": mine.tobytes() == native.tobytes() and mine.shape == native.shape,

@@ -1,15 +1,35 @@
-"""Unit tests for the SPMD communicator's native collectives."""
+"""Unit tests for the SPMD communicator's collectives.
+
+Each collective has one body over two movements, so the movement is a test
+input: ``"thread"`` moves through deposit slots, ``"socket"`` point-to-point.
+"""
 
 import numpy as np
 import pytest
 
-from repro.comm import Comm, ReduceOp, run_spmd
+from repro.comm import ReduceOp, run_spmd
 from repro.comm.cost import CostLedger
 from repro.util.errors import CommunicatorError
 
+MOVEMENTS = ("thread", "socket")
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
-def test_allgather_returns_all_blocks_in_rank_order(p):
+# 3-4 forked ranks oversubscribe small hosts on purpose: parity, not speed.
+pytestmark = pytest.mark.filterwarnings("ignore:.*oversubscribe.*:RuntimeWarning")
+
+
+def movements(*sizes):
+    """``backend, p`` cells: every size over slots, the forked p2p cells up to p = 4.
+
+    The slot cells keep the bare ``p`` as their id (what they were called
+    before the movement became an input).
+    """
+    cells = [pytest.param("thread", p, id=str(p)) for p in sizes]
+    cells += [pytest.param("socket", p, id=f"socket-{p}") for p in sizes if 1 < p <= 4]
+    return pytest.mark.parametrize("backend,p", cells)
+
+
+@movements(1, 2, 3, 4, 7)
+def test_allgather_returns_all_blocks_in_rank_order(backend, p):
     def program(comm):
         local = np.full((2, 3), float(comm.rank))
         gathered = comm.allgather(local)
@@ -18,11 +38,11 @@ def test_allgather_returns_all_blocks_in_rank_order(p):
             np.testing.assert_array_equal(block, np.full((2, 3), float(r)))
         return True
 
-    assert all(run_spmd(p, program))
+    assert all(run_spmd(p, program, backend=backend))
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, 5])
-def test_allgatherv_concatenates_unequal_blocks(p):
+@movements(1, 2, 4, 5)
+def test_allgatherv_concatenates_unequal_blocks(backend, p):
     def program(comm):
         rows = comm.rank + 1
         local = np.arange(rows * 2, dtype=float).reshape(rows, 2) + 100 * comm.rank
@@ -34,11 +54,11 @@ def test_allgatherv_concatenates_unequal_blocks(p):
         np.testing.assert_array_equal(full, expected)
         return True
 
-    assert all(run_spmd(p, program))
+    assert all(run_spmd(p, program, backend=backend))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 6])
-def test_allreduce_sum_matches_numpy(p):
+@movements(1, 2, 3, 6)
+def test_allreduce_sum_matches_numpy(backend, p):
     def program(comm):
         rng = np.random.default_rng(comm.rank)
         local = rng.standard_normal((4, 4))
@@ -47,7 +67,7 @@ def test_allreduce_sum_matches_numpy(p):
         np.testing.assert_allclose(total, expected, rtol=1e-12)
         return True
 
-    assert all(run_spmd(p, program))
+    assert all(run_spmd(p, program, backend=backend))
 
 
 @pytest.mark.parametrize("op,npfunc", [
@@ -65,11 +85,12 @@ def test_allreduce_max_min(op, npfunc):
         np.testing.assert_array_equal(out, expected)
         return True
 
-    assert all(run_spmd(4, program))
+    for backend in MOVEMENTS:
+        assert all(run_spmd(4, program, backend=backend))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_reduce_scatter_even_split(p):
+@movements(1, 2, 3, 4)
+def test_reduce_scatter_even_split(backend, p):
     def program(comm):
         local = np.full((comm.size * 2, 3), float(comm.rank + 1))
         mine = comm.reduce_scatter(local)
@@ -78,7 +99,7 @@ def test_reduce_scatter_even_split(p):
         np.testing.assert_array_equal(mine, np.full((2, 3), float(total)))
         return True
 
-    assert all(run_spmd(p, program))
+    assert all(run_spmd(p, program, backend=backend))
 
 
 def test_reduce_scatter_uneven_counts():
@@ -93,7 +114,8 @@ def test_reduce_scatter_uneven_counts():
         np.testing.assert_allclose(mine, np.arange(10, dtype=float)[lo:hi] * factor)
         return True
 
-    assert all(run_spmd(4, program))
+    for backend in MOVEMENTS:
+        assert all(run_spmd(4, program, backend=backend))
 
 
 def test_reduce_scatter_rejects_bad_counts():
@@ -101,37 +123,11 @@ def test_reduce_scatter_rejects_bad_counts():
         local = np.zeros(10)
         with pytest.raises(CommunicatorError):
             comm.reduce_scatter(local, counts=[5, 6])
-        return True
+        # Rejected before any movement: the communicator is still usable.
+        return comm.allreduce_scalar(1.0) == comm.size
 
-    assert all(run_spmd(2, program))
-
-
-@pytest.mark.parametrize("p", [2, 5])
-def test_bcast_from_nonzero_root(p):
-    def program(comm):
-        root = comm.size - 1
-        payload = np.arange(6, dtype=float) if comm.rank == root else None
-        out = comm.bcast(payload, root=root)
-        np.testing.assert_array_equal(out, np.arange(6, dtype=float))
-        return True
-
-    assert all(run_spmd(p, program))
-
-
-def test_gather_and_scatter_roundtrip():
-    def program(comm):
-        local = np.array([comm.rank, comm.rank * 10], dtype=float)
-        gathered = comm.gather(local, root=0)
-        if comm.rank == 0:
-            assert len(gathered) == comm.size
-            back = comm.scatter(gathered, root=0)
-        else:
-            assert gathered is None
-            back = comm.scatter(None, root=0)
-        np.testing.assert_array_equal(back, local)
-        return True
-
-    assert all(run_spmd(3, program))
+    for backend in MOVEMENTS:
+        assert all(run_spmd(2, program, backend=backend))
 
 
 def test_send_recv_pairwise_exchange():
@@ -175,6 +171,23 @@ def test_split_into_rows_and_columns():
     assert all(run_spmd(pr * pc, program))
 
 
+@pytest.mark.parametrize("backend", ["thread", "lockstep", "socket"])
+def test_allgather_object_carries_any_value_as_is(backend):
+    """The set-up collective of ``split`` and ``DistMatrix2D``: a tuple, a
+    dict and ``None`` arrive unchanged on every movement (p = 3 takes the
+    point-to-point mover through its fold/unfold rounds)."""
+    values = [("a", 1), {"rank": 1, "blocks": [1, 2]}, None]
+
+    def program(comm):
+        backwards = comm.split(color=0, key=comm.size - comm.rank)
+        mine = values[comm.rank]
+        return comm.allgather_object(mine), backwards.allgather_object(mine)
+
+    for gathered, gathered_backwards in run_spmd(3, program, backend=backend):
+        assert gathered == values
+        assert gathered_backwards == values[::-1]
+
+
 def test_rank_exception_propagates_to_caller():
     def program(comm):
         if comm.rank == 1:
@@ -201,23 +214,25 @@ def test_allreduce_deterministic_across_ranks():
 
 
 def test_ledger_records_collective_volume():
-    ledgers = [CostLedger() for _ in range(4)]
-
     def program(comm):
-        comm.attach_ledger(ledgers[comm.rank])
+        ledger = CostLedger()
+        comm.attach_ledger(ledger)
         comm.allreduce(np.zeros((5, 5)))
         comm.allgather(np.zeros(10))
         comm.reduce_scatter(np.zeros(8))
-        return True
+        return ledger
 
-    assert all(run_spmd(4, program))
-    for ledger in ledgers:
-        assert ledger.calls_for("all_reduce") == 1
-        assert ledger.calls_for("all_gather") == 1
-        assert ledger.calls_for("reduce_scatter") == 1
-        # all-reduce volume: 2 * (p-1)/p * n = 2 * 3/4 * 25
-        assert ledger.words_for("all_reduce") == pytest.approx(2 * 0.75 * 25)
-        assert ledger.words_for("reduce_scatter") == pytest.approx(0.75 * 8)
+    # The modeled §2.3 entry only, however the bytes moved: the physical
+    # sends of the point-to-point movement never reach the ledger.
+    for backend in MOVEMENTS:
+        for ledger in run_spmd(4, program, backend=backend):
+            assert ledger.calls_for("all_reduce") == 1
+            assert ledger.calls_for("all_gather") == 1
+            assert ledger.calls_for("reduce_scatter") == 1
+            assert ledger.calls_for("send") == 0
+            # all-reduce volume: 2 * (p-1)/p * n = 2 * 3/4 * 25
+            assert ledger.words_for("all_reduce") == pytest.approx(2 * 0.75 * 25)
+            assert ledger.words_for("reduce_scatter") == pytest.approx(0.75 * 8)
 
 
 def test_allreduce_scalar():

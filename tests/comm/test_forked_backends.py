@@ -16,6 +16,7 @@ import os
 import re
 import socket
 import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -33,7 +34,6 @@ from repro.comm.backends import (
 )
 from repro.comm.backends.base import available_cpus
 from repro.comm.backends.forked import _Collector
-from repro.comm.backends.socket import _WireSlots
 from repro.comm.wire import encode_frame_parts, send_frame
 from repro.util.errors import CommunicatorError
 
@@ -163,25 +163,19 @@ class TestForkedBackends:
     def test_object_payloads_take_the_pickle_path(self, backend):
         def program(comm):
             meta = comm.allgather_object({"rank": comm.rank, "tag": "x" * comm.rank})
-            broadcast = comm.bcast({"from": comm.rank} if comm.rank == 1 else None,
-                                   root=1)
-            return [m["rank"] for m in meta], broadcast["from"]
+            return [m["rank"] for m in meta]
 
-        assert run_spmd(3, program, backend=backend) == [([0, 1, 2], 1)] * 3
+        assert run_spmd(3, program, backend=backend) == [[0, 1, 2]] * 3
 
     def test_bcast_and_allgather_object_results_survive_later_collectives(self, backend):
-        """Slot reads must be detached before they escape: a bcast/gathered
-        array must not be rewritten when its owner's segment is reused."""
+        """Slot reads must be detached before they escape: a gathered array
+        must not be rewritten when its owner's segment is reused.  (The name
+        predates the removal of ``bcast``; kept so the test id is stable.)"""
 
         def program(comm):
-            broadcast = comm.bcast(np.arange(4.0) + comm.rank, root=0)
             gathered = comm.allgather_object(np.full(4, float(comm.rank)))
             comm.allreduce(np.full(4, 99.0))  # reuses every deposit segment
-            ok_bcast = broadcast.tolist() == [0.0, 1.0, 2.0, 3.0]
-            ok_gather = all(
-                g.tolist() == [float(r)] * 4 for r, g in enumerate(gathered)
-            )
-            return ok_bcast and ok_gather
+            return all(g.tolist() == [float(r)] * 4 for r, g in enumerate(gathered))
 
         assert all(run_spmd(3, program, backend=backend))
 
@@ -206,6 +200,23 @@ class TestForkedBackends:
         with pytest.raises(CommunicatorError, match="timed out") as excinfo:
             run_spmd(2, program, backend=backend)
         assert "rank 0" in str(excinfo.value)
+
+    def test_backend_timeout_bounds_the_receives_inside_a_collective(self):
+        """A rank that never joins a point-to-point collective is reported
+        by its peer within the backend's ``timeout`` — the limit barriers
+        obey — not after ``recv``'s former fixed 60 s."""
+
+        def program(comm):
+            if comm.rank == 0:
+                comm.allreduce(np.ones(4))
+            else:
+                time.sleep(1.5)  # alive (no EOF to notice), but absent
+
+        start = time.monotonic()
+        with pytest.raises(CommunicatorError, match="timed out after 0.5s") as excinfo:
+            SocketBackend(2, timeout=0.5).run(program)
+        assert time.monotonic() - start < 5.0
+        assert "source rank 1" in str(excinfo.value)
 
     def test_dead_rank_is_detected_and_named(self, backend):
         """A rank that dies without reporting (killed, segfaulted) must not
@@ -325,13 +336,23 @@ class TestSharedMemorySlots:
 
 
 class TestWirePayloads:
-    def test_wire_slots_refuse_shared_memory_semantics(self):
-        slots = _WireSlots(4)
-        assert len(slots) == 4
-        with pytest.raises(CommunicatorError, match="no shared deposit slots"):
-            slots[0]
-        with pytest.raises(CommunicatorError, match="no shared deposit slots"):
-            slots[1] = object()
+    def test_no_slots_and_a_whole_fit_touches_no_shared_memory(self):
+        """Nowhere to deposit is a fact of the group state (``slots is
+        None``), and Algorithm 3 end to end — grid splits, helper shadows,
+        every collective — never creates a shared-memory segment."""
+        from repro.core.config import NMFConfig
+        from repro.core.hpc_nmf import hpc_nmf
+
+        A = np.abs(np.random.default_rng(0).standard_normal((24, 16)))
+        before = _shm_segments()
+
+        def program(comm):
+            row = comm.split(color=comm.rank // 2)
+            slotless = comm._state.slots is None and row._state.slots is None
+            hpc_nmf(comm, A, NMFConfig(k=3, max_iters=2, seed=1))
+            return slotless, _shm_segments() - before
+
+        assert run_spmd(4, program, backend="socket") == [(True, set())] * 4
 
     def test_large_array_crosses_in_one_frame(self):
         def program(comm):

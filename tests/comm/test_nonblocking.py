@@ -18,7 +18,7 @@ from repro.comm.cost import CostLedger
 from repro.comm.nonblocking import finish
 from repro.util.errors import WorkspacePinnedError
 
-BACKENDS = ("lockstep", "thread", "process")
+BACKENDS = ("lockstep", "thread", "process", "socket")
 
 # 3-4 forked ranks oversubscribe small hosts on purpose: parity, not speed (the
 # warning has its own test in tests/comm/test_forked_backends.py).

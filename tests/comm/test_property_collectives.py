@@ -72,18 +72,3 @@ def test_reduce_scatter_is_allreduce_then_slice(p, rows_per_rank, seed, op):
     for rank, (piece, full) in enumerate(results):
         lo, hi = rank * rows_per_rank, (rank + 1) * rows_per_rank
         np.testing.assert_allclose(piece, full[lo:hi], rtol=1e-12)
-
-
-@given(p=st.integers(2, 6), seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_broadcast_delivers_roots_data(p, seed):
-    root = seed % p
-
-    def program(comm):
-        payload = np.arange(8, dtype=float) * (comm.rank + 1) if comm.rank == root else None
-        return comm.bcast(payload, root=root)
-
-    results = run_spmd(p, program)
-    expected = np.arange(8, dtype=float) * (root + 1)
-    for value in results:
-        np.testing.assert_array_equal(value, expected)

@@ -126,21 +126,31 @@ class TestOutBuffers:
         assert result is out
         np.testing.assert_array_equal(out, [4.0, 6.0])
 
+    @pytest.mark.filterwarnings("ignore:.*oversubscribe.*:RuntimeWarning")  # 3 forked ranks
     @pytest.mark.parametrize("p", [1, 3])
     def test_allgatherv_wrong_shape_out_rejected(self, p):
-        def program(comm):
+        """One ``out=`` contract on every movement and completion mode."""
+
+        def program(comm, nonblocking):
+            call = comm.iallgatherv if nonblocking else comm.allgatherv
+            done = (lambda handle: handle.wait()) if nonblocking else (lambda result: result)
             local = np.ones((2, 3))
-            # Wrong non-axis dimension: rejected before any deposit.
-            with pytest.raises(CommunicatorError, match="incompatible"):
-                comm.allgatherv(local, axis=0, out=np.empty((2 * comm.size, 4)))
+            # Wrong rank or non-axis dimension: rejected before any byte moves
+            # (at issue, for a handle), with the same message everywhere.
+            for bad in (np.empty((2 * comm.size, 4)), np.empty((2 * comm.size, 3, 1))):
+                with pytest.raises(CommunicatorError, match="incompatible with gathered blocks"):
+                    call(local, axis=0, out=bad)
             # Wrong axis length: raised as CommunicatorError, not a raw
             # numpy error, and the communicator stays usable.
             with pytest.raises(CommunicatorError, match="shape"):
-                comm.allgatherv(local, axis=0, out=np.empty((2 * comm.size + 1, 3)))
-            gathered = comm.allgatherv(local, axis=0)
+                done(call(local, axis=0, out=np.empty((2 * comm.size + 1, 3))))
+            gathered = done(call(local, axis=0))
+            comm.shutdown_nonblocking()
             return gathered.shape == (2 * comm.size, 3)
 
-        assert all(run_spmd(p, program, backend="lockstep"))
+        for backend in ("thread", "lockstep", "socket"):
+            for nonblocking in (False, True):
+                assert all(run_spmd(p, program, nonblocking, backend=backend))
 
     @pytest.mark.parametrize("backend", ["thread", "lockstep"])
     def test_bad_out_on_subcommunicator_errors_instead_of_hanging(self, backend):
