@@ -104,9 +104,9 @@ def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
     # measure the per-rank GEMM rate under real contention (process backend)
     # rather than extrapolating the single-rank rate — but never launch more
     # probe processes than this process may actually use.  rate_overlap also
-    # measures the achieved compute/comm hiding ratio per backend, so the
-    # pipelined candidates' exposed/hidden split reflects this host rather
-    # than the static DEFAULT_OVERLAP_EFFICIENCY guesses.
+    # measures the hiding ratio the thread backend achieves, so its pipelined
+    # candidates' exposed/hidden split reflects this host rather than the
+    # static DEFAULT_OVERLAP_EFFICIENCY guess.
     from repro.comm.backends.base import available_cpus
 
     return MachineSpec.calibrate(
@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "loops at its issue point (strictly blocking, no "
                            "helper threads) instead of in the background, "
                            "overlapping compute; results are byte-identical "
-                           "either way")
+                           "either way, and on the process, lockstep and mpi "
+                           "backends the flag is a no-op: their handles always "
+                           "complete at issue")
     fact.add_argument("--storage", default=None, choices=list(STORAGE_MODES),
                       help="where each rank's local block of A lives (memory = "
                            "resident, memmap = np.memmap-backed temp files for "
@@ -346,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--backend", default=None, choices=available_backends(),
                       help="also score pipelined-schedule candidates for this "
                            "execution backend (its overlap efficiency decides "
-                           "how much communication hides behind compute)")
+                           "how much communication hides behind compute; "
+                           "none on process, lockstep and mpi, which get "
+                           "blocking plans only)")
     plan.set_defaults(func=_cmd_plan)
 
     var = sub.add_parser("variants", help="list registered NMF variants")

@@ -127,10 +127,10 @@ class SharedGroupState:
     #: How nonblocking collectives progress on this substrate.  ``"helper"``
     #: means a per-communicator daemon thread executes the operation over the
     #: point-to-point mailboxes of a silent shadow communicator — genuinely
-    #: asynchronous wherever the transport releases the GIL.  The lockstep
-    #: state overrides this to ``"eager"``: handles complete at issue time via
-    #: the native blocking collective, preserving the deterministic
-    #: rank-ordered schedule that makes lockstep the semantics oracle.
+    #: asynchronous wherever the transport releases the GIL.  ``"eager"``
+    #: means handles complete at issue time via the native blocking
+    #: collective; the lockstep, mpi and shared-memory (process) states
+    #: declare it, each for the reason :mod:`repro.comm.nonblocking` gives.
     nonblocking_mode = "helper"
 
     #: Seconds ``Comm.recv`` waits when the caller names no ``timeout``.

@@ -20,7 +20,9 @@ owns everything else:
   threads (:mod:`repro.comm.nonblocking`) can block on different tokens
   concurrently.  Sends take a per-peer lock, so frames never interleave.
   The key space: ``("bar", uid, epoch, round, src)`` for the ``log2 p``
-  rounds of the dissemination barrier of group ``uid``, ``("msg", uid, src)``
+  rounds of the dissemination barrier of group ``uid`` (a runtime whose ranks
+  share memory overrides :meth:`ForkedRuntime.barrier` and keeps its tokens
+  there; the mesh still carries its aborts and EOFs), ``("msg", uid, src)``
   for that group's point-to-point mailboxes (per-sender FIFO), and the
   strings :data:`_ABORT` / :data:`_HELLO`, which no tuple key can collide
   with.  Groups created after the fork (``Comm.split``) need no new OS
@@ -367,11 +369,14 @@ class _Mailbox:
 
 
 class ForkedGroupState(SharedGroupState):
-    """Group state whose barriers and mailboxes ride the runtime's TCP mesh.
+    """Group state whose mailboxes ride the runtime's TCP mesh, and whose
+    barriers are the runtime's (mesh tokens, or shared-memory ones).
 
     ``slots`` is whatever the runtime provides for ``members``: shared-memory
-    deposit slots on ``"process"``, none on ``"socket"``.  A receive waits as
-    long as a barrier does: the runtime's ``timeout``.
+    deposit slots on ``"process"``, none on ``"socket"``.  With slots,
+    nonblocking handles complete at issue; without, a helper thread moves
+    them over the mesh.  A receive waits as long as a barrier does: the
+    runtime's ``timeout``.
     """
 
     def __init__(self, runtime: ForkedRuntime, uid: Any, members: Sequence[int]):
@@ -381,6 +386,11 @@ class ForkedGroupState(SharedGroupState):
         self.uid = uid
         self.members = tuple(members)
         self.slots = runtime.make_slots(self.members)
+        if self.slots is not None:
+            # Through slots a collective is this rank's own CPU work (a copy
+            # and a combine between two barriers): nothing progresses while
+            # the rank computes, and a helper thread would only take its core.
+            self.nonblocking_mode = "eager"
 
     def _new_mailbox(self, src: int, dst: int) -> _Mailbox:
         return _Mailbox(self.runtime, self.uid, self.members[src], self.members[dst])

@@ -13,19 +13,25 @@ Completion mode — per communicator:
 
 * ``"eager"``: the handle completes *at issue time* by running the blocking
   collective; its seconds are booked exposed, there is no helper thread and
-  no shadow communicator.  Three reasons a communicator is eager: the backend
-  declares it (``SharedGroupState.nonblocking_mode`` — lockstep, whose
-  scheduler must stay a deterministic single-runnable-rank baton pass to
-  remain the byte-identical semantics oracle, and mpi); its size is 1
+  no shadow communicator.  Three reasons a communicator is eager: the group
+  state declares it (``SharedGroupState.nonblocking_mode``); its size is 1
   (nothing to overlap); or the caller asked for it
   (``ensure_nonblocking(eager=True)`` — how ``overlap=False`` runs the loops
-  strictly blocking).
-* ``"helper"`` (thread, process and socket backends otherwise): a
+  strictly blocking).  The states that declare it: lockstep, whose scheduler
+  must stay a deterministic single-runnable-rank baton pass to remain the
+  byte-identical semantics oracle; mpi, where a helper would need
+  ``MPI_THREAD_MULTIPLE``; and process (a forked group state that has
+  shared-memory slots), where a collective is a copy and a combine by the
+  rank's own CPU between two microsecond barriers — there is no network to
+  progress in the background, and at one rank per core a helper thread only
+  takes the core from the compute it was meant to hide behind (measured
+  ``overlap_eff`` -1.6 ... -3.2 when it had one).
+* ``"helper"`` (thread and socket backends otherwise): a
   per-communicator daemon thread runs **the same blocking body** on a *silent
   shadow communicator* (a ``split`` of the issuing communicator that never
   records ledger entries and always moves point-to-point; see
   :mod:`repro.comm.communicator`).  Progress is genuinely asynchronous
-  wherever the transport releases the GIL — always on the forked backends,
+  wherever the transport releases the GIL — always on the socket backend,
   whose mailboxes are frames on a TCP mesh.
 
 There is one body per collective, so a handle's result is byte-identical to

@@ -76,8 +76,11 @@ class NMFConfig:
         compute; ``False`` (the CLI's ``--no-overlap``) completes each at its
         issue point through the blocking collective — the strictly blocking
         schedule, with no helper threads.  Byte-identical factors and
-        identical cost ledgers either way; the sequential algorithm has no
-        collectives and ignores the flag.
+        identical cost ledgers either way.  A no-op on the backends whose
+        handles always complete at issue — ``"process"`` (a collective over
+        shared memory is the rank's own CPU work; nothing progresses in the
+        background), ``"lockstep"`` and ``"mpi"`` — and for the sequential
+        algorithm, which has no collectives.
     storage:
         Where each rank's local block of ``A`` lives (HPC-NMF's 2D layout):
         ``"memory"`` (default) keeps it resident, ``"memmap"`` rehomes dense

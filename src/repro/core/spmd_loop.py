@@ -6,14 +6,15 @@ point its input exists and claimed where its result is first needed.  The
 schedule is therefore not a property of the loop but of *when handles
 complete*:
 
-* ``overlap=True`` (default) — helper-mode communicators: a handle completes
-  in the background and the claim books only the seconds the rank actually
-  waited (the rest lands in ``HiddenComm``).
+* ``overlap=True`` (default) — helper-mode communicators (``thread``,
+  ``socket``): a handle completes in the background and the claim books only
+  the seconds the rank actually waited (the rest lands in ``HiddenComm``).
 * ``overlap=False`` — the world, row and column communicators are put in
   eager mode (``ensure_nonblocking(eager=True)``): the native blocking
   collective runs at issue and the handle is already done.  This is the mode
-  the lockstep and mpi backends always run the same program in; it starts no
-  helper thread and no shadow communicator.
+  the process, lockstep and mpi backends always run the same program in,
+  whatever ``overlap`` says; it starts no helper thread and no shadow
+  communicator.
 
 Same collectives, same count, same program order on every rank either way,
 so factors and cost ledgers are byte-identical across the two modes.

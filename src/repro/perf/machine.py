@@ -48,22 +48,24 @@ DEFAULT_KERNEL_SPEEDUPS: Mapping[str, float] = {
     "scalar": 0.17,
 }
 
-#: Fraction of *overlappable* communication each backend actually hides when
-#: the pipelined schedule runs (see :mod:`repro.comm.nonblocking`).  The
-#: process backend's helper threads make real progress while the main process
-#: computes (sockets + shared memory release the GIL); the thread backend only
-#: overlaps where BLAS releases the GIL; lockstep completes nonblocking ops
-#: eagerly at issue, so nothing is ever hidden.
+#: Fraction of *overlappable* communication each backend hides when the loops
+#: issue nonblocking collectives (see :mod:`repro.comm.nonblocking`).  Three
+#: backends complete a handle at issue, so they hide nothing and price 0.0:
+#: ``lockstep`` (its schedule is a deterministic baton pass), ``mpi`` (helper
+#: threads would need MPI_THREAD_MULTIPLE) and ``process`` — through
+#: shared-memory slots a collective is the rank's own copy-and-add between two
+#: microsecond barriers, and the helper thread it used to be handed to
+#: measured *negative* (``comm.nonblocking.process.overlap_eff`` -1.6 ... -3.2
+#: on the layered benchmark, which is what the former 0.7 here claimed to
+#: know).  ``thread`` overlaps where BLAS releases the GIL; ``socket``'s helper
+#: moves frames while the main thread computes.  Those two entries are
+#: guesses; ``calibrate(rate_overlap=True)`` replaces ``thread``'s with a
+#: measurement.
 DEFAULT_OVERLAP_EFFICIENCY: Mapping[str, float] = {
-    "process": 0.7,
+    "process": 0.0,
     "thread": 0.3,
     "lockstep": 0.0,
-    # Socket reader threads block in recv (releasing the GIL), so frames
-    # genuinely land while the main thread computes; serialization still
-    # costs some of the window.
     "socket": 0.6,
-    # The mpi backend completes nonblocking handles eagerly at issue
-    # (helper threads would need MPI_THREAD_MULTIPLE), so nothing hides.
     "mpi": 0.0,
 }
 
@@ -267,9 +269,9 @@ class MachineSpec:
         all-reduce alone, a GEMM followed by a blocking all-reduce, and the
         same GEMM with the all-reduce in flight (``iallreduce`` → GEMM →
         wait); the hidden fraction ``(t_block - t_pipe) / t_comm`` is stored
-        in :attr:`overlap_efficiency` for the ``thread`` and ``process``
-        backends (``lockstep`` is pinned at 0.0 — it completes nonblocking
-        ops eagerly at issue, by design).  These measured values replace the
+        in :attr:`overlap_efficiency` for the ``thread`` backend (``process``
+        and ``lockstep`` complete nonblocking ops at issue, so there is
+        nothing to measure: they stay at 0.0).  These measured values replace the
         static :data:`DEFAULT_OVERLAP_EFFICIENCY` guesses in
         ``pipelined_breakdown()`` and the planner's pipelined twin
         candidates.  A backend whose probe fails keeps its static default
@@ -355,27 +357,27 @@ class MachineSpec:
             from repro.comm.backends import run_spmd
 
             overlap_efficiency = dict(DEFAULT_OVERLAP_EFFICIENCY)
-            overlap_efficiency["lockstep"] = 0.0  # eager completion at issue
-            for backend in ("thread", "process"):
-                try:
-                    per_rank = run_spmd(
-                        2, _overlap_probe, size, repeats, seed,
-                        name="calibrate-overlap", backend=backend,
-                    )
-                except Exception as exc:  # noqa: BLE001 - probe is best-effort
-                    import warnings
+            # Only ``thread`` is probed: the eager backends hide nothing by
+            # construction, and socket keeps its static entry.
+            try:
+                per_rank = run_spmd(
+                    2, _overlap_probe, size, repeats, seed,
+                    name="calibrate-overlap", backend="thread",
+                )
+            except Exception as exc:  # noqa: BLE001 - probe is best-effort
+                import warnings
 
-                    warnings.warn(
-                        f"overlap calibration on the {backend} backend failed "
-                        f"({exc}); keeping the static default "
-                        f"{DEFAULT_OVERLAP_EFFICIENCY[backend]}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    # An SPMD iteration finishes when the last rank does, so
-                    # the fleet-wide hidden fraction is the worst rank's.
-                    overlap_efficiency[backend] = min(per_rank)
+                warnings.warn(
+                    "overlap calibration on the thread backend failed "
+                    f"({exc}); keeping the static default "
+                    f"{DEFAULT_OVERLAP_EFFICIENCY['thread']}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            else:
+                # An SPMD iteration finishes when the last rank does, so
+                # the fleet-wide hidden fraction is the worst rank's.
+                overlap_efficiency["thread"] = min(per_rank)
 
         link_costs = None
         if rate_links:

@@ -11,9 +11,11 @@ behind.  The cases that only make sense for one payload path follow the
 shared ones.
 """
 
+import hashlib
 import multiprocessing
 import os
 import re
+import signal
 import socket
 import threading
 import time
@@ -22,7 +24,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.comm import ProcessGrid
 from repro.comm.backends import (
     Backend,
     ProcessBackend,
@@ -189,6 +194,22 @@ class TestForkedBackends:
         with pytest.raises(ValueError, match="rank 1 exploded"):
             run_spmd(3, program, backend=backend)
 
+    def test_exception_between_a_collectives_barriers_does_not_strand_the_peer(self, backend):
+        """Rank 0's ``out`` cannot hold what rank 1 contributed — known only
+        once the contributions are in, i.e. inside the compute phase over
+        slots.  Rank 0 must still pass the closing barrier: rank 1 completes
+        the gather, and the next collective finds both ranks in step."""
+
+        def program(comm):
+            if comm.rank == 0:
+                with pytest.raises(CommunicatorError, match="cannot hold"):
+                    comm.allgatherv(np.ones(2, np.float32), out=np.empty(4, np.float32))
+            else:
+                comm.allgatherv(np.ones(2))
+            return comm.allreduce_scalar(comm.rank + 1.0)
+
+        assert run_spmd(2, program, backend=backend) == [3.0, 3.0]
+
     def test_recv_timeout_raises_naming_the_silent_peer(self, backend):
         def program(comm):
             if comm.rank == 1:
@@ -318,7 +339,164 @@ class TestForkedBackends:
         assert runner.run(lambda comm: (os.getpid(), comm.size)) == [(os.getpid(), 1)]
 
 
+def _kill_self_at_wait(comm, nth):
+    """Make this rank SIGKILL itself on entering its ``nth`` barrier from now."""
+    state, entered = comm._state, []
+    real_wait = state.wait
+
+    def wait():
+        entered.append(None)
+        if len(entered) == nth:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_wait()
+
+    state.wait = wait
+
+
+class TestFlagBarrier:
+    """The shared-memory barrier's waits: who they notice, what they leave."""
+
+    @pytest.mark.parametrize("nth", [1, 2], ids=["first-barrier", "second-barrier"])
+    def test_rank_killed_while_its_peer_waits_in_a_collective(self, nth, tmp_path):
+        """SIGKILL leaves no abort frame and no report: the survivor, spinning
+        on a token that will never come, learns of it from the closed
+        connection and names the dead rank; the parent names pid and signal."""
+        seen = tmp_path / "survivor"
+
+        def program(comm):
+            if comm.rank == 1:
+                _kill_self_at_wait(comm, nth)
+            try:
+                comm.allreduce(np.ones(8))
+            except CommunicatorError as exc:
+                seen.write_text(f"{type(exc).__name__}: {exc}")
+                raise
+            return "collective unexpectedly succeeded"
+
+        with pytest.raises(CommunicatorError, match=r"rank 1 \(pid \d+\) died") as excinfo:
+            run_spmd(2, program, backend="process")
+        assert f"exit code {-signal.SIGKILL}" in str(excinfo.value)
+        assert seen.read_text().startswith("PeerAbortError: ")
+        assert "peer rank 1" in seen.read_text()
+
+    def test_backend_timeout_bounds_the_wait_and_names_the_silent_rank(self):
+        def program(comm):
+            if comm.rank == 0:
+                comm.allreduce(np.ones(4))
+            else:
+                time.sleep(1.0)  # alive (no EOF to notice), but absent
+
+        start = time.monotonic()
+        with pytest.raises(CommunicatorError, match="timed out after 0.5s") as excinfo:
+            ProcessBackend(2, timeout=0.5).run(program)
+        assert time.monotonic() - start < 2.0
+        assert "from peer rank 1" in str(excinfo.value)
+
+    def test_handles_complete_at_issue_and_no_helper_thread_ever_starts(self):
+        def program(comm):
+            helper = comm.ensure_nonblocking()
+            handle = comm.iallreduce(np.arange(4.0))
+            done_at_issue = handle.done
+            handle.wait()
+            names = [t.name for t in threading.enumerate()]
+            comm.shutdown_nonblocking()
+            return helper, done_at_issue, [n for n in names if n.startswith("nb-helper")]
+
+        assert run_spmd(2, program, backend="process") == [(False, True, [])] * 2
+        # The same program on the mesh-only twin is helped.
+        helped = run_spmd(2, program, backend="socket")
+        assert [(h, names) for h, _, names in helped] == [
+            (True, ["nb-helper-r0"]), (True, ["nb-helper-r1"]),
+        ]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+@pytest.mark.parametrize("p", [2, 4])
+def test_ranks_sharing_one_cpu_are_not_starved_by_the_waiting_ones(p):
+    """Every rank on one core: a waiter that span instead of yielding would
+    hold the core its peer needs for a whole scheduler slice per barrier.
+    Serialized compute may cost up to ``p`` cores' worth; the waits must not
+    add to that — 3x the unpinned wall on this 2-CPU host — and the bytes do
+    not depend on where the ranks ran."""
+    from repro.core.api import fit
+
+    A = np.abs(np.random.default_rng(3).standard_normal((768, 512)))
+
+    def timed_fit():
+        start = time.perf_counter()
+        result = fit(A, 8, variant="hpc2d", n_ranks=p, backend="process", max_iters=8, seed=2)
+        return time.perf_counter() - start, result.W.tobytes() + result.H.tobytes()
+
+    allowed = os.sched_getaffinity(0)
+    (wall_a, factors), (wall_b, _) = timed_fit(), timed_fit()
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        (pinned_a, pinned_factors), (pinned_b, _) = timed_fit(), timed_fit()
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert pinned_factors == factors
+    assert min(pinned_a, pinned_b) < 3.0 * min(wall_a, wall_b)
+
+
+_GRID_OPS = ("barrier", "allreduce", "allgatherv", "reduce_scatter")
+
+
+def _group_order_program(comm, pr, pc, ops):
+    """Run ``ops`` — (which communicator, collective, length) — and digest the results."""
+    grid = ProcessGrid(comm, pr, pc)
+    comms = (comm, grid.row_comm, grid.col_comm)
+    digest = hashlib.sha256()
+    for step, (which, op, length) in enumerate(ops):
+        c = comms[which]
+        rng = np.random.default_rng([step, comm.rank])
+        if op == "barrier":
+            c.barrier()
+        elif op == "allreduce":
+            digest.update(c.allreduce(rng.standard_normal(length)).tobytes())
+        elif op == "allgatherv":
+            digest.update(c.allgatherv(rng.standard_normal(length + comm.rank)).tobytes())
+        else:
+            digest.update(c.reduce_scatter(rng.standard_normal(length + c.size)).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pr,pc", [(2, 1), (2, 2), (3, 2)])
+@given(
+    ops=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(_GRID_OPS), st.integers(1, 40)),
+        min_size=1, max_size=30,
+    )
+)
+@settings(
+    max_examples=20, deadline=None,
+    # The leak fixture brackets all of a test's examples, which is what it is for.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_order_of_collectives_across_a_grids_groups_matches_lockstep(pr, pc, ops):
+    """Barrier tokens carry no group, epoch or round — only a count per pair
+    of ranks — so what keeps them apart is the order of the program alone.
+    Any interleaving of collectives on the world, row and column groups
+    (pairs of ranks sharing several groups; three-member groups with their
+    two dissemination rounds) must give lockstep's bytes on every rank."""
+    via_process = run_spmd(pr * pc, _group_order_program, pr, pc, ops, backend="process")
+    via_lockstep = run_spmd(pr * pc, _group_order_program, pr, pc, ops, backend="lockstep")
+    assert via_process == via_lockstep
+
+
 class TestSharedMemorySlots:
+    def test_strided_contributions_are_deposited_as_their_values(self):
+        """A non-contiguous array goes into the segment in one pass and comes
+        out C-ordered with the same values (transposed, stepped, reversed)."""
+
+        def program(comm):
+            base = np.arange(24.0).reshape(4, 6) + 100 * comm.rank
+            views = [base.T, base[::2, 1::2], base[::-1], np.asfortranarray(base)]
+            gathered = [comm.allgather(v) for v in views]
+            return [[part.tolist() for part in parts] for parts in gathered]
+
+        results = run_spmd(2, program, backend="process")
+        assert results == run_spmd(2, program, backend="lockstep")
+
     def test_slot_growth_beyond_initial_capacity(self):
         """A deposit larger than the shared segment grows it by generation."""
 

@@ -5,7 +5,13 @@ import math
 import pytest
 
 from repro.comm.cost import EDISON, LAPTOP
-from repro.perf.machine import EDISON_NODE, MachineSpec, edison_machine, laptop_machine
+from repro.perf.machine import (
+    DEFAULT_OVERLAP_EFFICIENCY,
+    EDISON_NODE,
+    MachineSpec,
+    edison_machine,
+    laptop_machine,
+)
 
 
 def test_edison_per_core_peak_matches_node_spec():
@@ -157,8 +163,11 @@ class TestOverlapCalibration:
     def test_overlap_rating_is_off_by_default(self):
         machine = MachineSpec.calibrate(size=64, repeats=1, rate_kernels=False)
         assert machine.overlap_efficiency is None
-        # Falls back to the documented static table.
-        assert machine.overlap_fraction("process") == pytest.approx(0.7)
+        # Falls back to the documented static table, where a backend that
+        # completes handles at issue hides nothing.
+        assert machine.overlap_fraction("thread") == pytest.approx(0.3)
+        for eager in ("process", "lockstep", "mpi"):
+            assert machine.overlap_fraction(eager) == 0.0
 
     def test_rate_overlap_measures_every_backend(self):
         import warnings
@@ -170,11 +179,12 @@ class TestOverlapCalibration:
             )
         measured = machine.overlap_efficiency
         assert measured is not None
-        # In-process backends are measured; the wire backends keep their
-        # static entries in the table (their probe would fork per call).
+        # Only thread is probed: socket keeps its static entry (its probe
+        # would fork per call), and the backends that complete nonblocking
+        # ops at issue are 0 without asking.
         assert set(measured) == {"thread", "process", "lockstep", "socket", "mpi"}
-        # Lockstep completes nonblocking ops eagerly at issue: pinned to 0.
-        assert measured["lockstep"] == 0.0
+        assert measured["process"] == measured["lockstep"] == measured["mpi"] == 0.0
+        assert measured["socket"] == DEFAULT_OVERLAP_EFFICIENCY["socket"]
         # Hidden fractions are physical: clamped to [0, 1] per the probe.
         assert all(0.0 <= v <= 1.0 for v in measured.values())
         # overlap_fraction reads the measured table, not the static default.

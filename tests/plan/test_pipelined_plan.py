@@ -4,7 +4,7 @@ import pytest
 
 from repro.perf.machine import edison_machine
 from repro.perf.model import hpc_breakdown, naive_breakdown, pipelined_breakdown
-from repro.plan import plan_candidates, render_plan_table
+from repro.plan import make_plan, plan_candidates, render_plan_table
 from repro.plan.planner import ExecutionPlan
 from repro.plan.problem import ProblemSpec
 
@@ -14,7 +14,7 @@ PROBLEM = ProblemSpec(m=4000, n=3000, k=20)
 def test_pipelined_breakdown_moves_time_to_hidden():
     machine = edison_machine()
     blocking = hpc_breakdown(PROBLEM, 20, 4, machine=machine)
-    overlapped = pipelined_breakdown(blocking, "hpc2d", "process", machine)
+    overlapped = pipelined_breakdown(blocking, "hpc2d", "thread", machine)
     hidden = overlapped.hidden_communication
     assert hidden > 0.0
     # Exposed total shrinks by exactly the hidden amount; computation is
@@ -28,10 +28,12 @@ def test_pipelined_breakdown_moves_time_to_hidden():
 def test_pipelined_breakdown_is_identity_when_nothing_overlaps():
     machine = edison_machine()
     blocking = naive_breakdown(PROBLEM, 20, 4, machine=machine)
-    # lockstep hides nothing; unknown backends price conservatively.
+    # The backends that complete handles at issue hide nothing; unknown
+    # backends price conservatively.
     assert pipelined_breakdown(blocking, "naive", "lockstep", machine) is blocking
+    assert pipelined_breakdown(blocking, "naive", "process", machine) is blocking
     assert pipelined_breakdown(blocking, "naive", None, machine) is blocking
-    assert pipelined_breakdown(blocking, "sequential", "process", machine) is blocking
+    assert pipelined_breakdown(blocking, "sequential", "thread", machine) is blocking
 
 
 def test_hidden_capped_by_computation():
@@ -50,7 +52,7 @@ def test_planner_emits_pipelined_candidates_only_with_backend():
     default = plan_candidates(PROBLEM, 4)
     assert all(plan.schedule == "blocking" for plan in default)
 
-    with_backend = plan_candidates(PROBLEM, 4, backend="process")
+    with_backend = plan_candidates(PROBLEM, 4, backend="thread")
     schedules = {plan.schedule for plan in with_backend}
     assert schedules == {"blocking", "pipelined"}
     best = with_backend[0]
@@ -65,12 +67,16 @@ def test_planner_emits_pipelined_candidates_only_with_backend():
     assert best.seconds_per_iteration < twin.seconds_per_iteration
     assert "pipelined" in best.summary()
 
-    lockstep = plan_candidates(PROBLEM, 4, backend="lockstep")
-    assert all(plan.schedule == "blocking" for plan in lockstep)
+    # No twin on a backend whose handles complete at issue: there is no
+    # pipelined schedule to run there.
+    for eager in ("lockstep", "process", "mpi"):
+        plans = plan_candidates(PROBLEM, 4, backend=eager)
+        assert all(plan.schedule == "blocking" for plan in plans)
+    assert make_plan(PROBLEM, 4, backend="process").schedule == "blocking"
 
 
 def test_plan_roundtrip_and_table_rendering():
-    plans = plan_candidates(PROBLEM, 4, backend="process")
+    plans = plan_candidates(PROBLEM, 4, backend="thread")
     best = plans[0]
     assert ExecutionPlan.from_dict(best.to_dict()) == best
     # Legacy payloads without a schedule key default to blocking.
