@@ -83,7 +83,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
             solver=args.solver,
             seed=args.seed,
             **({"kernel": args.kernel} if args.kernel else {}),
-            **({"overlap": False} if args.no_overlap else {}),
             **({"storage": args.storage} if args.storage else {}),
         )
     except ShapeError as exc:  # e.g. a sequential-only variant with --ranks 4
@@ -103,15 +102,10 @@ def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
     # "local": micro-benchmark this host.  When planning a parallel run,
     # measure the per-rank GEMM rate under real contention (process backend)
     # rather than extrapolating the single-rank rate — but never launch more
-    # probe processes than this process may actually use.  rate_overlap also
-    # measures the hiding ratio the thread backend achieves, so its pipelined
-    # candidates' exposed/hidden split reflects this host rather than the
-    # static DEFAULT_OVERLAP_EFFICIENCY guess.
+    # probe processes than this process may actually use.
     from repro.comm.backends.base import available_cpus
 
-    return MachineSpec.calibrate(
-        ranks=max(1, min(ranks, available_cpus())), rate_overlap=True
-    )
+    return MachineSpec.calibrate(ranks=max(1, min(ranks, available_cpus())))
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -160,12 +154,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     except SolverError as exc:  # e.g. --kernel numba without numba installed
         raise SystemExit(str(exc)) from None
     print(render_plan_table(plans))
-    if machine.overlap_efficiency is not None:
-        rates = ", ".join(
-            f"{backend}={machine.overlap_efficiency[backend]:.2f}"
-            for backend in sorted(machine.overlap_efficiency)
-        )
-        print(f"measured overlap efficiency (hidden fraction of in-flight comm): {rates}")
     return 0
 
 
@@ -296,13 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     fact.add_argument("--iters", type=int, default=20, help="outer iterations")
     fact.add_argument("--seed", type=int, default=42)
     fact.add_argument("--no-overlap", action="store_true",
-                      help="complete every collective of the Algorithm 2/3 "
-                           "loops at its issue point (strictly blocking, no "
-                           "helper threads) instead of in the background, "
-                           "overlapping compute; results are byte-identical "
-                           "either way, and on the process, lockstep and mpi "
-                           "backends the flag is a no-op: their handles always "
-                           "complete at issue")
+                      help="accepted and ignored: every collective of the "
+                           "Algorithm 2/3 loops completes at its issue point "
+                           "on every backend, with or without this flag (it "
+                           "goes when the benchmark stops passing overlap=)")
     fact.add_argument("--storage", default=None, choices=list(STORAGE_MODES),
                       help="where each rank's local block of A lives (memory = "
                            "resident, memmap = np.memmap-backed temp files for "
@@ -346,11 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "(calibrated machines use measured per-kernel "
                            "throughput ratios)")
     plan.add_argument("--backend", default=None, choices=available_backends(),
-                      help="also score pipelined-schedule candidates for this "
-                           "execution backend (its overlap efficiency decides "
-                           "how much communication hides behind compute; "
-                           "none on process, lockstep and mpi, which get "
-                           "blocking plans only)")
+                      help="execution backend the plans will run on: socket "
+                           "and mpi price every collective at the wire's "
+                           "alpha-beta costs, in-process backends at the "
+                           "machine's own")
     plan.set_defaults(func=_cmd_plan)
 
     var = sub.add_parser("variants", help="list registered NMF variants")

@@ -124,15 +124,6 @@ class SharedGroupState:
     synchronization mechanism while keeping the deposit-slot protocol.
     """
 
-    #: How nonblocking collectives progress on this substrate.  ``"helper"``
-    #: means a per-communicator daemon thread executes the operation over the
-    #: point-to-point mailboxes of a silent shadow communicator — genuinely
-    #: asynchronous wherever the transport releases the GIL.  ``"eager"``
-    #: means handles complete at issue time via the native blocking
-    #: collective; the lockstep, mpi and shared-memory (process) states
-    #: declare it, each for the reason :mod:`repro.comm.nonblocking` gives.
-    nonblocking_mode = "helper"
-
     #: Seconds ``Comm.recv`` waits when the caller names no ``timeout``.
     recv_timeout = 60.0
 
@@ -200,8 +191,17 @@ class SharedGroupState:
             raise PeerAbortError("a peer rank failed; barrier broken") from exc
 
     def abort(self) -> None:
-        """Break the barrier so peer ranks do not hang after a failure."""
+        """Break the barriers so peer ranks do not hang after a failure.
+
+        This group's and, recursively, those of every sub-group split from it:
+        the failed rank's peers may be waiting in a row or column
+        communicator's collective, or be about to enter one.
+        """
         self.barrier.abort()
+        with self.lock:
+            subgroups = [s for s in self.registry.values() if isinstance(s, SharedGroupState)]
+        for subgroup in subgroups:
+            subgroup.abort()
 
 
 #: Capability flags every backend class declares (as class attributes).

@@ -16,9 +16,8 @@ owns everything else:
   of :mod:`repro.comm.wire`.
 * **Token transport.**  One daemon reader thread per peer connection decodes
   incoming frames and buckets them by key under a shared condition; waiting
-  is purely key-based, so the rank's main thread and its nonblocking helper
-  threads (:mod:`repro.comm.nonblocking`) can block on different tokens
-  concurrently.  Sends take a per-peer lock, so frames never interleave.
+  is purely key-based.  Sends take a per-peer lock, so frames never
+  interleave.
   The key space: ``("bar", uid, epoch, round, src)`` for the ``log2 p``
   rounds of the dissemination barrier of group ``uid`` (a runtime whose ranks
   share memory overrides :meth:`ForkedRuntime.barrier` and keeps its tokens
@@ -373,10 +372,9 @@ class ForkedGroupState(SharedGroupState):
     barriers are the runtime's (mesh tokens, or shared-memory ones).
 
     ``slots`` is whatever the runtime provides for ``members``: shared-memory
-    deposit slots on ``"process"``, none on ``"socket"``.  With slots,
-    nonblocking handles complete at issue; without, a helper thread moves
-    them over the mesh.  A receive waits as long as a barrier does: the
-    runtime's ``timeout``.
+    deposit slots on ``"process"``, none on ``"socket"``, whose collectives
+    move point-to-point over the mesh.  A receive waits as long as a barrier
+    does: the runtime's ``timeout``.
     """
 
     def __init__(self, runtime: ForkedRuntime, uid: Any, members: Sequence[int]):
@@ -386,11 +384,6 @@ class ForkedGroupState(SharedGroupState):
         self.uid = uid
         self.members = tuple(members)
         self.slots = runtime.make_slots(self.members)
-        if self.slots is not None:
-            # Through slots a collective is this rank's own CPU work (a copy
-            # and a combine between two barriers): nothing progresses while
-            # the rank computes, and a helper thread would only take its core.
-            self.nonblocking_mode = "eager"
 
     def _new_mailbox(self, src: int, dst: int) -> _Mailbox:
         return _Mailbox(self.runtime, self.uid, self.members[src], self.members[dst])

@@ -235,11 +235,6 @@ class LockstepGroupState(SharedGroupState):
     share the scheduler) differ from the thread backend's state.
     """
 
-    #: Nonblocking collectives complete eagerly (at issue, via the native
-    #: blocking collective): a helper thread would introduce a second
-    #: runnable thread per rank and destroy the deterministic baton schedule.
-    nonblocking_mode = "eager"
-
     def __init__(self, size: int, scheduler: _LockstepScheduler):
         super().__init__(size)
         self.scheduler = scheduler

@@ -26,11 +26,8 @@ reduction-tree order differs from the rank-order combine), and
 ``reduce_scatter`` is the slice exchange over the mailboxes below.  Factors
 stay byte-identical to thread/process/lockstep/socket.
 
-Nonblocking collectives run in **eager** mode (the lockstep precedent):
-``CommHandle`` completes at issue time, because helper-thread progress would
-require ``MPI_THREAD_MULTIPLE``, which many MPI builds do not provide.  The
-capability flags and ``DEFAULT_OVERLAP_EFFICIENCY["mpi"] = 0.0`` declare
-exactly that degradation.
+Collective handles complete at issue, as on every backend
+(:mod:`repro.comm.nonblocking`), so ``MPI_THREAD_SINGLE`` builds suffice.
 """
 
 from __future__ import annotations
@@ -100,10 +97,6 @@ class _MPIMailbox:
 
 class MPIGroupState(SharedGroupState):
     """Group state backed by one (duplicated) mpi4py communicator."""
-
-    #: Eager nonblocking completion: helper threads would need
-    #: MPI_THREAD_MULTIPLE, which is not guaranteed (see module docstring).
-    nonblocking_mode = "eager"
 
     def __init__(self, mpicomm):
         super().__init__(mpicomm.Get_size())

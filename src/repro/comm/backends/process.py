@@ -39,11 +39,6 @@ them, and here the slots cross process boundaries:
   Algorithms 2 and 3) took.  The waiter still polls the runtime's abort
   flag, which the mesh's reader threads set, so dead peers, abort echoes and
   timeouts are reported as on ``socket``.
-* **nonblocking handles complete at issue**: a collective over these slots is
-  a copy and a combine done by the rank's own CPU; nothing progresses while
-  the rank computes, so a group state with slots declares
-  ``nonblocking_mode = "eager"`` (see :mod:`repro.comm.nonblocking`) and no
-  helper thread ever starts on this backend.
 
 Determinism: all reductions still run in rank order inside ``Comm``, so for a
 fixed seed the factors are byte-identical to the thread and lockstep backends

@@ -22,8 +22,7 @@ Two functions here only *move* values and do no arithmetic:
 :func:`recursive_doubling_allgather` and :func:`slice_exchange`.  They are the
 point-to-point form of :class:`~repro.comm.communicator.Comm`'s two movement
 primitives — what a communicator without deposit slots (the ``socket`` and
-``mpi`` backends, every nonblocking helper) runs under the one body of each
-collective, which then applies the same rank-order concatenate or
+``mpi`` backends) runs under the one body of each collective, which then applies the same rank-order concatenate or
 :meth:`ReduceOp.combine` as over slots.  The other five are the §2.3
 algorithms in executable form; only tests call them.
 """

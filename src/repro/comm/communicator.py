@@ -10,17 +10,20 @@ fast path the mpi4py tutorial recommends for array data).
 A collective is *movement* plus a *rank-order combine*, and each is written
 once.  The body validates, moves, and then runs one ``np.concatenate`` or one
 :meth:`ReduceOp.combine` over the contributions in rank order — so every rank,
-on every backend and in every completion mode, computes bitwise-identical
-results.  Movement is one of two private primitives (:meth:`Comm._from_all`:
+on every backend, computes bitwise-identical results.  Movement is one of two private primitives (:meth:`Comm._from_all`:
 every rank's value; :meth:`Comm._own_slices`: the ``p`` slices of my index),
 and a communicator picks how to move from what it can observe:
 
+* **nothing** — its size is 1 (the row communicator of every ``pr × 1`` grid,
+  the paper's HPC-NMF-1D, and the column communicator of ``1 × pc``): the
+  reduction or concatenation of one contribution *is* that contribution, so
+  after validating the arguments the collective hands back its input array
+  — no copy into ``out``;
 * **slots** — its group state has deposit slots
   (:class:`~repro.comm.backends.base.SharedGroupState`): deposit, barrier,
   read the peers' deposits as views, barrier again so no rank can start the
   next collective while a peer is still reading;
-* **p2p** — the state has none (``socket``, ``mpi``), or the communicator is
-  a nonblocking helper's shadow: the two byte movers of
+* **p2p** — the state has none (``socket``, ``mpi``): the two byte movers of
   :mod:`repro.comm.collectives` over ``send``/``recv``, silenced on the
   ledger.
 
@@ -42,7 +45,7 @@ import numpy as np
 
 from repro.comm.backends.base import SharedGroupState
 from repro.comm.cost import CostLedger
-from repro.comm.nonblocking import CommHandle, _AsyncHandle, _EagerHandle, _HelperRunner
+from repro.comm.nonblocking import CommHandle
 from repro.comm.workspace import CollectiveWorkspace
 from repro.util.errors import CommunicatorError
 
@@ -72,29 +75,40 @@ class ReduceOp(str, enum.Enum):
         With ``out`` the reduction is written into the provided buffer (which
         is also returned) instead of a freshly allocated array; ``out`` must
         match the element shape and must not alias any input.
+
+        The first two contributions are combined straight into the result —
+        one pass over it, not a copy of the first followed by an in-place
+        update — in the result's dtype, so the bits equal the two-pass form's.
         """
         if not arrays:
             raise CommunicatorError("cannot reduce an empty sequence")
         stack = [np.asarray(a) for a in arrays]
-        if out is None:
-            out = stack[0].astype(np.result_type(*stack), copy=True)
-        else:
+        dtype = np.result_type(*stack)
+        if out is not None:
             if out.shape != stack[0].shape:
                 raise CommunicatorError(
                     f"out buffer has shape {out.shape}, expected {stack[0].shape}"
                 )
-            _require_safe_cast(np.result_type(*stack), out, "reduction")
+            _require_safe_cast(dtype, out, "reduction")
+            dtype = out.dtype
+        else:
+            out = np.empty(stack[0].shape, dtype)
+        if len(stack) == 1:
             np.copyto(out, stack[0])
-        for a in stack[1:]:
-            if self is ReduceOp.SUM:
-                out += a
-            elif self is ReduceOp.MAX:
-                np.maximum(out, a, out=out)
-            elif self is ReduceOp.MIN:
-                np.minimum(out, a, out=out)
-            elif self is ReduceOp.PROD:
-                out *= a
+            return out
+        ufunc = _REDUCE_UFUNCS[self]
+        ufunc(stack[0], stack[1], out=out, dtype=dtype)
+        for a in stack[2:]:
+            ufunc(out, a, out=out)
         return out
+
+
+_REDUCE_UFUNCS = {
+    ReduceOp.SUM: np.add,
+    ReduceOp.MAX: np.maximum,
+    ReduceOp.MIN: np.minimum,
+    ReduceOp.PROD: np.multiply,
+}
 
 
 def _nwords(obj: Any) -> float:
@@ -136,18 +150,11 @@ class Comm:
         self._ledger = ledger
         self._workspace: Optional[CollectiveWorkspace] = None
         # How collectives move (see the module docstring): point-to-point when
-        # the state has no deposit slots; _make_shadow also sets it on a
-        # helper thread's shadow, which must keep off its issuer's slots.
+        # the state has no deposit slots.
         self._p2p = state.slots is None
-        # Nonblocking-collective state: shadow-communicator traffic must
-        # never hit the ledger (_silent), handles get a per-communicator
-        # issue tag (_nb_seq), and helper-mode backends lazily get one
-        # daemon runner thread (_nb_runner) unless the caller asked for
-        # eager completion (_nb_eager).
+        # The byte movers' own send/recv and record=False handles must not hit
+        # the ledger.
         self._silent = False
-        self._nb_seq = 0
-        self._nb_eager = False
-        self._nb_runner: Optional[_HelperRunner] = None
 
     # -- identity ----------------------------------------------------------
     @property
@@ -289,9 +296,8 @@ class Comm:
 
         Opens with the post-deposit barrier and guarantees the closing
         barrier runs even if the compute raises — otherwise peers blocked in
-        the closing ``wait()`` would hang forever (the thread backend's
-        barriers have no timeout, and a worker failure only aborts the world
-        state, not sub-communicator states).  If the closing barrier itself
+        the closing ``wait()`` would wait for the failing rank's abort (the
+        thread backend's barriers have no timeout).  If the closing barrier itself
         fails during unwinding (e.g. a peer aborted concurrently), the
         original exception is the one that propagates.
         """
@@ -420,9 +426,7 @@ class Comm:
         after the first ``sum(counts[:r])``; every rank passes an identically
         shaped ``array`` and gets each rank's slice number ``self.rank``.
         """
-        if self.size == 1:
-            yield [array]
-        elif self._p2p:
+        if self._p2p:
             from repro.comm.collectives import slice_exchange
 
             with self._silenced():
@@ -477,10 +481,20 @@ class Comm:
 
         With ``out`` the concatenated result is written into the provided
         buffer (avoiding the concatenation allocation) and ``out`` is
-        returned; its shape must equal the concatenated shape.
+        returned; its shape must equal the concatenated shape.  On a size-1
+        communicator ``out`` is validated and then left alone: the result is
+        ``array`` itself (see the module docstring), here and in
+        :meth:`allreduce` and :meth:`reduce_scatter`.
         """
         array = np.asarray(array)
         self._validate_gather_out(out, array, axis)
+        if self.size == 1:
+            if out is not None and out.shape != array.shape:
+                raise CommunicatorError(
+                    f"out buffer shape {out.shape} does not match the "
+                    f"gathered result of shape {array.shape}"
+                )
+            return array
         with self._from_all(array) as parts:
             if out is not None:
                 _require_safe_cast(np.result_type(*parts), out, "gathered")
@@ -516,6 +530,8 @@ class Comm:
         """
         array = np.asarray(array)
         self._validate_out(out, array, expected_shape=array.shape)
+        if self.size == 1:
+            return array
         with self._from_all(array) as parts:
             result = op.combine(parts, out=out)
         self._record("all_reduce", _nwords(array))
@@ -549,190 +565,55 @@ class Comm:
         """
         array = np.asarray(array)
         counts = self._scatter_counts(array, counts, axis, out)
+        if self.size == 1:
+            return array
         with self._own_slices(array, counts, axis) as pieces:
             result = op.combine(pieces, out=out)
         self._record("reduce_scatter", _nwords(array))
         return result
 
-    # -- nonblocking collectives ---------------------------------------------
-    @property
-    def _nonblocking_eager(self) -> bool:
-        """Whether handles complete at issue time on this substrate.
+    # -- collective handles ---------------------------------------------------
+    def ensure_nonblocking(self) -> bool:
+        """Nothing to prepare: every handle completes at issue.
 
-        True for size-1 communicators (nothing to overlap), for group
-        states that declare ``nonblocking_mode == "eager"`` (lockstep, whose
-        deterministic baton schedule must not gain helper threads), and when
-        the caller asked for it with ``ensure_nonblocking(eager=True)``.
+        Returns False ("no background engine is running"), always.  Kept, with
+        :meth:`shutdown_nonblocking`, because the benchmark harness calls both;
+        they go when its call sites do.
         """
-        if self.size == 1 or self._nb_eager:
-            return True
-        return getattr(self._state, "nonblocking_mode", "helper") == "eager"
-
-    def _next_nb_tag(self) -> int:
-        self._nb_seq += 1
-        return self._nb_seq
-
-    def _pin_out(self, out: Optional[np.ndarray], op: str, tag: int):
-        """Pin ``out`` in this rank's workspace for a handle's lifetime.
-
-        Returns the unpin callback for the handle (or ``None`` when ``out``
-        is absent or not a workspace buffer).  Pinning happens on every
-        backend — including eager ones, where the data is already in place —
-        so the reuse-hazard error triggers identically everywhere.
-        """
-        if out is None or self._workspace is None:
-            return None
-        name = self._workspace.pin_matching(out, rank=self.rank, op=op, tag=tag)
-        if name is None:
-            return None
-        workspace = self._workspace
-        return lambda: workspace.unpin(name)
-
-    def _make_shadow(self) -> "Comm":
-        """Collectively create the silent transport communicator for a helper.
-
-        The split's own setup collective must not be counted either, so this
-        communicator is temporarily silenced during the split; the shadow is
-        permanently silent and detached from the parent chain (the helper
-        thread holds it, and a parent reference would keep the issuing
-        communicator alive forever).  It moves point-to-point whatever the
-        backend: its mailboxes are its own, while deposit slots may be the
-        issuing rank's (the process backend has one segment per rank).
-        """
-        with self._silenced():
-            shadow = self.split(color=0, key=self.rank)
-        shadow._silent = True
-        shadow._parent = None
-        shadow._p2p = True
-        return shadow
-
-    def ensure_nonblocking(self, eager: bool = False) -> bool:
-        """Collectively prepare this communicator for nonblocking collectives.
-
-        On helper-mode backends this creates the silent shadow communicator
-        (a collective operation — every rank must call this at the same
-        point) and starts the daemon runner thread; call it during setup,
-        before attaching a ledger, so first use inside a timed loop pays no
-        hidden split.  Eager substrates and size-1 communicators need no
-        preparation.  ``eager=True`` (every rank alike) makes this
-        communicator eager until :meth:`shutdown_nonblocking`: handles
-        complete at issue through the native blocking collective, with no
-        helper thread and no shadow split — how ``overlap=False`` runs the
-        Algorithm 2/3 loops.  Returns True when a helper runner is active.
-        """
-        self._nb_eager = eager
-        if self._nonblocking_eager:
-            return False
-        if self._nb_runner is None:
-            self._nb_runner = _HelperRunner(self, self._make_shadow())
-        return True
+        return False
 
     def shutdown_nonblocking(self) -> None:
-        """Drain and stop this communicator's helper thread (if any).
-
-        Pending handles still complete (the runner finishes its queue before
-        exiting) and remain waitable.  Idempotent; a later nonblocking call
-        would lazily recreate the helper.  Also ends a requested eager mode.
-        """
-        self._nb_eager = False
-        runner = self._nb_runner
-        self._nb_runner = None
-        if runner is not None:
-            runner.shutdown()
+        """Nothing to stop (see :meth:`ensure_nonblocking`).  Idempotent."""
 
     def _issue(
-        self,
-        op: str,
-        ledger_op: str,
-        array: np.ndarray,
-        out: Optional[np.ndarray],
-        collective: Callable[["Comm", np.ndarray], np.ndarray],
-        words: Optional[float] = None,
-        record: bool = True,
+        self, op: str, collective: Callable[[], np.ndarray], record: bool = True
     ) -> CommHandle:
-        """Shared issue path: ``collective(comm, array)`` now, or on the helper.
-
-        ``collective`` is the blocking body; eager, it runs on this
-        communicator (and books its own ledger entry); helped, it runs on
-        the silent shadow over a snapshot of ``array`` and the handle books
-        ``ledger_op`` when it completes — with ``words``, or without them the
-        size of the result (a gather's, in elements of the input's width).
+        """Run the blocking body ``collective`` now; wrap its result and seconds.
 
         With ``record=False`` the operation leaves no ledger entry at all —
         the caller is expected to book one modeled collective for a whole
         group of physical ones via :meth:`record_collective` (the
         panel-streaming contract; see :mod:`repro.comm.panels`).
         """
-        tag = self._next_nb_tag()
-        unpin = self._pin_out(out, op, tag)
-        if self._nonblocking_eager:
-            start = time.perf_counter()
-            try:
-                with contextlib.nullcontext() if record else self._silenced():
-                    result = collective(self, array)
-            except BaseException:
-                if unpin is not None:
-                    unpin()
-                raise
-            return _EagerHandle(op, tag, result, time.perf_counter() - start, unpin=unpin)
-        self.ensure_nonblocking()
-        itemsize = array.itemsize  # the handle must not keep ``array`` alive
-
-        def book(result: np.ndarray) -> None:
-            self._record(ledger_op, result.size * itemsize / 8.0 if words is None else words)
-
-        handle = _AsyncHandle(op, tag, unpin=unpin, record=book if record else None)
-        snapshot = array.copy()
-        self._nb_runner.submit(handle, lambda shadow: collective(shadow, snapshot))
-        return handle
+        start = time.perf_counter()
+        with contextlib.nullcontext() if record else self._silenced():
+            result = collective()
+        return CommHandle(op, result, time.perf_counter() - start)
 
     def iallgatherv(
         self, array: np.ndarray, axis: int = 0, out: Optional[np.ndarray] = None
     ) -> CommHandle:
-        """Nonblocking :meth:`allgatherv`; returns a :class:`CommHandle`.
-
-        The result (``handle.wait()``) is byte-identical to the blocking
-        call's.  The input is snapshotted at issue, so the caller may
-        overwrite ``array`` immediately; ``out`` must stay untouched until
-        ``wait()`` (workspace buffers enforce this via pinning).
-        """
-        array = np.asarray(array)
-        self._validate_gather_out(out, array, axis)
-        return self._issue(
-            "iallgatherv",
-            "all_gather",
-            array,
-            out,
-            lambda comm, block: comm.allgatherv(block, axis=axis, out=out),
-        )
+        """:meth:`allgatherv` behind a :class:`CommHandle` (complete on return)."""
+        return self._issue("iallgatherv", lambda: self.allgatherv(array, axis=axis, out=out))
 
     def iallreduce(
         self,
         array: np.ndarray,
         op: ReduceOp = ReduceOp.SUM,
         out: Optional[np.ndarray] = None,
-        record: bool = True,
     ) -> CommHandle:
-        """Nonblocking :meth:`allreduce`; returns a :class:`CommHandle`.
-
-        ``record=False`` suppresses this operation's ledger entry so a caller
-        can book it via :meth:`record_collective` at the *blocking schedule's
-        program point* instead of at completion time — keeping the ledger's
-        per-entry accumulation order (and hence its floating-point sums)
-        identical across schedules even while the operation is in flight past
-        other collectives (the deferred error path of the pipelined loops).
-        """
-        array = np.asarray(array)
-        self._validate_out(out, array, expected_shape=array.shape)
-        return self._issue(
-            "iallreduce",
-            "all_reduce",
-            array,
-            out,
-            lambda comm, block: comm.allreduce(block, op=op, out=out),
-            words=_nwords(array),
-            record=record,
-        )
+        """:meth:`allreduce` behind a :class:`CommHandle` (complete on return)."""
+        return self._issue("iallreduce", lambda: self.allreduce(array, op=op, out=out))
 
     def ireduce_scatter(
         self,
@@ -743,24 +624,16 @@ class Comm:
         out: Optional[np.ndarray] = None,
         record: bool = True,
     ) -> CommHandle:
-        """Nonblocking :meth:`reduce_scatter`; returns a :class:`CommHandle`.
+        """:meth:`reduce_scatter` behind a :class:`CommHandle` (complete on return).
 
         ``record=False`` suppresses this operation's ledger entry so a caller
         splitting one modeled reduce-scatter into per-panel pieces can book
         the single monolithic entry itself with :meth:`record_collective`
         (panel streaming, :mod:`repro.comm.panels`).
         """
-        array = np.asarray(array)
-        counts = self._scatter_counts(array, counts, axis, out)
         return self._issue(
             "ireduce_scatter",
-            "reduce_scatter",
-            array,
-            out,
-            lambda comm, block: comm.reduce_scatter(
-                block, counts=counts, axis=axis, op=op, out=out
-            ),
-            words=_nwords(array),
+            lambda: self.reduce_scatter(array, counts=counts, axis=axis, op=op, out=out),
             record=record,
         )
 

@@ -1,35 +1,29 @@
-"""Panel-streamed reduce-scatter: overlap the big MMs with their collectives.
+"""Panel-streamed reduce-scatter: the big MMs feed their collectives panel by panel.
 
 Algorithm 3's dominant per-iteration transfers are the line-7 and line-13
 reduce-scatters, each fed by the local matmul directly before it (lines 6 and
-12): issued as one collective, the whole input only exists once the whole MM
-is done and nothing can overlap it.  But the reduce-scatter's split
-boundaries (the ``w_scatter_counts`` / ``h_scatter_counts`` sub-blocking of
-:mod:`repro.dist`) also tile the MM itself: the columns of ``V_ijᵀ``
-(``Y_ij``) destined for rank ``t`` depend only on the matching row (column)
-panel of the local data block.  :func:`stream_reduce_scatter` therefore
+12).  The reduce-scatter's split boundaries (the ``w_scatter_counts`` /
+``h_scatter_counts`` sub-blocking of :mod:`repro.dist`) also tile the MM
+itself: the columns of ``V_ijᵀ`` (``Y_ij``) destined for rank ``t`` depend
+only on the matching row (column) panel of the local data block.
+:func:`stream_reduce_scatter` therefore
 
 1. computes panel ``t`` of the MM (one tiled GEMM),
-2. immediately issues a nonblocking :meth:`~repro.comm.communicator.Comm.
-   ireduce_scatter` carrying *only* that panel (``counts`` are zero for every
-   rank but ``t``), so panel ``t``'s communication overlaps panel ``t+1``'s
-   GEMM,
-3. after the last panel, waits the handles in issue order and hands rank
-   ``t`` its own reduced sub-block.
+2. reduce-scatters *only* that panel (``counts`` are zero for every rank but
+   ``t``) the moment it is computed, so the full MM output is never
+   materialised,
+3. hands rank ``t`` its own reduced sub-block.
 
-This is the only way the Algorithm 3 loop runs lines 6-7 and 12-13; on an
-eager communicator (``overlap=False``, lockstep, mpi) each panel's collective
-simply completes at step 2.
+This is the only way the Algorithm 3 loop runs lines 6-7 and 12-13.  On a
+size-1 communicator there is one panel and nothing to reduce: the result is
+the panel the MM wrote (see :mod:`repro.comm.communicator`).
 
 Byte-identity
 -------------
 Panel ``t``'s collective combines, in rank order, exactly the slices a
 monolithic ``reduce_scatter`` of the assembled MM output would combine for
-rank ``t`` — same values, same order, same destination buffer — so the
-streamed result is bitwise equal to it (pinned by
-``tests/comm/test_panels.py``).  Whether a handle completes at issue or in
-the background moves no byte: the panels, their order and the rank-order
-combine are the same.
+rank ``t`` — same values, same order — so the streamed result is bitwise
+equal to it (pinned by ``tests/comm/test_panels.py``).
 
 Ledger purity
 -------------
@@ -47,7 +41,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.nonblocking import drain, finish
+from repro.comm.nonblocking import finish
 from repro.comm.profiler import Profiler, TaskCategory
 
 __all__ = ["panel_slices", "stream_reduce_scatter"]
@@ -68,7 +62,7 @@ def stream_reduce_scatter(
     profiler: Optional[Profiler] = None,
     compute_category: TaskCategory = TaskCategory.MM,
 ) -> np.ndarray:
-    """Tiled MM + per-panel nonblocking reduce-scatter over ``comm``.
+    """Tiled MM + per-panel reduce-scatter over ``comm``.
 
     Parameters
     ----------
@@ -94,10 +88,11 @@ def stream_reduce_scatter(
         ``t == comm.rank``); foreign panels produce empty results that are
         discarded.
     profiler:
-        Books panel GEMMs under ``compute_category`` and the collective wait
-        under ``ReduceScatter`` (+ ``HiddenComm`` for the overlapped part).
+        Books panel GEMMs under ``compute_category`` and the collectives
+        under ``ReduceScatter``.
 
-    Returns this rank's reduced sub-block (``out`` when provided).
+    Returns this rank's reduced sub-block: ``out`` when provided and
+    ``comm.size > 1``, the panel itself on a size-1 communicator.
     """
     counts = [int(c) for c in counts]
     if len(counts) != comm.size:
@@ -105,38 +100,30 @@ def stream_reduce_scatter(
             f"counts must have one panel per rank: got {len(counts)} panels "
             f"on a size-{comm.size} communicator"
         )
-    handles = []
-    total_words = 0.0
-    try:
-        for t in range(len(counts)):
-            if profiler is not None:
-                with profiler.task(compute_category):
-                    panel = compute_panel(t)
-            else:
-                panel = compute_panel(t)
-            panel = np.asarray(panel)
-            if panel.shape[axis] != counts[t]:
-                raise ValueError(
-                    f"panel {t} has extent {panel.shape[axis]} along axis {axis}, "
-                    f"expected counts[{t}] = {counts[t]}"
-                )
-            total_words += panel.size * panel.itemsize / 8.0
-            panel_counts = [0] * len(counts)
-            panel_counts[t] = counts[t]
-            handles.append(
-                comm.ireduce_scatter(
-                    panel,
-                    counts=panel_counts,
-                    axis=axis,
-                    out=out if t == comm.rank else None,
-                    record=False,
-                )
-            )
-    except BaseException:
-        drain(handles)  # earlier panels are in flight: unpin ``out``, empty the queue
-        raise
     result = None
-    for t, handle in enumerate(handles):
+    total_words = 0.0
+    for t in range(len(counts)):
+        if profiler is not None:
+            with profiler.task(compute_category):
+                panel = compute_panel(t)
+        else:
+            panel = compute_panel(t)
+        panel = np.asarray(panel)
+        if panel.shape[axis] != counts[t]:
+            raise ValueError(
+                f"panel {t} has extent {panel.shape[axis]} along axis {axis}, "
+                f"expected counts[{t}] = {counts[t]}"
+            )
+        total_words += panel.size * panel.itemsize / 8.0
+        panel_counts = [0] * len(counts)
+        panel_counts[t] = counts[t]
+        handle = comm.ireduce_scatter(
+            panel,
+            counts=panel_counts,
+            axis=axis,
+            out=out if t == comm.rank else None,
+            record=False,
+        )
         reduced = finish(handle, profiler, TaskCategory.REDUCE_SCATTER)
         if t == comm.rank:
             result = reduced

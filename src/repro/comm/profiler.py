@@ -30,12 +30,13 @@ class TaskCategory(str, enum.Enum):
     """The six per-iteration task categories of Figure 3, plus bookkeeping.
 
     The three collective categories (``ALL_GATHER``/``REDUCE_SCATTER``/
-    ``ALL_REDUCE``) always mean *exposed* communication: time the rank spent
-    blocked on the critical path, whether inside a blocking collective or in
-    ``CommHandle.wait()``.  ``HIDDEN_COMM`` is the portion of a nonblocking
-    collective's duration that ran concurrently with compute already counted
-    under MM/NLS/Gram — it is informational and therefore excluded from
-    :attr:`TimeBreakdown.total` (counting it would double-book wall time).
+    ``ALL_REDUCE``) are time the rank spent inside a collective, which is
+    always on its critical path (:mod:`repro.comm.nonblocking`).
+    ``HIDDEN_COMM`` — communication that ran concurrently with compute
+    already counted under MM/NLS/Gram — is booked by no run any more; the
+    category stays so breakdowns saved by versions that had a background
+    engine still load, and it is excluded from :attr:`TimeBreakdown.total`
+    (counting it would double-book their wall time).
     """
 
     MM = "MM"
@@ -63,10 +64,9 @@ class TimeBreakdown:
     def total(self) -> float:
         """Critical-path seconds: every category except ``HIDDEN_COMM``.
 
-        Hidden communication overlaps compute that is already counted, so
-        including it would double-book wall time.  Breakdowns recorded
-        before nonblocking collectives existed carry no ``HiddenComm`` key
-        and are unaffected.
+        Hidden communication overlapped compute that is already counted, so
+        including it would double-book wall time.  Only breakdowns saved by
+        earlier versions carry a ``HiddenComm`` key.
         """
         return float(
             sum(
@@ -101,7 +101,7 @@ class TimeBreakdown:
 
     @property
     def hidden_communication(self) -> float:
-        """Nonblocking-collective time overlapped with counted compute."""
+        """Collective time overlapped with counted compute (0.0 for any new run)."""
         return float(self.seconds.get(TaskCategory.HIDDEN_COMM.value, 0.0))
 
     def get(self, category: TaskCategory | str) -> float:

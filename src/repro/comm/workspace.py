@@ -15,34 +15,15 @@ shape so two same-shaped collectives that are live simultaneously (e.g. the
 
 The workspace is per-communicator and therefore per-rank — results are
 rank-private in the SPMD model, so no synchronization is needed.
-
-Nonblocking collectives (:mod:`repro.comm.nonblocking`) *pin* the workspace
-buffer they are writing into for the lifetime of their handle: requesting a
-pinned buffer via :meth:`CollectiveWorkspace.get` raises
-:class:`~repro.util.errors.WorkspacePinnedError` naming the issuing rank, the
-operation, and the issue tag, instead of handing out an array another thread
-is concurrently filling.  ``wait()``/completed ``test()`` unpin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from repro.util.errors import WorkspacePinnedError
-
 ShapeLike = Union[int, Tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class _Pin:
-    """Provenance of an in-flight nonblocking op holding a buffer."""
-
-    rank: int
-    op: str
-    tag: int
 
 
 class CollectiveWorkspace:
@@ -50,7 +31,6 @@ class CollectiveWorkspace:
 
     def __init__(self):
         self._buffers: Dict[str, np.ndarray] = {}
-        self._pins: Dict[str, _Pin] = {}
 
     def get(self, name: str, shape: ShapeLike, dtype=np.float64) -> np.ndarray:
         """Return the buffer registered under ``name``.
@@ -61,13 +41,7 @@ class CollectiveWorkspace:
         call, which is what makes the collectives allocation-free in steady
         state.  Contents are *not* cleared between calls — collectives
         overwrite every element.
-
-        Raises :class:`WorkspacePinnedError` if the buffer is currently the
-        target of an un-waited nonblocking collective.
         """
-        pin = self._pins.get(name)
-        if pin is not None:
-            raise WorkspacePinnedError(name, rank=pin.rank, op=pin.op, tag=pin.tag)
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
         shape = tuple(int(s) for s in shape)
@@ -78,29 +52,6 @@ class CollectiveWorkspace:
             self._buffers[name] = buf
         return buf
 
-    def pin_matching(self, array: np.ndarray, *, rank: int, op: str, tag: int) -> Optional[str]:
-        """Pin the named buffer that *is* ``array``, if the workspace owns one.
-
-        Returns the pinned name (to pass to :meth:`unpin` on completion) or
-        ``None`` when ``array`` is not a workspace buffer — ad-hoc ``out=``
-        arrays are the caller's own concern.  Matching is by object identity,
-        not by value or aliasing.
-        """
-        for name, buf in self._buffers.items():
-            if buf is array:
-                self._pins[name] = _Pin(rank=rank, op=op, tag=tag)
-                return name
-        return None
-
-    def unpin(self, name: str) -> None:
-        """Release the pin on ``name`` (idempotent)."""
-        self._pins.pop(name, None)
-
-    @property
-    def pinned_names(self) -> Tuple[str, ...]:
-        """Names currently held by in-flight nonblocking collectives."""
-        return tuple(sorted(self._pins))
-
     def __len__(self) -> int:
         return len(self._buffers)
 
@@ -110,9 +61,8 @@ class CollectiveWorkspace:
         return sum(buf.nbytes for buf in self._buffers.values())
 
     def clear(self) -> None:
-        """Drop all buffers and pins (buffers are reallocated on next use)."""
+        """Drop all buffers (they are reallocated on next use)."""
         self._buffers.clear()
-        self._pins.clear()
 
     def __repr__(self) -> str:
         return f"CollectiveWorkspace(buffers={len(self)}, nbytes={self.nbytes})"

@@ -6,8 +6,8 @@
   all-gathers whole factor matrices every iteration;
 * :mod:`repro.core.hpc_nmf` — Algorithm 3, HPC-NMF on a ``pr × pc`` processor
   grid (the 1D variant is the grid ``(p, 1)``);
-* :mod:`repro.core.spmd_loop` — what the two parallel loops share: in-flight
-  handle registry, the error path, the one ``overlap`` switch, result assembly;
+* :mod:`repro.core.spmd_loop` — what the two parallel loops share: profiler
+  and ledger set-up, the error path and history record, result assembly;
 * :mod:`repro.core.api` — the user-facing front door: :func:`repro.fit` and
   the :class:`repro.NMF` estimator, used by the examples and benchmarks;
 * :mod:`repro.core.variants` — the variant registry behind ``fit``; one

@@ -11,9 +11,8 @@ and ``rhs = (A Hᵀ)ᵀ`` and returns ``Wᵀ``; likewise the H-subproblem uses
 distributed algorithms assemble with their collectives, so the same solver
 object is reused verbatim there.
 
-The ``overlap`` option is a no-op here: the sequential loop has no
-collectives whose completion it could move (:mod:`repro.core.spmd_loop` is
-where the parallel loops read it).
+The ``overlap`` option is a no-op here, as it is everywhere
+(:class:`~repro.core.config.NMFConfig`).
 """
 
 from __future__ import annotations

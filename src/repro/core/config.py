@@ -50,8 +50,8 @@ class NMFConfig:
         Inner sweeps for the iterative solvers (MU/HALS); ignored by BPP.
     backend:
         Execution backend for the parallel algorithms, by registry name:
-        ``"thread"`` (default; one thread per rank, real overlap where BLAS
-        releases the GIL), ``"lockstep"`` (deterministic rank-ordered
+        ``"thread"`` (default; one thread per rank, running in parallel
+        where BLAS releases the GIL), ``"lockstep"`` (deterministic rank-ordered
         scheduling, scales to hundreds of simulated ranks), ``"process"``
         (one OS process per rank over shared memory — true parallelism,
         the measured-speedup substrate), ``"socket"`` (the same processes
@@ -67,20 +67,13 @@ class NMFConfig:
         (fastest available).  See :mod:`repro.nls.kernels`.  Ignored by the
         element-wise solvers.
     overlap:
-        How the parallel loops' collectives complete.  The loops are one
-        program written against nonblocking handles (see
-        :mod:`repro.core.spmd_loop`): factor all-gathers, the line-4 Gram
-        all-reduce and the per-panel reduce-scatters are issued as early as
-        their inputs exist and claimed where first needed.  ``True``
-        (default) lets them complete in the background, overlapping local
-        compute; ``False`` (the CLI's ``--no-overlap``) completes each at its
-        issue point through the blocking collective — the strictly blocking
-        schedule, with no helper threads.  Byte-identical factors and
-        identical cost ledgers either way.  A no-op on the backends whose
-        handles always complete at issue — ``"process"`` (a collective over
-        shared memory is the rank's own CPU work; nothing progresses in the
-        background), ``"lockstep"`` and ``"mpi"`` — and for the sequential
-        algorithm, which has no collectives.
+        Accepted and ignored.  It used to choose between completing the
+        parallel loops' collectives in the background (a helper thread per
+        communicator) and at their issue point; the background engine never
+        measured a win and is gone, so every collective completes at issue
+        on every backend (:mod:`repro.comm.nonblocking`).  The field — and
+        the CLI's ``--no-overlap`` — stay until the benchmark harness stops
+        passing ``overlap=``.
     storage:
         Where each rank's local block of ``A`` lives (HPC-NMF's 2D layout):
         ``"memory"`` (default) keeps it resident, ``"memmap"`` rehomes dense
@@ -124,10 +117,7 @@ class NMFConfig:
                 f"kernel must be a kernels registry name, got {self.kernel!r}"
             )
         if not isinstance(self.overlap, bool):
-            raise ShapeError(
-                f"overlap must be a bool (background vs at-issue completion), "
-                f"got {self.overlap!r}"
-            )
+            raise ShapeError(f"overlap must be a bool, got {self.overlap!r}")
         from repro.dist.storage import validate_storage
 
         validate_storage(self.storage)

@@ -150,8 +150,7 @@ def hpc_nmf(
     # panel of A_ij, the columns of Y_ij for col-comm rank t from the matching
     # column panel (pre-cut once; slicing a sparse block copies it, so a
     # one-part split is the block itself).  Each panel is reduce-scattered the
-    # moment it is computed, so panel t's communication overlaps panel t+1's
-    # GEMM and the full MM output is never materialised (see
+    # moment it is computed, so the full MM output is never materialised (see
     # repro.comm.panels).
     a_row_panels, a_col_panels = [data.block], [data.block]
     if pc > 1:
@@ -162,7 +161,8 @@ def hpc_nmf(
     # Reusable collective workspaces: every iteration runs the same
     # collectives on the same shapes, so their results are written into
     # persistent per-rank buffers instead of fresh allocations.  Each live
-    # result gets its own named buffer.
+    # result gets its own named buffer.  (A size-1 row or column communicator
+    # hands back its input and never touches its buffers' pages.)
     ws = comm.workspace
     w_sub_rows = W_fac.global_range[1] - W_fac.global_range[0]
     h_sub_cols = H_fac.global_range[1] - H_fac.global_range[0]
@@ -183,83 +183,73 @@ def hpc_nmf(
     # strided view before they start.
     Wt_local = np.zeros((k, w_sub_rows))
 
-    loop = SpmdLoop(
-        (comm, grid.row_comm, grid.col_comm), config, observers, variant, (pr, pc), norm_a_sq,
-    )
+    loop = SpmdLoop(comm, config, observers, variant, (pr, pc), norm_a_sq)
     profiler = loop.profiler
     last = config.max_iters - 1
 
-    # Program order of the overlappable collectives, issue → claim (see
-    # repro.core.spmd_loop for what "claim" costs in each completion mode):
+    # Collectives issued ahead of where their result is read, issue → claim
+    # (each completes at issue; the claim books its seconds):
     #   line 5  H_j gather    end of the previous iteration → top of this one
     #   line 4  H Hᵀ          after the local Gram → just before the line-8 NLS
-    #   line 7  (A Hᵀ)_i      per MM panel → after the last panel
     #   line 11 W_i gather    after line 8 → after the line-10 all-reduce
-    #   line 13 (Wᵀ A)_j      per MM panel → after the last panel
-    #   error-path H Hᵀ       before the cross term → this iteration's record,
-    #                         or (loop.speculative) next iteration's line 8
-    try:
-        h_gather = loop.issue(H_fac.icol_block(out=H_j_buf))  # H is seeded
-        for iteration in range(config.max_iters):
-            iter_start = time.perf_counter()
+    # On a size-1 row (column) communicator — every pr × 1 (1 × pc) grid — a
+    # gather or reduce-scatter hands back its input: W_i is W_fac.local, the
+    # line-8 right-hand side is the array the line-6 MM wrote.
+    h_gather = H_fac.icol_block(out=H_j_buf)  # H is seeded
+    for iteration in range(config.max_iters):
+        iter_start = time.perf_counter()
 
-            # ---------------- Compute W given H (lines 3-8) ----------------
-            gram_h_handle = None
-            if not loop.has_gram_h:  # else the error path's H Hᵀ is reused
-                with profiler.task(TaskCategory.GRAM):
-                    U_ij = gram(H_fac.local, transpose_first=False)  # line 3
-                gram_h_handle = loop.issue(comm.iallreduce(U_ij, out=gram_h_buf))  # line 4
-            H_j = loop.finish(h_gather, TaskCategory.ALL_GATHER)     # line 5
-            aht_block = stream_reduce_scatter(                       # lines 6-7
-                grid.row_comm,
-                lambda t: matmul_h_at(H_j, a_row_panels[t]),
-                w_scatter_counts,
-                axis=1,
-                out=aht_buf,
-                profiler=profiler,
-            )
-            if gram_h_handle is not None:
-                gram_h = loop.finish(gram_h_handle, TaskCategory.ALL_REDUCE)
-            else:
-                gram_h = loop.claim()
-            with profiler.task(TaskCategory.NLS):
-                Wt_local = solver.solve(                             # line 8
-                    gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None
-                )
-            np.copyto(w_local_buf, Wt_local.T)
-            W_fac.local = w_local_buf
-
-            # ---------------- Compute H given W (lines 9-14) ---------------
-            w_gather = loop.issue(W_fac.irow_block(out=W_i_buf))
+        # ---------------- Compute W given H (lines 3-8) ----------------
+        gram_h = loop.gram_h  # the error path's H Hᵀ, when it ran last iteration
+        gram_h_handle = None
+        if gram_h is None:
             with profiler.task(TaskCategory.GRAM):
-                X_ij = gram(W_fac.local, transpose_first=True)       # line 9
-            with profiler.task(TaskCategory.ALL_REDUCE):
-                gram_w = comm.allreduce(X_ij, out=gram_w_buf)        # line 10
-            W_i = loop.finish(w_gather, TaskCategory.ALL_GATHER)     # line 11
-            wta_block = stream_reduce_scatter(                       # lines 12-13
-                grid.col_comm,
-                lambda t: matmul_wt_a(W_i, a_col_panels[t]),
-                h_scatter_counts,
-                axis=1,
-                out=wta_buf,
-                profiler=profiler,
+                U_ij = gram(H_fac.local, transpose_first=False)  # line 3
+            gram_h_handle = comm.iallreduce(U_ij, out=gram_h_buf)  # line 4
+        H_j = loop.finish(h_gather, TaskCategory.ALL_GATHER)     # line 5
+        aht_block = stream_reduce_scatter(                       # lines 6-7
+            grid.row_comm,
+            lambda t: matmul_h_at(H_j, a_row_panels[t]),
+            w_scatter_counts,
+            axis=1,
+            out=aht_buf,
+            profiler=profiler,
+        )
+        if gram_h_handle is not None:
+            gram_h = loop.finish(gram_h_handle, TaskCategory.ALL_REDUCE)
+        with profiler.task(TaskCategory.NLS):
+            Wt_local = solver.solve(                             # line 8
+                gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None
             )
-            with profiler.task(TaskCategory.NLS):
-                H_fac.local = solver.solve(gram_w, wta_block, x0=H_fac.local)  # line 14
+        np.copyto(w_local_buf, Wt_local.T)
+        W_fac.local = w_local_buf
 
-            # Next iteration's line-5 gather: before the error path when the
-            # loop provably continues, else after the stopping decision.
-            if loop.speculative and iteration < last:
-                h_gather = loop.issue(H_fac.icol_block(out=H_j_buf))
-            if loop.end_iteration(iteration, iter_start, H_fac.local, wta_block, gram_w):
-                break
-            if not loop.speculative and iteration < last:
-                h_gather = loop.issue(H_fac.icol_block(out=H_j_buf))
-        # The final iteration's deferred record has no next iteration to
-        # hide behind.
-        loop.claim()
-    finally:
-        loop.drain()
+        # ---------------- Compute H given W (lines 9-14) ---------------
+        w_gather = W_fac.irow_block(out=W_i_buf)
+        with profiler.task(TaskCategory.GRAM):
+            X_ij = gram(W_fac.local, transpose_first=True)       # line 9
+        with profiler.task(TaskCategory.ALL_REDUCE):
+            gram_w = comm.allreduce(X_ij, out=gram_w_buf)        # line 10
+        W_i = loop.finish(w_gather, TaskCategory.ALL_GATHER)     # line 11
+        wta_block = stream_reduce_scatter(                       # lines 12-13
+            grid.col_comm,
+            lambda t: matmul_wt_a(W_i, a_col_panels[t]),
+            h_scatter_counts,
+            axis=1,
+            out=wta_buf,
+            profiler=profiler,
+        )
+        with profiler.task(TaskCategory.NLS):
+            H_fac.local = solver.solve(gram_w, wta_block, x0=H_fac.local)  # line 14
+
+        # Next iteration's line-5 gather: before the record when the loop
+        # provably continues, else after the stopping decision.
+        if loop.speculative and iteration < last:
+            h_gather = H_fac.icol_block(out=H_j_buf)
+        if loop.end_iteration(iteration, iter_start, H_fac.local, wta_block, gram_w):
+            break
+        if not loop.speculative and iteration < last:
+            h_gather = H_fac.icol_block(out=H_j_buf)
 
     return loop.rank_output(
         W_fac.local, H_fac.local, W_fac.global_range, H_fac.global_range, (m, n)

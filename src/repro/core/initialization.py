@@ -7,10 +7,10 @@ initialised at all (the first half-iteration solves for ``W`` given ``H``).
 
 Two construction paths are provided:
 
-* :func:`init_h_global` — every caller generates the *same* full ``k × n``
-  matrix from the seed and (in the parallel algorithms) slices out the columns
-  it owns.  This makes sequential and parallel runs bitwise-comparable and is
-  what the comparison tests rely on.
+* :func:`init_h_global` — the full ``k × n`` matrix from the seed; the
+  parallel algorithms draw exactly their own columns of it
+  (:func:`init_h_slice`).  This makes sequential and parallel runs
+  bitwise-comparable and is what the comparison tests rely on.
 * :func:`init_h_local` — each rank generates only its own columns using a
   per-rank seed (the scalable path, analogous to how the paper's synthetic
   data is generated in place).  Different ranks produce statistically
@@ -37,13 +37,20 @@ def init_h_slice(k: int, n: int, seed: int, col_range: Tuple[int, int]) -> np.nd
     """The columns ``[col_range)`` of :func:`init_h_global`'s matrix.
 
     Every rank calls this with the same ``seed`` and its own column range, so
-    the union over ranks reproduces the sequential initial ``H`` exactly.  The
-    full matrix is generated and sliced — acceptable because ``H`` is only
-    ``k × n`` with ``k ≤ 50`` (it is the *data* matrix that must never be
-    replicated).
+    the union over ranks reproduces the sequential initial ``H`` exactly.
+    Only the requested columns are drawn: the global matrix is filled row by
+    row, one 64-bit PCG64 output per entry, so row ``r`` of the slice is the
+    ``hi - lo`` draws after skipping (``bit_generator.advance``) to stream
+    position ``r·n + lo``.
     """
     lo, hi = col_range
-    return np.ascontiguousarray(init_h_global(k, n, seed)[:, lo:hi])
+    rng = np.random.default_rng(int(seed))
+    block = np.empty((k, hi - lo))
+    for r in range(k):
+        # from the end of the previous row's slice to the start of this one's
+        rng.bit_generator.advance(lo if r == 0 else n - (hi - lo))
+        rng.random(out=block[r])
+    return block
 
 
 def init_h_local(k: int, n_local: int, seed: int, rank: int) -> np.ndarray:

@@ -104,59 +104,52 @@ def naive_parallel_nmf(
 
     # Attaches the ledger after the setup-phase reduction, so it records only
     # the per-iteration communication (§4.3's (m+n)k words of all-gather).
-    loop = SpmdLoop((comm,), config, observers, variant, (p, 1), norm_a_sq)
+    loop = SpmdLoop(comm, config, observers, variant, (p, 1), norm_a_sq)
     profiler = loop.profiler
     last = config.max_iters - 1
 
-    # The one overlappable gather is H's (line 3): issued at the end of the
-    # previous iteration, claimed at the top of this one.  W's gather (line
-    # 5) is consumed immediately by the Gram, so it stays a blocking call.
-    # The tracked objective's H Hᵀ (all-reduced from the per-rank pieces) is
-    # reused as the next iteration's gram_h — the same quantity, up to
-    # summation order, that every rank would otherwise recompute redundantly
-    # from the gathered H (one of §4.3's O(nk²) Grams).
-    try:
-        h_gather = loop.issue(comm.iallgatherv(H_local, axis=1, out=H_full_buf))
-        for iteration in range(config.max_iters):
-            iter_start = time.perf_counter()
+    # H's gather (line 3) is issued at the end of the previous iteration and
+    # claimed at the top of this one.  The tracked objective's H Hᵀ
+    # (all-reduced from the per-rank pieces) is reused as the next iteration's
+    # gram_h — the same quantity, up to summation order, that every rank would
+    # otherwise recompute redundantly from the gathered H (one of §4.3's
+    # O(nk²) Grams).
+    h_gather = comm.iallgatherv(H_local, axis=1, out=H_full_buf)
+    for iteration in range(config.max_iters):
+        iter_start = time.perf_counter()
 
-            # --- Compute W given H (lines 3-4) ----------------------------
-            H = loop.finish(h_gather, TaskCategory.ALL_GATHER)   # full k × n
-            gram_h = None
-            if not loop.has_gram_h:
-                with profiler.task(TaskCategory.GRAM):
-                    gram_h = gram(H, transpose_first=False)  # redundant on every rank
-            with profiler.task(TaskCategory.MM):
-                h_at = matmul_h_at(H, data.row_block, out=h_at_buf)  # k × (m/p)
-            if gram_h is None:
-                gram_h = loop.claim()
-            with profiler.task(TaskCategory.NLS):
-                Wt_local = solver.solve(
-                    gram_h, h_at, x0=Wt_local if np.any(Wt_local) else None
-                )
-            np.copyto(w_local_buf, Wt_local.T)
-            W_local = w_local_buf
-
-            # --- Compute H given W (lines 5-6) ----------------------------
-            with profiler.task(TaskCategory.ALL_GATHER):
-                W = comm.allgatherv(W_local, axis=0, out=W_full_buf)  # full m × k
+        # --- Compute W given H (lines 3-4) ----------------------------
+        H = loop.finish(h_gather, TaskCategory.ALL_GATHER)   # full k × n
+        gram_h = loop.gram_h
+        if gram_h is None:
             with profiler.task(TaskCategory.GRAM):
-                gram_w = gram(W, transpose_first=True)       # redundant on every rank
-            with profiler.task(TaskCategory.MM):
-                wt_a = matmul_wt_a(W, data.col_block)        # k × (n/p)
-            with profiler.task(TaskCategory.NLS):
-                H_local = solver.solve(gram_w, wt_a, x0=H_local)
+                gram_h = gram(H, transpose_first=False)  # redundant on every rank
+        with profiler.task(TaskCategory.MM):
+            h_at = matmul_h_at(H, data.row_block, out=h_at_buf)  # k × (m/p)
+        with profiler.task(TaskCategory.NLS):
+            Wt_local = solver.solve(
+                gram_h, h_at, x0=Wt_local if np.any(Wt_local) else None
+            )
+        np.copyto(w_local_buf, Wt_local.T)
+        W_local = w_local_buf
 
-            # Next iteration's H gather: before the error path when the loop
-            # provably continues, else after the stopping decision.
-            if loop.speculative and iteration < last:
-                h_gather = loop.issue(comm.iallgatherv(H_local, axis=1, out=H_full_buf))
-            if loop.end_iteration(iteration, iter_start, H_local, wt_a, gram_w):
-                break
-            if not loop.speculative and iteration < last:
-                h_gather = loop.issue(comm.iallgatherv(H_local, axis=1, out=H_full_buf))
-        loop.claim()  # the final iteration's deferred record
-    finally:
-        loop.drain()
+        # --- Compute H given W (lines 5-6) ----------------------------
+        with profiler.task(TaskCategory.ALL_GATHER):
+            W = comm.allgatherv(W_local, axis=0, out=W_full_buf)  # full m × k
+        with profiler.task(TaskCategory.GRAM):
+            gram_w = gram(W, transpose_first=True)       # redundant on every rank
+        with profiler.task(TaskCategory.MM):
+            wt_a = matmul_wt_a(W, data.col_block)        # k × (n/p)
+        with profiler.task(TaskCategory.NLS):
+            H_local = solver.solve(gram_w, wt_a, x0=H_local)
+
+        # Next iteration's H gather: before the record when the loop
+        # provably continues, else after the stopping decision.
+        if loop.speculative and iteration < last:
+            h_gather = comm.iallgatherv(H_local, axis=1, out=H_full_buf)
+        if loop.end_iteration(iteration, iter_start, H_local, wt_a, gram_w):
+            break
+        if not loop.speculative and iteration < last:
+            h_gather = comm.iallgatherv(H_local, axis=1, out=H_full_buf)
 
     return loop.rank_output(W_local, H_local, (row_lo, row_hi), (col_lo, col_hi), (m, n))

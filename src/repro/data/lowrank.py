@@ -13,6 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+_NOISE_BLOCK_ROWS = 256
+
 
 def planted_lowrank(
     m: int,
@@ -49,7 +51,15 @@ def planted_lowrank(
         H[:, np.all(H == 0, axis=0)] = rng.random((k, int(np.sum(np.all(H == 0, axis=0)))))
     A = W @ H
     if noise_std > 0:
-        A = np.maximum(A + rng.normal(0.0, noise_std, size=A.shape), 0.0)
+        # In place, a block of rows at a time: the noise matrix and the sum
+        # are never whole beside A (three m × n arrays would set the peak
+        # resident set, and a forked rank inherits its parent's).  Row blocks
+        # of a C-ordered array consume the stream in the order one full-size
+        # draw would, so the output is the same.
+        for lo in range(0, m, _NOISE_BLOCK_ROWS):
+            block = A[lo:lo + _NOISE_BLOCK_ROWS]
+            block += rng.normal(0.0, noise_std, size=block.shape)
+            np.maximum(block, 0.0, out=block)
     if return_factors:
         return A, W, H
     return A

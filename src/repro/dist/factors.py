@@ -79,12 +79,12 @@ class DistributedFactorW:
     def irow_block(self, out: np.ndarray = None):
         """Issue the all-gather of ``W_i (m/pr × k)`` over the grid row (line 11).
 
-        Collective; returns a ``CommHandle``.  The row communicator orders
-        ranks by grid column ``j``, matching the sub-block order, so a plain
-        concatenation along axis 0 reassembles ``W_i`` with its rows in
-        global order.  ``out`` (shape ``m/pr × k``) receives the gathered
-        block without allocating.  Algorithm 3 issues this right after line
-        8's NLS so the gather overlaps the lines 9-10 Gram + all-reduce.
+        Collective; returns a (complete) ``CommHandle``.  The row
+        communicator orders ranks by grid column ``j``, matching the
+        sub-block order, so a plain concatenation along axis 0 reassembles
+        ``W_i`` with its rows in global order.  ``out`` (shape ``m/pr × k``)
+        receives the gathered block without allocating; when ``pc = 1`` the
+        gathered block is ``local`` itself and ``out`` is left alone.
         """
         return self.grid.row_comm.iallgatherv(self.local, axis=0, out=out)
 
@@ -133,13 +133,12 @@ class DistributedFactorH:
     def icol_block(self, out: np.ndarray = None):
         """Issue the all-gather of ``H_j (k × n/pc)`` over the grid column (line 5).
 
-        Collective; returns a ``CommHandle``.  The column communicator orders
-        ranks by grid row ``i``, matching the sub-block order, so
-        concatenation along axis 1 reassembles ``H_j`` with its columns in
-        global order.  ``out`` (shape ``k × n/pc``) receives the gathered
-        block without allocating.  Algorithm 3 issues the *next* iteration's
-        gather right after line 14's NLS so it overlaps the error path and
-        the next iteration's lines 3-4.
+        Collective; returns a (complete) ``CommHandle``.  The column
+        communicator orders ranks by grid row ``i``, matching the sub-block
+        order, so concatenation along axis 1 reassembles ``H_j`` with its
+        columns in global order.  ``out`` (shape ``k × n/pc``) receives the
+        gathered block without allocating; when ``pr = 1`` the gathered block
+        is ``local`` itself and ``out`` is left alone.
         """
         return self.grid.col_comm.iallgatherv(self.local, axis=1, out=out)
 

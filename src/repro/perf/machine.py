@@ -48,27 +48,6 @@ DEFAULT_KERNEL_SPEEDUPS: Mapping[str, float] = {
     "scalar": 0.17,
 }
 
-#: Fraction of *overlappable* communication each backend hides when the loops
-#: issue nonblocking collectives (see :mod:`repro.comm.nonblocking`).  Three
-#: backends complete a handle at issue, so they hide nothing and price 0.0:
-#: ``lockstep`` (its schedule is a deterministic baton pass), ``mpi`` (helper
-#: threads would need MPI_THREAD_MULTIPLE) and ``process`` — through
-#: shared-memory slots a collective is the rank's own copy-and-add between two
-#: microsecond barriers, and the helper thread it used to be handed to
-#: measured *negative* (``comm.nonblocking.process.overlap_eff`` -1.6 ... -3.2
-#: on the layered benchmark, which is what the former 0.7 here claimed to
-#: know).  ``thread`` overlaps where BLAS releases the GIL; ``socket``'s helper
-#: moves frames while the main thread computes.  Those two entries are
-#: guesses; ``calibrate(rate_overlap=True)`` replaces ``thread``'s with a
-#: measurement.
-DEFAULT_OVERLAP_EFFICIENCY: Mapping[str, float] = {
-    "process": 0.0,
-    "thread": 0.3,
-    "lockstep": 0.0,
-    "socket": 0.6,
-    "mpi": 0.0,
-}
-
 #: Per-link (alpha seconds, beta seconds-per-word) for backends whose
 #: collectives cross a real wire, used by :meth:`MachineSpec.for_backend` to
 #: price ``repro plan --backend socket|mpi``.  In-process backends have **no**
@@ -110,11 +89,6 @@ class MachineSpec:
     #: (``None`` = use :data:`DEFAULT_KERNEL_SPEEDUPS`).  Filled in by
     #: :meth:`calibrate`; read by :meth:`kernel_speedup` / :meth:`for_kernel`.
     kernel_speedups: Optional[Mapping[str, float]] = None
-    #: Per-backend fraction of overlappable communication hidden by the
-    #: pipelined schedule (``None`` = :data:`DEFAULT_OVERLAP_EFFICIENCY`).
-    #: Read by :meth:`overlap_fraction`; the planner uses it to split a
-    #: predicted breakdown into exposed vs. hidden communication.
-    overlap_efficiency: Optional[Mapping[str, float]] = None
     #: Per-backend wire (alpha, beta) overrides (``None`` =
     #: :data:`DEFAULT_LINK_COSTS`).  Only wire backends have entries; read by
     #: :meth:`link_cost` / :meth:`for_backend`, filled by
@@ -151,17 +125,6 @@ class MachineSpec:
         """
         table = self.kernel_speedups or DEFAULT_KERNEL_SPEEDUPS
         return float(table.get(kernel, 1.0))
-
-    def overlap_fraction(self, backend: Optional[str]) -> float:
-        """Fraction of overlappable comm the backend hides, in ``[0, 1]``.
-
-        Unknown backend names (and ``None``) price as 0.0 — no overlap —
-        so the blocking prediction is the conservative default.
-        """
-        if backend is None:
-            return 0.0
-        table = self.overlap_efficiency or DEFAULT_OVERLAP_EFFICIENCY
-        return float(min(1.0, max(0.0, table.get(backend, 0.0))))
 
     def link_cost(self, backend: Optional[str]) -> Optional[tuple]:
         """The wire ``(alpha, beta)`` of ``backend``, or ``None`` if in-process.
@@ -229,7 +192,6 @@ class MachineSpec:
         seed: int = 0,
         ranks: int = 1,
         rate_kernels: bool = True,
-        rate_overlap: bool = False,
         rate_links: bool = False,
     ) -> "MachineSpec":
         """Micro-benchmark *this* host and return a spec priced to it.
@@ -263,23 +225,10 @@ class MachineSpec:
         on this host (including numba's JIT-compiled one when importable —
         its one-off compilation happens during warm-up, outside the timing).
 
-        With ``rate_overlap`` the *achieved* compute/communication hiding
-        ratio of the pipelined schedule is additionally measured per backend
-        (see :func:`_overlap_probe`): a two-rank SPMD program times an
-        all-reduce alone, a GEMM followed by a blocking all-reduce, and the
-        same GEMM with the all-reduce in flight (``iallreduce`` → GEMM →
-        wait); the hidden fraction ``(t_block - t_pipe) / t_comm`` is stored
-        in :attr:`overlap_efficiency` for the ``thread`` backend (``process``
-        and ``lockstep`` complete nonblocking ops at issue, so there is
-        nothing to measure: they stay at 0.0).  These measured values replace the
-        static :data:`DEFAULT_OVERLAP_EFFICIENCY` guesses in
-        ``pipelined_breakdown()`` and the planner's pipelined twin
-        candidates.  A backend whose probe fails keeps its static default
-        (with a :class:`RuntimeWarning`).  The deterministic Edison constants
-        (:func:`edison_machine`) remain the default everywhere; calibration
-        is opt-in (``repro plan --machine local``, ``fit(...,
-        machine=MachineSpec.calibrate())``) so tests and figure regeneration
-        stay reproducible.
+        The deterministic Edison constants (:func:`edison_machine`) remain
+        the default everywhere; calibration is opt-in (``repro plan --machine
+        local``, ``fit(..., machine=MachineSpec.calibrate())``) so tests and
+        figure regeneration stay reproducible.
 
         With ``rate_links`` the socket wire is additionally measured with a
         2-rank ping/stream probe on the socket backend (see
@@ -352,33 +301,6 @@ class MachineSpec:
             default_time = times[DEFAULT_KERNEL]
             kernel_speedups = {k: default_time / t for k, t in times.items()}
 
-        overlap_efficiency = None
-        if rate_overlap:
-            from repro.comm.backends import run_spmd
-
-            overlap_efficiency = dict(DEFAULT_OVERLAP_EFFICIENCY)
-            # Only ``thread`` is probed: the eager backends hide nothing by
-            # construction, and socket keeps its static entry.
-            try:
-                per_rank = run_spmd(
-                    2, _overlap_probe, size, repeats, seed,
-                    name="calibrate-overlap", backend="thread",
-                )
-            except Exception as exc:  # noqa: BLE001 - probe is best-effort
-                import warnings
-
-                warnings.warn(
-                    "overlap calibration on the thread backend failed "
-                    f"({exc}); keeping the static default "
-                    f"{DEFAULT_OVERLAP_EFFICIENCY['thread']}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                # An SPMD iteration finishes when the last rank does, so
-                # the fleet-wide hidden fraction is the worst rank's.
-                overlap_efficiency["thread"] = min(per_rank)
-
         link_costs = None
         if rate_links:
             from repro.comm.backends import run_spmd
@@ -406,7 +328,6 @@ class MachineSpec:
             network=network,
             dense_mm_efficiency=1.0,
             kernel_speedups=kernel_speedups,
-            overlap_efficiency=overlap_efficiency,
             link_costs=link_costs,
         )
 
@@ -431,64 +352,6 @@ def _gemm_probe(comm, size: int, repeats: int, seed: int) -> float:
     if comm is not None:
         comm.barrier()
     return min(_timed(lambda: x @ y) for _ in range(repeats))
-
-
-def _overlap_probe(comm, size: int, repeats: int, seed: int) -> float:
-    """Measured fraction of an all-reduce this backend hides behind a GEMM.
-
-    SPMD program (2 ranks): times, best-of-``repeats`` with a barrier before
-    every sample so the ranks genuinely contend,
-
-    * ``t_comm`` — a blocking ``size × size`` all-reduce alone,
-    * ``t_block`` — a ``size × size`` GEMM followed by the blocking
-      all-reduce (the unpipelined schedule),
-    * ``t_pipe`` — the all-reduce issued nonblocking, the GEMM, then the
-      wait (the pipelined schedule).
-
-    The achieved hiding ratio is ``(t_block - t_pipe) / t_comm``, clamped to
-    ``[0, 1]``: 1.0 means the collective vanished entirely behind the GEMM,
-    0.0 means pipelining bought nothing.  The communicator is silent (no
-    ledger attached) and its helper threads are shut down before returning.
-    """
-    import numpy as np
-
-    from repro.util.seeding import per_rank_seed
-
-    rng = np.random.default_rng(per_rank_seed(seed, comm.rank))
-    x = rng.standard_normal((size, size))
-    y = rng.standard_normal((size, size))
-    msg = rng.standard_normal((size, size))
-    out = np.empty_like(msg)
-
-    comm.ensure_nonblocking()
-    try:
-        # Warm-up: BLAS pools, page faults, helper-thread spin-up.
-        x @ y
-        comm.allreduce(msg, out=out)
-        comm.iallreduce(msg, out=out).wait()
-
-        def sample(fn):
-            comm.barrier()
-            return _timed(fn)
-
-        def pipelined():
-            handle = comm.iallreduce(msg, out=out)
-            x @ y
-            handle.wait()
-
-        def blocked():
-            x @ y
-            comm.allreduce(msg, out=out)
-
-        t_comm = min(sample(lambda: comm.allreduce(msg, out=out)) for _ in range(repeats))
-        t_block = min(sample(blocked) for _ in range(repeats))
-        t_pipe = min(sample(pipelined) for _ in range(repeats))
-    finally:
-        comm.shutdown_nonblocking()
-
-    if t_comm <= 0.0:
-        return 0.0
-    return float(min(1.0, max(0.0, (t_block - t_pipe) / t_comm)))
 
 
 def _link_probe(comm, repeats: int):

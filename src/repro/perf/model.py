@@ -45,7 +45,7 @@ import math
 from typing import Optional, Tuple
 
 from repro.comm.grid import choose_grid
-from repro.comm.profiler import TaskCategory, TimeBreakdown
+from repro.comm.profiler import TimeBreakdown
 from repro.core.local_ops import dense_matmul_flops, sparse_matmul_flops
 from repro.nls.bpp import bpp_flops_estimate
 from repro.perf.machine import MachineSpec, edison_machine
@@ -59,9 +59,7 @@ __all__ = [
     "hpc_breakdown",
     "naive_words_per_iteration",
     "hpc_words_per_iteration",
-    "pipelined_breakdown",
     "table2_costs",
-    "OVERLAPPABLE_FRACTIONS",
 ]
 
 
@@ -199,81 +197,6 @@ def hpc_breakdown(
         ReduceScatter=reduce_scatter,
         AllReduce=all_reduce,
     )
-
-
-# ---------------------------------------------------------------------------
-# pipelined-schedule pricing (nonblocking collectives)
-# ---------------------------------------------------------------------------
-
-#: Fraction of each collective category the pipelined schedule *can* overlap
-#: with local compute, per variant.  Mirrors where the loops actually issue
-#: nonblocking operations: the HPC loops pipeline both factor all-gathers
-#: (line 5 overlaps the error path + lines 3-4, line 11 overlaps lines 9-10),
-#: *panel-stream* both reduce-scatters (the line-6/line-12 MMs are tiled
-#: along the scatter boundaries and each panel's ireduce_scatter rides behind
-#: the next panel's GEMM — see :mod:`repro.comm.panels`), and issue both the
-#: line-4 Gram all-reduce and the error path's H-Gram all-reduce nonblocking
-#: (the latter stays in flight across the iteration boundary as next
-#: iteration's gram_h; line 10's all-reduce stays blocking because line 11
-#: consumes W_i immediately after, keeping the all-reduce budget at roughly
-#: half).  Naive pipelines the H gather (half its all-gather budget — the W
-#: gather's result is consumed immediately) and its error-path all-reduce
-#: (its whole all-reduce budget; it has no reduce-scatters).
-OVERLAPPABLE_FRACTIONS = {
-    "naive": {
-        TaskCategory.ALL_GATHER.value: 0.5,
-        TaskCategory.ALL_REDUCE.value: 1.0,
-    },
-    "hpc1d": {
-        TaskCategory.ALL_GATHER.value: 1.0,
-        TaskCategory.REDUCE_SCATTER.value: 1.0,
-        TaskCategory.ALL_REDUCE.value: 0.5,
-    },
-    "hpc2d": {
-        TaskCategory.ALL_GATHER.value: 1.0,
-        TaskCategory.REDUCE_SCATTER.value: 1.0,
-        TaskCategory.ALL_REDUCE.value: 0.5,
-    },
-}
-
-
-def pipelined_breakdown(
-    breakdown: TimeBreakdown,
-    variant: str,
-    backend: Optional[str],
-    machine: Optional[MachineSpec] = None,
-) -> TimeBreakdown:
-    """Re-price a blocking-schedule prediction for the pipelined schedule.
-
-    The overlappable portion of each collective category (per
-    :data:`OVERLAPPABLE_FRACTIONS`), scaled by the backend's
-    :meth:`~repro.perf.machine.MachineSpec.overlap_fraction`, moves out of
-    the exposed collective categories into ``HiddenComm`` — capped by the
-    breakdown's computation time, since communication can only hide behind
-    compute that actually exists.  Total exposed time therefore shrinks by
-    exactly the hidden amount; variants or backends with nothing to overlap
-    return the original breakdown unchanged.
-    """
-    machine = machine or edison_machine()
-    name = str(getattr(variant, "value", variant)).lower()
-    fractions = OVERLAPPABLE_FRACTIONS.get(name, {})
-    efficiency = machine.overlap_fraction(backend)
-    overlappable = {
-        cat: frac * breakdown.get(cat) for cat, frac in fractions.items()
-    }
-    candidate = efficiency * sum(overlappable.values())
-    hidden = min(candidate, breakdown.computation)
-    if hidden <= 0.0:
-        return breakdown
-    # Distribute the hidden time over the categories it came from.
-    scale = hidden / sum(overlappable.values())
-    seconds = dict(breakdown.seconds)
-    for cat, amount in overlappable.items():
-        seconds[cat] = seconds.get(cat, 0.0) - scale * amount
-    seconds[TaskCategory.HIDDEN_COMM.value] = (
-        seconds.get(TaskCategory.HIDDEN_COMM.value, 0.0) + hidden
-    )
-    return TimeBreakdown(seconds)
 
 
 # ---------------------------------------------------------------------------

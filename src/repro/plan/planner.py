@@ -66,11 +66,9 @@ class ExecutionPlan:
         quantity Table 2 bounds), or ``None`` when the variant does not
         model it.
     schedule:
-        ``"blocking"`` (classic Algorithm 2/3 schedule) or ``"pipelined"``
-        (nonblocking collectives overlapping compute; see
-        :func:`repro.perf.model.pipelined_breakdown`).  Pipelined plans
-        carry the overlapped time in their breakdown's ``HiddenComm``
-        category, which :attr:`seconds_per_iteration` excludes.
+        Always ``"blocking"`` (read-only): every collective completes where
+        it is issued (:mod:`repro.comm.nonblocking`), so there is one
+        schedule to price.  Kept because the benchmark harness records it.
     """
 
     variant: str
@@ -83,7 +81,10 @@ class ExecutionPlan:
     breakdown: TimeBreakdown
     words_per_iteration: Optional[float] = None
     kernel: Optional[str] = None
-    schedule: str = "blocking"
+
+    @property
+    def schedule(self) -> str:
+        return "blocking"
 
     @property
     def seconds_per_iteration(self) -> float:
@@ -98,16 +99,10 @@ class ExecutionPlan:
             if self.words_per_iteration is not None
             else ""
         )
-        pipelined = ""
-        if self.schedule == "pipelined":
-            pipelined = (
-                f", pipelined: {self.breakdown.exposed_communication:.4g} s "
-                f"exposed + {self.breakdown.hidden_communication:.4g} s hidden comm"
-            )
         return (
             f"variant={self.variant}, p={self.n_ranks}, grid={grid}, "
             f"predicted {self.breakdown.total:.4g} s/iter{words} "
-            f"(machine={self.machine}{kernel}){pipelined}"
+            f"(machine={self.machine}{kernel})"
         )
 
     def to_dict(self) -> dict:
@@ -123,7 +118,6 @@ class ExecutionPlan:
             "breakdown": self.breakdown.as_dict(),
             "words_per_iteration": self.words_per_iteration,
             "kernel": self.kernel,
-            "schedule": self.schedule,
         }
 
     @classmethod
@@ -140,7 +134,6 @@ class ExecutionPlan:
             breakdown=TimeBreakdown.from_parts(**payload["breakdown"]),
             words_per_iteration=payload.get("words_per_iteration"),
             kernel=payload.get("kernel"),
-            schedule=payload.get("schedule", "blocking"),
         )
 
 
@@ -192,16 +185,14 @@ def plan_candidates(
         :meth:`MachineSpec.for_kernel`.  ``None`` keeps default-kernel
         (``batched``) pricing.
     backend:
-        Execution backend the plans will run on.  Enables the pipelined
-        twins (scored with the backend's overlap efficiency) and, for the
-        wire backends (``'socket'``/``'mpi'``), reprices every collective
-        at the link's alpha-beta costs via :meth:`MachineSpec.for_backend`
-        — ``repro plan --backend socket`` therefore prices wire plans.
-        In-process backends keep the machine's own network constants.
+        Execution backend the plans will run on.  For the wire backends
+        (``'socket'``/``'mpi'``) every collective is repriced at the link's
+        alpha-beta costs via :meth:`MachineSpec.for_backend` — ``repro plan
+        --backend socket`` therefore prices wire plans.  In-process backends
+        keep the machine's own network constants.
     """
     from repro.core.variants import get_variant
     from repro.perf.machine import edison_machine
-    from repro.perf.model import OVERLAPPABLE_FRACTIONS, pipelined_breakdown
 
     if p < 1:
         raise ValueError(f"number of ranks must be >= 1, got {p}")
@@ -249,39 +240,6 @@ def plan_candidates(
                     kernel=kernel,
                 )
             )
-            # Pipelined-schedule candidate: only when the caller named a
-            # backend (overlap efficiency is a backend property) and that
-            # backend can actually hide communication for this variant.
-            # Word volume is identical — the schedule moves the same bytes.
-            # overlap_fraction reads the machine's measured per-backend
-            # hiding ratios when the spec was calibrated with
-            # rate_overlap=True (repro plan --machine local), and the
-            # static DEFAULT_OVERLAP_EFFICIENCY guesses otherwise.
-            if (
-                backend is not None
-                and p > 1
-                and variant.name in OVERLAPPABLE_FRACTIONS
-                and machine.overlap_fraction(backend) > 0.0
-            ):
-                overlapped = pipelined_breakdown(
-                    breakdown, variant.name, backend, machine
-                )
-                if overlapped.total < breakdown.total:
-                    plans.append(
-                        ExecutionPlan(
-                            variant=variant.name,
-                            n_ranks=p,
-                            grid=tuple(candidate_grid) if candidate_grid else None,
-                            backend=backend,
-                            solver=solver,
-                            machine=machine.name,
-                            problem=problem,
-                            breakdown=overlapped,
-                            words_per_iteration=words,
-                            kernel=kernel,
-                            schedule="pipelined",
-                        )
-                    )
     if not plans:
         pinned = f" with grid pinned to {grid[0]}x{grid[1]}" if grid is not None else ""
         raise ValueError(

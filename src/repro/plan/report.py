@@ -34,13 +34,7 @@ def render_plan_table(plans: Sequence[ExecutionPlan], machine_name: str = "") ->
         f"ranks (machine={machine}; per-iteration predicted seconds)"
     )
 
-    # Schedule columns appear only when a pipelined candidate is present, so
-    # default (blocking-only) tables render exactly as they always have.
-    pipelined = any(plan.schedule == "pipelined" for plan in plans)
-    headers = ["", "variant", "grid"] + list(_TASKS)
-    if pipelined:
-        headers += ["schedule", "exposed", "hidden"]
-    headers += ["total", "words/iter"]
+    headers = ["", "variant", "grid"] + list(_TASKS) + ["total", "words/iter"]
     rows: List[List[str]] = []
     for i, plan in enumerate(plans):
         grid = f"{plan.grid[0]}x{plan.grid[1]}" if plan.grid else "-"
@@ -51,12 +45,6 @@ def render_plan_table(plans: Sequence[ExecutionPlan], machine_name: str = "") ->
         )
         row = ["*" if i == 0 else "", plan.variant, grid]
         row += [f"{plan.breakdown.get(task):.4f}" for task in _TASKS]
-        if pipelined:
-            row += [
-                plan.schedule,
-                f"{plan.breakdown.exposed_communication:.4f}",
-                f"{plan.breakdown.hidden_communication:.4f}",
-            ]
         row += [f"{plan.breakdown.total:.4f}", words]
         rows.append(row)
 

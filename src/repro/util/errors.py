@@ -24,41 +24,6 @@ class CommunicatorError(ReproError, RuntimeError):
     """Misuse of the SPMD communicator (rank mismatch, dead backend, ...)."""
 
 
-class WorkspacePinnedError(CommunicatorError):
-    """A workspace buffer was requested while pinned by an in-flight handle.
-
-    Raised by :meth:`repro.comm.workspace.CollectiveWorkspace.get` when the
-    named buffer is the ``out=`` target of a nonblocking collective whose
-    :class:`~repro.comm.nonblocking.CommHandle` has not been waited on yet.
-    Carries the issuing ``rank``, the ``op`` name (e.g. ``"iallgatherv"``)
-    and the per-communicator issue ``tag`` so the offending call site can be
-    identified from the message alone.
-    """
-
-    def __init__(self, name: str, *, rank: int, op: str, tag: int):
-        self.buffer_name = name
-        self.rank = rank
-        self.op = op
-        self.tag = tag
-        super().__init__(
-            f"workspace buffer {name!r} is pinned by in-flight nonblocking "
-            f"{op} (rank {rank}, tag {tag}); call wait() on its CommHandle "
-            f"before reusing the buffer"
-        )
-
-    def __reduce__(self):
-        # Keyword-only fields break the default exception pickling (the
-        # process backend ships worker exceptions through a queue).
-        return (
-            _rebuild_workspace_pinned_error,
-            (self.buffer_name, self.rank, self.op, self.tag),
-        )
-
-
-def _rebuild_workspace_pinned_error(name, rank, op, tag):
-    return WorkspacePinnedError(name, rank=rank, op=op, tag=tag)
-
-
 class PartitionError(ReproError, ValueError):
     """A matrix cannot be partitioned as requested (e.g. more ranks than rows)."""
 

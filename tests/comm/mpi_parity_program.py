@@ -56,14 +56,13 @@ def main() -> int:
                     via_thread.relative_error_history,
                 )
                 checked += 1
-        # The nonblocking CommHandle path (the pipelined schedule is the
-        # default above; this pins the blocking one too).
-        blocking = fit(dense, 3, variant="hpc2d", n_ranks=p, backend="mpi",
-                       max_iters=4, seed=9, overlap=False)
-        pipelined = fit(dense, 3, variant="hpc2d", n_ranks=p, backend="mpi",
-                        max_iters=4, seed=9, overlap=True)
-        assert blocking.W.tobytes() == pipelined.W.tobytes()
-        assert blocking.H.tobytes() == pipelined.H.tobytes()
+        # ``overlap`` is accepted and inert (every handle completes at issue).
+        off = fit(dense, 3, variant="hpc2d", n_ranks=p, backend="mpi",
+                  max_iters=4, seed=9, overlap=False)
+        on = fit(dense, 3, variant="hpc2d", n_ranks=p, backend="mpi",
+                 max_iters=4, seed=9, overlap=True)
+        assert off.W.tobytes() == on.W.tobytes()
+        assert off.H.tobytes() == on.H.tobytes()
         checked += 1
 
     if world.Get_rank() == 0:

@@ -121,6 +121,40 @@ class TestLockstepBackend:
         with pytest.raises(ValueError, match="the real bug on rank 2"):
             run_spmd(4, program, backend=backend)
 
+    @pytest.mark.filterwarnings("ignore:.*oversubscribe.*:RuntimeWarning")  # 4 forked ranks
+    @pytest.mark.parametrize("backend", ["thread", "lockstep", "process", "socket"])
+    def test_failure_releases_peers_waiting_on_a_sub_communicator(self, backend):
+        """A rank that fails while its peers wait inside (or are about to
+        enter) a row/column communicator's collective must not strand them:
+        the abort reaches the groups split from the world, nested ones too."""
+        import threading
+
+        def program(comm):
+            row = comm.split(color=comm.rank // 2)
+            nested = row.split(color=0)
+            if comm.rank == 3:
+                raise ValueError("the real bug on rank 3")
+            if comm.rank == 2:
+                row.barrier()          # rank 3's row partner: waits for it
+            else:
+                comm.barrier()         # the other row: waits on the world
+            nested.barrier()           # not reached with an intact barrier
+
+        outcome = []
+
+        def run():
+            try:
+                run_spmd(4, program, backend=backend)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "peers of the failed rank never returned"
+        (exc,) = outcome
+        assert isinstance(exc, ValueError) and "the real bug on rank 3" in str(exc)
+
     def test_deadlock_detected_with_diagnosis(self):
         def program(comm):
             if comm.rank == 0:

@@ -241,3 +241,111 @@ def test_allreduce_scalar():
 
     results = run_spmd(4, program)
     assert results == [10.0] * 4
+
+
+# -- the copies the one path does not make --------------------------------------
+
+def _two_pass_combine(op, arrays, out=None):
+    """``ReduceOp.combine`` as it was: copy the first, then update in place."""
+    stack = [np.asarray(a) for a in arrays]
+    if out is None:
+        out = stack[0].astype(np.result_type(*stack), copy=True)
+    else:
+        np.copyto(out, stack[0])
+    for a in stack[1:]:
+        if op is ReduceOp.SUM:
+            out += a
+        elif op is ReduceOp.MAX:
+            np.maximum(out, a, out=out)
+        elif op is ReduceOp.MIN:
+            np.minimum(out, a, out=out)
+        else:
+            out *= a
+    return out
+
+
+@pytest.mark.parametrize("op", list(ReduceOp))
+@pytest.mark.parametrize("n_arrays", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "dtypes, out_dtype",
+    [
+        (("f8",), None), (("f8",), "f8"),
+        (("f4", "f8"), None),   # mixed: reduced in the wider type
+        (("f4",), "f8"),        # widened by out: reduced in out's type, not the inputs'
+        (("i4", "i8"), "f8"),
+        (("i4",), None),
+    ],
+)
+def test_one_pass_combine_equals_copy_then_update(op, n_arrays, dtypes, out_dtype):
+    rng = np.random.default_rng(n_arrays)
+    arrays = [
+        (rng.standard_normal((3, 5)) * 7).astype(dtypes[i % len(dtypes)])
+        for i in range(n_arrays)
+    ]
+    expected = _two_pass_combine(
+        op, arrays, None if out_dtype is None else np.empty((3, 5), out_dtype)
+    )
+    out = None if out_dtype is None else np.empty((3, 5), out_dtype)
+    got = op.combine(arrays, out=out)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert out is None or got is out
+    assert all(got is not a for a in arrays)
+
+
+@pytest.mark.parametrize("backend", ["thread", "lockstep", "socket", "process"])
+def test_size_one_collectives_hand_back_their_input(backend):
+    """Nothing moves on a size-1 communicator, so nothing is copied: the
+    result is the input array, ``out`` is validated and left untouched, and
+    the ledger stays empty."""
+
+    def program(comm):
+        ledger = CostLedger()
+        comm.attach_ledger(ledger)
+        x = np.arange(12.0).reshape(3, 4)
+        out = np.full((3, 4), -1.0)
+        results = (
+            comm.allgatherv(x, axis=1, out=out),
+            comm.allgatherv(x, axis=0),
+            comm.allreduce(x, out=out),
+            comm.allreduce(x, op=ReduceOp.MAX),
+            comm.reduce_scatter(x, counts=[3], out=out),
+            comm.reduce_scatter(x, axis=1),
+            comm.iallgatherv(x, out=out).wait(),
+            comm.ireduce_scatter(x, out=out, record=False).wait(),
+        )
+        return all(r is x for r in results), bool((out == -1.0).all()), ledger.summary()
+
+    assert run_spmd(1, program, backend=backend) == [(True, True, {})]
+
+
+def test_size_one_collectives_keep_every_validation():
+    def program(comm):
+        x = np.ones((3, 4))
+        bad_calls = {
+            "share memory": [
+                lambda: comm.allreduce(x, out=x),
+                lambda: comm.allgatherv(x, out=x[:, :]),
+                lambda: comm.reduce_scatter(x, out=x),
+            ],
+            "shape": [
+                lambda: comm.allreduce(x, out=np.empty((4, 3))),
+                lambda: comm.allgatherv(x, axis=0, out=np.empty((4, 4))),   # axis length
+                lambda: comm.allgatherv(x, axis=0, out=np.empty((3, 5))),   # other dimension
+                lambda: comm.reduce_scatter(x, out=np.empty((2, 4))),
+            ],
+            "dtype": [
+                lambda: comm.allreduce(x, out=np.empty((3, 4), np.float32)),
+                lambda: comm.allgatherv(x, out=np.empty((3, 4), np.int64)),
+            ],
+            "counts": [
+                lambda: comm.reduce_scatter(x, counts=[2]),
+                lambda: comm.reduce_scatter(x, counts=[2, 1]),
+            ],
+        }
+        for message, calls in bad_calls.items():
+            for call in calls:
+                with pytest.raises(CommunicatorError, match=message):
+                    call()
+        return True
+
+    assert run_spmd(1, program, backend="thread") == [True]

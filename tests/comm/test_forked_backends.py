@@ -64,8 +64,9 @@ def _shm_segments():
 
 
 @pytest.fixture(autouse=True)
-def _nothing_left_behind():
-    """After every run, clean or failed: no rank process, segment or thread."""
+def _nothing_left_behind(refuse_helper_threads):
+    """After every run, clean or failed: no rank process, segment or thread —
+    and no ``nb-helper*`` thread ever *starts*, on any backend."""
     segments_before = _shm_segments()
     yield
     assert multiprocessing.active_children() == []
@@ -89,16 +90,14 @@ def _collective_program(comm):
     return total.tolist(), gathered.tolist(), piece.tolist(), subsum, reused.tolist()
 
 
-def _nonblocking_program(comm):
-    """The pipelined loops' exact pattern: issue, overlap, wait, shut down."""
+def _handles_program(comm):
+    """The Algorithm 2/3 loops' pattern: issue, compute, claim."""
     handle = comm.iallreduce(np.arange(4.0) + comm.rank)
-    local = float(np.sum(np.arange(10.0) * comm.rank))  # overlapped compute
+    local = float(np.sum(np.arange(10.0) * comm.rank))
     total = handle.wait()
     gather = comm.iallgatherv(np.full(2, float(comm.rank)))
     scatter = comm.ireduce_scatter(np.arange(2.0 * comm.size))
-    results = total.tolist(), local, gather.wait().tolist(), scatter.wait().tolist()
-    comm.shutdown_nonblocking()  # the thread reference run shares the parent
-    return results
+    return total.tolist(), local, gather.wait().tolist(), scatter.wait().tolist()
 
 
 class TestRegistry:
@@ -137,11 +136,11 @@ class TestForkedBackends:
         assert via_forked == via_thread
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_nonblocking_handles_match_thread_backend(self, backend, p):
-        """The CommHandle path (iallreduce/iallgatherv/ireduce_scatter) must
-        work unchanged — the pipelined schedules depend on it."""
-        via_forked = run_spmd(p, _nonblocking_program, backend=backend)
-        via_thread = run_spmd(p, _nonblocking_program, backend="thread")
+    def test_handles_match_thread_backend(self, backend, p):
+        """The CommHandle path (iallreduce/iallgatherv/ireduce_scatter) — what
+        the Algorithm 2/3 loops are written against."""
+        via_forked = run_spmd(p, _handles_program, backend=backend)
+        via_thread = run_spmd(p, _handles_program, backend="thread")
         assert via_forked == via_thread
 
     def test_point_to_point_ring(self, backend):
@@ -392,22 +391,18 @@ class TestFlagBarrier:
         assert time.monotonic() - start < 2.0
         assert "from peer rank 1" in str(excinfo.value)
 
-    def test_handles_complete_at_issue_and_no_helper_thread_ever_starts(self):
+    @pytest.mark.parametrize("backend_name", ["process", "socket", "thread"])
+    def test_handles_complete_at_issue_and_no_helper_thread_ever_starts(self, backend_name):
         def program(comm):
-            helper = comm.ensure_nonblocking()
+            engine = comm.ensure_nonblocking()
             handle = comm.iallreduce(np.arange(4.0))
             done_at_issue = handle.done
             handle.wait()
             names = [t.name for t in threading.enumerate()]
             comm.shutdown_nonblocking()
-            return helper, done_at_issue, [n for n in names if n.startswith("nb-helper")]
+            return engine, done_at_issue, [n for n in names if n.startswith("nb-helper")]
 
-        assert run_spmd(2, program, backend="process") == [(False, True, [])] * 2
-        # The same program on the mesh-only twin is helped.
-        helped = run_spmd(2, program, backend="socket")
-        assert [(h, names) for h, _, names in helped] == [
-            (True, ["nb-helper-r0"]), (True, ["nb-helper-r1"]),
-        ]
+        assert run_spmd(2, program, backend=backend_name) == [(False, True, [])] * 2
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
@@ -516,7 +511,7 @@ class TestSharedMemorySlots:
 class TestWirePayloads:
     def test_no_slots_and_a_whole_fit_touches_no_shared_memory(self):
         """Nowhere to deposit is a fact of the group state (``slots is
-        None``), and Algorithm 3 end to end — grid splits, helper shadows,
+        None``), and Algorithm 3 end to end — grid splits,
         every collective — never creates a shared-memory segment."""
         from repro.core.config import NMFConfig
         from repro.core.hpc_nmf import hpc_nmf

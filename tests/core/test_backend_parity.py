@@ -121,10 +121,10 @@ def test_ssyn_acceptance_socket_matches_process_byte_for_byte():
     assert via_socket.grid_shape == via_process.grid_shape
 
 
-def test_pipelined_schedule_stays_byte_identical_over_the_wire():
-    """The nonblocking CommHandle path must work unchanged over TCP: the
-    default (background-completing, panel-streamed) schedule gives the same
-    bytes on the socket backend as overlap=False on the thread backend."""
+def test_handle_path_stays_byte_identical_over_the_wire():
+    """The CommHandle path (panel-streamed, complete at issue) gives the same
+    bytes over TCP as through the thread backend's slots, whatever the inert
+    ``overlap`` says."""
     from repro.core.api import fit
 
     A = _dense()

@@ -60,6 +60,19 @@ class TestPlantedLowRank:
         A = planted_lowrank(30, 20, 3, seed=1, noise_std=0.1)
         assert np.all(A >= 0)
 
+    def test_noise_added_in_row_blocks_equals_one_full_size_draw(self, monkeypatch):
+        """The in-place, blocked noise is the same stream as the three-array
+        form ``max(A + normal(size=A.shape), 0)`` — at an odd block size too."""
+        import repro.data.lowrank as lowrank
+
+        m, n, k, seed, std = 1000, 700, 6, 5, 0.05
+        rng = np.random.default_rng(seed)
+        clean = rng.random((m, k)) @ rng.random((k, n))
+        reference = np.maximum(clean + rng.normal(0.0, std, size=clean.shape), 0.0)
+        np.testing.assert_array_equal(planted_lowrank(m, n, k, seed=seed, noise_std=std), reference)
+        monkeypatch.setattr(lowrank, "_NOISE_BLOCK_ROWS", 37)
+        np.testing.assert_array_equal(planted_lowrank(m, n, k, seed=seed, noise_std=std), reference)
+
     def test_sparsity_of_factors(self):
         _, W, H = planted_lowrank(200, 150, 5, seed=2, sparsity=0.5, return_factors=True)
         assert np.mean(W == 0) > 0.3

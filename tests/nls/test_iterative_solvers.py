@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nls import (
     HALSUpdate,
@@ -15,6 +17,19 @@ from repro.nls import (
 def quadratic_objective(gram, rhs, x):
     """½⟨x, G x⟩ − ⟨r, x⟩ (the NLS objective up to a constant)."""
     return 0.5 * np.sum(x * (gram @ x)) - np.sum(rhs * x)
+
+
+def hals_reference(gram, rhs, x0, inner_iters):
+    """Unblocked HALS, every row update over all columns at once (Eq. 4)."""
+    k, c = rhs.shape
+    x = np.full((k, c), 0.5) if x0 is None else np.maximum(x0, 0.0)
+    for _ in range(inner_iters):
+        for i in range(k):
+            if gram[i, i] <= 1e-16:
+                x[i, :] = 0.0
+                continue
+            x[i, :] = np.maximum(x[i, :] + (rhs[i, :] - gram[i, :] @ x) / gram[i, i], 0.0)
+    return x
 
 
 def make_problem(k, c, seed):
@@ -73,6 +88,45 @@ class TestHALS:
         exact = BlockPrincipalPivoting().solve(gram, rhs)
         approx = HALSUpdate(inner_iters=500).solve(gram, rhs, x0=np.full(rhs.shape, 0.5))
         assert quadratic_objective(gram, rhs, approx) <= quadratic_objective(gram, rhs, exact) + 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 48),
+        c=st.one_of(st.integers(1, 64), st.integers(4000, 4200), st.integers(1, 20000)),
+        inner_iters=st.sampled_from([1, 3]),
+        dead=st.lists(st.integers(0, 47), max_size=3),
+        warm=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_column_blocking_changes_no_bit(self, k, c, inner_iters, dead, warm, strided, seed):
+        """The cache-blocked sweep equals the unblocked one exactly — across the
+        4096-column block edge, with dead rows (``gram[i, i] <= EPS``), several
+        inner sweeps, cold and warm starts and a non-contiguous ``rhs``.  If a
+        shape ever differs on some BLAS, the blocking goes; no tolerance."""
+        rng = np.random.default_rng(seed)
+        F = rng.random((k, 2 * k + 1))
+        gram = F @ F.T
+        for i in dead:
+            if i < k:
+                gram[i, :] = gram[:, i] = 0.0
+        if strided:
+            rhs = rng.standard_normal((c, k)).T       # Fortran-ordered view
+            x0 = rng.random((k, 2 * c))[:, ::2] if warm else None
+        else:
+            rhs = rng.standard_normal((k, c))
+            x0 = rng.random((k, c)) - 0.1 if warm else None
+        expected = hals_reference(gram, rhs, x0, inner_iters)
+        got = HALSUpdate(inner_iters=inner_iters).solve(gram, rhs, x0=x0)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+
+    def test_warm_start_is_not_modified(self):
+        gram, rhs = make_problem(4, 9, seed=2)
+        x0 = np.random.default_rng(0).random((4, 9)) - 0.3
+        before = x0.copy()
+        HALSUpdate().solve(gram, rhs, x0=x0)
+        np.testing.assert_array_equal(x0, before)
 
     def test_zero_diagonal_row_is_zeroed(self):
         gram = np.diag([1.0, 0.0, 2.0])

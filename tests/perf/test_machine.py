@@ -6,7 +6,6 @@ import pytest
 
 from repro.comm.cost import EDISON, LAPTOP
 from repro.perf.machine import (
-    DEFAULT_OVERLAP_EFFICIENCY,
     EDISON_NODE,
     MachineSpec,
     edison_machine,
@@ -157,47 +156,6 @@ class TestCalibrate:
         assert machine.name == "local-calibrated-p2"
         assert math.isfinite(machine.network.gamma) and machine.network.gamma > 0
         assert machine.dense_mm_efficiency == 1.0
-
-
-class TestOverlapCalibration:
-    def test_overlap_rating_is_off_by_default(self):
-        machine = MachineSpec.calibrate(size=64, repeats=1, rate_kernels=False)
-        assert machine.overlap_efficiency is None
-        # Falls back to the documented static table, where a backend that
-        # completes handles at issue hides nothing.
-        assert machine.overlap_fraction("thread") == pytest.approx(0.3)
-        for eager in ("process", "lockstep", "mpi"):
-            assert machine.overlap_fraction(eager) == 0.0
-
-    def test_rate_overlap_measures_every_backend(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            machine = MachineSpec.calibrate(
-                size=64, repeats=1, rate_kernels=False, rate_overlap=True
-            )
-        measured = machine.overlap_efficiency
-        assert measured is not None
-        # Only thread is probed: socket keeps its static entry (its probe
-        # would fork per call), and the backends that complete nonblocking
-        # ops at issue are 0 without asking.
-        assert set(measured) == {"thread", "process", "lockstep", "socket", "mpi"}
-        assert measured["process"] == measured["lockstep"] == measured["mpi"] == 0.0
-        assert measured["socket"] == DEFAULT_OVERLAP_EFFICIENCY["socket"]
-        # Hidden fractions are physical: clamped to [0, 1] per the probe.
-        assert all(0.0 <= v <= 1.0 for v in measured.values())
-        # overlap_fraction reads the measured table, not the static default.
-        for backend, value in measured.items():
-            assert machine.overlap_fraction(backend) == pytest.approx(value)
-
-    def test_overlap_probe_is_a_valid_spmd_program(self):
-        from repro.comm import run_spmd
-        from repro.perf.machine import _overlap_probe
-
-        fractions = run_spmd(2, _overlap_probe, 48, 1, 0, backend="thread")
-        assert len(fractions) == 2
-        assert all(0.0 <= f <= 1.0 for f in fractions)
 
 
 class TestLinkCosts:

@@ -212,12 +212,10 @@ class TestWireBackendPricing:
         in_process = plan_candidates(problem, 4, machine=machine,
                                      backend="process")
         assert all(plan.machine == "edison" for plan in bare + in_process)
-        # The blocking candidates must cost exactly the same with and
-        # without an in-process backend named (byte-stable pricing).
-        blocking = [p for p in in_process if p.schedule == "blocking"]
-        by_key = {(p.variant, p.grid): p.breakdown.total for p in bare}
-        for plan in blocking:
-            assert plan.breakdown.total == by_key[(plan.variant, plan.grid)]
+        # Naming an in-process backend adds no candidate and moves no price.
+        assert [(p.variant, p.grid, p.breakdown.total) for p in in_process] == [
+            (p.variant, p.grid, p.breakdown.total) for p in bare
+        ]
 
     def test_wire_pricing_changes_the_communication_term(self, machine):
         """The repricing must surface in the predicted communication seconds,
@@ -228,11 +226,10 @@ class TestWireBackendPricing:
         Edison's modeled per-core share, so no blanket ordering exists)."""
 
         def blocking_comm(problem, backend):
-            plans = plan_candidates(
+            (plan,) = plan_candidates(
                 problem, 4, machine=machine, backend=backend,
                 variants=["hpc2d"], grid=(2, 2),
             )
-            plan = next(p for p in plans if p.schedule == "blocking")
             return plan.breakdown.communication
 
         latency_bound = ProblemSpec(m=120, n=80, k=2)
@@ -249,3 +246,27 @@ class TestWireBackendPricing:
                          machine=machine, backend="socket")
         assert plan.backend == "socket"
         assert plan.machine == "edison+socket"
+
+
+class TestOneSchedule:
+    """Every collective completes where it is issued, so a (variant, grid)
+    has one price on every backend — no pipelined twin."""
+
+    @pytest.mark.parametrize("backend", [None, "thread", "socket", "process", "lockstep", "mpi"])
+    def test_one_candidate_per_variant_and_grid(self, machine, backend):
+        problem = ProblemSpec(m=4000, n=3000, k=20)
+        plans = plan_candidates(problem, 4, machine=machine, backend=backend)
+        keys = [(p.variant, p.grid) for p in plans]
+        assert len(keys) == len(set(keys))
+        assert all(p.schedule == "blocking" for p in plans)
+        assert all(p.breakdown.hidden_communication == 0.0 for p in plans)
+        table = render_plan_table(plans)
+        assert "schedule" not in table and "hidden" not in table
+        assert "pipelined" not in plans[0].summary()
+
+    def test_payload_saved_with_a_schedule_key_still_loads(self, machine):
+        # Results saved before the pipelined twin was removed carry the key.
+        plan = make_plan(ProblemSpec(m=4000, n=3000, k=20), 4, machine=machine, backend="thread")
+        payload = {**plan.to_dict(), "schedule": "pipelined"}
+        assert ExecutionPlan.from_dict(payload) == plan
+        assert "schedule" not in plan.to_dict()
