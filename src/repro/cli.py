@@ -8,8 +8,8 @@ The five subcommands cover the common workflows:
   per-task split, total, words moved) for a dataset or an ad-hoc
   ``--shape M N [--density D]`` problem, paper-Table-2 style;
 * ``variants`` — list the registered variants and their capability flags;
-* ``serve`` — deploy saved models behind the micro-batched projection
-  server (``repro serve model.npz``; see :mod:`repro.serve`);
+* ``serve`` — deploy saved models behind the continuously batched
+  projection server (``repro serve model.npz``; see :mod:`repro.serve`);
 * ``datasets`` — list the registered datasets and their dimensions.
 
 The ``--variant``, ``--solver`` and ``--backend`` choices are derived from
@@ -37,6 +37,7 @@ from repro.nls.base import available_solvers
 from repro.nls.kernels import registered_kernels
 from repro.perf.machine import MachineSpec, edison_machine, laptop_machine
 from repro.plan import ProblemSpec, plan_candidates, render_plan_table
+from repro.serve.server import MAX_BATCH_COLUMNS
 from repro.util.errors import ShapeError, SolverError
 
 
@@ -198,7 +199,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     service = ProjectionService(
         store,
-        batch_window=args.window,
         max_batch_columns=args.max_batch,
         queue_limit=args.queue_limit,
         default_deadline=args.deadline,
@@ -213,7 +213,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving {store.names()} on http://{server.host}:{server.port} "
-            f"(kernel={args.kernel}, window={args.window * 1e3:g} ms, "
+            f"(kernel={args.kernel}, continuous batching, "
             f"max batch={args.max_batch} columns)"
         )
         try:
@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve saved NMF models over HTTP: micro-batched projection of "
-             "fresh columns onto the trained basis",
+        help="serve saved NMF models over HTTP: continuously batched "
+             "projection of fresh columns onto the trained basis",
     )
     serve.add_argument(
         "models", nargs="*",
@@ -362,11 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="BPP kernel for the batched projection solves "
                             "(default auto = fastest available; responses are "
                             "byte-identical across kernels)")
-    serve.add_argument("--window", type=float, default=0.002,
-                       help="micro-batch coalescing window in seconds "
-                            "(default 0.002)")
-    serve.add_argument("--max-batch", type=int, default=256,
-                       help="max columns per coalesced NLS call (default 256)")
+    serve.add_argument("--max-batch", type=int, default=MAX_BATCH_COLUMNS,
+                       help="max columns per batched NLS call; a batch is the "
+                            "requests queued when the solver frees up "
+                            f"(default {MAX_BATCH_COLUMNS})")
     serve.add_argument("--queue-limit", type=int, default=256,
                        help="max queued requests before 503 load shedding")
     serve.add_argument("--deadline", type=float, default=2.0,

@@ -1,4 +1,4 @@
-"""NMF-as-a-service: model store, micro-batched projection server, refresh.
+"""NMF-as-a-service: model store, batched projection server, refresh.
 
 The serving layer answers the question the training subsystems leave open:
 once HPC-NMF has factored ``A ≈ WH``, how do *fresh* columns get coefficients
@@ -16,9 +16,9 @@ Public surface:
 * :func:`project` / :func:`validate_columns` / :class:`ModelRefresher` — the
   projection engine and the incremental-refresh hook
   (:mod:`repro.serve.project`);
-* :class:`ProjectionService` / :class:`ProjectionServer` — the micro-batcher
-  and the stdlib asyncio HTTP front end (:mod:`repro.serve.server`);
-* :class:`ServeStats` — queue/batch/latency telemetry
+* :class:`ProjectionService` / :class:`ProjectionServer` — the continuous
+  batcher and the asyncio HTTP front end (:mod:`repro.serve.server`);
+* :class:`ServeStats` — queue/batch/latency/stage-clock telemetry
   (:mod:`repro.serve.stats`);
 * the error hierarchy with its HTTP status mapping
   (:mod:`repro.serve.errors`).

@@ -1,32 +1,39 @@
-"""NMF-as-a-service: the micro-batched asyncio projection front end.
+"""NMF-as-a-service: the continuously batched asyncio projection front end.
 
 Two layers, separable for testing:
 
 :class:`ProjectionService`
-    The transport-independent micro-batcher.  ``submit()`` validates a
-    request at admission (400-class errors are raised *here*, so a malformed
-    request can never fail its co-batched neighbours), applies bounded-queue
-    load shedding (503) and a per-request deadline (504), then parks the
-    request in an ``asyncio.Queue``.  A single worker coroutine drains the
-    queue: it collects requests for at most ``batch_window`` seconds or until
-    ``max_batch_columns`` columns are pending, groups them by model, and
-    serves each group with ONE batched NLS call through
-    :func:`repro.serve.project.project` — run in a one-thread executor so the
-    event loop keeps admitting traffic (and answering ``/healthz``) while the
-    kernel works.  Responses are bit-identical to single-column scalar-kernel
-    projection regardless of batch composition (the contract pinned in
-    ``tests/serve/``).
+    The transport-independent batcher.  ``submit()`` validates a request at
+    admission (400-class errors are raised *here*, so a malformed request
+    can never fail its co-batched neighbours), applies bounded-queue load
+    shedding (503) and a per-request deadline (504), then parks the request
+    in an ``asyncio.Queue``.  A single worker coroutine drains the queue by
+    *continuous batching*: it takes the first queued request and whatever
+    else is already queued, up to ``max_batch_columns`` columns, and solves
+    at once — nothing waits for companions.  Requests that land while a
+    solve runs form the next batch, so batches grow with load and an idle
+    server answers a lone request immediately.  Each batch is grouped by
+    model and every group is served with ONE batched NLS call through
+    :func:`repro.serve.project.project_blocks`, run in a one-thread executor
+    so the event loop keeps admitting traffic (and answering ``/healthz``)
+    while the kernel works.  Responses are bit-identical to single-column
+    scalar-kernel projection regardless of batch composition (the contract
+    pinned in ``tests/serve/``).
 
 :class:`ProjectionServer`
-    A stdlib-only HTTP/1.1 front end over ``asyncio.start_server``.  Routes:
+    An HTTP/1.1 front end over ``asyncio.start_server`` (one request per
+    connection, ``Connection: close``).  Request bodies are decoded by
+    ``orjson`` straight from the received bytes; responses are encoded by
+    the standard-library ``json``.  Routes:
 
     ========  ==============================  ==================================
     method    path                            action
     ========  ==============================  ==================================
     GET       ``/healthz``                    liveness + deployed model listing
     GET       ``/stats``                      queue depth, batch-size histogram,
-                                              p50/p99 latency, shed/timeout counts
-    POST      ``/v1/models/<name>/project``   micro-batched projection
+                                              p50/p99 latency, queue wait and
+                                              solve time, shed/timeout counts
+    POST      ``/v1/models/<name>/project``   batched projection
     POST      ``/v1/models/<name>/ingest``    incremental refresh (streaming fold)
     POST      ``/v1/models/<name>/reload``    hot reload from the backing file
     ========  ==============================  ==================================
@@ -36,7 +43,9 @@ Two layers, separable for testing:
     ``"timeout"`` in seconds overriding the server's default deadline.  The
     response carries ``h`` (one coefficient vector per requested column),
     per-column relative ``residuals``, the serving model ``version`` and the
-    coalesced batch size the request rode in.
+    coalesced batch size the request rode in.  A malformed request line,
+    header or ``Content-Length`` and a body that is not a JSON object are
+    answered with a 400 naming the problem.
 
 The ``repro serve`` CLI subcommand wires a :class:`~repro.serve.store.
 ModelStore` into both layers; see :func:`repro.cli.main`.
@@ -47,11 +56,13 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import orjson
 
 from repro.serve.errors import (
     DeadlineExceededError,
@@ -70,7 +81,13 @@ from repro.serve.project import (
 from repro.serve.stats import ServeStats
 from repro.serve.store import ModelStore
 
-__all__ = ["ProjectionResponse", "ProjectionService", "ProjectionServer", "run_self_test"]
+__all__ = [
+    "MAX_BATCH_COLUMNS",
+    "ProjectionResponse",
+    "ProjectionService",
+    "ProjectionServer",
+    "run_self_test",
+]
 
 _REASONS = {
     200: "OK",
@@ -85,6 +102,16 @@ _REASONS = {
 
 #: request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: request and header lines above this are rejected with 400 (the stream limit).
+MAX_LINE_BYTES = 64 * 1024
+
+#: request bodies nested deeper than this are rejected with 400 before
+#: decoding (a projection body nests 3 deep).
+MAX_JSON_DEPTH = 1024
+
+#: default column budget of one batched NLS call (service and CLI alike).
+MAX_BATCH_COLUMNS = 256
 
 
 @dataclass
@@ -109,18 +136,15 @@ class _Pending:
 
 
 class ProjectionService:
-    """The micro-batcher: bounded queue → window/size-coalesced NLS calls.
+    """The continuous batcher: bounded queue → one NLS call per queued batch.
 
     Parameters
     ----------
     store:
         The :class:`ModelStore` holding deployed models.
-    batch_window:
-        Seconds the batcher waits after the first queued request for
-        companions to coalesce with (default 2 ms).
     max_batch_columns:
-        Column budget per batched NLS call; the batcher stops collecting
-        early when the pending batch reaches it.
+        Column budget per batched NLS call: a batch takes queued requests
+        until its column count reaches it (default :data:`MAX_BATCH_COLUMNS`).
     queue_limit:
         Maximum requests queued; admission beyond it raises
         :class:`ServerOverloadedError` (the HTTP 503).
@@ -138,21 +162,17 @@ class ProjectionService:
         self,
         store: ModelStore,
         *,
-        batch_window: float = 0.002,
-        max_batch_columns: int = 64,
+        max_batch_columns: int = MAX_BATCH_COLUMNS,
         queue_limit: int = 256,
         default_deadline: float = 2.0,
         kernel: Optional[str] = None,
         stats: Optional[ServeStats] = None,
     ):
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
         if max_batch_columns < 1:
             raise ValueError(f"max_batch_columns must be >= 1, got {max_batch_columns}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.store = store
-        self.batch_window = float(batch_window)
         self.max_batch_columns = int(max_batch_columns)
         self.queue_limit = int(queue_limit)
         self.default_deadline = float(default_deadline)
@@ -189,7 +209,7 @@ class ProjectionService:
     async def submit(
         self, model: str, columns, *, timeout: Optional[float] = None
     ) -> ProjectionResponse:
-        """Admit one request and await its micro-batched response.
+        """Admit one request and await its batched response.
 
         Raises :class:`ModelNotFoundError` / :class:`ProjectionRequestError`
         / :class:`ServerOverloadedError` immediately at admission, and
@@ -228,20 +248,13 @@ class ProjectionService:
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            batch: List[_Pending] = [first]
-            n_columns = first.columns.shape[1]
-            horizon = loop.time() + self.batch_window
-            while n_columns < self.max_batch_columns:
-                remaining = horizon - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-                batch.append(nxt)
-                n_columns += nxt.columns.shape[1]
+            # Continuous batching: the first request plus whatever is already
+            # queued; what lands during the solve below forms the next batch.
+            batch: List[_Pending] = [await self._queue.get()]
+            n_columns = batch[0].columns.shape[1]
+            while n_columns < self.max_batch_columns and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+                n_columns += batch[-1].columns.shape[1]
             self.stats.queue_depth = self._queue.qsize()
             try:
                 await self._serve_batch(batch, loop)
@@ -254,6 +267,7 @@ class ProjectionService:
         now = loop.time()
         live: List[_Pending] = []
         for pending in batch:
+            self.stats.record_queue_wait(now - pending.admitted)
             if pending.future.done():
                 continue  # client went away
             if pending.deadline <= now:
@@ -296,6 +310,7 @@ class ProjectionService:
             if not requests:
                 continue
             X = np.concatenate([r.columns for r in requests], axis=1)
+            solve_start = loop.time()
             try:
                 # Per-request rhs blocks: each request's response bytes are
                 # independent of its co-batched neighbours (see serve.project).
@@ -312,8 +327,9 @@ class ProjectionService:
             except Exception as exc:
                 self._fail(requests, exc)
                 continue
+            solve_seconds = loop.time() - solve_start
             residuals = projection_residuals(entry.W, X, H)
-            self.stats.record_batch(len(requests), X.shape[1])
+            self.stats.record_batch(len(requests), X.shape[1], solve_seconds)
             offset = 0
             for pending in requests:
                 c = pending.columns.shape[1]
@@ -337,7 +353,11 @@ class ProjectionService:
 
 
 class ProjectionServer:
-    """Stdlib-only asyncio HTTP/1.1 front end over a :class:`ProjectionService`."""
+    """Asyncio HTTP/1.1 front end over a :class:`ProjectionService`.
+
+    One request per connection; bodies are decoded with ``orjson`` and
+    responses encoded with ``json``.
+    """
 
     def __init__(
         self,
@@ -360,7 +380,9 @@ class ProjectionServer:
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
         await self.service.start()
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port, limit=MAX_LINE_BYTES
+        )
         # port=0 binds an ephemeral port; report the real one.
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -407,8 +429,18 @@ class ProjectionServer:
                 pass
 
     @staticmethod
-    async def _read_request(reader) -> Tuple[str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+    async def _read_line(reader) -> str:
+        try:
+            line = await reader.readline()
+        except ValueError:  # StreamReader.readline past the stream limit
+            raise _HttpError(
+                400, f"request or header line longer than {MAX_LINE_BYTES} bytes"
+            ) from None
+        return line.decode("latin-1")
+
+    @classmethod
+    async def _read_request(cls, reader) -> Tuple[str, str, bytes]:
+        request_line = (await cls._read_line(reader)).strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         parts = request_line.split()
@@ -417,12 +449,18 @@ class ProjectionServer:
         method, target, _version = parts
         headers = {}
         while True:
-            line = (await reader.readline()).decode("latin-1")
+            line = await cls._read_line(reader)
             if line in ("\r\n", "\n", ""):
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise _HttpError(400, f"Content-Length is not an integer: {raw_length!r}") from None
+        if length < 0:
+            raise _HttpError(400, f"Content-Length is negative: {length}")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body of {length} bytes exceeds the limit")
         body = await reader.readexactly(length) if length else b""
@@ -469,9 +507,13 @@ class ProjectionServer:
 
     @staticmethod
     def _parse_json(body: bytes) -> dict:
+        if _nests_deeper_than(body, MAX_JSON_DEPTH):
+            raise ProjectionRequestError(
+                f"request body nests arrays/objects deeper than {MAX_JSON_DEPTH} levels"
+            )
         try:
-            payload = json.loads(body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            payload = orjson.loads(body or b"{}")
+        except orjson.JSONDecodeError as exc:  # invalid UTF-8 and NaN literals too
             raise ProjectionRequestError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ProjectionRequestError(
@@ -545,6 +587,35 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str):
         self.status = status
         super().__init__(message)
+
+
+_JSON_STRING = re.compile(rb'"[^"]*"')
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[]{}")
+
+
+def _nests_deeper_than(body: bytes, limit: int) -> bool:
+    """Whether the JSON document ``body`` nests arrays/objects past ``limit``.
+
+    orjson recurses once per level on the calling thread's stack and
+    overflows it (a segfault, not an exception) near 150 000 levels on an
+    8 MiB stack, so deep bodies are refused before decoding.  The answer is
+    exact on every prefix a JSON parser accepts, which is all it reads.
+    """
+    # '[' | 32 == '{' and ']' | 32 == '}': one comparison finds both kinds.
+    if np.count_nonzero((np.frombuffer(body, np.uint8) | 32) == ord("{")) <= limit:
+        return False  # nesting never exceeds the number of openers
+    # Drop escaped backslashes, then escaped quotes, then strings: the
+    # brackets left are the document's structure.
+    unescaped = body.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = _JSON_STRING.sub(b"", unescaped).translate(None, _NOT_BRACKETS)
+    opens = (np.frombuffer(brackets, np.uint8) | 32) == ord("{")
+    depth, chunk = 0, 1 << 16
+    for start in range(0, opens.size, chunk):
+        levels = depth + np.cumsum(2 * opens[start:start + chunk].astype(np.int64) - 1)
+        if levels.max() > limit:
+            return True
+        depth = int(levels[-1])
+    return False
 
 
 def _transpose_columns(columns: list) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything here is plain-Python and allocation-light — it runs on the event
 loop between batches.  :class:`ServeStats` is the single object the
-micro-batcher, the HTTP front end and the ``/stats`` endpoint share; its
+batcher, the HTTP front end and the ``/stats`` endpoint share; its
 :meth:`~ServeStats.snapshot` is the JSON the endpoint returns.
 
 Latency quantiles use the *nearest-rank* definition over a bounded ring of
@@ -50,8 +50,11 @@ class ServeStats:
     """Shared telemetry of one projection service.
 
     ``batch_columns`` histograms the *coalesced* batch size (total columns
-    per kernel call) — the number that shows whether micro-batching is
-    actually coalescing traffic or degenerating to one call per request.
+    per kernel call) — the number that shows whether batching is actually
+    coalescing traffic or degenerating to one call per request.  The stage
+    clock splits a request's service time: ``queue_wait`` (admission until
+    the request is taken into a batch, one sample per request) and ``solve``
+    (the batched NLS call on the kernel executor, one sample per batch).
     """
 
     def __init__(self, latency_window: int = 4096):
@@ -65,17 +68,23 @@ class ServeStats:
         self.model_errors = 0        # 404s: unknown model name
         self.batch_columns: Counter = Counter()
         self.latency = LatencyWindow(latency_window)
+        self.queue_wait = LatencyWindow(latency_window)
+        self.solve = LatencyWindow(latency_window)
         self.queue_depth = 0         # gauge, maintained by the service
 
     # -- recording hooks (called by the service / front end) -----------------
     def record_admitted(self) -> None:
         self.requests_total += 1
 
-    def record_batch(self, n_requests: int, n_columns: int) -> None:
+    def record_queue_wait(self, seconds: float) -> None:
+        self.queue_wait.record(seconds)
+
+    def record_batch(self, n_requests: int, n_columns: int, solve_seconds: float) -> None:
         self.batches_total += 1
         self.responses_total += n_requests
         self.columns_total += n_columns
         self.batch_columns[n_columns] += 1
+        self.solve.record(solve_seconds)
 
     def record_latency(self, seconds: float) -> None:
         self.latency.record(seconds)
@@ -105,4 +114,6 @@ class ServeStats:
                 for size, count in sorted(self.batch_columns.items())
             },
             "latency_seconds": self.latency.quantiles((50.0, 99.0)),
+            "queue_wait_seconds": self.queue_wait.quantiles((50.0, 99.0)),
+            "solve_seconds": self.solve.quantiles((50.0, 99.0)),
         }

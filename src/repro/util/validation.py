@@ -38,25 +38,23 @@ def check_matrix(A, name: str = "A", *, allow_sparse: bool = True):
     Raises
     ------
     ShapeError
-        If the input is not two-dimensional or has a zero dimension.
+        If the input is not two-dimensional, has a zero dimension, or holds
+        a NaN or Inf entry (for sparse input: a NaN or Inf stored value).
     """
-    if is_sparse(A):
+    sparse = is_sparse(A)
+    if sparse:
         if not allow_sparse:
             raise ShapeError(f"{name} must be a dense array, got sparse {type(A).__name__}")
         A = sp.csr_matrix(A, dtype=np.float64)
-        if A.ndim != 2:
-            raise ShapeError(f"{name} must be 2-D, got {A.ndim}-D")
-        if min(A.shape) == 0:
-            raise ShapeError(f"{name} has a zero dimension: shape {A.shape}")
-        return A
-    A = np.asarray(A, dtype=np.float64)
+    else:
+        A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {A.ndim}-D")
     if min(A.shape) == 0:
         raise ShapeError(f"{name} has a zero dimension: shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(A.data if sparse else A)):
         raise ShapeError(f"{name} contains NaN or Inf entries")
-    return np.ascontiguousarray(A)
+    return A if sparse else np.ascontiguousarray(A)
 
 
 def check_nonnegative(A, name: str = "A") -> None:

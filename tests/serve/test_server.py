@@ -1,16 +1,21 @@
-"""End-to-end serving tests: micro-batched byte identity, deadlines, shedding.
+"""End-to-end serving tests: batched byte identity, deadlines, shedding.
 
 No pytest-asyncio in the environment: each test drives its own event loop
-through ``asyncio.run``.  The slow-kernel fake monkeypatches
-``repro.serve.server.project_blocks`` so queue timeouts and load shedding are
-exercised deterministically, without real kernels being slow.
+through ``asyncio.run``.  The slow- and gated-kernel fakes monkeypatch
+``repro.serve.server.project_blocks`` so queue timeouts, load shedding and
+continuous batching are exercised deterministically, without real kernels
+being slow.  Coalescing is otherwise only asserted for requests queued
+before the worker wakes (all submits of one ``gather``).
 """
 
 import asyncio
 import json
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,12 +34,41 @@ from repro.serve import (
     ProjectionService,
     ServeError,
     ServerOverloadedError,
+    ServeStats,
     project,
 )
-from repro.serve.server import run_self_test
+from repro.serve.server import MAX_BATCH_COLUMNS, MAX_LINE_BYTES, run_self_test
 
 M, K = 48, 3
 RNG = np.random.default_rng(11)
+
+
+@pytest.fixture()
+def gated_kernel(monkeypatch):
+    """``project_blocks`` held on an event: records each call's block count.
+
+    Solves wait on the kernel thread until the test sets the gate, so
+    whatever the test submits meanwhile is queued behind a running solve.
+    """
+    gate = threading.Event()
+    calls = []
+    real = server_mod.project_blocks
+
+    def gated(W, blocks, **kwargs):
+        calls.append(len(blocks))
+        assert gate.wait(timeout=30), "gate never opened"
+        return real(W, blocks, **kwargs)
+
+    monkeypatch.setattr(server_mod, "project_blocks", gated)
+    yield gate, calls
+    gate.set()
+
+
+async def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
 
 
 def _store(name="m", m=M, k=K):
@@ -61,11 +95,13 @@ class TestServiceLifecycle:
     def test_bad_construction_rejected(self):
         store = _store()
         with pytest.raises(ValueError):
-            ProjectionService(store, batch_window=-1)
-        with pytest.raises(ValueError):
             ProjectionService(store, max_batch_columns=0)
         with pytest.raises(ValueError):
             ProjectionService(store, queue_limit=0)
+
+    def test_column_budget_default_is_the_module_constant(self):
+        assert MAX_BATCH_COLUMNS == 256
+        assert ProjectionService(_store()).max_batch_columns == MAX_BATCH_COLUMNS
 
 
 class TestMicroBatchedByteIdentity:
@@ -84,10 +120,7 @@ class TestMicroBatchedByteIdentity:
         X = np.abs(RNG.standard_normal((M, 10)))
 
         async def run():
-            service = ProjectionService(
-                store, batch_window=0.05, max_batch_columns=64,
-                kernel="batched",
-            )
+            service = ProjectionService(store, kernel="batched")
             await service.start()
             try:
                 responses = await asyncio.gather(*[
@@ -113,8 +146,7 @@ class TestMicroBatchedByteIdentity:
         blocks = [np.abs(RNG.standard_normal((M, c))) for c in (2, 1, 3)]
 
         async def run():
-            service = ProjectionService(store, batch_window=0.05,
-                                        kernel="batched")
+            service = ProjectionService(store, kernel="batched")
             await service.start()
             try:
                 return await asyncio.gather(*[
@@ -131,13 +163,13 @@ class TestMicroBatchedByteIdentity:
 
     def test_admission_validation_fails_bad_request_alone(self):
         # One malformed request must 400 by itself; its co-submitted
-        # neighbours still get served from the same window.
+        # neighbour is still served.
         store = _store()
         good = np.abs(RNG.standard_normal((M, 4)))
         bad = np.full(M, np.nan)
 
         async def run():
-            service = ProjectionService(store, batch_window=0.05)
+            service = ProjectionService(store)
             await service.start()
             try:
                 results = await asyncio.gather(
@@ -173,7 +205,7 @@ class TestHotSwap:
         store = _store()
 
         async def run():
-            service = ProjectionService(store, batch_window=0.001)
+            service = ProjectionService(store)
             await service.start()
             try:
                 first = await service.submit("m", np.ones(M))
@@ -194,6 +226,60 @@ class TestHotSwap:
         assert first.H.tobytes() != second.H.tobytes()
 
 
+class TestContinuousBatching:
+    """A batch is what is queued when the solver frees up, within the budget."""
+
+    def _run_behind_a_solve(self, gated_kernel, n_queued, hold=0.0, **service_kwargs):
+        """Solve one request, queue ``n_queued`` behind it, then open the gate
+        ``hold`` seconds after the last of them is admitted."""
+        gate, calls = gated_kernel
+        store = _store()
+        X = np.abs(RNG.standard_normal((M, n_queued + 1)))
+
+        async def run():
+            service = ProjectionService(store, kernel="batched", **service_kwargs)
+            await service.start()
+            try:
+                head = asyncio.create_task(service.submit("m", X[:, 0]))
+                await _until(lambda: calls)  # head is in the kernel
+                queued = [asyncio.create_task(service.submit("m", X[:, i]))
+                          for i in range(1, n_queued + 1)]
+                await _until(lambda: service.stats.requests_total == n_queued + 1)
+                await asyncio.sleep(hold)
+                gate.set()
+                return await asyncio.gather(head, *queued), service.stats.snapshot()
+            finally:
+                gate.set()
+                await service.stop()
+
+        responses, snapshot = asyncio.run(run())
+        return store.get("m"), X, responses, calls, snapshot
+
+    def test_requests_landing_during_a_solve_form_the_next_batch(self, gated_kernel):
+        entry, X, responses, calls, snapshot = self._run_behind_a_solve(gated_kernel, 4)
+        assert calls == [1, 4]
+        assert [r.batch_columns for r in responses] == [1, 4, 4, 4, 4]
+        for i, response in enumerate(responses):
+            alone = project(entry.W, X[:, [i]], kernel="scalar", gram=entry.gram)
+            assert response.H.tobytes() == alone.tobytes()
+        assert snapshot["batch_columns_histogram"] == {"1": 1, "4": 1}
+
+    def test_column_budget_splits_what_is_queued(self, gated_kernel):
+        _, _, responses, calls, _ = self._run_behind_a_solve(
+            gated_kernel, 5, max_batch_columns=3)
+        assert calls == [1, 3, 2]
+        assert [r.batch_columns for r in responses] == [1, 3, 3, 3, 2, 2]
+
+    def test_stage_clock_round_trip(self, gated_kernel):
+        # Two requests queue behind a solve held for 50 ms: two of the three
+        # queue waits and one of the two solves span the hold.
+        _, _, _, _, snapshot = self._run_behind_a_solve(gated_kernel, 2, hold=0.05)
+        wait, solve = snapshot["queue_wait_seconds"], snapshot["solve_seconds"]
+        assert 0.05 <= wait["p50"] <= wait["p99"]
+        assert 0.0 < solve["p50"] <= solve["p99"]
+        assert solve["p99"] >= 0.05
+
+
 class TestSlowKernel:
     """Deadline expiry and queue shedding, via a slow project_blocks fake."""
 
@@ -212,8 +298,7 @@ class TestSlowKernel:
 
         async def run():
             # one request per batch: later submissions wait a full slow solve
-            service = ProjectionService(store, batch_window=0.0,
-                                        max_batch_columns=1)
+            service = ProjectionService(store, max_batch_columns=1)
             await service.start()
             try:
                 head = asyncio.create_task(service.submit("m", np.ones(M)))
@@ -240,8 +325,7 @@ class TestSlowKernel:
         store = _store()
 
         async def run():
-            service = ProjectionService(store, batch_window=0.0,
-                                        max_batch_columns=1, queue_limit=1,
+            service = ProjectionService(store, max_batch_columns=1, queue_limit=1,
                                         default_deadline=5.0)
             await service.start()
             try:
@@ -277,7 +361,7 @@ class TestSlowKernel:
         monkeypatch.setattr(server_mod, "project_blocks", flaky)
 
         async def run():
-            service = ProjectionService(store, batch_window=0.0)
+            service = ProjectionService(store)
             await service.start()
             try:
                 with pytest.raises(RuntimeError, match="exploded"):
@@ -304,6 +388,24 @@ def _http(base, path, payload=None, method=None):
         return exc.code, json.loads(exc.read().decode())
 
 
+def _raw_http(base, request: bytes):
+    """Send raw request bytes, read to EOF; returns (status, parsed json body)."""
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(1 << 16):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _raw_post(path: str, body: bytes) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
 class TestHttpServer:
     def _run(self, scenario, **service_kwargs):
         """Start a server on an ephemeral port, run ``scenario(base, ...)``."""
@@ -311,8 +413,7 @@ class TestHttpServer:
         entry = store.get("m")
 
         async def main():
-            service = ProjectionService(
-                store, **{"batch_window": 0.01, **service_kwargs})
+            service = ProjectionService(store, **service_kwargs)
             server = ProjectionServer(service, port=0, refresh_every=4)
             await server.start()
             loop = asyncio.get_running_loop()
@@ -335,24 +436,72 @@ class TestHttpServer:
         assert health["models"][0]["name"] == "m"
         assert s_status == 200
         assert stats["requests_total"] == 0
-        assert "latency_seconds" in stats
+        for clock in ("latency_seconds", "queue_wait_seconds", "solve_seconds"):
+            assert set(stats[clock]) == {"p50", "p99"}
 
-    def test_concurrent_projections_match_solo_scalar(self):
+    def test_concurrent_projections_match_solo_scalar(self, gated_kernel):
+        # Five requests land while the first one's solve is held: they ride
+        # one later batch, and every answer equals its column solved alone.
+        gate, _ = gated_kernel
+        stats = ServeStats()
         X = np.abs(RNG.standard_normal((M, 6)))
 
         async def scenario(loop, base, store, entry):
-            calls = [
-                loop.run_in_executor(
-                    None, _http, base, "/v1/models/m/project",
-                    {"column": X[:, i].tolist()},
-                )
-                for i in range(6)
-            ]
-            return await asyncio.gather(*calls)
+            with ThreadPoolExecutor(max_workers=6) as clients:
+                calls = [
+                    loop.run_in_executor(
+                        clients, _http, base, "/v1/models/m/project",
+                        {"column": X[:, i].tolist()},
+                    )
+                    for i in range(6)
+                ]
+                try:
+                    await _until(lambda: stats.requests_total == 6)
+                finally:
+                    gate.set()
+                return await asyncio.gather(*calls), entry
 
-        results = self._run(scenario, kernel="batched")
+        results, entry = self._run(scenario, kernel="batched", stats=stats)
         assert all(status == 200 for status, _ in results)
         assert any(body["batch_columns"] > 1 for _, body in results)
+        for i, (_, body) in enumerate(results):
+            alone = project(entry.W, X[:, [i]], kernel="scalar", gram=entry.gram)
+            assert body["h"] == alone.T.tolist()
+
+    @pytest.mark.parametrize("request_bytes, message", [
+        (b"POST /v1/models/m/project HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+         "Content-Length is not an integer: 'ten'"),
+        (b"POST /v1/models/m/project HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         "Content-Length is negative: -5"),
+        (b"GET /" + b"a" * (MAX_LINE_BYTES + 10) + b" HTTP/1.1\r\n\r\n",
+         f"request or header line longer than {MAX_LINE_BYTES} bytes"),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (MAX_LINE_BYTES + 10) + b"\r\n\r\n",
+         f"request or header line longer than {MAX_LINE_BYTES} bytes"),
+    ], ids=["non-numeric-length", "negative-length", "long-request-line",
+            "long-header-line"])
+    def test_malformed_http_gets_named_400(self, request_bytes, message):
+        async def scenario(loop, base, store, entry):
+            return await loop.run_in_executor(None, _raw_http, base, request_bytes)
+
+        status, body = self._run(scenario)
+        assert status == 400
+        assert body["error"] == message
+
+    @pytest.mark.parametrize("body, message", [
+        (b'{"column": "\xff"}', "not valid JSON"),
+        (b"[1.0, 2.0]", "must be a JSON object, got list"),
+        (b'{"column": [NaN, 1.0]}', "not valid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "deeper than 1024 levels"),
+    ], ids=["invalid-utf8", "top-level-array", "nan-literal", "100k-deep"])
+    def test_malformed_body_gets_named_400(self, body, message):
+        async def scenario(loop, base, store, entry):
+            return await loop.run_in_executor(
+                None, _raw_http, base, _raw_post("/v1/models/m/project", body))
+
+        status, payload = self._run(scenario)
+        assert status == 400
+        assert payload["type"] == "ProjectionRequestError"
+        assert message in payload["error"]
 
     def test_http_response_values_equal_solo_projection(self):
         X = np.abs(RNG.standard_normal((M, 3)))
@@ -452,8 +601,7 @@ class TestHttpServer:
         store = _store()
 
         async def main():
-            service = ProjectionService(store, batch_window=0.01,
-                                        kernel="batched")
+            service = ProjectionService(store, kernel="batched")
             server = ProjectionServer(service, port=0)
             await server.start()
             try:

@@ -58,21 +58,33 @@ class TestServeStats:
         for key in ("requests_total", "responses_total", "columns_total",
                     "batches_total", "shed_total", "deadline_total",
                     "validation_errors", "model_errors", "queue_depth",
-                    "batch_columns_histogram", "latency_seconds"):
+                    "batch_columns_histogram", "latency_seconds",
+                    "queue_wait_seconds", "solve_seconds"):
             assert key in snapshot
         assert math.isnan(snapshot["mean_batch_columns"])
+        for clock in ("latency_seconds", "queue_wait_seconds", "solve_seconds"):
+            assert set(snapshot[clock]) == {"p50", "p99"}
 
     def test_batch_recording(self):
         stats = ServeStats()
         stats.record_admitted()
         stats.record_admitted()
-        stats.record_batch(n_requests=2, n_columns=8)
-        stats.record_batch(n_requests=1, n_columns=8)
+        stats.record_batch(n_requests=2, n_columns=8, solve_seconds=0.001)
+        stats.record_batch(n_requests=1, n_columns=8, solve_seconds=0.003)
         assert stats.requests_total == 2
         assert stats.responses_total == 3
         assert stats.columns_total == 16
         assert stats.mean_batch_columns == 8.0
         assert stats.snapshot()["batch_columns_histogram"] == {"8": 2}
+
+    def test_stage_clock_quantiles_in_snapshot(self):
+        stats = ServeStats()
+        for wait in (0.0001, 0.0002, 0.0003):
+            stats.record_queue_wait(wait)
+        stats.record_batch(n_requests=3, n_columns=3, solve_seconds=0.002)
+        snapshot = stats.snapshot()
+        assert snapshot["queue_wait_seconds"] == {"p50": 0.0002, "p99": 0.0003}
+        assert snapshot["solve_seconds"] == {"p50": 0.002, "p99": 0.002}
 
     def test_latency_quantiles_in_snapshot(self):
         stats = ServeStats()
@@ -86,7 +98,7 @@ class TestServeStats:
         import json
 
         stats = ServeStats()
-        stats.record_batch(1, 4)
+        stats.record_batch(1, 4, 0.001)
         stats.record_latency(0.01)
         parsed = json.loads(json.dumps(stats.snapshot()))
         assert parsed["batches_total"] == 1

@@ -52,6 +52,32 @@ class TestCheckMatrix:
             check_matrix(A)
 
 
+def _sparse_with(value, fmt):
+    A = sp.random(40, 30, density=0.3, random_state=0, format=fmt)
+    A.data[3] = value
+    return A
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+class TestSparseNonFiniteRejected:
+    """A non-finite stored value stops at the front door, not in LAPACK."""
+
+    def test_check_matrix(self, value, fmt):
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            check_matrix(_sparse_with(value, fmt))
+
+    @pytest.mark.parametrize("variant, options", [
+        ("sequential", {}),
+        ("hpc2d", {"n_ranks": 2, "backend": "thread"}),
+    ])
+    def test_fit(self, value, fmt, variant, options):
+        from repro import fit
+
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            fit(_sparse_with(value, fmt), 4, variant=variant, max_iters=2, **options)
+
+
 class TestCheckNonnegative:
     def test_accepts_nonnegative_dense(self):
         check_nonnegative(np.abs(np.random.default_rng(0).standard_normal((4, 4))))
