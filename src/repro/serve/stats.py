@@ -54,7 +54,8 @@ class ServeStats:
     coalescing traffic or degenerating to one call per request.  The stage
     clock splits a request's service time: ``queue_wait`` (admission until
     the request is taken into a batch, one sample per request) and ``solve``
-    (the batched NLS call on the kernel executor, one sample per batch).
+    (the wall time of the batched NLS call on the event loop, one sample per
+    batch).
     """
 
     def __init__(self, latency_window: int = 4096):

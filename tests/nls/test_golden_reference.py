@@ -20,7 +20,7 @@ actually produces when a factor column dies).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nls import available_kernels, make_solver
@@ -129,8 +129,12 @@ class TestGoldenSolverItself:
 class TestKernelsVsGolden:
     """Every registered BPP kernel must reproduce the golden optimum."""
 
+    # One @given method serves every kernel-parametrized instance of the
+    # class; hypothesis flags that as differing executors once its example
+    # database is warm, although the test reads nothing from ``self``.
     @given(problem=_nls_problems())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_matches_golden(self, kernel, problem):
         gram, rhs = problem
         scale = max(np.abs(gram).max(), np.abs(rhs).max(), 1.0)

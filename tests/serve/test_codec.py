@@ -1,15 +1,17 @@
-"""The request-body decoder: orjson reads what ``json.dumps`` writes, bit for bit.
+"""The server's JSON codec: orjson and the stdlib agree on every float64, bit for bit.
 
-The server decodes bodies with ``orjson``; clients (the stdlib one in
-``run_self_test``, the benchmark's, ``curl`` scripts) mostly encode with
-``json.dumps``.  A column must arrive as the float64 values the client
-encoded, so the two parsers must agree on every double ``repr`` can print.
+The server decodes bodies and encodes responses with ``orjson``; clients
+(the stdlib one in ``run_self_test``, the benchmark's, ``curl`` scripts)
+mostly encode and decode with ``json``.  A column must arrive as the
+float64 values the client encoded, and an ``h`` must decode to the values
+the server solved, so each direction must round-trip every finite double.
 Malformed bodies are covered over HTTP in ``test_server.py``.
 """
 
 import json
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,27 @@ def test_orjson_columns_equal_json_loads_bit_for_bit(column):
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and ±0.0 included
+    _SEVENTEEN_DIGITS,
+    st.sampled_from([v for v in _EDGE_VALUES if isinstance(v, float)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.lists(_FLOATS, min_size=1, max_size=32))
+@example(h=[v for v in _EDGE_VALUES if isinstance(v, float)])
+def test_orjson_responses_decode_bit_for_bit(h):
+    # ``h`` is sent as ``.tolist()`` of float64 values; stdlib and orjson
+    # clients must both read back exactly those bits, signed zeros included.
+    want = np.asarray(h, dtype=np.float64)
+    body = orjson.dumps({"h": [h, h[::-1]]})
+    for decoded in (json.loads(body), orjson.loads(body)):
+        got = np.asarray(decoded["h"][0], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(decoded["h"][1]).tobytes() == want[::-1].tobytes()
 
 
 @pytest.mark.parametrize("body, deeper", [

@@ -1,23 +1,25 @@
 """End-to-end serving tests: batched byte identity, deadlines, shedding.
 
 No pytest-asyncio in the environment: each test drives its own event loop
-through ``asyncio.run``.  The slow- and gated-kernel fakes monkeypatch
-``repro.serve.server.project_blocks`` so queue timeouts, load shedding and
-continuous batching are exercised deterministically, without real kernels
-being slow.  Coalescing is otherwise only asserted for requests queued
-before the worker wakes (all submits of one ``gather``).
+through ``asyncio.run``.  The service solves on the event loop itself, so a
+batch is held by gating the batcher on an ``asyncio.Event`` awaited before
+the solve (the ``gated_batcher`` fixture): the loop stays free to admit,
+expire, shed and answer ``/healthz`` while the test decides when the solve
+runs, and queue timeouts, load shedding and continuous batching are
+exercised deterministically.  Coalescing is otherwise only asserted for
+requests queued before the worker wakes (all submits of one ``gather``).
 """
 
 import asyncio
 import json
 import socket
-import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import orjson
 import pytest
 
 import repro.serve.server as server_mod
@@ -44,22 +46,22 @@ RNG = np.random.default_rng(11)
 
 
 @pytest.fixture()
-def gated_kernel(monkeypatch):
-    """``project_blocks`` held on an event: records each call's block count.
+def gated_batcher(monkeypatch):
+    """Each batch held on an ``asyncio.Event``: records its request count.
 
-    Solves wait on the kernel thread until the test sets the gate, so
-    whatever the test submits meanwhile is queued behind a running solve.
+    The batcher awaits the gate after taking a batch and before solving it,
+    so whatever the test submits meanwhile is queued behind that batch.
     """
-    gate = threading.Event()
+    gate = asyncio.Event()
     calls = []
-    real = server_mod.project_blocks
+    real = ProjectionService._serve_batch
 
-    def gated(W, blocks, **kwargs):
-        calls.append(len(blocks))
-        assert gate.wait(timeout=30), "gate never opened"
-        return real(W, blocks, **kwargs)
+    async def gated(self, batch, loop):
+        calls.append(len(batch))
+        await asyncio.wait_for(gate.wait(), timeout=30)
+        await real(self, batch, loop)
 
-    monkeypatch.setattr(server_mod, "project_blocks", gated)
+    monkeypatch.setattr(ProjectionService, "_serve_batch", gated)
     yield gate, calls
     gate.set()
 
@@ -229,10 +231,10 @@ class TestHotSwap:
 class TestContinuousBatching:
     """A batch is what is queued when the solver frees up, within the budget."""
 
-    def _run_behind_a_solve(self, gated_kernel, n_queued, hold=0.0, **service_kwargs):
+    def _run_behind_a_solve(self, gated_batcher, n_queued, hold=0.0, **service_kwargs):
         """Solve one request, queue ``n_queued`` behind it, then open the gate
         ``hold`` seconds after the last of them is admitted."""
-        gate, calls = gated_kernel
+        gate, calls = gated_batcher
         store = _store()
         X = np.abs(RNG.standard_normal((M, n_queued + 1)))
 
@@ -255,8 +257,8 @@ class TestContinuousBatching:
         responses, snapshot = asyncio.run(run())
         return store.get("m"), X, responses, calls, snapshot
 
-    def test_requests_landing_during_a_solve_form_the_next_batch(self, gated_kernel):
-        entry, X, responses, calls, snapshot = self._run_behind_a_solve(gated_kernel, 4)
+    def test_requests_landing_during_a_solve_form_the_next_batch(self, gated_batcher):
+        entry, X, responses, calls, snapshot = self._run_behind_a_solve(gated_batcher, 4)
         assert calls == [1, 4]
         assert [r.batch_columns for r in responses] == [1, 4, 4, 4, 4]
         for i, response in enumerate(responses):
@@ -264,50 +266,50 @@ class TestContinuousBatching:
             assert response.H.tobytes() == alone.tobytes()
         assert snapshot["batch_columns_histogram"] == {"1": 1, "4": 1}
 
-    def test_column_budget_splits_what_is_queued(self, gated_kernel):
+    def test_column_budget_splits_what_is_queued(self, gated_batcher):
         _, _, responses, calls, _ = self._run_behind_a_solve(
-            gated_kernel, 5, max_batch_columns=3)
+            gated_batcher, 5, max_batch_columns=3)
         assert calls == [1, 3, 2]
         assert [r.batch_columns for r in responses] == [1, 3, 3, 3, 2, 2]
 
-    def test_stage_clock_round_trip(self, gated_kernel):
-        # Two requests queue behind a solve held for 50 ms: two of the three
-        # queue waits and one of the two solves span the hold.
-        _, _, _, _, snapshot = self._run_behind_a_solve(gated_kernel, 2, hold=0.05)
-        wait, solve = snapshot["queue_wait_seconds"], snapshot["solve_seconds"]
-        assert 0.05 <= wait["p50"] <= wait["p99"]
-        assert 0.0 < solve["p50"] <= solve["p99"]
-        assert solve["p99"] >= 0.05
-
-
-class TestSlowKernel:
-    """Deadline expiry and queue shedding, via a slow project_blocks fake."""
-
-    @pytest.fixture()
-    def slow_kernel(self, monkeypatch):
+    def test_stage_clock_round_trip(self, gated_batcher, monkeypatch):
+        # Two requests queue behind a batch held for 50 ms, and every solve
+        # takes 50 ms: all three queue waits span the hold, every solve its
+        # own 50 ms.
         real = server_mod.project_blocks
 
         def slow(*args, **kwargs):
-            time.sleep(0.15)  # runs on the kernel executor thread
+            time.sleep(0.05)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(server_mod, "project_blocks", slow)
+        _, _, _, _, snapshot = self._run_behind_a_solve(gated_batcher, 2, hold=0.05)
+        wait, solve = snapshot["queue_wait_seconds"], snapshot["solve_seconds"]
+        assert 0.05 <= wait["p50"] <= wait["p99"]
+        assert 0.05 <= solve["p50"] <= solve["p99"]
 
-    def test_queued_past_deadline_gets_504(self, slow_kernel):
+
+class TestSlowKernel:
+    """Deadline expiry and queue shedding behind a held batch."""
+
+    def test_queued_past_deadline_gets_504(self, gated_batcher):
+        gate, calls = gated_batcher
         store = _store()
 
         async def run():
-            # one request per batch: later submissions wait a full slow solve
+            # one request per batch: later submissions wait behind the head
             service = ProjectionService(store, max_batch_columns=1)
             await service.start()
             try:
                 head = asyncio.create_task(service.submit("m", np.ones(M)))
-                await asyncio.sleep(0.02)  # head is now in the slow kernel
+                await _until(lambda: calls)  # head is now held
                 queued = [
                     asyncio.create_task(
                         service.submit("m", np.ones(M), timeout=0.05))
                     for _ in range(2)
                 ]
+                await asyncio.sleep(0.1)     # both expire in the queue
+                gate.set()
                 results = await asyncio.gather(head, *queued,
                                                return_exceptions=True)
                 stats = service.stats.snapshot()
@@ -321,7 +323,8 @@ class TestSlowKernel:
         assert isinstance(late2, DeadlineExceededError)
         assert stats["deadline_total"] == 2
 
-    def test_full_queue_sheds_with_503(self, slow_kernel):
+    def test_full_queue_sheds_with_503(self, gated_batcher):
+        gate, calls = gated_batcher
         store = _store()
 
         async def run():
@@ -330,11 +333,12 @@ class TestSlowKernel:
             await service.start()
             try:
                 head = asyncio.create_task(service.submit("m", np.ones(M)))
-                await asyncio.sleep(0.02)  # head dequeued into the kernel
+                await _until(lambda: calls)  # head dequeued and held
                 second = asyncio.create_task(service.submit("m", np.ones(M)))
                 await asyncio.sleep(0)     # second now occupies the queue
                 with pytest.raises(ServerOverloadedError, match="full"):
                     await service.submit("m", np.ones(M))
+                gate.set()
                 results = await asyncio.gather(head, second)
                 stats = service.stats.snapshot()
             finally:
@@ -388,6 +392,12 @@ def _http(base, path, payload=None, method=None):
         return exc.code, json.loads(exc.read().decode())
 
 
+def _get_raw_body(base, path):
+    """GET ``path`` and return the undecoded response body."""
+    with urllib.request.urlopen(base + path, timeout=30) as response:
+        return response.read()
+
+
 def _raw_http(base, request: bytes):
     """Send raw request bytes, read to EOF; returns (status, parsed json body)."""
     port = int(base.rsplit(":", 1)[1])
@@ -426,23 +436,51 @@ class TestHttpServer:
         return asyncio.run(main())
 
     def test_healthz_and_stats(self):
+        # Before the first batch the mean batch size and every quantile are
+        # NaN in Python; the wire carries them as null, which a strict
+        # parser accepts (a bare NaN token is not JSON).
         async def scenario(loop, base, store, entry):
-            health = await loop.run_in_executor(None, _http, base, "/healthz")
-            stats = await loop.run_in_executor(None, _http, base, "/stats")
-            return health, stats
+            return [await loop.run_in_executor(None, _get_raw_body, base, path)
+                    for path in ("/healthz", "/stats")]
 
-        (h_status, health), (s_status, stats) = self._run(scenario)
-        assert h_status == 200 and health["status"] == "ok"
+        health, stats = (orjson.loads(raw) for raw in self._run(scenario))
+        assert health["status"] == "ok"
         assert health["models"][0]["name"] == "m"
-        assert s_status == 200
         assert stats["requests_total"] == 0
+        assert stats["mean_batch_columns"] is None
         for clock in ("latency_seconds", "queue_wait_seconds", "solve_seconds"):
-            assert set(stats[clock]) == {"p50", "p99"}
+            assert stats[clock] == {"p50": None, "p99": None}
 
-    def test_concurrent_projections_match_solo_scalar(self, gated_kernel):
+    def test_healthz_answers_while_requests_are_queued(self, gated_batcher):
+        gate, calls = gated_batcher
+        stats = ServeStats()
+
+        async def scenario(loop, base, store, entry):
+            with ThreadPoolExecutor(max_workers=3) as clients:
+                posts = [
+                    loop.run_in_executor(
+                        clients, _http, base, "/v1/models/m/project",
+                        {"column": [1.0] * M},
+                    )
+                    for _ in range(3)
+                ]
+                try:
+                    await _until(lambda: stats.requests_total == 3)
+                    health = await loop.run_in_executor(None, _http, base, "/healthz")
+                    answered = stats.responses_total
+                finally:
+                    gate.set()
+                return health, answered, await asyncio.gather(*posts)
+
+        (status, health), answered, posts = self._run(scenario, stats=stats)
+        assert status == 200 and health["status"] == "ok"
+        assert calls and answered == 0  # answered while every projection waited
+        assert [s for s, _ in posts] == [200] * 3
+
+    def test_concurrent_projections_match_solo_scalar(self, gated_batcher):
         # Five requests land while the first one's solve is held: they ride
         # one later batch, and every answer equals its column solved alone.
-        gate, _ = gated_kernel
+        gate, _ = gated_batcher
         stats = ServeStats()
         X = np.abs(RNG.standard_normal((M, 6)))
 
@@ -573,6 +611,8 @@ class TestHttpServer:
         assert g_status == 405 and p_status == 405
 
     def test_ingest_publishes_on_cadence(self):
+        X = np.abs(RNG.standard_normal((M, 2)))
+
         async def scenario(loop, base, store, entry):
             statuses = []
             for _ in range(4):  # refresh_every=4 -> one published version
@@ -580,13 +620,20 @@ class TestHttpServer:
                 statuses.append(await loop.run_in_executor(
                     None, _http, base, "/v1/models/m/ingest",
                     {"column": column.tolist()}))
-            return statuses, store.get("m").version
+            projected = await loop.run_in_executor(
+                None, _http, base, "/v1/models/m/project",
+                {"columns": [X[:, 0].tolist(), X[:, 1].tolist()]})
+            return statuses, projected, store.get("m")
 
-        statuses, version = self._run(scenario)
+        statuses, (status, body), refreshed = self._run(scenario)
         assert [s for s, _ in statuses] == [200] * 4
         assert statuses[-1][1]["columns_seen"] == 4
-        assert version == 2
+        assert refreshed.version == 2
         assert statuses[-1][1]["serving_version"] == 2
+        # the next projection is served by the published version
+        assert status == 200 and body["version"] == 2
+        alone = project(refreshed.W, X, kernel="scalar", gram=refreshed.gram)
+        assert body["h"] == alone.T.tolist()
 
     def test_reload_endpoint_on_in_memory_model_is_500(self):
         async def scenario(loop, base, store, entry):
