@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import __version__
 from repro.comm.backends import available_backends
@@ -37,7 +36,7 @@ from repro.nls.base import available_solvers
 from repro.nls.kernels import registered_kernels
 from repro.perf.machine import MachineSpec, edison_machine, laptop_machine
 from repro.plan import ProblemSpec, plan_candidates, render_plan_table
-from repro.serve.server import MAX_BATCH_COLUMNS
+from repro.serve.project import MAX_BATCH_COLUMNS
 from repro.util.errors import ShapeError, SolverError
 
 
@@ -60,6 +59,8 @@ def _load_input(name_or_path: str):
             "nor an existing file"
         )
     if path.suffix == ".npz":
+        import scipy.sparse as sp
+
         try:
             return sp.load_npz(path)
         except Exception:

@@ -14,12 +14,14 @@ and the global matrix never exists in one place.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util.seeding import per_rank_seed
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def dense_synthetic(
@@ -77,6 +79,8 @@ def sparse_synthetic(
 
     Nonzero values are uniform in (0, 1] ("uniform") or all ones ("binary").
     """
+    import scipy.sparse as sp
+
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = np.random.default_rng(seed)

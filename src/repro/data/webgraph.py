@@ -13,8 +13,12 @@ mentions — so keeping it matters for a faithful reproduction.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def web_graph_matrix(
@@ -47,6 +51,8 @@ def web_graph_matrix(
     than by maintaining the evolving degree sequence, which is accurate enough
     to produce the heavy-tailed in-degree profile NMF workloads care about.
     """
+    import scipy.sparse as sp
+
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
     if n_edges < 1:

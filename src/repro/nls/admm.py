@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.nls.base import NLSSolver, NLSState, register_solver
 
@@ -61,6 +60,8 @@ class ADMMSolver(NLSSolver):
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        import scipy.linalg as sla
+
         gram, rhs, x0 = self._validate(gram, rhs, x0)
         k, c = rhs.shape
         rho = self.rho if self.rho is not None else max(float(np.trace(gram)) / k, 1e-8)

@@ -39,14 +39,12 @@ from repro.serve.project import (
     projection_residuals,
     validate_columns,
 )
-from repro.serve.server import (
-    ProjectionResponse,
-    ProjectionServer,
-    ProjectionService,
-    run_self_test,
-)
 from repro.serve.stats import LatencyWindow, ServeStats, percentile
 from repro.serve.store import ModelEntry, ModelStore
+
+# The HTTP front end (and with it asyncio and orjson) loads on first use, so
+# projecting in-process or running another CLI subcommand never imports it.
+_SERVER_EXPORTS = ("ProjectionResponse", "ProjectionServer", "ProjectionService", "run_self_test")
 
 __all__ = [
     "DeadlineExceededError",
@@ -69,3 +67,11 @@ __all__ = [
     "ServeStats",
     "validate_columns",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SERVER_EXPORTS:
+        from repro.serve import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")

@@ -49,12 +49,16 @@ from repro.nls.base import NLSSolver
 from repro.serve.errors import ProjectionRequestError
 
 __all__ = [
+    "MAX_BATCH_COLUMNS",
     "validate_columns",
     "project",
     "project_blocks",
     "projection_residuals",
     "ModelRefresher",
 ]
+
+#: default column budget of one batched NLS call (service and CLI alike).
+MAX_BATCH_COLUMNS = 256
 
 
 def validate_columns(

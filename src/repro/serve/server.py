@@ -75,6 +75,7 @@ from repro.serve.errors import (
     ServerOverloadedError,
 )
 from repro.serve.project import (
+    MAX_BATCH_COLUMNS,
     ModelRefresher,
     project_blocks,
     projection_residuals,
@@ -111,9 +112,6 @@ MAX_LINE_BYTES = 64 * 1024
 #: request bodies nested deeper than this are rejected with 400 before
 #: decoding (a projection body nests 3 deep).
 MAX_JSON_DEPTH = 1024
-
-#: default column budget of one batched NLS call (service and CLI alike).
-MAX_BATCH_COLUMNS = 256
 
 
 @dataclass
@@ -370,6 +368,15 @@ class ProjectionServer:
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
         await self.service.start()
+        # glibc malloc serves blocks of 128 KiB or more with mmap and gives
+        # them back with munmap until freeing a larger mapped block raises
+        # that threshold.  Each request allocates such blocks and drops them
+        # (the stream buffer, the body bytes, the depth guard's arrays), so
+        # without a raise every request maps fresh pages and pays ~100 minor
+        # faults for them, 10-15 % of throughput.  Freeing one untouched 8 MiB
+        # block raises it to 8 MiB, and the heap's trim threshold to 16 MiB,
+        # once; other allocators are unaffected.
+        np.empty(8 * 1024 * 1024, dtype=np.uint8)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=MAX_LINE_BYTES
         )

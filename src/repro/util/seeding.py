@@ -12,19 +12,22 @@ all variants perform the same computations.  We reproduce both conventions:
 
 from __future__ import annotations
 
+import math
+from itertools import compress
+
 import numpy as np
 
 
 def _first_primes(count: int) -> list[int]:
-    """Return the first ``count`` prime numbers (simple sieve, small counts)."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        is_prime = all(candidate % p for p in primes if p * p <= candidate)
-        if is_prime:
-            primes.append(candidate)
-        candidate += 1
-    return primes
+    """Return the first ``count`` prime numbers (sieve of Eratosthenes)."""
+    # Rosser's bound: the n-th prime is below n (ln n + ln ln n) for n >= 6.
+    limit = 13 if count < 6 else int(count * (math.log(count) + math.log(math.log(count))))
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))[:count]
 
 
 _PRIME_CACHE: list[int] = _first_primes(2048)

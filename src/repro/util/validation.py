@@ -7,19 +7,21 @@ float64 ndarrays for dense data and CSR for sparse data.
 
 from __future__ import annotations
 
-from typing import Union
+import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util.errors import NonNegativityError, ShapeError
 
-MatrixLike = Union[np.ndarray, sp.spmatrix, sp.sparray]
-
 
 def is_sparse(A) -> bool:
-    """Return True if ``A`` is a scipy sparse matrix/array."""
-    return sp.issparse(A)
+    """Return True if ``A`` is a scipy sparse matrix/array.
+
+    Nothing is sparse before :mod:`scipy.sparse` is loaded, so this never
+    loads it: a program that only ever sees dense input does not pay for it.
+    """
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(A)
 
 
 def as_dense(A) -> np.ndarray:
@@ -45,7 +47,9 @@ def check_matrix(A, name: str = "A", *, allow_sparse: bool = True):
     if sparse:
         if not allow_sparse:
             raise ShapeError(f"{name} must be a dense array, got sparse {type(A).__name__}")
-        A = sp.csr_matrix(A, dtype=np.float64)
+        from scipy.sparse import csr_matrix
+
+        A = csr_matrix(A, dtype=np.float64)
     else:
         A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:

@@ -412,7 +412,8 @@ def test_ranks_sharing_one_cpu_are_not_starved_by_the_waiting_ones(p):
     hold the core its peer needs for a whole scheduler slice per barrier.
     Serialized compute may cost up to ``p`` cores' worth; the waits must not
     add to that — 3x the unpinned wall on this 2-CPU host — and the bytes do
-    not depend on where the ranks ran."""
+    not depend on where the ranks ran.  The host's speed wanders, so pinned
+    and unpinned fits alternate and each side keeps its best of three."""
     from repro.core.api import fit
 
     A = np.abs(np.random.default_rng(3).standard_normal((768, 512)))
@@ -423,14 +424,16 @@ def test_ranks_sharing_one_cpu_are_not_starved_by_the_waiting_ones(p):
         return time.perf_counter() - start, result.W.tobytes() + result.H.tobytes()
 
     allowed = os.sched_getaffinity(0)
-    (wall_a, factors), (wall_b, _) = timed_fit(), timed_fit()
-    os.sched_setaffinity(0, {min(allowed)})
-    try:
-        (pinned_a, pinned_factors), (pinned_b, _) = timed_fit(), timed_fit()
-    finally:
-        os.sched_setaffinity(0, allowed)
-    assert pinned_factors == factors
-    assert min(pinned_a, pinned_b) < 3.0 * min(wall_a, wall_b)
+    free, pinned = [], []
+    for _ in range(3):
+        free.append(timed_fit())
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            pinned.append(timed_fit())
+        finally:
+            os.sched_setaffinity(0, allowed)
+    assert len({factors for _, factors in free + pinned}) == 1
+    assert min(wall for wall, _ in pinned) < 3.0 * min(wall for wall, _ in free)
 
 
 _GRID_OPS = ("barrier", "allreduce", "allgatherv", "reduce_scatter")

@@ -203,6 +203,15 @@ def test_serve_without_models_errors():
         main(["serve", "--port", "0", "--self-test"])
 
 
+def test_serve_help_names_the_batch_default(capsys):
+    from repro.serve.server import MAX_BATCH_COLUMNS
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--help"])
+    assert excinfo.value.code == 0
+    assert f"(default {MAX_BATCH_COLUMNS})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_serve_rejects_unknown_kernel():
     with pytest.raises(SystemExit):
         main(["serve", "x.npz", "--kernel", "warp-drive"])
