@@ -167,11 +167,15 @@ class ForkedRuntime:
 
         try:
             for peer in range(rank):
+                # A plain connect to the numeric address: create_connection
+                # would resolve it with getaddrinfo, which imports
+                # encodings.idna in every freshly forked rank.
+                conn = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
+                conn.settimeout(self.connect_timeout)
                 try:
-                    conn = socketlib.create_connection(
-                        ("127.0.0.1", self.ports[peer]), timeout=self.connect_timeout
-                    )
+                    conn.connect(("127.0.0.1", self.ports[peer]))
                 except OSError as exc:
+                    conn.close()
                     raise CommunicatorError(
                         f"rank {rank} could not connect to peer rank {peer} on "
                         f"port {self.ports[peer]} within "

@@ -78,6 +78,13 @@ class SocketBackend(ForkedBackend):
         self.connect_timeout = float(connect_timeout)
 
     def _make_runtime(self) -> _WireRuntime:
+        # Every collective here moves point-to-point through
+        # repro.comm.collectives.  Importing it before the ranks fork means
+        # they inherit it instead of importing it again on every fit (a
+        # module-level import would cost every cold start that never uses
+        # this backend).
+        import repro.comm.collectives  # noqa: F401
+
         return _WireRuntime(self.n_ranks, self.timeout, self.connect_timeout)
 
 

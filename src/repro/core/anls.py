@@ -25,7 +25,7 @@ import numpy as np
 from repro.comm.profiler import Profiler, TaskCategory
 from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_global
-from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
+from repro.core.local_ops import BlockProducts, gram
 from repro.core.objective import frobenius_norm_squared, objective_from_grams
 from repro.core.observers import CallbackObserver, IterationObserver, LoopControl
 from repro.core.result import NMFResult
@@ -69,8 +69,14 @@ def anls_nmf(
     solver = config.make_solver()
     profiler = Profiler()
 
+    # The iterates live in these two arrays for the whole fit: each solve
+    # writes its solution over its own warm start.  The two MM products share
+    # one right-hand-side buffer (H Aᵀ is dead once Wᵀ is solved for), so in
+    # steady state an iteration allocates only its k × k Grams.
     H = init_h_global(k, n, config.seed)
     Wt = np.zeros((k, m))
+    rhs = np.empty(k * max(m, n))
+    products = BlockProducts(A, k)
     norm_a_sq = frobenius_norm_squared(A)
 
     observer_list = list(observers or ())
@@ -93,18 +99,19 @@ def anls_nmf(
             with profiler.task(TaskCategory.GRAM):
                 gram_h = gram(H, transpose_first=False)  # H Hᵀ, k × k
         with profiler.task(TaskCategory.MM):
-            h_at = matmul_h_at(H, A)                 # H Aᵀ, k × m
+            products.set_h(H)
+            h_at = products.h_at(rhs[:k * m].reshape(k, m))  # H Aᵀ, k × m
         with profiler.task(TaskCategory.NLS):
-            Wt = solver.solve(gram_h, h_at, x0=Wt if np.any(Wt) else None)
+            solver.solve(gram_h, h_at, x0=Wt if np.any(Wt) else None, out=Wt)
         W = Wt.T
 
         # --- H-update: argmin_H ||A - W H|| via (Wᵀ W) H = Wᵀ A ------------
         with profiler.task(TaskCategory.GRAM):
             gram_w = gram(W, transpose_first=True)   # Wᵀ W, k × k
         with profiler.task(TaskCategory.MM):
-            wt_a = matmul_wt_a(W, A)                 # Wᵀ A, k × n
+            wt_a = products.wt_a(W, rhs[:k * n].reshape(k, n))  # Wᵀ A, k × n
         with profiler.task(TaskCategory.NLS):
-            H = solver.solve(gram_w, wt_a, x0=H)
+            solver.solve(gram_w, wt_a, x0=H, out=H)
 
         objective = rel_error = float("nan")
         if config.compute_error:
@@ -124,6 +131,7 @@ def anls_nmf(
         ):
             break
 
+    del products, rhs, h_at, wt_a  # release the loop's buffers before W is copied
     result = NMFResult(
         W=np.ascontiguousarray(W),
         H=np.ascontiguousarray(H),

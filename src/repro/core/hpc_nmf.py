@@ -42,7 +42,7 @@ from repro.comm.panels import panel_slices, stream_reduce_scatter
 from repro.comm.profiler import TaskCategory
 from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
-from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
+from repro.core.local_ops import BlockProducts, gram
 from repro.core.observers import IterationObserver
 from repro.core.spmd_loop import SpmdLoop
 from repro.dist.distmatrix import DistMatrix2D
@@ -148,15 +148,12 @@ def hpc_nmf(
     # The scatter boundaries also tile the line-6/line-12 matmuls: the
     # columns of V_ijᵀ bound for row-comm rank t come from the matching row
     # panel of A_ij, the columns of Y_ij for col-comm rank t from the matching
-    # column panel (pre-cut once; slicing a sparse block copies it, so a
-    # one-part split is the block itself).  Each panel is reduce-scattered the
-    # moment it is computed, so the full MM output is never materialised (see
-    # repro.comm.panels).
-    a_row_panels, a_col_panels = [data.block], [data.block]
-    if pc > 1:
-        a_row_panels = [data.block[s] for s in panel_slices(w_scatter_counts)]
-    if pr > 1:
-        a_col_panels = [data.block[:, s] for s in panel_slices(h_scatter_counts)]
+    # column panel.  A panel is a row or column range of the block's operands
+    # (see repro.core.local_ops.BlockProducts), never a copy, and each is
+    # reduce-scattered the moment it is computed (see repro.comm.panels).
+    mm = BlockProducts(data.block, k)
+    w_panels = panel_slices(w_scatter_counts)
+    h_panels = panel_slices(h_scatter_counts)
 
     # Reusable collective workspaces: every iteration runs the same
     # collectives on the same shapes, so their results are written into
@@ -168,19 +165,42 @@ def hpc_nmf(
     h_sub_cols = H_fac.global_range[1] - H_fac.global_range[0]
     gram_h_buf = ws.get("gram_h", (k, k))
     gram_w_buf = ws.get("gram_w", (k, k))
-    H_j_buf = ws.get("H_j", (k, local_cols))
     W_i_buf = ws.get("W_i", (local_rows, k))
+    # Line 5 gathers H_j for line 6.  A dense block multiplies it as gathered;
+    # a sparse block's kernel reads H_jᵀ, so each rank sends its (H_j)_iᵀ and
+    # the gather assembles H_jᵀ where the kernel reads it (the same words).
+    if mm.sparse:
+        ht_local_buf = ws.get("H_local_t", (h_sub_cols, k))
+        Ht_j_buf = ws.get("H_jt", (local_cols, k))
+    else:
+        H_j_buf = ws.get("H_j", (k, local_cols))
+
+    def gather_h():
+        if not mm.sparse:
+            return H_fac.icol_block(out=H_j_buf)
+        with profiler.task(TaskCategory.MM):
+            np.copyto(ht_local_buf, H_fac.local.T)
+        return grid.col_comm.iallgatherv(ht_local_buf, axis=0, out=Ht_j_buf)
+
     # Both reduce-scatters land in the C-ordered k × (m/p) / k × (n/p) buffer
     # the NLS after them reads.
     aht_buf = ws.get("aht_block", (k, w_sub_rows))
     wta_buf = ws.get("wta_block", (k, h_sub_cols))
-    # The persistent home of W's local sub-block — the line-8 NLS returns
-    # (W_i)_jᵀ, whose transpose is copied here instead of allocating a fresh
-    # contiguous array every iteration.
+    # Every MM panel of both half-iterations is written to the front of one
+    # flat buffer: a panel is free once its reduce-scatter returns, line 6's
+    # last one (the line-8 right-hand side on a size-1 row communicator) once
+    # line 8 has solved, and line 12's last one is read until the next line 6.
+    rhs_buf = ws.get("rhs", k * max(max(w_scatter_counts), max(h_scatter_counts)))
+
+    def panel_out(s: slice) -> np.ndarray:
+        return rhs_buf[:k * (s.stop - s.start)].reshape(k, s.stop - s.start)
+
+    # The persistent home of W's local sub-block — the line-8 NLS solves for
+    # (W_i)_jᵀ, whose transpose is copied here every iteration.
     w_local_buf = ws.get("w_local", (w_sub_rows, k))
     # The line-8 NLS warm-starts from its own previous (W_i)_jᵀ, C-ordered
-    # like its right-hand side: the solvers sweep row by row and copy a
-    # strided view before they start.
+    # like its right-hand side, and writes its solution over it; line 14 does
+    # the same with H's sub-block.
     Wt_local = np.zeros((k, w_sub_rows))
 
     loop = SpmdLoop(comm, config, observers, variant, (pr, pc), norm_a_sq)
@@ -195,7 +215,7 @@ def hpc_nmf(
     # On a size-1 row (column) communicator — every pr × 1 (1 × pc) grid — a
     # gather or reduce-scatter hands back its input: W_i is W_fac.local, the
     # line-8 right-hand side is the array the line-6 MM wrote.
-    h_gather = H_fac.icol_block(out=H_j_buf)  # H is seeded
+    h_gather = gather_h()  # H is seeded
     for iteration in range(config.max_iters):
         iter_start = time.perf_counter()
 
@@ -207,9 +227,14 @@ def hpc_nmf(
                 U_ij = gram(H_fac.local, transpose_first=False)  # line 3
             gram_h_handle = comm.iallreduce(U_ij, out=gram_h_buf)  # line 4
         H_j = loop.finish(h_gather, TaskCategory.ALL_GATHER)     # line 5
+        with profiler.task(TaskCategory.MM):
+            if mm.sparse:
+                mm.set_ht(H_j)                                   # gathered as H_jᵀ
+            else:
+                mm.set_h(H_j)
         aht_block = stream_reduce_scatter(                       # lines 6-7
             grid.row_comm,
-            lambda t: matmul_h_at(H_j, a_row_panels[t]),
+            lambda t: mm.h_at(panel_out(w_panels[t]), w_panels[t].start, w_panels[t].stop),
             w_scatter_counts,
             axis=1,
             out=aht_buf,
@@ -218,8 +243,8 @@ def hpc_nmf(
         if gram_h_handle is not None:
             gram_h = loop.finish(gram_h_handle, TaskCategory.ALL_REDUCE)
         with profiler.task(TaskCategory.NLS):
-            Wt_local = solver.solve(                             # line 8
-                gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None
+            solver.solve(                                        # line 8
+                gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
             )
         np.copyto(w_local_buf, Wt_local.T)
         W_fac.local = w_local_buf
@@ -233,23 +258,23 @@ def hpc_nmf(
         W_i = loop.finish(w_gather, TaskCategory.ALL_GATHER)     # line 11
         wta_block = stream_reduce_scatter(                       # lines 12-13
             grid.col_comm,
-            lambda t: matmul_wt_a(W_i, a_col_panels[t]),
+            lambda t: mm.wt_a(W_i, panel_out(h_panels[t]), h_panels[t].start, h_panels[t].stop),
             h_scatter_counts,
             axis=1,
             out=wta_buf,
             profiler=profiler,
         )
         with profiler.task(TaskCategory.NLS):
-            H_fac.local = solver.solve(gram_w, wta_block, x0=H_fac.local)  # line 14
+            solver.solve(gram_w, wta_block, x0=H_fac.local, out=H_fac.local)  # line 14
 
         # Next iteration's line-5 gather: before the record when the loop
         # provably continues, else after the stopping decision.
         if loop.speculative and iteration < last:
-            h_gather = H_fac.icol_block(out=H_j_buf)
+            h_gather = gather_h()
         if loop.end_iteration(iteration, iter_start, H_fac.local, wta_block, gram_w):
             break
         if not loop.speculative and iteration < last:
-            h_gather = H_fac.icol_block(out=H_j_buf)
+            h_gather = gather_h()
 
     return loop.rank_output(
         W_fac.local, H_fac.local, W_fac.global_range, H_fac.global_range, (m, n)

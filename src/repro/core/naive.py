@@ -29,7 +29,7 @@ from repro.comm.communicator import Comm
 from repro.comm.profiler import TaskCategory
 from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
-from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
+from repro.core.local_ops import BlockProducts, gram
 from repro.core.observers import IterationObserver
 from repro.core.spmd_loop import SpmdLoop
 from repro.dist.distmatrix import DoublePartitioned1D
@@ -96,11 +96,16 @@ def naive_parallel_nmf(
     H_full_buf = ws.get("H_full", (k, n))
     W_full_buf = ws.get("W_full", (m, k))
     # The W-update NLS gets C-ordered k × (m/p) operands (see hpc_nmf): the MM
-    # writes (A_i Hᵀ)ᵀ into h_at_buf and its own previous W_iᵀ is the warm
-    # start; the solution is turned back into W's persistent C-ordered home.
-    h_at_buf = ws.get("h_at", (k, row_hi - row_lo))
-    w_local_buf = ws.get("w_local", (row_hi - row_lo, k))
-    Wt_local = np.zeros((k, row_hi - row_lo))
+    # writes (A_i Hᵀ)ᵀ into the front of the flat rhs buffer (which holds
+    # Wᵀ Aⁱ later in the iteration) and its own previous W_iᵀ is the warm
+    # start and the solution's home; the solution is turned into W's
+    # persistent C-ordered home.
+    rows, cols = row_hi - row_lo, col_hi - col_lo
+    rhs_buf = ws.get("rhs", k * max(rows, cols))
+    w_local_buf = ws.get("w_local", (rows, k))
+    Wt_local = np.zeros((k, rows))
+    mm_rows = BlockProducts(data.row_block, k)   # line 6: A_i Hᵀ
+    mm_cols = BlockProducts(data.col_block, k)   # line 12: Wᵀ Aⁱ
 
     # Attaches the ledger after the setup-phase reduction, so it records only
     # the per-iteration communication (§4.3's (m+n)k words of all-gather).
@@ -125,10 +130,11 @@ def naive_parallel_nmf(
             with profiler.task(TaskCategory.GRAM):
                 gram_h = gram(H, transpose_first=False)  # redundant on every rank
         with profiler.task(TaskCategory.MM):
-            h_at = matmul_h_at(H, data.row_block, out=h_at_buf)  # k × (m/p)
+            mm_rows.set_h(H)
+            h_at = mm_rows.h_at(rhs_buf[:k * rows].reshape(k, rows))  # k × (m/p)
         with profiler.task(TaskCategory.NLS):
-            Wt_local = solver.solve(
-                gram_h, h_at, x0=Wt_local if np.any(Wt_local) else None
+            solver.solve(
+                gram_h, h_at, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
             )
         np.copyto(w_local_buf, Wt_local.T)
         W_local = w_local_buf
@@ -139,9 +145,9 @@ def naive_parallel_nmf(
         with profiler.task(TaskCategory.GRAM):
             gram_w = gram(W, transpose_first=True)       # redundant on every rank
         with profiler.task(TaskCategory.MM):
-            wt_a = matmul_wt_a(W, data.col_block)        # k × (n/p)
+            wt_a = mm_cols.wt_a(W, rhs_buf[:k * cols].reshape(k, cols))  # k × (n/p)
         with profiler.task(TaskCategory.NLS):
-            H_local = solver.solve(gram_w, wt_a, x0=H_local)
+            solver.solve(gram_w, wt_a, x0=H_local, out=H_local)
 
         # Next iteration's H gather: before the record when the loop
         # provably continues, else after the stopping decision.

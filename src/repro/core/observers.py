@@ -53,6 +53,11 @@ class IterationEvent:
     define that metric.  ``W`` / ``H`` are the current *global* factors when
     the variant has them in one place (sequential variants); SPMD loops pass
     ``None`` — each rank only owns a block.
+
+    ``W`` and ``H`` are the loop's live iterates, not copies: each solve
+    writes its solution over the previous one in place, so they are valid
+    only during ``on_iteration``.  An observer that keeps factors must copy
+    them there (as :class:`CheckpointEvery` does by saving at once).
     """
 
     iteration: int

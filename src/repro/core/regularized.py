@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
+from repro.core.local_ops import BlockProducts, gram
 from repro.core.objective import frobenius_norm_squared, objective_from_grams
 from repro.core.observers import IterationObserver, LoopControl
 from repro.core.result import NMFResult
@@ -119,8 +119,11 @@ def regularized_nmf(
     k = check_rank(config.k, m, n)
 
     solver = config.make_solver()
+    # Persistent iterates and one right-hand-side buffer, as in anls_nmf.
     H = init_h_global(k, n, config.seed)
     Wt = np.zeros((k, m))
+    rhs = np.empty(k * max(m, n))
+    products = BlockProducts(A, k)
     norm_a_sq = frobenius_norm_squared(A)
 
     control = LoopControl(config, observers, variant="regularized").start()
@@ -129,15 +132,16 @@ def regularized_nmf(
         start = time.perf_counter()
 
         gram_h = gram(H, transpose_first=False)
-        h_at = matmul_h_at(H, A)
+        products.set_h(H)
+        h_at = products.h_at(rhs[:k * m].reshape(k, m))
         g, r = regularize_gram_rhs(gram_h, h_at, reg)
-        Wt = solver.solve(g, r, x0=Wt if np.any(Wt) else None)
+        solver.solve(g, r, x0=Wt if np.any(Wt) else None, out=Wt)
         W = Wt.T
 
         gram_w = gram(W, transpose_first=True)
-        wt_a = matmul_wt_a(W, A)
+        wt_a = products.wt_a(W, rhs[:k * n].reshape(k, n))
         g, r = regularize_gram_rhs(gram_w, wt_a, reg)
-        H = solver.solve(g, r, x0=H)
+        solver.solve(g, r, x0=H, out=H)
 
         objective = rel = float("nan")
         if config.compute_error:

@@ -29,7 +29,7 @@ from typing import Deque, Optional
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
+from repro.core.local_ops import BlockProducts, gram
 from repro.core.objective import relative_error
 from repro.util.errors import ShapeError
 from repro.util.validation import check_rank
@@ -149,15 +149,21 @@ class StreamingNMF:
         """A few warm-started ANLS sweeps over the current window."""
         A = self.current_window()
         H = self.current_coefficients()
-        Wt = self.W.T
+        # The sweeps solve into these two iterates and share one
+        # right-hand-side buffer (see repro.core.anls).
+        Wt = np.array(self.W.T)
+        k, (m, n) = self.k, A.shape
+        rhs = np.empty(k * max(m, n))
+        products = BlockProducts(A, k)
         for _ in range(self.refresh_iters):
             gram_h = gram(H, transpose_first=False)
-            h_at = matmul_h_at(H, A)
-            Wt = self._solver.solve(gram_h, h_at, x0=Wt)
+            products.set_h(H)
+            h_at = products.h_at(rhs[:k * m].reshape(k, m))
+            self._solver.solve(gram_h, h_at, x0=Wt, out=Wt)
             W = Wt.T
             gram_w = gram(W, transpose_first=True)
-            wt_a = matmul_wt_a(W, A)
-            H = self._solver.solve(gram_w, wt_a, x0=H)
+            wt_a = products.wt_a(W, rhs[:k * n].reshape(k, n))
+            self._solver.solve(gram_w, wt_a, x0=H, out=H)
             self.W = W
         # Push refreshed coefficients back into the deque column by column.
         for idx in range(H.shape[1]):

@@ -250,8 +250,8 @@ class DoublePartitioned1D:
                 A = A.copy()
                 A.sum_duplicates()
             row_block = A[r0:r1, :]
-            # CSC keeps the column slice cheap and its transpose (taken by
-            # matmul_wt_a) lands back on CSR, scipy's fast format.
+            # CSC keeps the column slice cheap, and its transpose is the
+            # CSR that line 12's kernel reads (repro.core.local_ops), free.
             col_block = A[:, c0:c1].tocsc()
         else:
             A = np.asarray(A)

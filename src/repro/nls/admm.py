@@ -59,10 +59,11 @@ class ADMMSolver(NLSSolver):
         gram: np.ndarray,
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         import scipy.linalg as sla
 
-        gram, rhs, x0 = self._validate(gram, rhs, x0)
+        gram, rhs, x0 = self._validate(gram, rhs, x0, out)
         k, c = rhs.shape
         rho = self.rho if self.rho is not None else max(float(np.trace(gram)) / k, 1e-8)
 
@@ -89,4 +90,4 @@ class ADMMSolver(NLSSolver):
             state.iterations = self.max_iters
 
         self.last_state = state
-        return Z
+        return self._into(Z, out)

@@ -13,7 +13,10 @@ the parallel algorithms hold after their collectives: for the W-update,
 
 Iterative solvers (MU, HALS, projected gradient) additionally take the
 previous iterate as a warm start, which is how they are used inside the
-alternating framework.
+alternating framework.  Every solver writes its solution into ``out`` when
+one is given, and ``out`` may be the warm start itself: the fit loops pass
+their persistent iterate as both, so a half-iteration allocates no factor.
+HALS sweeps in ``out`` directly; the other solvers copy into it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class NLSSolver(abc.ABC):
         gram: np.ndarray,
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Solve ``min_{X>=0} ||C X - B||`` given ``gram = CᵀC`` and ``rhs = CᵀB``.
 
@@ -73,15 +77,23 @@ class NLSSolver(abc.ABC):
         x0:
             Optional warm start of shape ``k × c`` (used by the iterative
             solvers; exact solvers may ignore it).
+        out:
+            Optional ``k × c`` float64 array that receives the solution and is
+            returned; it may be ``x0``.
 
         Returns
         -------
-        ndarray of shape ``k × c`` with nonnegative entries.
+        ndarray of shape ``k × c`` with nonnegative entries (``out`` when given).
         """
 
     # -- shared validation -------------------------------------------------
     @staticmethod
-    def _validate(gram: np.ndarray, rhs: np.ndarray, x0: Optional[np.ndarray]):
+    def _validate(
+        gram: np.ndarray,
+        rhs: np.ndarray,
+        x0: Optional[np.ndarray],
+        out: Optional[np.ndarray] = None,
+    ):
         gram = np.asarray(gram, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -96,7 +108,17 @@ class NLSSolver(abc.ABC):
             x0 = np.asarray(x0, dtype=np.float64)
             if x0.shape != rhs.shape:
                 raise ShapeError(f"x0 must have shape {rhs.shape}, got {x0.shape}")
+        if out is not None and out.shape != rhs.shape:
+            raise ShapeError(f"out must have shape {rhs.shape}, got {out.shape}")
         return gram, rhs, x0
+
+    @staticmethod
+    def _into(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """The solution ``x``, copied into ``out`` when one was given."""
+        if out is None or out is x:
+            return x
+        np.copyto(out, x)
+        return out
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

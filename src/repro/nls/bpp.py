@@ -105,8 +105,9 @@ class BlockPrincipalPivoting(NLSSolver):
         gram: np.ndarray,
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        gram, rhs, x0 = self._validate(gram, rhs, x0)
+        gram, rhs, x0 = self._validate(gram, rhs, x0, out)
         k, _ = rhs.shape
 
         # Regularize an exactly singular Gram matrix minimally; the NMF outer
@@ -133,8 +134,7 @@ class BlockPrincipalPivoting(NLSSolver):
             )
 
         # Clamp tiny negatives introduced by finite precision.
-        np.maximum(x, 0.0, out=x)
-        return x
+        return np.maximum(x, 0.0, out=x if out is None else out)
 
 
 def bpp_flops_estimate(

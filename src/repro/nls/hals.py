@@ -47,10 +47,17 @@ class HALSUpdate(NLSSolver):
         gram: np.ndarray,
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        gram, rhs, x0 = self._validate(gram, rhs, x0)
+        gram, rhs, x0 = self._validate(gram, rhs, x0, out)
         k, c = rhs.shape
-        x = np.full((k, c), 0.5) if x0 is None else np.maximum(x0, 0.0)
+        # The sweeps update ``x`` in place, so with ``out is x0`` the caller's
+        # iterate is the only k × c array the solve touches.
+        x = np.empty((k, c)) if out is None else out
+        if x0 is None:
+            x.fill(0.5)
+        else:
+            np.maximum(x0, 0.0, out=x)
 
         diag = np.diag(gram).copy()
         # Columns are independent, so the k row updates sweep one

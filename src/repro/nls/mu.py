@@ -45,8 +45,9 @@ class MultiplicativeUpdate(NLSSolver):
         gram: np.ndarray,
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        gram, rhs, x0 = self._validate(gram, rhs, x0)
+        gram, rhs, x0 = self._validate(gram, rhs, x0, out)
         k, c = rhs.shape
         if x0 is None:
             # Without a previous iterate the multiplicative update has nothing
@@ -61,4 +62,4 @@ class MultiplicativeUpdate(NLSSolver):
             np.maximum(denominator, EPS, out=denominator)
             x = x * (numerator / denominator)
         self.last_state = NLSState(iterations=self.inner_iters)
-        return x
+        return self._into(x, out)

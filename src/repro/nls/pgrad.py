@@ -37,8 +37,9 @@ class ProjectedGradient(NLSSolver):
         gram: np.ndarray,
         rhs: np.ndarray,
         x0: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        gram, rhs, x0 = self._validate(gram, rhs, x0)
+        gram, rhs, x0 = self._validate(gram, rhs, x0, out)
         k, c = rhs.shape
         x = np.zeros((k, c)) if x0 is None else np.maximum(x0, 0.0).copy()
 
@@ -61,4 +62,4 @@ class ProjectedGradient(NLSSolver):
         else:
             state.iterations = self.max_iters
         self.last_state = state
-        return x
+        return self._into(x, out)

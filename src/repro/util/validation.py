@@ -56,7 +56,10 @@ def check_matrix(A, name: str = "A", *, allow_sparse: bool = True):
         raise ShapeError(f"{name} must be 2-D, got {A.ndim}-D")
     if min(A.shape) == 0:
         raise ShapeError(f"{name} has a zero dimension: shape {A.shape}")
-    if not np.all(np.isfinite(A.data if sparse else A)):
+    # A NaN propagates through min and max, and ±Inf is one of them: two
+    # reductions instead of an m × n boolean temporary.
+    values = A.data if sparse else A
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ShapeError(f"{name} contains NaN or Inf entries")
     return A if sparse else np.ascontiguousarray(A)
 

@@ -68,6 +68,34 @@ class TestSequentialDispatch:
         assert event.W.shape == (24, 2) and event.H.shape == (2, 18)
         assert event.seconds >= 0
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("variant", ["sequential", "regularized"])
+    @pytest.mark.parametrize("solver", ["hals", "bpp"])
+    def test_event_factors_are_live_so_observers_copy_them(self, solver, variant, kind):
+        """The loops solve in place and hand observers their live iterates:
+        an observer that copies them gets a distinct array per iteration, and
+        its last copy is the result."""
+        import scipy.sparse as sp
+
+        class Copier(IterationObserver):
+            def __init__(self):
+                self.copies, self.live = [], []
+
+            def on_iteration(self, event):
+                self.copies.append((event.W.copy(), event.H.copy()))
+                self.live.append((event.W, event.H))
+
+        A = _matrix() if kind == "dense" else sp.csr_matrix(_matrix())
+        copier = Copier()
+        res = fit(A, 2, variant=variant, solver=solver, max_iters=4, seed=1, observers=[copier])
+        (W0, H0), (W1, H1) = copier.copies[:2]
+        assert not np.shares_memory(W0, W1) and not np.shares_memory(H0, H1)
+        assert not np.array_equal(H0, H1)
+        assert all(np.shares_memory(W, copier.live[0][0]) for W, _ in copier.live)
+        assert all(H is copier.live[0][1] for _, H in copier.live)
+        assert copier.copies[-1][0].tobytes() == res.W.tobytes()
+        assert copier.copies[-1][1].tobytes() == res.H.tobytes()
+
     def test_stop_request_honoured(self):
         rec = Recorder(stop_after=2)
         res = fit(_matrix(), 2, max_iters=50, seed=1, observers=[rec])

@@ -122,22 +122,22 @@ def test_no_fit_starts_a_helper_thread_or_books_hidden_comm(
 def test_exception_inside_the_loop_surfaces_as_itself_on_every_rank(
     monkeypatch, refuse_helper_threads
 ):
-    """matmul_h_at raises on the second panel of iteration 1, after panel 0's
-    reduce-scatter completed: nothing is in flight to clean up, the exception
-    surfaces as itself on every rank and from ``fit``."""
+    """The line-6 product raises on the second panel of iteration 1, after
+    panel 0's reduce-scatter completed: nothing is in flight to clean up, the
+    exception surfaces as itself on every rank and from ``fit``."""
     calls = threading.local()
-    real = hpc_mod.matmul_h_at
+    real = local_ops_mod.BlockProducts.h_at
 
     class Boom(RuntimeError):
         pass
 
-    def failing(h_j, a_panel):
+    def failing(self, out, lo=0, hi=None):
         calls.n = getattr(calls, "n", 0) + 1
         if calls.n == 4:  # pc = 2 panels per iteration → iteration 1, panel 1
             raise Boom("panel GEMM failed")
-        return real(h_j, a_panel)
+        return real(self, out, lo, hi)
 
-    monkeypatch.setattr(hpc_mod, "matmul_h_at", failing)
+    monkeypatch.setattr(local_ops_mod.BlockProducts, "h_at", failing)
     config = NMFConfig(k=4, max_iters=3, seed=1, grid=(2, 2))
     A = _dense(seed=4, m=24, n=18)
 
@@ -249,12 +249,12 @@ def test_w_local_lives_in_its_workspace_buffer():
 
 
 @pytest.mark.parametrize("variant", ("sequential",) + VARIANTS)
-def test_dense_fit_never_transposes(variant, monkeypatch):
-    """Line 6 is computed as H·Aᵀ, so a dense fit has nothing to turn."""
-    def forbidden(src, out):
-        raise AssertionError("a dense fit called transpose_into")
+def test_dense_fit_never_calls_the_sparse_kernel(variant, monkeypatch):
+    """Dense blocks go to BLAS, k-leading, with nothing to turn."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense fit called csr_product_t")
 
-    monkeypatch.setattr(local_ops_mod, "transpose_into", forbidden)
+    monkeypatch.setattr(local_ops_mod, "csr_product_t", forbidden)
     parallel = dict(backend="thread", n_ranks=4) if variant != "sequential" else {}
     res = fit(_dense(seed=8), 5, variant=variant, max_iters=3, seed=11, **parallel)
     assert res.iterations == 3
@@ -269,11 +269,11 @@ def _record_solver_rhs(monkeypatch):
         solver = real_make_solver(config)
         real_solve = solver.solve
 
-        def solve(gram, rhs, x0=None):
+        def solve(gram, rhs, x0=None, out=None):
             if not hasattr(seen, "rhs"):
                 seen.rhs = []
             seen.rhs.append(rhs)
-            return real_solve(gram, rhs, x0=x0)
+            return real_solve(gram, rhs, x0=x0, out=out)
 
         solver.solve = solve
         return solver
@@ -282,21 +282,26 @@ def _record_solver_rhs(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("variant, buffer_name", [("naive", "h_at"), ("hpc2d", "aht_block")])
-def test_line8_rhs_is_the_buffer_the_mm_wrote(variant, buffer_name, monkeypatch):
-    """The W-update NLS reads the k × m/p workspace buffer the MM (naive) or
-    the line-7 reduce-scatter (hpc2d on a 2 × 2 grid) wrote — the same
-    C-ordered array every iteration, no transposed copy in between."""
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("variant, buffer_name", [("naive", "rhs"), ("hpc2d", "aht_block")])
+def test_line8_rhs_is_the_buffer_the_mm_wrote(variant, buffer_name, kind, monkeypatch):
+    """The W-update NLS reads the k × m/p workspace buffer the MM (naive: the
+    front of the flat rhs buffer) or the line-7 reduce-scatter (hpc2d on a
+    2 × 2 grid) wrote — the same C-ordered memory every iteration, no
+    transposed copy in between."""
     seen = _record_solver_rhs(monkeypatch)
     config = NMFConfig(k=4, max_iters=3, seed=1)
-    A = _dense(seed=4, m=26, n=18)
+    A = _dense(seed=4, m=26, n=18) if kind == "dense" else _sparse(seed=9, m=26, n=18)
     program = naive_mod.naive_parallel_nmf if variant == "naive" else hpc_mod.hpc_nmf
 
     def rank_program(comm):
         program(comm, A, config)
         w_rhs = seen.rhs[0::2]  # solves alternate W-update, H-update
-        buffer = comm.workspace.get(buffer_name, w_rhs[0].shape)
-        return len(w_rhs), all(r is buffer for r in w_rhs), buffer.flags.c_contiguous
+        buffer = comm.workspace._buffers[buffer_name]
+        same = all(
+            np.shares_memory(r, buffer) and r.ctypes.data == buffer.ctypes.data for r in w_rhs
+        )
+        return len(w_rhs), same, all(r.flags.c_contiguous for r in w_rhs)
 
     assert run_spmd(4, rank_program, backend="thread") == [(3, True, True)] * 4
 
@@ -313,23 +318,38 @@ def test_one_d_grid_rhs_is_the_array_the_mm_wrote(grid, kind, monkeypatch):
     seen = _record_solver_rhs(monkeypatch)
     pr, pc = grid
     made = threading.local()
+    products = local_ops_mod.BlockProducts
+    real_set_h, real_set_ht = products.set_h, products.set_ht
+    real_h_at, real_wt_a = products.h_at, products.wt_a
 
-    def recording(name):
-        real = getattr(hpc_mod, name)
+    def set_h(self, H):
+        made.h = H
+        return real_set_h(self, H)
 
-        def product(factor, panel):
-            out = real(factor, panel)
-            made.__dict__.setdefault(name, []).append((factor, out))
-            return out
+    def set_ht(self, Ht):
+        made.h = Ht
+        return real_set_ht(self, Ht)
 
-        monkeypatch.setattr(hpc_mod, name, product)
+    def h_at(self, out, lo=0, hi=None):
+        result = real_h_at(self, out, lo, hi)
+        made.__dict__.setdefault("h_at", []).append((made.h, result))
+        return result
 
-    recording("matmul_h_at")
-    recording("matmul_wt_a")
+    def wt_a(self, W, out, lo=0, hi=None):
+        result = real_wt_a(self, W, out, lo, hi)
+        made.__dict__.setdefault("wt_a", []).append((W, result))
+        return result
+
+    monkeypatch.setattr(products, "set_h", set_h)
+    monkeypatch.setattr(products, "set_ht", set_ht)
+    monkeypatch.setattr(products, "h_at", h_at)
+    monkeypatch.setattr(products, "wt_a", wt_a)
     A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
     config = NMFConfig(k=4, max_iters=3, seed=1, grid=grid)
     # (the MM feeding the size-1 reduce-scatter, the MM reading the size-1 gather)
-    scattered, gathered = ("matmul_h_at", "matmul_wt_a") if pc == 1 else ("matmul_wt_a", "matmul_h_at")
+    scattered, gathered = ("h_at", "wt_a") if pc == 1 else ("wt_a", "h_at")
+    # (where a gather over a size > 1 communicator would have put the factor)
+    gather_buffer = "W_i" if pc == 1 else ("H_j" if kind == "dense" else "H_jt")
 
     def rank_program(comm):
         hpc_mod.hpc_nmf(comm, A, config)
@@ -340,8 +360,7 @@ def test_one_d_grid_rhs_is_the_array_the_mm_wrote(grid, kind, monkeypatch):
         return (
             len(products) == 3 and all(r is out for r, out in zip(handed_back, products)),
             all(r is ws.get("wta_block" if pc == 1 else "aht_block", r.shape) for r in buffered),
-            all(f is not ws.get("W_i" if pc == 1 else "H_j", f.shape)
-                for f, _ in getattr(made, gathered)),
+            all(f is not ws._buffers[gather_buffer] for f, _ in getattr(made, gathered)),
         )
 
     p = pr * pc
@@ -362,17 +381,18 @@ def test_sequential_line8_rhs_is_c_contiguous(monkeypatch):
     ("hpc1d", 3, None, 4),       # pc = 1 row panel + pr = 3 column panels
     ("hpc2d", 2, (2, 1), 3),     # sparse_wire's grid
 ])
-def test_sparse_fit_turns_each_spmm_once(variant, p, grid, per_rank_per_iter, monkeypatch):
-    """scipy's sparse-leading products come out rows × k: one transpose_into
-    per SpMM panel, pc + pr of them per rank and iteration on a pr × pc grid."""
+def test_sparse_fit_runs_the_kernel_once_per_panel(variant, p, grid, per_rank_per_iter,
+                                                   monkeypatch):
+    """One blocked CSR product per SpMM panel, pc + pr of them per rank and
+    iteration on a pr × pc grid."""
     calls = []
-    real = local_ops_mod.transpose_into
+    real = local_ops_mod.csr_product_t
 
-    def counting(src, out):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return real(src, out)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(local_ops_mod, "transpose_into", counting)
+    monkeypatch.setattr(local_ops_mod, "csr_product_t", counting)
     extra = {"grid": grid} if grid else {}
     fit(_sparse(seed=9), 5, variant=variant, backend="thread", n_ranks=p,
         max_iters=3, seed=11, **extra)
@@ -381,10 +401,10 @@ def test_sparse_fit_turns_each_spmm_once(variant, p, grid, per_rank_per_iter, mo
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 @pytest.mark.parametrize("grid", [(3, 1), (1, 3)])
-def test_single_part_panels_are_the_block(grid, kind, monkeypatch):
-    """A scatter with one part does not cut the block: slicing a sparse block
-    copies it, and a size-1 row (column) communicator's only MM panel is
-    ``A_ij`` itself."""
+def test_panels_are_ranges_of_the_block(grid, kind, monkeypatch):
+    """No panel is cut out of the block: every MM panel is a row (line 6) or
+    column (line 12) range of ``A_ij`` itself, the ranges of one product tile
+    its extent in order, and a one-part split is the whole block."""
     seen = threading.local()
 
     class SpyMatrix(hpc_mod.DistMatrix2D):
@@ -393,25 +413,37 @@ def test_single_part_panels_are_the_block(grid, kind, monkeypatch):
             seen.block = self.block
 
     monkeypatch.setattr(hpc_mod, "DistMatrix2D", SpyMatrix)
-    pr, pc = grid
-    # The product whose panel split has one part: line 6 when pc = 1, line 12 when pr = 1.
-    name = "matmul_h_at" if pc == 1 else "matmul_wt_a"
-    real = getattr(hpc_mod, name)
+    products = local_ops_mod.BlockProducts
+    real_h_at, real_wt_a = products.h_at, products.wt_a
 
-    def product(factor, panel):
-        seen.panels.append(panel)
-        return real(factor, panel)
+    def h_at(self, out, lo=0, hi=None):
+        seen.ranges.append(("h_at", self.block is seen.block, lo, hi))
+        return real_h_at(self, out, lo, hi)
 
-    monkeypatch.setattr(hpc_mod, name, product)
+    def wt_a(self, W, out, lo=0, hi=None):
+        seen.ranges.append(("wt_a", self.block is seen.block, lo, hi))
+        return real_wt_a(self, W, out, lo, hi)
+
+    monkeypatch.setattr(products, "h_at", h_at)
+    monkeypatch.setattr(products, "wt_a", wt_a)
     A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
     config = NMFConfig(k=4, max_iters=2, seed=1, grid=grid)
+    pr, pc = grid
 
     def rank_program(comm):
-        seen.panels = []
+        seen.ranges = []
         hpc_mod.hpc_nmf(comm, A, config)
-        return len(seen.panels), all(panel is seen.block for panel in seen.panels)
+        rows, cols = seen.block.shape
+        ok = all(is_block for _, is_block, _, _ in seen.ranges)
+        for name, extent, parts in (("h_at", rows, pc), ("wt_a", cols, pr)):
+            ranges = [(lo, hi) for kind_, _, lo, hi in seen.ranges if kind_ == name]
+            edges = [lo for lo, _ in ranges[:parts]] + [ranges[parts - 1][1]]
+            ok &= len(ranges) == 2 * parts and ranges[:parts] == ranges[parts:]
+            ok &= edges[0] == 0 and edges[-1] == extent
+            ok &= all(a[1] == b[0] for a, b in zip(ranges, ranges[1:parts]))
+        return ok
 
-    assert run_spmd(3, rank_program, backend="thread") == [(2, True)] * 3
+    assert run_spmd(3, rank_program, backend="thread") == [True] * 3
 
 
 def test_overlap_flag_is_noop_for_sequential():

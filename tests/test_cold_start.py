@@ -56,3 +56,23 @@ def test_serve_self_test_loads_no_scipy(tmp_path):
         f"assert main(['serve', {str(path)!r}, '--port', '0', '--self-test', '2']) == 0\n"
     )
     assert _loaded_after(program, *_SCIPY, "repro.serve.server") == {"repro.serve.server"}
+
+
+def test_forked_ranks_inherit_what_they_import():
+    """``process`` and ``socket`` fork fresh ranks for every fit, so a module a
+    rank imports itself is imported again on every fit.  Building the TCP mesh
+    must not resolve the peer address (``getaddrinfo`` imports
+    ``encodings.idna``; rank 0 only accepts, so a connecting rank is the one
+    to ask), and the socket runtime's parent imports the point-to-point
+    collectives before the ranks fork."""
+    program = (
+        "import sys\n"
+        "from repro.comm.backends import run_spmd\n"
+        "def rank(comm):\n"
+        "    comm.allreduce_scalar(1.0)\n"
+        "    return 'encodings.idna' in sys.modules\n"
+        "for backend in ('process', 'socket'):\n"
+        "    assert run_spmd(2, rank, backend=backend) == [False, False], backend\n"
+    )
+    loaded = _loaded_after(program, "encodings.idna", "repro.comm.collectives")
+    assert loaded == {"repro.comm.collectives"}

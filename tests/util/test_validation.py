@@ -51,6 +51,28 @@ class TestCheckMatrix:
         with pytest.raises(ShapeError):
             check_matrix(A)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", [(0, 0), (1999, 999), (1000, 17)])
+    def test_rejects_one_non_finite_entry_anywhere(self, value, where):
+        A = np.random.default_rng(0).random((2000, 1000))
+        A[where] = value
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            check_matrix(A)
+
+    def test_finiteness_check_allocates_no_matrix_sized_temporary(self):
+        """The fit's parent holds A once: no m × n boolean array on top."""
+        import tracemalloc
+
+        A = np.random.default_rng(1).random((2000, 1000))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert check_matrix(A) is A
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def _sparse_with(value, fmt):
     A = sp.random(40, 30, density=0.3, random_state=0, format=fmt)
