@@ -42,57 +42,19 @@ lazily so that importing a subpackage (for example :mod:`repro.comm` in an
 SPMD worker) does not pull in the whole library.
 """
 
-from __future__ import annotations
-
-from typing import Any
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "fit",
-    "NMF",
-    "NMFConfig",
-    "NMFResult",
-    "IterationObserver",
-    "available_variants",
-    "get_variant",
-    "register_variant",
-    "ProblemSpec",
-    "ExecutionPlan",
-    "make_plan",
-    "plan_candidates",
-    "__version__",
-]
-
-_LAZY_EXPORTS = {
-    "fit": ("repro.core.api", "fit"),
-    "NMF": ("repro.core.api", "NMF"),
-    "NMFConfig": ("repro.core.config", "NMFConfig"),
-    "NMFResult": ("repro.core.result", "NMFResult"),
-    "IterationObserver": ("repro.core.observers", "IterationObserver"),
-    "available_variants": ("repro.core.variants", "available_variants"),
-    "get_variant": ("repro.core.variants", "get_variant"),
-    "register_variant": ("repro.core.variants", "register_variant"),
-    "ProblemSpec": ("repro.plan.problem", "ProblemSpec"),
-    "ExecutionPlan": ("repro.plan.planner", "ExecutionPlan"),
-    "make_plan": ("repro.plan.planner", "make_plan"),
-    "plan_candidates": ("repro.plan.planner", "plan_candidates"),
+_EXPORTS = {
+    "repro.core.api": ("fit", "NMF"),
+    "repro.core.config": ("NMFConfig",),
+    "repro.core.result": ("NMFResult",),
+    "repro.core.observers": ("IterationObserver",),
+    "repro.core.variants": ("available_variants", "get_variant", "register_variant"),
+    "repro.plan.problem": ("ProblemSpec",),
+    "repro.plan.planner": ("ExecutionPlan", "make_plan", "plan_candidates"),
 }
 
-
-def __getattr__(name: str) -> Any:
-    """Lazily resolve the top-level convenience exports."""
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,21 +23,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import __version__
-from repro.comm.backends import available_backends
-from repro.core.api import fit
-from repro.core.variants import available_variants, get_variant
-from repro.data.registry import DATASETS, PAPER_DATASETS, load_dataset, measured_scale, paper_scale
-from repro.dist.storage import STORAGE_MODES
-from repro.nls.base import available_solvers
-from repro.nls.kernels import registered_kernels
-from repro.perf.machine import MachineSpec, edison_machine, laptop_machine
-from repro.plan import ProblemSpec, plan_candidates, render_plan_table
-from repro.serve.project import MAX_BATCH_COLUMNS
-from repro.util.errors import ShapeError, SolverError
+
+if TYPE_CHECKING:
+    from repro.perf.machine import MachineSpec
 
 
 def _load_input(name_or_path: str):
@@ -47,6 +38,10 @@ def _load_input(name_or_path: str):
     dataset names (``SSYN`` resolves to the measured-scale instance) and
     ``.npy``/``.npz`` paths.
     """
+    import numpy as np
+
+    from repro.data.registry import DATASETS, PAPER_DATASETS, load_dataset, measured_scale
+
     if name_or_path in DATASETS:
         return load_dataset(name_or_path)
     if name_or_path in PAPER_DATASETS:
@@ -70,6 +65,9 @@ def _load_input(name_or_path: str):
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
+    from repro.core.api import fit
+    from repro.util.errors import ShapeError
+
     if args.ranks < 1:
         raise SystemExit(f"--ranks must be >= 1, got {args.ranks}")
     A = _load_input(args.input)
@@ -97,6 +95,8 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
+    from repro.perf.machine import MachineSpec, edison_machine, laptop_machine
+
     if name == "edison":
         return edison_machine()
     if name == "laptop":
@@ -111,6 +111,10 @@ def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.data.registry import DATASETS, PAPER_DATASETS, paper_scale
+    from repro.plan import ProblemSpec, plan_candidates, render_plan_table
+    from repro.util.errors import ShapeError, SolverError
+
     if args.ranks < 1:
         raise SystemExit(f"--ranks must be >= 1, got {args.ranks}")
     if args.shape and args.input:
@@ -160,6 +164,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_variants(_args: argparse.Namespace) -> int:
+    from repro.core.variants import available_variants, get_variant
+
     flags = ("parallelizable", "sparse_ok", "symmetric_input", "supports_regularization")
     header = f"{'name':>12}  " + "  ".join(f"{f:>{len(f)}}" for f in flags) + "  summary"
     print(header)
@@ -241,6 +247,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:
+    from repro.data.registry import DATASETS
+
     print(f"{'name':>16}  {'kind':>7}  {'m':>10}  {'n':>10}  {'nnz (est.)':>12}  description")
     for name in sorted(DATASETS):
         spec = DATASETS[name]
@@ -251,14 +259,36 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _number(kind: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    """An argparse ``type``: parse with ``kind``, then reject what fails ``ok``.
 
-    fact = sub.add_parser("factorize", help="run NMF on a dataset or matrix file")
+    The usage error names the option, and comes before any model loads.
+    """
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, lambda v: v >= 1, ">= 1")
+_port = _number(int, lambda v: 0 <= v <= 65535, "in 0-65535")
+_positive_seconds = _number(float, lambda v: v > 0, "> 0")
+
+
+def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
+    from repro.comm.backends import available_backends
+    from repro.core.variants import available_variants
+    from repro.dist.storage import STORAGE_MODES
+    from repro.nls.base import available_solvers
+    from repro.nls.kernels import registered_kernels
+
     fact.add_argument("input",
                       help="registered dataset name, paper dataset name "
                            "(SSYN/DSYN/Video/Webbase), or .npy/.npz file")
@@ -295,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "out-of-core blocks; sparse blocks stay in memory); "
                            "results are byte-identical either way")
     fact.add_argument("--save", help="write the full result to this .npz path")
-    fact.set_defaults(func=_cmd_factorize)
 
-    plan = sub.add_parser(
-        "plan",
-        help="print the cost-model candidate table (variant x grid) for a problem",
-    )
+
+def _plan_arguments(plan: argparse.ArgumentParser) -> None:
+    from repro.comm.backends import available_backends
+    from repro.nls.kernels import registered_kernels
+
     plan.add_argument(
         "input", nargs="?",
         help="registered dataset name or paper dataset name "
@@ -336,16 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "and mpi price every collective at the wire's "
                            "alpha-beta costs, in-process backends at the "
                            "machine's own")
-    plan.set_defaults(func=_cmd_plan)
 
-    var = sub.add_parser("variants", help="list registered NMF variants")
-    var.set_defaults(func=_cmd_variants)
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve saved NMF models over HTTP: continuously batched "
-             "projection of fresh columns onto the trained basis",
-    )
+def _serve_arguments(serve: argparse.ArgumentParser) -> None:
+    from repro.nls.kernels import registered_kernels
+    from repro.serve.project import MAX_BATCH_COLUMNS
+
     serve.add_argument(
         "models", nargs="*",
         help=".npz model artifacts to deploy (written by factorize --save); "
@@ -356,23 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "with no positional models, every *.npz in it is "
                             "deployed")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8571,
+    serve.add_argument("--port", type=_port, default=8571,
                        help="TCP port (0 = pick a free ephemeral port)")
     serve.add_argument("--kernel", default="auto",
                        choices=registered_kernels() + ["auto"],
                        help="BPP kernel for the batched projection solves "
                             "(default auto = fastest available; responses are "
                             "byte-identical across kernels)")
-    serve.add_argument("--max-batch", type=int, default=MAX_BATCH_COLUMNS,
+    serve.add_argument("--max-batch", type=_positive_int, default=MAX_BATCH_COLUMNS,
                        help="max columns per batched NLS call; a batch is the "
                             "requests queued when the solver frees up "
                             f"(default {MAX_BATCH_COLUMNS})")
-    serve.add_argument("--queue-limit", type=int, default=256,
+    serve.add_argument("--queue-limit", type=_positive_int, default=256,
                        help="max queued requests before 503 load shedding")
-    serve.add_argument("--deadline", type=float, default=2.0,
+    serve.add_argument("--deadline", type=_positive_seconds, default=2.0,
                        help="default per-request deadline in seconds "
                             "(overridable per request via JSON 'timeout')")
-    serve.add_argument("--refresh-every", type=int, default=16,
+    serve.add_argument("--refresh-every", type=_positive_int, default=16,
                        help="ingest endpoint: publish a refreshed model "
                             "version every N ingested columns")
     serve.add_argument("--self-test", nargs="?", type=int, const=8,
@@ -381,16 +407,52 @@ def build_parser() -> argparse.ArgumentParser:
                             "at it through a stdlib HTTP client (default 8), "
                             "verify 200s + finite residuals, then exit — the "
                             "CI smoke mode")
-    serve.set_defaults(func=_cmd_serve)
 
-    data = sub.add_parser("datasets", help="list registered datasets")
-    data.set_defaults(func=_cmd_datasets)
+
+def _no_arguments(_parser: argparse.ArgumentParser) -> None:
+    pass
+
+
+# name -> (help line, argument builder, handler)
+_COMMANDS = {
+    "factorize": ("run NMF on a dataset or matrix file",
+                  _factorize_arguments, _cmd_factorize),
+    "plan": ("print the cost-model candidate table (variant x grid) for a problem",
+             _plan_arguments, _cmd_plan),
+    "variants": ("list registered NMF variants", _no_arguments, _cmd_variants),
+    "serve": ("serve saved NMF models over HTTP: continuously batched "
+              "projection of fresh columns onto the trained basis",
+              _serve_arguments, _cmd_serve),
+    "datasets": ("list registered datasets", _no_arguments, _cmd_datasets),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser, with every subcommand and its help line.
+
+    A subcommand's arguments import the registries their choices come from,
+    so with ``command`` only that subcommand gets its arguments (``repro
+    serve`` loads no fit machinery); without, all five do.
+    """
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the first
+    # bare word is the subcommand (or an error argparse will report).
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

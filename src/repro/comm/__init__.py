@@ -33,39 +33,26 @@ substrate in pure Python:
   categories of §6.3 (MM, NLS, Gram, All-Gather, Reduce-Scatter, All-Reduce).
 """
 
-from repro.comm.backends import (
-    Backend,
-    LockstepBackend,
-    ThreadBackend,
-    available_backends,
-    make_backend,
-    register_backend,
-    run_spmd,
-)
-from repro.comm.communicator import Comm, ReduceOp
-from repro.comm.cost import AlphaBetaGamma, CostLedger, CollectiveCost, EDISON
-from repro.comm.grid import ProcessGrid, choose_grid
-from repro.comm.profiler import TaskCategory, Profiler, TimeBreakdown
-from repro.comm.workspace import CollectiveWorkspace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "LockstepBackend",
-    "ThreadBackend",
-    "available_backends",
-    "make_backend",
-    "register_backend",
-    "run_spmd",
-    "Comm",
-    "ReduceOp",
-    "AlphaBetaGamma",
-    "CostLedger",
-    "CollectiveCost",
-    "CollectiveWorkspace",
-    "EDISON",
-    "ProcessGrid",
-    "choose_grid",
-    "TaskCategory",
-    "Profiler",
-    "TimeBreakdown",
-]
+# Re-exported on first access: the profiler (all a saved result needs) loads
+# without the backends, the communicator or multiprocessing.
+_EXPORTS = {
+    "repro.comm.backends": (
+        "Backend",
+        "LockstepBackend",
+        "ThreadBackend",
+        "available_backends",
+        "make_backend",
+        "register_backend",
+        "run_spmd",
+    ),
+    "repro.comm.communicator": ("Comm", "ReduceOp"),
+    "repro.comm.cost": ("AlphaBetaGamma", "CostLedger", "CollectiveCost", "EDISON"),
+    "repro.comm.workspace": ("CollectiveWorkspace",),
+    "repro.comm.grid": ("ProcessGrid", "choose_grid"),
+    "repro.comm.profiler": ("TaskCategory", "Profiler", "TimeBreakdown"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

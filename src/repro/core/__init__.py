@@ -29,60 +29,36 @@ and future-work discussion):
   (the §6.1.1 streaming scenario).
 """
 
-from repro.core.api import NMF, fit
-from repro.core.anls import anls_nmf
-from repro.core.config import NMFConfig
-from repro.core.observers import (
-    CallbackObserver,
-    CheckpointEvery,
-    HistoryRecorder,
-    IterationEvent,
-    IterationObserver,
-    ProgressPrinter,
-    ToleranceStop,
-    WallClockBudget,
-)
-from repro.core.result import NMFResult, IterationStats
-from repro.core.objective import (
-    frobenius_error,
-    relative_error,
-    objective_from_grams,
-)
-from repro.core.regularized import Regularization, regularized_nmf
-from repro.core.symmetric import SymNMFResult, symmetric_nmf
-from repro.core.streaming import StreamingNMF
-from repro.core.variants import (
-    Variant,
-    available_variants,
-    get_variant,
-    register_variant,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fit",
-    "NMF",
-    "anls_nmf",
-    "NMFConfig",
-    "NMFResult",
-    "IterationStats",
-    "IterationObserver",
-    "IterationEvent",
-    "HistoryRecorder",
-    "ToleranceStop",
-    "WallClockBudget",
-    "CheckpointEvery",
-    "ProgressPrinter",
-    "CallbackObserver",
-    "Variant",
-    "available_variants",
-    "get_variant",
-    "register_variant",
-    "frobenius_error",
-    "relative_error",
-    "objective_from_grams",
-    "Regularization",
-    "regularized_nmf",
-    "SymNMFResult",
-    "symmetric_nmf",
-    "StreamingNMF",
-]
+# Re-exported on first access: importing one module of the package (the
+# server needs only ``config`` and ``result``) loads none of the variants.
+_EXPORTS = {
+    "repro.core.api": ("fit", "NMF"),
+    "repro.core.anls": ("anls_nmf",),
+    "repro.core.config": ("NMFConfig",),
+    "repro.core.result": ("NMFResult", "IterationStats"),
+    "repro.core.observers": (
+        "IterationObserver",
+        "IterationEvent",
+        "HistoryRecorder",
+        "ToleranceStop",
+        "WallClockBudget",
+        "CheckpointEvery",
+        "ProgressPrinter",
+        "CallbackObserver",
+    ),
+    "repro.core.variants": (
+        "Variant",
+        "available_variants",
+        "get_variant",
+        "register_variant",
+    ),
+    "repro.core.objective": ("frobenius_error", "relative_error", "objective_from_grams"),
+    "repro.core.regularized": ("Regularization", "regularized_nmf"),
+    "repro.core.symmetric": ("SymNMFResult", "symmetric_nmf"),
+    "repro.core.streaming": ("StreamingNMF",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -220,6 +220,7 @@ class NMFResult:
         payload = self.to_dict()
         meta_dict = {k: v for k, v in payload.items() if k not in ("W", "H")}
         meta_dict["saved_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        meta_dict["result_class"] = type(self).__name__
         meta = json.dumps(meta_dict)
         path = Path(path)
         np.savez_compressed(path, W=self.W, H=self.H, meta=np.asarray(meta))
@@ -235,7 +236,8 @@ class NMFResult:
         saved symmetric run comes back as the
         :class:`~repro.core.symmetric.SymNMFResult` subclass — and so do any
         third-party variants that register their own result class.  Results
-        of unregistered variants load as plain :class:`NMFResult`.
+        of unregistered variants, and results saved as a plain
+        :class:`NMFResult`, load as plain :class:`NMFResult`.
 
         A missing file, a corrupt archive, or an archive that lacks one of
         the required entries (``W``, ``H``, ``meta``) raises
@@ -293,7 +295,9 @@ class NMFResult:
         config_dict["grid"] = tuple(grid) if grid else None
         # Artifacts older than the ``variant`` entry named it in the config.
         variant = meta.get("variant") or meta["config"].get("algorithm", "")
-        if cls is NMFResult and variant:
+        # The registry imports every variant, so a result saved as a plain
+        # NMFResult skips it; archives older than "result_class" look it up.
+        if cls is NMFResult and variant and meta.get("result_class") != NMFResult.__name__:
             from repro.core.variants import get_variant
 
             try:

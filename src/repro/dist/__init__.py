@@ -23,29 +23,22 @@ per-iteration dataflow.
 
 from __future__ import annotations
 
-from repro.dist.distmatrix import DistMatrix2D, DoublePartitioned1D
-from repro.dist.factors import DistributedFactorH, DistributedFactorW
-from repro.dist.load_balance import (
-    LoadBalanceReport,
-    imbalance_factor,
-    nnz_per_block,
-    random_permutation_balance,
-    unpermute_factors,
-)
-from repro.dist.partition import block_counts, block_offsets, block_range, owning_rank
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DistMatrix2D",
-    "DoublePartitioned1D",
-    "DistributedFactorH",
-    "DistributedFactorW",
-    "LoadBalanceReport",
-    "block_counts",
-    "block_offsets",
-    "block_range",
-    "owning_rank",
-    "imbalance_factor",
-    "nnz_per_block",
-    "random_permutation_balance",
-    "unpermute_factors",
-]
+# Re-exported on first access: ``NMFConfig`` validates its storage mode
+# through ``repro.dist.storage`` without loading the distributed layouts.
+_EXPORTS = {
+    "repro.dist.distmatrix": ("DistMatrix2D", "DoublePartitioned1D"),
+    "repro.dist.factors": ("DistributedFactorH", "DistributedFactorW"),
+    "repro.dist.load_balance": (
+        "LoadBalanceReport",
+        "imbalance_factor",
+        "nnz_per_block",
+        "random_permutation_balance",
+        "unpermute_factors",
+    ),
+    "repro.dist.partition": ("block_counts", "block_offsets", "block_range", "owning_rank"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,6 +24,7 @@ Public surface:
   (:mod:`repro.serve.errors`).
 """
 
+from repro._lazy import lazy_exports
 from repro.serve.errors import (
     DeadlineExceededError,
     ModelLoadError,
@@ -44,6 +45,8 @@ from repro.serve.store import ModelEntry, ModelStore
 
 # The HTTP front end (and with it asyncio and orjson) loads on first use, so
 # projecting in-process or running another CLI subcommand never imports it.
+# The rest stays eager: the function ``project`` shares its name with the
+# submodule, and a lazy lookup would find the submodule once it is loaded.
 _SERVER_EXPORTS = ("ProjectionResponse", "ProjectionServer", "ProjectionService", "run_self_test")
 
 __all__ = [
@@ -59,19 +62,10 @@ __all__ = [
     "project_blocks",
     "projection_residuals",
     "ProjectionRequestError",
-    "ProjectionResponse",
-    "ProjectionServer",
-    "ProjectionService",
+    *_SERVER_EXPORTS,
     "ServeError",
     "ServerOverloadedError",
     "ServeStats",
     "validate_columns",
 ]
-
-
-def __getattr__(name: str):
-    if name in _SERVER_EXPORTS:
-        from repro.serve import server
-
-        return getattr(server, name)
-    raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, {"repro.serve.server": _SERVER_EXPORTS})

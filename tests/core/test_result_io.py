@@ -73,6 +73,17 @@ class TestRoundTrip:
         assert np.array_equal(loaded.G, res.G)
         assert np.array_equal(loaded.labels, res.labels)
 
+    def test_archive_without_result_class_finds_it_through_the_registry(self, tmp_path):
+        """Only a result recorded as a plain NMFResult skips the registry;
+        an archive saved before ``result_class`` existed still consults it."""
+        res = fit(_dense(), 2, variant="symmetric", max_iters=3, seed=1)
+        path = res.save(tmp_path / "old.npz")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta.pop("result_class") == "SymNMFResult"
+        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+        assert isinstance(NMFResult.load(path), SymNMFResult)
+
     def test_custom_variant_result_class_round_trips(self, tmp_path):
         # load() resolves the result class through the registry, so a
         # third-party variant with its own subclass needs no edits to load().

@@ -203,13 +203,88 @@ def test_serve_without_models_errors():
         main(["serve", "--port", "0", "--self-test"])
 
 
+def _help(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
 def test_serve_help_names_the_batch_default(capsys):
     from repro.serve.server import MAX_BATCH_COLUMNS
 
+    out = _help(capsys, "serve")
+    assert f"(default {MAX_BATCH_COLUMNS})" in out
+    assert "(default 256)" in out
+
+
+def test_top_level_help_lists_the_five_subcommands(capsys):
+    out = _help(capsys)
+    for line in (
+        "factorize run NMF on a dataset or matrix file",
+        "plan print the cost-model candidate table (variant x grid) for a problem",
+        "variants list registered NMF variants",
+        "serve serve saved NMF models over HTTP",
+        "datasets list registered datasets",
+    ):
+        assert line in out
+
+
+def _registries() -> dict:
+    from repro.comm.backends import available_backends
+    from repro.core.variants import available_variants
+    from repro.dist.storage import STORAGE_MODES
+    from repro.nls.base import available_solvers
+    from repro.nls.kernels import registered_kernels
+
+    return {
+        "--variant": available_variants(),
+        "--backend": available_backends(),
+        "--solver": available_solvers(),
+        "--kernel": registered_kernels() + ["auto"],
+        "--storage": list(STORAGE_MODES),
+    }
+
+
+@pytest.mark.parametrize("command, options", [
+    ("factorize", ("--variant", "--backend", "--solver", "--kernel", "--storage")),
+    ("plan", ("--backend", "--kernel")),
+])
+def test_subcommand_help_lists_every_registered_choice(capsys, command, options):
+    out = _help(capsys, command)
+    registries = _registries()
+    for option in options:
+        assert f"{option} {{{','.join(registries[option])}}}" in out
+
+
+@pytest.mark.parametrize("option", ["--backend", "--variant"])
+def test_unknown_registry_name_names_the_valid_ones(capsys, option):
     with pytest.raises(SystemExit) as excinfo:
-        main(["serve", "--help"])
-    assert excinfo.value.code == 0
-    assert f"(default {MAX_BATCH_COLUMNS})" in " ".join(capsys.readouterr().out.split())
+        main(["factorize", "video-small", "-k", "2", option, "warp-drive"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid choice: 'warp-drive'" in err
+    for name in _registries()[option]:
+        assert repr(name) in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-batch", "0"),
+    ("--queue-limit", "0"),
+    ("--refresh-every", "0"),
+    ("--deadline", "-1"),
+    ("--deadline", "0"),
+    ("--port", "-5"),
+    ("--port", "65536"),
+    ("--port", "http"),
+])
+def test_serve_rejects_bad_numbers_before_loading_models(capsys, option, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "ghost.npz", option, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err
+    assert "ghost" not in err
 
 
 def test_serve_rejects_unknown_kernel():
