@@ -105,7 +105,7 @@ def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
     # measure the per-rank GEMM rate under real contention (process backend)
     # rather than extrapolating the single-rank rate — but never launch more
     # probe processes than this process may actually use.
-    from repro.comm.backends.base import available_cpus
+    from repro.util import available_cpus
 
     return MachineSpec.calibrate(ranks=max(1, min(ranks, available_cpus())))
 
@@ -180,13 +180,19 @@ def _cmd_variants(_args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import json
 
     from repro.serve import ModelStore, ProjectionServer, ProjectionService
     from repro.serve.server import run_self_test
+    from repro.serve.supervisor import bind, serve
     from repro.util.errors import ModelLoadError
 
+    # Bound before the models load and the workers fork: every worker serves
+    # on this one socket.
+    try:
+        listener = bind(args.host, args.port)
+    except OSError as exc:
+        raise SystemExit(f"cannot listen on {args.host}:{args.port}: {exc}") from None
     store = ModelStore(root=args.models_dir)
     try:
         if args.models_dir and not args.models:
@@ -198,50 +204,49 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 store.load(spec)
     except ModelLoadError as exc:
+        listener.close()
         raise SystemExit(str(exc)) from None
     if len(store) == 0:
+        listener.close()
         raise SystemExit(
             "nothing to serve: pass one or more .npz model artifacts "
             "(optionally as NAME=path) or --models-dir"
         )
-    service = ProjectionService(
-        store,
-        max_batch_columns=args.max_batch,
-        queue_limit=args.queue_limit,
-        default_deadline=args.deadline,
-        kernel=args.kernel,
-    )
-    server = ProjectionServer(
-        service, host=args.host, port=args.port,
-        refresh_every=args.refresh_every,
-    )
 
-    async def _run() -> int:
-        await server.start()
+    def build(worker: int) -> ProjectionServer:
+        service = ProjectionService(
+            store,
+            max_batch_columns=args.max_batch,
+            queue_limit=args.queue_limit,
+            default_deadline=args.deadline,
+            kernel=args.kernel,
+        )
+        return ProjectionServer(
+            service, host=args.host, sock=listener, worker=worker,
+            refresh_every=args.refresh_every,
+        )
+
+    def ready(server: ProjectionServer) -> None:
+        workers = server.peers.started if server.peers else 1
         print(
             f"serving {store.names()} on http://{server.host}:{server.port} "
             f"(kernel={args.kernel}, continuous batching, "
-            f"max batch={args.max_batch} columns)"
+            f"max batch={args.max_batch} columns, {workers} worker"
+            f"{'s' if workers > 1 else ''})",
+            flush=True,
         )
-        try:
-            if args.self_test is not None:
-                summary = await run_self_test(server, n_requests=args.self_test)
-                print(
-                    f"self-test passed: {summary['requests']} concurrent "
-                    f"requests against model {summary['model']!r}"
-                )
-                print(json.dumps(summary["stats"], indent=2))
-                return 0
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.stop()
-        return 0
+
+    async def self_test(server: ProjectionServer) -> None:
+        summary = await run_self_test(server, n_requests=args.self_test)
+        print(
+            f"self-test passed: {summary['requests']} concurrent "
+            f"requests against model {summary['model']!r}"
+        )
+        print(json.dumps(summary["stats"], indent=2))
 
     try:
-        return asyncio.run(_run())
-    except KeyboardInterrupt:
+        return serve(build, ready=ready, until=self_test if args.self_test is not None else None)
+    except KeyboardInterrupt:  # SIGINT during --self-test
         print("\nshutting down")
         return 0
 

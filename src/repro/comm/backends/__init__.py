@@ -30,38 +30,31 @@ Select a backend by name anywhere downstream: ``NMFConfig(backend=...)``,
 ``fit(..., backend=...)`` or the CLI's ``--backend`` flag.
 """
 
-from repro.comm.backends.base import (
-    CAPABILITY_FLAGS,
-    Backend,
-    PeerAbortError,
-    SharedGroupState,
-    available_backends,
-    backend_capabilities,
-    get_backend_class,
-    make_backend,
-    register_backend,
-    register_unavailable_backend,
-    run_spmd,
-)
-from repro.comm.backends.lockstep import LockstepBackend
-from repro.comm.backends.process import ProcessBackend
-from repro.comm.backends.socket import SocketBackend
-from repro.comm.backends.thread import ThreadBackend
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "CAPABILITY_FLAGS",
-    "LockstepBackend",
-    "PeerAbortError",
-    "ProcessBackend",
-    "SharedGroupState",
-    "SocketBackend",
-    "ThreadBackend",
-    "available_backends",
-    "backend_capabilities",
-    "get_backend_class",
-    "make_backend",
-    "register_backend",
-    "register_unavailable_backend",
-    "run_spmd",
-]
+# Re-exported on first access: ``repro.comm.communicator`` imports
+# ``repro.comm.backends.base``, which runs this ``__init__``, and the forked
+# backends import the communicator back, so loading them here would be a
+# cycle.  The registry imports the built-in backends itself when asked.
+_EXPORTS = {
+    "repro.comm.backends.base": (
+        "Backend",
+        "CAPABILITY_FLAGS",
+        "PeerAbortError",
+        "SharedGroupState",
+        "available_backends",
+        "backend_capabilities",
+        "get_backend_class",
+        "make_backend",
+        "register_backend",
+        "register_unavailable_backend",
+        "run_spmd",
+    ),
+    "repro.comm.backends.lockstep": ("LockstepBackend",),
+    "repro.comm.backends.process": ("ProcessBackend",),
+    "repro.comm.backends.socket": ("SocketBackend",),
+    "repro.comm.backends.thread": ("ThreadBackend",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

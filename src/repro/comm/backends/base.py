@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import abc
 import difflib
-import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -75,20 +74,6 @@ class _RankFailure:
 
     rank: int
     exception: BaseException
-
-
-def available_cpus() -> int:
-    """CPUs actually available to this process (affinity/cgroup aware).
-
-    ``os.cpu_count()`` reports the host's logical CPUs, which overstates what
-    a container pinned to a subset of cores can use — that would both hide
-    real oversubscription and make CI speedup floors fire on hardware that
-    cannot meet them.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
 
 
 def raise_first_failure(results: List[Any]) -> None:

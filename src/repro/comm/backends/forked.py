@@ -63,7 +63,6 @@ from repro.comm.backends.base import (
     PeerAbortError,
     SharedGroupState,
     _RankFailure,
-    available_cpus,
     raise_first_failure,
 )
 from repro.comm.communicator import Comm
@@ -74,6 +73,7 @@ from repro.comm.wire import (
     recv_into_exact,
     send_frame,
 )
+from repro.util.cpus import available_cpus
 from repro.util.errors import CommunicatorError
 
 #: Key of abort frames (never collides with the tuple-typed token keys).

@@ -137,6 +137,18 @@ def _check_preamble(header_len: int, payload_len: int) -> None:
         )
 
 
+def frame_length(preamble: bytes) -> int:
+    """Bytes that follow a frame's ``preamble`` (checked against the limits).
+
+    For readers that cannot hand :func:`read_frame` a blocking
+    ``read_into`` (an asyncio stream): read the preamble, then this many
+    bytes, and :func:`decode_frame` the two joined.
+    """
+    header_len, payload_len = PREAMBLE.unpack(preamble)
+    _check_preamble(header_len, payload_len)
+    return header_len + payload_len
+
+
 def read_frame(read_into: ReadInto) -> Tuple[Any, Any]:
     """Read and decode one frame through ``read_into(buffer)``.
 

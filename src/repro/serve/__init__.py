@@ -20,6 +20,8 @@ Public surface:
   batcher and the asyncio HTTP front end (:mod:`repro.serve.server`);
 * :class:`ServeStats` — queue/batch/latency/stage-clock telemetry
   (:mod:`repro.serve.stats`);
+* one worker process per available CPU on one listening socket, worker 0
+  owning ingest, reload and ``/stats`` (:mod:`repro.serve.supervisor`);
 * the error hierarchy with its HTTP status mapping
   (:mod:`repro.serve.errors`).
 """

@@ -68,21 +68,27 @@ def validate_columns(
 
     Accepts a single column (1-D of length ``n_features``) or a block of
     columns (2-D, ``n_features × c``).  Anything else — wrong length, wrong
-    dimensionality, a dtype that is not real-numeric, NaN/Inf entries, or an
-    empty batch — raises :class:`ProjectionRequestError` with a message
-    precise enough to be returned verbatim as an HTTP 400 body.
+    dimensionality, a dtype that is not real-numeric (strings, booleans and
+    ``None`` included), NaN/Inf entries, or an empty batch — raises
+    :class:`ProjectionRequestError` with a message precise enough to be
+    returned verbatim as an HTTP 400 body.
 
     The result is always C-contiguous: BLAS picks a different code path (and
     produces different low bits) for strided views, so normalising the layout
     here keeps response bytes independent of the caller's memory layout.
     """
     try:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        X = np.asarray(X)
+    except ValueError as exc:  # ragged nesting
         raise ProjectionRequestError(
             f"{what}: columns must be real-numeric, got data not convertible "
             f"to float64 ({exc})"
         ) from None
+    if X.dtype.kind not in "iuf":  # strings would parse, None and booleans convert
+        raise ProjectionRequestError(
+            f"{what}: columns must be real-numeric, got {X.dtype} data"
+        )
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:

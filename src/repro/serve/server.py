@@ -52,7 +52,8 @@ Two layers, separable for testing:
     answered with a 400 naming the problem.
 
 The ``repro serve`` CLI subcommand wires a :class:`~repro.serve.store.
-ModelStore` into both layers; see :func:`repro.cli.main`.
+ModelStore` into both layers, once per worker process; see
+:mod:`repro.serve.supervisor` and :func:`repro.cli.main`.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import socket
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 import orjson
@@ -84,6 +87,9 @@ from repro.serve.project import (
 from repro.serve.stats import ServeStats
 from repro.serve.store import ModelStore
 
+if TYPE_CHECKING:
+    from repro.serve.supervisor import Peers
+
 __all__ = [
     "MAX_BATCH_COLUMNS",
     "ProjectionResponse",
@@ -102,6 +108,9 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: kernel queue of connections not yet accepted on a shared listening socket.
+LISTEN_BACKLOG = 128
 
 #: request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -344,7 +353,14 @@ class ProjectionServer:
     """Asyncio HTTP/1.1 front end over a :class:`ProjectionService`.
 
     One request per connection; bodies and responses both go through
-    ``orjson``.
+    ``orjson``.  ``sock`` is a listening socket to serve on instead of
+    binding ``host:port`` (``repro serve`` binds one and hands it to every
+    worker process).  ``worker`` numbers this server among those workers;
+    every response names it in an ``X-Repro-Worker`` header.  ``peers`` is
+    set by :mod:`repro.serve.supervisor` when there are other workers:
+    worker 0 then publishes each new model version to them and merges their
+    ``/stats``, and every other worker forwards ``/stats``, ``ingest`` and
+    ``reload`` to worker 0.
     """
 
     def __init__(
@@ -353,6 +369,8 @@ class ProjectionServer:
         host: str = "127.0.0.1",
         port: int = 8571,
         *,
+        sock: Optional[socket.socket] = None,
+        worker: int = 0,
         refresh_window: int = 64,
         refresh_every: int = 16,
     ):
@@ -360,6 +378,9 @@ class ProjectionServer:
         self.store = service.store
         self.host = host
         self.port = port
+        self.sock = sock
+        self.worker = int(worker)
+        self.peers: Optional[Peers] = None
         self.refresh_window = int(refresh_window)
         self.refresh_every = int(refresh_every)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -377,9 +398,22 @@ class ProjectionServer:
         # block raises it to 8 MiB, and the heap's trim threshold to 16 MiB,
         # once; other allocators are unaffected.
         np.empty(8 * 1024 * 1024, dtype=np.uint8)
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=MAX_LINE_BYTES
-        )
+        if self.sock is not None:
+            # Every worker sharing the socket wakes on each new connection,
+            # and asyncio then accepts up to ``backlog`` of them at once: one
+            # worker could take all that are pending while another idles.
+            # One accept per wakeup leaves the rest to whichever worker is
+            # free (+10 % columns/s with two workers on a 2-CPU Xeon host);
+            # asyncio also passes ``backlog`` to ``listen()``, so the kernel
+            # queue is deepened again right after.
+            self._server = await asyncio.start_server(
+                self._handle, sock=self.sock, limit=MAX_LINE_BYTES, backlog=1
+            )
+            self.sock.listen(LISTEN_BACKLOG)
+        else:
+            self._server = await asyncio.start_server(
+                self._handle, self.host, self.port, limit=MAX_LINE_BYTES
+            )
         # port=0 binds an ephemeral port; report the real one.
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -390,28 +424,23 @@ class ProjectionServer:
             self._server = None
         await self.service.stop()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
     # -- one connection ------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-            except _HttpError as exc:
-                status, payload = exc.status, {"error": str(exc)}
-            else:
-                status, payload = await self._route(method, path, body)
+            method, path, body = await self._read_request(reader)
+        except _HttpError as exc:
+            status, payload = exc.status, {"error": str(exc)}
         except Exception as exc:  # defensive: a handler bug must not kill the loop
             status, payload = 500, {"error": str(exc), "type": type(exc).__name__}
+        else:
+            status, payload = await self.respond(method, path, body)
         try:
             body_bytes = orjson.dumps(payload)
             head = (
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body_bytes)}\r\n"
+                f"X-Repro-Worker: {self.worker}\r\n"
                 "Connection: close\r\n\r\n"
             )
             writer.write(head.encode() + body_bytes)
@@ -464,15 +493,33 @@ class ProjectionServer:
         return method.upper(), target.split("?", 1)[0], body
 
     # -- routing -------------------------------------------------------------
+    async def respond(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
+        """The status and JSON payload answering one parsed request."""
+        try:
+            if self.peers is not None and self.peers.forwards(path):
+                return await self.peers.forward(method, path, body)
+            return await self._route(method, path, body)
+        except Exception as exc:  # defensive: a handler bug must not kill the loop
+            return 500, {"error": str(exc), "type": type(exc).__name__}
+
     async def _route(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
-            return 200, {"status": "ok", "models": self.store.describe()}
+            started, alive = (self.peers.started, self.peers.alive) if self.peers else (1, 1)
+            return 200, {
+                "status": "ok",
+                "worker": self.worker,
+                "workers": {"started": started, "alive": alive},
+                "models": self.store.describe(),
+            }
         if path == "/stats":
             if method != "GET":
                 return 405, {"error": "stats is GET-only"}
-            snapshot = self.service.stats.snapshot()
+            stats = self.service.stats
+            if self.peers is not None:
+                stats = ServeStats.merge([stats, *await self.peers.stats()])
+            snapshot = stats.snapshot()
             snapshot["models"] = self.store.describe()
             return 200, snapshot
 
@@ -519,22 +566,30 @@ class ProjectionServer:
         return payload
 
     @staticmethod
-    def _extract_columns(payload: dict):
+    def _extract_columns(payload: dict, body: bytes) -> np.ndarray:
+        """The request's columns as float64: ``(m,)`` for ``"column"``, ``m × c``
+        for ``"columns"``.
+
+        ``body`` is the raw request the payload was decoded from: a body with
+        no ``r`` and no ``a`` byte cannot hold ``true`` or ``false``, which
+        struct packing would take for 1 and 0.
+        """
         if ("column" in payload) == ("columns" in payload):
             raise ProjectionRequestError(
                 "request must carry exactly one of 'column' (one column) or "
                 "'columns' (a list of columns)"
             )
+        may_hold_booleans = b"r" in body or b"a" in body
         if "column" in payload:
-            return payload["column"], True
+            return _decode_columns([payload["column"]], "column", may_hold_booleans)[:, 0]
         columns = payload["columns"]
         if not isinstance(columns, list) or not columns:
             raise ProjectionRequestError("'columns' must be a non-empty list of columns")
-        return _transpose_columns(columns), False
+        return _decode_columns(columns, "columns", may_hold_booleans)
 
     async def _project(self, name: str, body: bytes) -> Tuple[int, dict]:
         payload = self._parse_json(body)
-        columns, _single = self._extract_columns(payload)
+        columns = self._extract_columns(payload, body)
         timeout = payload.get("timeout")
         if timeout is not None and (not isinstance(timeout, (int, float)) or timeout <= 0):
             raise ProjectionRequestError(
@@ -553,6 +608,7 @@ class ProjectionServer:
         payload = self._parse_json(body)
         if "column" not in payload:
             raise ProjectionRequestError("ingest requires a single 'column'")
+        column = self._extract_columns(payload, body)
         refresher = self._refreshers.get(name)
         if refresher is None:
             self.store.get(name)  # 404 before building a refresher
@@ -563,17 +619,24 @@ class ProjectionServer:
                 refresh_every=self.refresh_every,
             )
             self._refreshers[name] = refresher
-        residual = refresher.ingest(payload["column"])
+        before = self.store.get(name)
+        residual = refresher.ingest(column)
         entry = self.store.get(name)
-        return 200, {
+        # Read before the publication's await: other ingests run meanwhile.
+        reply = {
             "model": name,
             "columns_seen": refresher.columns_seen,
             "serving_version": entry.version,
             "foreground_norm": float(np.linalg.norm(residual)),
         }
+        if entry is not before and self.peers is not None:
+            await self.peers.publish(entry)
+        return 200, reply
 
     async def _reload(self, name: str) -> Tuple[int, dict]:
         entry = self.store.reload(name)
+        if self.peers is not None:
+            await self.peers.publish(entry)
         return 200, {"model": name, "version": entry.version, **entry.metadata}
 
 
@@ -612,20 +675,58 @@ def _nests_deeper_than(body: bytes, limit: int) -> bool:
     return False
 
 
-def _transpose_columns(columns: list) -> np.ndarray:
-    """A JSON list of columns (each a list of m floats) → an m × c array."""
+_JSON_TYPES = {int: "number", float: "number", str: "string", type(None): "null",
+               bool: "boolean", dict: "object", list: "array"}
+
+
+def _decode_columns(columns: list, key: str, may_hold_booleans: bool) -> np.ndarray:
+    """A JSON list of columns (each a list of m numbers) → an m × c float64 array.
+
+    Each column is packed by one ``struct`` call, which converts a JSON
+    number exactly as ``float()`` does and rejects strings, ``null``,
+    objects and arrays; booleans it would pack, so they are looked for only
+    when ``may_hold_booleans``.  Any other entry is named in a 400 by its
+    column, row and JSON type.
+    """
+    for j, column in enumerate(columns):
+        if type(column) is not list:
+            raise ProjectionRequestError(
+                f"'{key}' column {j} is a JSON {_json_type(column)}, not a list of numbers"
+            )
+    m = len(columns[0])
+    for j, column in enumerate(columns):
+        if len(column) != m:
+            raise ProjectionRequestError(
+                f"'{key}' entries must be equal-length columns: column 0 has "
+                f"{m} entries, column {j} has {len(column)}"
+            )
+    pack = struct.Struct(f"{m}d").pack
     try:
-        arr = np.asarray(columns, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ProjectionRequestError(
-            f"'columns' entries must all be equal-length numeric lists ({exc})"
-        ) from None
-    if arr.ndim != 2:
-        raise ProjectionRequestError(
-            f"'columns' must be a list of equal-length columns, got a "
-            f"{arr.ndim}-D payload"
-        )
-    return arr.T
+        raw = b"".join([pack(*column) for column in columns])
+    except struct.error:
+        raw = None
+    if raw is None or may_hold_booleans:
+        _reject_non_numbers(columns, key)
+    return np.frombuffer(raw, dtype=np.float64).reshape(len(columns), m).T
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _reject_non_numbers(columns: list, key: str) -> None:
+    """Raise for the first entry that is not a JSON number.
+
+    orjson decodes a JSON number to an ``int`` (within 64 bits) or a
+    ``float``, so every other type is some other JSON value.
+    """
+    for j, column in enumerate(columns):
+        for i, value in enumerate(column):
+            if type(value) not in (int, float):
+                raise ProjectionRequestError(
+                    f"'{key}' column {j}, row {i} is a JSON {_json_type(value)}, "
+                    "not a number"
+                )
 
 
 async def run_self_test(

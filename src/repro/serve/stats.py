@@ -7,13 +7,15 @@ batcher, the HTTP front end and the ``/stats`` endpoint share; its
 
 Latency quantiles use the *nearest-rank* definition over a bounded ring of
 the most recent observations (default 4096): p50/p99 of a live server should
-describe recent traffic, not the whole process lifetime.
+describe recent traffic, not the whole process lifetime.  A server with
+several worker processes keeps one :class:`ServeStats` per worker and
+answers ``/stats`` with :meth:`ServeStats.merge` of them all.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, List
+from typing import Deque, Dict, Iterable, List, Optional
 
 __all__ = ["percentile", "LatencyWindow", "ServeStats"]
 
@@ -32,8 +34,16 @@ def percentile(values: List[float], q: float) -> float:
 class LatencyWindow:
     """Bounded ring of recent latency observations with quantile queries."""
 
-    def __init__(self, maxlen: int = 4096):
+    def __init__(self, maxlen: Optional[int] = 4096):
         self._ring: Deque[float] = deque(maxlen=maxlen)
+
+    @classmethod
+    def union(cls, windows: Iterable["LatencyWindow"]) -> "LatencyWindow":
+        """One unbounded window holding every observation of ``windows``."""
+        merged = cls(maxlen=None)
+        for window in windows:
+            merged._ring.extend(window._ring)
+        return merged
 
     def record(self, seconds: float) -> None:
         self._ring.append(float(seconds))
@@ -72,6 +82,26 @@ class ServeStats:
         self.queue_wait = LatencyWindow(latency_window)
         self.solve = LatencyWindow(latency_window)
         self.queue_depth = 0         # gauge, maintained by the service
+
+    _SUMMED = ("requests_total", "responses_total", "columns_total", "batches_total",
+               "shed_total", "deadline_total", "validation_errors", "model_errors",
+               "queue_depth")
+    _WINDOWS = ("latency", "queue_wait", "solve")
+
+    @classmethod
+    def merge(cls, parts: Iterable["ServeStats"]) -> "ServeStats":
+        """The stats of several worker processes as one: counters, the queue
+        depth gauge and the batch histogram are summed, and each quantile is
+        taken over the union of the workers' windows."""
+        parts = list(parts)
+        merged = cls()
+        for name in cls._SUMMED:
+            setattr(merged, name, sum(getattr(part, name) for part in parts))
+        for part in parts:
+            merged.batch_columns.update(part.batch_columns)
+        for name in cls._WINDOWS:
+            setattr(merged, name, LatencyWindow.union(getattr(part, name) for part in parts))
+        return merged
 
     # -- recording hooks (called by the service / front end) -----------------
     def record_admitted(self) -> None:

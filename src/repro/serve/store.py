@@ -20,7 +20,9 @@ version:
 ``docs/ARCHITECTURE.md``): caches belong to the entry, never to the store.
 :meth:`ModelStore.swap` / :meth:`ModelStore.reload` build a complete new
 entry (fresh Gram, fresh Cholesky, empty pattern caches) and then atomically
-replace the name binding; they never mutate an existing entry.  In-flight
+replace the name binding; they never mutate an existing entry.  A server
+worker process takes each new version from its primary through
+:meth:`ModelStore.install` (same arrays, empty caches, same rebind).  In-flight
 batches keep serving from the entry object they resolved at dequeue time, so
 a hot swap drops no requests — the next batch resolves the new version.
 """
@@ -93,6 +95,13 @@ class ModelEntry:
                 solver = BlockPrincipalPivoting(kernel=key, persistent_cache=True)
                 self._solvers[key] = solver
             return solver
+
+    def __reduce__(self):
+        # Pickled (pushed to another worker process) without its lock and
+        # solver caches: the receiver starts with empty ones, as every new
+        # entry does.
+        return (ModelEntry, (self.name, self.version, self.result, self.W, self.gram,
+                             self.cholesky, self.metadata, self.source))
 
     def describe(self) -> dict:
         """JSON-able summary for listings and the ``/stats`` endpoint."""
@@ -190,6 +199,22 @@ class ModelStore:
         """Replace (or create) ``name`` with ``result``; bumps the version."""
         entry = self._models.get(name)
         return self._register(name, result, source=entry.source if entry else None)
+
+    def install(self, entry: ModelEntry) -> ModelEntry:
+        """Bind a version another process's store built; returns the serving entry.
+
+        This is how a server worker takes a version its primary published:
+        the arrays arrive with the publisher's bytes (Gram and Cholesky are
+        not recomputed) and are made read-only here.  A version no newer than
+        the one serving is ignored, so a model never rolls back.
+        """
+        for array in (entry.W, entry.gram, entry.cholesky):
+            array.setflags(write=False)
+        with self._lock:
+            current = self._models.get(entry.name)
+            if current is None or current.version < entry.version:
+                self._models[entry.name] = entry
+            return self._models[entry.name]
 
     # -- internals -----------------------------------------------------------
     def _register(

@@ -1,5 +1,6 @@
-"""Shared utilities: errors, validation, seeding, timers, array helpers."""
+"""Shared utilities: errors, validation, seeding, timers, array helpers, CPU count."""
 
+from repro.util.cpus import available_cpus
 from repro.util.errors import (
     ReproError,
     ShapeError,
@@ -32,4 +33,5 @@ __all__ = [
     "spawn_rng",
     "Timer",
     "WallClock",
+    "available_cpus",
 ]

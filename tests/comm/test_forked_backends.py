@@ -37,9 +37,9 @@ from repro.comm.backends import (
     get_backend_class,
     run_spmd,
 )
-from repro.comm.backends.base import available_cpus
 from repro.comm.backends.forked import _Collector
 from repro.comm.wire import encode_frame_parts, send_frame
+from repro.util import available_cpus
 from repro.util.errors import CommunicatorError
 
 FORKED = ["process", "socket"]

@@ -48,7 +48,7 @@ _VALUES = st.one_of(
 @example(column=_EDGE_VALUES)
 def test_orjson_columns_equal_json_loads_bit_for_bit(column):
     body = json.dumps({"columns": [column, column[::-1]]}).encode()
-    got, _ = ProjectionServer._extract_columns(ProjectionServer._parse_json(body))
+    got = ProjectionServer._extract_columns(ProjectionServer._parse_json(body), body)
     want = np.asarray(json.loads(body)["columns"], dtype=np.float64).T
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape

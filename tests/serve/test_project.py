@@ -43,6 +43,11 @@ class TestValidateColumns:
         with pytest.raises(ProjectionRequestError, match="real-numeric"):
             validate_columns(["a"] * M, M)
 
+    @pytest.mark.parametrize("value", ["1.5", None, True], ids=["string", "none", "bool"])
+    def test_strings_none_and_booleans_are_not_numbers(self, value):
+        with pytest.raises(ProjectionRequestError, match="real-numeric"):
+            validate_columns([value] * M, M)
+
     def test_3d_rejected(self):
         with pytest.raises(ProjectionRequestError, match="3-D"):
             validate_columns(np.ones((2, 2, 2)), M)

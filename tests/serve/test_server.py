@@ -541,6 +541,33 @@ class TestHttpServer:
         assert payload["type"] == "ProjectionRequestError"
         assert message in payload["error"]
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"columns": [[1.0] * M, ["1.5"] + [1.0] * (M - 1)]},
+         "'columns' column 1, row 0 is a JSON string, not a number"),
+        ({"column": [1.0] * 5 + [None] + [1.0] * (M - 6)},
+         "'column' column 0, row 5 is a JSON null, not a number"),
+        ({"columns": [[1.0] * (M - 1) + [True]]},
+         f"'columns' column 0, row {M - 1} is a JSON boolean, not a number"),
+        ({"column": [{"x": 1}] + [1.0] * (M - 1)},
+         "'column' column 0, row 0 is a JSON object, not a number"),
+        ({"columns": [[1.0] * M, [[1.0]] * M]},
+         "'columns' column 1, row 0 is a JSON array, not a number"),
+        ({"columns": ["1.0"]}, "'columns' column 0 is a JSON string, not a list of numbers"),
+        ({"column": 3.0}, "'column' column 0 is a JSON number, not a list of numbers"),
+    ], ids=["string", "null", "boolean", "object", "array", "column-string", "column-number"])
+    def test_non_number_entries_get_a_400_naming_them(self, payload, message):
+        async def scenario(loop, base, store, entry):
+            project_reply = await loop.run_in_executor(
+                None, _http, base, "/v1/models/m/project", payload)
+            ingest = {"column": payload.get("column", payload.get("columns"))}
+            ingest_reply = await loop.run_in_executor(
+                None, _http, base, "/v1/models/m/ingest", ingest)
+            return project_reply, ingest_reply
+
+        (status, body), (ingest_status, ingest_body) = self._run(scenario)
+        assert status == 400 and body["error"] == message
+        assert ingest_status == 400 and "not a" in ingest_body["error"]
+
     def test_http_response_values_equal_solo_projection(self):
         X = np.abs(RNG.standard_normal((M, 3)))
 

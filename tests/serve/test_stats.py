@@ -102,3 +102,33 @@ class TestServeStats:
         stats.record_latency(0.01)
         parsed = json.loads(json.dumps(stats.snapshot()))
         assert parsed["batches_total"] == 1
+
+
+class TestMerge:
+    def test_counters_and_histograms_sum_and_quantiles_span_every_window(self):
+        a, b = ServeStats(latency_window=4), ServeStats(latency_window=4)
+        for stats, n_columns, solve in ((a, 2, 0.001), (a, 2, 0.002), (b, 5, 0.004)):
+            stats.record_admitted()
+            stats.record_batch(n_requests=1, n_columns=n_columns, solve_seconds=solve)
+        for v in (1.0, 2.0, 3.0, 4.0):
+            a.record_latency(v)
+        for v in (5.0, 6.0, 7.0, 8.0):
+            b.record_latency(v)
+        b.shed_total, b.queue_depth = 3, 2
+        merged = ServeStats.merge([a, b]).snapshot()
+        assert merged["requests_total"] == merged["responses_total"] == 3
+        assert merged["columns_total"] == 9 and merged["batches_total"] == 3
+        assert merged["shed_total"] == 3 and merged["queue_depth"] == 2
+        assert merged["batch_columns_histogram"] == {"2": 2, "5": 1}
+        assert merged["mean_batch_columns"] == 3.0
+        assert merged["latency_seconds"] == {"p50": 4.0, "p99": 8.0}  # over all 8
+        assert merged["solve_seconds"] == {"p50": 0.002, "p99": 0.004}
+        assert a.snapshot()["requests_total"] == 2  # the parts are untouched
+
+    def test_merging_one_is_a_copy_of_its_snapshot(self):
+        stats = ServeStats()
+        stats.record_admitted()
+        stats.record_batch(n_requests=1, n_columns=4, solve_seconds=0.5)
+        stats.record_latency(0.25)
+        stats.record_queue_wait(0.125)
+        assert ServeStats.merge([stats]).snapshot() == stats.snapshot()

@@ -171,6 +171,40 @@ class TestHotSwap:
             store.reload("mem")
 
 
+class TestInstall:
+    """A worker process takes its primary's versions as they were built."""
+
+    def _pushed(self, entry):
+        from repro.comm.wire import decode_frame, encode_frame
+
+        _, copy = decode_frame(encode_frame("install", entry))
+        return copy
+
+    def test_a_pushed_entry_keeps_its_bytes_and_starts_with_empty_caches(self):
+        primary, worker = ModelStore(), ModelStore()
+        worker.add_result("m", _result(seed=0))
+        entry = primary.add_result("m", _result(seed=1))
+        entry.solver_for("batched")
+        primary.swap("m", _result(seed=2))
+        newest = primary.get("m")
+        installed = worker.install(self._pushed(newest))
+        assert worker.get("m") is installed and installed.version == 2
+        for name in ("W", "gram", "cholesky"):
+            array = getattr(installed, name)
+            assert array.tobytes() == getattr(newest, name).tobytes()
+            assert not array.flags.writeable
+        assert installed._solvers == {}
+        assert installed.metadata.keys() == newest.metadata.keys()
+
+    def test_an_older_version_never_replaces_a_newer_one(self):
+        primary, worker = ModelStore(), ModelStore()
+        first = primary.add_result("m", _result(seed=0))
+        second = primary.swap("m", _result(seed=1))
+        worker.install(self._pushed(second))
+        assert worker.install(self._pushed(first)).version == 2
+        assert worker.get("m").W.tobytes() == second.W.tobytes()
+
+
 class TestLookup:
     def test_unknown_name_lists_known_models(self):
         store = ModelStore()
