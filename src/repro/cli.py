@@ -183,14 +183,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.serve import ModelStore, ProjectionServer, ProjectionService
-    from repro.serve.server import run_self_test
-    from repro.serve.supervisor import bind, serve
+    from repro.serve.server import bind, run_self_test
+    from repro.serve.supervisor import serve
     from repro.util.errors import ModelLoadError
 
     # Bound before the models load and the workers fork: every worker serves
-    # on this one socket.
+    # on these sockets.
     try:
-        listener = bind(args.host, args.port)
+        listeners = bind(args.host, args.port)
     except OSError as exc:
         raise SystemExit(f"cannot listen on {args.host}:{args.port}: {exc}") from None
     store = ModelStore(root=args.models_dir)
@@ -204,10 +204,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 store.load(spec)
     except ModelLoadError as exc:
-        listener.close()
+        for listener in listeners:
+            listener.close()
         raise SystemExit(str(exc)) from None
     if len(store) == 0:
-        listener.close()
+        for listener in listeners:
+            listener.close()
         raise SystemExit(
             "nothing to serve: pass one or more .npz model artifacts "
             "(optionally as NAME=path) or --models-dir"
@@ -222,7 +224,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             kernel=args.kernel,
         )
         return ProjectionServer(
-            service, host=args.host, sock=listener, worker=worker,
+            service, host=args.host, sockets=listeners, worker=worker,
             refresh_every=args.refresh_every,
         )
 

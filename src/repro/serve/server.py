@@ -64,7 +64,7 @@ import re
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import orjson
@@ -95,6 +95,7 @@ __all__ = [
     "ProjectionResponse",
     "ProjectionService",
     "ProjectionServer",
+    "bind",
     "run_self_test",
 ]
 
@@ -109,7 +110,7 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-#: kernel queue of connections not yet accepted on a shared listening socket.
+#: kernel queue of connections not yet accepted on a listening socket.
 LISTEN_BACKLOG = 128
 
 #: request bodies above this are rejected with 413 before parsing.
@@ -353,9 +354,10 @@ class ProjectionServer:
     """Asyncio HTTP/1.1 front end over a :class:`ProjectionService`.
 
     One request per connection; bodies and responses both go through
-    ``orjson``.  ``sock`` is a listening socket to serve on instead of
-    binding ``host:port`` (``repro serve`` binds one and hands it to every
-    worker process).  ``worker`` numbers this server among those workers;
+    ``orjson``.  ``sockets`` are listening sockets from :func:`bind` to
+    serve on (``repro serve`` binds them once and hands them to every worker
+    process); without them :meth:`start` binds ``host:port`` itself.
+    ``worker`` numbers this server among those workers;
     every response names it in an ``X-Repro-Worker`` header.  ``peers`` is
     set by :mod:`repro.serve.supervisor` when there are other workers:
     worker 0 then publishes each new model version to them and merges their
@@ -369,7 +371,7 @@ class ProjectionServer:
         host: str = "127.0.0.1",
         port: int = 8571,
         *,
-        sock: Optional[socket.socket] = None,
+        sockets: Optional[Sequence[socket.socket]] = None,
         worker: int = 0,
         refresh_window: int = 64,
         refresh_every: int = 16,
@@ -378,12 +380,12 @@ class ProjectionServer:
         self.store = service.store
         self.host = host
         self.port = port
-        self.sock = sock
+        self.sockets = sockets
         self.worker = int(worker)
         self.peers: Optional[Peers] = None
         self.refresh_window = int(refresh_window)
         self.refresh_every = int(refresh_every)
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._servers: List[asyncio.AbstractServer] = []
         self._refreshers: Dict[str, ModelRefresher] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -398,30 +400,32 @@ class ProjectionServer:
         # block raises it to 8 MiB, and the heap's trim threshold to 16 MiB,
         # once; other allocators are unaffected.
         np.empty(8 * 1024 * 1024, dtype=np.uint8)
-        if self.sock is not None:
-            # Every worker sharing the socket wakes on each new connection,
-            # and asyncio then accepts up to ``backlog`` of them at once: one
-            # worker could take all that are pending while another idles.
-            # One accept per wakeup leaves the rest to whichever worker is
-            # free (+10 % columns/s with two workers on a 2-CPU Xeon host);
-            # asyncio also passes ``backlog`` to ``listen()``, so the kernel
-            # queue is deepened again right after.
-            self._server = await asyncio.start_server(
-                self._handle, sock=self.sock, limit=MAX_LINE_BYTES, backlog=1
-            )
-            self.sock.listen(LISTEN_BACKLOG)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port, limit=MAX_LINE_BYTES
-            )
+        sockets = self.sockets if self.sockets is not None else bind(self.host, self.port)
+        # asyncio's selector loop accepts up to ``backlog`` connections each
+        # time a listening socket turns readable (``_accept_connection`` in
+        # ``asyncio/selector_events.py`` loops ``backlog`` times).  Every
+        # worker sharing the sockets wakes on each new connection, so one
+        # could take all that are pending while another idles; accepting one
+        # per wakeup leaves the rest to whichever worker is free (+10 %
+        # columns/s with two workers on a 2-CPU Xeon host).  asyncio also
+        # passes ``backlog`` to ``listen()``, so the kernel queue is deepened
+        # again right after; worker 0 reports ready only once every worker
+        # has done so (:mod:`repro.serve.supervisor`).  A lone server keeps
+        # the default.
+        backlog = 1 if self.peers is not None else LISTEN_BACKLOG
+        for sock in sockets:
+            self._servers.append(await asyncio.start_server(
+                self._handle, sock=sock, limit=MAX_LINE_BYTES, backlog=backlog
+            ))
+            sock.listen(LISTEN_BACKLOG)
         # port=0 binds an ephemeral port; report the real one.
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        servers, self._servers = self._servers, []
+        for server in servers:
+            server.close()
+            await server.wait_closed()
         await self.service.stop()
 
     # -- one connection ------------------------------------------------------
@@ -638,6 +642,37 @@ class ProjectionServer:
         if self.peers is not None:
             await self.peers.publish(entry)
         return 200, {"model": name, "version": entry.version, **entry.metadata}
+
+
+def bind(host: str, port: int) -> List[socket.socket]:
+    """Listening TCP sockets for ``host:port``, one per address it resolves to.
+
+    ``localhost`` may resolve to both 127.0.0.1 and ::1, and ``""`` means
+    every interface, as in ``asyncio.start_server``.  With ``port`` 0 every
+    socket takes the port the first one drew.  Each socket listens with
+    :data:`LISTEN_BACKLOG` before this returns.  Raises :class:`OSError`
+    when ``host`` does not resolve or an address cannot be bound.
+    """
+    infos = socket.getaddrinfo(
+        host or None, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+    )
+    sockets: List[socket.socket] = []
+    try:
+        for family, kind, proto, _, address in dict.fromkeys(infos):
+            if sockets and port == 0:
+                address = (address[0], sockets[0].getsockname()[1], *address[2:])
+            sock = socket.socket(family, kind, proto)
+            sockets.append(sock)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:
+                sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            sock.bind(address)
+            sock.listen(LISTEN_BACKLOG)
+    except BaseException:
+        for sock in sockets:
+            sock.close()
+        raise
+    return sockets
 
 
 class _HttpError(Exception):

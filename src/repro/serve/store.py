@@ -58,12 +58,14 @@ class ModelEntry:
     per-kernel BPP solver whose persistent pattern cache is bound to this
     entry's Gram — sharing it across micro-batches is what makes repeated
     serving cheap, and discarding the whole entry is what keeps a model swap
-    correct.
+    correct.  ``result`` is the fitted model the entry was built from; an
+    entry pushed to a server worker (:meth:`ModelStore.install`) carries
+    ``None`` there, since only the publishing process refreshes from it.
     """
 
     name: str
     version: int
-    result: NMFResult
+    result: Optional[NMFResult]
     W: np.ndarray
     gram: np.ndarray
     cholesky: np.ndarray
@@ -97,10 +99,11 @@ class ModelEntry:
             return solver
 
     def __reduce__(self):
-        # Pickled (pushed to another worker process) without its lock and
-        # solver caches: the receiver starts with empty ones, as every new
-        # entry does.
-        return (ModelEntry, (self.name, self.version, self.result, self.W, self.gram,
+        # Pickled (pushed to another worker process) with what projection
+        # reads: no lock and no solver caches (the receiver starts with empty
+        # ones, as every new entry does), and no ``result``, whose H only the
+        # publishing process's refresher reads.
+        return (ModelEntry, (self.name, self.version, None, self.W, self.gram,
                              self.cholesky, self.metadata, self.source))
 
     def describe(self) -> dict:

@@ -5,14 +5,15 @@ decoding, the small NumPy calls of a batched solve, response encoding), so
 a second thread in the server process adds a hand-off and no parallelism.
 More processes do scale, as the paper's ranks do: each holds what it needs
 in its own memory and coordinates explicitly.  ``repro serve`` makes the
-listening socket with :func:`bind` and loads the models; :func:`serve` then
-forks one worker per additional CPU (:func:`repro.util.available_cpus`)
-before any event loop or thread starts.
+listening sockets with :func:`repro.serve.server.bind` and loads the
+models; :func:`serve` then forks one worker per additional CPU
+(:func:`repro.util.available_cpus`) before any event loop or thread starts.
 Each worker runs its own :class:`~repro.serve.server.ProjectionService` and
-:class:`~repro.serve.server.ProjectionServer` on the shared socket, so a
+:class:`~repro.serve.server.ProjectionServer` on the shared sockets, so a
 projection or ``/healthz`` is batched, solved and answered entirely inside
-whichever worker accepted the connection.  With one available CPU nothing
-is forked.
+whichever worker accepted the connection.  Worker 0 starts every other
+worker's server over its control channel and reports ready once all of
+them listen.  With one available CPU nothing is forked.
 
 Mutable state has one owner, worker 0 (the process that was started):
 
@@ -55,19 +56,13 @@ from repro.util.errors import CommunicatorError
 if TYPE_CHECKING:
     from repro.serve.server import ProjectionServer
 
-__all__ = ["Peers", "bind", "serve"]
+__all__ = ["Peers", "serve"]
 
 #: Model actions whose state worker 0 owns (``/stats`` is forwarded too).
 _FORWARDED_ACTIONS = ("ingest", "reload")
 
 #: Seconds worker 0 waits for a worker to exit before it kills it.
 _REAP_TIMEOUT_S = 5.0
-
-
-def bind(host: str, port: int) -> socket.socket:
-    """The listening TCP socket every worker serves on."""
-    family = socket.AF_INET6 if ":" in host else socket.AF_INET
-    return socket.create_server((host, port), family=family)
 
 
 def serve(
@@ -80,9 +75,10 @@ def serve(
 
     ``build(worker)`` makes worker ``worker``'s server, in that worker's
     process after the fork; every server must use the same listening
-    socket.  On worker 0, ``ready(server)`` runs once it listens; then
-    ``until(server)``, if given, runs and its return shuts every worker
-    down, and otherwise worker 0 serves until SIGINT or SIGTERM.
+    sockets.  On worker 0, ``ready(server)`` runs once every worker
+    listens; then ``until(server)``, if given, runs and its return shuts
+    every worker down, and otherwise worker 0 serves until SIGINT or
+    SIGTERM.
     """
     started = available_cpus()
     pairs = [socket.socketpair() for _ in range(started - 1)]
@@ -127,14 +123,12 @@ def _run_worker(build, worker: int, started: int, pairs: List[tuple]) -> None:
 
 
 async def _worker(server: "ProjectionServer", started: int, sock: socket.socket) -> None:
-    peers = Peers(server, started)
+    peers = server.peers = Peers(server, started)
     channel = await peers.connect(0, sock)
-    server.peers = peers
-    await server.start()
     try:
         await channel.closed  # worker 0 closed its end, or died
     finally:
-        await server.stop()
+        await server.stop()  # started by worker 0's "start" call
 
 
 async def _primary(server, started, workers, ready, until) -> int:
@@ -150,6 +144,7 @@ async def _primary(server, started, workers, ready, until) -> int:
         loop.add_signal_handler(signum, stop.set)
     try:
         await server.start()
+        await peers.start()
         ready(server)
         await (until(server) if until is not None else stop.wait())
     finally:
@@ -200,6 +195,10 @@ class Peers:
         """Install ``entry`` on every live worker; returns once all have."""
         await self._each("install", entry)
 
+    async def start(self) -> None:
+        """Start every other live worker's server; returns once all listen."""
+        await self._each("start")
+
     async def stats(self) -> List[ServeStats]:
         """Every other live worker's stats."""
         return await self._each("stats")
@@ -219,6 +218,9 @@ class Peers:
     async def _handle(self, op: str, *args):
         if op == "respond":  # on worker 0: a forwarded request
             return await self.server.respond(*args)
+        if op == "start":
+            await self.server.start()
+            return None
         if op == "install":
             self.server.store.install(*args)
             return None

@@ -416,6 +416,31 @@ def _raw_post(path: str, body: bytes) -> bytes:
             f"Content-Length: {len(body)}\r\n\r\n").encode() + body
 
 
+class TestBind:
+    def test_localhost_listens_on_every_address_it_resolves_to_on_one_port(self):
+        resolved = {
+            info[4][:2]
+            for info in socket.getaddrinfo(
+                "localhost", 0, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+            )
+        }
+        sockets = server_mod.bind("localhost", 0)
+        try:
+            bound = [sock.getsockname()[:2] for sock in sockets]
+            assert {host for host, _ in bound} == {host for host, _ in resolved}
+            assert len({port for _, port in bound}) == 1
+            for host, port in bound:
+                with socket.create_connection((host, port), timeout=5):
+                    pass  # the kernel completes the handshake: it listens
+        finally:
+            for sock in sockets:
+                sock.close()
+
+    def test_an_address_of_no_local_interface_raises_oserror(self):
+        with pytest.raises(OSError):
+            server_mod.bind("192.0.2.1", 0)  # TEST-NET-1: never assigned here
+
+
 class TestHttpServer:
     def _run(self, scenario, **service_kwargs):
         """Start a server on an ephemeral port, run ``scenario(base, ...)``."""

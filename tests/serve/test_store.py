@@ -11,11 +11,11 @@ from repro.nls import resolve_kernel
 from repro.serve import ModelLoadError, ModelNotFoundError, ModelStore
 
 
-def _result(seed=0, m=40, k=3):
+def _result(seed=0, m=40, k=3, n=10):
     rng = np.random.default_rng(seed)
     return NMFResult(
         W=np.abs(rng.standard_normal((m, k))) + 0.01,
-        H=np.abs(rng.standard_normal((k, 10))),
+        H=np.abs(rng.standard_normal((k, n))),
         config=NMFConfig(k=k, seed=seed),
         iterations=2,
     )
@@ -195,6 +195,14 @@ class TestInstall:
             assert not array.flags.writeable
         assert installed._solvers == {}
         assert installed.metadata.keys() == newest.metadata.keys()
+
+    def test_a_pushed_entry_leaves_the_fitted_result_behind(self):
+        from repro.comm.wire import encode_frame
+
+        entry = ModelStore().add_result("m", _result(n=20_000))
+        frame = encode_frame("install", entry)
+        assert len(frame) < entry.result.H.nbytes // 4
+        assert self._pushed(entry).result is None
 
     def test_an_older_version_never_replaces_a_newer_one(self):
         primary, worker = ModelStore(), ModelStore()

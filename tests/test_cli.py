@@ -178,6 +178,14 @@ def test_serve_self_test_round_trip(capsys, tmp_path):
     assert '"responses_total": 4' in out
 
 
+def test_serve_on_localhost(capsys, tmp_path):
+    path = _serve_model(tmp_path)
+    code = main(["serve", str(path), "--host", "localhost", "--port", "0",
+                 "--self-test", "2"])
+    assert code == 0
+    assert "serving ['model'] on http://localhost:" in capsys.readouterr().out
+
+
 def test_serve_named_model_spec(capsys, tmp_path):
     path = _serve_model(tmp_path)
     assert main(["serve", f"prod={path}", "--port", "0", "--self-test"]) == 0
