@@ -113,7 +113,7 @@ def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.data.registry import DATASETS, PAPER_DATASETS, paper_scale
     from repro.plan import ProblemSpec, plan_candidates, render_plan_table
-    from repro.util.errors import ShapeError, SolverError
+    from repro.util.errors import ShapeError
 
     if args.ranks < 1:
         raise SystemExit(f"--ranks must be >= 1, got {args.ranks}")
@@ -152,13 +152,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("pass a dataset name (e.g. SSYN) or --shape M N")
     machine = _resolve_machine(args.machine, ranks=args.ranks)
-    try:
-        plans = plan_candidates(
-            problem, args.ranks, machine=machine, kernel=args.kernel,
-            backend=args.backend,
-        )
-    except SolverError as exc:  # e.g. --kernel numba without numba installed
-        raise SystemExit(str(exc)) from None
+    plans = plan_candidates(
+        problem, args.ranks, machine=machine, kernel=args.kernel,
+        backend=args.backend,
+    )
     print(render_plan_table(plans))
     return 0
 
@@ -294,7 +291,7 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     from repro.core.variants import available_variants
     from repro.dist.storage import STORAGE_MODES
     from repro.nls.base import available_solvers
-    from repro.nls.kernels import registered_kernels
+    from repro.nls.kernels import available_kernels
 
     fact.add_argument("input",
                       help="registered dataset name, paper dataset name "
@@ -313,12 +310,11 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     fact.add_argument("--solver", default="bpp", choices=available_solvers(),
                       help="local NLS solver by registry name")
     fact.add_argument("--kernel", default=None,
-                      choices=registered_kernels() + ["auto"],
+                      choices=available_kernels() + ["auto"],
                       help="BPP inner engine (batched = vectorized, stacked "
                            "Cholesky + substitution; scalar = per-column "
-                           "reference oracle; numba = JIT-compiled when numba "
-                           "is installed; auto = fastest available); default "
-                           "batched")
+                           "reference oracle, byte-identical; auto = batched, "
+                           "the default)")
     fact.add_argument("--iters", type=int, default=20, help="outer iterations")
     fact.add_argument("--seed", type=int, default=42)
     fact.add_argument("--no-overlap", action="store_true",
@@ -336,7 +332,7 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
 
 def _plan_arguments(plan: argparse.ArgumentParser) -> None:
     from repro.comm.backends import available_backends
-    from repro.nls.kernels import registered_kernels
+    from repro.nls.kernels import available_kernels
 
     plan.add_argument(
         "input", nargs="?",
@@ -364,10 +360,10 @@ def _plan_arguments(plan: argparse.ArgumentParser) -> None:
              "this host via MachineSpec.calibrate)",
     )
     plan.add_argument("--kernel", default=None,
-                      choices=registered_kernels() + ["auto"],
+                      choices=available_kernels() + ["auto"],
                       help="price the NLS term for this BPP kernel "
-                           "(calibrated machines use measured per-kernel "
-                           "throughput ratios)")
+                           "(auto = batched, the default; calibrated machines "
+                           "use measured per-kernel throughput ratios)")
     plan.add_argument("--backend", default=None, choices=available_backends(),
                       help="execution backend the plans will run on: socket "
                            "and mpi price every collective at the wire's "
@@ -376,7 +372,7 @@ def _plan_arguments(plan: argparse.ArgumentParser) -> None:
 
 
 def _serve_arguments(serve: argparse.ArgumentParser) -> None:
-    from repro.nls.kernels import registered_kernels
+    from repro.nls.kernels import available_kernels
     from repro.serve.project import MAX_BATCH_COLUMNS
 
     serve.add_argument(
@@ -392,9 +388,9 @@ def _serve_arguments(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("--port", type=_port, default=8571,
                        help="TCP port (0 = pick a free ephemeral port)")
     serve.add_argument("--kernel", default="auto",
-                       choices=registered_kernels() + ["auto"],
+                       choices=available_kernels() + ["auto"],
                        help="BPP kernel for the batched projection solves "
-                            "(default auto = fastest available; responses are "
+                            "(default auto = batched; responses are "
                             "byte-identical across kernels)")
     serve.add_argument("--max-batch", type=_positive_int, default=MAX_BATCH_COLUMNS,
                        help="max columns per batched NLS call; a batch is the "

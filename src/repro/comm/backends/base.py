@@ -267,8 +267,7 @@ _REGISTRY: Dict[str, Type[Backend]] = {}
 #: Backends that exist but cannot run here (missing optional dependency),
 #: mapped to a human-readable reason.  Resolving such a name raises the
 #: reason instead of the generic "unknown backend" error, and the name is
-#: excluded from :func:`available_backends` — mirroring how the kernels
-#: registry treats the numba kernels when numba is absent.
+#: excluded from :func:`available_backends`.
 _UNAVAILABLE: Dict[str, str] = {}
 
 

@@ -1,9 +1,8 @@
 """The MPI wire backend: the Backend ABC mapped onto real MPI via ``mpi4py``.
 
-Import-guarded like the numba kernels (:mod:`repro.nls.kernels_numba`): when
-``mpi4py`` is not installed the module still imports cleanly, sets
-:data:`MPI4PY_AVAILABLE` to ``False`` and registers the name as
-*unavailable* — ``--backend mpi`` then fails with an actionable message
+Import-guarded: when ``mpi4py`` is not installed the module still imports
+cleanly, sets :data:`MPI4PY_AVAILABLE` to ``False`` and registers the name
+as *unavailable* — ``--backend mpi`` then fails with an actionable message
 instead of a generic "unknown backend", and ``available_backends()`` simply
 omits it.
 

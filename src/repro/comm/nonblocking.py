@@ -36,11 +36,11 @@ full input.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.comm.profiler import Profiler, TaskCategory
 
-__all__ = ["CommHandle", "drain", "finish"]
+__all__ = ["CommHandle", "finish"]
 
 
 class CommHandle:
@@ -90,15 +90,3 @@ def finish(
     if profiler is not None and category is not None:
         profiler.add(category, handle.exposed_seconds)
     return result
-
-
-def drain(handles: Sequence[CommHandle]) -> None:
-    """Wait every handle, discarding results (error-path cleanup).
-
-    For ``finally`` blocks that abandon issued operations because something
-    else already failed; with every handle complete at issue there is
-    nothing to wait out, and the exception being propagated is never
-    replaced.
-    """
-    for handle in handles:
-        handle.wait()

@@ -121,8 +121,8 @@ def fit(
     **options:
         Remaining keywords are split by name: :class:`NMFConfig` fields
         (``max_iters``, ``tol``, ``solver``, ``seed``, ``kernel``, ...)
-        configure the run — ``kernel="auto"`` selects the fastest available
-        BPP inner engine (see :mod:`repro.nls.kernels`) and is also priced
+        configure the run — ``kernel="auto"`` selects the default BPP inner
+        engine, ``batched`` (see :mod:`repro.nls.kernels`), and is also priced
         by the planner when ``variant``/``grid`` is ``"auto"``; anything
         else must be an extra option of the chosen variant
         (e.g. ``alpha`` for ``symmetric``, ``l1`` for ``regularized``,

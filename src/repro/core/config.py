@@ -63,9 +63,8 @@ class NMFConfig:
         (the default, :data:`repro.nls.kernels.DEFAULT_KERNEL`: vectorized
         pivot rules, one stacked Cholesky and substitution per pattern size
         and round), ``"scalar"`` (the per-column reference oracle, byte-identical
-        to batched), ``"numba"`` (JIT-compiled, requires numba) or ``"auto"``
-        (fastest available).  See :mod:`repro.nls.kernels`.  Ignored by the
-        element-wise solvers.
+        to batched) or ``"auto"`` (an alias of the default).  See
+        :mod:`repro.nls.kernels`.  Ignored by the element-wise solvers.
     overlap:
         Accepted and ignored.  It used to choose between completing the
         parallel loops' collectives in the background (a helper thread per

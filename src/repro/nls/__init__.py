@@ -25,8 +25,8 @@ Implemented solvers:
 
 BPP's inner engine is pluggable via the kernels registry
 (:mod:`repro.nls.kernels`): ``batched`` (the default: vectorized pivot rules,
-stacked Cholesky and substitution), ``scalar`` (the per-column reference
-oracle, byte-identical) and ``numba`` (JIT-compiled, behind a capability flag).
+stacked Cholesky and substitution) and ``scalar`` (the per-column reference
+oracle, byte-identical).
 """
 
 from repro.nls.base import NLSSolver, NLSState, make_solver, available_solvers
@@ -34,7 +34,6 @@ from repro.nls.kernels import (
     NLSKernel,
     available_kernels,
     make_kernel,
-    registered_kernels,
     resolve_kernel,
 )
 from repro.nls.bpp import BlockPrincipalPivoting
@@ -53,7 +52,6 @@ __all__ = [
     "NLSKernel",
     "make_kernel",
     "available_kernels",
-    "registered_kernels",
     "resolve_kernel",
     "BlockPrincipalPivoting",
     "MultiplicativeUpdate",

@@ -45,7 +45,7 @@ class NLSSolver(abc.ABC):
     """Abstract base class for normal-equations NLS solvers.
 
     Every solver accepts a ``kernel`` selection (``'scalar'``, ``'batched'``,
-    ``'numba'``, ``'auto'`` or ``None`` for the default) so the front door can
+    ``'auto'`` or ``None`` for the default) so the front door can
     pass it uniformly; solvers with a pluggable inner engine (currently BPP)
     resolve it via :mod:`repro.nls.kernels`, the element-wise solvers simply
     record the request and ignore it.

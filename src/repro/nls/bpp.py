@@ -23,7 +23,7 @@ one Cholesky factorization of ``G[F, F]`` serves the whole group — the
 standard trick that makes BPP practical for NMF, where c is m/p or n/p and k
 is small.  The inner engine that does the grouping, factorization and pivot
 bookkeeping is pluggable: see :mod:`repro.nls.kernels` for the ``batched``
-(default) / ``scalar`` / ``numba`` kernels and their byte-identity contract.
+(default) and ``scalar`` kernels and their byte-identity contract.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class BlockPrincipalPivoting(NLSSolver):
         nonnegative.
     kernel:
         Inner-engine selection: ``'batched'`` (what ``None``, the default,
-        means), ``'scalar'`` (the reference oracle), ``'numba'``, or
-        ``'auto'`` (fastest available).  See :mod:`repro.nls.kernels`.
+        means, as does ``'auto'``) or ``'scalar'`` (the reference oracle).
+        See :mod:`repro.nls.kernels`.
     persistent_cache:
         Keep the passive-pattern → Cholesky-factor cache alive *across*
         ``solve`` calls.  Only valid when every call passes the same ``gram``

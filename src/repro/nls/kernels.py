@@ -14,31 +14,27 @@ variant, solver and backend registries):
     a compact ``s × s × columns`` stack of factors.
 ``scalar``
     The readable reference oracle: Python loops apply the Kim & Park exchange
-    rules per column and solve one passive-set pattern at a time.  Always
-    available; byte-identical to ``batched`` (see below).
-``numba``
-    A JIT-compiled per-column engine (``repro.nls.kernels_numba``) behind a
-    capability flag; when numba is not importable it reports itself
-    unavailable and ``auto`` falls back to ``batched``.
+    rules per column and solve one passive-set pattern at a time.
+    Byte-identical to ``batched`` (see below).
+
+``"auto"`` is a plain alias of :data:`DEFAULT_KERNEL`.
 
 Byte-identity contract
 ----------------------
-``scalar`` and ``batched`` factorize with ``np.linalg.cholesky`` (whose
-stacked gufunc is bit-identical to per-matrix calls) and solve the same compact
-``s × s`` systems through one primitive, :func:`_substitute`, made of
-element-wise multiply / subtract / divide steps only — no reductions — so a
-column's solution depends on ``(gram, pattern, rhs column)`` and not on which
-columns share the call, the rank's block, the micro-batch or the workspace
-chunk.  ``scalar`` hands it one pattern's factor, ``batched`` a stack of them.
+Both kernels factorize with ``np.linalg.cholesky`` (whose stacked gufunc is
+bit-identical to per-matrix calls) and solve the same compact ``s × s``
+systems through one primitive, :func:`_substitute`, made of element-wise
+multiply / subtract / divide steps only — no reductions — so a column's
+solution depends on ``(gram, pattern, rhs column)`` and not on which columns
+share the call, the rank's block, the micro-batch or the workspace chunk.
+``scalar`` hands it one pattern's factor, ``batched`` a stack of them.
 ``tests/core/test_kernel_parity.py`` pins this at the full-factorization
-level.  ``numba`` compiles its own Cholesky and only agrees to solver
-tolerance.  Both NumPy kernels cache factors by passive-set pattern (the Gram
-matrix never changes within a solve): recomputing would give the same bits.
+level.  Both kernels cache factors by passive-set pattern (the Gram matrix
+never changes within a solve): recomputing would give the same bits.
 """
 
 from __future__ import annotations
 
-import abc
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Type
 
@@ -51,9 +47,7 @@ __all__ = [
     "NLSKernel",
     "ScalarKernel",
     "BatchedKernel",
-    "NumbaKernel",
     "register_kernel",
-    "registered_kernels",
     "available_kernels",
     "resolve_kernel",
     "make_kernel",
@@ -140,22 +134,19 @@ def _solve_pattern(gram, rhs, idx, form, state: NLSState) -> np.ndarray:
     return x
 
 
-class NLSKernel(abc.ABC):
-    """One interchangeable inner engine for the BPP normal-equations solve."""
+class NLSKernel:
+    """The BPP pivot loop; a kernel supplies its two hooks over the unconverged
+    columns ``cols`` (an index array or ``slice(None)``): ``_exchange`` (Kim &
+    Park's rules) and ``_solve_groups`` (the passive-set systems).
+    """
 
     #: registry name; subclasses override
     name: str = "abstract"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this kernel can run on the current host."""
-        return True
 
     def make_cache(self):
         """A fresh, empty pattern → factor cache of this kernel's own kind."""
         return {}
 
-    @abc.abstractmethod
     def solve(
         self,
         gram: np.ndarray,
@@ -179,25 +170,8 @@ class NLSKernel(abc.ABC):
         (serving: ``gram = WᵀW`` is fixed per model version) may pass a
         persistent one so factors survive across calls; replace it whenever
         ``gram`` changes.  Only completed factorizations are inserted, so an
-        exception mid-solve leaves no half-made entry.  The compiled ``numba``
-        kernel keeps no Python-side cache.
+        exception mid-solve leaves no half-made entry.
         """
-
-    @staticmethod
-    def _fresh_state() -> NLSState:
-        return NLSState(extra={"cholesky_flops": 0.0, "triangular_solve_flops": 0.0})
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-class _PivotLoop(NLSKernel):
-    """The BPP pivot loop the NumPy kernels share; they differ in two hooks over
-    the unconverged columns ``cols`` (an index array or ``slice(None)``):
-    ``_exchange`` (Kim & Park's rules) and ``_solve_groups`` (their systems).
-    """
-
-    def solve(self, gram, rhs, x0, *, max_backup, max_iters, tol, cache=None):
         k, c = rhs.shape
         state = self._fresh_state()
         if cache is None:
@@ -228,6 +202,13 @@ class _PivotLoop(NLSKernel):
         state.iterations, state.converged = max_iters, False
         return x, state
 
+    @staticmethod
+    def _fresh_state() -> NLSState:
+        return NLSState(extra={"cholesky_flops": 0.0, "triangular_solve_flops": 0.0})
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}()"
+
 
 # -- registry ----------------------------------------------------------------
 _KERNELS: Dict[str, Type[NLSKernel]] = {}
@@ -239,56 +220,42 @@ def register_kernel(cls: Type[NLSKernel]) -> Type[NLSKernel]:
     return cls
 
 
-def registered_kernels() -> List[str]:
-    """Every registered kernel name, whether or not it can run here."""
+def available_kernels() -> List[str]:
+    """Every registered kernel name."""
     return sorted(_KERNELS)
 
 
-def available_kernels() -> List[str]:
-    """Kernel names that can actually run on this host."""
-    return [name for name in sorted(_KERNELS) if _KERNELS[name].is_available()]
-
-
 def resolve_kernel(name: Optional[str]) -> str:
-    """Normalize a requested kernel name to a concrete, available one.
+    """Normalize a requested kernel name to a registered one.
 
-    ``None`` means :data:`DEFAULT_KERNEL` (``batched``); ``"auto"`` picks the
-    fastest available engine (``numba`` when importable, else ``batched``).
-    Explicitly requesting an unavailable or unknown kernel raises
-    :class:`SolverError` — a typo must not silently fall back.
+    ``None`` and ``"auto"`` both mean :data:`DEFAULT_KERNEL` (``batched``).
+    An unknown name raises :class:`SolverError` — a typo must not silently
+    fall back.
     """
-    if name is None:
-        return DEFAULT_KERNEL
-    name = name.lower()
+    name = "auto" if name is None else name.lower()
     if name == "auto":
-        return "numba" if _KERNELS["numba"].is_available() else "batched"
+        return DEFAULT_KERNEL
     if name not in _KERNELS:
         raise SolverError(
-            f"unknown NLS kernel {name!r}; registered: {registered_kernels()} "
+            f"unknown NLS kernel {name!r}; registered: {available_kernels()} "
             "(or 'auto')"
-        )
-    if not _KERNELS[name].is_available():
-        raise SolverError(
-            f"NLS kernel {name!r} is not available on this host "
-            f"(is its runtime dependency installed?); available: "
-            f"{available_kernels()}"
         )
     return name
 
 
 def make_kernel(name: Optional[str] = None) -> NLSKernel:
-    """Instantiate a kernel by name ('scalar', 'batched', 'numba', 'auto')."""
+    """Instantiate a kernel by name ('scalar', 'batched', 'auto')."""
     return _KERNELS[resolve_kernel(name)]()
 
 
 # -- kernels -----------------------------------------------------------------
 @register_kernel
-class ScalarKernel(_PivotLoop):
+class ScalarKernel(NLSKernel):
     """The column-at-a-time reference BPP engine (pure NumPy + Python loops).
 
     Columns sharing a passive-set pattern are grouped in a dict so one
     Cholesky serves the group; each group's compact system goes through
-    :func:`_substitute` on its own.  The oracle other kernels are tested against.
+    :func:`_substitute` on its own.  The oracle ``batched`` is tested against.
     """
 
     name = "scalar"
@@ -377,7 +344,7 @@ class _FactorStacks:
 
 
 @register_kernel
-class BatchedKernel(_PivotLoop):
+class BatchedKernel(NLSKernel):
     """Vectorized BPP engine (the default; see the module docstring).
 
     Per pivot round: array-at-once exchange rules, one ``np.unique`` grouping,
@@ -463,51 +430,3 @@ class BatchedKernel(_PivotLoop):
                 solved -= theirs.size
             state.extra["triangular_solve_flops"] += triangular_solve_flops(int(size), solved)
         x[:, cols] = out
-
-
-@register_kernel
-class NumbaKernel(NLSKernel):
-    """JIT-compiled per-column BPP engine (requires numba).
-
-    The compiled core (`repro.nls.kernels_numba`) runs the whole pivot loop
-    — gathering, Cholesky, substitution, exchange rules — in machine code
-    with zero per-column Python overhead.  Results agree with the NumPy
-    kernels to solver tolerance (not bit-for-bit: the compiled Cholesky is
-    its own arithmetic).  When numba is missing the kernel reports itself
-    unavailable; ``resolve_kernel("auto")`` then falls back to ``batched``.
-    """
-
-    name = "numba"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        from repro.nls.kernels_numba import NUMBA_AVAILABLE
-
-        return NUMBA_AVAILABLE
-
-    def solve(self, gram, rhs, x0, *, max_backup, max_iters, tol, cache=None):
-        from repro.nls.kernels_numba import bpp_columns
-
-        k, c = rhs.shape
-        state = self._fresh_state()
-        x = np.zeros((k, c))
-        if x0 is not None and np.any(x0 > 0):
-            passive = np.ascontiguousarray(x0 > 0)
-        else:
-            passive = np.zeros((k, c), dtype=bool)
-        iters, full_ex, backup_ex, converged, chol_flops, solve_flops = bpp_columns(
-            np.ascontiguousarray(gram, dtype=np.float64),
-            np.ascontiguousarray(rhs, dtype=np.float64),
-            x,
-            passive,
-            int(max_backup),
-            int(max_iters),
-            float(tol),
-        )
-        state.iterations = int(iters)
-        state.full_exchanges = int(full_ex)
-        state.backup_exchanges = int(backup_ex)
-        state.converged = bool(converged)
-        state.extra["cholesky_flops"] = float(chol_flops)
-        state.extra["triangular_solve_flops"] = float(solve_flops)
-        return x, state

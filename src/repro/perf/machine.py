@@ -41,8 +41,6 @@ EDISON_NODE = {
 #: ratios (``MachineSpec.calibrate`` measures the real ones).  Measured (PR 12,
 #: 2-CPU host, BLAS pinned): the 80 per-rank solves of a 20-iteration
 #: ``dense_bpp`` fit replay in 1.98 s on ``scalar`` and 0.34 s on ``batched``.
-#: ``numba`` has no entry because no host with numba has measured it: it
-#: prices like the default until ``calibrate`` fills it in.
 DEFAULT_KERNEL_SPEEDUPS: Mapping[str, float] = {
     "batched": 1.0,
     "scalar": 0.17,
@@ -218,12 +216,10 @@ class MachineSpec:
         NLS) keep their defaults — they describe kernel *shapes*, not the
         host.
 
-        With ``rate_kernels`` (the default) every *available* BPP kernel is
-        additionally timed on a representative NLS problem and the measured
-        throughput ratios are stored in :attr:`kernel_speedups`, so
-        ``repro plan --machine local --kernel ...`` prices the actual engines
-        on this host (including numba's JIT-compiled one when importable —
-        its one-off compilation happens during warm-up, outside the timing).
+        With ``rate_kernels`` (the default) every BPP kernel is additionally
+        timed on a representative NLS problem and the measured throughput
+        ratios are stored in :attr:`kernel_speedups`, so ``repro plan
+        --machine local --kernel ...`` prices the actual engines on this host.
 
         The deterministic Edison constants (:func:`edison_machine`) remain
         the default everywhere; calibration is opt-in (``repro plan --machine
@@ -293,7 +289,7 @@ class MachineSpec:
             times = {}
             for kern in available_kernels():
                 solver = make_solver("bpp", kernel=kern)
-                solver.solve(gram_mat, rhs)  # warm-up (JIT compile for numba)
+                solver.solve(gram_mat, rhs)  # warm-up
                 times[kern] = min(
                     _timed(lambda: solver.solve(gram_mat, rhs))
                     for _ in range(max(repeats, 1))

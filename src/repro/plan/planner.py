@@ -179,8 +179,8 @@ def plan_candidates(
         variants cannot honour a pinned grid, so they are excluded; a grid
         that does not multiply to ``p`` raises.
     kernel:
-        BPP kernel to price the NLS term for (``'scalar'``, ``'batched'``,
-        ``'numba'`` or ``'auto'``); resolved against the kernels registry,
+        BPP kernel to price the NLS term for (``'scalar'``, ``'batched'`` or
+        ``'auto'``); resolved against the kernels registry,
         then threaded through the cost hooks via
         :meth:`MachineSpec.for_kernel`.  ``None`` keeps default-kernel
         (``batched``) pricing.

@@ -9,7 +9,7 @@ frames), find
 one small NLS problem per column, solved through the same kernels registry
 (:mod:`repro.nls.kernels`) the training loops use — ``batched`` (the default)
 coalesces the whole micro-batch into one stacked solve, ``scalar`` is the
-per-column reference, ``numba`` the JIT engine.
+per-column reference.
 
 Byte-identity contract
 ----------------------
@@ -31,7 +31,7 @@ batch.  Two implementation choices make the response bytes batch-invariant:
 Hence the response for a request co-batched with arbitrary neighbours equals,
 bit for bit, the response for the same request served alone — and a
 single-column request equals ``project(W, x, kernel="scalar")`` of that
-column, for every kernel that honours the registry's byte-parity contract.
+column, whichever kernel serves it: the registry's kernels are byte-identical.
 
 Request validation happens here too (:func:`validate_columns`): the server
 validates every request at admission, so a malformed request is rejected
@@ -122,7 +122,7 @@ def project(
     """Project one request's columns ``X`` onto basis ``W``: the ``k × c`` ``H``.
 
     ``kernel`` selects the BPP inner engine from the kernels registry
-    (``'scalar'``/``'batched'``/``'numba'``/``'auto'``); alternatively pass a
+    (``'scalar'``/``'batched'``/``'auto'``); alternatively pass a
     pre-built ``solver`` — the server passes the model entry's
     persistent-cache solver so repeated batches reuse Cholesky factors.
     ``gram`` is ``WᵀW`` when the caller has it cached (the model store always

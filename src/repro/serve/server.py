@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import orjson
 
+from repro.nls.kernels import resolve_kernel
 from repro.serve.errors import (
     DeadlineExceededError,
     ModelLoadError,
@@ -164,8 +165,10 @@ class ProjectionService:
         :class:`DeadlineExceededError` (the HTTP 504) instead of occupying a
         batch.
     kernel:
-        BPP kernel the batched calls route through (``None`` = registry
-        default ``batched``; the CLI defaults to ``auto``).
+        BPP kernel the batched calls route through (``None`` and ``auto`` =
+        registry default ``batched``; the CLI defaults to ``auto``).  Resolved
+        here, so an unknown name raises :class:`SolverError` at construction
+        instead of failing every request.
     """
 
     def __init__(
@@ -182,11 +185,11 @@ class ProjectionService:
             raise ValueError(f"max_batch_columns must be >= 1, got {max_batch_columns}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
+        self.kernel = resolve_kernel(kernel)
         self.store = store
         self.max_batch_columns = int(max_batch_columns)
         self.queue_limit = int(queue_limit)
         self.default_deadline = float(default_deadline)
-        self.kernel = kernel
         self.stats = stats if stats is not None else ServeStats()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._worker_task: Optional[asyncio.Task] = None

@@ -1,7 +1,7 @@
 """The mpi backend's registry contract, with and without mpi4py installed.
 
-Mirrors the numba-kernel pattern: the module always imports, exposes
-``MPI4PY_AVAILABLE``, and when mpi4py is absent the backend degrades to a
+The module always imports and exposes ``MPI4PY_AVAILABLE``; when mpi4py
+is absent the backend degrades to a
 *reason-bearing* registry entry — ``available_backends()`` excludes it and
 asking for it by name raises a :class:`CommunicatorError` that says what to
 install and how to launch, instead of the unknown-backend typo message.

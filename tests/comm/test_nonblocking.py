@@ -15,7 +15,7 @@ import pytest
 from repro.comm import ReduceOp, run_spmd
 from repro.comm.backends.mpi import MPI4PY_AVAILABLE
 from repro.comm.cost import CostLedger
-from repro.comm.nonblocking import CommHandle, drain, finish
+from repro.comm.nonblocking import CommHandle, finish
 from repro.comm.profiler import Profiler, TaskCategory
 
 BACKENDS = (
@@ -142,10 +142,10 @@ def test_finish_books_the_collective_under_its_category(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_failed_issue_raises_there_and_earlier_handles_survive_a_drain(backend):
+def test_failed_issue_raises_there_and_earlier_handles_survive(backend):
     """A bad ``out`` raises from the issuing call on every rank alike (before
-    anything moved), no handle exists for it, and draining what was issued
-    before — the error-path cleanup — neither raises nor disturbs results."""
+    anything moved), no handle exists for it, and the handles issued before
+    it keep their results."""
     from repro.util.errors import CommunicatorError
 
     def program(comm):
@@ -155,7 +155,7 @@ def test_failed_issue_raises_there_and_earlier_handles_survive_a_drain(backend):
         try:
             comm.iallreduce(local, out=np.empty((3, 3)))  # wrong shape
         except CommunicatorError:
-            drain([first, second])
+            pass
         else:
             return False
         total = sum(float(r + 1) for r in range(comm.size))

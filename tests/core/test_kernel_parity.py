@@ -80,17 +80,14 @@ def test_kernel_flows_through_config():
 
 
 def test_auto_kernel_resolves_and_matches_bytes():
-    # "auto" resolves to batched (or numba when importable); batched keeps
-    # byte parity, so the dense run must match scalar exactly whenever the
-    # resolution lands on batched.
+    # "auto" is an alias of the default (batched) on every host, and batched
+    # keeps byte parity with the scalar oracle, so the bytes match exactly.
     from repro.nls import resolve_kernel
 
     A = _dense()
-    resolved = resolve_kernel("auto")
+    assert resolve_kernel("auto") == "batched"
     auto = fit(A, 3, max_iters=4, seed=9, kernel="auto")
-    scalar = fit(A, 3, max_iters=4, seed=9)
-    if resolved == "batched":
-        assert auto.W.tobytes() == scalar.W.tobytes()
-    else:  # numba leg in CI: agreement is solver-tolerance, not bits
-        np.testing.assert_allclose(auto.W, scalar.W, rtol=1e-5, atol=1e-7)
+    scalar = fit(A, 3, max_iters=4, seed=9, kernel="scalar")
+    assert auto.W.tobytes() == scalar.W.tobytes()
+    assert auto.H.tobytes() == scalar.H.tobytes()
     assert auto.config.kernel == "auto"

@@ -1,5 +1,6 @@
 """Tests for NMFResult provenance fields and the save/load npz round-trip."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.core.result import NMFResult
 from repro.core.symmetric import SymNMFResult
 from repro.core.variants import available_variants, get_variant
 from repro.data.lowrank import planted_lowrank
+from repro.util.errors import SolverError
 
 
 def _dense():
@@ -131,7 +133,7 @@ class TestRoundTrip:
         one before PR 17 ``algorithm`` — loads, the unknown keys dropped and
         defaults filling the rest.  ``config["algorithm"]`` is read exactly
         once: as the variant of an artifact too old to have a top-level one."""
-        from repro.serve import ModelStore
+        from repro.serve import ModelStore, project
 
         res = fit(_dense(), 2, variant="naive", n_ranks=2, max_iters=2, seed=1)
         path = res.save(tmp_path / "old.npz")
@@ -150,6 +152,22 @@ class TestRoundTrip:
             assert loaded.config == res.config
             assert loaded.variant == "naive"
             assert np.array_equal(loaded.W, res.W)
+
+        # A kernel that is no longer registered is provenance, kept as saved:
+        # the artifact loads, deploys and projects, and only building a solver
+        # from its config names the kernels there are.
+        meta["config"]["kernel"] = "numba"
+        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+        store = ModelStore()
+        entry = store.load(path)
+        loaded = NMFResult.load(path) if through == "NMFResult.load" else entry.result
+        assert loaded.config.kernel == "numba"
+        assert loaded.config == dataclasses.replace(res.config, kernel="numba")
+        X = np.abs(np.random.default_rng(3).standard_normal((res.W.shape[0], 4)))
+        H = project(entry.W, X, solver=entry.solver_for(None), gram=entry.gram)
+        assert H.tobytes() == project(res.W, X, kernel="scalar").tobytes()
+        with pytest.raises(SolverError, match=r"\['batched', 'scalar'\]"):
+            loaded.config.make_solver()
 
     def test_save_appends_npz_suffix(self, tmp_path):
         res = fit(_dense(), 2, max_iters=2)

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.nls import available_kernels, make_solver
 from repro.nls.bpp import BlockPrincipalPivoting
-from repro.nls.kernels_numba import NUMBA_AVAILABLE, bpp_columns
 
 MODES = ("dense", "sparse", "rank_deficient", "zero_column")
 
@@ -159,37 +158,6 @@ class TestKernelsVsGolden:
         x = BlockPrincipalPivoting(kernel=kernel).solve(gram, rhs)
         assert _kkt_residual(gram, rhs, x, scale) < 1e-6
         for j in range(rhs.shape[1]):
-            assert _objective(gram, rhs[:, j], x[:, j]) <= (
-                _objective(gram, rhs[:, j], gold[:, j]) + 1e-6 * scale**2
-            )
-
-
-class TestNumbaCoreVsGolden:
-    """The numba kernel's core, exercised as pure Python when numba is absent.
-
-    ``bpp_columns`` runs uncompiled when numba is not importable (the njit
-    decorator degrades to a no-op), so the *logic* is verified on every host;
-    CI's numba leg additionally runs it compiled.
-    """
-
-    @given(problem=_nls_problems())
-    @settings(max_examples=(15 if not NUMBA_AVAILABLE else 40), deadline=None)
-    def test_matches_golden(self, problem):
-        gram, rhs = problem
-        k, c = rhs.shape
-        scale = max(np.abs(gram).max(), np.abs(rhs).max(), 1.0)
-        gold = golden_nnls(gram, rhs)
-        x = np.zeros((k, c))
-        passive = np.zeros((k, c), dtype=np.bool_)
-        out = bpp_columns(
-            np.ascontiguousarray(gram), np.ascontiguousarray(rhs),
-            x, passive, 3, 1000, 1e-12,
-        )
-        converged = bool(out[3])
-        assert converged
-        np.maximum(x, 0.0, out=x)
-        assert _kkt_residual(gram, rhs, x, scale) < 1e-6
-        for j in range(c):
             assert _objective(gram, rhs[:, j], x[:, j]) <= (
                 _objective(gram, rhs[:, j], gold[:, j]) + 1e-6 * scale**2
             )

@@ -6,8 +6,8 @@ The contract under test (see docs/ARCHITECTURE.md "Kernels registry"):
   pivot counters — because both factorize with ``np.linalg.cholesky`` and
   solve through one element-wise, per-column-independent substitution
   primitive (``tests/nls/test_stacked_solve.py`` pins the engine itself);
-* ``numba`` agrees to solver tolerance (its hand-rolled Cholesky is a
-  different instruction stream) and is gated behind a capability flag;
+* ``"auto"`` is a plain alias of the default, so it keeps that contract on
+  every host;
 * every kernel tallies its Cholesky/triangular-solve flops into
   ``state.extra``, and ``bpp_flops_estimate`` stays a sane envelope of the
   measured counts.
@@ -20,12 +20,15 @@ from repro.nls import (
     available_kernels,
     make_kernel,
     make_solver,
-    registered_kernels,
     resolve_kernel,
 )
 from repro.nls.bpp import BlockPrincipalPivoting, bpp_flops_estimate
-from repro.nls.kernels import DEFAULT_KERNEL, cholesky_flops, triangular_solve_flops
-from repro.nls.kernels_numba import NUMBA_AVAILABLE
+from repro.nls.kernels import (
+    DEFAULT_KERNEL,
+    NLSKernel,
+    cholesky_flops,
+    triangular_solve_flops,
+)
 from repro.util.errors import SolverError
 
 
@@ -38,34 +41,33 @@ def _problem(k, c, seed=0, rows=None):
 
 class TestRegistry:
     def test_all_kernels_registered(self):
-        assert set(registered_kernels()) == {"scalar", "batched", "numba"}
+        assert available_kernels() == ["batched", "scalar"]
 
-    def test_available_subset_of_registered(self):
-        avail = available_kernels()
-        assert set(avail) <= set(registered_kernels())
-        assert "scalar" in avail and "batched" in avail
-
-    def test_numba_availability_matches_flag(self):
-        assert ("numba" in available_kernels()) == NUMBA_AVAILABLE
+    def test_every_kernel_resolves_to_itself(self):
+        for name in available_kernels():
+            assert resolve_kernel(name) == resolve_kernel(name.upper()) == name
+            assert make_kernel(name).name == name
 
     def test_resolve_default_is_batched(self):
         assert resolve_kernel(None) == DEFAULT_KERNEL == "batched"
 
-    def test_resolve_auto_prefers_numba_else_batched(self):
-        expected = "numba" if NUMBA_AVAILABLE else "batched"
-        assert resolve_kernel("auto") == expected
+    def test_resolve_auto_is_the_default(self):
+        assert resolve_kernel("auto") == resolve_kernel(None) == "batched"
+        assert type(make_kernel("auto")) is type(make_kernel(None))
+
+    def test_every_kernel_runs_the_one_pivot_loop(self):
+        # The kernels differ only in how they exchange indices and solve the
+        # column groups; the pivot loop itself is NLSKernel's.
+        for name in available_kernels():
+            cls = type(make_kernel(name))
+            assert cls.solve is NLSKernel.solve
+            assert {"_exchange", "_solve_groups"} <= set(vars(cls))
 
     def test_unknown_kernel_raises(self):
-        with pytest.raises(SolverError, match="unknown"):
+        with pytest.raises(SolverError, match=r"unknown.*\['batched', 'scalar'\]"):
             resolve_kernel("typo")
         with pytest.raises(SolverError):
             make_kernel("typo")
-
-    def test_unavailable_kernel_raises(self):
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba importable on this host; nothing is unavailable")
-        with pytest.raises(SolverError, match="not available"):
-            make_kernel("numba")
 
     def test_solver_constructors_accept_kernel(self):
         for name in ("bpp", "mu", "hals", "pgrad", "admm"):
@@ -102,17 +104,6 @@ class TestByteParity:
         assert ss.full_exchanges == sb.full_exchanges
         assert ss.backup_exchanges == sb.backup_exchanges
         assert ss.converged and sb.converged
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-class TestNumbaKernel:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_agrees_with_scalar_to_tolerance(self, seed):
-        gram, rhs = _problem(9, 50, seed)
-        xs = BlockPrincipalPivoting(kernel="scalar").solve(gram, rhs)
-        xn = BlockPrincipalPivoting(kernel="numba").solve(gram, rhs)
-        np.testing.assert_allclose(xn, xs, rtol=1e-6, atol=1e-8)
-        assert np.all(xn >= 0)
 
 
 class TestFlopAccounting:

@@ -73,9 +73,9 @@ class TestKernelSpeedups:
         machine = edison_machine()
         assert machine.kernel_speedup(DEFAULT_KERNEL) == 1.0
         assert machine.kernel_speedup("scalar") < machine.kernel_speedup("batched")
-        # Unmeasured (numba) and unknown names price like the default: the
-        # planner validates names first.
-        assert machine.kernel_speedup("numba") == 1.0
+        # Names without a table entry price like the default: the planner
+        # validates names first.
+        assert machine.kernel_speedup("unmeasured") == 1.0
         assert machine.kernel_speedup("mystery") == 1.0
 
     def test_for_kernel_scales_nls_efficiency(self):

@@ -27,6 +27,7 @@ from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.core.result import NMFResult
 from repro.data.lowrank import planted_lowrank
+from repro.nls import available_kernels
 from repro.serve import (
     DeadlineExceededError,
     ModelNotFoundError,
@@ -40,6 +41,7 @@ from repro.serve import (
     project,
 )
 from repro.serve.server import MAX_BATCH_COLUMNS, MAX_LINE_BYTES, run_self_test
+from repro.util.errors import SolverError
 
 M, K = 48, 3
 RNG = np.random.default_rng(11)
@@ -100,6 +102,33 @@ class TestServiceLifecycle:
             ProjectionService(store, max_batch_columns=0)
         with pytest.raises(ValueError):
             ProjectionService(store, queue_limit=0)
+        # Resolved up front: a typo must not start a service whose every
+        # request then fails (an unmapped 500 over HTTP).
+        with pytest.raises(SolverError, match=r"unknown NLS kernel 'typo'"):
+            ProjectionService(store, kernel="typo")
+        assert ProjectionService(store, kernel="auto").kernel == "batched"
+
+    @pytest.mark.parametrize("kernel", available_kernels() + ["auto"])
+    def test_every_valid_kernel_name_serves_the_scalar_bytes(self, kernel):
+        # The names the CLI's --kernel admits: each starts a service whose
+        # co-batched responses equal the solo scalar projection.
+        store = _store()
+        entry = store.get("m")
+        X = np.abs(RNG.standard_normal((M, 4)))
+
+        async def run():
+            service = ProjectionService(store, kernel=kernel)
+            await service.start()
+            try:
+                return await asyncio.gather(*[
+                    service.submit("m", X[:, i]) for i in range(4)
+                ])
+            finally:
+                await service.stop()
+
+        for i, response in enumerate(asyncio.run(run())):
+            alone = project(entry.W, X[:, [i]], kernel="scalar", gram=entry.gram)
+            assert response.H.tobytes() == alone.tobytes()
 
     def test_column_budget_default_is_the_module_constant(self):
         assert MAX_BATCH_COLUMNS == 256

@@ -243,13 +243,13 @@ def _registries() -> dict:
     from repro.core.variants import available_variants
     from repro.dist.storage import STORAGE_MODES
     from repro.nls.base import available_solvers
-    from repro.nls.kernels import registered_kernels
+    from repro.nls.kernels import available_kernels
 
     return {
         "--variant": available_variants(),
         "--backend": available_backends(),
         "--solver": available_solvers(),
-        "--kernel": registered_kernels() + ["auto"],
+        "--kernel": available_kernels() + ["auto"],
         "--storage": list(STORAGE_MODES),
     }
 
