@@ -319,8 +319,8 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     fact.add_argument("--seed", type=int, default=42)
     fact.add_argument("--no-overlap", action="store_true",
                       help="accepted and ignored: every collective of the "
-                           "Algorithm 2/3 loops completes at its issue point "
-                           "on every backend, with or without this flag (it "
+                           "Algorithm 2/3 loops is a blocking call at the line "
+                           "that reads it, with or without this flag (it "
                            "goes when the benchmark stops passing overlap=)")
     fact.add_argument("--storage", default=None, choices=list(STORAGE_MODES),
                       help="where each rank's local block of A lives (memory = "

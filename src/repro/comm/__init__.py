@@ -12,7 +12,7 @@ substrate in pure Python:
   mesh) and ``"mpi"`` (an ``mpirun`` job via ``mpi4py``, when installed);
 * :class:`~repro.comm.communicator.Comm` exposes the MPI operations the
   paper's algorithms use — ``allgather``, ``reduce_scatter``, ``allreduce``
-  (§2.3) and their nonblocking twins, ``send``/``recv``, ``barrier``,
+  (§2.3), ``send``/``recv``, ``barrier``,
   ``split`` — with numpy-buffer semantics (mirroring mpi4py's uppercase,
   buffer-based API), including MPI-style caller-provided receive buffers
   (``out=``) backed by the reusable

@@ -25,8 +25,9 @@ reduction-tree order differs from the rank-order combine), and
 ``reduce_scatter`` is the slice exchange over the mailboxes below.  Factors
 stay byte-identical to thread/process/lockstep/socket.
 
-Collective handles complete at issue, as on every backend
-(:mod:`repro.comm.nonblocking`), so ``MPI_THREAD_SINGLE`` builds suffice.
+Every collective is a blocking call on the rank's own thread, as on every
+backend (:class:`~repro.comm.communicator.CommHandle`s complete at issue),
+so ``MPI_THREAD_SINGLE`` builds suffice.
 """
 
 from __future__ import annotations

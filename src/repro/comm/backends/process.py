@@ -182,7 +182,7 @@ class _SharedMemoryRuntime(ForkedRuntime):
         from ``src`` is the *n*-th both of them mean, and groups split off
         after the fork need no shared state of their own (``uid`` is unused).
         One thread per rank may be in a barrier at a time, which holds since
-        this backend completes nonblocking collectives at issue.
+        every collective on this backend is a blocking call.
         """
         if self._aborted:
             self._raise_abort()

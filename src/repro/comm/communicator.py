@@ -2,10 +2,11 @@
 
 :class:`Comm` exposes the subset of MPI that Algorithms 2 and 3 of the paper
 need — the three collectives of §2.3 (``allgather`` plus a concatenating
-``allgatherv``, ``reduce_scatter``, ``allreduce``), their nonblocking twins,
-point-to-point ``send``/``recv``, ``barrier`` and ``split`` — with
-numpy-buffer semantics matching mpi4py's uppercase, buffer-based API (the
-fast path the mpi4py tutorial recommends for array data).
+``allgatherv``, ``reduce_scatter``, ``allreduce``), two request-handle
+twins complete at issue (``iallgatherv``/``iallreduce``), point-to-point
+``send``/``recv``, ``barrier`` and ``split`` — with numpy-buffer semantics
+matching mpi4py's uppercase, buffer-based API (the fast path the mpi4py
+tutorial recommends for array data).
 
 A collective is *movement* plus a *rank-order combine*, and each is written
 once.  The body validates, moves, and then runs one ``np.concatenate`` or one
@@ -38,14 +39,12 @@ from __future__ import annotations
 import contextlib
 import enum
 import queue
-import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.backends.base import SharedGroupState
 from repro.comm.cost import CostLedger
-from repro.comm.nonblocking import CommHandle
 from repro.comm.workspace import CollectiveWorkspace
 from repro.util.errors import CommunicatorError
 
@@ -122,6 +121,41 @@ def _nwords(obj: Any) -> float:
     return 1.0
 
 
+class CommHandle:
+    """Request handle of a collective that completed when it was issued.
+
+    The MPI request-object surface of :meth:`Comm.iallgatherv` /
+    :meth:`Comm.iallreduce`; :meth:`Comm._issue` is the only code that makes
+    one.  There is one completion mode, on every backend: the blocking
+    collective runs at issue, on the issuing communicator, and books its own
+    ledger entry there — nothing is ever in flight, so there is no helper
+    thread, no input snapshot and no buffer to protect from reuse
+    (``docs/ARCHITECTURE.md`` has the measurements behind that).  ``wait()``
+    returns the result array (idempotent: every call returns the same array,
+    none blocks) and ``test()`` / ``done`` report completion, which is
+    immediate.  A collective that fails raises from the issuing call; no
+    handle is created for it.
+    """
+
+    def __init__(self, op: str, result: Any):
+        self.op = op
+        self._result = result
+
+    @property
+    def done(self) -> bool:
+        """Whether the operation has completed (always, since issue)."""
+        return True
+
+    def test(self) -> bool:
+        return True
+
+    def wait(self) -> Any:
+        return self._result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(op={self.op!r}, done)"
+
+
 class Comm:
     """A communicator over a fixed group of SPMD ranks.
 
@@ -152,8 +186,8 @@ class Comm:
         # How collectives move (see the module docstring): point-to-point when
         # the state has no deposit slots.
         self._p2p = state.slots is None
-        # The byte movers' own send/recv and record=False handles must not hit
-        # the ledger.
+        # The byte movers' own send/recv and the streamed panels (see
+        # repro.comm.panels) must not hit the ledger.
         self._silent = False
 
     # -- identity ----------------------------------------------------------
@@ -324,8 +358,8 @@ class Comm:
 
         This is the explicit booking entry used by callers that *silence* a
         group of physical collectives standing in for one modeled operation —
-        the panel-streamed reduce-scatter issues one ``ireduce_scatter`` per
-        panel with ``record=False`` and then books a single monolithic entry
+        the panel-streamed reduce-scatter runs one ``reduce_scatter`` per
+        panel under :meth:`_silenced` and then books a single monolithic entry
         here, so the ledger carries exactly the call/word/message totals the
         blocking call would have recorded (nothing, on a singleton
         communicator).
@@ -585,20 +619,9 @@ class Comm:
     def shutdown_nonblocking(self) -> None:
         """Nothing to stop (see :meth:`ensure_nonblocking`).  Idempotent."""
 
-    def _issue(
-        self, op: str, collective: Callable[[], np.ndarray], record: bool = True
-    ) -> CommHandle:
-        """Run the blocking body ``collective`` now; wrap its result and seconds.
-
-        With ``record=False`` the operation leaves no ledger entry at all —
-        the caller is expected to book one modeled collective for a whole
-        group of physical ones via :meth:`record_collective` (the
-        panel-streaming contract; see :mod:`repro.comm.panels`).
-        """
-        start = time.perf_counter()
-        with contextlib.nullcontext() if record else self._silenced():
-            result = collective()
-        return CommHandle(op, result, time.perf_counter() - start)
+    def _issue(self, op: str, collective: Callable[[], np.ndarray]) -> CommHandle:
+        """Run the blocking body ``collective`` now and wrap its result."""
+        return CommHandle(op, collective())
 
     def iallgatherv(
         self, array: np.ndarray, axis: int = 0, out: Optional[np.ndarray] = None
@@ -614,28 +637,6 @@ class Comm:
     ) -> CommHandle:
         """:meth:`allreduce` behind a :class:`CommHandle` (complete on return)."""
         return self._issue("iallreduce", lambda: self.allreduce(array, op=op, out=out))
-
-    def ireduce_scatter(
-        self,
-        array: np.ndarray,
-        counts: Optional[Sequence[int]] = None,
-        axis: int = 0,
-        op: ReduceOp = ReduceOp.SUM,
-        out: Optional[np.ndarray] = None,
-        record: bool = True,
-    ) -> CommHandle:
-        """:meth:`reduce_scatter` behind a :class:`CommHandle` (complete on return).
-
-        ``record=False`` suppresses this operation's ledger entry so a caller
-        splitting one modeled reduce-scatter into per-panel pieces can book
-        the single monolithic entry itself with :meth:`record_collective`
-        (panel streaming, :mod:`repro.comm.panels`).
-        """
-        return self._issue(
-            "ireduce_scatter",
-            lambda: self.reduce_scatter(array, counts=counts, axis=axis, op=op, out=out),
-            record=record,
-        )
 
     # -- communicator management --------------------------------------------
     def split(self, color: int, key: Optional[int] = None) -> "Comm":

@@ -10,8 +10,8 @@ only on the matching row (column) panel of the local data block.
 
 1. computes panel ``t`` of the MM (one tiled GEMM),
 2. reduce-scatters *only* that panel (``counts`` are zero for every rank but
-   ``t``) the moment it is computed, so the full MM output is never
-   materialised,
+   ``t``) with a blocking call the moment it is computed, so the full MM
+   output is never materialised,
 3. hands rank ``t`` its own reduced sub-block.
 
 This is the only way the Algorithm 3 loop runs lines 6-7 and 12-13.  On a
@@ -28,8 +28,8 @@ equal to it (pinned by ``tests/comm/test_panels.py``).
 Ledger purity
 -------------
 One modeled §2.3 reduce-scatter must stay one ledger entry regardless of how
-many physical panels carried it.  Every per-panel issue passes
-``record=False`` and the helper books a single
+many physical panels carried it.  Every panel's blocking ``reduce_scatter``
+runs with the communicator's ledger silenced, and the helper books a single
 :meth:`~repro.comm.communicator.Comm.record_collective` with the full input's
 word count once the stream completes — calls, words, messages and reduction
 flops all match the monolithic call's entry exactly.
@@ -41,7 +41,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.nonblocking import finish
 from repro.comm.profiler import Profiler, TaskCategory
 
 __all__ = ["panel_slices", "stream_reduce_scatter"]
@@ -77,7 +76,7 @@ def stream_reduce_scatter(
         ``t``).  Timed under ``compute_category``.
     counts:
         The monolithic call's scatter split (``w_scatter_counts`` /
-        ``h_scatter_counts``); empty panels (count 0) are still issued so
+        ``h_scatter_counts``); empty panels (count 0) still run their collective so
         every rank runs the same collective schedule.
     axis:
         Scatter axis of the monolithic call (1 for both ``V_ijᵀ`` and
@@ -100,15 +99,13 @@ def stream_reduce_scatter(
             f"counts must have one panel per rank: got {len(counts)} panels "
             f"on a size-{comm.size} communicator"
         )
+    if profiler is None:
+        profiler = Profiler()
     result = None
     total_words = 0.0
     for t in range(len(counts)):
-        if profiler is not None:
-            with profiler.task(compute_category):
-                panel = compute_panel(t)
-        else:
-            panel = compute_panel(t)
-        panel = np.asarray(panel)
+        with profiler.task(compute_category):
+            panel = np.asarray(compute_panel(t))
         if panel.shape[axis] != counts[t]:
             raise ValueError(
                 f"panel {t} has extent {panel.shape[axis]} along axis {axis}, "
@@ -117,14 +114,13 @@ def stream_reduce_scatter(
         total_words += panel.size * panel.itemsize / 8.0
         panel_counts = [0] * len(counts)
         panel_counts[t] = counts[t]
-        handle = comm.ireduce_scatter(
-            panel,
-            counts=panel_counts,
-            axis=axis,
-            out=out if t == comm.rank else None,
-            record=False,
-        )
-        reduced = finish(handle, profiler, TaskCategory.REDUCE_SCATTER)
+        with profiler.task(TaskCategory.REDUCE_SCATTER), comm._silenced():
+            reduced = comm.reduce_scatter(
+                panel,
+                counts=panel_counts,
+                axis=axis,
+                out=out if t == comm.rank else None,
+            )
         if t == comm.rank:
             result = reduced
     comm.record_collective("reduce_scatter", total_words)

@@ -30,13 +30,8 @@ class TaskCategory(str, enum.Enum):
     """The six per-iteration task categories of Figure 3, plus bookkeeping.
 
     The three collective categories (``ALL_GATHER``/``REDUCE_SCATTER``/
-    ``ALL_REDUCE``) are time the rank spent inside a collective, which is
-    always on its critical path (:mod:`repro.comm.nonblocking`).
-    ``HIDDEN_COMM`` — communication that ran concurrently with compute
-    already counted under MM/NLS/Gram — is booked by no run any more; the
-    category stays so breakdowns saved by versions that had a background
-    engine still load, and it is excluded from :attr:`TimeBreakdown.total`
-    (counting it would double-book their wall time).
+    ``ALL_REDUCE``) are time the rank spent inside a blocking collective,
+    which is always on its critical path.
     """
 
     MM = "MM"
@@ -45,7 +40,6 @@ class TaskCategory(str, enum.Enum):
     ALL_GATHER = "AllGather"
     REDUCE_SCATTER = "ReduceScatter"
     ALL_REDUCE = "AllReduce"
-    HIDDEN_COMM = "HiddenComm"
     OTHER = "Other"
 
     @classmethod
@@ -62,19 +56,7 @@ class TimeBreakdown:
 
     @property
     def total(self) -> float:
-        """Critical-path seconds: every category except ``HIDDEN_COMM``.
-
-        Hidden communication overlapped compute that is already counted, so
-        including it would double-book wall time.  Only breakdowns saved by
-        earlier versions carry a ``HiddenComm`` key.
-        """
-        return float(
-            sum(
-                v
-                for k, v in self.seconds.items()
-                if k != TaskCategory.HIDDEN_COMM.value
-            )
-        )
+        return float(sum(self.seconds.values()))
 
     @property
     def computation(self) -> float:
@@ -93,16 +75,6 @@ class TimeBreakdown:
                 TaskCategory.ALL_REDUCE,
             )
         )
-
-    @property
-    def exposed_communication(self) -> float:
-        """Alias of :attr:`communication`: comm time on the critical path."""
-        return self.communication
-
-    @property
-    def hidden_communication(self) -> float:
-        """Collective time overlapped with counted compute (0.0 for any new run)."""
-        return float(self.seconds.get(TaskCategory.HIDDEN_COMM.value, 0.0))
 
     def get(self, category: TaskCategory | str) -> float:
         key = category.value if isinstance(category, TaskCategory) else str(category)
@@ -137,6 +109,16 @@ class TimeBreakdown:
             raise KeyError(f"unknown task categories: {sorted(unknown)}")
         return cls(dict(parts))
 
+    @classmethod
+    def from_saved(cls, seconds: Mapping[str, float]) -> "TimeBreakdown":
+        """A saved breakdown, keeping only the categories this version knows.
+
+        Artifacts saved before collectives completed at issue also book a
+        ``HiddenComm`` category; like unknown config keys, it is dropped.
+        """
+        valid = {c.value for c in TaskCategory}
+        return cls({k: v for k, v in seconds.items() if k in valid})
+
 
 @dataclass
 class Profiler:
@@ -158,7 +140,7 @@ class Profiler:
             self._calls[key] = self._calls.get(key, 0) + 1
 
     def add(self, category: TaskCategory, seconds: float) -> None:
-        """Add pre-measured seconds (used by the communicator hooks)."""
+        """Add pre-measured seconds under ``category``."""
         key = category.value
         self._seconds[key] = self._seconds.get(key, 0.0) + seconds
         self._calls[key] = self._calls.get(key, 0) + 1

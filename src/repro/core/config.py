@@ -69,8 +69,8 @@ class NMFConfig:
         Accepted and ignored.  It used to choose between completing the
         parallel loops' collectives in the background (a helper thread per
         communicator) and at their issue point; the background engine never
-        measured a win and is gone, so every collective completes at issue
-        on every backend (:mod:`repro.comm.nonblocking`).  The field — and
+        measured a win and is gone, so every collective is a blocking call
+        on every backend (:mod:`repro.core.spmd_loop`).  The field — and
         the CLI's ``--no-overlap`` — stay until the benchmark harness stops
         passing ``overlap=``.
     storage:

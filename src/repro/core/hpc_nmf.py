@@ -21,6 +21,12 @@ line  operation                                               task category
 14    solve for ``(H_j)_i``                                    NLS
 ====  ======================================================  ==============
 
+The loop runs these lines in this order, each collective a blocking call at
+its line, timed under the category of the last column; lines 3-4 are skipped
+when the previous iteration's error path already all-reduced ``H Hᵀ``, and
+the error path (:meth:`repro.core.spmd_loop.SpmdLoop.end_iteration`) follows
+line 14.
+
 The data matrix is never communicated; per iteration the algorithm moves
 ``O(min{√(mnk²/p), nk})`` words in ``O(log p)`` messages (Table 2), which is
 optimal for dense ``A`` when ``k ≤ √(mn/p)`` (Theorem 5.1).
@@ -175,13 +181,6 @@ def hpc_nmf(
     else:
         H_j_buf = ws.get("H_j", (k, local_cols))
 
-    def gather_h():
-        if not mm.sparse:
-            return H_fac.icol_block(out=H_j_buf)
-        with profiler.task(TaskCategory.MM):
-            np.copyto(ht_local_buf, H_fac.local.T)
-        return grid.col_comm.iallgatherv(ht_local_buf, axis=0, out=Ht_j_buf)
-
     # Both reduce-scatters land in the C-ordered k × (m/p) / k × (n/p) buffer
     # the NLS after them reads.
     aht_buf = ws.get("aht_block", (k, w_sub_rows))
@@ -205,32 +204,33 @@ def hpc_nmf(
 
     loop = SpmdLoop(comm, config, observers, variant, (pr, pc), norm_a_sq)
     profiler = loop.profiler
-    last = config.max_iters - 1
 
-    # Collectives issued ahead of where their result is read, issue → claim
-    # (each completes at issue; the claim books its seconds):
-    #   line 5  H_j gather    end of the previous iteration → top of this one
-    #   line 4  H Hᵀ          after the local Gram → just before the line-8 NLS
-    #   line 11 W_i gather    after line 8 → after the line-10 all-reduce
-    # On a size-1 row (column) communicator — every pr × 1 (1 × pc) grid — a
-    # gather or reduce-scatter hands back its input: W_i is W_fac.local, the
-    # line-8 right-hand side is the array the line-6 MM wrote.
-    h_gather = gather_h()  # H is seeded
+    # Lines 3-14 in the paper's order, each collective a blocking call at the
+    # line that reads its result.  On a size-1 row (column) communicator —
+    # every pr × 1 (1 × pc) grid — a gather or reduce-scatter hands back its
+    # input: W_i is W_fac.local, the line-8 right-hand side is the array the
+    # line-6 MM wrote.
     for iteration in range(config.max_iters):
         iter_start = time.perf_counter()
 
         # ---------------- Compute W given H (lines 3-8) ----------------
         gram_h = loop.gram_h  # the error path's H Hᵀ, when it ran last iteration
-        gram_h_handle = None
         if gram_h is None:
             with profiler.task(TaskCategory.GRAM):
                 U_ij = gram(H_fac.local, transpose_first=False)  # line 3
-            gram_h_handle = comm.iallreduce(U_ij, out=gram_h_buf)  # line 4
-        H_j = loop.finish(h_gather, TaskCategory.ALL_GATHER)     # line 5
-        with profiler.task(TaskCategory.MM):
-            if mm.sparse:
-                mm.set_ht(H_j)                                   # gathered as H_jᵀ
-            else:
+            with profiler.task(TaskCategory.ALL_REDUCE):
+                gram_h = comm.allreduce(U_ij, out=gram_h_buf)    # line 4
+        if mm.sparse:
+            with profiler.task(TaskCategory.MM):
+                np.copyto(ht_local_buf, H_fac.local.T)
+            with profiler.task(TaskCategory.ALL_GATHER):
+                Ht_j = grid.col_comm.allgatherv(ht_local_buf, axis=0, out=Ht_j_buf)  # line 5
+            with profiler.task(TaskCategory.MM):
+                mm.set_ht(Ht_j)
+        else:
+            with profiler.task(TaskCategory.ALL_GATHER):
+                H_j = H_fac.col_block(out=H_j_buf)               # line 5
+            with profiler.task(TaskCategory.MM):
                 mm.set_h(H_j)
         aht_block = stream_reduce_scatter(                       # lines 6-7
             grid.row_comm,
@@ -240,8 +240,6 @@ def hpc_nmf(
             out=aht_buf,
             profiler=profiler,
         )
-        if gram_h_handle is not None:
-            gram_h = loop.finish(gram_h_handle, TaskCategory.ALL_REDUCE)
         with profiler.task(TaskCategory.NLS):
             solver.solve(                                        # line 8
                 gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
@@ -250,12 +248,12 @@ def hpc_nmf(
         W_fac.local = w_local_buf
 
         # ---------------- Compute H given W (lines 9-14) ---------------
-        w_gather = W_fac.irow_block(out=W_i_buf)
         with profiler.task(TaskCategory.GRAM):
             X_ij = gram(W_fac.local, transpose_first=True)       # line 9
         with profiler.task(TaskCategory.ALL_REDUCE):
             gram_w = comm.allreduce(X_ij, out=gram_w_buf)        # line 10
-        W_i = loop.finish(w_gather, TaskCategory.ALL_GATHER)     # line 11
+        with profiler.task(TaskCategory.ALL_GATHER):
+            W_i = W_fac.row_block(out=W_i_buf)                   # line 11
         wta_block = stream_reduce_scatter(                       # lines 12-13
             grid.col_comm,
             lambda t: mm.wt_a(W_i, panel_out(h_panels[t]), h_panels[t].start, h_panels[t].stop),
@@ -267,14 +265,8 @@ def hpc_nmf(
         with profiler.task(TaskCategory.NLS):
             solver.solve(gram_w, wta_block, x0=H_fac.local, out=H_fac.local)  # line 14
 
-        # Next iteration's line-5 gather: before the record when the loop
-        # provably continues, else after the stopping decision.
-        if loop.speculative and iteration < last:
-            h_gather = gather_h()
         if loop.end_iteration(iteration, iter_start, H_fac.local, wta_block, gram_w):
             break
-        if not loop.speculative and iteration < last:
-            h_gather = gather_h()
 
     return loop.rank_output(
         W_fac.local, H_fac.local, W_fac.global_range, H_fac.global_range, (m, n)

@@ -111,20 +111,17 @@ def naive_parallel_nmf(
     # the per-iteration communication (§4.3's (m+n)k words of all-gather).
     loop = SpmdLoop(comm, config, observers, variant, (p, 1), norm_a_sq)
     profiler = loop.profiler
-    last = config.max_iters - 1
 
-    # H's gather (line 3) is issued at the end of the previous iteration and
-    # claimed at the top of this one.  The tracked objective's H Hᵀ
-    # (all-reduced from the per-rank pieces) is reused as the next iteration's
-    # gram_h — the same quantity, up to summation order, that every rank would
-    # otherwise recompute redundantly from the gathered H (one of §4.3's
-    # O(nk²) Grams).
-    h_gather = comm.iallgatherv(H_local, axis=1, out=H_full_buf)
+    # The tracked objective's H Hᵀ (all-reduced from the per-rank pieces) is
+    # reused as the next iteration's gram_h — the same quantity, up to
+    # summation order, that every rank would otherwise recompute redundantly
+    # from the gathered H (one of §4.3's O(nk²) Grams).
     for iteration in range(config.max_iters):
         iter_start = time.perf_counter()
 
         # --- Compute W given H (lines 3-4) ----------------------------
-        H = loop.finish(h_gather, TaskCategory.ALL_GATHER)   # full k × n
+        with profiler.task(TaskCategory.ALL_GATHER):
+            H = comm.allgatherv(H_local, axis=1, out=H_full_buf)  # full k × n
         gram_h = loop.gram_h
         if gram_h is None:
             with profiler.task(TaskCategory.GRAM):
@@ -149,13 +146,7 @@ def naive_parallel_nmf(
         with profiler.task(TaskCategory.NLS):
             solver.solve(gram_w, wt_a, x0=H_local, out=H_local)
 
-        # Next iteration's H gather: before the record when the loop
-        # provably continues, else after the stopping decision.
-        if loop.speculative and iteration < last:
-            h_gather = comm.iallgatherv(H_local, axis=1, out=H_full_buf)
         if loop.end_iteration(iteration, iter_start, H_local, wt_a, gram_w):
             break
-        if not loop.speculative and iteration < last:
-            h_gather = comm.iallgatherv(H_local, axis=1, out=H_full_buf)
 
     return loop.rank_output(W_local, H_local, (row_lo, row_hi), (col_lo, col_hi), (m, n))

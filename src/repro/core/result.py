@@ -323,7 +323,7 @@ class NMFResult:
             config=NMFConfig(**config_dict),
             iterations=meta["iterations"],
             history=[IterationStats(**s) for s in meta["history"]],
-            breakdown=TimeBreakdown.from_parts(**meta["breakdown"]),
+            breakdown=TimeBreakdown.from_saved(meta["breakdown"]),
             ledger_summary=meta.get("ledger_summary", {}),
             n_ranks=meta["n_ranks"],
             grid_shape=tuple(grid_shape) if grid_shape else None,

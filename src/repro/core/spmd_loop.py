@@ -1,13 +1,12 @@
 """What the Algorithm 2 and Algorithm 3 rank programs share.
 
-Both loops are written once, against :class:`~repro.comm.nonblocking.CommHandle`:
-every collective whose result is not needed straight away is issued at the
-earliest program point its input exists and claimed (:meth:`SpmdLoop.finish`)
-where the result is first needed.  A handle is complete when the issuing call
-returns — on every backend; see :mod:`repro.comm.nonblocking` for why there is
-no background engine — so the program is bulk-synchronous, as the paper's
-Algorithm 3 is: the claim only books the collective's seconds under its
-Figure-3 category.  ``NMFConfig.overlap`` is accepted and changes nothing.
+Both loops run in the paper's line order, bulk-synchronously as Algorithm 3
+is (its §4.3/§5 cost is computation *plus* communication): every collective
+is a blocking call at the line that reads its result, timed by
+``profiler.task`` under its Figure-3 category.  An iteration's clock starts
+at its top, before its factor gather, and stops at its history record, so
+``history[i].seconds`` tile the loop under every stopping rule.
+``NMFConfig.overlap`` is accepted and changes nothing.
 
 :class:`SpmdLoop` owns the pieces both files would otherwise spell out: the
 profiler/ledger/:class:`LoopControl` set-up, the error path with its history
@@ -24,7 +23,6 @@ import numpy as np
 
 from repro.comm.communicator import Comm
 from repro.comm.cost import CostLedger
-from repro.comm.nonblocking import CommHandle, finish
 from repro.comm.profiler import Profiler, TaskCategory, max_over_ranks
 from repro.core.config import NMFConfig
 from repro.core.local_ops import gram, local_cross_term
@@ -63,13 +61,6 @@ class SpmdLoop:
         self.ledger = CostLedger()
         comm.attach_ledger(self.ledger)
         self.control = LoopControl(config, observers, comm=comm, variant=variant).start()
-        # Whether iteration i+1's factor gather may run before iteration i's
-        # stopping decision: only when record() can never request a stop (a
-        # fixed iteration count and nobody watching) — a gather after a stop
-        # would be a collective the §5 closed form does not have.  The gather
-        # then falls inside iteration i's ``seconds``; otherwise it runs
-        # after the decision, between two iterations' clocks.
-        self.speculative = config.tol == 0 and not observers
         # All-reduced H Hᵀ of the last recorded iteration.  It is exactly what
         # the next iteration's W-update needs (same local Grams, same
         # rank-ordered reduction → same bits), so tracking the objective
@@ -79,13 +70,9 @@ class SpmdLoop:
         self._gram_h_buf = comm.workspace.get("gram_h_new", (config.k, config.k))
         if comm.rank == 0:
             logger.debug(
-                "%s fit: grid=%dx%d backend=%s speculative=%s max_iters=%d",
-                variant, *grid_shape, config.backend, self.speculative, config.max_iters,
+                "%s fit: grid=%dx%d backend=%s max_iters=%d",
+                variant, *grid_shape, config.backend, config.max_iters,
             )
-
-    def finish(self, handle: CommHandle, category: TaskCategory):
-        """Claim ``handle``: its result, its seconds booked under ``category``."""
-        return finish(handle, self.profiler, category)
 
     # -- error path ----------------------------------------------------------
     def end_iteration(self, iteration, iter_start, H_local, wta, gram_w) -> bool:

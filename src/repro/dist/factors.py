@@ -76,21 +76,17 @@ class DistributedFactorW:
         """An all-zero ``(W_i)_j`` (W needs no initialisation; see §6.1.3)."""
         return cls(grid, m, k)
 
-    def irow_block(self, out: np.ndarray = None):
-        """Issue the all-gather of ``W_i (m/pr × k)`` over the grid row (line 11).
-
-        Collective; returns a (complete) ``CommHandle``.  The row
-        communicator orders ranks by grid column ``j``, matching the
-        sub-block order, so a plain concatenation along axis 0 reassembles
-        ``W_i`` with its rows in global order.  ``out`` (shape ``m/pr × k``)
-        receives the gathered block without allocating; when ``pc = 1`` the
-        gathered block is ``local`` itself and ``out`` is left alone.
-        """
-        return self.grid.row_comm.iallgatherv(self.local, axis=0, out=out)
-
     def row_block(self, out: np.ndarray = None) -> np.ndarray:
-        """:meth:`irow_block`, waited: the gathered ``W_i``."""
-        return self.irow_block(out).wait()
+        """All-gather ``W_i (m/pr × k)`` over the grid row (line 11).
+
+        Collective.  The row communicator orders ranks by grid column ``j``,
+        matching the sub-block order, so a plain concatenation along axis 0
+        reassembles ``W_i`` with its rows in global order.  ``out`` (shape
+        ``m/pr × k``) receives the gathered block without allocating; when
+        ``pc = 1`` the gathered block is ``local`` itself and ``out`` is left
+        alone.
+        """
+        return self.grid.row_comm.allgatherv(self.local, axis=0, out=out)
 
     def __repr__(self) -> str:
         return (
@@ -130,21 +126,17 @@ class DistributedFactorH:
         """An all-zero ``(H_j)_i`` (callers seed it with ``init_h_slice``)."""
         return cls(grid, k, n)
 
-    def icol_block(self, out: np.ndarray = None):
-        """Issue the all-gather of ``H_j (k × n/pc)`` over the grid column (line 5).
-
-        Collective; returns a (complete) ``CommHandle``.  The column
-        communicator orders ranks by grid row ``i``, matching the sub-block
-        order, so concatenation along axis 1 reassembles ``H_j`` with its
-        columns in global order.  ``out`` (shape ``k × n/pc``) receives the
-        gathered block without allocating; when ``pr = 1`` the gathered block
-        is ``local`` itself and ``out`` is left alone.
-        """
-        return self.grid.col_comm.iallgatherv(self.local, axis=1, out=out)
-
     def col_block(self, out: np.ndarray = None) -> np.ndarray:
-        """:meth:`icol_block`, waited: the gathered ``H_j``."""
-        return self.icol_block(out).wait()
+        """All-gather ``H_j (k × n/pc)`` over the grid column (line 5).
+
+        Collective.  The column communicator orders ranks by grid row ``i``,
+        matching the sub-block order, so concatenation along axis 1
+        reassembles ``H_j`` with its columns in global order.  ``out`` (shape
+        ``k × n/pc``) receives the gathered block without allocating; when
+        ``pr = 1`` the gathered block is ``local`` itself and ``out`` is left
+        alone.
+        """
+        return self.grid.col_comm.allgatherv(self.local, axis=1, out=out)
 
     def __repr__(self) -> str:
         return (

@@ -66,9 +66,9 @@ class ExecutionPlan:
         quantity Table 2 bounds), or ``None`` when the variant does not
         model it.
     schedule:
-        Always ``"blocking"`` (read-only): every collective completes where
-        it is issued (:mod:`repro.comm.nonblocking`), so there is one
-        schedule to price.  Kept because the benchmark harness records it.
+        Always ``"blocking"`` (read-only): every collective is a blocking
+        call at the line that reads it (:mod:`repro.core.spmd_loop`), so
+        there is one schedule to price.  Kept because the benchmark harness records it.
     """
 
     variant: str
@@ -131,7 +131,7 @@ class ExecutionPlan:
             solver=payload.get("solver", ""),
             machine=payload.get("machine", ""),
             problem=ProblemSpec.from_dict(payload["problem"]),
-            breakdown=TimeBreakdown.from_parts(**payload["breakdown"]),
+            breakdown=TimeBreakdown.from_saved(payload["breakdown"]),
             words_per_iteration=payload.get("words_per_iteration"),
             kernel=payload.get("kernel"),
         )

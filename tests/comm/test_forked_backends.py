@@ -5,7 +5,7 @@ share one launcher, token transport and reaper
 (:mod:`repro.comm.backends.forked`), so one suite runs against both: the same
 ``Comm`` surface as the in-process backends — identical collective results
 (including the ``out=``/workspace fast paths, post-fork ``split``
-sub-communicators and the nonblocking ``CommHandle`` path), faithful failure
+sub-communicators and the ``CommHandle`` request path), faithful failure
 propagation, timeouts and dead ranks that name the peer, and nothing left
 behind.  The cases that only make sense for one payload path follow the
 shared ones.
@@ -91,13 +91,13 @@ def _collective_program(comm):
 
 
 def _handles_program(comm):
-    """The Algorithm 2/3 loops' pattern: issue, compute, claim."""
+    """Request handles (issue, compute, claim) next to a blocking collective."""
     handle = comm.iallreduce(np.arange(4.0) + comm.rank)
     local = float(np.sum(np.arange(10.0) * comm.rank))
     total = handle.wait()
     gather = comm.iallgatherv(np.full(2, float(comm.rank)))
-    scatter = comm.ireduce_scatter(np.arange(2.0 * comm.size))
-    return total.tolist(), local, gather.wait().tolist(), scatter.wait().tolist()
+    scatter = comm.reduce_scatter(np.arange(2.0 * comm.size))
+    return total.tolist(), local, gather.wait().tolist(), scatter.tolist()
 
 
 class TestRegistry:
@@ -137,8 +137,8 @@ class TestForkedBackends:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_handles_match_thread_backend(self, backend, p):
-        """The CommHandle path (iallreduce/iallgatherv/ireduce_scatter) — what
-        the Algorithm 2/3 loops are written against."""
+        """The CommHandle path (iallreduce/iallgatherv) next to a blocking
+        reduce-scatter."""
         via_forked = run_spmd(p, _handles_program, backend=backend)
         via_thread = run_spmd(p, _handles_program, backend="thread")
         assert via_forked == via_thread

@@ -1,7 +1,7 @@
 """Panel-streamed reduce-scatter: byte-identity and ledger purity.
 
 The contract under test (see repro/comm/panels.py): streaming a
-reduce-scatter as one nonblocking per-panel collective per rank produces a
+reduce-scatter as one blocking per-panel collective per rank produces a
 result byte-identical to the monolithic blocking call on every backend, and
 books exactly the same single ledger entry — same calls, words, messages and
 reduction flops — no matter how many physical panels carried it.
@@ -55,7 +55,6 @@ def _stream_program(comm, counts, axis):
     streamed = stream_reduce_scatter(
         comm, compute_panel, counts, axis=axis, out=out, profiler=profiler
     )
-    comm.shutdown_nonblocking()
     return {
         "identical": np.array_equal(blocking, streamed)
         and blocking.dtype == streamed.dtype,

@@ -122,7 +122,7 @@ def test_ssyn_acceptance_socket_matches_process_byte_for_byte():
 
 
 def test_handle_path_stays_byte_identical_over_the_wire():
-    """The CommHandle path (panel-streamed, complete at issue) gives the same
+    """The loop's one path (blocking collectives, panel-streamed) gives the same
     bytes over TCP as through the thread backend's slots, whatever the inert
     ``overlap`` says."""
     from repro.core.api import fit

@@ -1,8 +1,8 @@
-"""Parity for the Algorithm 2/3 loops: one program, one completion mode.
+"""Parity for the Algorithm 2/3 loops: one program, in the paper's line order.
 
-The loops are written once against collective handles, and a handle is
-complete when it is issued — on every backend.  ``overlap`` is accepted and
-must be inert.  The contract: every backend × ``overlap`` value × variant
+Each loop runs its collectives as blocking calls at the lines that read
+their results — on every backend.  ``overlap`` is accepted and must be
+inert.  The contract: every backend × ``overlap`` value × variant
 produces byte-identical factors, the same error history and identical cost
 ledgers, all matching the lockstep oracle bit for bit, and no fit ever starts
 a helper thread or books hidden communication.
@@ -30,6 +30,7 @@ from repro.comm.communicator import SelfComm
 from repro.comm.profiler import Profiler, TaskCategory
 from repro.core.api import fit
 from repro.core.config import NMFConfig
+from repro.core.observers import IterationObserver
 
 VARIANTS = ("naive", "hpc1d", "hpc2d")
 BACKENDS = ("lockstep", "thread", "process", "socket")
@@ -110,10 +111,9 @@ def test_no_fit_starts_a_helper_thread_or_books_hidden_comm(
     variant, overlap, refuse_helper_threads
 ):
     """Whatever ``overlap`` says, a collective runs on the rank's own thread
-    at its issue point: its seconds are exposed, none hidden."""
+    at the line that reads it: its seconds are exposed, none hidden."""
     res = fit(_dense(seed=8), 5, variant=variant, backend="thread", n_ranks=4,
               max_iters=3, seed=11, overlap=overlap)
-    assert res.breakdown.hidden_communication == 0.0
     assert "HiddenComm" not in res.breakdown.seconds
     assert res.breakdown.communication > 0.0
     assert res.iterations == 3
@@ -163,7 +163,7 @@ def test_fit_logs_one_debug_line(caplog, overlap):
     (record,) = [r for r in caplog.records if r.name == "repro.core"]
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
-    for fact in ("hpc2d", "grid=2x2", "backend=thread", "speculative=True", "max_iters=3"):
+    for fact in ("hpc2d", "grid=2x2", "backend=thread", "max_iters=3"):
         assert fact in message
 
 
@@ -181,16 +181,28 @@ def _capture_profilers(monkeypatch):
     return captured
 
 
+class _StopNever(IterationObserver):
+    def on_iteration(self, event):
+        return False
+
+
+TILE_MODES = {
+    "fixed": {},                                   # tol == 0, nobody watching
+    "tol": dict(tol=1e-12),                        # a stop the loop must test for
+    "observer": dict(observers=[_StopNever()]),    # a rank-0 vote every iteration
+}
+
+
+@pytest.mark.parametrize("mode", list(TILE_MODES))
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_history_seconds_tile_the_loop(variant, monkeypatch):
-    """On the untraced path (``tol == 0``, no observers) the iterations' clocks
-    tile the loop: iteration i's ``seconds`` run from its first statement to
-    its record and include iteration i+1's factor gather, so from one record
-    to the last their sum is the loop's own wall (record bookkeeping aside).
-    Moving the gather across the record would change ``iterations / Σ
-    seconds`` — the benchmark's ``work_per_s`` — without changing the program;
-    on this shape (cheap SpMM, 10 MB gathers) it is several percent of an
-    iteration."""
+def test_history_seconds_tile_the_loop(variant, mode, monkeypatch):
+    """Under every stopping rule the iterations' clocks tile the loop:
+    iteration i's ``seconds`` run from its first statement — its own factor
+    gather — to its record, so from one record to the last their sum is the
+    loop's own wall (record bookkeeping aside).  A gather outside the clocks
+    would change ``iterations / Σ seconds`` — the benchmark's
+    ``work_per_s`` — without changing the program; on this shape (cheap
+    SpMM, 10 MB gathers) it is several percent of an iteration."""
     import time
 
     from repro.core.observers import LoopControl
@@ -207,11 +219,100 @@ def test_history_seconds_tile_the_loop(variant, monkeypatch):
     monkeypatch.setattr(LoopControl, "record", record)
     A = sparse_synthetic(30000, 40000, density=1e-4, seed=3)
     res = fit(A, 32, variant=variant, backend="lockstep", n_ranks=2, max_iters=6,
-              seed=11, solver="hals")
+              seed=11, solver="hals", **TILE_MODES[mode])
     assert len(res.history) == len(stamps) == 6
     wall = stamps[-1] - stamps[0]                      # records 0 → 5: iterations 1..5
     covered = sum(s.seconds for s in res.history[1:])
     assert 0.98 * wall <= covered <= wall
+
+
+# (variant, n_ranks, grid): hpc2d's 2 × 3 grid has pc = 3 line-6 panels and
+# pr = 2 line-12 panels; hpc1d's 3 × 1 grid runs its line-5/line-7
+# collectives on a size-1 row communicator (they hand back their input).
+LINE_ORDER_CASES = [("naive", 3, None), ("hpc1d", 3, None), ("hpc2d", 6, (2, 3))]
+
+
+def _expected_line_order(variant, grid, iteration):
+    """Each rank's collectives in one iteration, in the paper's line order."""
+    error_path = [("allreduce", "world"), ("allreduce", "world")]  # cross term, H Hᵀ
+    if variant == "naive":
+        # Algorithm 2: gather H, gather W (H Hᵀ comes from the error path).
+        return [("allgatherv", "world"), ("allgatherv", "world")] + error_path
+    pr, pc = grid
+    line4 = [("allreduce", "world")] if iteration == 0 else []  # later: cached
+    return (
+        line4
+        + [("allgatherv", "col")]                        # line 5: H_j
+        + [("reduce_scatter", "row")] * pc               # lines 6-7, one per panel
+        + [("allreduce", "world")]                       # line 10: Wᵀ W
+        + [("allgatherv", "row")]                        # line 11: W_i
+        + [("reduce_scatter", "col")] * pr               # lines 12-13, one per panel
+        + error_path
+    )
+
+
+@pytest.mark.parametrize("variant, p, grid", LINE_ORDER_CASES)
+def test_collectives_run_in_the_papers_line_order(variant, p, grid, monkeypatch):
+    """Every rank issues, per iteration, exactly the collectives of its
+    algorithm's lines in the order the paper lists them, each on the
+    communicator the line names — no gather ahead of its line, none after a
+    stopping decision."""
+    from repro.comm.communicator import Comm
+    from repro.core.observers import LoopControl
+
+    seen = threading.local()
+    real_grid = hpc_mod.ProcessGrid
+
+    def grid_spy(*args, **kwargs):
+        seen.grid = real_grid(*args, **kwargs)
+        return seen.grid
+
+    def where(comm):
+        grid_ = getattr(seen, "grid", None)
+        if grid_ is not None and comm is grid_.row_comm:
+            return "row"
+        if grid_ is not None and comm is grid_.col_comm:
+            return "col"
+        return "world"
+
+    def spy(name):
+        real = getattr(Comm, name)
+
+        def call(self, *args, **kwargs):  # allreduce_scalar calls allreduce
+            log = getattr(seen, "log", None)
+            if log is not None:
+                log.append((name, where(self)))
+            return real(self, *args, **kwargs)
+
+        return call
+
+    real_start, real_record = LoopControl.start, LoopControl.record
+
+    def start(self):
+        seen.log, seen.iterations = [], []
+        return real_start(self)
+
+    def record(self, *args, **kwargs):
+        seen.iterations.append(seen.log)
+        seen.log = []
+        return real_record(self, *args, **kwargs)
+
+    monkeypatch.setattr(hpc_mod, "ProcessGrid", grid_spy)
+    for name in ("allgatherv", "reduce_scatter", "allreduce"):
+        monkeypatch.setattr(Comm, name, spy(name))
+    monkeypatch.setattr(LoopControl, "start", start)
+    monkeypatch.setattr(LoopControl, "record", record)
+    config = NMFConfig(k=4, max_iters=3, seed=1, grid=grid)
+    program = naive_mod.naive_parallel_nmf if variant == "naive" else hpc_mod.hpc_nmf
+
+    def rank_program(comm):
+        program(comm, _dense(seed=4, m=26, n=19), config, variant=variant)
+        return seen.iterations, seen.log  # (per iteration, after the last record)
+
+    for iterations, after_last in run_spmd(p, rank_program, backend="thread"):
+        used_grid = grid or (p, 1)
+        assert iterations == [_expected_line_order(variant, used_grid, i) for i in range(3)]
+        assert after_last == []
 
 
 def test_hpc_error_path_allreduces_are_booked(monkeypatch):

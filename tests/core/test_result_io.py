@@ -169,6 +169,25 @@ class TestRoundTrip:
         with pytest.raises(SolverError, match=r"\['batched', 'scalar'\]"):
             loaded.config.make_solver()
 
+    def test_artifact_with_a_hidden_comm_breakdown_still_loads(self, tmp_path):
+        """Artifacts saved while collectives could complete in the background
+        book a ``HiddenComm`` category in the fit's breakdown and in its
+        plan's; this version has no such category, so load drops it and the
+        totals are the critical-path seconds the artifact recorded."""
+        res = fit(_dense(), 2, variant="auto", n_ranks=2, backend="lockstep", max_iters=2,
+                  seed=1)
+        assert res.plan is not None
+        path = res.save(tmp_path / "old.npz")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        meta["breakdown"]["HiddenComm"] = 0.5
+        meta["plan"]["breakdown"]["HiddenComm"] = 0.25
+        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+        loaded = NMFResult.load(path)
+        assert "HiddenComm" not in loaded.breakdown.seconds
+        assert loaded.breakdown.total == pytest.approx(res.breakdown.total)
+        assert loaded.plan.breakdown.total == pytest.approx(res.plan.breakdown.total)
+
     def test_save_appends_npz_suffix(self, tmp_path):
         res = fit(_dense(), 2, max_iters=2)
         written = res.save(tmp_path / "bare")

@@ -259,7 +259,7 @@ class TestOneSchedule:
         keys = [(p.variant, p.grid) for p in plans]
         assert len(keys) == len(set(keys))
         assert all(p.schedule == "blocking" for p in plans)
-        assert all(p.breakdown.hidden_communication == 0.0 for p in plans)
+        assert all("HiddenComm" not in p.breakdown.seconds for p in plans)
         table = render_plan_table(plans)
         assert "schedule" not in table and "hidden" not in table
         assert "pipelined" not in plans[0].summary()
