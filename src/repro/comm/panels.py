@@ -88,7 +88,7 @@ def stream_reduce_scatter(
         discarded.
     profiler:
         Books panel GEMMs under ``compute_category`` and the collectives
-        under ``ReduceScatter``.
+        under ``ReduceScatter`` (none on a size-1 communicator).
 
     Returns this rank's reduced sub-block: ``out`` when provided and
     ``comm.size > 1``, the panel itself on a size-1 communicator.
@@ -114,7 +114,7 @@ def stream_reduce_scatter(
         total_words += panel.size * panel.itemsize / 8.0
         panel_counts = [0] * len(counts)
         panel_counts[t] = counts[t]
-        with profiler.task(TaskCategory.REDUCE_SCATTER), comm._silenced():
+        with profiler.collective(TaskCategory.REDUCE_SCATTER, comm), comm._silenced():
             reduced = comm.reduce_scatter(
                 panel,
                 counts=panel_counts,

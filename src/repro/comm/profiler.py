@@ -139,6 +139,21 @@ class Profiler:
             self._seconds[key] = self._seconds.get(key, 0.0) + elapsed
             self._calls[key] = self._calls.get(key, 0) + 1
 
+    @contextmanager
+    def collective(self, category: TaskCategory, comm) -> Iterator[None]:
+        """:meth:`task` around a collective over ``comm``.
+
+        A collective over one rank hands back its input: it moves nothing and
+        the ledger books nothing, so it is not timed either.  Algorithm 1
+        (Algorithm 3 on a 1 × 1 grid) therefore reports no communication, and
+        a ``pr × 1`` grid none on its row communicator.
+        """
+        if comm.size == 1:
+            yield
+            return
+        with self.task(category):
+            yield
+
     def add(self, category: TaskCategory, seconds: float) -> None:
         """Add pre-measured seconds under ``category``."""
         key = category.value

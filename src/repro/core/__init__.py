@@ -1,13 +1,15 @@
 """The paper's algorithms: sequential ANLS, Naive-Parallel-NMF and HPC-NMF.
 
 * :mod:`repro.core.anls` — Algorithm 1, the sequential Alternating
-  Nonnegative Least Squares framework (the correctness reference);
+  Nonnegative Least Squares framework (the correctness reference), run as
+  Algorithm 3 on a 1 × 1 grid;
 * :mod:`repro.core.naive` — Algorithm 2, the naive parallelization that
   all-gathers whole factor matrices every iteration;
 * :mod:`repro.core.hpc_nmf` — Algorithm 3, HPC-NMF on a ``pr × pc`` processor
   grid (the 1D variant is the grid ``(p, 1)``);
 * :mod:`repro.core.spmd_loop` — what the two parallel loops share: profiler
-  and ledger set-up, the error path and history record, result assembly;
+  and ledger set-up, the error path and history record, result assembly, and
+  running a rank program on a backend or in process over ``SelfComm``;
 * :mod:`repro.core.api` — the user-facing front door: :func:`repro.fit` and
   the :class:`repro.NMF` estimator, used by the examples and benchmarks;
 * :mod:`repro.core.variants` — the variant registry behind ``fit``; one
@@ -21,8 +23,8 @@
 Extensions beyond the paper's headline algorithms (motivated by its use cases
 and future-work discussion):
 
-* :mod:`repro.core.regularized` — ridge / L1-regularized NMF through the same
-  normal-equations interface (communication pattern unchanged);
+* :mod:`repro.core.regularized` — ridge / L1-regularized NMF: Algorithm 3
+  with one normal-equations hook, at any ``p`` (communication unchanged);
 * :mod:`repro.core.symmetric` — symmetric NMF for graph clustering (the
   Webbase use case, the paper's reference [13]);
 * :mod:`repro.core.streaming` — sliding-window incremental NMF for live video
@@ -46,7 +48,6 @@ _EXPORTS = {
         "WallClockBudget",
         "CheckpointEvery",
         "ProgressPrinter",
-        "CallbackObserver",
     ),
     "repro.core.variants": (
         "Variant",

@@ -25,7 +25,13 @@ The loop runs these lines in this order, each collective a blocking call at
 its line, timed under the category of the last column; lines 3-4 are skipped
 when the previous iteration's error path already all-reduced ``H Hᵀ``, and
 the error path (:meth:`repro.core.spmd_loop.SpmdLoop.end_iteration`) follows
-line 14.
+line 14.  Lines 8 and 14 solve the normal equations after the one hook a
+penalty needs, :func:`repro.core.regularized.regularize_gram_rhs`, which
+returns an unregularized pair as it is.
+
+On a 1 × 1 grid every collective hands back its input and this is
+Algorithm 1 (:mod:`repro.core.anls` runs it so, over
+:class:`~repro.comm.communicator.SelfComm`).
 
 The data matrix is never communicated; per iteration the algorithm moves
 ``O(min{√(mnk²/p), nk})`` words in ``O(log p)`` messages (Table 2), which is
@@ -50,6 +56,7 @@ from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
 from repro.core.local_ops import BlockProducts, gram
 from repro.core.observers import IterationObserver
+from repro.core.regularized import Regularization, regularize_gram_rhs
 from repro.core.spmd_loop import SpmdLoop
 from repro.dist.distmatrix import DistMatrix2D
 from repro.dist.factors import DistributedFactorH, DistributedFactorW
@@ -81,6 +88,7 @@ def hpc_nmf(
     global_shape: Optional[Tuple[int, int]] = None,
     observers: Optional[Sequence[IterationObserver]] = None,
     variant: str = "hpc2d",
+    regularization: Regularization = Regularization(),
 ) -> dict:
     """SPMD per-rank program for Algorithm 3.
 
@@ -103,8 +111,12 @@ def hpc_nmf(
         Iteration observers, notified on rank 0 (see
         :mod:`repro.core.observers` for the SPMD dispatch rules).
     variant:
-        Registry name of the variant running this program (``"hpc1d"`` or
-        ``"hpc2d"``): provenance for the result and the observers.
+        Registry name of the variant running this program (``"hpc1d"``,
+        ``"hpc2d"``, ``"sequential"`` or ``"regularized"``): provenance for
+        the result and the observers.
+    regularization:
+        Ridge/L1 weights applied to the line-8 and line-14 normal equations
+        (none by default).
 
     Returns
     -------
@@ -164,27 +176,37 @@ def hpc_nmf(
     # Reusable collective workspaces: every iteration runs the same
     # collectives on the same shapes, so their results are written into
     # persistent per-rank buffers instead of fresh allocations.  Each live
-    # result gets its own named buffer.  (A size-1 row or column communicator
-    # hands back its input and never touches its buffers' pages.)
+    # result gets its own named buffer.  A size-1 row or column communicator
+    # hands back its input, so its collectives get no buffer at all.
     ws = comm.workspace
+
+    def recv_buffer(sub_comm: Comm, name: str, shape) -> Optional[np.ndarray]:
+        return ws.get(name, shape) if sub_comm.size > 1 else None
+
     w_sub_rows = W_fac.global_range[1] - W_fac.global_range[0]
     h_sub_cols = H_fac.global_range[1] - H_fac.global_range[0]
-    gram_h_buf = ws.get("gram_h", (k, k))
-    gram_w_buf = ws.get("gram_w", (k, k))
-    W_i_buf = ws.get("W_i", (local_rows, k))
+    gram_h_buf = recv_buffer(comm, "gram_h", (k, k))
+    gram_w_buf = recv_buffer(comm, "gram_w", (k, k))
+    W_i_buf = recv_buffer(grid.row_comm, "W_i", (local_rows, k))
     # Line 5 gathers H_j for line 6.  A dense block multiplies it as gathered;
     # a sparse block's kernel reads H_jᵀ, so each rank sends its (H_j)_iᵀ and
     # the gather assembles H_jᵀ where the kernel reads it (the same words).
+    # The send copy is live from line 5 to line 7 and W's C-ordered home —
+    # the line-8 solution (W_i)_jᵀ transposed — from line 8 to the end of
+    # the iteration, so the two share one flat buffer.
     if mm.sparse:
-        ht_local_buf = ws.get("H_local_t", (h_sub_cols, k))
-        Ht_j_buf = ws.get("H_jt", (local_cols, k))
+        home = ws.get("ht_w_home", k * max(h_sub_cols, w_sub_rows))
+        ht_local_buf = home[:h_sub_cols * k].reshape(h_sub_cols, k)
+        w_local_buf = home[:w_sub_rows * k].reshape(w_sub_rows, k)
+        Ht_j_buf = recv_buffer(grid.col_comm, "H_jt", (local_cols, k))
     else:
-        H_j_buf = ws.get("H_j", (k, local_cols))
+        w_local_buf = ws.get("w_local", (w_sub_rows, k))
+        H_j_buf = recv_buffer(grid.col_comm, "H_j", (k, local_cols))
 
     # Both reduce-scatters land in the C-ordered k × (m/p) / k × (n/p) buffer
     # the NLS after them reads.
-    aht_buf = ws.get("aht_block", (k, w_sub_rows))
-    wta_buf = ws.get("wta_block", (k, h_sub_cols))
+    aht_buf = recv_buffer(grid.row_comm, "aht_block", (k, w_sub_rows))
+    wta_buf = recv_buffer(grid.col_comm, "wta_block", (k, h_sub_cols))
     # Every MM panel of both half-iterations is written to the front of one
     # flat buffer: a panel is free once its reduce-scatter returns, line 6's
     # last one (the line-8 right-hand side on a size-1 row communicator) once
@@ -194,15 +216,12 @@ def hpc_nmf(
     def panel_out(s: slice) -> np.ndarray:
         return rhs_buf[:k * (s.stop - s.start)].reshape(k, s.stop - s.start)
 
-    # The persistent home of W's local sub-block — the line-8 NLS solves for
-    # (W_i)_jᵀ, whose transpose is copied here every iteration.
-    w_local_buf = ws.get("w_local", (w_sub_rows, k))
     # The line-8 NLS warm-starts from its own previous (W_i)_jᵀ, C-ordered
     # like its right-hand side, and writes its solution over it; line 14 does
     # the same with H's sub-block.
     Wt_local = np.zeros((k, w_sub_rows))
 
-    loop = SpmdLoop(comm, config, observers, variant, (pr, pc), norm_a_sq)
+    loop = SpmdLoop(comm, config, observers, variant, (pr, pc), norm_a_sq, regularization)
     profiler = loop.profiler
 
     # Lines 3-14 in the paper's order, each collective a blocking call at the
@@ -218,17 +237,17 @@ def hpc_nmf(
         if gram_h is None:
             with profiler.task(TaskCategory.GRAM):
                 U_ij = gram(H_fac.local, transpose_first=False)  # line 3
-            with profiler.task(TaskCategory.ALL_REDUCE):
+            with profiler.collective(TaskCategory.ALL_REDUCE, comm):
                 gram_h = comm.allreduce(U_ij, out=gram_h_buf)    # line 4
         if mm.sparse:
             with profiler.task(TaskCategory.MM):
                 np.copyto(ht_local_buf, H_fac.local.T)
-            with profiler.task(TaskCategory.ALL_GATHER):
+            with profiler.collective(TaskCategory.ALL_GATHER, grid.col_comm):
                 Ht_j = grid.col_comm.allgatherv(ht_local_buf, axis=0, out=Ht_j_buf)  # line 5
             with profiler.task(TaskCategory.MM):
                 mm.set_ht(Ht_j)
         else:
-            with profiler.task(TaskCategory.ALL_GATHER):
+            with profiler.collective(TaskCategory.ALL_GATHER, grid.col_comm):
                 H_j = H_fac.col_block(out=H_j_buf)               # line 5
             with profiler.task(TaskCategory.MM):
                 mm.set_h(H_j)
@@ -241,8 +260,9 @@ def hpc_nmf(
             profiler=profiler,
         )
         with profiler.task(TaskCategory.NLS):
+            normal = regularize_gram_rhs(gram_h, aht_block, regularization)
             solver.solve(                                        # line 8
-                gram_h, aht_block, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
+                *normal, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
             )
         np.copyto(w_local_buf, Wt_local.T)
         W_fac.local = w_local_buf
@@ -250,9 +270,9 @@ def hpc_nmf(
         # ---------------- Compute H given W (lines 9-14) ---------------
         with profiler.task(TaskCategory.GRAM):
             X_ij = gram(W_fac.local, transpose_first=True)       # line 9
-        with profiler.task(TaskCategory.ALL_REDUCE):
+        with profiler.collective(TaskCategory.ALL_REDUCE, comm):
             gram_w = comm.allreduce(X_ij, out=gram_w_buf)        # line 10
-        with profiler.task(TaskCategory.ALL_GATHER):
+        with profiler.collective(TaskCategory.ALL_GATHER, grid.row_comm):
             W_i = W_fac.row_block(out=W_i_buf)                   # line 11
         wta_block = stream_reduce_scatter(                       # lines 12-13
             grid.col_comm,
@@ -263,9 +283,12 @@ def hpc_nmf(
             profiler=profiler,
         )
         with profiler.task(TaskCategory.NLS):
-            solver.solve(gram_w, wta_block, x0=H_fac.local, out=H_fac.local)  # line 14
+            normal = regularize_gram_rhs(gram_w, wta_block, regularization)
+            solver.solve(*normal, x0=H_fac.local, out=H_fac.local)  # line 14
 
-        if loop.end_iteration(iteration, iter_start, H_fac.local, wta_block, gram_w):
+        if loop.end_iteration(
+            iteration, iter_start, W_fac.local, H_fac.local, wta_block, gram_w
+        ):
             break
 
     return loop.rank_output(

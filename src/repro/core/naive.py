@@ -120,7 +120,7 @@ def naive_parallel_nmf(
         iter_start = time.perf_counter()
 
         # --- Compute W given H (lines 3-4) ----------------------------
-        with profiler.task(TaskCategory.ALL_GATHER):
+        with profiler.collective(TaskCategory.ALL_GATHER, comm):
             H = comm.allgatherv(H_local, axis=1, out=H_full_buf)  # full k × n
         gram_h = loop.gram_h
         if gram_h is None:
@@ -137,7 +137,7 @@ def naive_parallel_nmf(
         W_local = w_local_buf
 
         # --- Compute H given W (lines 5-6) ----------------------------
-        with profiler.task(TaskCategory.ALL_GATHER):
+        with profiler.collective(TaskCategory.ALL_GATHER, comm):
             W = comm.allgatherv(W_local, axis=0, out=W_full_buf)  # full m × k
         with profiler.task(TaskCategory.GRAM):
             gram_w = gram(W, transpose_first=True)       # redundant on every rank
@@ -146,7 +146,7 @@ def naive_parallel_nmf(
         with profiler.task(TaskCategory.NLS):
             solver.solve(gram_w, wt_a, x0=H_local, out=H_local)
 
-        if loop.end_iteration(iteration, iter_start, H_local, wt_a, gram_w):
+        if loop.end_iteration(iteration, iter_start, W_local, H_local, wt_a, gram_w):
             break
 
     return loop.rank_output(W_local, H_local, (row_lo, row_hi), (col_lo, col_hi), (m, n))

@@ -1,7 +1,8 @@
 """The per-iteration observer protocol shared by every NMF variant.
 
-Every variant's outer loop — sequential (Algorithm 1, regularized, symmetric,
-streaming) and SPMD (Algorithms 2 and 3) — reports each iteration to a list
+Every variant's outer loop — in-process (symmetric, streaming) and SPMD
+(Algorithms 2 and 3; Algorithm 1 and ``regularized`` at ``p = 1`` are
+Algorithm 3 over a one-rank communicator) — reports each iteration to a list
 of :class:`IterationObserver` objects and honours their stop requests.  That
 makes the cross-cutting concerns that used to be per-variant ad-hoc code
 (history recording, tolerance-based early stopping, wall-clock budgets,
@@ -11,7 +12,7 @@ observers below, or any object with the same three methods, to
 
 Dispatch rules
 --------------
-* Sequential loops call every observer directly, once per outer iteration.
+* In-process loops call every observer directly, once per outer iteration.
 * SPMD loops call observers on **rank 0 only** (events carry the replicated
   objective/relative-error values, which are identical on every rank by
   construction).  When at least one observer is present, the per-iteration
@@ -36,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,8 +52,9 @@ class IterationEvent:
     ``objective`` / ``relative_error`` are NaN when the run has error
     computation disabled (``compute_error=False``) or the variant does not
     define that metric.  ``W`` / ``H`` are the current *global* factors when
-    the variant has them in one place (sequential variants); SPMD loops pass
-    ``None`` — each rank only owns a block.
+    the variant has them in one place (in-process variants, and SPMD loops on
+    one rank); SPMD loops on more ranks pass ``None`` — each rank only owns a
+    block.
 
     ``W`` and ``H`` are the loop's live iterates, not copies: each solve
     writes its solution over the previous one in place, so they are valid
@@ -204,8 +206,9 @@ class CheckpointEvery(IterationObserver):
     """Write an ``.npz`` checkpoint every ``every`` iterations.
 
     ``path_template`` is formatted with ``{iteration}``.  When the event
-    carries global factors (sequential variants) they are stored; SPMD events
-    carry none, so the checkpoint holds the scalar progress metrics only.
+    carries global factors (any run on one rank) they are stored; SPMD events
+    on more ranks carry none, so the checkpoint holds the scalar progress
+    metrics only.
     ``paths`` lists everything written, newest last.
     """
 
@@ -256,22 +259,6 @@ class ProgressPrinter(IterationObserver):
             f"({event.seconds:.3f}s)",
             file=self._out(),
         )
-
-
-class CallbackObserver(IterationObserver):
-    """Adapts a plain ``callback(iteration, relative_error)`` to the protocol.
-
-    Backward-compatibility shim for :func:`repro.core.anls.anls_nmf`'s old
-    ``callback`` argument; fires only on iterations that measured an error,
-    exactly as the old inline call did.
-    """
-
-    def __init__(self, fn: Callable[[int, float], None]) -> None:
-        self.fn = fn
-
-    def on_iteration(self, event: IterationEvent) -> None:
-        if event.has_error:
-            self.fn(event.iteration, event.relative_error)
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,44 @@
-"""What the Algorithm 2 and Algorithm 3 rank programs share.
+"""What the Algorithm 2 and Algorithm 3 rank programs share, and how they run.
 
 Both loops run in the paper's line order, bulk-synchronously as Algorithm 3
 is (its §4.3/§5 cost is computation *plus* communication): every collective
 is a blocking call at the line that reads its result, timed by
-``profiler.task`` under its Figure-3 category.  An iteration's clock starts
-at its top, before its factor gather, and stops at its history record, so
-``history[i].seconds`` tile the loop under every stopping rule.
+``profiler.collective`` under its Figure-3 category.  An iteration's clock
+starts at its top, before its factor gather, and stops at its history
+record, so ``history[i].seconds`` tile the loop under every stopping rule.
 ``NMFConfig.overlap`` is accepted and changes nothing.
 
 :class:`SpmdLoop` owns the pieces both files would otherwise spell out: the
 profiler/ledger/:class:`LoopControl` set-up, the error path with its history
 record, and the per-rank output :func:`assemble_result` combines.
+
+A rank program runs one of two ways.  :func:`run_on_backend` launches it on
+``config.n_ranks`` ranks of ``config.backend``.  :func:`run_in_process`
+calls it once on :class:`~repro.comm.communicator.SelfComm` in this process:
+that is Algorithm 1 (``sequential``), Algorithm 3 on a 1 × 1 grid, where
+every collective hands back its input, moves nothing and is not timed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.communicator import Comm
+from repro.comm.communicator import Comm, SelfComm
 from repro.comm.cost import CostLedger
 from repro.comm.profiler import Profiler, TaskCategory, max_over_ranks
 from repro.core.config import NMFConfig
 from repro.core.local_ops import gram, local_cross_term
 from repro.core.objective import objective_from_grams
-from repro.core.observers import IterationObserver, LoopControl
+from repro.core.observers import IterationObserver, LoopControl, notify_finish
+from repro.core.regularized import Regularization
 from repro.core.result import NMFResult
 from repro.util.errors import PartitionError
+from repro.util.validation import check_matrix, check_nonnegative, check_rank
 
 logger = logging.getLogger("repro.core")
 
@@ -51,12 +60,14 @@ class SpmdLoop:
         variant: str,
         grid_shape: Tuple[int, int],
         norm_a_sq: float,
+        regularization: Regularization = Regularization(),
     ):
         self.comm = comm
         self.config = config
         self.variant = variant
         self.grid_shape = grid_shape
         self.norm_a_sq = norm_a_sq
+        self.regularization = regularization
         self.profiler = Profiler()
         self.ledger = CostLedger()
         comm.attach_ledger(self.ledger)
@@ -67,7 +78,9 @@ class SpmdLoop:
         # saves that Gram and all-reduce.  Every rank takes the same branch in
         # the same iterations, so the collective schedule stays aligned.
         self.gram_h = None
-        self._gram_h_buf = comm.workspace.get("gram_h_new", (config.k, config.k))
+        self._gram_h_buf = (
+            comm.workspace.get("gram_h_new", (config.k, config.k)) if comm.size > 1 else None
+        )
         if comm.rank == 0:
             logger.debug(
                 "%s fit: grid=%dx%d backend=%s max_iters=%d",
@@ -75,28 +88,48 @@ class SpmdLoop:
             )
 
     # -- error path ----------------------------------------------------------
-    def end_iteration(self, iteration, iter_start, H_local, wta, gram_w) -> bool:
+    def end_iteration(self, iteration, iter_start, W_local, H_local, wta, gram_w) -> bool:
         """Error path and history record; True when the loop must stop.
 
         ``‖A − WH‖²`` by the Gram trick from distributed pieces: the local
         cross term ``⟨WᵀA, H⟩`` and the local H-Gram are summed with two small
         all-reduces; the reduced ``H Hᵀ`` is kept as the next iteration's
-        :attr:`gram_h`.
+        :attr:`gram_h`.  ``wta`` is the unpenalized line-13 result, so
+        ``relative_error`` is the unpenalized ratio; a penalty is added to
+        ``objective`` only (:meth:`Regularization.penalty`).  With an L1
+        weight the factors' local entry sums ride along the cross term in
+        its all-reduce.
+
+        On a one-rank communicator the local blocks are the global factors,
+        and the observers get them live.
         """
+        factors = (W_local, H_local) if self.comm.size == 1 else None
         if not self.config.compute_error:
-            return self.control.record(iteration, seconds=time.perf_counter() - iter_start)
-        comm, profiler = self.comm, self.profiler
+            return self.control.record(
+                iteration, seconds=time.perf_counter() - iter_start, factors=factors
+            )
+        comm, profiler, reg = self.comm, self.profiler, self.regularization
         with profiler.task(TaskCategory.GRAM):
             local_gram_h = gram(H_local, transpose_first=False)
-        with profiler.task(TaskCategory.ALL_REDUCE):
-            cross = comm.allreduce_scalar(local_cross_term(wta, H_local))
-        with profiler.task(TaskCategory.ALL_REDUCE):
+        entry_sum = 0.0
+        with profiler.collective(TaskCategory.ALL_REDUCE, comm):
+            cross_local = local_cross_term(wta, H_local)
+            if reg.l1 > 0:
+                local = np.array([cross_local, np.sum(W_local) + np.sum(H_local)])
+                cross, entry_sum = (float(v) for v in comm.allreduce(local))
+            else:
+                cross = comm.allreduce_scalar(cross_local)
+        with profiler.collective(TaskCategory.ALL_REDUCE, comm):
             self.gram_h = comm.allreduce(local_gram_h, out=self._gram_h_buf)
         seconds = time.perf_counter() - iter_start
-        objective = objective_from_grams(self.norm_a_sq, cross, gram_w, self.gram_h)
-        rel_error = float(np.sqrt(objective / self.norm_a_sq)) if self.norm_a_sq > 0 else 0.0
+        residual = objective_from_grams(self.norm_a_sq, cross, gram_w, self.gram_h)
+        rel_error = float(np.sqrt(residual / self.norm_a_sq)) if self.norm_a_sq > 0 else 0.0
+        objective = residual
+        if reg.is_active:
+            objective += reg.penalty(gram_w, self.gram_h, entry_sum)
         return self.control.record(
-            iteration, objective=objective, relative_error=rel_error, seconds=seconds
+            iteration, objective=objective, relative_error=rel_error, seconds=seconds,
+            factors=factors,
         )
 
     # -- output --------------------------------------------------------------
@@ -154,3 +187,64 @@ def assemble_result(per_rank: list[dict], config: NMFConfig) -> NMFResult:
         variant=first["variant"],
         backend=config.backend,
     )
+
+
+def _checked(A, config: NMFConfig):
+    A = check_matrix(A, "A")
+    check_nonnegative(A, "A")
+    check_rank(config.k, *A.shape)
+    return A
+
+
+def run_on_backend(
+    program: Callable[..., dict],
+    A,
+    config: NMFConfig,
+    observers: Optional[Sequence[IterationObserver]],
+    variant: str,
+    **options,
+) -> NMFResult:
+    """``program`` on ``config.n_ranks`` ranks of ``config.backend``, assembled.
+
+    ``options`` are passed to every rank's ``program`` call.
+    """
+    from repro.comm.backends import run_spmd
+
+    per_rank = run_spmd(
+        config.n_ranks,
+        program,
+        _checked(A, config),
+        config,
+        name=f"{variant}-nmf",
+        backend=config.backend,
+        observers=tuple(observers or ()),
+        variant=variant,
+        **options,
+    )
+    return notify_finish(observers, assemble_result(per_rank, config))
+
+
+def run_in_process(
+    program: Callable[..., dict],
+    A,
+    config: NMFConfig,
+    observers: Optional[Sequence[IterationObserver]],
+    variant: str,
+    **options,
+) -> NMFResult:
+    """``program`` on a 1 × 1 grid over :class:`SelfComm`, in this process.
+
+    No backend is launched, so the result records none (``backend`` and
+    ``grid_shape`` are ``None``, as for any in-process variant); ``n_ranks``
+    and ``grid`` of ``config`` are not read.
+    """
+    rank = program(
+        SelfComm(),
+        _checked(A, config),
+        config.with_options(grid=None),
+        observers=tuple(observers or ()),
+        variant=variant,
+        **options,
+    )
+    result = assemble_result([rank], config)
+    return notify_finish(observers, dataclasses.replace(result, grid_shape=None, backend=None))

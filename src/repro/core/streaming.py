@@ -149,8 +149,8 @@ class StreamingNMF:
         """A few warm-started ANLS sweeps over the current window."""
         A = self.current_window()
         H = self.current_coefficients()
-        # The sweeps solve into these two iterates and share one
-        # right-hand-side buffer (see repro.core.anls).
+        # The sweeps solve into these two iterates, and both MM products
+        # share one right-hand-side buffer: H Aᵀ is dead once Wᵀ is solved.
         Wt = np.array(self.W.T)
         k, (m, n) = self.k, A.shape
         rhs = np.empty(k * max(m, n))

@@ -2,10 +2,12 @@
 
 Seven variants ship registered (one module each):
 
-* ``sequential`` — Algorithm 1, the ANLS reference (:mod:`.sequential`);
+* ``sequential`` — Algorithm 1, the ANLS reference: Algorithm 3 on a 1 × 1
+  grid, in process (:mod:`.sequential`);
 * ``naive``, ``hpc1d``, ``hpc2d`` — the SPMD Algorithms 2/3 (:mod:`.parallel`);
 * ``symmetric`` — SymNMF graph clustering (:mod:`.symmetric`);
-* ``regularized`` — ridge/L1 factor penalties (:mod:`.regularized`);
+* ``regularized`` — ridge/L1 factor penalties: Algorithm 3 with a
+  normal-equations hook, at any ``n_ranks`` (:mod:`.regularized`);
 * ``streaming`` — sliding-window incremental NMF (:mod:`.streaming`).
 
 :func:`repro.fit` resolves its ``variant=`` argument here; the CLI derives

@@ -9,29 +9,19 @@ and assembles the per-rank factor blocks into one global
 
 from __future__ import annotations
 
-from repro.comm.backends import run_spmd
 from repro.core.config import NMFConfig
 from repro.core.hpc_nmf import hpc_nmf
 from repro.core.naive import naive_parallel_nmf
-from repro.core.observers import notify_finish
 from repro.core.result import NMFResult
-from repro.core.spmd_loop import assemble_result
+from repro.core.spmd_loop import run_on_backend
 from repro.core.variants.base import Variant, register_variant
-from repro.util.validation import check_matrix, check_nonnegative, check_rank
 
 
 class _SPMDVariant(Variant):
-    """Shared validation + launch scaffolding of the SPMD variants."""
+    """Capability flags of the SPMD variants."""
 
     parallelizable = True
     sparse_ok = True
-
-    def _validate(self, A, config: NMFConfig):
-        A = check_matrix(A, "A")
-        check_nonnegative(A, "A")
-        m, n = A.shape
-        check_rank(config.k, m, n)
-        return A
 
 
 @register_variant
@@ -53,18 +43,7 @@ class NaiveVariant(_SPMDVariant):
         return naive_words_per_iteration(problem, problem.k, p)
 
     def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
-        A = self._validate(A, config)
-        per_rank = run_spmd(
-            config.n_ranks,
-            naive_parallel_nmf,
-            A,
-            config,
-            name="naive-nmf",
-            backend=config.backend,
-            observers=tuple(observers or ()),
-            variant=self.name,
-        )
-        return notify_finish(observers, assemble_result(per_rank, config))
+        return run_on_backend(naive_parallel_nmf, A, config, observers, self.name)
 
 
 class _HpcVariant(_SPMDVariant):
@@ -87,18 +66,7 @@ class _HpcVariant(_SPMDVariant):
         return hpc_words_per_iteration(problem, problem.k, p, grid=grid)
 
     def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
-        A = self._validate(A, config)
-        per_rank = run_spmd(
-            config.n_ranks,
-            hpc_nmf,
-            A,
-            config,
-            name="hpc-nmf",
-            backend=config.backend,
-            observers=tuple(observers or ()),
-            variant=self.name,
-        )
-        return notify_finish(observers, assemble_result(per_rank, config))
+        return run_on_backend(hpc_nmf, A, config, observers, self.name)
 
 
 @register_variant

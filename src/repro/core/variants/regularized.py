@@ -1,4 +1,13 @@
-"""The ``regularized`` variant: ridge / L1 penalties on both factors."""
+"""The ``regularized`` variant: ridge / L1 penalties on both factors.
+
+Algorithm 3 with the penalty applied to the line-8 and line-14 normal
+equations (:func:`repro.core.regularized.regularize_gram_rhs`), at any ``p``:
+over :class:`~repro.comm.communicator.SelfComm` in this process at
+``n_ranks = 1``, on ``n_ranks`` ranks of the configured backend above.  It
+runs ``hpc2d``'s collectives (an L1 weight adds one word per iteration to the
+error path's all-reduce); it has no cost model, so ``variant="auto"`` never
+plans it.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +21,18 @@ from repro.core.variants.base import Variant, register_variant
 
 @register_variant
 class RegularizedVariant(Variant):
-    """Sequential ANLS with Frobenius (ridge) and/or L1 factor penalties.
+    """ANLS with Frobenius (ridge) and/or L1 factor penalties.
 
     Extra options: pass a full ``regularization=Regularization(...)`` or the
     individual weights ``frobenius=`` / ``l1=``::
 
         repro.fit(A, k, variant="regularized", l1=0.5)
+        repro.fit(A, k, variant="regularized", l1=0.5, n_ranks=4)
     """
 
     name = "regularized"
-    summary = "Ridge/L1-regularized ANLS (same communication pattern as plain NMF)"
-    parallelizable = False
+    summary = "Ridge/L1-regularized ANLS (Algorithm 3's communication at any p)"
+    parallelizable = True
     sparse_ok = True
     supports_regularization = True
 

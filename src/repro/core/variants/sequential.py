@@ -1,4 +1,9 @@
-"""The ``sequential`` variant: Algorithm 1, the ANLS correctness reference."""
+"""The ``sequential`` variant: Algorithm 1, the ANLS correctness reference.
+
+Algorithm 1 is Algorithm 3 on a 1 × 1 grid: :func:`repro.core.anls.anls_nmf`
+runs the one loop over :class:`~repro.comm.communicator.SelfComm` in this
+process, with no execution backend.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from repro.core.variants.base import Variant, register_variant
 
 @register_variant
 class SequentialVariant(Variant):
-    """Single-process ANLS (the reference the parallel variants must match)."""
+    """In-process ANLS (the reference the parallel variants must match)."""
 
     name = "sequential"
     label = "Sequential"
@@ -35,5 +40,4 @@ class SequentialVariant(Variant):
         return 0.0 if p == 1 else None
 
     def run(self, A, config: NMFConfig, observers=()) -> NMFResult:
-        cfg = config.with_options(n_ranks=1)
-        return anls_nmf(A, cfg, observers=observers)
+        return anls_nmf(A, config.with_options(n_ranks=1), observers=observers)

@@ -121,7 +121,12 @@ class DistMatrix2D:
         c0, c1 = col_range
         if is_sparse(A):
             # Normalise to CSR first: COO/DIA/BSR inputs don't support slicing.
-            block = A.tocsr()[r0:r1, c0:c1]
+            block = A.tocsr()
+            # A block that is the whole canonical matrix (a 1 × 1 grid) is
+            # kept as it is; any other is sliced into a copy, so the caller's
+            # matrix is never canonicalised in place by __init__.
+            if (r1 - r0, c1 - c0) != (m, n) or not block.has_canonical_format:
+                block = block[r0:r1, c0:c1]
         else:
             block = np.ascontiguousarray(np.asarray(A)[r0:r1, c0:c1])
         block = materialize_block(block, storage)

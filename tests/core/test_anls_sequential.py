@@ -67,11 +67,15 @@ class TestConfiguration:
         assert res.history == []
         assert np.isnan(res.relative_error)
 
-    def test_callback_invoked_each_iteration(self):
+    def test_anls_nmf_is_algorithm_3_on_one_rank(self):
+        """anls_nmf runs Algorithm 3's loop in process: hpc2d's bits at p = 1,
+        and no backend or grid recorded."""
         A = np.abs(np.random.default_rng(2).standard_normal((20, 15)))
-        calls = []
-        anls_nmf(A, NMFConfig(k=3, max_iters=4), callback=lambda i, e: calls.append((i, e)))
-        assert [c[0] for c in calls] == [0, 1, 2, 3]
+        res = anls_nmf(A, NMFConfig(k=3, max_iters=4, seed=2))
+        hpc = fit(A, k=3, variant="hpc2d", n_ranks=1, max_iters=4, seed=2)
+        assert res.W.tobytes() == hpc.W.tobytes() and res.H.tobytes() == hpc.H.tobytes()
+        assert (res.variant, res.backend, res.grid_shape) == ("sequential", None, None)
+        assert res.ledger_summary == {}
 
     def test_same_seed_reproducible(self):
         A = np.abs(np.random.default_rng(3).standard_normal((25, 20)))

@@ -3,8 +3,11 @@
 The paper's §6.1.3 initialisation protocol (same seed for H across algorithms)
 guarantees that all variants perform the same computations up to roundoff; we
 assert exactly that, which is the strongest correctness statement available
-for the parallel implementations.
+for the parallel implementations.  At p = 1 they are one program (Algorithm 1
+is Algorithm 3 on a 1 × 1 grid), so there the factors are equal bit for bit.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,6 +28,11 @@ def sparse_A():
     return sparse_synthetic(64, 48, density=0.2, seed=1)
 
 
+def _digest(result) -> str:
+    """sha256 of ``W‖H``: the factors' exact bits."""
+    return hashlib.sha256(result.W.tobytes() + result.H.tobytes()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def sequential_dense(dense_A):
     return fit(dense_A, k=4, variant="sequential", max_iters=6, seed=7)
@@ -39,12 +47,16 @@ class TestDenseEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
     def test_naive_matches_sequential(self, dense_A, sequential_dense, p):
         res = fit(dense_A, k=4, n_ranks=p, variant="naive", max_iters=6, seed=7)
+        if p == 1:
+            assert _digest(res) == _digest(sequential_dense)
         np.testing.assert_allclose(res.W, sequential_dense.W, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(res.H, sequential_dense.H, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6, 9])
     def test_hpc2d_matches_sequential(self, dense_A, sequential_dense, p):
         res = fit(dense_A, k=4, n_ranks=p, variant="hpc2d", max_iters=6, seed=7)
+        if p == 1:
+            assert _digest(res) == _digest(sequential_dense)
         np.testing.assert_allclose(res.W, sequential_dense.W, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(res.H, sequential_dense.H, rtol=1e-5, atol=1e-7)
 
@@ -90,3 +102,24 @@ class TestIterationHistoryConsistency:
         np.testing.assert_allclose(
             naive.relative_error_history, hpc.relative_error_history, rtol=1e-6
         )
+
+
+class TestOneRankIsOneProgram:
+    """At p = 1 every variant that runs Algorithm 3's loop — and Algorithm 2,
+    whose collectives hand back their input there too — computes the same
+    bits and the same history as the sequential reference, on every backend
+    and solver; zero-weight ``regularized`` is the same program."""
+
+    @pytest.mark.parametrize("backend", ["thread", "lockstep"])
+    @pytest.mark.parametrize("solver", ["bpp", "hals", "mu"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_same_bits_and_history(self, dense_A, sparse_A, kind, solver, backend):
+        A = dense_A if kind == "dense" else sparse_A
+        common = dict(k=4, solver=solver, max_iters=6, seed=7)
+        reference = fit(A, variant="sequential", **common)
+        runs = [fit(A, variant=v, n_ranks=1, backend=backend, **common)
+                for v in ("hpc2d", "hpc1d", "naive", "regularized")]
+        for res in runs:
+            assert _digest(res) == _digest(reference), res.variant
+            assert res.relative_error_history == reference.relative_error_history, res.variant
+            assert res.objective_history == reference.objective_history, res.variant

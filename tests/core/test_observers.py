@@ -8,7 +8,6 @@ import pytest
 from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.core.observers import (
-    CallbackObserver,
     CheckpointEvery,
     HistoryRecorder,
     IterationEvent,
@@ -223,14 +222,6 @@ class TestBuiltinObservers:
         assert "[sequential]" in out
         assert "iter    1" in out and "iter    3" in out
         assert "iter    0" not in out
-
-    def test_callback_observer_fires_only_with_error(self):
-        calls = []
-        fit(_matrix(), 2, max_iters=3, compute_error=False,
-            observers=[CallbackObserver(lambda i, e: calls.append(i))])
-        assert calls == []
-        fit(_matrix(), 2, max_iters=3, observers=[CallbackObserver(lambda i, e: calls.append(i))])
-        assert calls == [0, 1, 2]
 
     def test_stateful_observers_reset_between_runs(self):
         # The NMF estimator passes the same observer objects to every fit;

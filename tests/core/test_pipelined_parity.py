@@ -316,26 +316,29 @@ def test_collectives_run_in_the_papers_line_order(variant, p, grid, monkeypatch)
 
 
 def test_hpc_error_path_allreduces_are_booked(monkeypatch):
-    """The cross-term allreduce_scalar counts as AllReduce wall time: at
-    p=1, T iterations with error tracking book 4 + 3(T-1) AllReduce tasks
-    (iteration 0: line 4, line 10, cross, gram_h_new; later iterations skip
-    line 4 via the gram cache)."""
+    """The cross-term allreduce_scalar counts as AllReduce wall time: on each
+    of 2 ranks, T iterations with error tracking book 4 + 3(T-1) AllReduce
+    tasks (iteration 0: line 4, line 10, cross, gram_h_new; later iterations
+    skip line 4 via the gram cache).  At p = 1 every collective hands back its
+    input and none is booked."""
     captured = _capture_profilers(monkeypatch)
     config = NMFConfig(k=4, max_iters=3, seed=1)
-    hpc_mod.hpc_nmf(SelfComm(), _dense(seed=4, m=24, n=18), config)
-    (profiler,) = captured
-    assert profiler.calls(TaskCategory.ALL_REDUCE) == 4 + 3 * (3 - 1)
+    A = _dense(seed=4, m=24, n=18)
+    run_spmd(2, hpc_mod.hpc_nmf, A, config, backend="thread")
+    assert [p.calls(TaskCategory.ALL_REDUCE) for p in captured] == [4 + 3 * (3 - 1)] * 2
+    hpc_mod.hpc_nmf(SelfComm(), A, config)
+    assert captured[-1].calls(TaskCategory.ALL_REDUCE) == 0
 
 
 def test_naive_error_path_allreduces_are_booked(monkeypatch):
-    """Naive books 2 AllReduce tasks per iteration with error tracking: the
-    cross term and the H-Gram reduction (its gram_h is computed redundantly,
-    not reduced)."""
+    """Naive books 2 AllReduce tasks per iteration and rank with error
+    tracking: the cross term and the H-Gram reduction (its gram_h is computed
+    redundantly, not reduced)."""
     captured = _capture_profilers(monkeypatch)
     config = NMFConfig(k=4, max_iters=3, seed=1)
-    naive_mod.naive_parallel_nmf(SelfComm(), _dense(seed=4, m=24, n=18), config)
-    (profiler,) = captured
-    assert profiler.calls(TaskCategory.ALL_REDUCE) == 2 * 3
+    run_spmd(2, naive_mod.naive_parallel_nmf, _dense(seed=4, m=24, n=18), config,
+             backend="thread")
+    assert [p.calls(TaskCategory.ALL_REDUCE) for p in captured] == [2 * 3] * 2
 
 
 def test_w_local_lives_in_its_workspace_buffer():
@@ -347,6 +350,23 @@ def test_w_local_lives_in_its_workspace_buffer():
     out = hpc_mod.hpc_nmf(comm, _dense(seed=4, m=24, n=18), config)
     assert out["W_local"] is comm.workspace.get("w_local", out["W_local"].shape)
     assert out["W_local"].flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("kind, buffers", [
+    ("dense", {"w_local", "rhs"}),
+    ("sparse", {"ht_w_home", "rhs"}),
+])
+def test_one_rank_workspace_holds_only_the_homes(kind, buffers):
+    """A 1 × 1 fit (Algorithm 1) allocates no receive buffer: each of its
+    collectives hands back its input.  A sparse block's (H_j)_iᵀ send copy
+    (line 5 to line 7) and W's home (line 8 on) share one flat buffer."""
+    comm = SelfComm()
+    A = _dense(seed=4, m=24, n=18) if kind == "dense" else _sparse(seed=9)
+    out = hpc_mod.hpc_nmf(comm, A, NMFConfig(k=4, max_iters=3, seed=1))
+    held = comm.workspace._buffers
+    assert set(held) == buffers
+    home = held["ht_w_home" if kind == "sparse" else "w_local"]
+    assert np.shares_memory(out["W_local"], home)
 
 
 @pytest.mark.parametrize("variant", ("sequential",) + VARIANTS)
@@ -413,55 +433,44 @@ def test_one_d_grid_rhs_is_the_array_the_mm_wrote(grid, kind, monkeypatch):
     """A size-1 row (column) communicator hands its collectives' input back:
     on ``pr × 1`` the line-8 right-hand side *is* the array the line-6 MM
     returned and line 12 reads the rank's own ``W`` block, on ``1 × pc`` the
-    same for lines 12/14 and ``H`` — nothing is copied into the workspace.
-    The other half-iteration still goes through its buffers, and factors and
-    ledger equal the lockstep oracle's."""
+    same for lines 12/14 and ``H`` — the size-1 communicator's receive
+    buffers are never allocated.  The other half-iteration still goes through
+    its buffers, and factors and ledger equal the lockstep oracle's."""
     seen = _record_solver_rhs(monkeypatch)
     pr, pc = grid
     made = threading.local()
     products = local_ops_mod.BlockProducts
-    real_set_h, real_set_ht = products.set_h, products.set_ht
     real_h_at, real_wt_a = products.h_at, products.wt_a
-
-    def set_h(self, H):
-        made.h = H
-        return real_set_h(self, H)
-
-    def set_ht(self, Ht):
-        made.h = Ht
-        return real_set_ht(self, Ht)
 
     def h_at(self, out, lo=0, hi=None):
         result = real_h_at(self, out, lo, hi)
-        made.__dict__.setdefault("h_at", []).append((made.h, result))
+        made.__dict__.setdefault("h_at", []).append(result)
         return result
 
     def wt_a(self, W, out, lo=0, hi=None):
         result = real_wt_a(self, W, out, lo, hi)
-        made.__dict__.setdefault("wt_a", []).append((W, result))
+        made.__dict__.setdefault("wt_a", []).append(result)
         return result
 
-    monkeypatch.setattr(products, "set_h", set_h)
-    monkeypatch.setattr(products, "set_ht", set_ht)
     monkeypatch.setattr(products, "h_at", h_at)
     monkeypatch.setattr(products, "wt_a", wt_a)
     A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
     config = NMFConfig(k=4, max_iters=3, seed=1, grid=grid)
-    # (the MM feeding the size-1 reduce-scatter, the MM reading the size-1 gather)
-    scattered, gathered = ("h_at", "wt_a") if pc == 1 else ("wt_a", "h_at")
-    # (where a gather over a size > 1 communicator would have put the factor)
-    gather_buffer = "W_i" if pc == 1 else ("H_j" if kind == "dense" else "H_jt")
+    # (the MM feeding the size-1 reduce-scatter)
+    scattered = "h_at" if pc == 1 else "wt_a"
+    # (where collectives over a size > 1 communicator would have put their results)
+    unused = {"W_i", "aht_block"} if pc == 1 else {"H_j", "H_jt", "wta_block"}
 
     def rank_program(comm):
         hpc_mod.hpc_nmf(comm, A, config)
         ws = comm.workspace
         w_rhs, h_rhs = seen.rhs[0::2], seen.rhs[1::2]
         handed_back, buffered = (w_rhs, h_rhs) if pc == 1 else (h_rhs, w_rhs)
-        products = [out for _, out in getattr(made, scattered)]
+        products = getattr(made, scattered)
         return (
             len(products) == 3 and all(r is out for r, out in zip(handed_back, products)),
             all(r is ws.get("wta_block" if pc == 1 else "aht_block", r.shape) for r in buffered),
-            all(f is not ws._buffers[gather_buffer] for f, _ in getattr(made, gathered)),
+            not unused & set(ws._buffers),
         )
 
     p = pr * pc

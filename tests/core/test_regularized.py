@@ -1,15 +1,16 @@
-"""Tests for regularized NMF."""
+"""Tests for regularized NMF: Algorithm 3 with a normal-equations hook, at any p."""
 
 import numpy as np
 import pytest
 
 from repro.core.anls import anls_nmf
+from repro.core.api import fit
 from repro.core.config import NMFConfig
+from repro.core.objective import relative_error
 from repro.core.regularized import (
     Regularization,
     regularize_gram_rhs,
     regularized_nmf,
-    regularized_objective,
 )
 from repro.data.lowrank import planted_lowrank
 from repro.util.errors import ShapeError
@@ -44,8 +45,10 @@ class TestRegularizedNMF:
         cfg = NMFConfig(k=3, max_iters=6, seed=5)
         plain = anls_nmf(A, cfg)
         reg = regularized_nmf(A, cfg, Regularization())
-        np.testing.assert_allclose(reg.W, plain.W, rtol=1e-10)
-        np.testing.assert_allclose(reg.H, plain.H, rtol=1e-10)
+        assert reg.W.tobytes() == plain.W.tobytes()
+        assert reg.H.tobytes() == plain.H.tobytes()
+        assert reg.relative_error_history == plain.relative_error_history
+        assert reg.objective_history == plain.objective_history
 
     def test_l1_increases_factor_sparsity(self):
         A = planted_lowrank(60, 45, 5, seed=1, noise_std=0.05)
@@ -77,13 +80,52 @@ class TestRegularizedNMF:
         res = regularized_nmf(A, NMFConfig(k=3, max_iters=5), Regularization(l1=1.0))
         assert np.all(res.W >= 0) and np.all(res.H >= 0)
 
-    def test_objective_helper_adds_penalties(self):
-        W = np.ones((4, 2))
-        H = np.ones((2, 3))
-        base = regularized_objective(10.0, 2.0, W.T @ W, H @ H.T, W, H, Regularization())
-        ridged = regularized_objective(
-            10.0, 2.0, W.T @ W, H @ H.T, W, H, Regularization(frobenius=1.0)
-        )
-        assert ridged == pytest.approx(base + (8.0 + 6.0))
-        l1 = regularized_objective(10.0, 2.0, W.T @ W, H @ H.T, W, H, Regularization(l1=2.0))
-        assert l1 == pytest.approx(base + 2.0 * (8.0 + 6.0))
+    @pytest.mark.parametrize("weights", [{"l1": 2.0}, {"frobenius": 5.0}])
+    def test_relative_error_is_unpenalized(self, weights):
+        """relative_error is ‖A − WH‖/‖A‖ of the returned factors; the
+        penalty goes into objective only."""
+        A = np.abs(np.random.default_rng(0).standard_normal((40, 30)))
+        res = fit(A, 4, variant="regularized", **weights)
+        W, H = res.W, res.H
+        assert res.relative_error == pytest.approx(relative_error(A, W, H), abs=1e-12)
+        reg = Regularization(**weights)
+        penalty = reg.frobenius * (np.vdot(W, W) + np.vdot(H, H)) + reg.l1 * (W.sum() + H.sum())
+        residual = np.linalg.norm(A - W @ H) ** 2
+        assert res.objective == pytest.approx(residual + penalty, rel=1e-9)
+
+
+class TestRegularizedParallel:
+    """The same loop on p ranks: the hook acts on the replicated Gram and the
+    locally owned right-hand side, so it needs no communication of its own."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_two_ranks_match_one(self, backend):
+        A = planted_lowrank(40, 30, 4, seed=3, noise_std=0.05)
+        options = dict(variant="regularized", frobenius=0.5, l1=0.2, max_iters=8, seed=4)
+        seq = fit(A, 4, **options)
+        par = fit(A, 4, n_ranks=2, backend=backend, **options)
+        assert par.variant == "regularized" and par.n_ranks == 2 and par.backend == backend
+        np.testing.assert_allclose(par.W, seq.W, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(par.H, seq.H, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(par.relative_error_history, seq.relative_error_history,
+                                   rtol=1e-9)
+        np.testing.assert_allclose(par.objective_history, seq.objective_history, rtol=1e-9)
+
+    @pytest.mark.parametrize("weights", [{"frobenius": 1.0}, {"l1": 0.5}])
+    def test_ledger_is_hpc2ds(self, weights):
+        """Ridge moves exactly hpc2d's words.  L1's entry sums ride along the
+        cross-term all-reduce: the same calls and messages, one more word per
+        iteration (2 (p − 1)/p · 1 at p = 2)."""
+        A = planted_lowrank(40, 30, 4, seed=3, noise_std=0.05)
+        iters = 6
+        plain = fit(A, 4, variant="hpc2d", n_ranks=2, max_iters=iters, seed=4).ledger_summary
+        reg = fit(A, 4, variant="regularized", n_ranks=2, max_iters=iters, seed=4,
+                  **weights).ledger_summary
+        extra = iters if weights.get("l1") else 0
+        assert reg.keys() == plain.keys()
+        for op, entry in plain.items():
+            expected = dict(entry)
+            if op == "all_reduce":
+                expected["words"] += extra
+                expected["reduction_flops"] += extra / 2
+            assert reg[op] == expected, op

@@ -40,6 +40,7 @@ class TestRegistry:
         assert get_variant("hpc2d").parallelizable
         assert get_variant("naive").parallelizable
         assert not get_variant("sequential").parallelizable
+        assert get_variant("regularized").parallelizable
         assert get_variant("symmetric").symmetric_input
         assert get_variant("regularized").supports_regularization
         assert not get_variant("streaming").sparse_ok
@@ -139,7 +140,7 @@ class TestFitFrontDoor:
 
     def test_sequential_only_variant_rejects_ranks(self):
         with pytest.raises(ShapeError, match="sequential-only"):
-            fit(_matrix(), 2, variant="regularized", n_ranks=4)
+            fit(_matrix(), 2, variant="symmetric", n_ranks=4)
 
     def test_sparse_rejected_by_streaming(self):
         A = sp.random(20, 16, density=0.2, random_state=0, format="csr")

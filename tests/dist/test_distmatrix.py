@@ -120,6 +120,20 @@ class TestDistMatrix2D:
 
         for norm, _ in spmd_blocks(4, 2, 2, program):
             assert norm == 9.0
+        # A 1 × 1 grid's block is the whole matrix: still a copy when the
+        # input is not canonical.
+        assert spmd_blocks(1, 1, 1, program) == [(9.0, 1)]
+        assert A.nnz == 2, "caller's matrix must stay untouched"
+
+    def test_whole_canonical_sparse_matrix_is_kept(self):
+        """A 1 × 1 grid (Algorithm 1) keeps a canonical CSR input as its block
+        instead of slicing a copy of it."""
+        A = sp.random(12, 9, density=0.3, random_state=2, format="csr")
+        assert A.has_canonical_format
+        (kept,) = spmd_blocks(1, 1, 1, lambda grid: DistMatrix2D.from_global(grid, A).block)
+        assert kept is A
+        (sliced,) = spmd_blocks(2, 2, 1, lambda grid: DistMatrix2D.from_global(grid, A).block)[:1]
+        assert sliced is not A
 
     def test_frobenius_norm_is_global(self):
         A = np.random.default_rng(3).random((21, 15))
