@@ -10,8 +10,7 @@ Factorization" (Kannan, Ballard, Park; PPoPP 2016):
 * distributed dense/sparse matrices and factors on 1D and 2D processor grids
   (:mod:`repro.dist`): the block layout (:mod:`repro.dist.partition`), the
   ``A_ij`` data blocks (:mod:`repro.dist.distmatrix`), the ``(W_i)_j`` /
-  ``(H_j)_i`` factor sub-blocks (:mod:`repro.dist.factors`) and sparse
-  load-balance diagnostics (:mod:`repro.dist.load_balance`),
+  ``(H_j)_i`` factor sub-blocks (:mod:`repro.dist.factors`),
 * the local nonnegative-least-squares solvers the ANLS framework plugs in —
   Block Principal Pivoting, Multiplicative Update, HALS and more
   (:mod:`repro.nls`),

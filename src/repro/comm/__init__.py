@@ -19,14 +19,12 @@ substrate in pure Python:
   :class:`~repro.comm.workspace.CollectiveWorkspace`.  Each collective is
   written once, as *movement* plus a *rank-order combine*; a backend only
   decides how values move (deposit slots, or point-to-point);
-* :mod:`~repro.comm.collectives` holds the point-to-point algorithms: the
-  two byte movers under ``Comm``'s point-to-point movement (recursive
-  doubling all-gather, slice exchange), and the textbook §2.3 algorithms
-  (ring all-gather, recursive halving reduce-scatter, recursive doubling
-  all-reduce; arbitrary communicator sizes via MPICH's fold/unfold scheme)
-  whose costs are exactly the alpha-beta-gamma expressions the paper quotes;
-* :mod:`~repro.comm.cost` implements that alpha-beta-gamma model and a
-  per-rank ledger of words/messages/flops;
+* :mod:`~repro.comm.collectives` holds the two byte movers under ``Comm``'s
+  point-to-point movement: recursive doubling all-gather (any communicator
+  size, via MPICH's fold/unfold scheme) and the slice exchange;
+* :mod:`~repro.comm.cost` implements the alpha-beta-gamma model whose §2.3
+  expressions price the optimal collective algorithms, and a per-rank ledger
+  of words/messages/flops;
 * :mod:`~repro.comm.grid` provides the ``pr × pc`` processor grid with row and
   column sub-communicators used by Algorithm 3;
 * :mod:`~repro.comm.profiler` accumulates wall-clock time into the six task

@@ -424,11 +424,6 @@ class Comm:
             )
         return payload
 
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        """Combined send to ``dest`` and receive from ``source`` (deadlock-free)."""
-        self.send(obj, dest, tag=tag)
-        return self.recv(source, tag=tag)
-
     # -- movement: the two primitives every collective is written against -----
     @contextlib.contextmanager
     def _from_all(self, value: Any):
@@ -678,10 +673,6 @@ class Comm:
         return Comm(
             state=sub_state, rank=new_rank, group_ranks=group_world_ranks, parent=self
         )
-
-    def dup(self) -> "Comm":
-        """Return a communicator over the same group with fresh shared state."""
-        return self.split(color=0, key=self.rank)
 
 
 class SelfComm(Comm):

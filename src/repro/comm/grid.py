@@ -85,23 +85,11 @@ class GridShape:
     def size(self) -> int:
         return self.pr * self.pc
 
-    @property
-    def is_1d(self) -> bool:
-        return self.pr == 1 or self.pc == 1
-
     def coords(self, rank: int) -> Tuple[int, int]:
         """Map a linear rank to (row, col) coordinates (row-major order)."""
         if not 0 <= rank < self.size:
             raise CommunicatorError(f"rank {rank} out of range for grid {self.pr}x{self.pc}")
         return divmod(rank, self.pc)
-
-    def rank_of(self, i: int, j: int) -> int:
-        """Map (row, col) grid coordinates to the linear rank."""
-        if not (0 <= i < self.pr and 0 <= j < self.pc):
-            raise CommunicatorError(
-                f"coords ({i}, {j}) out of range for grid {self.pr}x{self.pc}"
-            )
-        return i * self.pc + j
 
 
 class ProcessGrid:

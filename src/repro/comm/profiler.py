@@ -187,14 +187,3 @@ def max_over_ranks(breakdowns: list[TimeBreakdown]) -> TimeBreakdown:
     for b in breakdowns:
         keys |= set(b.seconds)
     return TimeBreakdown({k: max(b.seconds.get(k, 0.0) for b in breakdowns) for k in keys})
-
-
-def mean_over_ranks(breakdowns: list[TimeBreakdown]) -> TimeBreakdown:
-    """Average the per-rank breakdowns category-wise (load-balance view)."""
-    if not breakdowns:
-        return TimeBreakdown.zeros()
-    keys = set()
-    for b in breakdowns:
-        keys |= set(b.seconds)
-    n = len(breakdowns)
-    return TimeBreakdown({k: sum(b.seconds.get(k, 0.0) for b in breakdowns) / n for k in keys})

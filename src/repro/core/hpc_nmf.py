@@ -100,7 +100,8 @@ def hpc_nmf(
         Global data matrix readable by every rank (each rank slices out its
         own ``A_ij``).  Pass ``None`` and supply ``block_generator`` +
         ``global_shape`` to build the local blocks without ever materialising
-        the global matrix (the scalable path used by the measured benchmarks).
+        the global matrix (the paper's §6.1 per-rank generation; no fit,
+        example or benchmark calls it yet — every caller passes ``A``).
     config:
         Run options; the grid is resolved by :func:`resolve_grid`.
     block_generator:

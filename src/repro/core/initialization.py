@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.util.seeding import per_rank_seed, spawn_rng
+from repro.util.seeding import spawn_rng
 
 
 def init_h_global(k: int, n: int, seed: int) -> np.ndarray:
@@ -57,9 +57,3 @@ def init_h_local(k: int, n_local: int, seed: int, rank: int) -> np.ndarray:
     """A rank-local random nonnegative ``k × n_local`` block from a per-rank seed."""
     rng = spawn_rng(seed, rank)
     return rng.random((k, n_local))
-
-
-def init_w_global(m: int, k: int, seed: int) -> np.ndarray:
-    """A full ``m × k`` random nonnegative ``W`` (only needed by MU/HALS warm starts)."""
-    rng = np.random.default_rng(per_rank_seed(seed, 1))
-    return rng.random((m, k))

@@ -112,9 +112,9 @@ class BlockProducts:
     :func:`matmul_h_at` makes).  Sparse blocks keep what
     :func:`csr_product_t` reads, each built on first use and reused after:
     the CSR of the block (line 6), the CSR of its transpose (line 12), the
-    scratch block, and one C-ordered home for a copied dense operand — ``Hᵀ``
-    for line 6, then ``W`` for line 12 when the caller's ``W`` is a
-    transposed view (``Hᵀ`` is dead by then).
+    scratch block, and one C-ordered home for ``Hᵀ`` (line 6).  Line 12 reads
+    the caller's ``W`` in place: every loop gathers it C-ordered (a strided
+    ``W`` is still right, at the cost of the copy ``csr_product_t`` makes).
     """
 
     def __init__(self, block, k: int):
@@ -125,20 +125,15 @@ class BlockProducts:
         self._h = self._ht = None
         self._scratch = np.empty((SPARSE_BLOCK_ROWS, self.k)) if self.sparse else None
 
-    def _copied_operand(self, src: np.ndarray) -> np.ndarray:
-        """``src`` (``rows × k``) copied into the C-ordered operand home."""
-        if self._operand is None:
-            self._operand = np.empty(max(self.block.shape) * self.k)
-        home = self._operand[:src.size].reshape(src.shape)
-        np.copyto(home, src)
-        return home
-
     def set_h(self, H: np.ndarray) -> None:
         """Take this iteration's ``H`` (``k × n_local``) for :meth:`h_at`."""
-        if self.sparse:
-            self._ht = self._copied_operand(H.T)
-        else:
+        if not self.sparse:
             self._h = H
+            return
+        if self._operand is None:
+            self._operand = np.empty((self.block.shape[1], self.k))
+        np.copyto(self._operand, H.T)
+        self._ht = self._operand
 
     def set_ht(self, Ht: np.ndarray) -> None:
         """Take this iteration's ``Hᵀ`` as a C-ordered ``n_local × k`` array
@@ -151,7 +146,7 @@ class BlockProducts:
         if not self.sparse:
             return np.matmul(self._h, self.block[lo:hi].T, out=out)
         if self._ht is None:
-            raise RuntimeError("h_at needs set_h or set_ht after each wt_a")
+            raise RuntimeError("h_at needs set_h or set_ht first")
         if self._csr is None:
             self._csr = _csr64(self.block)
         return csr_product_t(self._csr, self._ht, out, lo, hi, self._scratch)
@@ -164,9 +159,6 @@ class BlockProducts:
             return np.matmul(W.T, self.block[:, lo:hi], out=out)
         if self._csr_t is None:
             self._csr_t = _csr64(self.block.T)
-        if not W.flags.c_contiguous:
-            W = self._copied_operand(W)
-            self._ht = None  # its home now holds W
         return csr_product_t(self._csr_t, W, out, lo, hi, self._scratch)
 
 

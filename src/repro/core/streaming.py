@@ -24,7 +24,7 @@ streaming-video example, not to reproduce reference [12] (a different paper).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class StreamingNMF:
         self._frames_seen = 0
 
     # -- streaming interface -------------------------------------------------
-    @property
-    def n_frames_in_window(self) -> int:
-        return len(self._frames)
-
     @property
     def frames_seen(self) -> int:
         return self._frames_seen

@@ -47,11 +47,6 @@ class VideoSceneConfig:
     def pixels(self) -> int:
         return self.height * self.width * self.channels
 
-    @property
-    def matrix_shape(self) -> Tuple[int, int]:
-        """Shape of the frames-as-columns matrix (pixels × frames)."""
-        return (self.pixels, self.frames)
-
 
 def _background(config: VideoSceneConfig, rng: np.random.Generator) -> np.ndarray:
     """A temporally near-constant, spatially smooth, low-rank background."""

@@ -13,9 +13,11 @@ answer to "which rank holds which indices":
 * :mod:`repro.dist.factors` — the ``p``-way partitioned factors
   :class:`~repro.dist.factors.DistributedFactorW` / ``(W_i)_j`` and
   :class:`~repro.dist.factors.DistributedFactorH` / ``(H_j)_i``, whose
-  all-gathers along grid rows/columns reconstruct ``W_i`` and ``H_j``;
-* :mod:`repro.dist.load_balance` — nonzero imbalance diagnostics and the
-  random-permutation mitigation for skewed sparse data (§7 future work).
+  all-gathers along grid rows/columns reconstruct ``W_i`` and ``H_j``.
+
+The paper's §7 nonzero load balancing (random row/column permutations of a
+skewed sparse ``A``) is a documented direction, not code: see
+``docs/ARCHITECTURE.md``.
 
 See ``docs/ARCHITECTURE.md`` for how these objects carry Algorithm 3's
 per-iteration dataflow.
@@ -30,14 +32,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.dist.distmatrix": ("DistMatrix2D", "DoublePartitioned1D"),
     "repro.dist.factors": ("DistributedFactorH", "DistributedFactorW"),
-    "repro.dist.load_balance": (
-        "LoadBalanceReport",
-        "imbalance_factor",
-        "nnz_per_block",
-        "random_permutation_balance",
-        "unpermute_factors",
-    ),
-    "repro.dist.partition": ("block_counts", "block_offsets", "block_range", "owning_rank"),
+    "repro.dist.partition": ("block_counts", "block_offsets", "block_range"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -164,18 +164,6 @@ class DistMatrix2D:
         """True when the local block is a scipy sparse matrix."""
         return is_sparse(self.block)
 
-    @property
-    def local_shape(self) -> Tuple[int, int]:
-        """Shape of this rank's block."""
-        return tuple(self.block.shape)
-
-    @property
-    def local_nnz(self) -> int:
-        """Nonzeros in this rank's block (``count_nonzero`` for dense blocks)."""
-        if self.is_sparse:
-            return int(self.block.nnz)
-        return int(np.count_nonzero(self.block))
-
     # -- collective operations ---------------------------------------------
     def frobenius_norm_squared(self) -> float:
         """Global ``||A||_F²`` via an all-reduce of the local contributions.
@@ -185,23 +173,6 @@ class DistMatrix2D:
         needs ``||A||²`` but never ``A`` itself).
         """
         return self.grid.comm.allreduce_scalar(_local_norm_squared(self.block))
-
-    def to_global(self) -> np.ndarray:
-        """Reassemble the dense global matrix on every rank (tests/debug only).
-
-        Collective.  This materialises ``m × n`` on every rank — the exact
-        thing the production algorithms are designed never to do — so it is
-        strictly a correctness-checking utility.
-        """
-        m, n = self.global_shape
-        block = self.block.toarray() if self.is_sparse else np.asarray(self.block)
-        pieces = self.grid.comm.allgather_object(
-            (self.row_range, self.col_range, block)
-        )
-        out = np.zeros((m, n), dtype=np.result_type(block, np.float64))
-        for (r0, r1), (c0, c1), piece in pieces:
-            out[r0:r1, c0:c1] = piece
-        return out
 
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"

@@ -73,21 +73,3 @@ def block_range(n: int, p: int, rank: int) -> Tuple[int, int]:
     lo = rank * base + min(rank, rem)
     hi = lo + base + (1 if rank < rem else 0)
     return lo, hi
-
-
-def owning_rank(n: int, p: int, index: int) -> int:
-    """The rank whose block contains global ``index``.
-
-    >>> [owning_rank(10, 3, i) for i in (0, 3, 4, 9)]
-    [0, 0, 1, 2]
-    """
-    n, p = _check_args(n, p)
-    index = int(index)
-    if not 0 <= index < n:
-        raise PartitionError(f"index {index} out of range for length {n}")
-    base, rem = divmod(n, p)
-    # The first `rem` blocks have size base+1 and cover [0, rem*(base+1)).
-    boundary = rem * (base + 1)
-    if index < boundary:
-        return index // (base + 1)
-    return rem + (index - boundary) // base

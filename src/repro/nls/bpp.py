@@ -95,11 +95,6 @@ class BlockPrincipalPivoting(NLSSolver):
         if self._cache is not None:
             self._cache = self.kernel.make_cache()
 
-    @property
-    def cached_patterns(self) -> int:
-        """Number of passive-set patterns currently held in the persistent cache."""
-        return len(self._cache) if self._cache is not None else 0
-
     def solve(
         self,
         gram: np.ndarray,

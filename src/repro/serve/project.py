@@ -246,10 +246,6 @@ class ModelRefresher:
     def columns_seen(self) -> int:
         return self._stream.frames_seen
 
-    @property
-    def checkpoint_paths(self) -> list:
-        return list(self._checkpointer.paths) if self._checkpointer else []
-
     def ingest(self, column: np.ndarray) -> np.ndarray:
         """Fold one validated column into the model; returns its residual.
 

@@ -155,10 +155,6 @@ class ModelStore:
             )
         return [self.load(path) for path in paths]
 
-    def add_result(self, name: str, result: NMFResult) -> ModelEntry:
-        """Register an in-memory result (no backing file) under ``name``."""
-        return self._register(name, result, source=None)
-
     # -- lookup --------------------------------------------------------------
     def get(self, name: str) -> ModelEntry:
         """The current entry for ``name`` (raises :class:`ModelNotFoundError`)."""

@@ -6,32 +6,27 @@ from repro.util.errors import (
     ShapeError,
     NonNegativityError,
     CommunicatorError,
-    ConvergenceWarning,
 )
 from repro.util.validation import (
     check_nonnegative,
     check_matrix,
     check_rank,
-    as_dense,
     is_sparse,
 )
 from repro.util.seeding import per_rank_seed, spawn_rng
-from repro.util.timing import Timer, WallClock
+from repro.util.timing import WallClock
 
 __all__ = [
     "ReproError",
     "ShapeError",
     "NonNegativityError",
     "CommunicatorError",
-    "ConvergenceWarning",
     "check_nonnegative",
     "check_matrix",
     "check_rank",
-    "as_dense",
     "is_sparse",
     "per_rank_seed",
     "spawn_rng",
-    "Timer",
     "WallClock",
     "available_cpus",
 ]

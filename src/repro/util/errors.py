@@ -46,7 +46,3 @@ class ModelLoadError(ReproError, RuntimeError):
         self.path = str(path) if path is not None else None
         self.missing_key = missing_key
         super().__init__(message)
-
-
-class ConvergenceWarning(UserWarning):
-    """The iterative algorithm stopped before reaching the requested tolerance."""

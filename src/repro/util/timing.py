@@ -1,15 +1,14 @@
-"""Lightweight wall-clock timing used by the per-task profiler.
+"""The wall clock under the per-task profiler.
 
 The profiler in :mod:`repro.comm.profiler` accumulates time into the six task
 categories of the paper's §6.3 (MM, NLS, Gram, All-Gather, Reduce-Scatter,
-All-Reduce).  These classes provide the underlying clock and a context-manager
-style timer so instrumentation stays out of the algorithm code's way.
+All-Reduce); :class:`WallClock` is its clock, a class so tests can substitute
+a fake one.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 class WallClock:
@@ -18,34 +17,3 @@ class WallClock:
     def now(self) -> float:
         return time.perf_counter()
 
-
-@dataclass
-class Timer:
-    """Accumulating timer usable as a context manager.
-
-    >>> t = Timer()
-    >>> with t:
-    ...     _ = sum(range(1000))
-    >>> t.total >= 0.0
-    True
-    """
-
-    clock: WallClock = field(default_factory=WallClock)
-    total: float = 0.0
-    calls: int = 0
-    _start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = self.clock.now()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.total += self.clock.now() - self._start
-        self.calls += 1
-        self._start = None
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.calls = 0
-        self._start = None

@@ -24,13 +24,6 @@ def is_sparse(A) -> bool:
     return sp is not None and sp.issparse(A)
 
 
-def as_dense(A) -> np.ndarray:
-    """Return ``A`` as a dense float64 ndarray (copying only when needed)."""
-    if is_sparse(A):
-        return np.asarray(A.todense(), dtype=np.float64)
-    return np.ascontiguousarray(np.asarray(A, dtype=np.float64))
-
-
 def check_matrix(A, name: str = "A", *, allow_sparse: bool = True):
     """Validate a 2-D matrix input and return it in canonical form.
 
@@ -79,11 +72,3 @@ def check_rank(k: int, m: int, n: int) -> int:
     if k > min(m, n):
         raise ShapeError(f"rank k={k} exceeds min(m, n)={min(m, n)}")
     return k
-
-
-def check_factors(W: np.ndarray, H: np.ndarray, m: int, n: int, k: int) -> None:
-    """Validate factor matrix shapes ``W (m×k)`` and ``H (k×n)``."""
-    if W.shape != (m, k):
-        raise ShapeError(f"W must have shape {(m, k)}, got {W.shape}")
-    if H.shape != (k, n):
-        raise ShapeError(f"H must have shape {(k, n)}, got {H.shape}")

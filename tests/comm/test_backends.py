@@ -94,7 +94,8 @@ class TestLockstepBackend:
         def program(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
+            comm.send(comm.rank, dest=right)
+            return comm.recv(source=left)
 
         assert run_spmd(5, program, backend="lockstep") == [4, 0, 1, 2, 3]
 

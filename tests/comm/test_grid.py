@@ -46,21 +46,15 @@ class TestChooseGrid:
 class TestGridShape:
     def test_coords_roundtrip(self):
         shape = GridShape(3, 4)
-        for rank in range(12):
-            i, j = shape.coords(rank)
-            assert shape.rank_of(i, j) == rank
+        row_major = [(i, j) for i in range(3) for j in range(4)]
+        assert [shape.coords(rank) for rank in range(12)] == row_major
 
     def test_out_of_range(self):
         shape = GridShape(2, 2)
         with pytest.raises(CommunicatorError):
             shape.coords(4)
         with pytest.raises(CommunicatorError):
-            shape.rank_of(2, 0)
-
-    def test_is_1d(self):
-        assert GridShape(4, 1).is_1d
-        assert GridShape(1, 4).is_1d
-        assert not GridShape(2, 2).is_1d
+            shape.coords(-1)
 
 
 class TestProcessGrid:

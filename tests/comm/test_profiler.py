@@ -7,7 +7,6 @@ from repro.comm.profiler import (
     TaskCategory,
     TimeBreakdown,
     max_over_ranks,
-    mean_over_ranks,
 )
 from repro.util.timing import WallClock
 
@@ -71,13 +70,10 @@ def test_breakdown_zeros_covers_figure_categories():
     assert zeros.total == 0.0
 
 
-def test_max_and_mean_over_ranks():
+def test_max_over_ranks():
     b0 = TimeBreakdown.from_parts(MM=1.0, NLS=4.0)
     b1 = TimeBreakdown.from_parts(MM=3.0, NLS=2.0)
     critical = max_over_ranks([b0, b1])
     assert critical.get(TaskCategory.MM) == pytest.approx(3.0)
     assert critical.get(TaskCategory.NLS) == pytest.approx(4.0)
-    average = mean_over_ranks([b0, b1])
-    assert average.get(TaskCategory.MM) == pytest.approx(2.0)
     assert max_over_ranks([]).total == 0.0
-    assert mean_over_ranks([]).total == 0.0

@@ -98,19 +98,21 @@ def test_blocked_panels_are_scipys_bits(case, k):
 
 
 def test_block_products_reuse_their_operands():
-    """The CSR twin, the scratch block and the one home of the copied Hᵀ and
-    W are built once; a transposed-view W lands where Hᵀ was."""
+    """The CSR twins, the scratch block and the home of the copied Hᵀ are
+    built once; a strided W multiplies correctly and leaves that home alone."""
     A = _ragged(np.int32)
     k = 5
     products = BlockProducts(A, k)
     out_h, out_w = np.empty((k, A.shape[0])), np.empty((k, A.shape[1]))
+    with pytest.raises(RuntimeError, match="set_h"):
+        products.h_at(out_h)  # no Hᵀ yet
     held = None
     for seed in range(3):
         H, W = _factors(A, k, seed=seed)
         products.set_h(H)
         products.h_at(out_h)
         assert np.shares_memory(products._ht, products._operand)
-        products.wt_a(np.asfortranarray(W), out_w)  # copied into the same home
+        products.wt_a(np.asfortranarray(W), out_w)
         now = (products._csr, products._csr_t, products._operand, products._scratch)
         assert all(x is not None for x in now)
         if held is not None:
@@ -118,8 +120,8 @@ def test_block_products_reuse_their_operands():
         held = now
         assert out_h.tobytes() == np.ascontiguousarray((A @ H.T).T).tobytes()
         assert out_w.tobytes() == np.ascontiguousarray((A.T @ W).T).tobytes()
-    with pytest.raises(RuntimeError, match="set_h"):
-        products.h_at(out_h)  # Hᵀ's home now holds W
+        # Hᵀ's home still holds Hᵀ after line 12.
+        assert products.h_at(np.empty_like(out_h)).tobytes() == out_h.tobytes()
 
 
 def test_set_ht_is_read_in_place():

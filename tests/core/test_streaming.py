@@ -27,7 +27,6 @@ class TestStreamingNMFBasics:
         rng = np.random.default_rng(0)
         for _ in range(9):
             model.push_frame(rng.random(20))
-        assert model.n_frames_in_window == 5
         assert model.frames_seen == 9
         assert model.current_window().shape == (20, 5)
         assert model.current_coefficients().shape == (2, 5)

@@ -13,11 +13,11 @@ from repro.data.video import (
 
 
 class TestVideoGeneration:
-    def test_matrix_shape_is_pixels_by_frames(self):
+    def test_video_matrix_is_pixels_by_frames(self):
         config = VideoSceneConfig(height=16, width=20, channels=3, frames=12)
         A = video_matrix(config)
         assert A.shape == (16 * 20 * 3, 12)
-        assert config.matrix_shape == A.shape
+        assert (config.pixels, config.frames) == A.shape
 
     def test_nonnegative(self):
         A = video_matrix(height=8, width=8, frames=6)
@@ -39,7 +39,7 @@ class TestVideoGeneration:
 
     def test_tall_and_skinny_aspect(self):
         config = VideoSceneConfig(height=32, width=32, frames=20)
-        m, n = config.matrix_shape
+        m, n = config.pixels, config.frames
         assert m > 50 * n  # the regime where the 1D grid is optimal
 
 

@@ -44,6 +44,23 @@ class TestDistMatrix2D:
             assembled[r0:r1, c0:c1] = block
         np.testing.assert_array_equal(assembled, A)
 
+    @pytest.mark.parametrize("p,pr,pc", GRIDS)
+    def test_sparse_blocks_tile_global_matrix(self, p, pr, pc):
+        A = sp.random(18, 25, density=0.3, random_state=4, format="csr")
+
+        def program(grid):
+            d = DistMatrix2D.from_global(grid, A)
+            assert d.is_sparse
+            return d.row_range, d.col_range, d.block
+
+        out = spmd_blocks(p, pr, pc, program)
+        assembled = np.full(A.shape, np.nan)
+        for (r0, r1), (c0, c1), block in out:
+            assert np.all(np.isnan(assembled[r0:r1, c0:c1])), "blocks overlap"
+            assembled[r0:r1, c0:c1] = block.toarray()
+        np.testing.assert_array_equal(assembled, A.toarray())
+        assert sum(block.nnz for _, _, block in out) == A.nnz
+
     @pytest.mark.parametrize("p,pr,pc", [(4, 2, 2), (6, 3, 2)])
     def test_sparse_blocks_match_dense_blocks(self, p, pr, pc):
         A = sp.random(30, 22, density=0.2, random_state=1, format="csr")
@@ -52,7 +69,6 @@ class TestDistMatrix2D:
         def program(grid):
             d = DistMatrix2D.from_global(grid, A)
             assert d.is_sparse
-            assert d.local_nnz == d.block.nnz
             return d.block.toarray(), DistMatrix2D.from_global(grid, dense).block
 
         for sparse_block, dense_block in spmd_blocks(p, pr, pc, program):
@@ -116,7 +132,7 @@ class TestDistMatrix2D:
 
         def program(grid):
             d = DistMatrix2D.from_global(grid, A)
-            return d.frobenius_norm_squared(), d.local_nnz
+            return d.frobenius_norm_squared(), d.block.nnz
 
         for norm, _ in spmd_blocks(4, 2, 2, program):
             assert norm == 9.0
@@ -144,15 +160,6 @@ class TestDistMatrix2D:
 
         for got in spmd_blocks(6, 2, 3, program):
             assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_to_global_round_trip(self):
-        A = sp.random(18, 25, density=0.3, random_state=4, format="csr")
-
-        def program(grid):
-            return DistMatrix2D.from_global(grid, A).to_global()
-
-        for reassembled in spmd_blocks(4, 2, 2, program):
-            np.testing.assert_array_equal(reassembled, A.toarray())
 
 
 class TestDoublePartitioned1D:

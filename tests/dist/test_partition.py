@@ -8,7 +8,7 @@ exercises the full (n, p) space including the degenerate p > n corner.
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dist.partition import block_counts, block_offsets, block_range, owning_rank
+from repro.dist.partition import block_counts, block_offsets, block_range
 from repro.util.errors import PartitionError
 
 sizes = st.integers(min_value=0, max_value=500)
@@ -55,14 +55,6 @@ def test_ranges_match_offsets_and_counts(n, p):
         assert hi - lo == counts[r]
 
 
-@given(n=st.integers(min_value=1, max_value=500), p=nparts, data=st.data())
-def test_owning_rank_inverts_block_range(n, p, data):
-    index = data.draw(st.integers(min_value=0, max_value=n - 1))
-    r = owning_rank(n, p, index)
-    lo, hi = block_range(n, p, r)
-    assert lo <= index < hi
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -70,8 +62,6 @@ def test_owning_rank_inverts_block_range(n, p, data):
         lambda: block_counts(10, 0),
         lambda: block_range(10, 3, 3),
         lambda: block_range(10, 3, -1),
-        lambda: owning_rank(10, 3, 10),
-        lambda: owning_rank(10, 3, -1),
     ],
 )
 def test_invalid_arguments_raise(call):

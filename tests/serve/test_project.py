@@ -145,7 +145,7 @@ class TestResiduals:
 class TestModelRefresher:
     def _store(self):
         store = ModelStore()
-        store.add_result("m", NMFResult(
+        store.swap("m", NMFResult(
             W=W.copy(), H=np.abs(RNG.standard_normal((K, 8))),
             config=NMFConfig(k=K, seed=0), iterations=2,
         ))
@@ -188,8 +188,8 @@ class TestModelRefresher:
         )
         for _ in range(5):
             refresher.ingest(np.abs(RNG.standard_normal(M)))
-        paths = refresher.checkpoint_paths
-        assert len(paths) == 2
+        paths = sorted(tmp_path.glob("ckpt_*.npz"))
+        assert [path.name for path in paths] == ["ckpt_001.npz", "ckpt_003.npz"]
         with np.load(paths[0]) as data:
             assert data["W"].shape == (M, K)
 

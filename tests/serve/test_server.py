@@ -77,7 +77,7 @@ async def _until(predicate, timeout=10.0):
 
 def _store(name="m", m=M, k=K):
     store = ModelStore()
-    store.add_result(name, NMFResult(
+    store.swap(name, NMFResult(
         W=np.abs(RNG.standard_normal((m, k))) + 0.01,
         H=np.abs(RNG.standard_normal((k, 6))),
         config=NMFConfig(k=k, seed=0),

@@ -64,7 +64,7 @@ class TestLoading:
 
     def test_add_in_memory_result(self):
         store = ModelStore()
-        entry = store.add_result("mem", _result())
+        entry = store.swap("mem", _result())
         assert entry.source is None
         assert store.get("mem") is entry
 
@@ -74,33 +74,33 @@ class TestValidation:
         res = _result()
         res.W[0, 0] = -1.0
         with pytest.raises(ModelLoadError, match="negative"):
-            ModelStore().add_result("bad", res)
+            ModelStore().swap("bad", res)
 
     def test_nonfinite_basis_rejected(self):
         res = _result()
         res.W[1, 1] = np.nan
         with pytest.raises(ModelLoadError, match="non-finite"):
-            ModelStore().add_result("bad", res)
+            ModelStore().swap("bad", res)
 
     def test_zero_column_rejected(self):
         res = _result()
         res.W[:, 2] = 0.0
         with pytest.raises(ModelLoadError, match="column 2"):
-            ModelStore().add_result("bad", res)
+            ModelStore().swap("bad", res)
 
     def test_failed_registration_leaves_store_unchanged(self):
         store = ModelStore()
-        store.add_result("good", _result())
+        store.swap("good", _result())
         bad = _result()
         bad.W[:, 0] = 0.0
         with pytest.raises(ModelLoadError):
-            store.add_result("other", bad)
+            store.swap("other", bad)
         assert store.names() == ["good"]
 
 
 class TestEntry:
     def test_gram_and_cholesky_cached_and_frozen(self):
-        entry = ModelStore().add_result("m", _result())
+        entry = ModelStore().swap("m", _result())
         assert np.array_equal(entry.gram, entry.W.T @ entry.W)
         assert not entry.W.flags.writeable
         assert not entry.gram.flags.writeable
@@ -110,7 +110,7 @@ class TestEntry:
         assert np.allclose(rebuilt, entry.gram, rtol=1e-8, atol=1e-10)
 
     def test_solver_for_memoises_per_kernel(self):
-        entry = ModelStore().add_result("m", _result())
+        entry = ModelStore().swap("m", _result())
         a = entry.solver_for("scalar")
         assert entry.solver_for("scalar") is a
         assert entry.solver_for("batched") is not a
@@ -119,12 +119,12 @@ class TestEntry:
         assert entry.solver_for(None).kernel.name == "batched"
         assert entry.solver_for("auto") is entry.solver_for(resolve_kernel("auto"))
         # persistent pattern cache enabled: repeated solves reuse factors
-        assert a.cached_patterns == 0
-        a.solve(np.asarray(entry.gram), np.abs(np.ones((entry.k, 2))))
-        assert a.cached_patterns >= 1
+        for cold in (True, False):
+            a.solve(np.asarray(entry.gram), np.abs(np.ones((entry.k, 2))))
+            assert (a.last_state.extra["cholesky_flops"] > 0) is cold
 
     def test_describe_carries_model_metadata(self):
-        entry = ModelStore().add_result("m", _result())
+        entry = ModelStore().swap("m", _result())
         desc = entry.describe()
         assert desc["name"] == "m"
         assert desc["version"] == 1
@@ -134,17 +134,19 @@ class TestEntry:
 class TestHotSwap:
     def test_swap_bumps_version_and_rebuilds_caches(self):
         store = ModelStore()
-        first = store.add_result("m", _result(seed=0))
+        first = store.swap("m", _result(seed=0))
         warm = first.solver_for("scalar")
-        warm.solve(np.asarray(first.gram), np.abs(np.ones((first.k, 1))))
-        assert warm.cached_patterns >= 1
+        rhs = np.abs(np.ones((first.k, 1)))
+        warm.solve(np.asarray(first.gram), rhs)
+        assert warm.last_state.extra["cholesky_flops"] > 0
 
         second = store.swap("m", _result(seed=1))
         assert second.version == 2
         assert store.get("m") is second
         # fresh entry, fresh solver, empty pattern cache: the Gram changed
         assert second.solver_for("scalar") is not warm
-        assert second.solver_for("scalar").cached_patterns == 0
+        second.solver_for("scalar").solve(np.asarray(second.gram), rhs)
+        assert second.solver_for("scalar").last_state.extra["cholesky_flops"] > 0
         # the old entry still serves any in-flight batch that resolved it
         assert first.version == 1
         assert not first.W.flags.writeable
@@ -166,7 +168,7 @@ class TestHotSwap:
 
     def test_reload_of_in_memory_model_errors(self):
         store = ModelStore()
-        store.add_result("mem", _result())
+        store.swap("mem", _result())
         with pytest.raises(ModelLoadError, match="no backing"):
             store.reload("mem")
 
@@ -182,8 +184,8 @@ class TestInstall:
 
     def test_a_pushed_entry_keeps_its_bytes_and_starts_with_empty_caches(self):
         primary, worker = ModelStore(), ModelStore()
-        worker.add_result("m", _result(seed=0))
-        entry = primary.add_result("m", _result(seed=1))
+        worker.swap("m", _result(seed=0))
+        entry = primary.swap("m", _result(seed=1))
         entry.solver_for("batched")
         primary.swap("m", _result(seed=2))
         newest = primary.get("m")
@@ -199,14 +201,14 @@ class TestInstall:
     def test_a_pushed_entry_leaves_the_fitted_result_behind(self):
         from repro.comm.wire import encode_frame
 
-        entry = ModelStore().add_result("m", _result(n=20_000))
+        entry = ModelStore().swap("m", _result(n=20_000))
         frame = encode_frame("install", entry)
         assert len(frame) < entry.result.H.nbytes // 4
         assert self._pushed(entry).result is None
 
     def test_an_older_version_never_replaces_a_newer_one(self):
         primary, worker = ModelStore(), ModelStore()
-        first = primary.add_result("m", _result(seed=0))
+        first = primary.swap("m", _result(seed=0))
         second = primary.swap("m", _result(seed=1))
         worker.install(self._pushed(second))
         assert worker.install(self._pushed(first)).version == 2
@@ -216,7 +218,7 @@ class TestInstall:
 class TestLookup:
     def test_unknown_name_lists_known_models(self):
         store = ModelStore()
-        store.add_result("a", _result())
+        store.swap("a", _result())
         with pytest.raises(ModelNotFoundError) as exc_info:
             store.get("b")
         assert "'b'" in str(exc_info.value)
@@ -224,6 +226,6 @@ class TestLookup:
 
     def test_describe_lists_sorted(self):
         store = ModelStore()
-        store.add_result("beta", _result())
-        store.add_result("alpha", _result())
+        store.swap("beta", _result())
+        store.swap("alpha", _result())
         assert [d["name"] for d in store.describe()] == ["alpha", "beta"]

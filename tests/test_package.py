@@ -10,7 +10,6 @@ from repro.core.initialization import (
     init_h_global,
     init_h_local,
     init_h_slice,
-    init_w_global,
 )
 
 
@@ -72,8 +71,3 @@ class TestInitialization:
         b = init_h_local(3, 8, seed=1, rank=1)
         assert a.shape == b.shape == (3, 8)
         assert not np.allclose(a, b)
-
-    def test_w_init_differs_from_h_init(self):
-        W = init_w_global(10, 3, seed=2)
-        H = init_h_global(3, 10, seed=2)
-        assert not np.allclose(W, H.T)

@@ -6,13 +6,11 @@ import scipy.sparse as sp
 
 from repro.util.errors import NonNegativityError, ShapeError
 from repro.util.validation import (
-    as_dense,
     check_matrix,
     check_nonnegative,
     check_rank,
     is_sparse,
 )
-from repro.util.validation import check_factors
 
 
 class TestCheckMatrix:
@@ -132,22 +130,7 @@ class TestCheckRank:
             check_rank(9, 10, 8)
 
 
-class TestCheckFactors:
-    def test_shapes_must_match(self):
-        W = np.zeros((5, 2))
-        H = np.zeros((2, 7))
-        check_factors(W, H, 5, 7, 2)
-        with pytest.raises(ShapeError):
-            check_factors(W, H, 6, 7, 2)
-        with pytest.raises(ShapeError):
-            check_factors(W, H, 5, 7, 3)
-
-
 class TestConversions:
-    def test_as_dense_on_sparse(self):
-        A = sp.csr_matrix(np.arange(6, dtype=float).reshape(2, 3))
-        np.testing.assert_array_equal(as_dense(A), np.arange(6, dtype=float).reshape(2, 3))
-
     def test_is_sparse(self):
         assert is_sparse(sp.eye(2))
         assert not is_sparse(np.eye(2))
