@@ -36,7 +36,10 @@ def _load_input(name_or_path: str):
 
     Accepts the measured-scale registry names (``ssyn-small``), the paper's
     dataset names (``SSYN`` resolves to the measured-scale instance) and
-    ``.npy``/``.npz`` paths.
+    ``.npy``/``.npz`` paths.  A ``.npy`` file is memory-mapped, not read:
+    the fit's blocks of a mapped ``A`` are file-backed too
+    (:meth:`repro.dist.distmatrix.DistMatrix2D.from_global`), so ``A`` is
+    never made resident as a whole.
     """
     import numpy as np
 
@@ -61,7 +64,7 @@ def _load_input(name_or_path: str):
         except Exception:
             with np.load(path) as data:
                 return data[next(iter(data.files))]
-    return np.load(path)
+    return np.load(path, mmap_mode="r")
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
@@ -83,7 +86,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
             solver=args.solver,
             seed=args.seed,
             **({"kernel": args.kernel} if args.kernel else {}),
-            **({"storage": args.storage} if args.storage else {}),
         )
     except ShapeError as exc:  # e.g. a sequential-only variant with --ranks 4
         raise SystemExit(str(exc)) from None
@@ -289,7 +291,6 @@ _positive_seconds = _number(float, lambda v: v > 0, "> 0")
 def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     from repro.comm.backends import available_backends
     from repro.core.variants import available_variants
-    from repro.dist.storage import STORAGE_MODES
     from repro.nls.base import available_solvers
     from repro.nls.kernels import available_kernels
 
@@ -322,11 +323,6 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
                            "Algorithm 2/3 loops is a blocking call at the line "
                            "that reads it, with or without this flag (it "
                            "goes when the benchmark stops passing overlap=)")
-    fact.add_argument("--storage", default=None, choices=list(STORAGE_MODES),
-                      help="where each rank's local block of A lives (memory = "
-                           "resident, memmap = np.memmap-backed temp files for "
-                           "out-of-core blocks; sparse blocks stay in memory); "
-                           "results are byte-identical either way")
     fact.add_argument("--save", help="write the full result to this .npz path")
 
 

@@ -32,7 +32,7 @@ class NMFConfig:
         the iteration count).
     solver:
         Local NLS solver name: ``"bpp"`` (default, as in the paper), ``"mu"``,
-        ``"hals"`` or ``"pgrad"``.
+        ``"hals"``, ``"pgrad"`` or ``"admm"``.
     seed:
         Seed used to initialise ``H`` (§6.1.3: the same seed is reused across
         algorithms so they perform the same computations).
@@ -73,13 +73,9 @@ class NMFConfig:
         on every backend (:mod:`repro.core.spmd_loop`).  The field — and
         the CLI's ``--no-overlap`` — stay until the benchmark harness stops
         passing ``overlap=``.
-    storage:
-        Where each rank's local block of ``A`` lives (HPC-NMF's 2D layout):
-        ``"memory"`` (default) keeps it resident, ``"memmap"`` rehomes dense
-        blocks onto ``np.memmap``-backed temporary files so webbase-scale
-        matrices stream block-by-block through the never-materialize-``A``
-        path (see :mod:`repro.dist.storage`; a no-op for sparse blocks).
-        Byte-identical factors either way.  The CLI flag is ``--storage``.
+
+    Where each rank's block of ``A`` lives is not an option: it follows the
+    input (see :meth:`repro.dist.distmatrix.DistMatrix2D.from_global`).
     """
 
     k: int
@@ -94,7 +90,6 @@ class NMFConfig:
     backend: str = "thread"
     kernel: str = DEFAULT_KERNEL
     overlap: bool = True
-    storage: str = "memory"
 
     def __post_init__(self):
         if self.k < 1:
@@ -117,9 +112,6 @@ class NMFConfig:
             )
         if not isinstance(self.overlap, bool):
             raise ShapeError(f"overlap must be a bool, got {self.overlap!r}")
-        from repro.dist.storage import validate_storage
-
-        validate_storage(self.storage)
 
     def with_options(self, **kwargs) -> "NMFConfig":
         """Return a copy with the given fields replaced."""

@@ -44,7 +44,7 @@ The 1D variant the paper benchmarks ("HPC-NMF-1D") is simply the grid
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,8 +84,6 @@ def hpc_nmf(
     comm: Comm,
     A,
     config: NMFConfig,
-    block_generator: Optional[Callable] = None,
-    global_shape: Optional[Tuple[int, int]] = None,
     observers: Optional[Sequence[IterationObserver]] = None,
     variant: str = "hpc2d",
     regularization: Regularization = Regularization(),
@@ -98,16 +96,9 @@ def hpc_nmf(
         World communicator of ``p = pr * pc`` ranks.
     A:
         Global data matrix readable by every rank (each rank slices out its
-        own ``A_ij``).  Pass ``None`` and supply ``block_generator`` +
-        ``global_shape`` to build the local blocks without ever materialising
-        the global matrix (the paper's §6.1 per-rank generation; no fit,
-        example or benchmark calls it yet — every caller passes ``A``).
+        own ``A_ij``; see :meth:`repro.dist.distmatrix.DistMatrix2D.from_global`).
     config:
         Run options; the grid is resolved by :func:`resolve_grid`.
-    block_generator:
-        Optional ``generator(row_range, col_range, rank) -> block`` callable.
-    global_shape:
-        ``(m, n)``; required when ``A`` is ``None``.
     observers:
         Iteration observers, notified on rank 0 (see
         :mod:`repro.core.observers` for the SPMD dispatch rules).
@@ -124,14 +115,7 @@ def hpc_nmf(
     dict with this rank's factor sub-blocks and diagnostics; combine with
     :func:`repro.core.spmd_loop.assemble_result`.
     """
-    if A is None:
-        if block_generator is None or global_shape is None:
-            raise CommunicatorError(
-                "either a global matrix A or (block_generator, global_shape) is required"
-            )
-        m, n = global_shape
-    else:
-        m, n = A.shape
+    m, n = A.shape
     k = config.k
     p = comm.size
 
@@ -140,12 +124,7 @@ def hpc_nmf(
     solver = config.make_solver()
 
     grid = ProcessGrid(comm, pr, pc)
-    if A is not None:
-        data = DistMatrix2D.from_global(grid, A, storage=config.storage)
-    else:
-        data = DistMatrix2D.from_block_generator(
-            grid, (m, n), block_generator, storage=config.storage
-        )
+    data = DistMatrix2D.from_global(grid, A)
 
     # Factor sub-blocks (Figure 2).  H is seeded identically to the sequential
     # reference; W starts empty (the first half-iteration computes it).

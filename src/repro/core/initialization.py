@@ -5,17 +5,10 @@ fixed seed, reusing the same seed across the algorithms being compared so all
 variants perform identical computations, and notes that ``W`` need not be
 initialised at all (the first half-iteration solves for ``W`` given ``H``).
 
-Two construction paths are provided:
-
-* :func:`init_h_global` — the full ``k × n`` matrix from the seed; the
-  parallel algorithms draw exactly their own columns of it
-  (:func:`init_h_slice`).  This makes sequential and parallel runs
-  bitwise-comparable and is what the comparison tests rely on.
-* :func:`init_h_local` — each rank generates only its own columns using a
-  per-rank seed (the scalable path, analogous to how the paper's synthetic
-  data is generated in place).  Different ranks produce statistically
-  independent columns; the result no longer matches the sequential reference
-  bit-for-bit, so this path is used when n is too large to materialise H.
+:func:`init_h_global` is the full ``k × n`` matrix from the seed; the
+parallel algorithms draw exactly their own columns of it
+(:func:`init_h_slice`).  This makes sequential and parallel runs
+bitwise-comparable and is what the comparison tests rely on.
 """
 
 from __future__ import annotations
@@ -23,8 +16,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-from repro.util.seeding import spawn_rng
 
 
 def init_h_global(k: int, n: int, seed: int) -> np.ndarray:
@@ -51,9 +42,3 @@ def init_h_slice(k: int, n: int, seed: int, col_range: Tuple[int, int]) -> np.nd
         rng.bit_generator.advance(lo if r == 0 else n - (hi - lo))
         rng.random(out=block[r])
     return block
-
-
-def init_h_local(k: int, n_local: int, seed: int, rank: int) -> np.ndarray:
-    """A rank-local random nonnegative ``k × n_local`` block from a per-rank seed."""
-    rng = spawn_rng(seed, rank)
-    return rng.random((k, n_local))

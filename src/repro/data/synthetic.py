@@ -6,19 +6,16 @@ dimensions, with density 0.001".  Both generators are deterministic in the
 seed and accept arbitrary dimensions so the same code serves the paper-scale
 analytic model and the scaled-down measured runs.
 
-The generators can also produce just one block of the (virtual) global matrix
-given global index ranges — the construction the paper uses, where "every
-process will have its own prime seed ... to generate the input random matrix"
-and the global matrix never exists in one place.
+The paper generates each process's block with "its own prime seed", so its
+global matrix never exists in one place; that per-rank generation is a
+documented direction (``docs/ARCHITECTURE.md``), not code.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.util.seeding import per_rank_seed
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -43,29 +40,6 @@ def dense_synthetic(
     if clip_nonnegative:
         np.maximum(A, 0.0, out=A)
     return A
-
-
-def dense_synthetic_block(
-    row_range: Tuple[int, int],
-    col_range: Tuple[int, int],
-    rank: int,
-    seed: int = 0,
-    noise_std: float = 0.01,
-) -> np.ndarray:
-    """One block of a DSYN-like matrix generated with the owning rank's own seed.
-
-    Mirrors the paper's per-process generation: the block statistics match
-    :func:`dense_synthetic` but blocks of different ranks are generated
-    independently (the global matrix is "virtual").
-    """
-    r0, r1 = row_range
-    c0, c1 = col_range
-    rng = np.random.default_rng(per_rank_seed(seed, rank))
-    block = rng.random((r1 - r0, c1 - c0))
-    if noise_std > 0:
-        block += rng.normal(0.0, noise_std, size=block.shape)
-    np.maximum(block, 0.0, out=block)
-    return block
 
 
 def sparse_synthetic(
@@ -100,16 +74,3 @@ def sparse_synthetic(
     )
     A.sum_duplicates()
     return A
-
-
-def sparse_synthetic_block(
-    row_range: Tuple[int, int],
-    col_range: Tuple[int, int],
-    rank: int,
-    density: float = 0.001,
-    seed: int = 0,
-) -> sp.csr_matrix:
-    """One block of an SSYN-like matrix generated with the owning rank's own seed."""
-    r0, r1 = row_range
-    c0, c1 = col_range
-    return sparse_synthetic(r1 - r0, c1 - c0, density=density, seed=per_rank_seed(seed, rank))

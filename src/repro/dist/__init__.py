@@ -7,8 +7,8 @@ answer to "which rank holds which indices":
 * :mod:`repro.dist.partition` — the remainder-spreading contiguous block
   layout every distributed object uses (``block_counts``, ``block_range``);
 * :mod:`repro.dist.distmatrix` — :class:`~repro.dist.distmatrix.DistMatrix2D`
-  (Algorithm 3's ``A_ij`` blocks, with a never-materialize-``A`` generator
-  path) and :class:`~repro.dist.distmatrix.DoublePartitioned1D` (Algorithm
+  (Algorithm 3's ``A_ij`` blocks, file-backed when ``A`` is an
+  ``np.memmap``) and :class:`~repro.dist.distmatrix.DoublePartitioned1D` (Algorithm
   2's twice-stored row/column blocks);
 * :mod:`repro.dist.factors` — the ``p``-way partitioned factors
   :class:`~repro.dist.factors.DistributedFactorW` / ``(W_i)_j`` and
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-# Re-exported on first access: ``NMFConfig`` validates its storage mode
-# through ``repro.dist.storage`` without loading the distributed layouts.
+# Re-exported on first access, like ``repro.core`` and ``repro.comm``:
+# importing the package loads no layout until one is named.
 _EXPORTS = {
     "repro.dist.distmatrix": ("DistMatrix2D", "DoublePartitioned1D"),
     "repro.dist.factors": ("DistributedFactorH", "DistributedFactorW"),

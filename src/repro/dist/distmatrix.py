@@ -17,26 +17,55 @@ come from :mod:`repro.dist.partition`, so they agree with the factor layout
 in :mod:`repro.dist.factors` and with the communicator's default
 reduce-scatter counts.
 
-Construction paths for :class:`DistMatrix2D`:
-
-* :meth:`DistMatrix2D.from_global` — every rank slices its block out of a
-  globally readable ``A`` (the convenient path for tests and small runs);
-* :meth:`DistMatrix2D.from_block_generator` — each rank *generates* only its
-  own block and the global matrix never exists anywhere (the scalable path;
-  the paper generates its synthetic data exactly this way, each process with
-  its own seed).
+Every rank builds its :class:`DistMatrix2D` with
+:meth:`DistMatrix2D.from_global`, slicing its block out of a globally readable
+``A`` (exactly how an MPI code would read its block from a shared file).
+Where the block lives follows the input: a dense block cut from a file-backed
+``A`` (an ``np.memmap``, or a view of one) is itself file-backed, so an ``A``
+larger than RAM streams through the fit block by block.  The paper's per-rank
+generation of its synthetic inputs (§6.1) is a documented direction, not code:
+see ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+import tempfile
+from typing import Tuple
 
 import numpy as np
 
 from repro.dist.partition import block_range
-from repro.dist.storage import materialize_block
-from repro.util.errors import PartitionError, ShapeError
 from repro.util.validation import is_sparse
+
+
+def _file_backed(A) -> bool:
+    """True when dense ``A`` is an ``np.memmap`` or a view of one.
+
+    ``np.asarray`` (as in :func:`repro.util.validation.check_matrix`) drops
+    the subclass, but the map stays on the ``.base`` chain.
+    """
+    while isinstance(A, np.ndarray):
+        if isinstance(A, np.memmap):
+            return True
+        A = A.base
+    return False
+
+
+def _on_temp_memmap(block: np.ndarray) -> np.memmap:
+    """Copy a non-empty dense block onto an ``np.memmap`` over a temp file.
+
+    The OS pages the block in and out on demand, so the resident footprint
+    is bounded by the loop's panel-by-panel access pattern.
+    """
+    # The mapping holds the pages; unlinking now (TemporaryFile) means no
+    # on-disk residue survives the array, even on a crash, and closing the
+    # descriptor right away avoids fd exhaustion with many blocks — on
+    # POSIX an established mapping outlives its file descriptor.
+    with tempfile.TemporaryFile(prefix="repro-block-") as f:
+        mapped = np.memmap(f, dtype=block.dtype, mode="w+", shape=block.shape)
+    mapped[...] = block
+    mapped.flush()
+    return mapped
 
 
 def _local_norm_squared(block) -> float:
@@ -76,16 +105,10 @@ class DistMatrix2D:
         col_range: Tuple[int, int],
         global_shape: Tuple[int, int],
     ):
-        expected = (row_range[1] - row_range[0], col_range[1] - col_range[0])
-        if tuple(block.shape) != expected:
-            raise ShapeError(
-                f"local block has shape {tuple(block.shape)}, "
-                f"but ranges {row_range} x {col_range} require {expected}"
-            )
         if is_sparse(block):
-            # Canonicalise: generator-supplied blocks may carry duplicate
-            # coordinates (COO built with replacement, non-canonical CSR),
-            # which would corrupt nnz counts and the Frobenius norm
+            # Canonicalise: a block sliced by from_global out of a
+            # non-canonical CSR ``A`` may carry duplicate coordinates, which
+            # would corrupt nnz counts and the Frobenius norm
             # (data @ data assumes one entry per position).  CSR is also the
             # fast format for the local matmuls; both steps are no-ops for
             # already-canonical CSR blocks.
@@ -99,24 +122,22 @@ class DistMatrix2D:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def local_ranges(cls, grid, m: int, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """The (row_range, col_range) of the calling rank's block ``A_ij``."""
-        i, j = grid.coords
-        return block_range(m, grid.pr, i), block_range(n, grid.pc, j)
-
-    @classmethod
-    def from_global(cls, grid, A, storage: str = "memory") -> "DistMatrix2D":
+    def from_global(cls, grid, A) -> "DistMatrix2D":
         """Slice this rank's ``A_ij`` out of a globally readable matrix.
 
         Nothing is communicated: in the SPMD model every rank calls this with
         the same ``A`` and keeps only its own block (exactly how an MPI code
-        would read its block from a shared file).  ``storage`` selects where
-        the local block lives (see :mod:`repro.dist.storage`): ``"memory"``
-        keeps it resident, ``"memmap"`` rehomes dense blocks onto an
-        ``np.memmap``-backed temporary file for out-of-core operation.
+        would read its block from a shared file).  The block's storage follows
+        ``A``'s: a dense block of a file-backed ``A`` (an ``np.memmap`` or a
+        view of one) is copied once onto an ``np.memmap`` over an unlinked
+        temporary file; any other block is held in memory.  Zero-size blocks
+        (more ranks than rows) stay in memory: they hold nothing to page, and
+        older numpy cannot map zero bytes.  The bytes are the same either
+        way.
         """
         m, n = A.shape
-        row_range, col_range = cls.local_ranges(grid, m, n)
+        i, j = grid.coords
+        row_range, col_range = block_range(m, grid.pr, i), block_range(n, grid.pc, j)
         r0, r1 = row_range
         c0, c1 = col_range
         if is_sparse(A):
@@ -128,34 +149,11 @@ class DistMatrix2D:
             if (r1 - r0, c1 - c0) != (m, n) or not block.has_canonical_format:
                 block = block[r0:r1, c0:c1]
         else:
-            block = np.ascontiguousarray(np.asarray(A)[r0:r1, c0:c1])
-        block = materialize_block(block, storage)
-        return cls(grid, block, row_range, col_range, (m, n))
-
-    @classmethod
-    def from_block_generator(
-        cls,
-        grid,
-        global_shape: Tuple[int, int],
-        generator: Callable,
-        storage: str = "memory",
-    ) -> "DistMatrix2D":
-        """Build the local block with ``generator(row_range, col_range, rank)``.
-
-        The scalable path: the global matrix is *virtual* and only its blocks
-        ever exist, one per rank.  The generator must return a block of shape
-        ``(row_range[1] - row_range[0], col_range[1] - col_range[0])`` (dense
-        or sparse); a wrong shape raises :class:`~repro.util.errors.ShapeError`.
-        ``storage="memmap"`` spills the generated dense block to an
-        ``np.memmap``-backed temporary file (see :mod:`repro.dist.storage`),
-        bounding resident memory at webbase scale.
-        """
-        m, n = int(global_shape[0]), int(global_shape[1])
-        if m <= 0 or n <= 0:
-            raise PartitionError(f"global shape must be positive, got {m}x{n}")
-        row_range, col_range = cls.local_ranges(grid, m, n)
-        block = generator(row_range, col_range, grid.rank)
-        block = materialize_block(block, storage)
+            block = np.asarray(A)[r0:r1, c0:c1]
+            if block.size and _file_backed(A):
+                block = _on_temp_memmap(block)
+            else:
+                block = np.ascontiguousarray(block)
         return cls(grid, block, row_range, col_range, (m, n))
 
     # -- properties ---------------------------------------------------------

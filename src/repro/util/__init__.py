@@ -13,7 +13,7 @@ from repro.util.validation import (
     check_rank,
     is_sparse,
 )
-from repro.util.seeding import per_rank_seed, spawn_rng
+from repro.util.seeding import per_rank_seed
 from repro.util.timing import WallClock
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "check_rank",
     "is_sparse",
     "per_rank_seed",
-    "spawn_rng",
     "WallClock",
     "available_cpus",
 ]

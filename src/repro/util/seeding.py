@@ -3,19 +3,14 @@
 The paper (§6.1.1 and the DSYN description in §6.1.1) generates the synthetic
 input on each process with "its own prime seed that is different from other
 processes", and initialises H with the same seed across algorithms so that
-all variants perform the same computations.  We reproduce both conventions:
-
-* :func:`per_rank_seed` maps a (base seed, rank) pair to a distinct prime-based
-  seed, deterministically;
-* :func:`spawn_rng` builds a :class:`numpy.random.Generator` from it.
+all variants perform the same computations.  :func:`per_rank_seed` maps a
+(base seed, rank) pair to a distinct prime-based seed, deterministically.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress
-
-import numpy as np
 
 
 def _first_primes(count: int) -> list[int]:
@@ -47,8 +42,3 @@ def per_rank_seed(base_seed: int, rank: int) -> int:
     else:  # pragma: no cover - enormous rank counts
         prime = _first_primes(rank + 1)[rank]
     return (int(base_seed) * 1_000_003 + prime * 7919 + rank) % (2**63 - 1)
-
-
-def spawn_rng(base_seed: int, rank: int = 0) -> np.random.Generator:
-    """Return a Generator seeded deterministically for ``(base_seed, rank)``."""
-    return np.random.default_rng(per_rank_seed(base_seed, rank))

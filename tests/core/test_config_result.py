@@ -20,7 +20,7 @@ class TestNMFConfig:
     def test_algorithm_is_not_a_config_field(self):
         # Which algorithm runs is the variant registry name given to fit(),
         # recorded as NMFResult.variant — the config does not carry it.
-        assert len(dataclasses.fields(NMFConfig)) == 13
+        assert len(dataclasses.fields(NMFConfig)) == 12
         with pytest.raises(TypeError, match="algorithm"):
             NMFConfig(k=5, algorithm="naive")
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.comm.backends import run_spmd
 from repro.core.api import fit
 from repro.core.config import NMFConfig
-from repro.core.hpc_nmf import resolve_grid
+from repro.core.hpc_nmf import hpc_nmf, resolve_grid
+from repro.core.spmd_loop import assemble_result
 from repro.data.lowrank import planted_lowrank
-from repro.util.errors import CommunicatorError, ShapeError
+from repro.data.synthetic import dense_synthetic
+from repro.util.errors import CommunicatorError, PartitionError, ShapeError
 
 
 class TestNaiveParallel:
@@ -140,3 +143,28 @@ class TestAPIValidation:
     def test_invalid_n_ranks(self):
         with pytest.raises(ShapeError):
             fit(np.ones((10, 8)), k=2, n_ranks=0)
+
+
+def test_assemble_result_refuses_blocks_that_do_not_tile_the_factors():
+    """``assemble_result`` fills ``np.empty`` arrays, so a gap or an overlap in
+    the ranks' ranges is a named error, never uninitialised (or zero) rows."""
+    m, n, k, p = 40, 32, 3, 4
+    cfg = NMFConfig(k=k, max_iters=1, seed=9)
+    per_rank = run_spmd(p, hpc_nmf, dense_synthetic(m, n, seed=3), cfg)
+    assert assemble_result(per_rank, cfg).W.shape == (m, k)
+
+    lo, hi = per_rank[1]["w_range"]
+    gap = [dict(e) for e in per_rank]
+    gap[1].update(w_range=(lo + 1, hi), W_local=per_rank[1]["W_local"][1:])
+    with pytest.raises(PartitionError, match=r"w_range blocks .* do not tile \[0, 40\)"):
+        assemble_result(gap, cfg)
+
+    short = [dict(e) for e in per_rank[:-1]]
+    with pytest.raises(PartitionError, match="do not tile"):
+        assemble_result(short, cfg)
+
+    lo, hi = per_rank[2]["h_range"]
+    overlap = [dict(e) for e in per_rank]
+    overlap[2].update(h_range=(lo - 1, hi))
+    with pytest.raises(PartitionError, match=r"h_range blocks .* do not tile \[0, 32\)"):
+        assemble_result(overlap, cfg)

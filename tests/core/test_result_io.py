@@ -128,9 +128,9 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
     def test_artifact_with_unknown_config_fields_still_loads(self, tmp_path, through):
-        """An artifact saved by a version with other NMFConfig fields — every
-        one saved before PR 15 carries the since-removed ``panel_comm``, every
-        one before PR 17 ``algorithm`` — loads, the unknown keys dropped and
+        """An artifact saved by a version with other NMFConfig fields — older
+        ones carry the since-removed ``panel_comm``, ``algorithm`` or
+        ``storage`` — loads, the unknown keys dropped and
         defaults filling the rest.  ``config["algorithm"]`` is read exactly
         once: as the variant of an artifact too old to have a top-level one."""
         from repro.serve import ModelStore, project
@@ -140,7 +140,8 @@ class TestRoundTrip:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
         assert "algorithm" not in meta["config"]
-        meta["config"].update(panel_comm=True, some_future_option=3, algorithm="naive")
+        meta["config"].update(panel_comm=True, some_future_option=3, algorithm="naive",
+                              storage="memmap")
         for top_level_variant in (True, False):
             if not top_level_variant:
                 del meta["variant"]

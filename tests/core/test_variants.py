@@ -116,9 +116,11 @@ class TestFitFrontDoor:
 
     def test_algorithm_keyword_is_an_unknown_option(self):
         # variant= is the only spelling; the removed algorithm= keyword is
-        # rejected like any other typo, never silently ignored.
-        with pytest.raises(TypeError, match="does not accept option.*algorithm"):
-            fit(_matrix(), 2, n_ranks=2, algorithm="naive", max_iters=2)
+        # rejected like any other typo, never silently ignored.  So is the
+        # removed storage= (a block's storage follows the input).
+        for option, value in (("algorithm", "naive"), ("storage", "memmap")):
+            with pytest.raises(TypeError, match=f"does not accept option.*{option}"):
+                fit(_matrix(), 2, n_ranks=2, max_iters=2, **{option: value})
 
     def test_conflicting_algorithm_and_variant_raise(self):
         with pytest.raises(TypeError, match="hpc2d.*algorithm"):

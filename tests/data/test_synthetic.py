@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.data.synthetic import (
-    dense_synthetic,
-    dense_synthetic_block,
-    sparse_synthetic,
-    sparse_synthetic_block,
-)
+from repro.data.synthetic import dense_synthetic, sparse_synthetic
 
 
 class TestDenseSynthetic:
@@ -32,16 +27,6 @@ class TestDenseSynthetic:
         A = dense_synthetic(200, 150, seed=2, noise_std=0.0)
         assert 0.45 < A.mean() < 0.55
         assert A.max() <= 1.0
-
-    def test_block_generator_shape(self):
-        block = dense_synthetic_block((10, 25), (3, 11), rank=2, seed=0)
-        assert block.shape == (15, 8)
-        assert np.all(block >= 0)
-
-    def test_block_generator_rank_independence(self):
-        b0 = dense_synthetic_block((0, 10), (0, 10), rank=0, seed=0)
-        b1 = dense_synthetic_block((0, 10), (0, 10), rank=1, seed=0)
-        assert not np.allclose(b0, b1)
 
 
 class TestSparseSynthetic:
@@ -73,8 +58,3 @@ class TestSparseSynthetic:
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError):
             sparse_synthetic(10, 10, density=0.1, value_distribution="poisson")
-
-    def test_block_generator(self):
-        blk = sparse_synthetic_block((0, 50), (10, 60), rank=3, density=0.05, seed=0)
-        assert blk.shape == (50, 50)
-        assert sp.issparse(blk)

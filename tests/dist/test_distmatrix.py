@@ -1,8 +1,7 @@
 """Tests for the distributed data-matrix containers.
 
 The key guarantees: every global entry lands in exactly one 2D block
-(round-trip reassembly), the generator path produces bit-identical blocks to
-slicing a global matrix, and the 1D double partition hands each rank
+(round-trip reassembly), and the 1D double partition hands each rank
 consistent row/column blocks.
 """
 
@@ -13,7 +12,6 @@ import scipy.sparse as sp
 from repro.comm.backends import run_spmd
 from repro.comm.grid import ProcessGrid
 from repro.dist.distmatrix import DistMatrix2D, DoublePartitioned1D
-from repro.util.errors import ShapeError
 
 
 def spmd_blocks(p, pr, pc, program):
@@ -73,34 +71,6 @@ class TestDistMatrix2D:
 
         for sparse_block, dense_block in spmd_blocks(p, pr, pc, program):
             np.testing.assert_array_equal(sparse_block, dense_block)
-
-    @pytest.mark.parametrize("p,pr,pc", GRIDS)
-    def test_generator_path_matches_from_global(self, p, pr, pc):
-        A = np.random.default_rng(2).random((19, 26))
-
-        def gen(row_range, col_range, rank):
-            return A[row_range[0]:row_range[1], col_range[0]:col_range[1]]
-
-        def program(grid):
-            direct = DistMatrix2D.from_global(grid, A)
-            generated = DistMatrix2D.from_block_generator(grid, A.shape, gen)
-            np.testing.assert_array_equal(generated.block, direct.block)
-            assert generated.row_range == direct.row_range
-            assert generated.col_range == direct.col_range
-            return True
-
-        assert all(spmd_blocks(p, pr, pc, program))
-
-    def test_generator_wrong_shape_rejected(self):
-        def bad_gen(row_range, col_range, rank):
-            return np.zeros((1, 1))
-
-        def program(grid):
-            with pytest.raises(ShapeError):
-                DistMatrix2D.from_block_generator(grid, (8, 8), bad_gen)
-            return True
-
-        assert all(spmd_blocks(4, 2, 2, program))
 
     def test_non_csr_sparse_formats_accepted(self):
         # COO (scipy.io.mmread's default) doesn't support slicing; from_global

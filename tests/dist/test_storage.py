@@ -1,13 +1,15 @@
-"""The local-block storage abstraction: out-of-core blocks, identical bytes.
+"""Where a rank's block of ``A`` lives follows the input, with identical bytes.
 
-``NMFConfig.storage = "memmap"`` rehomes each rank's dense block of ``A``
-onto an ``np.memmap`` over an unlinked temporary file, so webbase-scale
-matrices can exceed RAM while the never-materialize-``A`` algorithms stream
-them block by block.  The contract: storage is *transparent* — the same
-blocks, the same factors, byte for byte — and sparse blocks (already
-compressed) pass through untouched.
+``DistMatrix2D.from_global`` copies a dense block cut from a file-backed
+``A`` (an ``np.memmap``, such as ``np.load(path, mmap_mode="r")``, or a view
+of one) onto an ``np.memmap`` over an unlinked temporary file, so an ``A``
+larger than RAM streams through the never-materialize-``A`` loop block by
+block.  Every other block (in-memory dense, sparse, zero-size) is held in
+memory.  The contract: the choice is *transparent* — the same blocks, the
+same factors, error history and ledger, byte for byte.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -17,11 +19,8 @@ import scipy.sparse as sp
 from repro.comm.backends import run_spmd
 from repro.comm.grid import ProcessGrid
 from repro.core.api import fit
-from repro.core.config import NMFConfig
 from repro.data.lowrank import planted_lowrank
-from repro.dist.distmatrix import DistMatrix2D
-from repro.dist.storage import STORAGE_MODES, materialize_block, validate_storage
-from repro.util.errors import ShapeError
+from repro.dist.distmatrix import DistMatrix2D, DoublePartitioned1D
 
 
 @pytest.fixture(autouse=True)
@@ -31,105 +30,163 @@ def _silence_oversubscription():
         yield
 
 
-class TestValidation:
-    def test_known_modes(self):
-        assert STORAGE_MODES == ("memory", "memmap")
-        for mode in STORAGE_MODES:
-            validate_storage(mode)  # must not raise
-
-    @pytest.mark.parametrize("bad", ["disk", "", None, 3, "MEMMAP"])
-    def test_unknown_mode_raises_listing_choices(self, bad):
-        with pytest.raises(ShapeError, match="memory"):
-            validate_storage(bad)
-
-    def test_config_validates_storage(self):
-        assert NMFConfig(k=2, storage="memmap").storage == "memmap"
-        with pytest.raises(ShapeError, match="storage"):
-            NMFConfig(k=2, storage="ramdisk")
+def _on_disk(tmp_path, A, name="A.npy"):
+    """``A`` saved and loaded back as a read-only ``np.memmap``."""
+    path = tmp_path / name
+    np.save(path, A)
+    return np.load(path, mmap_mode="r")
 
 
-class TestMaterializeBlock:
-    def test_memory_mode_is_identity(self):
-        block = np.arange(12.0).reshape(3, 4)
-        assert materialize_block(block, "memory") is block
+def _blocks(A, p, pr, pc):
+    """Every rank's ``DistMatrix2D.from_global`` block of ``A`` on ``thread``."""
 
-    def test_dense_block_lands_on_a_memmap(self):
-        block = np.random.default_rng(0).random((5, 7))
-        out = materialize_block(block, "memmap")
-        assert isinstance(out, np.memmap)
-        assert out.dtype == block.dtype and out.shape == block.shape
-        assert out.tobytes() == block.tobytes()
+    def program(comm):
+        return DistMatrix2D.from_global(ProcessGrid(comm, pr, pc), A).block
 
-    def test_memmapped_block_is_writable_like_memory(self):
-        out = materialize_block(np.zeros((2, 2)), "memmap")
-        out[0, 0] = 7.0  # solvers may scribble on local views
-        assert out[0, 0] == 7.0
-
-    def test_sparse_blocks_pass_through(self):
-        block = sp.random(6, 5, density=0.3, random_state=0, format="csr")
-        assert materialize_block(block, "memmap") is block
-
-    def test_zero_size_blocks_pass_through(self):
-        # More ranks than rows gives some ranks an empty block; np.memmap
-        # cannot map zero bytes, so these stay as ordinary arrays.
-        block = np.empty((0, 4))
-        out = materialize_block(block, "memmap")
-        assert out.shape == (0, 4) and not isinstance(out, np.memmap)
+    return run_spmd(p, program, backend="thread")
 
 
-class TestDistMatrixStorage:
+class TestBlocksFollowTheInput:
     @pytest.mark.parametrize("p,pr,pc", [(1, 1, 1), (4, 2, 2)])
-    def test_from_global_blocks_identical_across_storage(self, p, pr, pc):
+    def test_memmapped_dense_input_gives_memmap_blocks(self, tmp_path, p, pr, pc):
         A = np.random.default_rng(3).random((23, 17))
+        in_memory = _blocks(A, p, pr, pc)
+        mapped = _on_disk(tmp_path, A)
+        # check_matrix's np.asarray drops the subclass; the map stays on .base.
+        for file_backed in (mapped, np.asarray(mapped)):
+            for on_disk, resident in zip(_blocks(file_backed, p, pr, pc), in_memory):
+                assert isinstance(on_disk, np.memmap)
+                assert on_disk.flags.c_contiguous and on_disk.dtype == resident.dtype
+                assert on_disk.tobytes() == resident.tobytes()
+
+    @pytest.mark.parametrize("layout,file_backed", [
+        (np.ascontiguousarray, True),
+        (np.asfortranarray, False),
+        (lambda A: A.astype(np.float32), False),
+    ], ids=["c-float64", "fortran", "float32"])
+    def test_blocks_a_fit_slices_follow_the_checked_input(
+        self, tmp_path, monkeypatch, layout, file_backed
+    ):
+        """Through ``fit``: its ``check_matrix`` keeps a C-ordered float64 map
+        as a view, but copies an F-ordered or float32 one into memory before
+        any rank slices it, so only the first gives memmap blocks.  The
+        factors are the in-memory fit's either way."""
+        A = layout(planted_lowrank(23, 17, 3, seed=4, noise_std=0.05))
+        sliced = {}
+        from_global = DistMatrix2D.from_global
+
+        def spy(grid, A):
+            data = from_global(grid, A)
+            sliced[data.row_range, data.col_range] = data.block
+            return data
+
+        kwargs = dict(variant="hpc2d", backend="thread", n_ranks=4, max_iters=3, seed=9)
+        monkeypatch.setattr(DistMatrix2D, "from_global", spy)
+        on_disk = fit(_on_disk(tmp_path, A), 3, **kwargs)
+        mapped_blocks, sliced = sliced, {}
+        in_memory = fit(np.ascontiguousarray(A, dtype=np.float64), 3, **kwargs)
+        assert len(mapped_blocks) == 4 and mapped_blocks.keys() == sliced.keys()
+        for ranges, block in mapped_blocks.items():
+            assert isinstance(block, np.memmap) == file_backed
+            assert block.flags.c_contiguous
+            assert block.tobytes() == sliced[ranges].tobytes()
+        assert _signature(on_disk) == _signature(in_memory)
+
+    def test_strided_view_of_a_memmap_is_file_backed(self, tmp_path):
+        A = np.random.default_rng(5).random((23, 17))
+        view = _on_disk(tmp_path, A)[1:, ::2]
+        for on_disk, resident in zip(_blocks(view, 4, 2, 2), _blocks(A[1:, ::2], 4, 2, 2)):
+            assert isinstance(on_disk, np.memmap)
+            assert on_disk.tobytes() == resident.tobytes()
+
+    def test_algorithm2_blocks_of_a_memmapped_input_stay_in_memory(self, tmp_path):
+        # DoublePartitioned1D stores A twice and never followed the input.
+        A = np.random.default_rng(6).random((23, 17))
+        mapped = _on_disk(tmp_path, A)
 
         def program(comm):
-            grid = ProcessGrid(comm, pr, pc)
-            mem = DistMatrix2D.from_global(grid, A, storage="memory")
-            mapped = DistMatrix2D.from_global(grid, A, storage="memmap")
-            same = mem.block.tobytes() == mapped.block.tobytes()
-            return same, isinstance(mapped.block, np.memmap), mapped.block.size
+            d = DoublePartitioned1D.from_global(comm.rank, comm.size, mapped)
+            return d.row_block, d.col_block, d.row_range, d.col_range
 
-        for same, is_mapped, size in run_spmd(p, program):
-            assert same
-            assert is_mapped == (size > 0)
+        for row_block, col_block, (r0, r1), (c0, c1) in run_spmd(3, program):
+            assert not isinstance(row_block, np.memmap)
+            assert not isinstance(col_block, np.memmap)
+            assert row_block.tobytes() == np.ascontiguousarray(A[r0:r1]).tobytes()
+            assert col_block.tobytes() == np.ascontiguousarray(A[:, c0:c1]).tobytes()
 
-    def test_generator_path_honours_storage(self):
-        A = np.random.default_rng(4).random((16, 12))
+    def test_in_memory_dense_blocks_are_not_memmaps(self):
+        A = np.random.default_rng(3).random((23, 17))
+        assert not any(isinstance(b, np.memmap) for b in _blocks(A, 4, 2, 2))
 
-        def program(comm):
-            grid = ProcessGrid(comm, 2, 2)
+    def test_sparse_blocks_are_not_memmaps(self):
+        A = sp.random(23, 17, density=0.3, random_state=0, format="csr")
+        assert all(sp.issparse(b) for b in _blocks(A, 4, 2, 2))
 
-            def gen(rows, cols, rank):
-                return A[rows[0]:rows[1], cols[0]:cols[1]]
+    def test_zero_size_blocks_stay_in_memory(self, tmp_path):
+        # More ranks than rows gives some ranks an empty block; it holds
+        # nothing to page (and older numpy cannot map zero bytes), so it stays
+        # an ordinary array.
+        blocks = _blocks(_on_disk(tmp_path, np.ones((2, 6))), 4, 4, 1)
+        assert [b.shape for b in blocks] == [(1, 6), (1, 6), (0, 6), (0, 6)]
+        assert [isinstance(b, np.memmap) for b in blocks] == [True, True, False, False]
 
-            d = DistMatrix2D.from_block_generator(
-                grid, A.shape, gen, storage="memmap"
-            )
-            return isinstance(d.block, np.memmap)
+    def test_memmap_blocks_stay_writable(self, tmp_path):
+        A = _on_disk(tmp_path, np.zeros((4, 4)))
+        (block,) = _blocks(A, 1, 1, 1)
+        block[0, 0] = 7.0  # solvers may scribble on local views
+        assert block[0, 0] == 7.0 and A[0, 0] == 0.0
 
-        assert all(run_spmd(4, program))
+
+def _signature(result):
+    """sha256(``W‖H``), the error history (not its wall-clock) and the ledger."""
+    digest = hashlib.sha256(result.W.tobytes() + result.H.tobytes()).hexdigest()
+    history = [(s.iteration, s.objective, s.relative_error) for s in result.history]
+    return digest, history, result.ledger_summary
 
 
 class TestEndToEndParity:
-    @pytest.mark.parametrize("backend", ["process", "socket"])
-    def test_memmap_factors_byte_identical_dense_hpc2d_p4(self, backend):
-        """The PR's out-of-core acceptance pin: Algorithm 3 at p=4 on dense
-        input produces the same bytes whether A's blocks live in RAM or on
-        memmap-backed temp files — on shared memory and over the wire."""
+    @pytest.mark.parametrize("cell", [
+        dict(variant="sequential"),
+        dict(variant="hpc2d", backend="thread", n_ranks=4),
+        dict(variant="hpc2d", backend="process", n_ranks=4),
+        dict(variant="hpc2d", backend="socket", n_ranks=2),
+    ], ids=["sequential", "thread-p4", "process-p4", "socket-p2"])
+    def test_memmapped_dense_input_fits_the_same_bytes(self, tmp_path, cell):
+        """The out-of-core pin: a fit reads the same bytes whether ``A`` is
+        resident or memmapped — in process, on shared memory and over the
+        wire."""
         A = planted_lowrank(32, 24, 3, seed=5, noise_std=0.05)
-        kwargs = dict(variant="hpc2d", n_ranks=4, max_iters=4, seed=9,
-                      backend=backend)
-        in_memory = fit(A, 3, storage="memory", **kwargs)
-        on_disk = fit(A, 3, storage="memmap", **kwargs)
-        assert in_memory.W.tobytes() == on_disk.W.tobytes()
-        assert in_memory.H.tobytes() == on_disk.H.tobytes()
-        np.testing.assert_array_equal(
-            in_memory.relative_error_history, on_disk.relative_error_history
-        )
+        kwargs = dict(max_iters=4, seed=9, **cell)
+        in_memory = fit(A, 3, **kwargs)
+        on_disk = fit(_on_disk(tmp_path, A), 3, **kwargs)
+        assert _signature(on_disk) == _signature(in_memory)
 
-    def test_sparse_input_accepts_memmap_mode_as_noop(self):
+    @pytest.mark.parametrize("p", [2, 3, 5, 6])
+    @pytest.mark.parametrize("backend", ["lockstep", "thread"])
+    @pytest.mark.parametrize("variant", ["hpc2d", "hpc1d", "naive"])
+    def test_memmapped_input_fits_the_same_bytes_on_every_grid(
+        self, tmp_path, variant, backend, p
+    ):
+        """Even and ragged grids (p = 5 is a 1D grid), Algorithm 2 included."""
+        A = planted_lowrank(23, 17, 3, seed=6, noise_std=0.05)
+        kwargs = dict(variant=variant, backend=backend, n_ranks=p, max_iters=3, seed=9)
+        on_disk = fit(_on_disk(tmp_path, A), 3, **kwargs)
+        assert _signature(on_disk) == _signature(fit(A, 3, **kwargs))
+
+    def test_memmapped_input_with_more_ranks_than_rows_fits_the_same_bytes(self, tmp_path):
+        # Ranks 3 and 4 of the 5 x 1 grid own no rows: their blocks stay in memory.
+        A = planted_lowrank(3, 10, 2, seed=7, noise_std=0.05)
+        kwargs = dict(variant="hpc2d", n_ranks=5, grid=(5, 1), max_iters=3, seed=9)
+        on_disk = fit(_on_disk(tmp_path, A), 2, **kwargs)
+        assert _signature(on_disk) == _signature(fit(A, 2, **kwargs))
+
+    def test_sparse_input_over_memmapped_arrays_fits_the_same_bytes(self, tmp_path):
         A = sp.random(32, 24, density=0.2, random_state=5, format="csr")
+        mapped = sp.csr_matrix(
+            (_on_disk(tmp_path, A.data, "data.npy"),
+             _on_disk(tmp_path, A.indices, "indices.npy"),
+             _on_disk(tmp_path, A.indptr, "indptr.npy")),
+            shape=A.shape,
+        )
         kwargs = dict(variant="hpc2d", n_ranks=4, max_iters=3, seed=9)
-        result = fit(A, 3, storage="memmap", **kwargs)
-        reference = fit(A, 3, storage="memory", **kwargs)
-        assert result.W.tobytes() == reference.W.tobytes()
+        assert _signature(fit(mapped, 3, **kwargs)) == _signature(fit(A, 3, **kwargs))

@@ -29,12 +29,25 @@ def test_factorize_registered_dataset(capsys, tmp_path):
 
 
 def test_factorize_npy_file(capsys, tmp_path):
-    path = tmp_path / "matrix.npy"
-    np.save(path, np.abs(np.random.default_rng(0).standard_normal((30, 20))))
+    # The input is mapped, not read: the fit's blocks of a mapped A are
+    # file-backed (tests/dist/test_storage.py), so A is never resident whole.
+    from repro.cli import _load_input
+    from repro.core.api import fit
+
+    A = np.abs(np.random.default_rng(0).standard_normal((30, 20)))
+    path, save = tmp_path / "matrix.npy", tmp_path / "factors.npz"
+    np.save(path, A)
+    loaded = _load_input(str(path))
+    assert isinstance(loaded, np.memmap) and not loaded.flags.writeable
+    assert loaded.tobytes() == A.tobytes()
     code = main(["factorize", str(path), "-k", "2", "--variant", "sequential",
-                 "--iters", "2"])
+                 "--iters", "2", "--save", str(save)])
     assert code == 0
     assert "k=2" in capsys.readouterr().out
+    expected = fit(A, 2, variant="sequential", max_iters=2)
+    with np.load(save) as data:
+        assert data["W"].tobytes() == expected.W.tobytes()
+        assert data["H"].tobytes() == expected.H.tobytes()
 
 
 def test_factorize_without_variant_defers_to_the_library_rule(capsys):
@@ -241,7 +254,6 @@ def test_top_level_help_lists_the_five_subcommands(capsys):
 def _registries() -> dict:
     from repro.comm.backends import available_backends
     from repro.core.variants import available_variants
-    from repro.dist.storage import STORAGE_MODES
     from repro.nls.base import available_solvers
     from repro.nls.kernels import available_kernels
 
@@ -250,12 +262,11 @@ def _registries() -> dict:
         "--backend": available_backends(),
         "--solver": available_solvers(),
         "--kernel": available_kernels() + ["auto"],
-        "--storage": list(STORAGE_MODES),
     }
 
 
 @pytest.mark.parametrize("command, options", [
-    ("factorize", ("--variant", "--backend", "--solver", "--kernel", "--storage")),
+    ("factorize", ("--variant", "--backend", "--solver", "--kernel")),
     ("plan", ("--backend", "--kernel")),
 ])
 def test_subcommand_help_lists_every_registered_choice(capsys, command, options):

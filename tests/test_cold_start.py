@@ -94,7 +94,7 @@ def test_the_serving_path_loads_no_fit_machinery(tmp_path, entry):
         program = entry
     loaded = _modules_after(program)
     assert loaded & set(_FIT_STACK) == set()
-    assert {m for m in loaded if m.startswith("repro.dist.")} <= {"repro.dist.storage"}
+    assert {m for m in loaded if m.startswith("repro.dist.")} == set()
 
 
 @pytest.mark.parametrize("package", _FACADES)

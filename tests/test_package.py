@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 import repro
-from repro.core.initialization import (
-    init_h_global,
-    init_h_local,
-    init_h_slice,
-)
+from repro.core.initialization import init_h_global, init_h_slice
 
 
 class TestLazyExports:
@@ -65,9 +61,3 @@ class TestInitialization:
         b = init_h_global(3, 10, 5)
         np.testing.assert_array_equal(a, b)
         assert np.all(a >= 0) and np.all(a < 1)
-
-    def test_local_init_differs_between_ranks(self):
-        a = init_h_local(3, 8, seed=1, rank=0)
-        b = init_h_local(3, 8, seed=1, rank=1)
-        assert a.shape == b.shape == (3, 8)
-        assert not np.allclose(a, b)

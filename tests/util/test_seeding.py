@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.util.seeding import _PRIME_CACHE, _first_primes, per_rank_seed, spawn_rng
+from repro.util.seeding import _PRIME_CACHE, _first_primes, per_rank_seed
 
 
 def test_prime_table_is_the_first_2048_primes():
@@ -45,18 +44,6 @@ def test_different_base_seeds_different_seeds():
 def test_negative_rank_rejected():
     with pytest.raises(ValueError):
         per_rank_seed(0, -1)
-
-
-def test_spawn_rng_reproducible():
-    a = spawn_rng(5, 2).random(10)
-    b = spawn_rng(5, 2).random(10)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_spawn_rng_rank_independence():
-    a = spawn_rng(5, 0).random(10)
-    b = spawn_rng(5, 1).random(10)
-    assert not np.allclose(a, b)
 
 
 def test_large_rank_supported():
