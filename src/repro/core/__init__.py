@@ -23,12 +23,15 @@
 Extensions beyond the paper's headline algorithms (motivated by its use cases
 and future-work discussion):
 
-* :mod:`repro.core.regularized` — ridge / L1-regularized NMF: Algorithm 3
-  with one normal-equations hook, at any ``p`` (communication unchanged);
+* :mod:`repro.core.regularized` — the penalty protocol Algorithm 3 applies at
+  lines 8 and 14, and ridge / L1-regularized NMF on it, at any ``p``
+  (communication unchanged);
 * :mod:`repro.core.symmetric` — symmetric NMF for graph clustering (the
-  Webbase use case, the paper's reference [13]);
+  Webbase use case, the paper's reference [13]): Algorithm 3 on a 1 × 1 grid
+  with a symmetry penalty;
 * :mod:`repro.core.streaming` — sliding-window incremental NMF for live video
-  (the §6.1.1 streaming scenario).
+  (the §6.1.1 streaming scenario), whose refresh is Algorithm 3 on a 1 × 1
+  grid, warm-started.
 """
 
 from repro._lazy import lazy_exports

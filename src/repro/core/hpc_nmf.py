@@ -26,8 +26,8 @@ its line, timed under the category of the last column; lines 3-4 are skipped
 when the previous iteration's error path already all-reduced ``H Hᵀ``, and
 the error path (:meth:`repro.core.spmd_loop.SpmdLoop.end_iteration`) follows
 line 14.  Lines 8 and 14 solve the normal equations after the one hook a
-penalty needs, :func:`repro.core.regularized.regularize_gram_rhs`, which
-returns an unregularized pair as it is.
+penalty needs (:class:`repro.core.regularized.Penalty`), which an
+unregularized run passes through as they are.
 
 On a 1 × 1 grid every collective hands back its input and this is
 Algorithm 1 (:mod:`repro.core.anls` runs it so, over
@@ -56,7 +56,7 @@ from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
 from repro.core.local_ops import BlockProducts, gram
 from repro.core.observers import IterationObserver
-from repro.core.regularized import Regularization, regularize_gram_rhs
+from repro.core.regularized import Penalty, Regularization
 from repro.core.spmd_loop import SpmdLoop
 from repro.dist.distmatrix import DistMatrix2D
 from repro.dist.factors import DistributedFactorH, DistributedFactorW
@@ -86,7 +86,8 @@ def hpc_nmf(
     config: NMFConfig,
     observers: Optional[Sequence[IterationObserver]] = None,
     variant: str = "hpc2d",
-    regularization: Regularization = Regularization(),
+    regularization: Penalty = Regularization(),
+    initial: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> dict:
     """SPMD per-rank program for Algorithm 3.
 
@@ -103,12 +104,14 @@ def hpc_nmf(
         Iteration observers, notified on rank 0 (see
         :mod:`repro.core.observers` for the SPMD dispatch rules).
     variant:
-        Registry name of the variant running this program (``"hpc1d"``,
-        ``"hpc2d"``, ``"sequential"`` or ``"regularized"``): provenance for
-        the result and the observers.
+        Registry name of the variant running this program (any but
+        ``"naive"``): provenance for the result and the observers.
     regularization:
-        Ridge/L1 weights applied to the line-8 and line-14 normal equations
-        (none by default).
+        The :class:`~repro.core.regularized.Penalty` at lines 8 and 14: ridge/L1
+        weights (none by default) or :class:`~repro.core.symmetric.SymmetryPenalty`.
+    initial:
+        Global ``(W0, H0)`` to warm-start from (streaming NMF's refresh);
+        by default ``H`` is seeded from ``config.seed`` and ``W`` starts empty.
 
     Returns
     -------
@@ -129,8 +132,11 @@ def hpc_nmf(
     # Factor sub-blocks (Figure 2).  H is seeded identically to the sequential
     # reference; W starts empty (the first half-iteration computes it).
     H_fac = DistributedFactorH.zeros(grid, k, n)
-    H_fac.local = init_h_slice(k, n, config.seed, H_fac.global_range)
     W_fac = DistributedFactorW.zeros(grid, m, k)
+    if initial is None:
+        H_fac.local = init_h_slice(k, n, config.seed, H_fac.global_range)
+    else:
+        H_fac.local = np.array(initial[1][:, slice(*H_fac.global_range)], order="C")
 
     norm_a_sq = data.frobenius_norm_squared()
 
@@ -200,6 +206,8 @@ def hpc_nmf(
     # like its right-hand side, and writes its solution over it; line 14 does
     # the same with H's sub-block.
     Wt_local = np.zeros((k, w_sub_rows))
+    if initial is not None:
+        Wt_local[:] = initial[0][slice(*W_fac.global_range)].T
 
     loop = SpmdLoop(comm, config, observers, variant, (pr, pc), norm_a_sq, regularization)
     profiler = loop.profiler
@@ -240,7 +248,7 @@ def hpc_nmf(
             profiler=profiler,
         )
         with profiler.task(TaskCategory.NLS):
-            normal = regularize_gram_rhs(gram_h, aht_block, regularization)
+            normal = regularization.normal_equations(gram_h, aht_block, H_fac.local)
             solver.solve(                                        # line 8
                 *normal, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
             )
@@ -263,7 +271,7 @@ def hpc_nmf(
             profiler=profiler,
         )
         with profiler.task(TaskCategory.NLS):
-            normal = regularize_gram_rhs(gram_w, wta_block, regularization)
+            normal = regularization.normal_equations(gram_w, wta_block, W_fac.local.T)
             solver.solve(*normal, x0=H_fac.local, out=H_fac.local)  # line 14
 
         if loop.end_iteration(

@@ -1,9 +1,10 @@
 """The per-iteration observer protocol shared by every NMF variant.
 
-Every variant's outer loop — in-process (symmetric, streaming) and SPMD
-(Algorithms 2 and 3; Algorithm 1 and ``regularized`` at ``p = 1`` are
-Algorithm 3 over a one-rank communicator) — reports each iteration to a list
-of :class:`IterationObserver` objects and honours their stop requests.  That
+Every variant's outer loop — the SPMD loops of Algorithms 2 and 3
+(Algorithm 1, ``symmetric`` and ``regularized`` at ``p = 1`` are Algorithm 3
+over a one-rank communicator) and the streaming variant's per-frame loop —
+reports each iteration to a list of :class:`IterationObserver` objects and
+honours their stop requests.  That
 makes the cross-cutting concerns that used to be per-variant ad-hoc code
 (history recording, tolerance-based early stopping, wall-clock budgets,
 checkpointing, live progress) *composable*: pass any mix of the built-in
@@ -355,22 +356,15 @@ class LoopControl:
                 stop = stop or requested
         return stop
 
-    def finish(self, result: NMFResult) -> NMFResult:
-        """Notify observers that the run produced ``result`` (driver side)."""
-        if self._root:
-            for observer in self._observers:
-                observer.on_finish(result)
-        return result
-
 
 def notify_finish(
     observers: Optional[Sequence[IterationObserver]], result: NMFResult
 ) -> NMFResult:
-    """Driver-side ``on_finish`` dispatch for SPMD variants.
+    """``on_finish`` dispatch in the calling process, once the variant holds its result.
 
     The per-rank :class:`LoopControl` objects die with their ranks before the
-    global result exists, so the variant layer calls this after assembling
-    the per-rank blocks into one :class:`~repro.core.result.NMFResult`.
+    global result exists (and symmetric NMF builds its own from the
+    assembled one), so the variant layer calls this last.
     """
     for observer in observers or ():
         observer.on_finish(result)

@@ -1,9 +1,12 @@
 """Regularized NMF (Frobenius and L1 penalties on the factors).
 
-The paper's framework solves each ANLS subproblem from its normal equations;
-the two standard regularizers fit that interface with no change to the
-parallel algorithms' communication pattern (the approach of the authors'
-later MPI-FAUN/PLANC software):
+The paper's framework solves each ANLS subproblem from its normal equations.
+A penalty on the factors changes only the Gram matrix and the right-hand side
+of those equations, so it needs no change to the parallel algorithms'
+communication pattern (the approach of the authors' later MPI-FAUN/PLANC
+software).  :class:`Penalty` is that change, as Algorithm 3's loop
+(:func:`repro.core.hpc_nmf.hpc_nmf`) applies it; :class:`Regularization`
+implements it for the two standard regularizers:
 
 * **Frobenius (ridge) regularization** ``λ_F (‖W‖_F² + ‖H‖_F²)`` adds
   ``λ_F · I`` to the k×k Gram matrix of each subproblem;
@@ -13,22 +16,15 @@ later MPI-FAUN/PLANC software):
 
 Both act on matrices every rank already holds after the collectives: the
 replicated k×k Gram and the locally owned right-hand side.
-:func:`regularize_gram_rhs` is that change, applied by Algorithm 3's loop
-(:func:`repro.core.hpc_nmf.hpc_nmf`) at lines 8 and 14.
 :func:`regularized_nmf` runs that loop at any ``p``: on a 1 × 1 grid over
 :class:`~repro.comm.communicator.SelfComm` when ``config.n_ranks == 1``, on
 ``config.n_ranks`` ranks of ``config.backend`` otherwise.
-
-The penalized objective is read from the error path's pieces: the ridge term
-``λ_F (tr WᵀW + tr HHᵀ)`` from the replicated Grams, the L1 term from the
-factors' entry sums, which ride along the cross-term all-reduce.
-``relative_error`` stays the unpenalized ``‖A − WH‖_F / ‖A‖_F``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +34,32 @@ from repro.core.result import NMFResult
 from repro.util.errors import ShapeError
 
 
+class Penalty(Protocol):
+    """A penalty on the factors: what Algorithm 3's loop calls, and where.
+
+    ``normal_equations`` returns the penalized ``(gram, rhs)`` at lines 8 and
+    14 without modifying its inputs; ``partner`` is the other factor's block
+    lined up with ``rhs`` (``H``'s at line 8, ``Wᵀ``'s at line 14).
+    ``local_scalars`` is this rank's share of the numbers the penalty value
+    needs, summed in the error path's cross-term all-reduce (none adds no
+    word), and ``objective_term`` is that value, added to ``objective`` only:
+    ``relative_error`` stays the unpenalized ``‖A − WH‖_F / ‖A‖_F``.
+    """
+
+    def normal_equations(self, gram, rhs, partner) -> Tuple[np.ndarray, np.ndarray]: ...
+
+    def local_scalars(self, W_local, H_local) -> Tuple[float, ...]: ...
+
+    def objective_term(self, gram_w, gram_h, scalars) -> float: ...
+
+
 @dataclass(frozen=True)
 class Regularization:
-    """Regularization weights for the two factors.
+    """Regularization weights for the two factors (a :class:`Penalty`).
 
     ``frobenius`` is the ridge weight λ_F, ``l1`` the sparsity weight λ_1;
-    both must be nonnegative and both default to zero (plain NMF).
+    both must be nonnegative and both default to zero (plain NMF, whose
+    normal equations come back as they are).
     """
 
     frobenius: float = 0.0
@@ -57,30 +73,25 @@ class Regularization:
     def is_active(self) -> bool:
         return self.frobenius > 0 or self.l1 > 0
 
-    def penalty(self, gram_w: np.ndarray, gram_h: np.ndarray, entry_sum: float) -> float:
-        """``λ_F (tr WᵀW + tr HHᵀ) + λ_1 (ΣW + ΣH)``; ``entry_sum`` is ``ΣW + ΣH``."""
+    def normal_equations(self, gram, rhs, partner):
+        """``(gram + λ_F I, rhs − λ_1/2)``; ``partner`` is not read."""
+        if not self.is_active:
+            return gram, rhs
+        new_gram = gram + self.frobenius * np.eye(gram.shape[0])
+        new_rhs = rhs - 0.5 * self.l1 if self.l1 > 0 else rhs
+        return new_gram, new_rhs
+
+    def local_scalars(self, W_local, H_local):
+        """The local entry sum ``ΣW + ΣH`` when λ_1 > 0, else nothing."""
+        return (np.sum(W_local) + np.sum(H_local),) if self.l1 > 0 else ()
+
+    def objective_term(self, gram_w, gram_h, scalars) -> float:
+        """``λ_F (tr WᵀW + tr HHᵀ) + λ_1 (ΣW + ΣH)``."""
+        entry_sum = scalars[0] if scalars else 0.0
         return (
             self.frobenius * float(np.trace(gram_w) + np.trace(gram_h))
             + self.l1 * entry_sum
         )
-
-
-def regularize_gram_rhs(
-    gram_matrix: np.ndarray,
-    rhs: np.ndarray,
-    reg: Regularization,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply ridge/L1 regularization to a normal-equations pair.
-
-    Returns new ``(gram, rhs)`` arrays; the inputs are not modified, and an
-    inactive ``reg`` returns them as they are.
-    """
-    if not reg.is_active:
-        return gram_matrix, rhs
-    k = gram_matrix.shape[0]
-    new_gram = gram_matrix + reg.frobenius * np.eye(k)
-    new_rhs = rhs - 0.5 * reg.l1 if reg.l1 > 0 else rhs
-    return new_gram, new_rhs
 
 
 def regularized_nmf(
@@ -91,7 +102,7 @@ def regularized_nmf(
 ) -> NMFResult:
     """ANLS NMF with ridge and/or L1 regularization on both factors.
 
-    Algorithm 3 with :func:`regularize_gram_rhs` at lines 8 and 14, on
+    Algorithm 3 with ``regularization`` applied at lines 8 and 14, on
     ``config.n_ranks`` ranks.  With ``regularization=None`` (or all-zero
     weights) the result is bit for bit :func:`repro.core.anls.anls_nmf`'s.
     ``observers`` follow the protocol of :mod:`repro.core.observers`.

@@ -17,6 +17,8 @@ A rank program runs one of two ways.  :func:`run_on_backend` launches it on
 calls it once on :class:`~repro.comm.communicator.SelfComm` in this process:
 that is Algorithm 1 (``sequential``), Algorithm 3 on a 1 × 1 grid, where
 every collective hands back its input, moves nothing and is not timed.
+Symmetric NMF and streaming NMF's refresh run it so too, through
+:func:`run_on_self` (no input check, no ``on_finish``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.core.config import NMFConfig
 from repro.core.local_ops import gram, local_cross_term
 from repro.core.objective import objective_from_grams
 from repro.core.observers import IterationObserver, LoopControl, notify_finish
-from repro.core.regularized import Regularization
+from repro.core.regularized import Penalty, Regularization
 from repro.core.result import NMFResult
 from repro.util.errors import PartitionError
 from repro.util.validation import check_matrix, check_nonnegative, check_rank
@@ -60,14 +62,14 @@ class SpmdLoop:
         variant: str,
         grid_shape: Tuple[int, int],
         norm_a_sq: float,
-        regularization: Regularization = Regularization(),
+        penalty: Penalty = Regularization(),
     ):
         self.comm = comm
         self.config = config
         self.variant = variant
         self.grid_shape = grid_shape
         self.norm_a_sq = norm_a_sq
-        self.regularization = regularization
+        self.penalty = penalty
         self.profiler = Profiler()
         self.ledger = CostLedger()
         comm.attach_ledger(self.ledger)
@@ -95,10 +97,10 @@ class SpmdLoop:
         cross term ``⟨WᵀA, H⟩`` and the local H-Gram are summed with two small
         all-reduces; the reduced ``H Hᵀ`` is kept as the next iteration's
         :attr:`gram_h`.  ``wta`` is the unpenalized line-13 result, so
-        ``relative_error`` is the unpenalized ratio; a penalty is added to
-        ``objective`` only (:meth:`Regularization.penalty`).  With an L1
-        weight the factors' local entry sums ride along the cross term in
-        its all-reduce.
+        ``relative_error`` is the unpenalized ratio; the penalty's value is
+        added to ``objective`` only (:meth:`Penalty.objective_term`).  Its
+        local scalars ride along the cross term in that all-reduce, which is
+        one scalar when it has none.
 
         On a one-rank communicator the local blocks are the global factors,
         and the observers get them live.
@@ -108,15 +110,16 @@ class SpmdLoop:
             return self.control.record(
                 iteration, seconds=time.perf_counter() - iter_start, factors=factors
             )
-        comm, profiler, reg = self.comm, self.profiler, self.regularization
+        comm, profiler = self.comm, self.profiler
         with profiler.task(TaskCategory.GRAM):
             local_gram_h = gram(H_local, transpose_first=False)
-        entry_sum = 0.0
         with profiler.collective(TaskCategory.ALL_REDUCE, comm):
             cross_local = local_cross_term(wta, H_local)
-            if reg.l1 > 0:
-                local = np.array([cross_local, np.sum(W_local) + np.sum(H_local)])
-                cross, entry_sum = (float(v) for v in comm.allreduce(local))
+            scalars = self.penalty.local_scalars(W_local, H_local)
+            if scalars:
+                cross, *scalars = (
+                    float(v) for v in comm.allreduce(np.array([cross_local, *scalars]))
+                )
             else:
                 cross = comm.allreduce_scalar(cross_local)
         with profiler.collective(TaskCategory.ALL_REDUCE, comm):
@@ -124,9 +127,7 @@ class SpmdLoop:
         seconds = time.perf_counter() - iter_start
         residual = objective_from_grams(self.norm_a_sq, cross, gram_w, self.gram_h)
         rel_error = float(np.sqrt(residual / self.norm_a_sq)) if self.norm_a_sq > 0 else 0.0
-        objective = residual
-        if reg.is_active:
-            objective += reg.penalty(gram_w, self.gram_h, entry_sum)
+        objective = residual + self.penalty.objective_term(gram_w, self.gram_h, scalars)
         return self.control.record(
             iteration, objective=objective, relative_error=rel_error, seconds=seconds,
             factors=factors,
@@ -224,7 +225,7 @@ def run_on_backend(
     return notify_finish(observers, assemble_result(per_rank, config))
 
 
-def run_in_process(
+def run_on_self(
     program: Callable[..., dict],
     A,
     config: NMFConfig,
@@ -236,15 +237,29 @@ def run_in_process(
 
     No backend is launched, so the result records none (``backend`` and
     ``grid_shape`` are ``None``, as for any in-process variant); ``n_ranks``
-    and ``grid`` of ``config`` are not read.
+    and ``grid`` of ``config`` are not read.  ``A`` is not checked and
+    ``on_finish`` is not called (see :func:`run_in_process`).
     """
     rank = program(
         SelfComm(),
-        _checked(A, config),
+        A,
         config.with_options(grid=None),
         observers=tuple(observers or ()),
         variant=variant,
         **options,
     )
     result = assemble_result([rank], config)
-    return notify_finish(observers, dataclasses.replace(result, grid_shape=None, backend=None))
+    return dataclasses.replace(result, grid_shape=None, backend=None)
+
+
+def run_in_process(
+    program: Callable[..., dict],
+    A,
+    config: NMFConfig,
+    observers: Optional[Sequence[IterationObserver]],
+    variant: str,
+    **options,
+) -> NMFResult:
+    """:func:`run_on_self` on a checked ``A``, then ``on_finish``."""
+    result = run_on_self(program, _checked(A, config), config, observers, variant, **options)
+    return notify_finish(observers, result)

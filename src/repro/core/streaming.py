@@ -14,7 +14,8 @@ The update rule per new frame (one new column ``a``):
    (a single small NLS solve with the existing Gram matrix);
 3. every ``refresh_every`` frames, run a few full ANLS sweeps over the window
    warm-started from the current factors to let the basis ``W`` drift with the
-   scene.
+   scene: Algorithm 3's loop on a 1 × 1 grid with ``initial=(W, H)``, profiled
+   like any fit.
 
 This is deliberately the simple, well-understood variant of incremental NMF:
 the point is to exercise the warm-start path of the solvers and to support the
@@ -28,9 +29,12 @@ from typing import Deque
 
 import numpy as np
 
+from repro.comm.profiler import TimeBreakdown
 from repro.core.config import NMFConfig
-from repro.core.local_ops import BlockProducts, gram
+from repro.core.hpc_nmf import hpc_nmf
+from repro.core.local_ops import gram
 from repro.core.objective import relative_error
+from repro.core.spmd_loop import run_on_self
 from repro.util.errors import ShapeError
 from repro.util.validation import check_rank
 
@@ -49,9 +53,12 @@ class StreamingNMF:
     refresh_every:
         Run ``refresh_iters`` full ANLS sweeps every this many appended frames.
     refresh_iters:
-        Number of warm-started ANLS sweeps per refresh.
+        Number of warm-started ANLS sweeps per refresh (at least 1).
     solver, seed:
         As for batch NMF.
+
+    :attr:`breakdown` sums every refresh's profile (per-frame solves are not
+    profiled).
     """
 
     def __init__(
@@ -69,12 +76,18 @@ class StreamingNMF:
         check_rank(k, n_pixels, window)
         if refresh_every < 1:
             raise ShapeError(f"refresh_every must be >= 1, got {refresh_every}")
+        if refresh_iters < 1:
+            raise ShapeError(f"refresh_iters must be >= 1, got {refresh_iters}")
         self.n_pixels = int(n_pixels)
         self.k = int(k)
         self.window = int(window)
         self.refresh_every = int(refresh_every)
         self.refresh_iters = int(refresh_iters)
-        self._solver = NMFConfig(k=k, solver=solver, seed=seed).make_solver()
+        self._refresh_config = NMFConfig(
+            k=k, solver=solver, seed=seed, max_iters=refresh_iters, compute_error=False
+        )
+        self._solver = self._refresh_config.make_solver()
+        self.breakdown = TimeBreakdown.zeros()
         self._frames: Deque[np.ndarray] = deque(maxlen=window)
         self._coeffs: Deque[np.ndarray] = deque(maxlen=window)
         rng = np.random.default_rng(seed)
@@ -142,25 +155,11 @@ class StreamingNMF:
 
     # -- internal ------------------------------------------------------------
     def _refresh(self) -> None:
-        """A few warm-started ANLS sweeps over the current window."""
-        A = self.current_window()
-        H = self.current_coefficients()
-        # The sweeps solve into these two iterates, and both MM products
-        # share one right-hand-side buffer: H Aᵀ is dead once Wᵀ is solved.
-        Wt = np.array(self.W.T)
-        k, (m, n) = self.k, A.shape
-        rhs = np.empty(k * max(m, n))
-        products = BlockProducts(A, k)
-        for _ in range(self.refresh_iters):
-            gram_h = gram(H, transpose_first=False)
-            products.set_h(H)
-            h_at = products.h_at(rhs[:k * m].reshape(k, m))
-            self._solver.solve(gram_h, h_at, x0=Wt, out=Wt)
-            W = Wt.T
-            gram_w = gram(W, transpose_first=True)
-            wt_a = products.wt_a(W, rhs[:k * n].reshape(k, n))
-            self._solver.solve(gram_w, wt_a, x0=H, out=H)
-            self.W = W
-        # Push refreshed coefficients back into the deque column by column.
-        for idx in range(H.shape[1]):
-            self._coeffs[idx] = H[:, idx]
+        """A few warm-started ANLS sweeps over the window (not checked: frames may be < 0)."""
+        result = run_on_self(
+            hpc_nmf, self.current_window(), self._refresh_config, None, "streaming",
+            initial=(self.W, self.current_coefficients()),
+        )
+        self.W = result.W
+        self.breakdown = self.breakdown + result.breakdown
+        self._coeffs = deque(result.H.T, maxlen=self.window)  # one column per frame

@@ -16,25 +16,48 @@ remains an NLS problem in normal-equations form:
     W-step:  gram = H Hᵀ + α I,   rhs = (S Hᵀ + α Hᵀ)ᵀ
     H-step:  gram = Wᵀ W + α I,   rhs = Wᵀ S + α Wᵀ
 
-so the same local solvers (and, unchanged, the same parallel framework) apply.
+so this is Algorithm 3's loop with one penalty hook at lines 8 and 14
+(:class:`SymmetryPenalty`), which :func:`symmetric_nmf` runs over
+:class:`~repro.comm.communicator.SelfComm`.  ``history`` follows
+``regularized``'s contract: ``relative_error`` is the unpenalized
+``‖S − WH‖_F / ‖S‖_F`` of the ``(W, H)`` iterate, ``objective`` the penalized
+``‖S − WH‖_F² + α ‖W − Hᵀ‖_F²``, and observers see the live ``(W, H)``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.local_ops import gram, matmul_h_at, matmul_wt_a
-from repro.core.initialization import init_h_global
-from repro.core.objective import frobenius_norm_squared
-from repro.core.observers import IterationObserver, LoopControl
+from repro.core.hpc_nmf import hpc_nmf
+from repro.core.observers import IterationObserver, notify_finish
 from repro.core.result import NMFResult
+from repro.core.spmd_loop import run_on_self
 from repro.util.errors import ShapeError
-from repro.util.validation import check_matrix, check_nonnegative, check_rank, is_sparse
+from repro.util.validation import check_matrix, check_nonnegative, check_rank
+
+
+@dataclass(frozen=True)
+class SymmetryPenalty:
+    """``α ‖W − Hᵀ‖_F²`` as a :class:`~repro.core.regularized.Penalty`.
+
+    Its value ``α (tr WᵀW + tr HHᵀ − 2⟨W, Hᵀ⟩)`` needs one local scalar,
+    ``⟨W, Hᵀ⟩``, whose blocks line up on a 1 × 1 grid only.
+    """
+
+    alpha: float
+
+    def normal_equations(self, gram, rhs, partner):
+        return gram + self.alpha * np.eye(gram.shape[0]), rhs + self.alpha * partner
+
+    def local_scalars(self, W_local, H_local):
+        return (np.vdot(W_local, H_local.T),)
+
+    def objective_term(self, gram_w, gram_h, scalars) -> float:
+        return self.alpha * float(np.trace(gram_w) + np.trace(gram_h) - 2.0 * scalars[0])
 
 
 @dataclass
@@ -43,9 +66,8 @@ class SymNMFResult(NMFResult):
 
     The factors satisfy ``W = G`` and ``H = Gᵀ``, so ``reconstruction()`` is
     the symmetric model ``G Gᵀ``; :attr:`G`, :attr:`labels` and
-    :meth:`cluster_sizes` expose the clustering view.  The per-iteration
-    ``history`` records the penalized objective, so the legacy
-    ``objective_history`` accessor keeps working through the base class.
+    :meth:`cluster_sizes` expose the clustering view.  ``history`` is that of
+    the ``(W, H)`` iterates (see the module docstring).
     """
 
     alpha: float = 0.0
@@ -92,7 +114,8 @@ def symmetric_nmf(
         As for ordinary NMF.
     observers:
         Iteration observers (see :mod:`repro.core.observers`); events carry
-        the penalized objective and the relative residual of ``S ≈ G Gᵀ``.
+        the penalized objective, the relative residual of ``S ≈ W H`` and
+        the live ``(W, H)``; ``on_finish`` gets the :class:`SymNMFResult`.
     config:
         Full :class:`NMFConfig`; when given it supersedes
         ``max_iters``/``solver``/``seed`` and its ``tol``, ``compute_error``
@@ -114,8 +137,7 @@ def symmetric_nmf(
     S = (S + S.T) * 0.5
 
     if alpha is None:
-        max_entry = float(S.data.max()) if is_sparse(S) and S.nnz else float(np.max(S)) if not is_sparse(S) else 0.0
-        alpha = max(max_entry**2, 1.0)
+        alpha = max(float(S.max()) ** 2, 1.0)
     if alpha < 0:
         raise ShapeError(f"alpha must be nonnegative, got {alpha}")
 
@@ -125,66 +147,9 @@ def symmetric_nmf(
         raise ShapeError(
             f"rank mismatch: symmetric_nmf called with k={k} but config.k={config.k}"
         )
-    nls = config.make_solver()
-
-    H = init_h_global(k, n1, config.seed)   # k × n
-    W = H.T.copy()                           # n × k, start symmetric
-    eye = np.eye(k)
-    norm_s_sq = frobenius_norm_squared(S)
-
-    control = LoopControl(config, observers, variant="symmetric").start()
-
-    for iteration in range(config.max_iters):
-        iter_start = time.perf_counter()
-
-        # W-step: min ||S - W H||² + alpha ||W - Hᵀ||².
-        gram_h = gram(H, transpose_first=False) + alpha * eye
-        rhs_w = matmul_h_at(H, S) + alpha * H                   # k × n
-        W = nls.solve(gram_h, rhs_w, x0=W.T).T
-
-        # H-step: min ||S - W H||² + alpha ||Hᵀ - W||².
-        gram_w = gram(W, transpose_first=True) + alpha * eye
-        rhs_h = matmul_wt_a(W, S) + alpha * W.T                 # k × n
-        H = nls.solve(gram_w, rhs_h, x0=H)
-
-        G = 0.5 * (W + H.T)
-        objective = rel_error = float("nan")
-        if config.compute_error:
-            residual = _symnmf_objective(S, G)
-            asymmetry = float(np.linalg.norm(W - H.T))
-            objective = residual + alpha * asymmetry**2
-            rel_error = float(np.sqrt(residual / norm_s_sq)) if norm_s_sq > 0 else 0.0
-        if control.record(
-            iteration,
-            objective=objective,
-            relative_error=rel_error,
-            seconds=time.perf_counter() - iter_start,
-            factors=(G, G.T),
-        ):
-            break
-
-    G = 0.5 * (W + H.T)
-    result = SymNMFResult(
-        W=np.ascontiguousarray(G),
-        H=np.ascontiguousarray(G.T),
-        config=config,
-        iterations=control.iterations,
-        history=control.history,
-        converged=control.converged,
-        variant="symmetric",
-        alpha=alpha,
+    result = run_on_self(
+        hpc_nmf, S, config, observers, "symmetric", regularization=SymmetryPenalty(alpha)
     )
-    return control.finish(result)
-
-
-def _symnmf_objective(S, G: np.ndarray) -> float:
-    """``‖S − G Gᵀ‖_F²`` via the Gram trick (no n×n dense product)."""
-    gtg = G.T @ G
-    if is_sparse(S):
-        coo = S.tocoo()
-        cross = float(np.sum(coo.data * np.einsum("ij,ij->i", G[coo.row], G[coo.col])))
-        norm_s = float(coo.data @ coo.data)
-    else:
-        cross = float(np.vdot(S @ G, G))
-        norm_s = float(np.vdot(S, S))
-    return max(norm_s - 2.0 * cross + float(np.sum(gtg * gtg)), 0.0)
+    G = np.ascontiguousarray(0.5 * (result.W + result.H.T))
+    sym = SymNMFResult(**{**vars(result), "W": G, "H": np.ascontiguousarray(G.T)}, alpha=alpha)
+    return notify_finish(observers, sym)

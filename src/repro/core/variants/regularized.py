@@ -1,9 +1,10 @@
 """The ``regularized`` variant: ridge / L1 penalties on both factors.
 
 Algorithm 3 with the penalty applied to the line-8 and line-14 normal
-equations (:func:`repro.core.regularized.regularize_gram_rhs`), at any ``p``:
-over :class:`~repro.comm.communicator.SelfComm` in this process at
-``n_ranks = 1``, on ``n_ranks`` ranks of the configured backend above.  It
+equations (:meth:`repro.core.regularized.Regularization.normal_equations`),
+at any ``p``: over :class:`~repro.comm.communicator.SelfComm` in this
+process at ``n_ranks = 1``, on ``n_ranks`` ranks of the configured backend
+above.  It
 runs ``hpc2d``'s collectives (an L1 weight adds one word per iteration to the
 error path's all-reduce); it has no cost model, so ``variant="auto"`` never
 plans it.

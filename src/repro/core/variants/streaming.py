@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import NMFConfig
-from repro.core.observers import LoopControl
+from repro.core.observers import LoopControl, notify_finish
 from repro.core.result import NMFResult
 from repro.core.streaming import StreamingNMF
 from repro.core.variants.base import Variant, register_variant
@@ -26,7 +26,8 @@ class StreamingVariant(Variant):
 
     The stream length is the *data*, not a solver knob: the loop runs once
     per column of ``A`` and ``config.max_iters`` does not apply (the
-    per-refresh ANLS depth is ``refresh_iters``).  ``config.tol`` and
+    per-refresh ANLS depth is ``refresh_iters``).  ``breakdown`` sums the
+    refreshes' profiles (:attr:`StreamingNMF.breakdown`).  ``config.tol`` and
     observers still stop the stream early, and ``compute_error=False`` skips
     the per-frame window-error measurement.
 
@@ -93,5 +94,6 @@ class StreamingVariant(Variant):
             history=control.history,
             converged=control.converged,
             variant="streaming",
+            breakdown=model.breakdown,
         )
-        return control.finish(result)
+        return notify_finish(observers, result)

@@ -7,11 +7,7 @@ from repro.core.anls import anls_nmf
 from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.core.objective import relative_error
-from repro.core.regularized import (
-    Regularization,
-    regularize_gram_rhs,
-    regularized_nmf,
-)
+from repro.core.regularized import Regularization, regularized_nmf
 from repro.data.lowrank import planted_lowrank
 from repro.util.errors import ShapeError
 
@@ -31,11 +27,12 @@ class TestRegularization:
     def test_gram_rhs_modification(self):
         gram = np.eye(3)
         rhs = np.ones((3, 2))
-        g, r = regularize_gram_rhs(gram, rhs, Regularization(frobenius=2.0, l1=1.0))
+        partner = np.full((3, 2), 7.0)  # ridge/L1 never read the other factor
+        g, r = Regularization(frobenius=2.0, l1=1.0).normal_equations(gram, rhs, partner)
         np.testing.assert_array_equal(g, 3.0 * np.eye(3))
         np.testing.assert_array_equal(r, np.full((3, 2), 0.5))
         # Inactive regularization returns the inputs untouched.
-        g2, r2 = regularize_gram_rhs(gram, rhs, Regularization())
+        g2, r2 = Regularization().normal_equations(gram, rhs, partner)
         assert g2 is gram and r2 is rhs
 
 

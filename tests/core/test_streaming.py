@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.comm.profiler import TaskCategory
+from repro.core.api import fit
 from repro.core.streaming import StreamingNMF
 from repro.data.video import VideoSceneConfig, video_matrix
 from repro.util.errors import ShapeError
@@ -16,6 +18,13 @@ class TestStreamingNMFBasics:
             StreamingNMF(n_pixels=100, k=5, window=10, refresh_every=0)
         with pytest.raises(ShapeError):
             StreamingNMF(n_pixels=4, k=10, window=20)
+
+    @pytest.mark.parametrize("refresh_iters", [0, -3])
+    def test_refresh_iters_below_one_rejected(self, refresh_iters):
+        with pytest.raises(ShapeError, match="refresh_iters"):
+            StreamingNMF(n_pixels=100, k=5, window=10, refresh_iters=refresh_iters)
+        with pytest.raises(ShapeError, match="refresh_iters"):
+            fit(np.ones((20, 8)), 2, variant="streaming", refresh_iters=refresh_iters)
 
     def test_frame_shape_validated(self):
         model = StreamingNMF(n_pixels=50, k=3, window=8)
@@ -72,3 +81,27 @@ class TestStreamingOnVideo:
         energy = np.sort(residual**2)[::-1]
         top_fraction = energy[: max(1, energy.size // 10)].sum() / max(energy.sum(), 1e-12)
         assert top_fraction > 0.5
+
+
+class TestRefreshIsAlgorithmThree:
+    def test_frames_with_negative_entries_stream_through_a_refresh(self):
+        rng = np.random.default_rng(7)
+        model = StreamingNMF(n_pixels=30, k=3, window=6, refresh_every=4, seed=2)
+        for _ in range(8):
+            model.push_frame(rng.standard_normal(30))
+        assert model.current_window().min() < 0
+        assert model.breakdown.get(TaskCategory.NLS) > 0  # two refreshes ran
+        assert np.all(np.isfinite(model.W)) and np.all(model.W >= 0)
+
+    def test_refreshes_are_profiled(self):
+        rng = np.random.default_rng(8)
+        model = StreamingNMF(n_pixels=30, k=3, window=6, refresh_every=3, seed=2)
+        model.push_frame(rng.random(30))
+        model.push_frame(rng.random(30))
+        assert model.breakdown.total == 0.0  # no refresh yet
+        model.push_frame(rng.random(30))
+        first = model.breakdown
+        assert first.get(TaskCategory.NLS) > 0 and first.get(TaskCategory.MM) > 0
+        for _ in range(3):
+            model.push_frame(rng.random(30))
+        assert model.breakdown.total > first.total

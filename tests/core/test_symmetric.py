@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.observers import IterationObserver
 from repro.core.symmetric import SymNMFResult, symmetric_nmf
 from repro.util.errors import ShapeError
 
@@ -72,3 +73,53 @@ class TestSymmetricNMF:
         A = (rng.random((25, 25)) < 0.2).astype(float)
         res = symmetric_nmf(A, k=2, max_iters=10, seed=11)
         assert np.all(np.isfinite(res.G))
+
+
+class LiveFactors(IterationObserver):
+    """Copies each iteration's live ``(W, H)`` and its recorded metrics."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_iteration(self, event):
+        self.events.append((event.W.copy(), event.H.copy(), event.objective,
+                            event.relative_error))
+
+
+class TestSymmetryPenaltyHook:
+    """The history is Algorithm 3's error path with the symmetry penalty added."""
+
+    def _run(self, seed, **options):
+        A, _ = block_diagonal_graph(20, 3, seed=2)
+        watcher = LiveFactors()
+        res = symmetric_nmf(A, k=3, max_iters=12, seed=seed, observers=[watcher], **options)
+        return 0.5 * (A + A.T), res, watcher.events
+
+    @pytest.mark.parametrize("alpha", [None, 3.5])
+    def test_objective_is_residual_plus_penalty(self, alpha):
+        S, res, events = self._run(seed=1, alpha=alpha)
+        assert len(events) == res.iterations == 12
+        assert res.alpha == (1.0 if alpha is None else alpha)  # max(S)² = 1 here
+        for W, H, objective, rel_error in events:
+            residual = np.linalg.norm(S - W @ H) ** 2
+            expected = residual + res.alpha * np.linalg.norm(W - H.T) ** 2
+            assert objective == pytest.approx(expected, rel=1e-10)
+            assert rel_error == pytest.approx(np.sqrt(residual) / np.linalg.norm(S), rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bpp_objective_never_increases(self, seed):
+        _, res, _ = self._run(seed=seed, solver="bpp")
+        history = np.array(res.objective_history)
+        assert np.all(np.diff(history) <= 0.0)
+
+    def test_observers_finish_with_the_symmetric_result(self):
+        class Finish(IterationObserver):
+            def on_finish(self, result):
+                self.result = result
+
+        watcher = Finish()
+        A, _ = block_diagonal_graph(10, 2, seed=3)
+        res = symmetric_nmf(A, k=2, max_iters=3, observers=[watcher])
+        assert watcher.result is res
+        assert isinstance(res, SymNMFResult)
+        np.testing.assert_array_equal(res.H, res.G.T)

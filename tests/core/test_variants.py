@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro
+from repro.comm.profiler import TaskCategory
 from repro.core.api import NMF, fit
 from repro.core.config import NMFConfig
 from repro.core.symmetric import SymNMFResult
@@ -134,6 +135,13 @@ class TestFitFrontDoor:
         silent = fit(A, 2, variant="symmetric", max_iters=3, compute_error=False)
         assert silent.history == []
         assert silent.iterations == 3
+
+    @pytest.mark.parametrize("variant", ["symmetric", "streaming"])
+    def test_in_process_extensions_report_a_breakdown(self, variant):
+        res = fit(_matrix(), 2, variant=variant, max_iters=4, seed=1)
+        assert res.breakdown.total > 0
+        assert res.breakdown.get(TaskCategory.NLS) > 0
+        assert res.breakdown.get(TaskCategory.MM) > 0
 
     def test_symmetric_honours_inner_iters(self):
         res = fit(_matrix(), 2, variant="symmetric", solver="hals",

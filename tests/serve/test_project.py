@@ -170,6 +170,16 @@ class TestModelRefresher:
         # the published basis still validates (nonnegative, no dead columns)
         assert (entry.W >= 0).all()
 
+    def test_negative_entries_stream_through_a_refresh(self):
+        store = self._store()
+        refresher = ModelRefresher(store, "m", window=8, refresh_every=4)
+        for _ in range(4):
+            column = np.abs(RNG.standard_normal(M))
+            column[::7] *= -1.0
+            refresher.ingest(column)
+        assert refresher.published_versions == [2]
+        assert (store.get("m").W >= 0).all()
+
     def test_ingest_rejects_blocks(self):
         refresher = ModelRefresher(self._store(), "m")
         with pytest.raises(ProjectionRequestError, match="exactly one column"):
