@@ -5,8 +5,7 @@ The parallel algorithms are written against
 substrate that actually runs the per-rank programs:
 
 * :mod:`~repro.comm.backends.base` — the :class:`Backend` interface, the
-  name → class registry (with per-backend capability flags) and the
-  :func:`run_spmd` entry point;
+  name → class registry and the :func:`run_spmd` entry point;
 * :mod:`~repro.comm.backends.thread` — ``"thread"``: one Python thread per
   rank, real overlap wherever BLAS releases the GIL;
 * :mod:`~repro.comm.backends.lockstep` — ``"lockstep"``: cooperative
@@ -39,11 +38,9 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.comm.backends.base": (
         "Backend",
-        "CAPABILITY_FLAGS",
         "PeerAbortError",
         "SharedGroupState",
         "available_backends",
-        "backend_capabilities",
         "get_backend_class",
         "make_backend",
         "register_backend",

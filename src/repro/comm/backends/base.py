@@ -32,12 +32,6 @@ deposit slots; the collectives themselves exist once, in
 :class:`~repro.comm.communicator.Comm`, which moves through the slots when
 the group state has them and point-to-point when it does not.
 
-Each backend class carries :data:`CAPABILITY_FLAGS` class attributes
-(``deterministic_schedule``, ``parallel_python``, ``cross_process``,
-``simulates_large_grids``, ``wire_transport``) so callers — the CLI listing,
-the benchmark harness — can pick a substrate by property rather than by
-name.
-
 Third-party backends plug in through :func:`register_backend`; everything
 downstream selects a backend by name (``NMFConfig.backend``,
 ``fit(..., backend=...)``, the CLI's ``--backend`` flag).
@@ -189,16 +183,6 @@ class SharedGroupState:
             subgroup.abort()
 
 
-#: Capability flags every backend class declares (as class attributes).
-CAPABILITY_FLAGS: Tuple[str, ...] = (
-    "deterministic_schedule",  # rank interleaving is a pure function of the program
-    "parallel_python",         # ranks run Python bytecode concurrently (no GIL convoy)
-    "cross_process",           # ranks live in separate OS processes
-    "simulates_large_grids",   # hundreds of ranks are practical on one machine
-    "wire_transport",          # collectives serialize onto a real byte stream
-)
-
-
 class Backend(abc.ABC):
     """Executes an SPMD program on ``n_ranks`` ranks and collects results.
 
@@ -209,18 +193,6 @@ class Backend(abc.ABC):
     name:
         Optional label used in thread names and diagnostics.
     """
-
-    # Conservative defaults; subclasses override the flags they earn.
-    deterministic_schedule = False
-    parallel_python = False
-    cross_process = False
-    simulates_large_grids = False
-    wire_transport = False
-
-    @classmethod
-    def capabilities(cls) -> Dict[str, bool]:
-        """This backend's :data:`CAPABILITY_FLAGS` as a name → bool mapping."""
-        return {flag: bool(getattr(cls, flag)) for flag in CAPABILITY_FLAGS}
 
     def __init__(self, n_ranks: int, name: str = "spmd"):
         if n_ranks < 1:
@@ -296,13 +268,6 @@ def available_backends() -> List[str]:
     """Names of all registered backends, sorted."""
     _ensure_builtin_backends()
     return sorted(_REGISTRY)
-
-
-def backend_capabilities(name: Optional[str] = None) -> Dict[str, Dict[str, bool]]:
-    """Capability flags by backend name (all backends, or just ``name``)."""
-    _ensure_builtin_backends()
-    names = [name] if name is not None else sorted(_REGISTRY)
-    return {n: get_backend_class(n).capabilities() for n in names}
 
 
 def get_backend_class(name: str) -> Type[Backend]:

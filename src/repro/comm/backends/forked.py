@@ -453,9 +453,6 @@ class ForkedBackend(Backend):
     the driver never asks which backend it is running.
     """
 
-    parallel_python = True
-    cross_process = True
-
     #: The name this backend registers under (used in diagnostics).
     registry_name: str
     def __init__(self, n_ranks: int, name: str, timeout: float):

@@ -280,9 +280,6 @@ class LockstepBackend(Backend):
         runs of the same program, which is the reproducibility contract.
     """
 
-    deterministic_schedule = True
-    simulates_large_grids = True
-
     def __init__(self, n_ranks: int, name: str = "spmd"):
         super().__init__(n_ranks, name=name)
         self.max_concurrency = 0

@@ -161,10 +161,6 @@ class MPIBackend(Backend):
     ``mpirun`` command) when ``MPI.COMM_WORLD`` is sized differently.
     """
 
-    parallel_python = True
-    cross_process = True
-    wire_transport = True
-
     def run(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
         world = MPI.COMM_WORLD
         world_size = world.Get_size()

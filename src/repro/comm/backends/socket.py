@@ -15,12 +15,9 @@ thread / process / lockstep backends).
 For the two collectives that carry the factor blocks the bytes on the wire
 are the bytes of the §2.3 model — ``(p-1)/p · n`` words per rank — and a
 contiguous block goes to and comes from the kernel without a staging copy in
-user space (see :mod:`repro.comm.wire`).
-
-Capability flags: ``parallel_python`` and ``cross_process`` (forked OS
-processes), plus ``wire_transport`` — the collectives genuinely serialize
-onto a byte stream, so this backend's measurements transfer to multi-node
-deployments in a way the shared-memory backends' cannot.
+user space (see :mod:`repro.comm.wire`).  Because the collectives genuinely
+serialize onto a byte stream, this backend's measurements transfer to
+multi-node deployments in a way the shared-memory backends' cannot.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ class SocketBackend(ForkedBackend):
         and its port.
     """
 
-    wire_transport = True
     registry_name = "socket"
 
     def __init__(

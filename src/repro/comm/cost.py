@@ -31,7 +31,6 @@ Two things are built on the model:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -55,18 +54,6 @@ class AlphaBetaGamma:
     beta: float
     gamma: float
     name: str = "generic"
-
-    @property
-    def flops_per_second(self) -> float:
-        return 1.0 / self.gamma
-
-    def message_cost(self, words: float) -> float:
-        """Cost of a single point-to-point message of ``words`` doubles."""
-        return self.alpha + words * self.beta
-
-    def flop_cost(self, flops: float) -> float:
-        """Cost of ``flops`` floating point operations."""
-        return flops * self.gamma
 
 
 #: Machine constants approximating one node of NERSC "Edison" (§6.1.2):
@@ -105,10 +92,6 @@ class CollectiveCost:
     def _log2p(p: int) -> float:
         return math.log2(p) if p > 1 else 0.0
 
-    def point_to_point(self, n_words: float) -> float:
-        """One message of ``n_words`` words between two ranks."""
-        return self.machine.alpha + self.machine.beta * n_words
-
     def all_gather(self, p: int, n_words: float) -> float:
         if p <= 1:
             return 0.0
@@ -126,12 +109,6 @@ class CollectiveCost:
             return 0.0
         m = self.machine
         return 2 * m.alpha * self._log2p(p) + (2 * m.beta + m.gamma) * (p - 1) / p * n_words
-
-    def broadcast(self, p: int, n_words: float) -> float:
-        if p <= 1:
-            return 0.0
-        m = self.machine
-        return m.alpha * self._log2p(p) + m.beta * n_words
 
 
 @dataclass
@@ -162,7 +139,7 @@ class CostLedger:
     costs derived in §4.3 (Naive) and §5 (HPC-NMF).
     """
 
-    entries: dict = field(default_factory=lambda: defaultdict(dict))
+    entries: dict = field(default_factory=dict)
 
     def _entry(self, operation: str) -> LedgerEntry:
         if operation not in self.entries:
@@ -181,44 +158,8 @@ class CostLedger:
             self._entry(operation).add(words=frac, messages=log2p, reduction_flops=frac)
         elif operation == "all_reduce":
             self._entry(operation).add(words=2 * frac, messages=2 * log2p, reduction_flops=frac)
-        elif operation == "broadcast":
-            self._entry(operation).add(words=n_words, messages=log2p)
-        elif operation in ("send", "recv", "gather", "scatter"):
-            self._entry(operation).add(words=n_words, messages=1.0)
         else:
             self._entry(operation).add(words=n_words, messages=1.0)
-
-    # -- aggregate views ---------------------------------------------------
-    @property
-    def total_words(self) -> float:
-        return sum(e.words for e in self.entries.values())
-
-    @property
-    def total_messages(self) -> float:
-        return sum(e.messages for e in self.entries.values())
-
-    def words_for(self, operation: str) -> float:
-        entry = self.entries.get(operation)
-        return entry.words if entry else 0.0
-
-    def calls_for(self, operation: str) -> int:
-        entry = self.entries.get(operation)
-        return entry.calls if entry else 0
-
-    def reset(self) -> None:
-        self.entries.clear()
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        """Return a new ledger holding the element-wise sum of two ledgers."""
-        merged = CostLedger()
-        for src in (self, other):
-            for op, entry in src.entries.items():
-                tgt = merged._entry(op)
-                tgt.calls += entry.calls
-                tgt.words += entry.words
-                tgt.messages += entry.messages
-                tgt.reduction_flops += entry.reduction_flops
-        return merged
 
     def summary(self) -> dict:
         """Return a plain-dict summary suitable for reports and JSON output."""

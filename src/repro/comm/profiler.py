@@ -169,10 +169,6 @@ class Profiler:
     def snapshot(self) -> TimeBreakdown:
         return TimeBreakdown(dict(self._seconds))
 
-    def reset(self) -> None:
-        self._seconds.clear()
-        self._calls.clear()
-
 
 def max_over_ranks(breakdowns: list[TimeBreakdown]) -> TimeBreakdown:
     """Critical-path combination: per category, the max over ranks.

@@ -31,8 +31,8 @@ class NMFConfig:
         exactly ``max_iters`` iterations (the paper's timing experiments fix
         the iteration count).
     solver:
-        Local NLS solver name: ``"bpp"`` (default, as in the paper), ``"mu"``,
-        ``"hals"``, ``"pgrad"`` or ``"admm"``.
+        Local NLS solver name: ``"bpp"`` (default, as in the paper),
+        ``"hals"`` or ``"mu"`` (:func:`repro.nls.available_solvers`).
     seed:
         Seed used to initialise ``H`` (§6.1.3: the same seed is reused across
         algorithms so they perform the same computations).

@@ -16,12 +16,12 @@ Implemented solvers:
 * :class:`~repro.nls.bpp.BlockPrincipalPivoting` — the paper's default
   (Kim & Park 2011), an active-set-like method with block exchanges;
 * :class:`~repro.nls.mu.MultiplicativeUpdate` — Lee & Seung updates (Eq. 3);
-* :class:`~repro.nls.hals.HALSUpdate` — hierarchical ALS (Eq. 4);
-* :class:`~repro.nls.pgrad.ProjectedGradient` — projected gradient descent
-  with Lipschitz step size (the "generic constrained convex optimization"
-  route mentioned in §4.1);
-* :func:`~repro.nls.nnls.active_set_nnls` — single right-hand-side
-  Lawson–Hanson active set, used as a correctness oracle in the tests.
+* :class:`~repro.nls.hals.HALSUpdate` — hierarchical ALS (Eq. 4).
+
+These are the three solvers the paper's framework and MPI-FAUN evaluate.
+The registry keeps a solver only while it is the fastest to BPP's error on
+some input, or a benchmark workload runs it: ``docs/ARCHITECTURE.md``
+("Solver census") has the measurement, ``examples/solver_census.py`` makes it.
 
 BPP's inner engine is pluggable via the kernels registry
 (:mod:`repro.nls.kernels`): ``batched`` (the default: vectorized pivot rules,
@@ -39,10 +39,6 @@ from repro.nls.kernels import (
 from repro.nls.bpp import BlockPrincipalPivoting
 from repro.nls.mu import MultiplicativeUpdate
 from repro.nls.hals import HALSUpdate
-from repro.nls.pgrad import ProjectedGradient
-from repro.nls.admm import ADMMSolver
-from repro.nls.nnls import active_set_nnls
-from repro.nls.kkt import kkt_residual, check_kkt
 
 __all__ = [
     "NLSSolver",
@@ -56,9 +52,4 @@ __all__ = [
     "BlockPrincipalPivoting",
     "MultiplicativeUpdate",
     "HALSUpdate",
-    "ProjectedGradient",
-    "ADMMSolver",
-    "active_set_nnls",
-    "kkt_residual",
-    "check_kkt",
 ]

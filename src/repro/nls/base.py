@@ -11,7 +11,7 @@ the parallel algorithms hold after their collectives: for the W-update,
 ``G = H Hᵀ`` and ``Rᵀ`` is the local block of ``A Hᵀ``; for the H-update,
 ``G = Wᵀ W`` and ``R`` is the local block of ``Wᵀ A``.
 
-Iterative solvers (MU, HALS, projected gradient) additionally take the
+Iterative solvers (MU, HALS) additionally take the
 previous iterate as a warm start, which is how they are used inside the
 alternating framework.  Every solver writes its solution into ``out`` when
 one is given, and ``out`` may be the warm start itself: the fit loops pass
@@ -137,14 +137,14 @@ def available_solvers() -> list[str]:
     """Names accepted by :func:`make_solver` (and by ``NMFConfig.solver``)."""
     # Import for side effects so the registry is populated even if the caller
     # only imported repro.nls.base.
-    from repro.nls import admm, bpp, hals, mu, pgrad  # noqa: F401
+    from repro.nls import bpp, hals, mu  # noqa: F401
 
     return sorted(_REGISTRY)
 
 
 def make_solver(name: str, **kwargs) -> NLSSolver:
-    """Instantiate a registered solver by name ('bpp', 'mu', 'hals', 'pgrad')."""
-    from repro.nls import admm, bpp, hals, mu, pgrad  # noqa: F401
+    """Instantiate a registered solver by name ('bpp', 'hals' or 'mu')."""
+    from repro.nls import bpp, hals, mu  # noqa: F401
 
     try:
         cls = _REGISTRY[name.lower()]

@@ -18,7 +18,6 @@ class TestCollectiveCost:
         assert coll.all_gather(1, 1000) == 0.0
         assert coll.reduce_scatter(1, 1000) == 0.0
         assert coll.all_reduce(1, 1000) == 0.0
-        assert coll.broadcast(1, 1000) == 0.0
 
     def test_all_gather_formula(self, machine):
         coll = CollectiveCost(machine)
@@ -42,10 +41,6 @@ class TestCollectiveCost:
         coll = CollectiveCost(machine)
         assert coll.all_reduce(8, 1000) > coll.all_gather(8, 1000)
 
-    def test_point_to_point(self, machine):
-        coll = CollectiveCost(machine)
-        assert coll.point_to_point(100) == pytest.approx(machine.alpha + 100 * machine.beta)
-
     def test_non_power_of_two_uses_log2(self, machine):
         coll = CollectiveCost(machine)
         p = 6
@@ -55,44 +50,56 @@ class TestCollectiveCost:
 
 class TestEdisonPreset:
     def test_flop_rate_is_per_core_peak(self):
-        assert EDISON.flops_per_second == pytest.approx(19.2e9)
+        assert 1.0 / EDISON.gamma == pytest.approx(19.2e9)
 
     def test_latency_microseconds(self):
         assert EDISON.alpha == pytest.approx(1.3e-6)
 
-    def test_message_and_flop_costs(self):
-        assert EDISON.message_cost(0) == EDISON.alpha
-        assert EDISON.flop_cost(19.2e9) == pytest.approx(1.0)
-
 
 class TestCostLedger:
-    def test_record_and_totals(self):
+    def test_record_books_the_section_2_3_volume_and_messages(self):
         ledger = CostLedger()
         ledger.record("all_gather", p=4, n_words=100)
         ledger.record("all_reduce", p=4, n_words=10)
         ledger.record("reduce_scatter", p=4, n_words=40)
-        assert ledger.calls_for("all_gather") == 1
-        assert ledger.words_for("all_gather") == pytest.approx(75.0)
-        assert ledger.words_for("all_reduce") == pytest.approx(2 * 7.5)
-        assert ledger.words_for("reduce_scatter") == pytest.approx(30.0)
-        assert ledger.total_messages > 0
+        assert ledger.summary() == {
+            "all_gather": {"calls": 1, "words": 75.0, "messages": 2.0, "reduction_flops": 0.0},
+            "all_reduce": {"calls": 1, "words": 15.0, "messages": 4.0, "reduction_flops": 7.5},
+            "reduce_scatter": {"calls": 1, "words": 30.0, "messages": 2.0,
+                               "reduction_flops": 30.0},
+        }
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_messages_are_log2_p_for_any_p(self, p):
+        ledger = CostLedger()
+        for op in ("all_gather", "reduce_scatter", "all_reduce"):
+            ledger.record(op, p, 60)
+        summary = ledger.summary()
+        assert summary["all_gather"]["messages"] == pytest.approx(math.log2(p))
+        assert summary["reduce_scatter"]["messages"] == pytest.approx(math.log2(p))
+        assert summary["all_reduce"]["messages"] == pytest.approx(2 * math.log2(p))
+        assert summary["all_gather"]["words"] == pytest.approx((p - 1) / p * 60)
 
     def test_single_process_records_nothing(self):
         ledger = CostLedger()
         ledger.record("all_gather", p=1, n_words=100)
-        assert ledger.total_words == 0.0
-        assert ledger.calls_for("all_gather") == 0
+        assert ledger.summary() == {}
 
-    def test_merge_sums_entries(self):
-        a, b = CostLedger(), CostLedger()
-        a.record("all_gather", 4, 100)
-        b.record("all_gather", 4, 100)
-        b.record("broadcast", 4, 50)
-        merged = a.merge(b)
-        assert merged.words_for("all_gather") == pytest.approx(150.0)
-        assert merged.calls_for("broadcast") == 1
-        # Originals untouched.
-        assert a.words_for("all_gather") == pytest.approx(75.0)
+    def test_point_to_point_books_its_words_as_one_message(self):
+        ledger = CostLedger()
+        ledger.record("send", 2, 10)
+        ledger.record("send", 8, 6)
+        assert ledger.summary() == {
+            "send": {"calls": 2, "words": 16.0, "messages": 2.0, "reduction_flops": 0.0},
+        }
+
+    def test_calls_accumulate_per_operation(self):
+        ledger = CostLedger()
+        for _ in range(3):
+            ledger.record("all_gather", 4, 100)
+        summary = ledger.summary()
+        assert summary["all_gather"]["calls"] == 3
+        assert summary["all_gather"]["words"] == pytest.approx(225.0)
 
     def test_summary_is_plain_dict(self):
         ledger = CostLedger()
@@ -100,9 +107,3 @@ class TestCostLedger:
         summary = ledger.summary()
         assert set(summary) == {"all_reduce"}
         assert summary["all_reduce"]["calls"] == 1
-
-    def test_reset(self):
-        ledger = CostLedger()
-        ledger.record("send", 2, 10)
-        ledger.reset()
-        assert ledger.total_words == 0.0

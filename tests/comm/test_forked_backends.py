@@ -33,7 +33,6 @@ from repro.comm.backends import (
     ProcessBackend,
     SocketBackend,
     available_backends,
-    backend_capabilities,
     get_backend_class,
     run_spmd,
 )
@@ -106,20 +105,6 @@ class TestRegistry:
         assert backend in available_backends()
         assert get_backend_class(backend) is cls
         assert issubclass(cls, Backend)
-
-    def test_capability_flags(self):
-        caps = backend_capabilities()
-        for name in FORKED:
-            assert caps[name]["parallel_python"] is True
-            assert caps[name]["cross_process"] is True
-        assert caps["thread"]["parallel_python"] is False
-        assert caps["lockstep"]["deterministic_schedule"] is True
-        assert caps["lockstep"]["simulates_large_grids"] is True
-        # Only the socket backend serializes collectives onto a byte stream.
-        assert caps["socket"]["wire_transport"] is True
-        assert caps["thread"]["wire_transport"] is False
-        assert caps["process"]["wire_transport"] is False
-        assert caps["lockstep"]["wire_transport"] is False
 
     def test_unknown_backend_suggests_close_match(self):
         with pytest.raises(CommunicatorError, match="did you mean 'process'"):

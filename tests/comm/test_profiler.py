@@ -33,12 +33,12 @@ def test_profiler_accumulates_per_category():
     assert profiler.calls(TaskCategory.MM) == 2
 
 
-def test_profiler_add_and_reset():
+def test_profiler_add():
     profiler = Profiler()
     profiler.add(TaskCategory.ALL_REDUCE, 1.25)
-    assert profiler.snapshot().get(TaskCategory.ALL_REDUCE) == pytest.approx(1.25)
-    profiler.reset()
-    assert profiler.snapshot().total == 0.0
+    profiler.add(TaskCategory.ALL_REDUCE, 0.25)
+    assert profiler.snapshot().get(TaskCategory.ALL_REDUCE) == pytest.approx(1.5)
+    assert profiler.calls(TaskCategory.ALL_REDUCE) == 2
 
 
 def test_breakdown_computation_vs_communication():

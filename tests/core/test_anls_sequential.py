@@ -34,7 +34,7 @@ class TestBasicBehaviour:
         # ANLS should still get within a fraction of a percent of the data.
         assert res.relative_error < 0.01
 
-    @pytest.mark.parametrize("solver", ["bpp", "mu", "hals", "pgrad"])
+    @pytest.mark.parametrize("solver", ["bpp", "mu", "hals"])
     def test_all_solvers_reduce_error(self, solver):
         A = planted_lowrank(40, 30, 4, seed=3, noise_std=0.01)
         res = fit(A, k=4, variant="sequential", max_iters=20, solver=solver, seed=1)

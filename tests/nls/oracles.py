@@ -1,13 +1,22 @@
-"""Single right-hand-side active-set NNLS (Lawson–Hanson), used as a test oracle.
+"""Reference answers for the NLS tests: Lawson–Hanson NNLS and the KKT check.
 
-The classic Lawson–Hanson algorithm adds one variable at a time to the passive
+:func:`active_set_nnls` is the classic Lawson–Hanson active-set algorithm for
+one right-hand side at a time.  It adds one variable at a time to the passive
 set and is therefore slow for many right-hand sides, but it is simple enough
-to trust as a reference: the test suite checks that BPP produces the same
+to trust as a reference: the tests check that BPP produces the same
 solutions (BPP is exact at termination, so both must agree on the unique
-minimizer when ``CᵀC`` is positive definite).
+minimizer when ``CᵀC`` is positive definite).  It works directly from the
+normal equations ``G = CᵀC``, ``r = Cᵀb``, the interface of the solvers in
+:mod:`repro.nls`.
 
-This implementation works directly from the normal equations ``G = CᵀC``,
-``r = Cᵀb``, the same interface as the production solvers.
+:func:`kkt_residual` / :func:`check_kkt` test optimality (paper Eq. 6).  For
+``min_{x>=0} ||Cx − b||²`` the KKT conditions are
+
+    y = G x − r,     x >= 0,     y >= 0,     xᵀ y = 0,
+
+and the residual is the largest violation of the three inequality and
+complementarity conditions; a point is accepted as optimal when that
+violation is below a tolerance.
 """
 
 from __future__ import annotations
@@ -87,3 +96,44 @@ def active_set_nnls(gram: np.ndarray, rhs: np.ndarray, max_iters: int = 0) -> np
     else:
         raise SolverError(f"active-set NNLS did not converge within {limit} iterations")
     return x
+
+
+
+
+def kkt_residual(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
+    """Maximum violation of the KKT conditions at ``x`` (0 means optimal)."""
+    gram = np.asarray(gram, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if rhs.ndim == 1:
+        rhs = rhs[:, None]
+    if x.ndim == 1:
+        x = x[:, None]
+    y = gram @ x - rhs
+    primal = float(np.max(np.maximum(-x, 0.0), initial=0.0))
+    dual = float(np.max(np.maximum(-y, 0.0), initial=0.0))
+    complementarity = float(np.max(np.abs(x * y), initial=0.0))
+    return max(primal, dual, complementarity)
+
+
+def check_kkt(
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    x: np.ndarray,
+    tol: float = 1e-6,
+    scale_free: bool = True,
+) -> bool:
+    """True when ``x`` satisfies the KKT conditions to tolerance ``tol``.
+
+    With ``scale_free=True`` (default) the tolerance is relative to the
+    magnitude of the problem data, which keeps the check meaningful across the
+    wide dynamic ranges the property tests generate.
+    """
+    scale = 1.0
+    if scale_free:
+        scale = max(
+            1.0,
+            float(np.max(np.abs(rhs), initial=0.0)),
+            float(np.max(np.abs(gram), initial=0.0)),
+        )
+    return kkt_residual(gram, rhs, x) <= tol * scale

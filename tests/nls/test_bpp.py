@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nls import BlockPrincipalPivoting, active_set_nnls, check_kkt, kkt_residual
+from oracles import active_set_nnls, check_kkt, kkt_residual
+from repro.nls import BlockPrincipalPivoting
 from repro.util.errors import ShapeError
 
 

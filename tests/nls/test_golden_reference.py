@@ -166,20 +166,19 @@ class TestKernelsVsGolden:
 class TestIterativeSolversVsGolden:
     """The inexact solvers must *approach* the golden objective.
 
-    MU/HALS/PGD/ADMM are descent methods, not exact pivoting solvers, so the
+    MU and HALS are descent methods, not exact pivoting solvers, so the
     contract is a loose objective gap after enough inner sweeps — plus the
     hard invariants (nonnegativity, finiteness) that hold at any accuracy.
     """
 
-    @pytest.mark.parametrize("solver_name", ["mu", "hals", "pgrad", "admm"])
+    @pytest.mark.parametrize("solver_name", ["mu", "hals"])
     def test_objective_gap_is_small(self, solver_name):
         rng = np.random.default_rng(11)
         C = rng.random((20, 4)) + 0.05
         B = rng.random((20, 3))
         gram, rhs = C.T @ C, C.T @ B
         gold = golden_nnls(gram, rhs)
-        kwargs = {"inner_iters": 400} if solver_name in ("mu", "hals") else {}
-        solver = make_solver(solver_name, **kwargs)
+        solver = make_solver(solver_name, inner_iters=400)
         x = solver.solve(gram, rhs)
         assert np.all(x >= 0) and np.all(np.isfinite(x))
         gap = sum(

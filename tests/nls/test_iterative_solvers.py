@@ -1,14 +1,14 @@
-"""Tests for MU, HALS and projected-gradient solvers."""
+"""Tests for the MU and HALS solvers and the solver registry."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fit
 from repro.nls import (
     HALSUpdate,
     MultiplicativeUpdate,
-    ProjectedGradient,
     available_solvers,
     make_solver,
 )
@@ -139,38 +139,9 @@ class TestHALS:
             HALSUpdate(inner_iters=-1)
 
 
-class TestProjectedGradient:
-    def test_converges_to_kkt_point(self):
-        from repro.nls import check_kkt
-
-        gram, rhs = make_problem(6, 5, 21)
-        solver = ProjectedGradient(max_iters=5000, tol=1e-10)
-        x = solver.solve(gram, rhs)
-        assert np.all(x >= 0)
-        assert check_kkt(gram, rhs, x, tol=1e-4)
-
-    def test_matches_bpp_objective(self):
-        from repro.nls import BlockPrincipalPivoting
-
-        gram, rhs = make_problem(5, 5, 22)
-        exact = BlockPrincipalPivoting().solve(gram, rhs)
-        approx = ProjectedGradient(max_iters=5000, tol=1e-12).solve(gram, rhs)
-        assert quadratic_objective(gram, rhs, approx) <= (
-            quadratic_objective(gram, rhs, exact) + 1e-5
-        )
-
-    def test_reports_convergence_state(self):
-        gram, rhs = make_problem(4, 3, 23)
-        solver = ProjectedGradient(max_iters=5000, tol=1e-8)
-        solver.solve(gram, rhs)
-        assert solver.last_state is not None
-        assert solver.last_state.converged
-
-
 class TestRegistry:
-    def test_available_solvers_lists_all(self):
-        names = available_solvers()
-        assert {"bpp", "mu", "hals", "pgrad", "admm"} <= set(names)
+    def test_available_solvers_are_the_papers_three(self):
+        assert available_solvers() == ["bpp", "hals", "mu"]
 
     def test_make_solver_by_name(self):
         assert make_solver("bpp").name == "bpp"
@@ -180,3 +151,11 @@ class TestRegistry:
     def test_unknown_solver_raises(self):
         with pytest.raises(KeyError):
             make_solver("simplex")
+
+    @pytest.mark.parametrize("name", ["admm", "pgrad"])
+    def test_a_deleted_solver_is_an_unknown_name_that_lists_the_registry(self, name):
+        message = r"unknown NLS solver '%s'; available: \['bpp', 'hals', 'mu'\]" % name
+        with pytest.raises(KeyError, match=message):
+            make_solver(name)
+        with pytest.raises(KeyError, match=message):
+            fit(np.ones((6, 5)), 2, solver=name, max_iters=1)

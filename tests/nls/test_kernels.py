@@ -18,6 +18,7 @@ import pytest
 
 from repro.nls import (
     available_kernels,
+    available_solvers,
     make_kernel,
     make_solver,
     resolve_kernel,
@@ -70,7 +71,7 @@ class TestRegistry:
             make_kernel("typo")
 
     def test_solver_constructors_accept_kernel(self):
-        for name in ("bpp", "mu", "hals", "pgrad", "admm"):
+        for name in available_solvers():
             solver = make_solver(name, kernel="batched")
             assert solver.requested_kernel == "batched"
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nls import active_set_nnls, check_kkt
+from oracles import active_set_nnls, check_kkt
 from repro.util.errors import ShapeError
 
 

@@ -13,13 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nls import (
-    BlockPrincipalPivoting,
-    HALSUpdate,
-    MultiplicativeUpdate,
-    active_set_nnls,
-    check_kkt,
-)
+from oracles import active_set_nnls, check_kkt
+from repro.nls import BlockPrincipalPivoting, HALSUpdate, MultiplicativeUpdate
 
 
 def _problem_strategy(max_k=8, max_c=6):

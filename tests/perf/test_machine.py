@@ -15,7 +15,7 @@ from repro.perf.machine import (
 
 def test_edison_per_core_peak_matches_node_spec():
     per_core = EDISON_NODE["peak_gflops_per_node"] / EDISON_NODE["cores_per_node"]
-    assert EDISON.flops_per_second == pytest.approx(per_core * 1e9)
+    assert 1.0 / EDISON.gamma == pytest.approx(per_core * 1e9)
 
 
 def test_default_machine_uses_edison_network():
@@ -124,7 +124,7 @@ class TestCalibrate:
         assert machine.nls_efficiency == defaults.nls_efficiency
         # Sanity bracket: any host runs a dense GEMM between 10 Mflop/s and
         # 10 Tflop/s per core.
-        assert 1e7 < net.flops_per_second < 1e13
+        assert 1e7 < 1.0 / net.gamma < 1e13
 
     def test_calibration_does_not_change_the_default(self):
         MachineSpec.calibrate(size=64, repeats=1)

@@ -16,6 +16,7 @@ from repro.serve import (
     projection_residuals,
     validate_columns,
 )
+from repro.util.errors import ModelLoadError
 
 RNG = np.random.default_rng(3)
 M, K = 60, 4
@@ -179,6 +180,28 @@ class TestModelRefresher:
             refresher.ingest(column)
         assert refresher.published_versions == [2]
         assert (store.get("m").W >= 0).all()
+
+    @pytest.mark.parametrize("solver", [
+        "bpp",
+        # HALS zeroes a component for good once its Gram diagonal is <= 1e-16;
+        # here the refresh publishes a basis with a zero column, which the
+        # store refuses.  A known defect, not the contract.
+        pytest.param("hals", marks=pytest.mark.xfail(strict=True, raises=ModelLoadError)),
+        "mu",
+    ])
+    def test_a_refresh_runs_the_models_solver_and_records_it(self, solver):
+        store = ModelStore()
+        store.swap("m", NMFResult(
+            W=W.copy(), H=np.abs(RNG.standard_normal((K, 8))),
+            config=NMFConfig(k=K, seed=0, solver=solver), iterations=2,
+        ))
+        refresher = ModelRefresher(store, "m", window=8, refresh_every=4)
+        for _ in range(4):
+            refresher.ingest(np.abs(RNG.standard_normal(M)))
+        refreshed = store.get("m").result
+        assert refresher.published_versions == [2]
+        assert refreshed.solver == refreshed.config.solver == solver
+        assert (refreshed.W >= 0).all() and not np.array_equal(refreshed.W, W)
 
     def test_ingest_rejects_blocks(self):
         refresher = ModelRefresher(self._store(), "m")

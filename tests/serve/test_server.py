@@ -742,3 +742,57 @@ class TestHttpServer:
         assert summary["stats"]["responses_total"] == 5
         assert all(np.isfinite(r["residuals"]).all()
                    for r in summary["responses"])
+
+
+@pytest.fixture(params=["admm", "pgrad"])
+def deleted_solver_artifact(request, tmp_path):
+    """A model saved while ``admm`` and ``pgrad`` were registered solvers."""
+    result = NMFResult(
+        W=np.abs(RNG.standard_normal((M, K))) + 0.01,
+        H=np.abs(RNG.standard_normal((K, 6))),
+        config=NMFConfig(k=K, seed=0, solver=request.param),
+        iterations=1,
+    )
+    return result.save(tmp_path / "old.npz"), request.param
+
+
+class TestArtifactOfADeletedSolver:
+    def test_it_loads_with_its_solver_recorded(self, deleted_solver_artifact):
+        path, solver = deleted_solver_artifact
+        loaded = NMFResult.load(path)
+        assert loaded.solver == solver and loaded.config.solver == solver
+
+    def test_it_projects_with_bpp_and_its_ingest_names_the_registry(
+        self, deleted_solver_artifact
+    ):
+        path, solver = deleted_solver_artifact
+        store = ModelStore()
+        entry = store.load(path, name="m")
+        X = np.abs(RNG.standard_normal((M, 2)))
+        columns = {"columns": [X[:, 0].tolist(), X[:, 1].tolist()]}
+        column = {"column": np.abs(RNG.standard_normal(M)).tolist()}
+
+        async def main():
+            server = ProjectionServer(ProjectionService(store), port=0, refresh_every=4)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            base = f"http://127.0.0.1:{server.port}"
+            try:
+                calls = [("project", columns), ("ingest", column), ("ingest", column),
+                         ("project", columns)]
+                return [await loop.run_in_executor(
+                    None, _http, base, f"/v1/models/m/{action}", payload)
+                    for action, payload in calls]
+            finally:
+                await server.stop()
+
+        projected, first, second, again = asyncio.run(main())
+        # /project never used the fit's solver: it is BPP, byte for byte.
+        alone = project(entry.W, X, kernel="scalar", gram=entry.gram)
+        assert projected == again == (200, {**projected[1], "h": alone.T.tolist()})
+        # The streaming refresh would run the saved solver, which is gone.
+        message = f"unknown NLS solver '{solver}'; available: ['bpp', 'hals', 'mu']"
+        for status, body in (first, second):
+            assert status == 500
+            assert body["type"] == "KeyError" and message in body["error"]
+        assert store.get("m") is entry

@@ -276,7 +276,7 @@ def test_subcommand_help_lists_every_registered_choice(capsys, command, options)
         assert f"{option} {{{','.join(registries[option])}}}" in out
 
 
-@pytest.mark.parametrize("option", ["--backend", "--variant"])
+@pytest.mark.parametrize("option", ["--backend", "--variant", "--solver"])
 def test_unknown_registry_name_names_the_valid_ones(capsys, option):
     with pytest.raises(SystemExit) as excinfo:
         main(["factorize", "video-small", "-k", "2", option, "warp-drive"])
@@ -285,6 +285,16 @@ def test_unknown_registry_name_names_the_valid_ones(capsys, option):
     assert f"argument {option}: invalid choice: 'warp-drive'" in err
     for name in _registries()[option]:
         assert repr(name) in err
+
+
+@pytest.mark.parametrize("solver", ["admm", "pgrad"])
+def test_factorize_offers_only_the_solvers_the_census_kept(capsys, solver):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["factorize", "video-small", "-k", "2", "--solver", solver])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --solver: invalid choice: '{solver}' "
+            "(choose from 'bpp', 'hals', 'mu')") in err
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,8 +1,8 @@
 """A fresh interpreter imports only what it runs.
 
-Dense fits, the CLI and the projection server never touch ``scipy.sparse``
-or ``scipy.linalg`` (sparse input and the ADMM solver load them on first
-use), the CLI loads the HTTP server only for ``repro serve``, and the server
+Dense fits with every registered solver, the CLI and the projection server
+never touch ``scipy.sparse`` or ``scipy.linalg`` (sparse input loads
+``scipy.sparse`` on first use; no module imports ``scipy.linalg``), the CLI loads the HTTP server only for ``repro serve``, and the server
 loads none of the fit machinery: ``repro.core``, ``repro.comm`` and
 ``repro.dist`` re-export their names lazily.  Each ``sys.modules`` test runs
 its program in a new interpreter and reads the modules at the end.
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.nls import available_solvers
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 _SCIPY = ("scipy.sparse", "scipy.linalg")
@@ -65,6 +66,29 @@ def test_dense_fits_load_no_scipy():
         "fit(A, 4, variant='hpc2d', n_ranks=2, backend='process', max_iters=3, seed=1)\n"
     )
     assert _loaded_after(program, *_SCIPY, "numpy.ma", "repro.core.api") == {"repro.core.api"}
+
+
+@pytest.mark.parametrize("solver", available_solvers())
+def test_a_dense_fit_with_each_solver_loads_no_scipy(solver):
+    program = (
+        "import numpy as np\n"
+        "from repro import fit\n"
+        "A = np.abs(np.random.default_rng(0).standard_normal((48, 36)))\n"
+        f"fit(A, 4, solver={solver!r}, max_iters=3, seed=1)\n"
+        f"fit(A, 4, variant='hpc2d', n_ranks=2, solver={solver!r}, max_iters=3, seed=1)\n"
+    )
+    assert _loaded_after(program, *_SCIPY, "repro.nls.base") == {"repro.nls.base"}
+
+
+@pytest.mark.parametrize("solver", available_solvers())
+def test_a_sparse_fit_with_each_solver_loads_scipy_sparse_alone(solver):
+    program = (
+        "from repro import fit\n"
+        "from repro.data import sparse_synthetic\n"
+        "A = sparse_synthetic(48, 36, density=0.2, seed=0)\n"
+        f"fit(A, 4, solver={solver!r}, max_iters=3, seed=1)\n"
+    )
+    assert _loaded_after(program, *_SCIPY) == {"scipy.sparse"}
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_the_server():
