@@ -26,7 +26,7 @@ from repro.comm.grid import choose_grid
 from repro.data.registry import measured_scale, paper_scale
 
 DATASETS = ("DSYN", "SSYN", "Video", "Webbase")
-#: The three variants the paper's evaluation compares, by registry name.
+#: The three variants the paper's evaluation compares, by name.
 VARIANTS = ("naive", "hpc1d", "hpc2d")
 #: §6: rank sweep at 600 cores; core sweep at k = 50 (the dense datasets only
 #: fit on 9+ nodes, so their sweep starts at 216).

@@ -34,8 +34,8 @@ Quickstart
 ((200, 10), (10, 150))
 
 Every NMF flavor runs through :func:`repro.fit` (or the estimator-style
-:class:`repro.NMF`) by variant registry name — ``fit(A, k,
-variant="hpc2d", n_ranks=16, backend="lockstep")`` — see
+:class:`repro.NMF`) by variant name — ``fit(A, k, variant="hpc2d",
+n_ranks=16, backend="lockstep")`` — one row each of the table in
 :mod:`repro.core.variants`.  The top-level entry points are re-exported
 lazily so that importing a subpackage (for example :mod:`repro.comm` in an
 SPMD worker) does not pull in the whole library.
@@ -50,7 +50,7 @@ _EXPORTS = {
     "repro.core.config": ("NMFConfig",),
     "repro.core.result": ("NMFResult",),
     "repro.core.observers": ("IterationObserver",),
-    "repro.core.variants": ("available_variants", "get_variant", "register_variant"),
+    "repro.core.variants": ("available_variants", "get_variant"),
     "repro.plan.problem": ("ProblemSpec",),
     "repro.plan.planner": ("ExecutionPlan", "make_plan", "plan_candidates"),
 }

@@ -2,19 +2,19 @@
 
 The five subcommands cover the common workflows:
 
-* ``factorize`` — run any registered NMF variant on a registered dataset or
+* ``factorize`` — run any NMF variant on a registered dataset or
   an ``.npy``/``.npz`` file and print the result summary;
 * ``plan`` — print the planner's candidate table (variant × grid, predicted
   per-task split, total, words moved) for a dataset or an ad-hoc
   ``--shape M N [--density D]`` problem, paper-Table-2 style;
-* ``variants`` — list the registered variants and their capability flags;
+* ``variants`` — list the variants and what each accepts;
 * ``serve`` — deploy saved models behind the continuously batched
   projection server (``repro serve model.npz``; see :mod:`repro.serve`);
 * ``datasets`` — list the registered datasets and their dimensions.
 
 The ``--variant``, ``--solver`` and ``--backend`` choices are derived from
-the variant / solver / backend registries, so registering a new entry
-anywhere makes it immediately reachable from the CLI.  Timing a fit is not
+the variant table and the solver / backend registries, so a new entry in
+any of them is immediately reachable from the CLI.  Timing a fit is not
 a subcommand: ``benchmarks/layered/run.py`` is the repository's stopwatch.
 """
 
@@ -163,18 +163,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_variants(_args: argparse.Namespace) -> int:
-    from repro.core.variants import available_variants, get_variant
+    from repro.core.variants import VARIANTS
 
-    flags = ("parallelizable", "sparse_ok", "symmetric_input", "supports_regularization")
-    header = f"{'name':>12}  " + "  ".join(f"{f:>{len(f)}}" for f in flags) + "  summary"
+    flags = ("parallelizable", "sparse_ok")
+    header = f"{'name':>12}  " + "  ".join(flags) + "  summary"
     print(header)
-    for name in available_variants():
-        variant = get_variant(name)
-        caps = variant.capabilities()
+    for name, variant in sorted(VARIANTS.items()):
         cells = "  ".join(
-            f"{'yes' if caps[f] else '-':>{len(f)}}" for f in flags
+            f"{'yes' if getattr(variant, f) else '-':>{len(f)}}" for f in flags
         )
-        print(f"{name:>12}  {cells}  {variant.summary}")
+        options = f" (options: {', '.join(variant.options)})" if variant.options else ""
+        print(f"{name:>12}  {cells}  {variant.summary}{options}")
     return 0
 
 
@@ -301,7 +300,7 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     fact.add_argument("--ranks", type=int, default=1,
                       help="number of SPMD ranks (parallelizable variants only)")
     fact.add_argument("--variant", default=None, choices=available_variants(),
-                      help="NMF variant by registry name (default: sequential "
+                      help="NMF variant by name (default: sequential "
                            "at --ranks 1, hpc2d above — the library's rule)")
     fact.add_argument("--backend", default=None, choices=available_backends(),
                       help="SPMD execution backend (lockstep = deterministic, "

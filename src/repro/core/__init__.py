@@ -1,8 +1,5 @@
 """The paper's algorithms: sequential ANLS, Naive-Parallel-NMF and HPC-NMF.
 
-* :mod:`repro.core.anls` — Algorithm 1, the sequential Alternating
-  Nonnegative Least Squares framework (the correctness reference), run as
-  Algorithm 3 on a 1 × 1 grid;
 * :mod:`repro.core.naive` — Algorithm 2, the naive parallelization that
   all-gathers whole factor matrices every iteration;
 * :mod:`repro.core.hpc_nmf` — Algorithm 3, HPC-NMF on a ``pr × pc`` processor
@@ -12,13 +9,13 @@
   running a rank program on a backend or in process over ``SelfComm``;
 * :mod:`repro.core.api` — the user-facing front door: :func:`repro.fit` and
   the :class:`repro.NMF` estimator, used by the examples and benchmarks;
-* :mod:`repro.core.variants` — the variant registry behind ``fit``; one
-  registered descriptor per NMF flavor, with capability flags.  The registry
-  name is the only spelling of "which algorithm";
+* :mod:`repro.core.variants` — the variant table behind ``fit``: one row per
+  NMF flavor (Algorithm 1, the sequential ANLS reference, is ``sequential``:
+  Algorithm 3 on a 1 × 1 grid).  The variant name is the only spelling of
+  "which algorithm";
 * :mod:`repro.core.observers` — the per-iteration observer protocol threaded
-  through every variant's outer loop, plus the composable built-in observers
-  (history capture, tolerance stop, wall-clock budget, checkpointing,
-  progress printing).
+  through every variant's outer loop, plus two built-in observers (history
+  capture and checkpointing).
 
 Extensions beyond the paper's headline algorithms (motivated by its use cases
 and future-work discussion):
@@ -40,27 +37,18 @@ from repro._lazy import lazy_exports
 # server needs only ``config`` and ``result``) loads none of the variants.
 _EXPORTS = {
     "repro.core.api": ("fit", "NMF"),
-    "repro.core.anls": ("anls_nmf",),
     "repro.core.config": ("NMFConfig",),
     "repro.core.result": ("NMFResult", "IterationStats"),
     "repro.core.observers": (
         "IterationObserver",
         "IterationEvent",
         "HistoryRecorder",
-        "ToleranceStop",
-        "WallClockBudget",
         "CheckpointEvery",
-        "ProgressPrinter",
     ),
-    "repro.core.variants": (
-        "Variant",
-        "available_variants",
-        "get_variant",
-        "register_variant",
-    ),
+    "repro.core.variants": ("Variant", "available_variants", "get_variant"),
     "repro.core.objective": ("frobenius_error", "relative_error", "objective_from_grams"),
-    "repro.core.regularized": ("Regularization", "regularized_nmf"),
-    "repro.core.symmetric": ("SymNMFResult", "symmetric_nmf"),
+    "repro.core.regularized": ("Regularization",),
+    "repro.core.symmetric": ("SymNMFResult",),
     "repro.core.streaming": ("StreamingNMF",),
 }
 

@@ -1,12 +1,13 @@
-"""User-facing entry points: the registry-driven front door.
+"""User-facing entry points: the one front door.
 
-:func:`fit` runs any registered variant — ``sequential`` (Algorithm 1),
-``naive`` (Algorithm 2), ``hpc1d``/``hpc2d`` (Algorithm 3), ``symmetric``,
-``regularized``, ``streaming`` — through one code path: resolve the variant
-in the registry (:mod:`repro.core.variants`), build the
-:class:`~repro.core.config.NMFConfig`, enforce the variant's capability
-flags, and hand off to its uniform ``run(A, config, observers)`` entry
-point.  :class:`NMF` is the estimator-style spelling of the same thing.
+:func:`fit` runs any variant — ``sequential`` (Algorithm 1), ``naive``
+(Algorithm 2), ``hpc1d``/``hpc2d`` (Algorithm 3), ``symmetric``,
+``regularized``, ``streaming`` — through one code path: look up its row in
+the variant table (:mod:`repro.core.variants`), build the
+:class:`~repro.core.config.NMFConfig`, enforce the row's ``parallelizable``
+and ``sparse_ok`` flags and its ``options``, and call its
+``run(A, config, observers, **options)``.  :class:`NMF` is the
+estimator-style spelling of the same thing.
 
 Examples
 --------
@@ -33,7 +34,7 @@ import numpy as np
 from repro.core.config import NMFConfig
 from repro.core.observers import IterationObserver
 from repro.core.result import NMFResult
-from repro.core.variants import available_variants, get_variant, variant_name
+from repro.core.variants import VARIANTS, get_variant
 from repro.util.errors import ShapeError
 from repro.util.validation import is_sparse
 
@@ -73,11 +74,11 @@ def fit(
     machine=None,
     **options,
 ) -> NMFResult:
-    """Compute a rank-``k`` NMF of ``A`` with any registered variant.
+    """Compute a rank-``k`` NMF of ``A`` with any variant.
 
     This is the front door to every NMF flavor in the package: the paper's
     Algorithm 1/2/3 family and the extension variants all run through this
-    one code path, differing only in the ``variant`` registry name.
+    one code path, differing only in the ``variant`` name.
 
     Parameters
     ----------
@@ -88,7 +89,7 @@ def fit(
         Target rank.  May be omitted when ``config`` carries it; a ``k`` that
         contradicts ``config.k`` raises :class:`~repro.util.errors.ShapeError`.
     variant:
-        Registry name (see :func:`repro.core.variants.available_variants`),
+        Variant name (see :func:`repro.core.variants.available_variants`),
         or ``"auto"`` to let the planner (:mod:`repro.plan`) pick the
         cost-model argmin over every modeled variant (§5's selection rule).
         Default: ``"sequential"``, or ``"hpc2d"`` when ``n_ranks > 1``.
@@ -185,7 +186,7 @@ def fit(
             ProblemSpec.from_matrix(A, eff_k),
             ranks,
             machine=machine,
-            variants=None if auto_variant else [variant_name(variant)],
+            variants=None if auto_variant else [variant],
             grid=None if auto_grid else grid,
             backend=backend or (config.backend if config is not None else None),
             solver=config_options.get(
@@ -199,13 +200,13 @@ def fit(
         if auto_grid:
             grid = plan.grid  # None for grid-free variants (sequential, naive)
 
-    variant_obj = get_variant(variant_name(variant))
+    row = get_variant(variant)
 
-    unknown = sorted(set(extras) - set(variant_obj.extra_options()))
+    unknown = sorted(set(extras) - set(row.options))
     if unknown:
-        accepted = sorted(variant_obj.extra_options())
+        accepted = sorted(row.options)
         raise TypeError(
-            f"variant {variant_obj.name!r} does not accept option(s) {unknown}; "
+            f"variant {row.name!r} does not accept option(s) {unknown}; "
             f"beyond the NMFConfig fields it accepts {accepted or 'no extra options'}"
         )
 
@@ -217,18 +218,18 @@ def fit(
     if backend is not None:
         cfg = cfg.with_options(backend=backend)
 
-    if cfg.n_ranks > 1 and not variant_obj.parallelizable:
-        parallel = [v for v in available_variants() if get_variant(v).parallelizable]
+    if cfg.n_ranks > 1 and not row.parallelizable:
+        parallel = sorted(name for name, v in VARIANTS.items() if v.parallelizable)
         raise ShapeError(
-            f"variant {variant_obj.name!r} is sequential-only and cannot run on "
+            f"variant {row.name!r} is sequential-only and cannot run on "
             f"n_ranks={cfg.n_ranks}; parallelizable variants: {parallel}"
         )
-    if is_sparse(A) and not variant_obj.sparse_ok:
+    if is_sparse(A) and not row.sparse_ok:
         raise ShapeError(
-            f"variant {variant_obj.name!r} does not accept scipy sparse input"
+            f"variant {row.name!r} does not accept scipy sparse input"
         )
 
-    result = variant_obj.run(A, cfg, observers=observers, **extras)
+    result = row.run(A, cfg, observers, **extras)
     if plan is not None:
         result.plan = plan
     return result

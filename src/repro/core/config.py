@@ -1,10 +1,10 @@
 """Configuration for the NMF algorithms.
 
-A single :class:`NMFConfig` drives every registered variant, so experiments
-can hold everything fixed and vary exactly one knob (solver, grid shape,
-rank), the way the paper's evaluation does.  *Which* algorithm runs is not a
-config field: it is the variant registry name passed to :func:`repro.fit`
-(see :mod:`repro.core.variants`) and recorded as ``NMFResult.variant``.
+A single :class:`NMFConfig` drives every variant, so experiments can hold
+everything fixed and vary exactly one knob (solver, grid shape, rank), the
+way the paper's evaluation does.  *Which* algorithm runs is not a config
+field: it is the variant name passed to :func:`repro.fit` (see
+:mod:`repro.core.variants`) and recorded as ``NMFResult.variant``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ penalty needs (:class:`repro.core.regularized.Penalty`), which an
 unregularized run passes through as they are.
 
 On a 1 × 1 grid every collective hands back its input and this is
-Algorithm 1 (:mod:`repro.core.anls` runs it so, over
+Algorithm 1 (the ``sequential`` variant runs it so, over
 :class:`~repro.comm.communicator.SelfComm`).
 
 The data matrix is never communicated; per iteration the algorithm moves

@@ -5,11 +5,10 @@ Every variant's outer loop — the SPMD loops of Algorithms 2 and 3
 over a one-rank communicator) and the streaming variant's per-frame loop —
 reports each iteration to a list of :class:`IterationObserver` objects and
 honours their stop requests.  That
-makes the cross-cutting concerns that used to be per-variant ad-hoc code
-(history recording, tolerance-based early stopping, wall-clock budgets,
-checkpointing, live progress) *composable*: pass any mix of the built-in
+makes cross-cutting concerns (watching the history live, checkpointing, an
+early stop of your own) *composable*: pass any mix of the built-in
 observers below, or any object with the same three methods, to
-:func:`repro.fit`.
+:func:`repro.fit`.  ``config.tol`` is the loop's own stopping rule.
 
 Dispatch rules
 --------------
@@ -34,8 +33,6 @@ hand-rolling the same block.
 from __future__ import annotations
 
 import math
-import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -144,65 +141,6 @@ class HistoryRecorder(IterationObserver):
         return [s.relative_error for s in self.history]
 
 
-class ToleranceStop(IterationObserver):
-    """Stop when the relative-error improvement drops below ``tol``.
-
-    Composable alternative to ``config.tol`` — useful to impose a tolerance
-    on a config that runs with ``tol=0`` (the paper's fixed-iteration-count
-    protocol) without touching the config.
-    """
-
-    def __init__(self, tol: float) -> None:
-        if tol <= 0:
-            raise ValueError(f"tol must be > 0, got {tol}")
-        self.tol = float(tol)
-        self._previous = math.inf
-        self.triggered_at: Optional[int] = None
-
-    def on_start(self, config: NMFConfig, variant: str) -> None:
-        # Reset so one instance can watch several runs (the NMF estimator
-        # passes the same observer objects to every fit call).
-        self._previous = math.inf
-        self.triggered_at = None
-
-    def on_iteration(self, event: IterationEvent) -> bool:
-        if not event.has_error:
-            return False
-        if self._previous - event.relative_error < self.tol:
-            self.triggered_at = event.iteration
-            return True
-        self._previous = event.relative_error
-        return False
-
-
-class WallClockBudget(IterationObserver):
-    """Stop once the run has consumed ``seconds`` of wall-clock time.
-
-    The budget is checked after each iteration, so a run always completes at
-    least one iteration.  On SPMD runs the clock is rank 0's; the stop
-    decision reaches the other ranks through the observer stop all-reduce.
-    """
-
-    def __init__(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"budget must be >= 0 seconds, got {seconds}")
-        self.seconds = float(seconds)
-        self._started: Optional[float] = None
-        self.triggered_at: Optional[int] = None
-
-    def on_start(self, config: NMFConfig, variant: str) -> None:
-        self._started = time.perf_counter()
-        self.triggered_at = None
-
-    def on_iteration(self, event: IterationEvent) -> bool:
-        if self._started is None:  # on_start skipped: budget counts from first event
-            self._started = time.perf_counter()
-        if time.perf_counter() - self._started >= self.seconds:
-            self.triggered_at = event.iteration
-            return True
-        return False
-
-
 class CheckpointEvery(IterationObserver):
     """Write an ``.npz`` checkpoint every ``every`` iterations.
 
@@ -234,32 +172,6 @@ class CheckpointEvery(IterationObserver):
             arrays["H"] = event.H
         np.savez(path, **arrays)
         self.paths.append(path if path.suffix == ".npz" else path.with_name(path.name + ".npz"))
-
-
-class ProgressPrinter(IterationObserver):
-    """Print one status line every ``every`` iterations (live telemetry)."""
-
-    def __init__(self, every: int = 1, stream=None) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = int(every)
-        self.stream = stream
-
-    def _out(self):
-        return self.stream if self.stream is not None else sys.stderr
-
-    def on_start(self, config: NMFConfig, variant: str) -> None:
-        print(f"[{variant}] k={config.k}, max_iters={config.max_iters}", file=self._out())
-
-    def on_iteration(self, event: IterationEvent) -> None:
-        if (event.iteration + 1) % self.every != 0:
-            return
-        error = f"rel_err={event.relative_error:.6f}" if event.has_error else "rel_err=n/a"
-        print(
-            f"[{event.variant}] iter {event.iteration:>4}  {error}  "
-            f"({event.seconds:.3f}s)",
-            file=self._out(),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,18 @@ implements it for the two standard regularizers:
 
 Both act on matrices every rank already holds after the collectives: the
 replicated k×k Gram and the locally owned right-hand side.
-:func:`regularized_nmf` runs that loop at any ``p``: on a 1 × 1 grid over
-:class:`~repro.comm.communicator.SelfComm` when ``config.n_ranks == 1``, on
-``config.n_ranks`` ranks of ``config.backend`` otherwise.
+``fit(variant="regularized")`` runs that loop at any ``p``: on a 1 × 1 grid
+over :class:`~repro.comm.communicator.SelfComm` when ``config.n_ranks == 1``,
+on ``config.n_ranks`` ranks of ``config.backend`` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Tuple
+from typing import Protocol, Tuple
 
 import numpy as np
 
-from repro.core.config import NMFConfig
-from repro.core.observers import IterationObserver
-from repro.core.result import NMFResult
 from repro.util.errors import ShapeError
 
 
@@ -92,26 +89,3 @@ class Regularization:
             self.frobenius * float(np.trace(gram_w) + np.trace(gram_h))
             + self.l1 * entry_sum
         )
-
-
-def regularized_nmf(
-    A,
-    config: NMFConfig,
-    regularization: Optional[Regularization] = None,
-    observers: Optional[Sequence[IterationObserver]] = None,
-) -> NMFResult:
-    """ANLS NMF with ridge and/or L1 regularization on both factors.
-
-    Algorithm 3 with ``regularization`` applied at lines 8 and 14, on
-    ``config.n_ranks`` ranks.  With ``regularization=None`` (or all-zero
-    weights) the result is bit for bit :func:`repro.core.anls.anls_nmf`'s.
-    ``observers`` follow the protocol of :mod:`repro.core.observers`.
-    """
-    from repro.core.hpc_nmf import hpc_nmf
-    from repro.core.spmd_loop import run_in_process, run_on_backend
-
-    run = run_in_process if config.n_ranks == 1 else run_on_backend
-    return run(
-        hpc_nmf, A, config, observers, "regularized",
-        regularization=regularization or Regularization(),
-    )

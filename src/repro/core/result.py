@@ -64,7 +64,7 @@ class NMFResult:
         True when the relative-error improvement dropped below ``config.tol``
         before ``max_iters`` (always False when ``tol == 0``).
     variant, backend, solver:
-        Provenance: the registry name of the variant that produced this
+        Provenance: the name of the variant that produced this
         result (see :mod:`repro.core.variants`), the execution backend it ran
         on (``None`` for in-process sequential variants) and the local NLS
         solver it used.  ``backend`` and ``solver`` are filled from ``config``
@@ -231,13 +231,11 @@ class NMFResult:
     def load(cls, path: Union[str, Path]) -> "NMFResult":
         """Reconstruct a result saved by :meth:`save`.
 
-        Loading through the base class dispatches on the recorded variant's
-        registered ``result_class`` (see :mod:`repro.core.variants`), so a
-        saved symmetric run comes back as the
-        :class:`~repro.core.symmetric.SymNMFResult` subclass — and so do any
-        third-party variants that register their own result class.  Results
-        of unregistered variants, and results saved as a plain
-        :class:`NMFResult`, load as plain :class:`NMFResult`.
+        Loading through the base class picks the class the archive records
+        (its ``result_class`` entry): a saved symmetric run comes back as
+        the :class:`~repro.core.symmetric.SymNMFResult` subclass.  Archives
+        older than that entry are symmetric when their variant is; any
+        other result loads as a plain :class:`NMFResult`.
 
         A missing file, a corrupt archive, or an archive that lacks one of
         the required entries (``W``, ``H``, ``meta``) raises
@@ -295,15 +293,13 @@ class NMFResult:
         config_dict["grid"] = tuple(grid) if grid else None
         # Artifacts older than the ``variant`` entry named it in the config.
         variant = meta.get("variant") or meta["config"].get("algorithm", "")
-        # The registry imports every variant, so a result saved as a plain
-        # NMFResult skips it; archives older than "result_class" look it up.
-        if cls is NMFResult and variant and meta.get("result_class") != NMFResult.__name__:
-            from repro.core.variants import get_variant
+        saved_as = meta.get("result_class") or (
+            "SymNMFResult" if variant == "symmetric" else NMFResult.__name__
+        )
+        if cls is NMFResult and saved_as == "SymNMFResult":
+            from repro.core.symmetric import SymNMFResult
 
-            try:
-                cls = get_variant(variant).result_class
-            except KeyError:
-                pass  # saved by an unregistered variant: keep the base class
+            cls = SymNMFResult
         base_fields = {f.name for f in dataclasses.fields(NMFResult)}
         extra = {
             f.name: meta[f.name]

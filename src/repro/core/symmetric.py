@@ -17,9 +17,9 @@ remains an NLS problem in normal-equations form:
     H-step:  gram = Wᵀ W + α I,   rhs = Wᵀ S + α Wᵀ
 
 so this is Algorithm 3's loop with one penalty hook at lines 8 and 14
-(:class:`SymmetryPenalty`), which :func:`symmetric_nmf` runs over
-:class:`~repro.comm.communicator.SelfComm`.  ``history`` follows
-``regularized``'s contract: ``relative_error`` is the unpenalized
+(:class:`SymmetryPenalty`), which ``fit(variant="symmetric")`` runs over
+:class:`~repro.comm.communicator.SelfComm` (:mod:`repro.core.variants`).
+``history`` follows ``regularized``'s contract: ``relative_error`` is the unpenalized
 ``‖S − WH‖_F / ‖S‖_F`` of the ``(W, H)`` iterate, ``objective`` the penalized
 ``‖S − WH‖_F² + α ‖W − Hᵀ‖_F²``, and observers see the live ``(W, H)``.
 """
@@ -27,17 +27,10 @@ so this is Algorithm 3's loop with one penalty hook at lines 8 and 14
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import NMFConfig
-from repro.core.hpc_nmf import hpc_nmf
-from repro.core.observers import IterationObserver, notify_finish
 from repro.core.result import NMFResult
-from repro.core.spmd_loop import run_on_self
-from repro.util.errors import ShapeError
-from repro.util.validation import check_matrix, check_nonnegative, check_rank
 
 
 @dataclass(frozen=True)
@@ -84,72 +77,3 @@ class SymNMFResult(NMFResult):
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.G.shape[1])
-
-
-def symmetric_nmf(
-    S,
-    k: int,
-    *,
-    alpha: Optional[float] = None,
-    max_iters: int = 50,
-    solver: str = "bpp",
-    seed: int = 0,
-    observers: Optional[Sequence[IterationObserver]] = None,
-    config: Optional[NMFConfig] = None,
-) -> SymNMFResult:
-    """Compute a rank-``k`` symmetric NMF of a similarity/adjacency matrix ``S``.
-
-    Parameters
-    ----------
-    S:
-        Square nonnegative matrix (dense or sparse).  It is symmetrized as
-        ``(S + Sᵀ)/2`` — for a directed graph this is the standard
-        co-linkage similarity.
-    k:
-        Number of clusters.
-    alpha:
-        Symmetry-penalty weight; ``None`` uses ``max(S)²`` (the heuristic from
-        the SymNMF literature).
-    max_iters, solver, seed:
-        As for ordinary NMF.
-    observers:
-        Iteration observers (see :mod:`repro.core.observers`); events carry
-        the penalized objective, the relative residual of ``S ≈ W H`` and
-        the live ``(W, H)``; ``on_finish`` gets the :class:`SymNMFResult`.
-    config:
-        Full :class:`NMFConfig`; when given it supersedes
-        ``max_iters``/``solver``/``seed`` and its ``tol``, ``compute_error``
-        and ``inner_iters`` fields are honoured too (``fit(variant=
-        "symmetric")`` passes the run's config through this path).
-
-    Returns
-    -------
-    SymNMFResult with the indicator matrix ``G`` and hard cluster labels.
-    """
-    S = check_matrix(S, "S")
-    check_nonnegative(S, "S")
-    n1, n2 = S.shape
-    if n1 != n2:
-        raise ShapeError(f"symmetric NMF needs a square matrix, got {S.shape}")
-    check_rank(k, n1, n2)
-
-    # Symmetrize (cheap for both dense and CSR).
-    S = (S + S.T) * 0.5
-
-    if alpha is None:
-        alpha = max(float(S.max()) ** 2, 1.0)
-    if alpha < 0:
-        raise ShapeError(f"alpha must be nonnegative, got {alpha}")
-
-    if config is None:
-        config = NMFConfig(k=k, max_iters=max_iters, solver=solver, seed=seed)
-    elif config.k != k:
-        raise ShapeError(
-            f"rank mismatch: symmetric_nmf called with k={k} but config.k={config.k}"
-        )
-    result = run_on_self(
-        hpc_nmf, S, config, observers, "symmetric", regularization=SymmetryPenalty(alpha)
-    )
-    G = np.ascontiguousarray(0.5 * (result.W + result.H.T))
-    sym = SymNMFResult(**{**vars(result), "W": G, "H": np.ascontiguousarray(G.T)}, alpha=alpha)
-    return notify_finish(observers, sym)

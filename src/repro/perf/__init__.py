@@ -6,11 +6,10 @@ Naive / HPC-NMF-1D / HPC-NMF-2D (the formulas of §4.3, §5 and Table 2);
 evaluated under (Edison constants, or this host via
 ``MachineSpec.calibrate()``).
 
-*Which* closed form prices which variant lives on the variant registry: each
-:class:`~repro.core.variants.Variant` exposes ``predicted_breakdown``, which
-is what the planning layer (:mod:`repro.plan`) consumes to pick variants and
-grids at ``fit(..., variant="auto")`` time.  A modeled Figure-3 / Table-3
-cell is one :func:`repro.plan.plan_candidates` row (``repro plan SSYN -k 10
+The planning layer (:mod:`repro.plan`) says which closed form prices which
+variant, and picks variants and grids with them at ``fit(...,
+variant="auto")`` time.  A modeled Figure-3 / Table-3 cell is one
+:func:`repro.plan.plan_candidates` row (``repro plan SSYN -k 10
 -p 600``); a measured cell is one ``fit(...).breakdown`` — see
 ``examples/scaling_study.py``.  Timing a fit end to end or layer by layer is
 ``benchmarks/layered``'s job, not this package's.

@@ -8,12 +8,11 @@ problem dimensions, not just the paper datasets; a
 automatically), the process count ``p`` (and grid ``pr × pc``), and a
 :class:`~repro.perf.machine.MachineSpec`.
 
-This module holds the closed forms only.  *Which* closed form prices which
-variant lives on the variant registry — each
-:class:`~repro.core.variants.Variant` descriptor exposes
-``predicted_breakdown(problem, p, grid, machine)`` — and the planning layer
-(:mod:`repro.plan`) consumes that interface:
-``get_variant(name).predicted_breakdown(ProblemSpec(...), p)`` is one modeled
+This module holds the closed forms only.  The planner
+(:mod:`repro.plan.planner`) says which prices which variant: ``sequential``
+is :func:`naive_breakdown` at ``p = 1``, ``naive`` is :func:`naive_breakdown`,
+and ``hpc1d`` / ``hpc2d`` are :func:`hpc_breakdown` on ``(p, 1)`` / on each
+``pr × pc`` grid.  One :func:`repro.plan.plan_candidates` row is one modeled
 Figure-3 / Table-3 cell.
 
 Computation terms

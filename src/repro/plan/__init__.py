@@ -9,8 +9,8 @@ measure** loop:
   scipy-sparse matrix, any registered dataset, or bare dimensions;
 * :func:`~repro.plan.planner.plan_candidates` /
   :func:`~repro.plan.planner.make_plan` — enumerate candidate variants ×
-  all ``pr × pc`` factorizations of ``p``, score each with the per-variant
-  cost hooks on the variant registry, and return the table / the argmin;
+  all ``pr × pc`` factorizations of ``p``, price each with
+  :mod:`repro.perf.model`'s closed forms, and return the table / the argmin;
 * :class:`~repro.plan.planner.ExecutionPlan` — what to run plus what the
   model expects (per-task :class:`~repro.comm.profiler.TimeBreakdown` and
   words moved per iteration);

@@ -6,12 +6,12 @@ The paper's central planning result is that the algorithm flavor and the
 1D or naive layouts when the shape makes them cheaper.  This module closes
 that loop for arbitrary problems:
 
-* :func:`plan_candidates` enumerates every registered variant that exposes
-  an analytic cost hook (:meth:`repro.core.variants.Variant.
-  predicted_breakdown`), crossed with each variant's candidate grids (for
-  ``hpc2d``, **all** factorizations of ``p``), scores each candidate under
-  one :class:`~repro.perf.machine.MachineSpec`, and returns the table
-  sorted by predicted per-iteration seconds;
+* :func:`plan_candidates` prices the four modeled variants of
+  :data:`PLANNER_VARIANT_ORDER` with :mod:`repro.perf.model`'s closed forms
+  — ``sequential`` as Algorithm 2 at ``p = 1`` with no words, ``naive`` by
+  its own, ``hpc1d`` on ``(p, 1)`` and ``hpc2d`` on **every** factorization
+  of ``p`` — under one :class:`~repro.perf.machine.MachineSpec`, and returns
+  the table sorted by predicted per-iteration seconds;
 * :func:`make_plan` returns the argmin as an :class:`ExecutionPlan`, which
   ``fit(A, k, variant="auto", grid="auto")`` executes and records in the
   result provenance (``result.plan``) so predicted-vs-measured comparison
@@ -30,8 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.comm.profiler import TimeBreakdown
 from repro.plan.problem import ProblemSpec
 
-#: Preference order for tie-breaking and table layout; registry variants not
-#: listed here are still planned (after these) if they expose a cost hook.
+#: The variants the cost model prices, in tie-breaking and table order.
 PLANNER_VARIANT_ORDER: Tuple[str, ...] = ("sequential", "hpc2d", "hpc1d", "naive")
 
 
@@ -42,7 +41,7 @@ class ExecutionPlan:
     Attributes
     ----------
     variant:
-        Variant registry name (``"hpc2d"``, ``"naive"``, ...).
+        Variant name (``"hpc2d"``, ``"naive"``, ...).
     n_ranks:
         SPMD rank count ``p`` the plan was scored for.
     grid:
@@ -138,13 +137,43 @@ class ExecutionPlan:
 
 
 def _candidate_variant_names(variants: Optional[Sequence[str]]) -> List[str]:
-    from repro.core.variants import available_variants, variant_name
+    from repro.core.variants import get_variant
 
-    if variants is not None:
-        return [variant_name(v) for v in variants]
-    names = [v for v in PLANNER_VARIANT_ORDER]
-    names += [v for v in available_variants() if v not in PLANNER_VARIANT_ORDER]
-    return names
+    if variants is None:
+        return list(PLANNER_VARIANT_ORDER)
+    return [get_variant(v).name for v in variants]
+
+
+def _modeled_grids(name: str, p: int) -> tuple:
+    """The grids the model prices ``name`` on; none when it has no model."""
+    from repro.comm.grid import factor_pairs
+
+    if name == "sequential":
+        return (None,) if p == 1 else ()
+    return {"naive": (None,), "hpc1d": ((p, 1),), "hpc2d": tuple(factor_pairs(p))}.get(name, ())
+
+
+def _priced(name: str, problem: ProblemSpec, p: int, grid, machine):
+    """``(breakdown, words)`` per iteration of ``name`` on ``grid``."""
+    from repro.perf.model import (
+        hpc_breakdown,
+        hpc_words_per_iteration,
+        naive_breakdown,
+        naive_words_per_iteration,
+    )
+
+    k = problem.k
+    if name == "sequential":
+        return naive_breakdown(problem, k, 1, machine=machine), 0.0
+    if name == "naive":
+        return (
+            naive_breakdown(problem, k, p, machine=machine),
+            naive_words_per_iteration(problem, k, p),
+        )
+    return (
+        hpc_breakdown(problem, k, p, grid=grid, machine=machine),
+        hpc_words_per_iteration(problem, k, p, grid=grid),
+    )
 
 
 def plan_candidates(
@@ -159,11 +188,12 @@ def plan_candidates(
 ) -> List[ExecutionPlan]:
     """Score every (variant, grid) candidate for ``problem`` on ``p`` ranks.
 
-    Candidates come from the variant registry: each registered variant that
-    implements the analytic cost hook contributes one plan per entry of its
-    ``candidate_grids(problem, p)`` (all ``pr × pc`` factorizations of ``p``
-    for ``hpc2d``).  Returns the plans sorted by predicted per-iteration
-    seconds, cheapest first; ties keep :data:`PLANNER_VARIANT_ORDER` order.
+    Each modeled variant contributes one plan per grid it runs on:
+    ``sequential`` one at ``p = 1`` only, ``naive`` one without a grid,
+    ``hpc1d`` one on ``(p, 1)`` and ``hpc2d`` one per ``pr × pc``
+    factorization of ``p``.  Returns the plans sorted by predicted
+    per-iteration seconds, cheapest first; ties keep
+    :data:`PLANNER_VARIANT_ORDER` order.
 
     Parameters
     ----------
@@ -172,8 +202,9 @@ def plan_candidates(
         the deterministic Edison constants (use
         :meth:`MachineSpec.calibrate` for the actual host).
     variants:
-        Restrict to these registry names (``grid="auto"`` with an explicit
-        variant plans only that variant).
+        Restrict to these variant names (``grid="auto"`` with an explicit
+        variant plans only that variant); a name the model does not price
+        contributes no plan, and an unknown one raises ``KeyError``.
     grid:
         Pin candidates to this one factorization of ``p``.  Grid-free
         variants cannot honour a pinned grid, so they are excluded; a grid
@@ -181,7 +212,7 @@ def plan_candidates(
     kernel:
         BPP kernel to price the NLS term for (``'scalar'``, ``'batched'`` or
         ``'auto'``); resolved against the kernels registry,
-        then threaded through the cost hooks via
+        then threaded into the closed forms via
         :meth:`MachineSpec.for_kernel`.  ``None`` keeps default-kernel
         (``batched``) pricing.
     backend:
@@ -191,7 +222,6 @@ def plan_candidates(
         --backend socket`` therefore prices wire plans.  In-process backends
         keep the machine's own network constants.
     """
-    from repro.core.variants import get_variant
     from repro.perf.machine import edison_machine
 
     if p < 1:
@@ -210,25 +240,15 @@ def plan_candidates(
 
     plans: List[ExecutionPlan] = []
     for name in _candidate_variant_names(variants):
-        variant = get_variant(name)
-        if p > 1 and not variant.parallelizable:
-            continue
-        if problem.is_sparse and not variant.sparse_ok:
-            continue
-        for candidate_grid in variant.candidate_grids(problem, p):
+        for candidate_grid in _modeled_grids(name, p):
             if grid is not None and (
                 candidate_grid is None or tuple(candidate_grid) != tuple(grid)
             ):
                 continue
-            breakdown = variant.predicted_breakdown(
-                problem, p, grid=candidate_grid, machine=machine
-            )
-            if breakdown is None:
-                continue  # variant does not model itself; not plannable
-            words = variant.predicted_words(problem, p, grid=candidate_grid)
+            breakdown, words = _priced(name, problem, p, candidate_grid, machine)
             plans.append(
                 ExecutionPlan(
-                    variant=variant.name,
+                    variant=name,
                     n_ranks=p,
                     grid=tuple(candidate_grid) if candidate_grid else None,
                     backend=backend,

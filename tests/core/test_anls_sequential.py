@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.anls import anls_nmf
 from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.data.lowrank import planted_lowrank
@@ -67,11 +66,11 @@ class TestConfiguration:
         assert res.history == []
         assert np.isnan(res.relative_error)
 
-    def test_anls_nmf_is_algorithm_3_on_one_rank(self):
-        """anls_nmf runs Algorithm 3's loop in process: hpc2d's bits at p = 1,
-        and no backend or grid recorded."""
+    def test_sequential_is_algorithm_3_on_one_rank(self):
+        """``sequential`` runs Algorithm 3's loop in process: hpc2d's bits at
+        p = 1, and no backend or grid recorded."""
         A = np.abs(np.random.default_rng(2).standard_normal((20, 15)))
-        res = anls_nmf(A, NMFConfig(k=3, max_iters=4, seed=2))
+        res = fit(A, config=NMFConfig(k=3, max_iters=4, seed=2), variant="sequential")
         hpc = fit(A, k=3, variant="hpc2d", n_ranks=1, max_iters=4, seed=2)
         assert res.W.tobytes() == hpc.W.tobytes() and res.H.tobytes() == hpc.H.tobytes()
         assert (res.variant, res.backend, res.grid_shape) == ("sequential", None, None)

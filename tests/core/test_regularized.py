@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.anls import anls_nmf
 from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.core.objective import relative_error
-from repro.core.regularized import Regularization, regularized_nmf
+from repro.core.regularized import Regularization
 from repro.data.lowrank import planted_lowrank
 from repro.util.errors import ShapeError
 
@@ -40,8 +39,8 @@ class TestRegularizedNMF:
     def test_zero_weights_match_plain_anls(self):
         A = planted_lowrank(30, 24, 3, seed=0, noise_std=0.02)
         cfg = NMFConfig(k=3, max_iters=6, seed=5)
-        plain = anls_nmf(A, cfg)
-        reg = regularized_nmf(A, cfg, Regularization())
+        plain = fit(A, config=cfg, variant="sequential")
+        reg = fit(A, config=cfg, variant="regularized", regularization=Regularization())
         assert reg.W.tobytes() == plain.W.tobytes()
         assert reg.H.tobytes() == plain.H.tobytes()
         assert reg.relative_error_history == plain.relative_error_history
@@ -50,8 +49,9 @@ class TestRegularizedNMF:
     def test_l1_increases_factor_sparsity(self):
         A = planted_lowrank(60, 45, 5, seed=1, noise_std=0.05)
         cfg = NMFConfig(k=5, max_iters=15, seed=2)
-        plain = regularized_nmf(A, cfg, Regularization())
-        sparse = regularized_nmf(A, cfg, Regularization(l1=0.5))
+        plain = fit(A, config=cfg, variant="regularized", regularization=Regularization())
+        sparse = fit(A, config=cfg, variant="regularized",
+                     regularization=Regularization(l1=0.5))
         zero_frac_plain = np.mean(plain.H < 1e-10) + np.mean(plain.W < 1e-10)
         zero_frac_sparse = np.mean(sparse.H < 1e-10) + np.mean(sparse.W < 1e-10)
         assert zero_frac_sparse > zero_frac_plain
@@ -59,8 +59,9 @@ class TestRegularizedNMF:
     def test_frobenius_shrinks_factor_norms(self):
         A = planted_lowrank(40, 30, 4, seed=3, noise_std=0.05)
         cfg = NMFConfig(k=4, max_iters=12, seed=4)
-        plain = regularized_nmf(A, cfg, Regularization())
-        ridge = regularized_nmf(A, cfg, Regularization(frobenius=5.0))
+        plain = fit(A, config=cfg, variant="regularized", regularization=Regularization())
+        ridge = fit(A, config=cfg, variant="regularized",
+                    regularization=Regularization(frobenius=5.0))
         assert (np.linalg.norm(ridge.W) + np.linalg.norm(ridge.H)) < (
             np.linalg.norm(plain.W) + np.linalg.norm(plain.H)
         )
@@ -68,13 +69,15 @@ class TestRegularizedNMF:
     def test_penalized_objective_monotone(self):
         A = planted_lowrank(40, 30, 3, seed=5, noise_std=0.05)
         cfg = NMFConfig(k=3, max_iters=12, seed=6)
-        res = regularized_nmf(A, cfg, Regularization(frobenius=0.5, l1=0.1))
+        res = fit(A, config=cfg, variant="regularized",
+                  regularization=Regularization(frobenius=0.5, l1=0.1))
         objectives = res.objective_history
         assert all(b <= a + 1e-6 * abs(a) for a, b in zip(objectives, objectives[1:]))
 
     def test_factors_nonnegative(self):
         A = planted_lowrank(30, 20, 3, seed=7)
-        res = regularized_nmf(A, NMFConfig(k=3, max_iters=5), Regularization(l1=1.0))
+        res = fit(A, config=NMFConfig(k=3, max_iters=5), variant="regularized",
+                  regularization=Regularization(l1=1.0))
         assert np.all(res.W >= 0) and np.all(res.H >= 0)
 
     @pytest.mark.parametrize("weights", [{"l1": 2.0}, {"frobenius": 5.0}])

@@ -75,9 +75,9 @@ class TestRoundTrip:
         assert np.array_equal(loaded.G, res.G)
         assert np.array_equal(loaded.labels, res.labels)
 
-    def test_archive_without_result_class_finds_it_through_the_registry(self, tmp_path):
-        """Only a result recorded as a plain NMFResult skips the registry;
-        an archive saved before ``result_class`` existed still consults it."""
+    def test_archive_without_result_class_is_symmetric_by_its_variant(self, tmp_path):
+        """An archive saved before ``result_class`` existed is a
+        :class:`SymNMFResult` when its variant is ``symmetric``."""
         res = fit(_dense(), 2, variant="symmetric", max_iters=3, seed=1)
         path = res.save(tmp_path / "old.npz")
         with np.load(path, allow_pickle=False) as data:
@@ -85,39 +85,6 @@ class TestRoundTrip:
         assert meta.pop("result_class") == "SymNMFResult"
         np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
         assert isinstance(NMFResult.load(path), SymNMFResult)
-
-    def test_custom_variant_result_class_round_trips(self, tmp_path):
-        # load() resolves the result class through the registry, so a
-        # third-party variant with its own subclass needs no edits to load().
-        from dataclasses import dataclass
-
-        from repro.core.anls import anls_nmf
-        from repro.core.variants import Variant, register_variant
-        from repro.core.variants.base import _REGISTRY
-
-        @dataclass
-        class TaggedResult(NMFResult):
-            tag: str = ""
-
-        @register_variant
-        class TaggedVariant(Variant):
-            name = "tagged-test"
-            result_class = TaggedResult
-
-            def run(self, A, config, observers=()):
-                base = anls_nmf(A, config, observers=observers)
-                payload = {f.name: getattr(base, f.name)
-                           for f in base.__dataclass_fields__.values()}
-                return TaggedResult(**payload, tag="hello")
-
-        try:
-            res = fit(_dense(), 2, variant="tagged-test", max_iters=2)
-            res.variant = "tagged-test"
-            loaded = _roundtrip(res, tmp_path, "tagged.npz")
-            assert isinstance(loaded, TaggedResult)
-            assert loaded.tag == "hello"
-        finally:
-            _REGISTRY.pop("tagged-test", None)
 
     def test_unregistered_variant_loads_as_base_class(self, tmp_path):
         res = fit(_dense(), 2, max_iters=2)

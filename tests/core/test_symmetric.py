@@ -1,11 +1,12 @@
-"""Tests for symmetric NMF (graph clustering)."""
+"""Tests for symmetric NMF (graph clustering): ``fit(variant="symmetric")``."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.api import fit
 from repro.core.observers import IterationObserver
-from repro.core.symmetric import SymNMFResult, symmetric_nmf
+from repro.core.symmetric import SymNMFResult
 from repro.util.errors import ShapeError
 
 
@@ -22,18 +23,19 @@ def block_diagonal_graph(n_per_block=30, n_blocks=3, p_in=0.6, p_out=0.02, seed=
 
 
 class TestSymmetricNMF:
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            symmetric_nmf(np.ones((4, 5)), k=2)
+    def test_rejects_a_rank_beyond_the_reduced_similarity(self):
+        # A 4 x 5 input is reduced to its 5 x 5 column similarity first.
+        with pytest.raises(ShapeError, match="exceeds"):
+            fit(np.ones((4, 5)), 6, variant="symmetric", seed=0)
 
     def test_rejects_negative_alpha(self):
         A, _ = block_diagonal_graph(10, 2)
         with pytest.raises(ShapeError):
-            symmetric_nmf(A, k=2, alpha=-1.0)
+            fit(A, 2, variant="symmetric", alpha=-1.0, seed=0)
 
     def test_indicator_shape_and_nonnegativity(self):
         A, _ = block_diagonal_graph(15, 2, seed=1)
-        res = symmetric_nmf(A, k=2, max_iters=20, seed=1)
+        res = fit(A, 2, variant="symmetric", max_iters=20, seed=1)
         assert isinstance(res, SymNMFResult)
         assert res.G.shape == (30, 2)
         assert np.all(res.G >= 0)
@@ -41,12 +43,12 @@ class TestSymmetricNMF:
 
     def test_objective_decreases(self):
         A, _ = block_diagonal_graph(20, 3, seed=2)
-        res = symmetric_nmf(A, k=3, max_iters=25, seed=3)
+        res = fit(A, 3, variant="symmetric", max_iters=25, seed=3)
         assert res.objective_history[-1] <= res.objective_history[0]
 
     def test_recovers_planted_communities(self):
         A, labels = block_diagonal_graph(30, 3, p_in=0.7, p_out=0.01, seed=4)
-        res = symmetric_nmf(A, k=3, max_iters=40, seed=5)
+        res = fit(A, 3, variant="symmetric", max_iters=40, seed=5)
         # Cluster-label agreement up to permutation: for each found cluster,
         # the dominant true label should cover most of its members.
         correct = 0
@@ -59,19 +61,19 @@ class TestSymmetricNMF:
 
     def test_sparse_input(self):
         A, _ = block_diagonal_graph(20, 2, seed=6)
-        res_sparse = symmetric_nmf(sp.csr_matrix(A), k=2, max_iters=10, seed=7)
+        res_sparse = fit(sp.csr_matrix(A), 2, variant="symmetric", max_iters=10, seed=7)
         assert res_sparse.G.shape == (40, 2)
         assert np.isfinite(res_sparse.objective_history[-1])
 
     def test_cluster_sizes_sum_to_n(self):
         A, _ = block_diagonal_graph(12, 2, seed=8)
-        res = symmetric_nmf(A, k=2, max_iters=10, seed=9)
+        res = fit(A, 2, variant="symmetric", max_iters=10, seed=9)
         assert res.cluster_sizes().sum() == 24
 
     def test_directed_input_is_symmetrized(self):
         rng = np.random.default_rng(10)
         A = (rng.random((25, 25)) < 0.2).astype(float)
-        res = symmetric_nmf(A, k=2, max_iters=10, seed=11)
+        res = fit(A, 2, variant="symmetric", max_iters=10, seed=11)
         assert np.all(np.isfinite(res.G))
 
 
@@ -92,7 +94,8 @@ class TestSymmetryPenaltyHook:
     def _run(self, seed, **options):
         A, _ = block_diagonal_graph(20, 3, seed=2)
         watcher = LiveFactors()
-        res = symmetric_nmf(A, k=3, max_iters=12, seed=seed, observers=[watcher], **options)
+        res = fit(A, 3, variant="symmetric", max_iters=12, seed=seed, observers=[watcher],
+                  **options)
         return 0.5 * (A + A.T), res, watcher.events
 
     @pytest.mark.parametrize("alpha", [None, 3.5])
@@ -119,7 +122,7 @@ class TestSymmetryPenaltyHook:
 
         watcher = Finish()
         A, _ = block_diagonal_graph(10, 2, seed=3)
-        res = symmetric_nmf(A, k=2, max_iters=3, observers=[watcher])
+        res = fit(A, 2, variant="symmetric", max_iters=3, seed=0, observers=[watcher])
         assert watcher.result is res
         assert isinstance(res, SymNMFResult)
         np.testing.assert_array_equal(res.H, res.G.T)

@@ -1,4 +1,6 @@
-"""Tests for the variant registry and the ``repro.fit`` front door."""
+"""Tests for the variant table and the ``repro.fit`` front door."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -8,18 +10,24 @@ import repro
 from repro.comm.profiler import TaskCategory
 from repro.core.api import NMF, fit
 from repro.core.config import NMFConfig
+from repro.core.regularized import Regularization
 from repro.core.symmetric import SymNMFResult
-from repro.core.variants import (
-    Variant,
-    available_variants,
-    get_variant,
-    register_variant,
-)
-from repro.core.variants.base import _REGISTRY
+from repro.core.variants import VARIANTS, available_variants, get_variant
 from repro.data.lowrank import planted_lowrank
 from repro.util.errors import ShapeError
 
 ALL_VARIANTS = ["hpc1d", "hpc2d", "naive", "regularized", "sequential", "streaming", "symmetric"]
+
+#: A value for every option some row lists.
+OPTION_VALUES = {
+    "regularization": Regularization(frobenius=0.1),
+    "frobenius": 0.1,
+    "l1": 0.1,
+    "alpha": 2.0,
+    "window": 6,
+    "refresh_every": 3,
+    "refresh_iters": 1,
+}
 
 
 def _matrix():
@@ -28,10 +36,10 @@ def _matrix():
 
 class TestRegistry:
     def test_seven_builtin_variants_registered(self):
-        assert available_variants() == ALL_VARIANTS
+        assert available_variants() == ALL_VARIANTS == sorted(VARIANTS)
 
     def test_get_variant_returns_singleton(self):
-        assert get_variant("hpc2d") is get_variant("hpc2d")
+        assert get_variant("hpc2d") is get_variant("HPC2D") is VARIANTS["hpc2d"]
 
     def test_unknown_variant_lists_available(self):
         with pytest.raises(KeyError, match="hpc2d"):
@@ -42,38 +50,59 @@ class TestRegistry:
         assert get_variant("naive").parallelizable
         assert not get_variant("sequential").parallelizable
         assert get_variant("regularized").parallelizable
-        assert get_variant("symmetric").symmetric_input
-        assert get_variant("regularized").supports_regularization
+        assert not get_variant("symmetric").parallelizable
         assert not get_variant("streaming").sparse_ok
         assert get_variant("hpc1d").sparse_ok
 
-    def test_extra_options_derived_from_signature(self):
-        assert set(get_variant("symmetric").extra_options()) == {"alpha"}
-        assert set(get_variant("streaming").extra_options()) == {
-            "window", "refresh_every", "refresh_iters"
-        }
-        assert get_variant("hpc2d").extra_options() == ()
+    def test_options_are_listed_per_row(self):
+        assert get_variant("symmetric").options == ("alpha",)
+        assert get_variant("streaming").options == ("window", "refresh_every", "refresh_iters")
+        assert get_variant("regularized").options == ("regularization", "frobenius", "l1")
+        assert get_variant("hpc2d").options == ()
 
-    def test_custom_variant_plugs_into_fit(self):
-        @register_variant
-        class EchoVariant(Variant):
-            name = "echo-test"
-            summary = "test-only"
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_options_are_the_keywords_run_takes(self, name):
+        row = VARIANTS[name]
+        params = list(inspect.signature(row.run).parameters)
+        assert params[:3] == ["A", "config", "observers"]
+        assert tuple(params[3:]) == row.options
 
-            def run(self, A, config, observers=()):
-                from repro.core.anls import anls_nmf
 
-                return anls_nmf(A, config, observers=observers)
+class TestVariantMatrix:
+    """One cell per row of the table and per promise the front door makes."""
 
-        try:
-            result = fit(_matrix(), 2, variant="echo-test", max_iters=2)
-            assert result.iterations == 2
-        finally:
-            _REGISTRY.pop("echo-test", None)
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_two_ranks_raise_iff_not_parallelizable(self, name):
+        row = VARIANTS[name]
+        if row.parallelizable:
+            res = fit(_matrix(), 2, variant=name, n_ranks=2, max_iters=2, seed=3)
+            assert (res.variant, res.n_ranks) == (name, 2)
+        else:
+            with pytest.raises(ShapeError, match=f"{name!r} is sequential-only"):
+                fit(_matrix(), 2, variant=name, n_ranks=2, max_iters=2, seed=3)
 
-    def test_register_rejects_non_variant(self):
-        with pytest.raises(TypeError):
-            register_variant(object)
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_sparse_input_raises_iff_not_sparse_ok(self, name):
+        A = sp.csr_matrix(_matrix())
+        if VARIANTS[name].sparse_ok:
+            assert fit(A, 2, variant=name, max_iters=2, seed=3).variant == name
+        else:
+            with pytest.raises(ShapeError, match=f"{name!r} does not accept scipy sparse"):
+                fit(A, 2, variant=name, max_iters=2, seed=3)
+
+    @pytest.mark.parametrize(
+        "name, option",
+        [(name, option) for name in sorted(VARIANTS) for option in VARIANTS[name].options],
+    )
+    def test_each_listed_option_is_accepted(self, name, option):
+        res = fit(_matrix(), 2, variant=name, max_iters=2, seed=3,
+                  **{option: OPTION_VALUES[option]})
+        assert res.variant == name
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_an_unlisted_option_names_the_variant_and_the_option(self, name):
+        with pytest.raises(TypeError, match=f"{name!r} does not accept option.*bogus_knob"):
+            fit(_matrix(), 2, variant=name, max_iters=2, bogus_knob=1)
 
 
 class TestFitFrontDoor:
@@ -88,7 +117,7 @@ class TestFitFrontDoor:
         assert res.variant == "hpc2d"
         assert res.n_ranks == 4
 
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_every_variant_runs_through_one_code_path(self, variant):
         A = _matrix()
         n_ranks = 2 if get_variant(variant).parallelizable else None

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.variants import get_variant
+from repro.comm.grid import choose_grid
 from repro.data.registry import paper_scale
 from repro.perf.machine import edison_machine
 from repro.perf.model import (
@@ -26,9 +26,12 @@ def machine():
 
 
 def modeled(variant, dataset, k, p, machine):
-    """One modeled Figure-3 / Table-3 cell: the variant's own cost hook."""
+    """One modeled Figure-3 / Table-3 cell: ``hpc2d`` on the §5 grid."""
     problem = ProblemSpec.from_dataset(paper_scale(dataset), k)
-    return get_variant(variant).predicted_breakdown(problem, p, machine=machine)
+    if variant == "naive":
+        return naive_breakdown(problem, k, p, machine=machine)
+    return hpc_breakdown(problem, k, p, grid=(p, 1) if variant == "hpc1d" else None,
+                         machine=machine)
 
 
 class TestFlopCounts:
@@ -78,21 +81,23 @@ class TestBreakdowns:
             hpc_breakdown(paper_scale("DSYN"), 50, 600, grid=(7, 7), machine=machine)
 
     def test_dispatch_by_variant(self, machine):
-        # Which closed form prices which variant lives on the registry.
-        assert modeled("naive", "SSYN", 10, 24, machine).get("AllReduce") == 0.0
-        b1d = modeled("hpc1d", "SSYN", 10, 24, machine)
-        b2d = modeled("hpc2d", "SSYN", 10, 24, machine)
+        # The planner prices each modeled variant with its closed form.
+        problem = ProblemSpec.from_dataset(paper_scale("SSYN"), 10)
+        rows = {(plan.variant, plan.grid): plan.breakdown
+                for plan in plan_candidates(problem, 24, machine=machine)}
+        assert rows["naive", None].get("AllReduce") == 0.0
+        b1d, b2d = rows["hpc1d", (24, 1)], rows["hpc2d", choose_grid(problem.m, problem.n, 24)]
         assert b2d.communication <= b1d.communication
         spec = paper_scale("SSYN")
         assert b1d.as_dict() == hpc_breakdown(spec, 10, 24, grid=(24, 1), machine=machine).as_dict()
         assert b2d.as_dict() == hpc_breakdown(spec, 10, 24, machine=machine).as_dict()
 
-    def test_dispatch_rejects_unmodeled_variant(self, machine):
-        # No analytic model: the hook says so and the planner refuses.
-        assert modeled("streaming", "SSYN", 10, 24, machine) is None
+    @pytest.mark.parametrize("variant", ["streaming", "symmetric", "regularized"])
+    def test_dispatch_rejects_unmodeled_variant(self, machine, variant):
+        # No analytic model: the planner refuses.
         problem = ProblemSpec.from_dataset(paper_scale("SSYN"), 10)
         with pytest.raises(ValueError, match="no registered variant can model"):
-            plan_candidates(problem, 24, machine=machine, variants=["streaming"])
+            plan_candidates(problem, 24, machine=machine, variants=[variant])
 
     def test_breakdowns_accept_problem_specs(self, machine):
         # The DatasetSpec adapter and a raw ProblemSpec must price identically.

@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 
 from repro.comm.grid import factor_pairs
 from repro.perf.machine import edison_machine
-from repro.perf.model import hpc_breakdown
+from repro.perf.model import (
+    hpc_breakdown,
+    hpc_words_per_iteration,
+    naive_breakdown,
+    naive_words_per_iteration,
+)
 from repro.plan import (
+    PLANNER_VARIANT_ORDER,
     ExecutionPlan,
     ProblemSpec,
     make_plan,
@@ -66,7 +72,7 @@ class TestCandidateEnumeration:
             )
 
     def test_unplannable_problem_raises(self, machine):
-        # streaming has no cost hook; restricting to it leaves nothing.
+        # streaming has no cost model; restricting to it leaves nothing.
         with pytest.raises(ValueError, match="no registered variant"):
             plan_candidates(
                 ProblemSpec(m=100, n=50, k=3), 4, machine=machine, variants=["streaming"]
@@ -75,6 +81,45 @@ class TestCandidateEnumeration:
     def test_invalid_rank_count(self, machine):
         with pytest.raises(ValueError):
             plan_candidates(ProblemSpec(m=10, n=10, k=2), 0, machine=machine)
+
+    def test_unknown_variant_name_lists_the_table(self, machine):
+        with pytest.raises(KeyError, match="unknown variant 'bogus'.*hpc2d"):
+            plan_candidates(ProblemSpec(m=100, n=50, k=3), 4, machine=machine,
+                            variants=["bogus"])
+
+
+def _closed_forms(problem, p, machine):
+    """Every modeled candidate, straight from perf.model, in variant order."""
+    k = problem.k
+    rows = {
+        "sequential": [(None, naive_breakdown(problem, k, 1, machine=machine), 0.0)]
+        if p == 1 else [],
+        "naive": [(None, naive_breakdown(problem, k, p, machine=machine),
+                   naive_words_per_iteration(problem, k, p))],
+        "hpc1d": [((p, 1), hpc_breakdown(problem, k, p, grid=(p, 1), machine=machine),
+                   hpc_words_per_iteration(problem, k, p, grid=(p, 1)))],
+        "hpc2d": [(g, hpc_breakdown(problem, k, p, grid=g, machine=machine),
+                   hpc_words_per_iteration(problem, k, p, grid=g)) for g in factor_pairs(p)],
+    }
+    return [(name, *row) for name in PLANNER_VARIANT_ORDER for row in rows[name]]
+
+
+class TestPlannerParity:
+    """The table is perf.model's closed forms, cheapest first, ties in
+    PLANNER_VARIANT_ORDER."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 6, 24])
+    @pytest.mark.parametrize("problem", [
+        ProblemSpec(m=3000, n=2000, k=16),
+        ProblemSpec(m=50000, n=8000, k=20, nnz=400000),
+    ], ids=["dense", "sparse"])
+    def test_rows_equal_the_closed_forms(self, machine, problem, p):
+        expected = sorted(_closed_forms(problem, p, machine), key=lambda row: row[2].total)
+        plans = plan_candidates(problem, p, machine=machine)
+        assert [(plan.variant, plan.grid, plan.breakdown.as_dict(), plan.words_per_iteration)
+                for plan in plans] == [
+            (name, grid, breakdown.as_dict(), words) for name, grid, breakdown, words in expected
+        ]
 
 
 class TestOptimality:

@@ -121,6 +121,26 @@ def test_the_serving_path_loads_no_fit_machinery(tmp_path, entry):
     assert {m for m in loaded if m.startswith("repro.dist.")} == set()
 
 
+def test_loading_a_symmetric_model_loads_no_fit_program(tmp_path):
+    """A saved SymNMF result comes back as a ``SymNMFResult`` by the class
+    name its archive records: no variant table, loop or backend is imported."""
+    from repro.core.api import fit
+    from repro.data.lowrank import planted_lowrank
+
+    A = planted_lowrank(32, 24, 2, seed=0, noise_std=0.02)
+    path = fit(A, 2, variant="symmetric", max_iters=2, seed=1).save(tmp_path / "sym.npz")
+    program = (
+        "from repro.serve import ModelStore\n"
+        f"entry = ModelStore().load({str(path)!r})\n"
+        "assert type(entry.result).__name__ == 'SymNMFResult', type(entry.result)\n"
+    )
+    fit_programs = ("repro.core.hpc_nmf", "repro.core.naive", "repro.comm.backends",
+                    "repro.core.variants")
+    assert _loaded_after(program, "repro.core.symmetric", *fit_programs) == {
+        "repro.core.symmetric"
+    }
+
+
 @pytest.mark.parametrize("package", _FACADES)
 def test_facades_resolve_every_export_to_its_defining_module(package):
     module = importlib.import_module(package)
