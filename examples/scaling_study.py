@@ -116,14 +116,19 @@ def print_table3(scaling_by_dataset: dict) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("datasets", nargs="*", default=list(DATASETS),
-                        choices=list(DATASETS) + [[]],
-                        help="datasets to study (default: all four)")
+    # Names are checked by hand: argparse checks a list default against
+    # ``choices`` on some Python versions and rejects the no-argument run.
+    parser.add_argument("datasets", nargs="*", metavar="DATASET",
+                        help=f"datasets to study: {', '.join(DATASETS)} (default: all four)")
     parser.add_argument("--measured", action="store_true",
                         help="also run the measured-mode comparison on this machine")
     args = parser.parse_args()
+    unknown = [name for name in args.datasets if name not in DATASETS]
+    if unknown:
+        parser.error(f"unknown dataset(s) {', '.join(unknown)}; choose from "
+                     f"{', '.join(DATASETS)}")
 
-    datasets = args.datasets if args.datasets else list(DATASETS)
+    datasets = args.datasets or list(DATASETS)
     print_table3({dataset: run_dataset(dataset, args.measured) for dataset in datasets})
 
 

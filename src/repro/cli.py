@@ -85,7 +85,6 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
             max_iters=args.iters,
             solver=args.solver,
             seed=args.seed,
-            **({"kernel": args.kernel} if args.kernel else {}),
         )
     except ShapeError as exc:  # e.g. a sequential-only variant with --ranks 4
         raise SystemExit(str(exc)) from None
@@ -154,10 +153,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("pass a dataset name (e.g. SSYN) or --shape M N")
     machine = _resolve_machine(args.machine, ranks=args.ranks)
-    plans = plan_candidates(
-        problem, args.ranks, machine=machine, kernel=args.kernel,
-        backend=args.backend,
-    )
+    plans = plan_candidates(problem, args.ranks, machine=machine, backend=args.backend)
     print(render_plan_table(plans))
     return 0
 
@@ -291,7 +287,6 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     from repro.comm.backends import available_backends
     from repro.core.variants import available_variants
     from repro.nls.base import available_solvers
-    from repro.nls.kernels import available_kernels
 
     fact.add_argument("input",
                       help="registered dataset name, paper dataset name "
@@ -309,12 +304,6 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
                            "ignored by sequential-only variants")
     fact.add_argument("--solver", default="bpp", choices=available_solvers(),
                       help="local NLS solver by registry name")
-    fact.add_argument("--kernel", default=None,
-                      choices=available_kernels() + ["auto"],
-                      help="BPP inner engine (batched = vectorized, stacked "
-                           "Cholesky + substitution; scalar = per-column "
-                           "reference oracle, byte-identical; auto = batched, "
-                           "the default)")
     fact.add_argument("--iters", type=int, default=20, help="outer iterations")
     fact.add_argument("--seed", type=int, default=42)
     fact.add_argument("--no-overlap", action="store_true",
@@ -327,7 +316,6 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
 
 def _plan_arguments(plan: argparse.ArgumentParser) -> None:
     from repro.comm.backends import available_backends
-    from repro.nls.kernels import available_kernels
 
     plan.add_argument(
         "input", nargs="?",
@@ -354,11 +342,6 @@ def _plan_arguments(plan: argparse.ArgumentParser) -> None:
         help="machine constants to price against ('local' micro-benchmarks "
              "this host via MachineSpec.calibrate)",
     )
-    plan.add_argument("--kernel", default=None,
-                      choices=available_kernels() + ["auto"],
-                      help="price the NLS term for this BPP kernel "
-                           "(auto = batched, the default; calibrated machines "
-                           "use measured per-kernel throughput ratios)")
     plan.add_argument("--backend", default=None, choices=available_backends(),
                       help="execution backend the plans will run on: socket "
                            "and mpi price every collective at the wire's "

@@ -121,11 +121,8 @@ def fit(
         ``MachineSpec.calibrate()`` to plan for the actual host.
     **options:
         Remaining keywords are split by name: :class:`NMFConfig` fields
-        (``max_iters``, ``tol``, ``solver``, ``seed``, ``kernel``, ...)
-        configure the run — ``kernel="auto"`` selects the default BPP inner
-        engine, ``batched`` (see :mod:`repro.nls.kernels`), and is also priced
-        by the planner when ``variant``/``grid`` is ``"auto"``; anything
-        else must be an extra option of the chosen variant
+        (``max_iters``, ``tol``, ``solver``, ``seed``, ...) configure the
+        run; anything else must be an extra option of the chosen variant
         (e.g. ``alpha`` for ``symmetric``, ``l1`` for ``regularized``,
         ``window`` for ``streaming``).
 
@@ -191,9 +188,6 @@ def fit(
             backend=backend or (config.backend if config is not None else None),
             solver=config_options.get(
                 "solver", config.solver if config is not None else "bpp"
-            ),
-            kernel=config_options.get(
-                "kernel", config.kernel if config is not None else None
             ),
         )
         variant = plan.variant

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.nls.kernels import DEFAULT_KERNEL
 from repro.util.errors import ShapeError
 
 
@@ -32,7 +31,9 @@ class NMFConfig:
         the iteration count).
     solver:
         Local NLS solver name: ``"bpp"`` (default, as in the paper),
-        ``"hals"`` or ``"mu"`` (:func:`repro.nls.available_solvers`).
+        ``"hals"`` or ``"mu"`` (:func:`repro.nls.available_solvers`).  How
+        BPP runs inside is the solver's business, not a fit option: it uses
+        the kernels registry's default engine (:mod:`repro.nls.kernels`).
     seed:
         Seed used to initialise ``H`` (§6.1.3: the same seed is reused across
         algorithms so they perform the same computations).
@@ -58,13 +59,6 @@ class NMFConfig:
         with every collective as frames on a TCP mesh) or ``"mpi"`` (an
         ``mpirun`` job, when ``mpi4py`` is installed).  See
         :mod:`repro.comm.backends`.  Ignored by the sequential algorithm.
-    kernel:
-        BPP inner-engine selection, by kernels-registry name: ``"batched"``
-        (the default, :data:`repro.nls.kernels.DEFAULT_KERNEL`: vectorized
-        pivot rules, one stacked Cholesky and substitution per pattern size
-        and round), ``"scalar"`` (the per-column reference oracle, byte-identical
-        to batched) or ``"auto"`` (an alias of the default).  See
-        :mod:`repro.nls.kernels`.  Ignored by the element-wise solvers.
     overlap:
         Accepted and ignored.  It used to choose between completing the
         parallel loops' collectives in the background (a helper thread per
@@ -88,7 +82,6 @@ class NMFConfig:
     compute_error: bool = True
     inner_iters: int = 1
     backend: str = "thread"
-    kernel: str = DEFAULT_KERNEL
     overlap: bool = True
 
     def __post_init__(self):
@@ -106,10 +99,6 @@ class NMFConfig:
             raise ShapeError(
                 f"backend must be a backend registry name, got {self.backend!r}"
             )
-        if not isinstance(self.kernel, str) or not self.kernel:
-            raise ShapeError(
-                f"kernel must be a kernels registry name, got {self.kernel!r}"
-            )
         if not isinstance(self.overlap, bool):
             raise ShapeError(f"overlap must be a bool, got {self.overlap!r}")
 
@@ -122,7 +111,5 @@ class NMFConfig:
         from repro.nls import make_solver
 
         if self.solver in ("mu", "hals"):
-            return make_solver(
-                self.solver, inner_iters=self.inner_iters, kernel=self.kernel
-            )
-        return make_solver(self.solver, kernel=self.kernel)
+            return make_solver(self.solver, inner_iters=self.inner_iters)
+        return make_solver(self.solver)

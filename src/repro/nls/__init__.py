@@ -23,10 +23,13 @@ The registry keeps a solver only while it is the fastest to BPP's error on
 some input, or a benchmark workload runs it: ``docs/ARCHITECTURE.md``
 ("Solver census") has the measurement, ``examples/solver_census.py`` makes it.
 
-BPP's inner engine is pluggable via the kernels registry
-(:mod:`repro.nls.kernels`): ``batched`` (the default: vectorized pivot rules,
-stacked Cholesky and substitution) and ``scalar`` (the per-column reference
-oracle, byte-identical).
+BPP's inner engine comes from the kernels registry (:mod:`repro.nls.kernels`):
+``batched`` (the default: vectorized pivot rules, stacked Cholesky and
+substitution) and ``scalar`` (the per-column reference oracle,
+byte-identical).  It is chosen by ``BlockPrincipalPivoting(kernel=...)`` —
+the benchmark's probes and the serving path do — not by a fit: the choice
+of *algorithm* is ``NMFConfig.solver``, and every fit runs the default
+engine.
 """
 
 from repro.nls.base import NLSSolver, NLSState, make_solver, available_solvers

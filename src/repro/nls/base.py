@@ -44,19 +44,16 @@ class NLSState:
 class NLSSolver(abc.ABC):
     """Abstract base class for normal-equations NLS solvers.
 
-    Every solver accepts a ``kernel`` selection (``'scalar'``, ``'batched'``,
-    ``'auto'`` or ``None`` for the default) so the front door can
-    pass it uniformly; solvers with a pluggable inner engine (currently BPP)
-    resolve it via :mod:`repro.nls.kernels`, the element-wise solvers simply
-    record the request and ignore it.
+    A solver's constructor takes only its own options: BPP's inner engine
+    (``BlockPrincipalPivoting(kernel=...)``, :mod:`repro.nls.kernels`) is an
+    argument of BPP alone, and the element-wise solvers have none.
     """
 
     #: registry name; subclasses override
     name: str = "abstract"
 
-    def __init__(self, kernel: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.last_state: Optional[NLSState] = None
-        self.requested_kernel = kernel
 
     @abc.abstractmethod
     def solve(

@@ -83,7 +83,7 @@ class BlockPrincipalPivoting(NLSSolver):
         kernel: Optional[str] = None,
         persistent_cache: bool = False,
     ):
-        super().__init__(kernel=kernel)
+        super().__init__()
         self.max_backup = int(max_backup)
         self.max_iters = int(max_iters)
         self.tol = float(tol)

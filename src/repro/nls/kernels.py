@@ -2,8 +2,10 @@
 
 The local NLS solve is the largest per-iteration bar of the paper's default
 configuration (§6.3), so :class:`~repro.nls.bpp.BlockPrincipalPivoting`
-delegates its pivot loop to a *kernel* from this registry (a sibling of the
-variant, solver and backend registries):
+delegates its pivot loop to a *kernel* from this registry.  The kernel is an
+argument of the BPP solver (``BlockPrincipalPivoting(kernel=...)``, and of
+the serving path that builds one), not an option of a fit or a plan: both
+engines give the same bytes, and a fit always runs the default.
 
 ``batched`` (the default, :data:`DEFAULT_KERNEL`)
     Vectorized so that one pivot round costs O(k) Python/LAPACK dispatches,
@@ -47,7 +49,6 @@ __all__ = [
     "NLSKernel",
     "ScalarKernel",
     "BatchedKernel",
-    "register_kernel",
     "available_kernels",
     "resolve_kernel",
     "make_kernel",
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 
-#: What ``kernel=None`` means everywhere (config, solver, serving, planner).
+#: What ``kernel=None`` means everywhere (solver, serving) and what every fit runs.
 DEFAULT_KERNEL = "batched"
 
 #: Byte cap on the factor stack one substitution sweeps over (``8 s²`` bytes
@@ -210,46 +211,7 @@ class NLSKernel:
         return f"{type(self).__name__}()"
 
 
-# -- registry ----------------------------------------------------------------
-_KERNELS: Dict[str, Type[NLSKernel]] = {}
-
-
-def register_kernel(cls: Type[NLSKernel]) -> Type[NLSKernel]:
-    """Class decorator adding a kernel to the ``make_kernel`` registry."""
-    _KERNELS[cls.name] = cls
-    return cls
-
-
-def available_kernels() -> List[str]:
-    """Every registered kernel name."""
-    return sorted(_KERNELS)
-
-
-def resolve_kernel(name: Optional[str]) -> str:
-    """Normalize a requested kernel name to a registered one.
-
-    ``None`` and ``"auto"`` both mean :data:`DEFAULT_KERNEL` (``batched``).
-    An unknown name raises :class:`SolverError` — a typo must not silently
-    fall back.
-    """
-    name = "auto" if name is None else name.lower()
-    if name == "auto":
-        return DEFAULT_KERNEL
-    if name not in _KERNELS:
-        raise SolverError(
-            f"unknown NLS kernel {name!r}; registered: {available_kernels()} "
-            "(or 'auto')"
-        )
-    return name
-
-
-def make_kernel(name: Optional[str] = None) -> NLSKernel:
-    """Instantiate a kernel by name ('scalar', 'batched', 'auto')."""
-    return _KERNELS[resolve_kernel(name)]()
-
-
 # -- kernels -----------------------------------------------------------------
-@register_kernel
 class ScalarKernel(NLSKernel):
     """The column-at-a-time reference BPP engine (pure NumPy + Python loops).
 
@@ -343,7 +305,6 @@ class _FactorStacks:
         return slots
 
 
-@register_kernel
 class BatchedKernel(NLSKernel):
     """Vectorized BPP engine (the default; see the module docstring).
 
@@ -430,3 +391,35 @@ class BatchedKernel(NLSKernel):
                 solved -= theirs.size
             state.extra["triangular_solve_flops"] += triangular_solve_flops(int(size), solved)
         x[:, cols] = out
+
+
+# -- registry ----------------------------------------------------------------
+_KERNELS: Dict[str, Type[NLSKernel]] = {"batched": BatchedKernel, "scalar": ScalarKernel}
+
+
+def available_kernels() -> List[str]:
+    """Every registered kernel name."""
+    return sorted(_KERNELS)
+
+
+def resolve_kernel(name: Optional[str]) -> str:
+    """Normalize a requested kernel name to a registered one.
+
+    ``None`` and ``"auto"`` both mean :data:`DEFAULT_KERNEL` (``batched``).
+    An unknown name raises :class:`SolverError` — a typo must not silently
+    fall back.
+    """
+    name = "auto" if name is None else name.lower()
+    if name == "auto":
+        return DEFAULT_KERNEL
+    if name not in _KERNELS:
+        raise SolverError(
+            f"unknown NLS kernel {name!r}; registered: {available_kernels()} "
+            "(or 'auto')"
+        )
+    return name
+
+
+def make_kernel(name: Optional[str] = None) -> NLSKernel:
+    """Instantiate a kernel by name ('scalar', 'batched', 'auto')."""
+    return _KERNELS[resolve_kernel(name)]()

@@ -34,8 +34,8 @@ class MultiplicativeUpdate(NLSSolver):
 
     name = "mu"
 
-    def __init__(self, inner_iters: int = 1, kernel=None):
-        super().__init__(kernel=kernel)
+    def __init__(self, inner_iters: int = 1):
+        super().__init__()
         if inner_iters < 1:
             raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
         self.inner_iters = int(inner_iters)

@@ -16,7 +16,7 @@ stream of tiny Cholesky solves inside BPP (NLS), and a sparse SpMM.  The
 :class:`MachineSpec` therefore carries per-kernel efficiency factors; the
 defaults were chosen once so the modeled per-iteration times land in the same
 range as the paper's Table 3 and are *not* fitted per experiment (see
-EXPERIMENTS.md for the calibration note).
+``docs/ARCHITECTURE.md`` for the calibration note).
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ EDISON_NODE = {
     "peak_gflops_per_node": 460.8,
     "injection_bandwidth_gbps": 8.0,
     "mpi_latency_us": 1.3,
-}
-
-#: NLS throughput of each BPP kernel relative to the default kernel
-#: (``repro.nls.kernels.DEFAULT_KERNEL``, 1.0 by definition, so default
-#: pricing is what ``kernel=None`` runs), used when a spec carries no measured
-#: ratios (``MachineSpec.calibrate`` measures the real ones).  Measured (PR 12,
-#: 2-CPU host, BLAS pinned): the 80 per-rank solves of a 20-iteration
-#: ``dense_bpp`` fit replay in 1.98 s on ``scalar`` and 0.34 s on ``batched``.
-DEFAULT_KERNEL_SPEEDUPS: Mapping[str, float] = {
-    "batched": 1.0,
-    "scalar": 0.17,
 }
 
 #: Per-link (alpha seconds, beta seconds-per-word) for backends whose
@@ -83,10 +72,6 @@ class MachineSpec:
     bpp_iterations: float = 10.0
     #: Fraction of columns whose passive set is unique (cannot share a Cholesky).
     bpp_grouping_factor: float = 0.5
-    #: Measured NLS throughput of each BPP kernel relative to the default one
-    #: (``None`` = use :data:`DEFAULT_KERNEL_SPEEDUPS`).  Filled in by
-    #: :meth:`calibrate`; read by :meth:`kernel_speedup` / :meth:`for_kernel`.
-    kernel_speedups: Optional[Mapping[str, float]] = None
     #: Per-backend wire (alpha, beta) overrides (``None`` =
     #: :data:`DEFAULT_LINK_COSTS`).  Only wire backends have entries; read by
     #: :meth:`link_cost` / :meth:`for_backend`, filled by
@@ -109,20 +94,8 @@ class MachineSpec:
     def gram_seconds(self, flops: float) -> float:
         return flops * self.network.gamma / self.gram_efficiency
 
-    def nls_seconds(self, flops: float, kernel: Optional[str] = None) -> float:
-        seconds = flops * self.network.gamma / self.nls_efficiency
-        if kernel is not None:
-            seconds /= self.kernel_speedup(kernel)
-        return seconds
-
-    def kernel_speedup(self, kernel: str) -> float:
-        """NLS throughput of a BPP kernel relative to the default one (>= 0).
-
-        Unknown kernel names price like the default (ratio 1.0) rather than
-        raising — the planner validates names before pricing.
-        """
-        table = self.kernel_speedups or DEFAULT_KERNEL_SPEEDUPS
-        return float(table.get(kernel, 1.0))
+    def nls_seconds(self, flops: float) -> float:
+        return flops * self.network.gamma / self.nls_efficiency
 
     def link_cost(self, backend: Optional[str]) -> Optional[tuple]:
         """The wire ``(alpha, beta)`` of ``backend``, or ``None`` if in-process.
@@ -142,8 +115,7 @@ class MachineSpec:
     def for_backend(self, backend: Optional[str]) -> "MachineSpec":
         """A spec whose network term reflects the given backend's wire.
 
-        The planner's counterpart to :meth:`for_kernel`: when ``backend`` has
-        a per-link entry (the socket and mpi wire backends), the returned
+        When ``backend`` has a per-link entry (the socket and mpi wire backends), the returned
         spec's ``alpha``/``beta`` are swapped for the link's latency and
         bandwidth (``gamma`` — the compute rate — is untouched) and the name
         gains a ``+backend`` suffix so plan tables show what was priced.
@@ -162,23 +134,6 @@ class MachineSpec:
         )
         return self.with_options(network=network)
 
-    def for_kernel(self, kernel: Optional[str]) -> "MachineSpec":
-        """A spec whose NLS efficiency reflects the given BPP kernel.
-
-        This is how the planner threads the kernel choice through the variant
-        cost hooks without changing their signatures: the returned spec's
-        ``nls_efficiency`` is scaled by the kernel's speedup ratio, so every
-        downstream ``nls_seconds`` call prices the chosen engine.  ``None``
-        or the default kernel (ratio 1.0) return ``self`` unchanged, keeping
-        default pricing byte-stable.
-        """
-        if kernel is None:
-            return self
-        ratio = self.kernel_speedup(kernel)
-        if ratio == 1.0:
-            return self
-        return self.with_options(nls_efficiency=self.nls_efficiency * ratio)
-
     def with_options(self, **kwargs) -> "MachineSpec":
         return replace(self, **kwargs)
 
@@ -189,7 +144,6 @@ class MachineSpec:
         repeats: int = 3,
         seed: int = 0,
         ranks: int = 1,
-        rate_kernels: bool = True,
         rate_links: bool = False,
     ) -> "MachineSpec":
         """Micro-benchmark *this* host and return a spec priced to it.
@@ -215,11 +169,6 @@ class MachineSpec:
         NIC round-trip.  The relative kernel efficiencies (sparse MM, Gram,
         NLS) keep their defaults — they describe kernel *shapes*, not the
         host.
-
-        With ``rate_kernels`` (the default) every BPP kernel is additionally
-        timed on a representative NLS problem and the measured throughput
-        ratios are stored in :attr:`kernel_speedups`, so ``repro plan
-        --machine local --kernel ...`` prices the actual engines on this host.
 
         The deterministic Edison constants (:func:`edison_machine`) remain
         the default everywhere; calibration is opt-in (``repro plan --machine
@@ -276,27 +225,6 @@ class MachineSpec:
         copy_best = min(_timed(lambda: np.copyto(dst, src)) for _ in range(repeats))
         beta = copy_best / src.size
 
-        kernel_speedups = None
-        if rate_kernels:
-            from repro.nls import available_kernels, make_solver
-            from repro.nls.kernels import DEFAULT_KERNEL
-
-            kk, cc = 10, 128
-            C = rng.standard_normal((2 * kk, kk))
-            B = rng.standard_normal((2 * kk, cc))
-            gram_mat = C.T @ C
-            rhs = C.T @ B
-            times = {}
-            for kern in available_kernels():
-                solver = make_solver("bpp", kernel=kern)
-                solver.solve(gram_mat, rhs)  # warm-up
-                times[kern] = min(
-                    _timed(lambda: solver.solve(gram_mat, rhs))
-                    for _ in range(max(repeats, 1))
-                )
-            default_time = times[DEFAULT_KERNEL]
-            kernel_speedups = {k: default_time / t for k, t in times.items()}
-
         link_costs = None
         if rate_links:
             from repro.comm.backends import run_spmd
@@ -323,7 +251,6 @@ class MachineSpec:
         return cls(
             network=network,
             dense_mm_efficiency=1.0,
-            kernel_speedups=kernel_speedups,
             link_costs=link_costs,
         )
 

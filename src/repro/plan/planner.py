@@ -49,9 +49,6 @@ class ExecutionPlan:
         (sequential, naive).
     backend, solver:
         Execution backend and local NLS solver recorded for provenance.
-    kernel:
-        BPP kernel the plan was priced for (``None`` = default pricing, i.e.
-        :data:`repro.nls.kernels.DEFAULT_KERNEL`); see :mod:`repro.nls.kernels`.
     machine:
         Name of the :class:`~repro.perf.machine.MachineSpec` the prediction
         used (``"edison"`` unless calibrated).
@@ -79,7 +76,6 @@ class ExecutionPlan:
     problem: ProblemSpec
     breakdown: TimeBreakdown
     words_per_iteration: Optional[float] = None
-    kernel: Optional[str] = None
 
     @property
     def schedule(self) -> str:
@@ -92,7 +88,6 @@ class ExecutionPlan:
 
     def summary(self) -> str:
         grid = f"{self.grid[0]}x{self.grid[1]}" if self.grid else "-"
-        kernel = f", kernel={self.kernel}" if self.kernel else ""
         words = (
             f", {self.words_per_iteration:.4g} words/iter"
             if self.words_per_iteration is not None
@@ -101,7 +96,7 @@ class ExecutionPlan:
         return (
             f"variant={self.variant}, p={self.n_ranks}, grid={grid}, "
             f"predicted {self.breakdown.total:.4g} s/iter{words} "
-            f"(machine={self.machine}{kernel})"
+            f"(machine={self.machine})"
         )
 
     def to_dict(self) -> dict:
@@ -116,7 +111,6 @@ class ExecutionPlan:
             "problem": self.problem.to_dict(),
             "breakdown": self.breakdown.as_dict(),
             "words_per_iteration": self.words_per_iteration,
-            "kernel": self.kernel,
         }
 
     @classmethod
@@ -132,7 +126,6 @@ class ExecutionPlan:
             problem=ProblemSpec.from_dict(payload["problem"]),
             breakdown=TimeBreakdown.from_saved(payload["breakdown"]),
             words_per_iteration=payload.get("words_per_iteration"),
-            kernel=payload.get("kernel"),
         )
 
 
@@ -184,7 +177,6 @@ def plan_candidates(
     grid: Optional[Tuple[int, int]] = None,
     backend: Optional[str] = None,
     solver: str = "bpp",
-    kernel: Optional[str] = None,
 ) -> List[ExecutionPlan]:
     """Score every (variant, grid) candidate for ``problem`` on ``p`` ranks.
 
@@ -209,18 +201,16 @@ def plan_candidates(
         Pin candidates to this one factorization of ``p``.  Grid-free
         variants cannot honour a pinned grid, so they are excluded; a grid
         that does not multiply to ``p`` raises.
-    kernel:
-        BPP kernel to price the NLS term for (``'scalar'``, ``'batched'`` or
-        ``'auto'``); resolved against the kernels registry,
-        then threaded into the closed forms via
-        :meth:`MachineSpec.for_kernel`.  ``None`` keeps default-kernel
-        (``batched``) pricing.
     backend:
         Execution backend the plans will run on.  For the wire backends
         (``'socket'``/``'mpi'``) every collective is repriced at the link's
         alpha-beta costs via :meth:`MachineSpec.for_backend` — ``repro plan
         --backend socket`` therefore prices wire plans.  In-process backends
         keep the machine's own network constants.
+    solver:
+        Local NLS solver recorded on each plan for provenance.  The NLS
+        term is BPP's closed form at the machine's ``nls_efficiency``; which
+        engine runs BPP is not a planning input.
     """
     from repro.perf.machine import edison_machine
 
@@ -229,11 +219,6 @@ def plan_candidates(
     if grid is not None and grid[0] * grid[1] != p:
         raise ValueError(f"grid {grid[0]}x{grid[1]} does not match p={p}")
     machine = machine or edison_machine()
-    if kernel is not None:
-        from repro.nls.kernels import resolve_kernel
-
-        kernel = resolve_kernel(kernel)  # normalizes 'auto', rejects typos
-        machine = machine.for_kernel(kernel)
     # Wire backends (socket/mpi) swap the network alpha/beta for the link's
     # measured/default costs; in-process backends return machine unchanged.
     machine = machine.for_backend(backend)
@@ -257,7 +242,6 @@ def plan_candidates(
                     problem=problem,
                     breakdown=breakdown,
                     words_per_iteration=words,
-                    kernel=kernel,
                 )
             )
     if not plans:
@@ -278,7 +262,6 @@ def make_plan(
     grid: Optional[Tuple[int, int]] = None,
     backend: Optional[str] = None,
     solver: str = "bpp",
-    kernel: Optional[str] = None,
 ) -> ExecutionPlan:
     """The cheapest :class:`ExecutionPlan` for ``problem`` on ``p`` ranks.
 
@@ -293,5 +276,4 @@ def make_plan(
         grid=grid,
         backend=backend,
         solver=solver,
-        kernel=kernel,
     )[0]

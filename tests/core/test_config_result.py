@@ -20,9 +20,19 @@ class TestNMFConfig:
     def test_algorithm_is_not_a_config_field(self):
         # Which algorithm runs is the variant registry name given to fit(),
         # recorded as NMFResult.variant — the config does not carry it.
-        assert len(dataclasses.fields(NMFConfig)) == 12
+        assert len(dataclasses.fields(NMFConfig)) == 11
         with pytest.raises(TypeError, match="algorithm"):
             NMFConfig(k=5, algorithm="naive")
+
+    def test_bpp_kernel_is_not_a_fit_option(self):
+        # The kernel is BPP's own argument; a fit always runs the default.
+        from repro.core.api import fit
+
+        with pytest.raises(TypeError, match="kernel"):
+            NMFConfig(k=5, kernel="scalar")
+        with pytest.raises(TypeError, match=r"variant 'sequential' .*\['kernel'\]"):
+            fit(np.ones((6, 5)), 2, kernel="scalar")
+        assert NMFConfig(k=5).make_solver().kernel.name == "batched"
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ShapeError):

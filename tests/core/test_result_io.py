@@ -1,6 +1,5 @@
 """Tests for NMFResult provenance fields and the save/load npz round-trip."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +11,6 @@ from repro.core.result import NMFResult
 from repro.core.symmetric import SymNMFResult
 from repro.core.variants import available_variants, get_variant
 from repro.data.lowrank import planted_lowrank
-from repro.util.errors import SolverError
 
 
 def _dense():
@@ -96,10 +94,11 @@ class TestRoundTrip:
     @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
     def test_artifact_with_unknown_config_fields_still_loads(self, tmp_path, through):
         """An artifact saved by a version with other NMFConfig fields — older
-        ones carry the since-removed ``panel_comm``, ``algorithm`` or
-        ``storage`` — loads, the unknown keys dropped and
-        defaults filling the rest.  ``config["algorithm"]`` is read exactly
-        once: as the variant of an artifact too old to have a top-level one."""
+        ones carry the since-removed ``panel_comm``, ``algorithm``,
+        ``storage`` or ``kernel`` — loads, deploys and projects, the unknown
+        keys dropped and defaults filling the rest.  ``config["algorithm"]``
+        is read exactly once: as the variant of an artifact too old to have
+        a top-level one."""
         from repro.serve import ModelStore, project
 
         res = fit(_dense(), 2, variant="naive", n_ranks=2, max_iters=2, seed=1)
@@ -108,7 +107,7 @@ class TestRoundTrip:
             meta = json.loads(str(data["meta"]))
         assert "algorithm" not in meta["config"]
         meta["config"].update(panel_comm=True, some_future_option=3, algorithm="naive",
-                              storage="memmap")
+                              storage="memmap", kernel="numba")
         for top_level_variant in (True, False):
             if not top_level_variant:
                 del meta["variant"]
@@ -120,22 +119,34 @@ class TestRoundTrip:
             assert loaded.config == res.config
             assert loaded.variant == "naive"
             assert np.array_equal(loaded.W, res.W)
+            assert loaded.config.make_solver().kernel.name == "batched"
 
-        # A kernel that is no longer registered is provenance, kept as saved:
-        # the artifact loads, deploys and projects, and only building a solver
-        # from its config names the kernels there are.
-        meta["config"]["kernel"] = "numba"
-        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
-        store = ModelStore()
-        entry = store.load(path)
-        loaded = NMFResult.load(path) if through == "NMFResult.load" else entry.result
-        assert loaded.config.kernel == "numba"
-        assert loaded.config == dataclasses.replace(res.config, kernel="numba")
+        entry = ModelStore().load(path)
         X = np.abs(np.random.default_rng(3).standard_normal((res.W.shape[0], 4)))
         H = project(entry.W, X, solver=entry.solver_for(None), gram=entry.gram)
         assert H.tobytes() == project(res.W, X, kernel="scalar").tobytes()
-        with pytest.raises(SolverError, match=r"\['batched', 'scalar'\]"):
-            loaded.config.make_solver()
+
+    @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
+    def test_artifact_whose_plan_names_a_kernel_still_loads(self, tmp_path, through):
+        """Plans were once priced per BPP kernel and recorded it; a saved
+        ``plan["kernel"]`` is dropped on load like any key the plan no
+        longer has."""
+        from repro.serve import ModelStore
+
+        res = fit(_dense(), 2, variant="auto", n_ranks=2, backend="lockstep", max_iters=2,
+                  seed=1)
+        path = res.save(tmp_path / "old.npz")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        assert "kernel" not in meta["plan"]
+        meta["plan"]["kernel"] = "scalar"
+        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+        if through == "NMFResult.load":
+            loaded = NMFResult.load(path)
+        else:
+            loaded = ModelStore().load(path).result
+        assert loaded.plan == res.plan
+        assert np.array_equal(loaded.W, res.W)
 
     def test_artifact_with_a_hidden_comm_breakdown_still_loads(self, tmp_path):
         """Artifacts saved while collectives could complete in the background

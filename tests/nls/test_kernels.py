@@ -71,9 +71,13 @@ class TestRegistry:
             make_kernel("typo")
 
     def test_solver_constructors_accept_kernel(self):
-        for name in available_solvers():
-            solver = make_solver(name, kernel="batched")
-            assert solver.requested_kernel == "batched"
+        # The kernel is BPP's own argument; the element-wise solvers have none.
+        for name in available_kernels():
+            assert make_solver("bpp", kernel=name).kernel.name == name
+        assert type(make_solver("bpp", kernel="auto").kernel) is type(make_kernel(None))
+        for name in sorted(set(available_solvers()) - {"bpp"}):
+            with pytest.raises(TypeError, match="kernel"):
+                make_solver(name, kernel="batched")
 
 
 class TestByteParity:

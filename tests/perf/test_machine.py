@@ -66,48 +66,6 @@ def test_laptop_machine_factory():
     assert machine.name == "laptop"
 
 
-class TestKernelSpeedups:
-    def test_default_table_prices_the_default_kernel_at_unity(self):
-        from repro.nls.kernels import DEFAULT_KERNEL
-
-        machine = edison_machine()
-        assert machine.kernel_speedup(DEFAULT_KERNEL) == 1.0
-        assert machine.kernel_speedup("scalar") < machine.kernel_speedup("batched")
-        # Names without a table entry price like the default: the planner
-        # validates names first.
-        assert machine.kernel_speedup("unmeasured") == 1.0
-        assert machine.kernel_speedup("mystery") == 1.0
-
-    def test_for_kernel_scales_nls_efficiency(self):
-        machine = edison_machine()
-        scalar = machine.for_kernel("scalar")
-        ratio = machine.kernel_speedup("scalar")
-        assert ratio != 1.0
-        assert scalar.nls_efficiency == pytest.approx(
-            machine.nls_efficiency * ratio
-        )
-        # NLS is repriced by exactly the ratio; other kernels unchanged.
-        assert scalar.nls_seconds(1e9) == pytest.approx(
-            machine.nls_seconds(1e9) / ratio
-        )
-        assert scalar.dense_mm_seconds(1e9) == machine.dense_mm_seconds(1e9)
-
-    def test_for_kernel_identity_cases(self):
-        machine = edison_machine()
-        assert machine.for_kernel(None) is machine
-        assert machine.for_kernel("batched") is machine
-
-    def test_nls_seconds_accepts_kernel_directly(self):
-        machine = edison_machine()
-        assert machine.nls_seconds(1e9, kernel="scalar") == pytest.approx(
-            machine.nls_seconds(1e9) / machine.kernel_speedup("scalar")
-        )
-
-    def test_measured_ratios_override_defaults(self):
-        machine = edison_machine(kernel_speedups={"scalar": 1.0, "batched": 3.5})
-        assert machine.kernel_speedup("batched") == 3.5
-
-
 class TestCalibrate:
     def test_calibrated_constants_are_physical(self):
         machine = MachineSpec.calibrate(size=96, repeats=1)
@@ -129,21 +87,6 @@ class TestCalibrate:
     def test_calibration_does_not_change_the_default(self):
         MachineSpec.calibrate(size=64, repeats=1)
         assert edison_machine().network is EDISON
-
-    def test_calibration_rates_available_kernels(self):
-        from repro.nls import available_kernels
-
-        machine = MachineSpec.calibrate(size=64, repeats=1)
-        assert machine.kernel_speedups is not None
-        assert set(machine.kernel_speedups) == set(available_kernels())
-        assert machine.kernel_speedups["batched"] == pytest.approx(1.0)
-        assert all(v > 0 for v in machine.kernel_speedups.values())
-
-    def test_kernel_rating_can_be_skipped(self):
-        machine = MachineSpec.calibrate(size=64, repeats=1, rate_kernels=False)
-        assert machine.kernel_speedups is None
-        # Falls back to the documented default table.
-        assert machine.kernel_speedup("scalar") < 1.0
 
     def test_parallel_calibration_measures_contended_gemm_rate(self):
         """ranks > 1 times the GEMM with that many concurrent OS processes,
@@ -226,7 +169,7 @@ class TestLinkCosts:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             spec = MachineSpec.calibrate(
-                size=64, repeats=1, rate_kernels=False, rate_links=True
+                size=64, repeats=1, rate_links=True
             )
         assert spec.link_costs is not None
         assert spec.link_costs["socket"] != DEFAULT_LINK_COSTS["socket"]
@@ -236,5 +179,5 @@ class TestLinkCosts:
         assert spec.for_backend("socket").name == "local-calibrated+socket"
 
     def test_links_are_off_by_default(self):
-        spec = MachineSpec.calibrate(size=64, repeats=1, rate_kernels=False)
+        spec = MachineSpec.calibrate(size=64, repeats=1)
         assert spec.link_costs is None

@@ -187,43 +187,26 @@ class TestExecutionPlan:
         restored = ExecutionPlan.from_dict(plan.to_dict())
         assert restored == plan
 
+    def test_saved_kernel_key_is_dropped_on_load(self, machine):
+        # Plans were once priced per BPP kernel and recorded it; a payload
+        # that still names one loads, the key ignored.
+        plan = make_plan(ProblemSpec(m=900, n=300, k=8), 6, machine=machine)
+        assert "kernel" not in plan.to_dict()
+        assert "kernel" not in plan.summary()
+        legacy = dict(plan.to_dict(), kernel="scalar")
+        assert ExecutionPlan.from_dict(legacy) == plan
+
+    @pytest.mark.parametrize("planner", [make_plan, plan_candidates])
+    def test_planner_takes_no_kernel(self, machine, planner):
+        with pytest.raises(TypeError, match="kernel"):
+            planner(ProblemSpec(m=900, n=300, k=8), 6, machine=machine, kernel="scalar")
+
     def test_summary_names_the_choice(self, machine):
         plan = make_plan(ProblemSpec(m=900, n=300, k=8), 6, machine=machine)
         text = plan.summary()
         assert plan.variant in text
         assert "s/iter" in text
         assert machine.name in text
-
-    def test_kernel_recorded_and_round_tripped(self, machine):
-        plan = make_plan(ProblemSpec(m=900, n=300, k=8), 6,
-                         machine=machine, kernel="batched")
-        assert plan.kernel == "batched"
-        assert "kernel=batched" in plan.summary()
-        assert ExecutionPlan.from_dict(plan.to_dict()) == plan
-        # Payloads written before the kernel field existed still load.
-        legacy = plan.to_dict()
-        del legacy["kernel"]
-        assert ExecutionPlan.from_dict(legacy).kernel is None
-
-    def test_faster_kernel_lowers_predicted_cost(self, machine):
-        spec = ProblemSpec(m=2000, n=1500, k=12)
-        scalar = make_plan(spec, 6, machine=machine, kernel="scalar")
-        batched = make_plan(spec, 6, machine=machine, kernel="batched")
-        assert batched.seconds_per_iteration < scalar.seconds_per_iteration
-
-    def test_auto_kernel_resolves_before_pricing(self, machine):
-        from repro.nls import resolve_kernel
-
-        plan = make_plan(ProblemSpec(m=900, n=300, k=8), 6,
-                         machine=machine, kernel="auto")
-        assert plan.kernel == resolve_kernel("auto")
-
-    def test_unknown_kernel_rejected(self, machine):
-        from repro.util.errors import SolverError
-
-        with pytest.raises(SolverError, match="unknown"):
-            make_plan(ProblemSpec(m=900, n=300, k=8), 6,
-                      machine=machine, kernel="typo")
 
 
 class TestRenderPlanTable:

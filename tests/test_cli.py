@@ -266,8 +266,9 @@ def _registries() -> dict:
 
 
 @pytest.mark.parametrize("command, options", [
-    ("factorize", ("--variant", "--backend", "--solver", "--kernel")),
-    ("plan", ("--backend", "--kernel")),
+    ("factorize", ("--variant", "--backend", "--solver")),
+    ("plan", ("--backend",)),
+    ("serve", ("--kernel",)),
 ])
 def test_subcommand_help_lists_every_registered_choice(capsys, command, options):
     out = _help(capsys, command)
@@ -319,3 +320,25 @@ def test_serve_rejects_bad_numbers_before_loading_models(capsys, option, value):
 def test_serve_rejects_unknown_kernel():
     with pytest.raises(SystemExit):
         main(["serve", "x.npz", "--kernel", "warp-drive"])
+
+
+@pytest.mark.parametrize("kernel", ["auto", "batched", "scalar"])
+def test_serve_still_takes_every_kernel_name(kernel):
+    """Serving keeps its engine choice: ``repro serve --kernel`` parses."""
+    from repro.cli import build_parser
+
+    args = build_parser("serve").parse_args(["serve", "m.npz", "--kernel", kernel])
+    assert args.kernel == kernel
+    assert args.models == ["m.npz"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "video-small", "-k", "2"],
+    ["plan", "SSYN"],
+])
+def test_fits_and_plans_take_no_kernel(capsys, argv):
+    """BPP's engine is the solver's business: only ``serve`` has ``--kernel``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--kernel", "scalar"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --kernel scalar" in capsys.readouterr().err
