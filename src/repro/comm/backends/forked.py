@@ -73,7 +73,7 @@ from repro.comm.wire import (
     recv_into_exact,
     send_frame,
 )
-from repro.util.cpus import available_cpus
+from repro.util.cpus import available_cpus, cap_blas_threads, openblas_pools
 from repro.util.errors import CommunicatorError
 
 #: Key of abort frames (never collides with the tuple-typed token keys).
@@ -500,8 +500,11 @@ class ForkedBackend(Backend):
         # behind the rank's teardown — and EOF without a frame is a dead rank.
         reports = [socketlib.socketpair() for _ in all_ranks]
         observers = kwargs.get("observers") or ()
+        # Each rank's share of the CPUs for the BLAS pool it inherits.
+        blas_pools, blas_threads = openblas_pools(), max(1, available_cpus() // self.n_ranks)
 
         def worker(rank: int) -> None:
+            cap_blas_threads(blas_pools, blas_threads)
             for other, (reader, writer) in enumerate(reports):
                 reader.close()
                 if other != rank:

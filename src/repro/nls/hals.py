@@ -11,8 +11,15 @@ rows within the same sweep.  In normal-equations form, with ``G = CᵀC`` and
 where the second form reuses the running product ``G X`` so a full sweep costs
 ``2 c k²`` flops — the figure quoted in §4.1.
 
-Rows with a vanishing diagonal ``G[i, i]`` (a column of C that is entirely
-zero) are reset to zero, the conventional safeguard.
+A row with a vanishing diagonal ``G[i, i]`` (a column of C that is entirely
+zero, so ``G[i]`` is zero too) enters the objective only as ``−R[i] X[i]``.
+Where ``R[i]`` is negative (an L1 penalty subtracts ``λ_1/2`` from it) the
+minimizer is 0, and those entries are zeroed.  Where it is zero (plain NMF)
+the objective is flat, and the entries keep their values: zeroing them (the
+conventional safeguard) would kill the component for good, since a zero row
+of H zeroes the diagonal of the next ``H Hᵀ``, which zeroes W's column, which
+zeroes the next ``WᵀW`` diagonal.  Kept, the row lets the next half-iteration
+revive the component.
 """
 
 from __future__ import annotations
@@ -68,7 +75,9 @@ class HALSUpdate(NLSSolver):
             for _ in range(self.inner_iters):
                 for i in range(k):
                     if diag[i] <= EPS:
-                        xb[i, :] = 0.0
+                        # Only ``-R[i] X[i]`` is left: 0 minimizes it where
+                        # R[i] < 0, anything where R[i] = 0.
+                        xb[i, rb[i, :] < 0] = 0.0
                         continue
                     # X[i] + (R[i] - G[i, :] @ X) / G[i, i], clipped — built up
                     # in the product's own buffer and clipped into place.

@@ -10,10 +10,16 @@ engines give the same bytes, and a fit always runs the default.
 ``batched`` (the default, :data:`DEFAULT_KERNEL`)
     Vectorized so that one pivot round costs O(k) Python/LAPACK dispatches,
     not O(distinct passive-set patterns): boolean-array exchange rules,
-    patterns grouped with ``packbits`` + one ``np.unique``, and per pattern
-    *size* one stacked ``np.linalg.cholesky`` of the uncached patterns and one
-    element-wise forward/back substitution over every column of that size, on
-    a compact ``s × s × columns`` stack of factors.
+    patterns grouped with ``packbits`` + one ``np.unique``, and every size
+    class's patterns and columns found with one stable ``argsort`` each.  Per
+    pattern *size*, one stacked ``np.linalg.cholesky`` of the uncached
+    patterns (Gram blocks gathered through flat indices) whose solve forms
+    are written straight into that size's ``s × s × capacity`` factor stack.
+    Right-hand sides are gathered and solutions scattered through flat
+    ``take`` / ``put`` indices, and each size class gets one element-wise
+    forward/back substitution (:func:`_sweep`) over a compact
+    ``s × s × columns`` stack, its products written into one scratch buffer
+    per round.
 ``scalar``
     The readable reference oracle: Python loops apply the Kim & Park exchange
     rules per column and solve one passive-set pattern at a time.
@@ -79,15 +85,16 @@ def triangular_solve_flops(size: int, columns: int = 1) -> float:
 
 
 # -- shared numerical primitives (byte-parity by construction) ---------------
-def _solve_form(factors: np.ndarray) -> np.ndarray:
+def _solve_form(factors: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cholesky factors ``(..., s, s)`` in the form :func:`_substitute` reads.
 
     ``L = L̃ D`` with ``L̃`` unit lower triangular, so ``L Lᵀ = L̃ D² L̃ᵀ``:
     the strict lower triangle holds ``L̃`` and the diagonal ``D²``, which
-    takes the per-step division out of both sweeps.
+    takes the per-step division out of both sweeps.  ``out`` (any strides,
+    e.g. a view of a factor stack) receives the form instead of a new array.
     """
     diag = np.diagonal(factors, axis1=-2, axis2=-1)
-    form = factors / diag[..., None, :]
+    form = np.divide(factors, diag[..., None, :], out=out)
     at = np.arange(factors.shape[-1])
     form[..., at, at] = diag * diag
     return form
@@ -103,22 +110,49 @@ def _factorize_pattern(gram, idx, state: NLSState) -> np.ndarray:
     return _solve_form(L)
 
 
-def _substitute(form: np.ndarray, b: np.ndarray) -> None:
+def _substitute(form: np.ndarray, b: np.ndarray, work: Optional[np.ndarray] = None) -> None:
     """Solve ``L Lᵀ x = b`` in place for a stack of factors, element-wise.
 
     ``form`` is ``s × s × n`` (:func:`_solve_form`, factor index last): one
     factor per column of ``b``, or ``n == 1``, one factor broadcast over all
     of them.  Column-oriented substitution: every step is an element-wise
     multiply and subtract, so no column's result depends on its neighbours.
+    Every step's product lands in one scratch buffer, ``work`` (a flat
+    float64 array of at least ``(s - 1) n`` elements; made here if omitted).
     """
-    s = b.shape[0]
+    s, n = b.shape
+    rows = max(s - 1, 0)
+    work = np.empty((rows, n)) if work is None else work[: rows * n].reshape(rows, n)
+    multiply, subtract = np.multiply, np.subtract
     for j in range(s - 1):
-        below = b[j + 1 :]
-        below -= form[j + 1 :, j] * b[j]
+        below, step = b[j + 1 :], work[j:]
+        multiply(form[j + 1 :, j], b[j], step)
+        subtract(below, step, below)
     b /= form.diagonal().T
     for j in range(s - 1, 0, -1):
-        above = b[:j]
-        above -= form[j, :j] * b[j]
+        above, step = b[:j], work[:j]
+        multiply(form[j, :j], b[j], step)
+        subtract(above, step, above)
+
+
+def _sweep(positions: np.ndarray, forms: np.ndarray, slots: np.ndarray, source, out, work) -> None:
+    """Substitute one size class of a pivot round.
+
+    ``positions`` (``size × columns``) holds the flat positions of the class's
+    right-hand sides in ``source`` and of their solutions in ``out``;
+    ``slots`` the slots of its columns' factors in the ``forms`` stack, or a
+    single slot when the class has one pattern, whose factor is then
+    broadcast, not gathered.  A gathered factor stack stays under
+    :data:`WORKSPACE_BYTES`.
+    """
+    size, columns = positions.shape
+    lone = slots.size == 1
+    step = columns if lone else max(1, WORKSPACE_BYTES // (8 * size * size))
+    for lo in range(0, columns, step):
+        part = positions[:, lo : lo + step]
+        b = source.take(part)
+        _substitute(forms.take(slots if lone else slots[lo : lo + step], axis=2), b, work)
+        out.put(part, b)
 
 
 def _solve_pattern(gram, rhs, idx, form, state: NLSState) -> np.ndarray:
@@ -261,9 +295,10 @@ class _FactorStacks:
     """The batched kernel's cache: pattern key → slot in its size's factor stack.
 
     ``forms[s]`` is ``s × s × capacity``, factor index last: the compact solve
-    forms of every size-``s`` pattern seen (NaN for a singular one), so one
-    ``take`` hands :func:`_substitute` the per-column stack of a size class
-    and a cached factor is never restacked.
+    forms of every size-``s`` pattern seen (NaN for a singular one), written
+    straight into their slots when factorized, so one ``take`` hands
+    :func:`_substitute` the per-column stack of a size class and a cached
+    factor is never restacked.
     """
 
     def __init__(self) -> None:
@@ -288,20 +323,26 @@ class _FactorStacks:
                 grown[:, :, :used] = forms[:, :, :used]
             forms = grown
         blocks = idx[new]
+        # Past ``used``: no slot points here until the commit below.
+        fresh = forms[:, :, used : used + new.size]
         try:
-            # One stacked Cholesky for the whole size class.
-            made = _solve_form(np.linalg.cholesky(gram[blocks[:, :, None], blocks[:, None, :]]))
-            state.extra["cholesky_flops"] += new.size * cholesky_flops(size)
+            # One stacked Cholesky for the whole size class, its Gram blocks
+            # gathered through flat indices.
+            k = gram.shape[0]
+            factors = np.linalg.cholesky(gram.take(blocks[:, :, None] * k + blocks[:, None, :]))
         except np.linalg.LinAlgError:
             # At least one singular block: per-pattern calls (bit-identical
             # for the nonsingular ones).
-            made = np.stack([_factorize_pattern(gram, block, state) for block in blocks])
-        fresh = np.arange(used, used + new.size)
-        forms[:, :, used : used + new.size] = np.moveaxis(made, 0, 2)
+            for at, block in enumerate(blocks):
+                fresh[:, :, at] = _factorize_pattern(gram, block, state)
+        else:
+            _solve_form(factors, out=fresh.transpose(2, 0, 1))
+            state.extra["cholesky_flops"] += new.size * cholesky_flops(size)
         # Commit only now, so an exception above leaves no half-made entry.
         self.forms[size], self.used[size] = forms, used + new.size
-        self.slots.update(zip(map(keys.__getitem__, new.tolist()), fresh.tolist()))
-        slots[new] = fresh
+        made = np.arange(used, used + new.size)
+        self.slots.update(zip(map(keys.__getitem__, new.tolist()), made.tolist()))
+        slots[new] = made
         return slots
 
 
@@ -364,32 +405,46 @@ class BatchedKernel(NLSKernel):
         keys, at, inverse = np.unique(packed, return_index=True, return_inverse=True)
         distinct = patterns[:, at]
         sizes = distinct.sum(axis=0)
-        out = np.zeros(targets.shape)
-        # Ascending, like np.unique, which would import numpy.ma (it checks
-        # for masked input) in every freshly forked rank, ~10 ms per fit.
-        for size in sorted(set(sizes.tolist()) - {0}):
-            groups = np.flatnonzero(sizes == size)
-            idx = np.nonzero(distinct[:, groups].T)[1].reshape(-1, size)
+        k, n = targets.shape
+        # A size class is one run of the patterns sorted stably by size (key
+        # order within) and one run of the columns (column order within); the
+        # classes go in ascending size, so the Cholesky tallies add up in the
+        # same order however the columns are spread.
+        by_size = np.argsort(sizes, kind="stable")
+        per_size = np.bincount(sizes, minlength=k + 1)
+        group_ends = np.cumsum(per_size).tolist()
+        row_ends = np.cumsum(per_size * np.arange(k + 1)).tolist()
+        column_sizes = sizes[inverse]
+        columns = np.argsort(column_sizes, kind="stable")
+        column_ends = np.cumsum(np.bincount(column_sizes, minlength=k + 1)).tolist()
+        place = np.empty_like(by_size)
+        place[by_size] = np.arange(by_size.size)
+        place = place[inverse]  # each column's pattern, as a position in ``by_size``
+        passive_rows = np.nonzero(distinct[:, by_size].T)[1]  # every pattern's, in that order
+        source, out = targets.ravel(), np.zeros((k, n))
+        work = np.empty((k - 1) * n)
+        for size in range(1, k + 1):
+            first_group, end_group = group_ends[size - 1], group_ends[size]
+            if first_group == end_group:
+                continue
+            groups = by_size[first_group:end_group]
+            idx = passive_rows[row_ends[size - 1] : row_ends[size]].reshape(-1, size)
             slots = stacks.slots_for(gram, keys[groups].tolist(), idx, state)
             forms = stacks.forms[size]
-            members = np.flatnonzero(sizes[inverse] == size)
-            local = np.searchsorted(groups, inverse[members])
-            # A lone pattern's factor is broadcast; a gathered stack stays under the cap.
-            alone = groups.size == 1
-            step = members.size if alone else max(1, WORKSPACE_BYTES // (8 * size * size))
-            for lo in range(0, members.size, step):
-                part, which = members[lo : lo + step], local[lo : lo + step]
-                rows = idx[which].T
-                b = targets[rows, part]
-                _substitute(forms[:, :, slots] if alone else forms.take(slots[which], axis=2), b)
-                out[rows, part] = b
+            members = columns[column_ends[size - 1] : column_ends[size]]
+            local = place[members] - first_group
+            # Flat positions in ``targets`` (and ``out``) of the class's
+            # compact right-hand sides, s × columns.
+            positions = idx[local].T * n + members
+            _sweep(positions, forms, slots if groups.size == 1 else slots[local], source, out, work)
             solved = members.size
             for group in np.flatnonzero(np.isnan(forms[0, 0, slots])):
+                # Singular passive block: its columns' sweep results are replaced.
                 theirs = members[local == group]
                 bad = forms[:, :, slots[group]]
                 out[:, theirs] = _solve_pattern(gram, targets[:, theirs], idx[group], bad, state)
                 solved -= theirs.size
-            state.extra["triangular_solve_flops"] += triangular_solve_flops(int(size), solved)
+            state.extra["triangular_solve_flops"] += triangular_solve_flops(size, solved)
         x[:, cols] = out
 
 

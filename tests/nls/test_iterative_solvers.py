@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fit
+from repro.core.regularized import Regularization
 from repro.nls import (
     HALSUpdate,
     MultiplicativeUpdate,
@@ -26,7 +27,7 @@ def hals_reference(gram, rhs, x0, inner_iters):
     for _ in range(inner_iters):
         for i in range(k):
             if gram[i, i] <= 1e-16:
-                x[i, :] = 0.0
+                x[i, rhs[i, :] < 0] = 0.0  # else a dead row keeps its value
                 continue
             x[i, :] = np.maximum(x[i, :] + (rhs[i, :] - gram[i, :] @ x) / gram[i, i], 0.0)
     return x
@@ -128,11 +129,45 @@ class TestHALS:
         HALSUpdate().solve(gram, rhs, x0=x0)
         np.testing.assert_array_equal(x0, before)
 
-    def test_zero_diagonal_row_is_zeroed(self):
+    def test_zero_diagonal_row_keeps_its_value(self):
+        # The objective is flat in a row whose Gram diagonal vanishes: the
+        # row keeps its (clamped) start, warm or cold.
         gram = np.diag([1.0, 0.0, 2.0])
         rhs = np.ones((3, 2))
-        x = HALSUpdate().solve(gram, rhs, x0=np.ones((3, 2)))
-        np.testing.assert_array_equal(x[1], np.zeros(2))
+        x0 = np.array([[1.0, 1.0], [0.25, -3.0], [1.0, 1.0]])
+        x = HALSUpdate().solve(gram, rhs, x0=x0)
+        np.testing.assert_array_equal(x[1], [0.25, 0.0])
+        np.testing.assert_array_equal(HALSUpdate().solve(gram, rhs)[1], [0.5, 0.5])
+
+    def test_a_dead_row_under_an_l1_penalty_goes_to_zero(self):
+        """With G[i, i] = 0 the row's objective is ``-R[i] x``: L1 makes R[i]
+        negative, so 0 is its only minimizer, while the unpenalized dead row
+        (R[i] = 0, flat) keeps its value."""
+        rng = np.random.default_rng(22)
+        A = rng.random((30, 20))
+        W = rng.random((30, 3))
+        W[:, 1] = 0.0
+        H = rng.random((3, 20))
+        plain = HALSUpdate().solve(W.T @ W, W.T @ A, x0=H)
+        np.testing.assert_array_equal(plain[1], H[1])
+        gram, rhs = Regularization(l1=0.1).normal_equations(W.T @ W, W.T @ A, None)
+        penalized = HALSUpdate().solve(gram, rhs, x0=H)
+        np.testing.assert_array_equal(penalized[1], np.zeros(20))
+        assert penalized[[0, 2]].max() > 0
+
+    def test_a_dead_component_revives(self):
+        """A zero column of W leaves H's row as it is, so the next W update
+        sees a nonzero ``H Hᵀ`` diagonal and brings the column back."""
+        rng = np.random.default_rng(21)
+        A = rng.random((30, 20))
+        W = rng.random((30, 3))
+        W[:, 1] = 0.0
+        H = rng.random((3, 20))
+        solver = HALSUpdate()
+        H_next = solver.solve(W.T @ W, W.T @ A, x0=H)
+        np.testing.assert_array_equal(H_next[1], H[1])
+        W_next = solver.solve(H_next @ H_next.T, H_next @ A.T, x0=W.T).T
+        assert W_next[:, 1].max() > 0
 
     def test_inner_iters_validation(self):
         with pytest.raises(ValueError):

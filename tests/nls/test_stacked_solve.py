@@ -11,8 +11,13 @@ What is pinned here (see docs/ARCHITECTURE.md "Kernels registry"):
 * one pivot round makes at most ``k`` Cholesky dispatches however many
   patterns it holds, and none through ``scipy.linalg.cho_solve``;
 * the pattern cache only ever holds completed factorizations;
-* flop tallies and pivot counters equal the pre-rewrite engine's.
+* flop tallies and pivot counters equal the pre-rewrite engine's;
+* a round with many small size classes beside a large one is byte-equal to
+  ``scalar``, with one substitution sweep per size class, and a sweep reuses
+  one scratch buffer for every step's product.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,3 +287,95 @@ class TestTalliesMatchThePreRewriteEngine:
         assert (state.iterations, state.full_exchanges, state.backup_exchanges) == (5, 431, 0)
         assert state.extra["triangular_solve_flops"] == 37426.0
         assert state.extra["cholesky_flops"] == pytest.approx(41384.33333333334, rel=1e-13)
+
+
+def _classes_round(k, seed, singular=False):
+    """A round of one large size class beside a small class of every other
+    size, each column its own random pattern (``(gram, rhs, passive)``).
+
+    ``singular``: rows 0 and 1 of the Gram coincide and only one column (of
+    a small class) has both in its pattern: its block has no Cholesky factor.
+    """
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((3 * k + 2, k))
+    if singular:
+        C[:, 1] = C[:, 0]
+    gram = C.T @ C
+    rows = np.arange(1, k) if singular else np.arange(k)
+    large = k // 2
+    counts = {size: rng.integers(1, 63) for size in range(1, rows.size + 1) if size != large}
+    counts[large] = 192
+    columns = []
+    for size, count in counts.items():
+        for _ in range(count):
+            column = np.zeros(k, dtype=bool)
+            column[rng.choice(rows, size, replace=False)] = True
+            columns.append(column)
+    if singular:
+        columns[0][:] = False
+        columns[0][[0, 1, 2]] = True  # the lone size-3 column that hits the bad pair
+    passive = np.stack(columns, axis=1)[:, rng.permutation(len(columns))]
+    rhs = C.T @ rng.standard_normal((3 * k + 2, passive.shape[1]))
+    # ±0 right-hand sides in every class (a size-1 class solves -0 to -0).
+    sizes = passive.sum(axis=0)
+    for size in np.unique(sizes):
+        first, second = np.flatnonzero(sizes == size)[[0, -1]]
+        rhs[:, first], rhs[:, second] = -0.0, 0.0
+    rhs[2, 7] = -0.0
+    return gram, rhs, passive
+
+
+def _class_widths(passive):
+    """Columns per nonempty size class of a round."""
+    widths = np.bincount(passive.sum(axis=0))
+    return widths[1:][widths[1:] > 0]
+
+
+class TestSizeClassSweeps:
+    @pytest.mark.parametrize("k", [16, 17, 64])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_small_classes_beside_a_large_one_match_scalar(self, k, singular):
+        gram, rhs, passive = _classes_round(k, seed=k, singular=singular)
+        widths = _class_widths(passive)
+        assert (widths < 64).sum() >= 8
+        assert (widths >= 64).sum() == 1
+        _assert_same_round(gram, rhs, passive)
+        x, _, _ = _group_solve("batched", gram, rhs, passive)
+        assert np.isfinite(x).all()
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_one_sweep_per_size_class(self, k, monkeypatch):
+        gram, rhs, passive = _classes_round(k, seed=40 + k)
+        sweeps, substitute = [], kernels._substitute
+
+        def counted(form, b, work=None):
+            sweeps.append(b.shape)
+            substitute(form, b, work)
+
+        monkeypatch.setattr(kernels, "_substitute", counted)
+        _group_solve("batched", gram, rhs, passive)
+        widths = np.bincount(passive.sum(axis=0))
+        assert sorted(sweeps) == [(size, width) for size, width in enumerate(widths) if size and width]
+
+    def test_substitute_reuses_one_scratch_buffer(self):
+        s, n = 16, 1024
+        rng = np.random.default_rng(17)
+        C = rng.standard_normal((n, 3 * s, s))
+        form = np.moveaxis(kernels._solve_form(np.linalg.cholesky(C.transpose(0, 2, 1) @ C)), 0, 2)
+        b = rng.standard_normal((s, n))
+        expected = b.copy()
+        kernels._substitute(form, expected)
+        work = np.empty((s - 1) * n)
+        tracemalloc.start()
+        try:
+            # What one step costs NumPy itself (its ufunc iteration buffers)...
+            np.multiply(form[1:, 0], b[0], work.reshape(s - 1, n))
+            one_step = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kernels._substitute(form, b, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ... is all a whole sweep costs: not even one row of a step's product more.
+        assert peak < one_step + 8 * n
+        assert b.tobytes() == expected.tobytes()

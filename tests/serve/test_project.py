@@ -16,7 +16,6 @@ from repro.serve import (
     projection_residuals,
     validate_columns,
 )
-from repro.util.errors import ModelLoadError
 
 RNG = np.random.default_rng(3)
 M, K = 60, 4
@@ -181,14 +180,7 @@ class TestModelRefresher:
         assert refresher.published_versions == [2]
         assert (store.get("m").W >= 0).all()
 
-    @pytest.mark.parametrize("solver", [
-        "bpp",
-        # HALS zeroes a component for good once its Gram diagonal is <= 1e-16;
-        # here the refresh publishes a basis with a zero column, which the
-        # store refuses.  A known defect, not the contract.
-        pytest.param("hals", marks=pytest.mark.xfail(strict=True, raises=ModelLoadError)),
-        "mu",
-    ])
+    @pytest.mark.parametrize("solver", ["bpp", "hals", "mu"])
     def test_a_refresh_runs_the_models_solver_and_records_it(self, solver):
         store = ModelStore()
         store.swap("m", NMFResult(
