@@ -96,12 +96,10 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _resolve_machine(name: str, ranks: int = 1) -> MachineSpec:
-    from repro.perf.machine import MachineSpec, edison_machine, laptop_machine
+    from repro.perf.machine import MachineSpec, edison_machine
 
     if name == "edison":
         return edison_machine()
-    if name == "laptop":
-        return laptop_machine()
     # "local": micro-benchmark this host.  When planning a parallel run,
     # measure the per-rank GEMM rate under real contention (process backend)
     # rather than extrapolating the single-rank rate — but never launch more
@@ -338,7 +336,7 @@ def _plan_arguments(plan: argparse.ArgumentParser) -> None:
              "comparison core count)",
     )
     plan.add_argument(
-        "--machine", default="edison", choices=["edison", "laptop", "local"],
+        "--machine", default="edison", choices=["edison", "local"],
         help="machine constants to price against ('local' micro-benchmarks "
              "this host via MachineSpec.calibrate)",
     )

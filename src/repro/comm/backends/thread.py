@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, List
 
-from repro.comm.backends.base import (  # noqa: F401 - re-exported for compat
+from repro.comm.backends.base import (
     Backend,
-    PeerAbortError,
     SharedGroupState,
     _RankFailure,
     raise_first_failure,

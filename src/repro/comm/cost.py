@@ -18,9 +18,9 @@ Two things are built on the model:
 
 * :class:`CollectiveCost` — evaluates the closed-form cost of each collective,
   used by the analytic performance model (:mod:`repro.perf.model`) to
-  regenerate the paper's figures at paper scale, and — through the
-  per-variant cost hooks — by the planning layer (:mod:`repro.plan`) to
-  score variant × grid candidates for ``fit(..., variant="auto")``;
+  regenerate the paper's figures at paper scale, and — through those
+  closed forms — by the planning layer (:mod:`repro.plan`) to score
+  variant × grid candidates for ``fit(..., variant="auto")``;
 * :class:`CostLedger` — a per-rank ledger that records, for every collective a
   :class:`~repro.comm.communicator.Comm` actually executes, the operation
   name, the number of words moved and the number of messages on the critical
@@ -67,15 +67,6 @@ EDISON = AlphaBetaGamma(
     gamma=1.0 / 19.2e9,
     name="edison",
 )
-
-#: A deliberately communication-friendly laptop-like preset used in examples.
-LAPTOP = AlphaBetaGamma(
-    alpha=5.0e-7,
-    beta=8.0 / 12.0e9,
-    gamma=1.0 / 5.0e9,
-    name="laptop",
-)
-
 
 class CollectiveCost:
     """Closed-form costs of the MPI collectives under an ``AlphaBetaGamma`` model.

@@ -59,7 +59,6 @@ def stream_reduce_scatter(
     axis: int,
     out: Optional[np.ndarray],
     profiler: Optional[Profiler] = None,
-    compute_category: TaskCategory = TaskCategory.MM,
 ) -> np.ndarray:
     """Tiled MM + per-panel reduce-scatter over ``comm``.
 
@@ -73,7 +72,7 @@ def stream_reduce_scatter(
         ``compute_panel(t) -> ndarray`` producing panel ``t`` of the MM
         output: the slice of the full input whose extent along ``axis`` is
         ``counts[t]`` (and which the monolithic call would scatter to rank
-        ``t``).  Timed under ``compute_category``.
+        ``t``).  Timed under ``MM``.
     counts:
         The monolithic call's scatter split (``w_scatter_counts`` /
         ``h_scatter_counts``); empty panels (count 0) still run their collective so
@@ -87,7 +86,7 @@ def stream_reduce_scatter(
         ``t == comm.rank``); foreign panels produce empty results that are
         discarded.
     profiler:
-        Books panel GEMMs under ``compute_category`` and the collectives
+        Books panel GEMMs under ``MM`` and the collectives
         under ``ReduceScatter`` (none on a size-1 communicator).
 
     Returns this rank's reduced sub-block: ``out`` when provided and
@@ -104,7 +103,7 @@ def stream_reduce_scatter(
     result = None
     total_words = 0.0
     for t in range(len(counts)):
-        with profiler.task(compute_category):
+        with profiler.task(TaskCategory.MM):
             panel = np.asarray(compute_panel(t))
         if panel.shape[axis] != counts[t]:
             raise ValueError(

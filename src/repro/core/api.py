@@ -104,8 +104,9 @@ def fit(
     backend:
         Execution backend registry name (``"thread"``, ``"lockstep"``,
         ``"process"``, ...); overrides ``config.backend``.  ``"process"``
-        runs one OS process per rank — the only backend that escapes the
-        GIL, hence the one that shows real speedups.  Unknown names raise
+        and ``"socket"`` fork one OS process per rank, so they escape the
+        GIL and show real speedups; ``"process"`` moves collective payloads
+        through shared memory, ``"socket"`` over TCP.  Unknown names raise
         immediately with the registry's suggestion list.  Ignored by
         sequential-only variants.
     config:

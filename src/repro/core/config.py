@@ -34,6 +34,8 @@ class NMFConfig:
         ``"hals"`` or ``"mu"`` (:func:`repro.nls.available_solvers`).  How
         BPP runs inside is the solver's business, not a fit option: it uses
         the kernels registry's default engine (:mod:`repro.nls.kernels`).
+        HALS and MU make one sweep per half-iteration (MPI-FAUN's one update
+        of each factor per alternating iteration).
     seed:
         Seed used to initialise ``H`` (§6.1.3: the same seed is reused across
         algorithms so they perform the same computations).
@@ -47,8 +49,6 @@ class NMFConfig:
         Whether to compute the relative objective each iteration (adds one
         small all-reduce, as discussed in §5's communication-optimality
         argument).
-    inner_iters:
-        Inner sweeps for the iterative solvers (MU/HALS); ignored by BPP.
     backend:
         Execution backend for the parallel algorithms, by registry name:
         ``"thread"`` (default; one thread per rank, running in parallel
@@ -80,7 +80,6 @@ class NMFConfig:
     n_ranks: int = 1
     grid: Optional[Tuple[int, int]] = None
     compute_error: bool = True
-    inner_iters: int = 1
     backend: str = "thread"
     overlap: bool = True
 
@@ -91,8 +90,6 @@ class NMFConfig:
             raise ShapeError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
             raise ShapeError(f"tol must be >= 0, got {self.tol}")
-        if self.inner_iters < 1:
-            raise ShapeError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.n_ranks < 1:
             raise ShapeError(f"n_ranks must be >= 1, got {self.n_ranks}")
         if not isinstance(self.backend, str) or not self.backend:
@@ -110,6 +107,4 @@ class NMFConfig:
         """Instantiate the configured local NLS solver."""
         from repro.nls import make_solver
 
-        if self.solver in ("mu", "hals"):
-            return make_solver(self.solver, inner_iters=self.inner_iters)
         return make_solver(self.solver)

@@ -22,7 +22,6 @@ def planted_lowrank(
     k: int,
     seed: int = 0,
     noise_std: float = 0.0,
-    sparsity: float = 0.0,
     return_factors: bool = False,
 ):
     """A nonnegative matrix ``A = W* H* (+ noise)`` with known rank-``k`` structure.
@@ -34,21 +33,12 @@ def planted_lowrank(
     noise_std:
         Standard deviation of additive Gaussian noise (clipped so A stays
         nonnegative).
-    sparsity:
-        Fraction of entries of the *factors* zeroed out, producing parts-based
-        structure (0 keeps the factors dense).
     return_factors:
         When True, return ``(A, W*, H*)``.
     """
     rng = np.random.default_rng(seed)
     W = rng.random((m, k))
     H = rng.random((k, n))
-    if sparsity > 0:
-        W[rng.random((m, k)) < sparsity] = 0.0
-        H[rng.random((k, n)) < sparsity] = 0.0
-        # Keep every row/column of the factors nonzero so the rank stays k.
-        W[np.all(W == 0, axis=1), :] = rng.random((int(np.sum(np.all(W == 0, axis=1))), k))
-        H[:, np.all(H == 0, axis=0)] = rng.random((k, int(np.sum(np.all(H == 0, axis=0)))))
     A = W @ H
     if noise_std > 0:
         # In place, a block of rows at a time: the noise matrix and the sum

@@ -26,19 +26,17 @@ def dense_synthetic(
     n: int,
     seed: int = 0,
     noise_std: float = 0.01,
-    clip_nonnegative: bool = True,
 ) -> np.ndarray:
     """Dense uniform-random matrix with additive Gaussian noise (DSYN).
 
     Entries are ``U[0, 1) + N(0, noise_std²)``; negative results of the noise
-    are clipped to zero by default so the matrix is a valid NMF input.
+    are clipped to zero so the matrix is a valid NMF input.
     """
     rng = np.random.default_rng(seed)
     A = rng.random((m, n))
     if noise_std > 0:
         A += rng.normal(0.0, noise_std, size=(m, n))
-    if clip_nonnegative:
-        np.maximum(A, 0.0, out=A)
+    np.maximum(A, 0.0, out=A)
     return A
 
 
@@ -47,30 +45,23 @@ def sparse_synthetic(
     n: int,
     density: float = 0.001,
     seed: int = 0,
-    value_distribution: str = "uniform",
 ) -> sp.csr_matrix:
     """Sparse Erdős–Rényi matrix (SSYN): each entry is nonzero with probability ``density``.
 
-    Nonzero values are uniform in (0, 1] ("uniform") or all ones ("binary").
+    Nonzero values are uniform in (0, 1].
     """
     import scipy.sparse as sp
 
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
-    if value_distribution == "uniform":
-        data_rvs = lambda size: rng.random(size) + 1e-12  # noqa: E731 - strictly positive
-    elif value_distribution == "binary":
-        data_rvs = np.ones
-    else:
-        raise ValueError(f"unknown value_distribution {value_distribution!r}")
     A = sp.random(
         m,
         n,
         density=density,
         format="csr",
         random_state=np.random.default_rng(seed),
-        data_rvs=data_rvs,
+        data_rvs=lambda size: rng.random(size) + 1e-12,  # strictly positive
     )
     A.sum_duplicates()
     return A

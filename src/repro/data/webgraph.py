@@ -20,13 +20,14 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+#: Fraction of edge endpoints drawn by (Zipf-like) popularity.
+PREFERENTIAL_FRACTION = 0.75
+
 
 def web_graph_matrix(
     n_nodes: int,
     n_edges: int,
     seed: int = 0,
-    preferential_fraction: float = 0.75,
-    weighted: bool = False,
 ) -> sp.csr_matrix:
     """A directed, power-law-ish graph adjacency matrix with ~``n_edges`` edges.
 
@@ -36,13 +37,11 @@ def web_graph_matrix(
         Number of vertices (the matrix is ``n_nodes × n_nodes``).
     n_edges:
         Target number of directed edges (duplicates are merged, so the exact
-        count can be slightly lower).
-    preferential_fraction:
-        Fraction of edge endpoints chosen by preferential attachment (by
-        popularity); the rest are uniform random, which keeps the graph from
-        collapsing onto a few hubs.
-    weighted:
-        If True, edge weights are uniform in (0, 1]; otherwise all ones.
+        count can be slightly lower).  Every edge has weight 1.
+
+    :data:`PREFERENTIAL_FRACTION` of the edge endpoints are chosen by
+    preferential attachment (by popularity); the rest are uniform random,
+    which keeps the graph from collapsing onto a few hubs.
 
     Notes
     -----
@@ -59,7 +58,7 @@ def web_graph_matrix(
         raise ValueError(f"need at least 1 edge, got {n_edges}")
     rng = np.random.default_rng(seed)
 
-    n_pref = int(n_edges * preferential_fraction)
+    n_pref = int(n_edges * PREFERENTIAL_FRACTION)
     n_unif = n_edges - n_pref
 
     # Zipf-like popularity over nodes: weight of node i proportional to 1/(i+1)^s.
@@ -81,17 +80,11 @@ def web_graph_matrix(
     keep = src != dst
     src, dst = src[keep], dst[keep]
 
-    if weighted:
-        values = rng.random(src.size) + 1e-12
-    else:
-        values = np.ones(src.size)
-
-    A = sp.coo_matrix((values, (src, dst)), shape=(n_nodes, n_nodes))
+    A = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(n_nodes, n_nodes))
     A.sum_duplicates()
     A = A.tocsr()
-    if not weighted:
-        # Merged duplicates accumulate counts; clamp back to a 0/1 adjacency.
-        A.data[:] = 1.0
+    # Merged duplicates accumulate counts; clamp back to a 0/1 adjacency.
+    A.data[:] = 1.0
     return A
 
 

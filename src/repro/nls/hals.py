@@ -39,15 +39,13 @@ _BLOCK_COLUMNS = 4096
 
 @register_solver
 class HALSUpdate(NLSSolver):
-    """HALS block-coordinate-descent solver for the normal-equations NLS problem."""
+    """HALS block-coordinate-descent solver for the normal-equations NLS problem.
+
+    One call is one sweep over the k rows; more sweeps are more warm-started
+    calls.
+    """
 
     name = "hals"
-
-    def __init__(self, inner_iters: int = 1):
-        super().__init__()
-        if inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
-        self.inner_iters = int(inner_iters)
 
     def solve(
         self,
@@ -58,7 +56,7 @@ class HALSUpdate(NLSSolver):
     ) -> np.ndarray:
         gram, rhs, x0 = self._validate(gram, rhs, x0, out)
         k, c = rhs.shape
-        # The sweeps update ``x`` in place, so with ``out is x0`` the caller's
+        # The sweep updates ``x`` in place, so with ``out is x0`` the caller's
         # iterate is the only k × c array the solve touches.
         x = np.empty((k, c)) if out is None else out
         if x0 is None:
@@ -72,19 +70,18 @@ class HALSUpdate(NLSSolver):
         # every row of ``x``, O(k²c) bytes from memory unblocked, O(kc) blocked.
         for lo in range(0, c, _BLOCK_COLUMNS):
             xb, rb = x[:, lo:lo + _BLOCK_COLUMNS], rhs[:, lo:lo + _BLOCK_COLUMNS]
-            for _ in range(self.inner_iters):
-                for i in range(k):
-                    if diag[i] <= EPS:
-                        # Only ``-R[i] X[i]`` is left: 0 minimizes it where
-                        # R[i] < 0, anything where R[i] = 0.
-                        xb[i, rb[i, :] < 0] = 0.0
-                        continue
-                    # X[i] + (R[i] - G[i, :] @ X) / G[i, i], clipped — built up
-                    # in the product's own buffer and clipped into place.
-                    row = gram[i, :] @ xb
-                    np.subtract(rb[i, :], row, out=row)
-                    row /= diag[i]
-                    row += xb[i, :]
-                    np.maximum(row, 0.0, out=xb[i, :])
-        self.last_state = NLSState(iterations=self.inner_iters)
+            for i in range(k):
+                if diag[i] <= EPS:
+                    # Only ``-R[i] X[i]`` is left: 0 minimizes it where
+                    # R[i] < 0, anything where R[i] = 0.
+                    xb[i, rb[i, :] < 0] = 0.0
+                    continue
+                # X[i] + (R[i] - G[i, :] @ X) / G[i, i], clipped — built up
+                # in the product's own buffer and clipped into place.
+                row = gram[i, :] @ xb
+                np.subtract(rb[i, :], row, out=row)
+                row /= diag[i]
+                row += xb[i, :]
+                np.maximum(row, 0.0, out=xb[i, :])
+        self.last_state = NLSState(iterations=1)
         return x

@@ -11,8 +11,9 @@ flops and each entry updates independently, which is why MU slots into the
 same parallel framework: the communication pattern is unchanged, only the
 local "NLS" task differs.
 
-One call performs ``inner_iters`` multiplicative sweeps (default 1, matching
-the conventional ANLS-MU iteration).
+One call performs one multiplicative sweep, the conventional ANLS-MU
+iteration (MPI-FAUN updates each factor once per alternating iteration);
+a caller that wants more sweeps calls :meth:`solve` again, warm-started.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ class MultiplicativeUpdate(NLSSolver):
 
     name = "mu"
 
-    def __init__(self, inner_iters: int = 1):
-        super().__init__()
-        if inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {inner_iters}")
-        self.inner_iters = int(inner_iters)
-
     def solve(
         self,
         gram: np.ndarray,
@@ -56,10 +51,8 @@ class MultiplicativeUpdate(NLSSolver):
         else:
             x = np.maximum(x0, EPS)
 
-        numerator = np.maximum(rhs, 0.0)
-        for _ in range(self.inner_iters):
-            denominator = gram @ x
-            np.maximum(denominator, EPS, out=denominator)
-            x = x * (numerator / denominator)
-        self.last_state = NLSState(iterations=self.inner_iters)
+        denominator = gram @ x
+        np.maximum(denominator, EPS, out=denominator)
+        x = x * (np.maximum(rhs, 0.0) / denominator)
+        self.last_state = NLSState(iterations=1)
         return self._into(x, out)

@@ -19,7 +19,6 @@ from repro.perf.machine import (
     EDISON_NODE,
     MachineSpec,
     edison_machine,
-    laptop_machine,
 )
 from repro.perf.model import (
     dense_flops_per_iteration,
@@ -35,7 +34,6 @@ __all__ = [
     "MachineSpec",
     "EDISON_NODE",
     "edison_machine",
-    "laptop_machine",
     "dense_flops_per_iteration",
     "sparse_flops_per_iteration",
     "naive_breakdown",

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from repro.comm.cost import EDISON, LAPTOP, AlphaBetaGamma, CollectiveCost
+from repro.comm.cost import EDISON, AlphaBetaGamma, CollectiveCost
 
 #: Raw Edison node-level numbers used to derive the per-core constants.
 EDISON_NODE = {
@@ -45,14 +45,19 @@ EDISON_NODE = {
 #: 35-60, ``p2p_bw_mbs`` 1600-2700 since array frames stopped being staged
 #: in user space; 260-370 before); the mpi defaults reuse the Edison Aries
 #: constants (§6.1.2).
-#: ``MachineSpec.calibrate(rate_links=True)`` replaces the socket entry with
-#: a measured 2-rank ping/stream probe.
 DEFAULT_LINK_COSTS: Mapping[str, tuple] = {
     "socket": (3.0e-5, 8.0 / 2.0e9),
     "mpi": (EDISON_NODE["mpi_latency_us"] * 1e-6,
             8.0 / (EDISON_NODE["injection_bandwidth_gbps"] * 1e9
                    / EDISON_NODE["cores_per_node"])),
 }
+
+#: :meth:`MachineSpec.calibrate`'s probe: a ``CALIBRATION_SIZE``-square GEMM
+#: and a copy of ``CALIBRATION_SIZE²`` doubles, each timed best of
+#: ``CALIBRATION_REPEATS``, on data drawn from ``CALIBRATION_SEED``.
+CALIBRATION_SIZE = 384
+CALIBRATION_REPEATS = 3
+CALIBRATION_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,6 @@ class MachineSpec:
     bpp_iterations: float = 10.0
     #: Fraction of columns whose passive set is unique (cannot share a Cholesky).
     bpp_grouping_factor: float = 0.5
-    #: Per-backend wire (alpha, beta) overrides (``None`` =
-    #: :data:`DEFAULT_LINK_COSTS`).  Only wire backends have entries; read by
-    #: :meth:`link_cost` / :meth:`for_backend`, filled by
-    #: ``calibrate(rate_links=True)``.
-    link_costs: Optional[Mapping[str, tuple]] = None
 
     @property
     def name(self) -> str:
@@ -100,13 +100,13 @@ class MachineSpec:
     def link_cost(self, backend: Optional[str]) -> Optional[tuple]:
         """The wire ``(alpha, beta)`` of ``backend``, or ``None`` if in-process.
 
-        Backends without an entry (thread/process/lockstep, unknown names,
-        ``None``) communicate at the machine's own network constants.
+        The pair comes from :data:`DEFAULT_LINK_COSTS`.  Backends without an
+        entry (thread/process/lockstep, unknown names, ``None``) communicate
+        at the machine's own network constants.
         """
         if backend is None:
             return None
-        table = self.link_costs or DEFAULT_LINK_COSTS
-        entry = table.get(backend)
+        entry = DEFAULT_LINK_COSTS.get(backend)
         if entry is None:
             return None
         alpha, beta = entry
@@ -138,22 +138,16 @@ class MachineSpec:
         return replace(self, **kwargs)
 
     @classmethod
-    def calibrate(
-        cls,
-        size: int = 384,
-        repeats: int = 3,
-        seed: int = 0,
-        ranks: int = 1,
-        rate_links: bool = False,
-    ) -> "MachineSpec":
+    def calibrate(cls, ranks: int = 1) -> "MachineSpec":
         """Micro-benchmark *this* host and return a spec priced to it.
 
         Two quick measurements (well under a second in total):
 
-        * a ``size × size`` GEMM, timed best-of-``repeats`` — its achieved
-          flop rate becomes ``gamma`` (so ``dense_mm_efficiency`` is 1.0 by
-          construction: gamma already reflects a real kernel, not peak);
-        * a ``size²``-double buffer copy — its per-word time becomes
+        * a :data:`CALIBRATION_SIZE`-square GEMM, timed best-of-
+          :data:`CALIBRATION_REPEATS` — its achieved flop rate becomes
+          ``gamma`` (so ``dense_mm_efficiency`` is 1.0 by construction:
+          gamma already reflects a real kernel, not peak);
+        * a buffer copy of as many doubles — its per-word time becomes
           ``beta``, the in-process stand-in for interconnect bandwidth
           (rank-to-rank "communication" on the SPMD backends is a memcpy).
 
@@ -168,27 +162,18 @@ class MachineSpec:
         ``alpha`` is fixed at 100 ns, a deposit-slot handoff rather than a
         NIC round-trip.  The relative kernel efficiencies (sparse MM, Gram,
         NLS) keep their defaults — they describe kernel *shapes*, not the
-        host.
+        host — and the wire backends keep their :data:`DEFAULT_LINK_COSTS`.
 
         The deterministic Edison constants (:func:`edison_machine`) remain
         the default everywhere; calibration is opt-in (``repro plan --machine
         local``, ``fit(..., machine=MachineSpec.calibrate())``) so tests and
         figure regeneration stay reproducible.
-
-        With ``rate_links`` the socket wire is additionally measured with a
-        2-rank ping/stream probe on the socket backend (see
-        :func:`_link_probe`): small-message round-trips give the per-frame
-        latency ``alpha``, a streamed 1 MiB payload gives the per-word
-        ``beta``; the measured pair replaces the static
-        :data:`DEFAULT_LINK_COSTS` socket entry in :attr:`link_costs`, so
-        ``repro plan --machine local --backend socket`` prices this host's
-        actual wire.  A failed probe keeps the static defaults (with a
-        :class:`RuntimeWarning`).
         """
         import numpy as np
 
         from repro.core.local_ops import dense_matmul_flops
 
+        size, repeats = CALIBRATION_SIZE, CALIBRATION_REPEATS
         flops = dense_matmul_flops(size, size, size)
         gamma, name = None, "local-calibrated"
         if ranks > 1:
@@ -196,8 +181,7 @@ class MachineSpec:
 
             try:
                 per_rank_best = run_spmd(
-                    ranks, _gemm_probe, size, repeats, seed,
-                    name="calibrate", backend="process",
+                    ranks, _gemm_probe, name="calibrate", backend="process",
                 )
             except Exception as exc:  # noqa: BLE001 - probe is best-effort
                 # No fork on this platform, fork refused (rlimits, memory
@@ -216,47 +200,21 @@ class MachineSpec:
                 gamma = max(per_rank_best) / flops
                 name = f"local-calibrated-p{ranks}"
         if gamma is None:
-            gamma = _gemm_probe(None, size, repeats, seed) / flops
+            gamma = _gemm_probe(None) / flops
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(CALIBRATION_SEED)
         src = rng.standard_normal(size * size)
         dst = np.empty_like(src)
         np.copyto(dst, src)  # warm-up
         copy_best = min(_timed(lambda: np.copyto(dst, src)) for _ in range(repeats))
         beta = copy_best / src.size
 
-        link_costs = None
-        if rate_links:
-            from repro.comm.backends import run_spmd
-
-            try:
-                per_rank = run_spmd(
-                    2, _link_probe, repeats,
-                    name="calibrate-link", backend="socket",
-                )
-            except Exception as exc:  # noqa: BLE001 - probe is best-effort
-                import warnings
-
-                warnings.warn(
-                    f"link calibration on the socket backend failed ({exc}); "
-                    "keeping the static DEFAULT_LINK_COSTS entries",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                link_costs = dict(DEFAULT_LINK_COSTS)
-                link_costs["socket"] = per_rank[0]
-
         network = AlphaBetaGamma(alpha=1.0e-7, beta=beta, gamma=gamma, name=name)
-        return cls(
-            network=network,
-            dense_mm_efficiency=1.0,
-            link_costs=link_costs,
-        )
+        return cls(network=network, dense_mm_efficiency=1.0)
 
 
-def _gemm_probe(comm, size: int, repeats: int, seed: int) -> float:
-    """Best-of-``repeats`` seconds for one ``size × size`` GEMM on this rank.
+def _gemm_probe(comm) -> float:
+    """Best-of-:data:`CALIBRATION_REPEATS` seconds for one square GEMM on this rank.
 
     Runs standalone (``comm=None``) or as an SPMD program: with a
     communicator the ranks align on a barrier after warm-up so the timed
@@ -268,57 +226,13 @@ def _gemm_probe(comm, size: int, repeats: int, seed: int) -> float:
     from repro.util.seeding import per_rank_seed
 
     rank = comm.rank if comm is not None else 0
-    rng = np.random.default_rng(per_rank_seed(seed, rank))
-    x = rng.standard_normal((size, size))
-    y = rng.standard_normal((size, size))
+    rng = np.random.default_rng(per_rank_seed(CALIBRATION_SEED, rank))
+    x = rng.standard_normal((CALIBRATION_SIZE, CALIBRATION_SIZE))
+    y = rng.standard_normal((CALIBRATION_SIZE, CALIBRATION_SIZE))
     x @ y  # warm-up: BLAS thread pools, page faults
     if comm is not None:
         comm.barrier()
-    return min(_timed(lambda: x @ y) for _ in range(repeats))
-
-
-def _link_probe(comm, repeats: int):
-    """2-rank ping/stream probe measuring the socket wire's ``(alpha, beta)``.
-
-    Rank 0 measures and returns the pair; rank 1 echoes and returns ``None``.
-
-    * *Ping*: ``n_pings`` round-trips of a 1-word message, best-of-``repeats``;
-      half the per-message round-trip is the frame latency ``alpha``
-      (connect, frame encode/decode, kernel crossing).
-    * *Stream*: a 1 MiB array one way plus a 1-word ack, best-of-``repeats``;
-      the time beyond one round-trip divided by the word count is ``beta``.
-    """
-    import numpy as np
-
-    small = np.zeros(1)
-    big = np.zeros(131072)  # 1 MiB of float64
-    n_pings = 20
-    comm.barrier()
-    if comm.rank == 0:
-        def ping():
-            for _ in range(n_pings):
-                comm.send(small, dest=1, tag=1)
-                comm.recv(source=1, tag=2)
-
-        def stream():
-            comm.send(big, dest=1, tag=3)
-            comm.recv(source=1, tag=4)
-
-        ping()  # warm-up: buffers, reader-thread scheduling
-        rtt = min(_timed(ping) for _ in range(repeats)) / n_pings
-        stream()  # warm-up
-        t_stream = min(_timed(stream) for _ in range(repeats))
-        alpha = rtt / 2.0
-        beta = max(t_stream - rtt, 1e-12) / big.size
-        return (float(alpha), float(beta))
-    for _ in range(repeats + 1):
-        for _ in range(n_pings):
-            comm.recv(source=0, tag=1)
-            comm.send(small, dest=0, tag=2)
-    for _ in range(repeats + 1):
-        comm.recv(source=0, tag=3)
-        comm.send(small, dest=0, tag=4)
-    return None
+    return min(_timed(lambda: x @ y) for _ in range(CALIBRATION_REPEATS))
 
 
 def _timed(fn) -> float:
@@ -327,12 +241,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def edison_machine(**overrides) -> MachineSpec:
-    """The default Edison-calibrated machine model."""
-    return MachineSpec(network=EDISON).with_options(**overrides) if overrides else MachineSpec(network=EDISON)
-
-
-def laptop_machine(**overrides) -> MachineSpec:
-    """A communication-friendly laptop-like preset (examples, what-if plans)."""
-    spec = MachineSpec(network=LAPTOP)
-    return spec.with_options(**overrides) if overrides else spec
+def edison_machine() -> MachineSpec:
+    """The default Edison-calibrated machine model (§6.1.2)."""
+    return MachineSpec(network=EDISON)

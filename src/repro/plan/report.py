@@ -19,7 +19,7 @@ def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
     return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
 
 
-def render_plan_table(plans: Sequence[ExecutionPlan], machine_name: str = "") -> str:
+def render_plan_table(plans: Sequence[ExecutionPlan]) -> str:
     """Fixed-width candidate table for a list of plans (cheapest first).
 
     The first (cheapest) plan is marked with ``*`` in the leading column.
@@ -28,10 +28,9 @@ def render_plan_table(plans: Sequence[ExecutionPlan], machine_name: str = "") ->
     if not plans:
         raise ValueError("no plans to render")
     problem = plans[0].problem
-    machine = machine_name or plans[0].machine
     title = (
         f"Execution plan candidates for {problem.describe()} on p={plans[0].n_ranks} "
-        f"ranks (machine={machine}; per-iteration predicted seconds)"
+        f"ranks (machine={plans[0].machine}; per-iteration predicted seconds)"
     )
 
     headers = ["", "variant", "grid"] + list(_TASKS) + ["total", "words/iter"]

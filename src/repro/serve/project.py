@@ -41,7 +41,7 @@ co-batched neighbours.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,12 @@ __all__ = [
 
 #: default column budget of one batched NLS call (service and CLI alike).
 MAX_BATCH_COLUMNS = 256
+
+#: A served model's refresh: the sliding window holds the last
+#: ``REFRESH_WINDOW`` ingested columns, and each refresh runs
+#: ``REFRESH_ITERS`` warm-started ANLS sweeps over it.
+REFRESH_WINDOW = 64
+REFRESH_ITERS = 1
 
 
 def validate_columns(
@@ -192,15 +198,12 @@ class ModelRefresher:
 
     Wraps the streaming variant (:class:`~repro.core.streaming.StreamingNMF`)
     seeded from the deployed basis: every ingested column updates the sliding
-    window, every ``refresh_every`` columns the basis drifts via warm-started
-    ANLS sweeps and the refreshed model is **published back into the store**
-    as a new version (:meth:`ModelStore.swap` — the Gram cache invalidates by
-    construction, because a swap builds a whole new entry).
-
-    A :class:`~repro.core.observers.CheckpointEvery` observer rides along:
-    each ingested column is reported as one synthetic iteration event, so
-    every ``checkpoint_every`` columns an ``.npz`` checkpoint of the current
-    factors lands on disk — the artifact the store can cold-start from.
+    window of the last :data:`REFRESH_WINDOW` columns, every
+    ``refresh_every`` columns the basis drifts via one warm-started ANLS
+    sweep (:data:`REFRESH_ITERS`) and the refreshed model
+    is **published back into the store** as a new version
+    (:meth:`ModelStore.swap` — the Gram cache invalidates by construction,
+    because a swap builds a whole new entry).
     """
 
     def __init__(
@@ -208,14 +211,8 @@ class ModelRefresher:
         store,
         name: str,
         *,
-        window: int = 64,
         refresh_every: int = 16,
-        refresh_iters: int = 1,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_template: Union[str, None] = None,
-        seed: int = 0,
     ):
-        from repro.core.observers import CheckpointEvery
         from repro.core.streaming import StreamingNMF
 
         self.store = store
@@ -224,23 +221,15 @@ class ModelRefresher:
         self._stream = StreamingNMF(
             n_pixels=entry.m,
             k=entry.k,
-            window=window,
+            window=REFRESH_WINDOW,
             refresh_every=refresh_every,
-            refresh_iters=refresh_iters,
+            refresh_iters=REFRESH_ITERS,
             solver=entry.result.solver or "bpp",
-            seed=seed,
         )
         # Seed the stream from the deployed basis instead of a random one.
         self._stream.W = np.array(entry.W)
         self.refresh_every = int(refresh_every)
         self.published_versions: list = []
-        self._checkpointer = None
-        if checkpoint_every is not None:
-            if checkpoint_template is None:
-                raise ValueError(
-                    "checkpoint_every requires a checkpoint_template path"
-                )
-            self._checkpointer = CheckpointEvery(checkpoint_every, checkpoint_template)
 
     @property
     def columns_seen(self) -> int:
@@ -253,8 +242,6 @@ class ModelRefresher:
         every ``refresh_every``-th column the drifted basis replaces the
         deployed model as a new store version.
         """
-        from repro.core.observers import IterationEvent
-
         column = validate_columns(column, self._stream.n_pixels, what="ingest")
         if column.shape[1] != 1:
             raise ProjectionRequestError(
@@ -263,27 +250,41 @@ class ModelRefresher:
         residual = self._stream.push_frame(column[:, 0])
         if self._stream.frames_seen % self.refresh_every == 0:
             self._publish()
-        if self._checkpointer is not None:
-            self._checkpointer.on_iteration(
-                IterationEvent(
-                    iteration=self._stream.frames_seen - 1,
-                    variant="streaming",
-                    relative_error=self._stream.window_error(),
-                    k=self._stream.k,
-                    W=self._stream.W,
-                    H=self._stream.current_coefficients(),
-                )
-            )
         return residual
 
     def _publish(self) -> None:
+        """Swap the refreshed factors into the store as a new version.
+
+        A refresh can leave a basis column at zero.  When no column in the
+        window uses component ``i`` (row ``i`` of the window's ``H`` is
+        zero), ``H Hᵀ[i, i] = 0`` and the W-update does not depend on column
+        ``i`` at all; BPP's ridge then returns zero there, and the store
+        refuses a basis with a zero column (its ``WᵀW`` is singular).  So
+        where the refreshed column is dead the deployed one is kept.  With
+        row ``i`` of ``H`` zero, ``‖A − W H‖`` is the same for any column
+        ``i``, so the deployed column minimizes the window's objective as
+        well as zero does, and it still carries what earlier traffic taught
+        the model.  Row ``i`` of the published ``H`` is zeroed, so the
+        published ``W H`` is the refresh's product.  The stream goes on from
+        the published basis, so the component returns once ingested columns
+        use it again.  The alternative, skipping the publish, would never
+        end: the stream's zero column stays zero under BPP, so every later
+        refresh would be skipped too.
+        """
         from repro.core.config import NMFConfig
         from repro.core.result import NMFResult
 
         old = self.store.get(self.name)
+        W = np.array(self._stream.W)
+        H = self._stream.current_coefficients()
+        dead = ~W.any(axis=0)
+        if dead.any():
+            W[:, dead] = old.W[:, dead]
+            H[dead, :] = 0.0
+            self._stream.W = W.copy()
         refreshed = NMFResult(
-            W=np.array(self._stream.W),
-            H=self._stream.current_coefficients(),
+            W=W,
+            H=H,
             config=NMFConfig(
                 k=self._stream.k,
                 solver=old.result.config.solver,

@@ -376,7 +376,6 @@ class ProjectionServer:
         *,
         sockets: Optional[Sequence[socket.socket]] = None,
         worker: int = 0,
-        refresh_window: int = 64,
         refresh_every: int = 16,
     ):
         self.service = service
@@ -386,7 +385,6 @@ class ProjectionServer:
         self.sockets = sockets
         self.worker = int(worker)
         self.peers: Optional[Peers] = None
-        self.refresh_window = int(refresh_window)
         self.refresh_every = int(refresh_every)
         self._servers: List[asyncio.AbstractServer] = []
         self._refreshers: Dict[str, ModelRefresher] = {}
@@ -622,7 +620,6 @@ class ProjectionServer:
             refresher = ModelRefresher(
                 self.store,
                 name,
-                window=self.refresh_window,
                 refresh_every=self.refresh_every,
             )
             self._refreshers[name] = refresher

@@ -19,6 +19,9 @@ from typing import Deque, Dict, Iterable, List, Optional
 
 __all__ = ["percentile", "LatencyWindow", "ServeStats"]
 
+#: The percentiles ``/stats`` reports for every stage clock.
+QUANTILES = (50.0, 99.0)
+
 
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (``q`` in [0, 100]); NaN if empty."""
@@ -51,9 +54,10 @@ class LatencyWindow:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def quantiles(self, qs=(50.0, 99.0)) -> Dict[str, float]:
+    def quantiles(self) -> Dict[str, float]:
+        """The median and 99th percentile, keyed ``p50`` and ``p99``."""
         values = list(self._ring)
-        return {f"p{q:g}": percentile(values, q) for q in qs}
+        return {f"p{q:g}": percentile(values, q) for q in QUANTILES}
 
 
 class ServeStats:
@@ -144,7 +148,7 @@ class ServeStats:
                 str(size): count
                 for size, count in sorted(self.batch_columns.items())
             },
-            "latency_seconds": self.latency.quantiles((50.0, 99.0)),
-            "queue_wait_seconds": self.queue_wait.quantiles((50.0, 99.0)),
-            "solve_seconds": self.solve.quantiles((50.0, 99.0)),
+            "latency_seconds": self.latency.quantiles(),
+            "queue_wait_seconds": self.queue_wait.quantiles(),
+            "solve_seconds": self.solve.quantiles(),
         }

@@ -24,7 +24,7 @@ def is_sparse(A) -> bool:
     return sp is not None and sp.issparse(A)
 
 
-def check_matrix(A, name: str = "A", *, allow_sparse: bool = True):
+def check_matrix(A, name: str = "A"):
     """Validate a 2-D matrix input and return it in canonical form.
 
     Dense inputs are returned as C-contiguous float64 arrays; sparse inputs
@@ -38,8 +38,6 @@ def check_matrix(A, name: str = "A", *, allow_sparse: bool = True):
     """
     sparse = is_sparse(A)
     if sparse:
-        if not allow_sparse:
-            raise ShapeError(f"{name} must be a dense array, got sparse {type(A).__name__}")
         from scipy.sparse import csr_matrix
 
         A = csr_matrix(A, dtype=np.float64)

@@ -20,7 +20,7 @@ class TestNMFConfig:
     def test_algorithm_is_not_a_config_field(self):
         # Which algorithm runs is the variant registry name given to fit(),
         # recorded as NMFResult.variant — the config does not carry it.
-        assert len(dataclasses.fields(NMFConfig)) == 11
+        assert len(dataclasses.fields(NMFConfig)) == 10
         with pytest.raises(TypeError, match="algorithm"):
             NMFConfig(k=5, algorithm="naive")
 
@@ -41,8 +41,6 @@ class TestNMFConfig:
             NMFConfig(k=2, max_iters=0)
         with pytest.raises(ShapeError):
             NMFConfig(k=2, tol=-1.0)
-        with pytest.raises(ShapeError):
-            NMFConfig(k=2, inner_iters=0)
 
     def test_with_options_returns_modified_copy(self):
         cfg = NMFConfig(k=5)
@@ -50,9 +48,16 @@ class TestNMFConfig:
         assert cfg2.max_iters == 99 and cfg2.solver == "mu"
         assert cfg.max_iters == 30  # original unchanged
 
-    def test_make_solver_respects_inner_iters(self):
-        cfg = NMFConfig(k=5, solver="hals", inner_iters=4)
-        assert cfg.make_solver().inner_iters == 4
+    def test_an_inner_sweep_count_is_not_a_fit_option(self):
+        # HALS and MU sweep once per half-iteration; the count is no field,
+        # so fit names it as an option no variant takes.
+        from repro.core.api import fit
+
+        with pytest.raises(TypeError, match="inner_iters"):
+            NMFConfig(k=5, solver="hals", inner_iters=4)
+        with pytest.raises(TypeError, match=r"variant 'sequential' .*\['inner_iters'\]"):
+            fit(np.ones((6, 5)), 2, solver="hals", inner_iters=2)
+        assert NMFConfig(k=5, solver="hals").make_solver().name == "hals"
         assert NMFConfig(k=5, solver="bpp").make_solver().name == "bpp"
 
 

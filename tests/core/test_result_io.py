@@ -127,6 +127,34 @@ class TestRoundTrip:
         assert H.tobytes() == project(res.W, X, kernel="scalar").tobytes()
 
     @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
+    def test_artifact_with_an_inner_sweep_count_still_loads(self, tmp_path, through):
+        """Artifacts saved while ``NMFConfig`` had ``inner_iters`` carry it in
+        their config.  HALS and MU now sweep once per call, so the key is
+        dropped on load and the model deploys and projects as before."""
+        from repro.nls import HALSUpdate
+        from repro.serve import ModelStore, project
+
+        res = fit(_dense(), 2, solver="hals", max_iters=3, seed=1)
+        path = res.save(tmp_path / "old.npz")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        assert "inner_iters" not in meta["config"]
+        meta["config"]["inner_iters"] = 3
+        np.savez(path, W=res.W, H=res.H, meta=np.asarray(json.dumps(meta)))
+        if through == "NMFResult.load":
+            loaded = NMFResult.load(path)
+        else:
+            loaded = ModelStore().load(path).result
+        assert loaded.config == res.config
+        assert isinstance(loaded.config.make_solver(), HALSUpdate)
+        assert np.array_equal(loaded.W, res.W) and np.array_equal(loaded.H, res.H)
+
+        entry = ModelStore().load(path)
+        X = np.abs(np.random.default_rng(3).standard_normal((res.W.shape[0], 4)))
+        H = project(entry.W, X, solver=entry.solver_for(None), gram=entry.gram)
+        assert H.tobytes() == project(res.W, X, kernel="scalar").tobytes()
+
+    @pytest.mark.parametrize("through", ["NMFResult.load", "ModelStore.load"])
     def test_artifact_whose_plan_names_a_kernel_still_loads(self, tmp_path, through):
         """Plans were once priced per BPP kernel and recorded it; a saved
         ``plan["kernel"]`` is dropped on load like any key the plan no

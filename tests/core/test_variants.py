@@ -172,10 +172,11 @@ class TestFitFrontDoor:
         assert res.breakdown.get(TaskCategory.NLS) > 0
         assert res.breakdown.get(TaskCategory.MM) > 0
 
-    def test_symmetric_honours_inner_iters(self):
-        res = fit(_matrix(), 2, variant="symmetric", solver="hals",
-                  inner_iters=3, max_iters=2)
-        assert res.config.inner_iters == 3
+    def test_symmetric_runs_the_configured_iterative_solver(self):
+        res = fit(_matrix(), 2, variant="symmetric", solver="hals", max_iters=2)
+        assert res.config.solver == res.solver == "hals"
+        with pytest.raises(TypeError, match="inner_iters"):
+            fit(_matrix(), 2, variant="symmetric", solver="hals", inner_iters=3)
 
     def test_sequential_only_variant_rejects_ranks(self):
         with pytest.raises(ShapeError, match="sequential-only"):

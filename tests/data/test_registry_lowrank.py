@@ -73,10 +73,14 @@ class TestPlantedLowRank:
         monkeypatch.setattr(lowrank, "_NOISE_BLOCK_ROWS", 37)
         np.testing.assert_array_equal(planted_lowrank(m, n, k, seed=seed, noise_std=std), reference)
 
-    def test_sparsity_of_factors(self):
-        _, W, H = planted_lowrank(200, 150, 5, seed=2, sparsity=0.5, return_factors=True)
-        assert np.mean(W == 0) > 0.3
-        assert np.mean(H == 0) > 0.3
+    def test_factors_are_dense_uniform_draws(self):
+        A, W, H = planted_lowrank(200, 150, 5, seed=2, return_factors=True)
+        rng = np.random.default_rng(2)
+        np.testing.assert_array_equal(W, rng.random((200, 5)))
+        np.testing.assert_array_equal(H, rng.random((5, 150)))
+        np.testing.assert_array_equal(A, W @ H)
+        with pytest.raises(TypeError, match="sparsity"):
+            planted_lowrank(200, 150, 5, seed=2, sparsity=0.5)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(

@@ -40,9 +40,10 @@ class TestSparseSynthetic:
         A = sparse_synthetic(100, 100, density=0.05, seed=1)
         assert np.all(A.data > 0)
 
-    def test_binary_values(self):
-        A = sparse_synthetic(100, 100, density=0.05, seed=1, value_distribution="binary")
-        assert set(np.unique(A.data)) == {1.0}
+    def test_values_are_uniform_in_the_unit_interval(self):
+        A = sparse_synthetic(200, 200, density=0.05, seed=1)
+        assert A.data.min() > 0 and A.data.max() <= 1.0 + 1e-12
+        assert 0.4 < A.data.mean() < 0.6
 
     def test_deterministic_in_seed(self):
         A = sparse_synthetic(80, 60, density=0.05, seed=3)
@@ -55,6 +56,8 @@ class TestSparseSynthetic:
         with pytest.raises(ValueError):
             sparse_synthetic(10, 10, density=1.5)
 
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            sparse_synthetic(10, 10, density=0.1, value_distribution="poisson")
+    @pytest.mark.parametrize("option", ["value_distribution", "clip_nonnegative"])
+    def test_value_law_is_not_an_option(self, option):
+        generator = sparse_synthetic if option == "value_distribution" else dense_synthetic
+        with pytest.raises(TypeError, match=option):
+            generator(10, 10, **{option: None})

@@ -21,12 +21,12 @@ class TestWebGraph:
         A = web_graph_matrix(300, 1500, seed=2)
         assert A.diagonal().sum() == 0.0
 
-    def test_binary_by_default_weighted_on_request(self):
+    def test_binary_adjacency(self):
         A = web_graph_matrix(300, 1500, seed=3)
         assert set(np.unique(A.data)) == {1.0}
-        B = web_graph_matrix(300, 1500, seed=3, weighted=True)
-        assert np.all(B.data > 0)
-        assert np.any(B.data != 1.0)
+        for option in ("weighted", "preferential_fraction"):
+            with pytest.raises(TypeError, match=option):
+                web_graph_matrix(300, 1500, seed=3, **{option: True})
 
     def test_heavy_tailed_in_degree(self):
         A = web_graph_matrix(3000, 20000, seed=4)

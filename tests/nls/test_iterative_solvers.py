@@ -20,16 +20,24 @@ def quadratic_objective(gram, rhs, x):
     return 0.5 * np.sum(x * (gram @ x)) - np.sum(rhs * x)
 
 
-def hals_reference(gram, rhs, x0, inner_iters):
+def hals_reference(gram, rhs, x0, sweeps):
     """Unblocked HALS, every row update over all columns at once (Eq. 4)."""
     k, c = rhs.shape
     x = np.full((k, c), 0.5) if x0 is None else np.maximum(x0, 0.0)
-    for _ in range(inner_iters):
+    for _ in range(sweeps):
         for i in range(k):
             if gram[i, i] <= 1e-16:
                 x[i, rhs[i, :] < 0] = 0.0  # else a dead row keeps its value
                 continue
             x[i, :] = np.maximum(x[i, :] + (rhs[i, :] - gram[i, :] @ x) / gram[i, i], 0.0)
+    return x
+
+
+def warm_sweeps(solver, gram, rhs, sweeps, x0=None):
+    """``sweeps`` calls of ``solver``, each warm-started from the last."""
+    x = solver.solve(gram, rhs, x0=x0)
+    for _ in range(sweeps - 1):
+        x = solver.solve(gram, rhs, x0=x)
     return x
 
 
@@ -44,7 +52,7 @@ class TestMultiplicativeUpdate:
     @pytest.mark.parametrize("seed", range(4))
     def test_objective_never_increases(self, seed):
         gram, rhs = make_problem(6, 8, seed)
-        solver = MultiplicativeUpdate(inner_iters=1)
+        solver = MultiplicativeUpdate()
         x = np.full(rhs.shape, 0.5)
         prev = quadratic_objective(gram, rhs, x)
         for _ in range(25):
@@ -55,7 +63,7 @@ class TestMultiplicativeUpdate:
 
     def test_result_nonnegative_and_finite(self):
         gram, rhs = make_problem(5, 6, 11)
-        x = MultiplicativeUpdate(inner_iters=5).solve(gram, rhs)
+        x = warm_sweeps(MultiplicativeUpdate(), gram, rhs, 5)
         assert np.all(x >= 0)
         assert np.all(np.isfinite(x))
 
@@ -64,16 +72,20 @@ class TestMultiplicativeUpdate:
         x = MultiplicativeUpdate().solve(gram, rhs, x0=None)
         assert np.all(x >= 0)
 
-    def test_inner_iters_validation(self):
-        with pytest.raises(ValueError):
-            MultiplicativeUpdate(inner_iters=0)
+    def test_one_call_is_one_sweep(self):
+        gram, rhs = make_problem(4, 5, 6)
+        x0 = np.full(rhs.shape, 0.5)
+        expected = x0 * (np.maximum(rhs, 0.0) / (gram @ x0))
+        solver = MultiplicativeUpdate()
+        np.testing.assert_array_equal(solver.solve(gram, rhs, x0=x0), expected)
+        assert solver.last_state.iterations == 1
 
 
 class TestHALS:
     @pytest.mark.parametrize("seed", range(4))
     def test_objective_never_increases(self, seed):
         gram, rhs = make_problem(6, 8, 50 + seed)
-        solver = HALSUpdate(inner_iters=1)
+        solver = HALSUpdate()
         x = np.full(rhs.shape, 0.5)
         prev = quadratic_objective(gram, rhs, x)
         for _ in range(25):
@@ -87,24 +99,25 @@ class TestHALS:
         from repro.nls import BlockPrincipalPivoting
 
         exact = BlockPrincipalPivoting().solve(gram, rhs)
-        approx = HALSUpdate(inner_iters=500).solve(gram, rhs, x0=np.full(rhs.shape, 0.5))
+        approx = warm_sweeps(HALSUpdate(), gram, rhs, 500, x0=np.full(rhs.shape, 0.5))
         assert quadratic_objective(gram, rhs, approx) <= quadratic_objective(gram, rhs, exact) + 1e-4
 
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(1, 48),
         c=st.one_of(st.integers(1, 64), st.integers(4000, 4200), st.integers(1, 20000)),
-        inner_iters=st.sampled_from([1, 3]),
+        sweeps=st.sampled_from([1, 3]),
         dead=st.lists(st.integers(0, 47), max_size=3),
         warm=st.booleans(),
         strided=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_column_blocking_changes_no_bit(self, k, c, inner_iters, dead, warm, strided, seed):
+    def test_column_blocking_changes_no_bit(self, k, c, sweeps, dead, warm, strided, seed):
         """The cache-blocked sweep equals the unblocked one exactly — across the
         4096-column block edge, with dead rows (``gram[i, i] <= EPS``), several
-        inner sweeps, cold and warm starts and a non-contiguous ``rhs``.  If a
-        shape ever differs on some BLAS, the blocking goes; no tolerance."""
+        sweeps as warm-started calls, cold and warm starts and a
+        non-contiguous ``rhs``.  If a shape ever differs on some BLAS, the
+        blocking goes; no tolerance."""
         rng = np.random.default_rng(seed)
         F = rng.random((k, 2 * k + 1))
         gram = F @ F.T
@@ -117,8 +130,8 @@ class TestHALS:
         else:
             rhs = rng.standard_normal((k, c))
             x0 = rng.random((k, c)) - 0.1 if warm else None
-        expected = hals_reference(gram, rhs, x0, inner_iters)
-        got = HALSUpdate(inner_iters=inner_iters).solve(gram, rhs, x0=x0)
+        expected = hals_reference(gram, rhs, x0, sweeps)
+        got = warm_sweeps(HALSUpdate(), gram, rhs, sweeps, x0=x0)
         assert got.flags.c_contiguous
         assert np.array_equal(got, expected)
 
@@ -169,9 +182,13 @@ class TestHALS:
         W_next = solver.solve(H_next @ H_next.T, H_next @ A.T, x0=W.T).T
         assert W_next[:, 1].max() > 0
 
-    def test_inner_iters_validation(self):
-        with pytest.raises(ValueError):
-            HALSUpdate(inner_iters=-1)
+    def test_one_call_is_one_sweep(self):
+        gram, rhs = make_problem(5, 7, 8)
+        solver = HALSUpdate()
+        np.testing.assert_array_equal(
+            solver.solve(gram, rhs), hals_reference(gram, rhs, None, 1)
+        )
+        assert solver.last_state.iterations == 1
 
 
 class TestRegistry:
@@ -181,7 +198,11 @@ class TestRegistry:
     def test_make_solver_by_name(self):
         assert make_solver("bpp").name == "bpp"
         assert make_solver("MU").name == "mu"
-        assert make_solver("hals", inner_iters=3).inner_iters == 3
+
+    @pytest.mark.parametrize("name", ["hals", "mu"])
+    def test_an_inner_sweep_count_is_not_a_solver_option(self, name):
+        with pytest.raises(TypeError, match="inner_iters"):
+            make_solver(name, inner_iters=2)
 
     def test_unknown_solver_raises(self):
         with pytest.raises(KeyError):

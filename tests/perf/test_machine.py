@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from repro.comm.cost import EDISON, LAPTOP
+from repro.comm.cost import EDISON
 from repro.perf.machine import (
+    DEFAULT_LINK_COSTS,
     EDISON_NODE,
     MachineSpec,
     edison_machine,
-    laptop_machine,
 )
 
 
@@ -42,15 +42,15 @@ def test_with_options_returns_new_spec():
     assert isinstance(tweaked, MachineSpec)
 
 
-def test_override_via_factory_kwargs():
-    machine = edison_machine(bpp_iterations=3.0)
+def test_override_via_with_options():
+    machine = edison_machine().with_options(bpp_iterations=3.0)
     assert machine.bpp_iterations == 3.0
+    assert edison_machine().bpp_iterations == 10.0
+    with pytest.raises(TypeError):
+        edison_machine(bpp_iterations=3.0)
 
 
-def test_laptop_preset_is_slower_network_than_flops():
-    # Sanity: both presets have positive constants and laptop latency < Edison's
-    # only in the sense that both are physically plausible (no zero/negative).
-    assert LAPTOP.alpha > 0 and LAPTOP.beta > 0 and LAPTOP.gamma > 0
+def test_edison_constants_are_physical():
     assert EDISON.alpha > 0 and EDISON.beta > 0 and EDISON.gamma > 0
 
 
@@ -60,15 +60,17 @@ def test_collectives_helper_bound_to_network():
     assert coll.machine is EDISON
 
 
-def test_laptop_machine_factory():
-    machine = laptop_machine()
-    assert machine.network is LAPTOP
-    assert machine.name == "laptop"
+def test_the_presets_are_edison_and_this_host():
+    import repro.comm.cost
+    import repro.perf
+
+    assert not hasattr(repro.perf, "laptop_machine")
+    assert not hasattr(repro.comm.cost, "LAPTOP")
 
 
 class TestCalibrate:
     def test_calibrated_constants_are_physical(self):
-        machine = MachineSpec.calibrate(size=96, repeats=1)
+        machine = MachineSpec.calibrate()
         net = machine.network
         assert machine.name == "local-calibrated"
         for constant in (net.alpha, net.beta, net.gamma):
@@ -85,8 +87,16 @@ class TestCalibrate:
         assert 1e7 < 1.0 / net.gamma < 1e13
 
     def test_calibration_does_not_change_the_default(self):
-        MachineSpec.calibrate(size=64, repeats=1)
+        MachineSpec.calibrate()
         assert edison_machine().network is EDISON
+
+    @pytest.mark.parametrize("option", ["size", "repeats", "seed", "rate_links"])
+    def test_the_probe_is_not_an_option(self, option):
+        """The probe's size, repeats and seed are module constants, and the
+        wire is priced at ``DEFAULT_LINK_COSTS``: ``ranks`` is the one
+        argument."""
+        with pytest.raises(TypeError, match=option):
+            MachineSpec.calibrate(**{option: 1})
 
     def test_parallel_calibration_measures_contended_gemm_rate(self):
         """ranks > 1 times the GEMM with that many concurrent OS processes,
@@ -95,7 +105,7 @@ class TestCalibrate:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            machine = MachineSpec.calibrate(size=96, repeats=1, ranks=2)
+            machine = MachineSpec.calibrate(ranks=2)
         assert machine.name == "local-calibrated-p2"
         assert math.isfinite(machine.network.gamma) and machine.network.gamma > 0
         assert machine.dense_mm_efficiency == 1.0
@@ -139,45 +149,11 @@ class TestLinkCosts:
             machine.collectives().all_gather(words, 4)
         )
 
-    def test_measured_table_overrides_defaults(self):
-        machine = edison_machine().with_options(
-            link_costs={"socket": (1e-3, 1e-6)}
-        )
-        assert machine.link_cost("socket") == (1e-3, 1e-6)
-        # A backend dropped from a custom table prices in-process.
-        assert machine.link_cost("mpi") is None
-
-    def test_link_probe_is_a_valid_spmd_program(self):
-        import warnings
-
-        from repro.comm.backends import run_spmd
-        from repro.perf.machine import _link_probe
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            results = run_spmd(2, _link_probe, 2, backend="socket")
-        alpha, beta = results[0]
-        assert results[1] is None  # the echo rank reports nothing
-        assert alpha > 0 and beta > 0
-        assert alpha < 1.0 and beta < 1e-3  # loopback, not carrier pigeon
-
-    def test_calibrate_rate_links_fills_the_socket_entry(self):
-        import warnings
-
-        from repro.perf.machine import DEFAULT_LINK_COSTS
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            spec = MachineSpec.calibrate(
-                size=64, repeats=1, rate_links=True
-            )
-        assert spec.link_costs is not None
-        assert spec.link_costs["socket"] != DEFAULT_LINK_COSTS["socket"]
-        assert spec.link_costs["mpi"] == DEFAULT_LINK_COSTS["mpi"]
-        alpha, beta = spec.link_cost("socket")
-        assert alpha > 0 and beta > 0
-        assert spec.for_backend("socket").name == "local-calibrated+socket"
-
-    def test_links_are_off_by_default(self):
-        spec = MachineSpec.calibrate(size=64, repeats=1)
-        assert spec.link_costs is None
+    @pytest.mark.parametrize("backend", ["socket", "mpi"])
+    def test_every_machine_prices_a_wire_at_the_defaults(self, backend):
+        calibrated = MachineSpec.calibrate()
+        for machine in (edison_machine(), calibrated):
+            assert machine.link_cost(backend) == DEFAULT_LINK_COSTS[backend]
+        assert calibrated.for_backend(backend).name == f"local-calibrated+{backend}"
+        with pytest.raises(TypeError, match="link_costs"):
+            MachineSpec(network=EDISON, link_costs={backend: (1e-3, 1e-6)})

@@ -147,6 +147,17 @@ def test_plan_adhoc_shape_tall_skinny(capsys):
     assert "grid=16x1" in out
 
 
+def test_plan_prices_against_edison_or_this_host_only(capsys):
+    # The laptop preset's constants were invented, not the paper's (edison)
+    # or measured (local), so it is gone.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", "SSYN", "--machine", "laptop"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --machine: invalid choice: 'laptop' "
+            "(choose from 'edison', 'local')") in err
+
+
 def test_plan_requires_dataset_or_shape():
     with pytest.raises(SystemExit, match="--shape"):
         main(["plan"])

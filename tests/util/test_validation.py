@@ -25,9 +25,10 @@ class TestCheckMatrix:
         assert sp.issparse(A)
         assert A.format == "csr"
 
-    def test_sparse_rejected_when_not_allowed(self):
-        with pytest.raises(ShapeError):
-            check_matrix(sp.eye(3), allow_sparse=False)
+    def test_sparse_values_become_float64(self):
+        A = check_matrix(sp.eye(3, dtype=np.int32, format="csc"))
+        assert A.format == "csr" and A.dtype == np.float64
+        assert (A != sp.eye(3)).nnz == 0
 
     def test_rejects_1d(self):
         with pytest.raises(ShapeError):
