@@ -284,7 +284,7 @@ _positive_seconds = _number(float, lambda v: v > 0, "> 0")
 def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
     from repro.comm.backends import available_backends
     from repro.core.variants import available_variants
-    from repro.nls.base import available_solvers
+    from repro.nls import available_solvers
 
     fact.add_argument("input",
                       help="registered dataset name, paper dataset name "
@@ -301,14 +301,9 @@ def _factorize_arguments(fact: argparse.ArgumentParser) -> None:
                            "one OS process per rank, true parallelism); "
                            "ignored by sequential-only variants")
     fact.add_argument("--solver", default="bpp", choices=available_solvers(),
-                      help="local NLS solver by registry name")
+                      help="local NLS solver by name")
     fact.add_argument("--iters", type=int, default=20, help="outer iterations")
     fact.add_argument("--seed", type=int, default=42)
-    fact.add_argument("--no-overlap", action="store_true",
-                      help="accepted and ignored: every collective of the "
-                           "Algorithm 2/3 loops is a blocking call at the line "
-                           "that reads it, with or without this flag (it "
-                           "goes when the benchmark stops passing overlap=)")
     fact.add_argument("--save", help="write the full result to this .npz path")
 
 

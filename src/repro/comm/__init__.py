@@ -3,16 +3,16 @@
 The paper's implementation is C++/MPI.  This package provides the equivalent
 substrate in pure Python:
 
-* :mod:`~repro.comm.backends` supplies pluggable execution backends behind a
-  registry: ``"thread"`` (one Python thread per rank, real overlap wherever
-  BLAS releases the GIL), ``"lockstep"`` (deterministic rank-ordered
+* :mod:`~repro.comm.backends` supplies the execution backends, one table
+  keyed by name: ``"thread"`` (one Python thread per rank, real overlap
+  wherever BLAS releases the GIL), ``"lockstep"`` (deterministic rank-ordered
   cooperative scheduling that can simulate hundreds of ranks and diagnoses
   deadlocks exactly), ``"process"`` and ``"socket"`` (one forked OS process
   per rank; collective payloads in shared memory, or as frames on a TCP
   mesh) and ``"mpi"`` (an ``mpirun`` job via ``mpi4py``, when installed);
 * :class:`~repro.comm.communicator.Comm` exposes the MPI operations the
-  paper's algorithms use — ``allgather``, ``reduce_scatter``, ``allreduce``
-  (§2.3), ``send``/``recv``, ``barrier``,
+  paper's algorithms use — ``allgatherv``, ``reduce_scatter``, ``allreduce``
+  (§2.3; every reduction is a sum), ``send``/``recv``, ``barrier``,
   ``split`` — with numpy-buffer semantics (mirroring mpi4py's uppercase,
   buffer-based API), including MPI-style caller-provided receive buffers
   (``out=``) backed by the reusable
@@ -41,11 +41,9 @@ _EXPORTS = {
         "LockstepBackend",
         "ThreadBackend",
         "available_backends",
-        "make_backend",
-        "register_backend",
         "run_spmd",
     ),
-    "repro.comm.communicator": ("Comm", "ReduceOp"),
+    "repro.comm.communicator": ("Comm",),
     "repro.comm.cost": ("AlphaBetaGamma", "CostLedger", "CollectiveCost", "EDISON"),
     "repro.comm.workspace": ("CollectiveWorkspace",),
     "repro.comm.grid": ("ProcessGrid", "choose_grid"),

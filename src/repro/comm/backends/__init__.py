@@ -1,11 +1,11 @@
-"""Pluggable SPMD execution backends.
+"""The SPMD execution backends, selected by name.
 
 The parallel algorithms are written against
 :class:`~repro.comm.communicator.Comm` only; this package supplies the
 substrate that actually runs the per-rank programs:
 
 * :mod:`~repro.comm.backends.base` — the :class:`Backend` interface, the
-  name → class registry and the :func:`run_spmd` entry point;
+  literal name → (module, class) table and the :func:`run_spmd` entry point;
 * :mod:`~repro.comm.backends.thread` — ``"thread"``: one Python thread per
   rank, real overlap wherever BLAS releases the GIL;
 * :mod:`~repro.comm.backends.lockstep` — ``"lockstep"``: cooperative
@@ -21,12 +21,13 @@ substrate that actually runs the per-rank programs:
   collective payloads as length-prefixed frames (:mod:`repro.comm.wire`) —
   the wire backend whose collectives genuinely serialize onto a byte stream;
 * :mod:`~repro.comm.backends.mpi` — ``"mpi"``: the same interface mapped
-  onto real MPI collectives via ``mpi4py``; registers only when ``mpi4py``
+  onto real MPI collectives via ``mpi4py``; available only when ``mpi4py``
   is importable (check :data:`~repro.comm.backends.mpi.MPI4PY_AVAILABLE`),
   otherwise the name resolves to an actionable "unavailable" error.
 
 Select a backend by name anywhere downstream: ``NMFConfig(backend=...)``,
-``fit(..., backend=...)`` or the CLI's ``--backend`` flag.
+``fit(..., backend=...)``, ``run_spmd(backend=...)`` or the CLI's
+``--backend`` flag; a lookup imports only the named backend's module.
 """
 
 from repro._lazy import lazy_exports
@@ -34,7 +35,7 @@ from repro._lazy import lazy_exports
 # Re-exported on first access: ``repro.comm.communicator`` imports
 # ``repro.comm.backends.base``, which runs this ``__init__``, and the forked
 # backends import the communicator back, so loading them here would be a
-# cycle.  The registry imports the built-in backends itself when asked.
+# cycle.  The backend table imports a backend's module when it is named.
 _EXPORTS = {
     "repro.comm.backends.base": (
         "Backend",
@@ -42,9 +43,6 @@ _EXPORTS = {
         "SharedGroupState",
         "available_backends",
         "get_backend_class",
-        "make_backend",
-        "register_backend",
-        "register_unavailable_backend",
         "run_spmd",
     ),
     "repro.comm.backends.lockstep": ("LockstepBackend",),

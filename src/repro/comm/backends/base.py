@@ -1,4 +1,4 @@
-"""The :class:`Backend` interface and the backend registry.
+"""The :class:`Backend` interface and the table of backends.
 
 An execution backend is the substrate that runs an SPMD program — the same
 per-rank function on ``n_ranks`` ranks, wired together by a
@@ -23,34 +23,33 @@ communicator only, so backends are interchangeable:
   TCP mesh (the wire backend whose collectives genuinely serialize onto a
   byte stream).
 * ``"mpi"`` (:class:`~repro.comm.backends.mpi.MPIBackend`) maps the same
-  interface onto real MPI collectives via ``mpi4py``; it registers only when
-  ``mpi4py`` is importable, otherwise the name resolves to a clear
-  "unavailable" error (see :func:`register_unavailable_backend`).
+  interface onto real MPI collectives via ``mpi4py``; where ``mpi4py`` does
+  not import, :func:`available_backends` omits it and asking for it by name
+  raises an error that says what to install.
 
 A backend supplies synchronization, mailboxes and — where it has them —
 deposit slots; the collectives themselves exist once, in
 :class:`~repro.comm.communicator.Comm`, which moves through the slots when
 the group state has them and point-to-point when it does not.
 
-Third-party backends plug in through :func:`register_backend`; everything
-downstream selects a backend by name (``NMFConfig.backend``,
-``fit(..., backend=...)``, the CLI's ``--backend`` flag).
+The five backends are one literal table, ``_BACKENDS`` (name → module and
+class); everything downstream selects a backend by name
+(``NMFConfig.backend``, ``fit(..., backend=...)``, ``run_spmd(backend=...)``,
+the CLI's ``--backend`` flag), and a lookup imports only that backend's
+module.
 """
 
 from __future__ import annotations
 
 import abc
 import difflib
+import importlib
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.util.errors import CommunicatorError
-
-#: Something :func:`make_backend` can turn into a Backend instance.
-BackendSpec = Union[str, "Backend", Type["Backend"]]
-
 
 class PeerAbortError(CommunicatorError):
     """Raised in ranks that were parked when a peer rank failed.
@@ -234,78 +233,52 @@ class Backend(abc.ABC):
         return f"{type(self).__name__}(n_ranks={self.n_ranks}, name={self.name!r})"
 
 
-_REGISTRY: Dict[str, Type[Backend]] = {}
+#: Every backend by name: the module that defines it and the class's name.  A
+#: lookup imports only the module of the row it names.
+_BACKENDS: Dict[str, Tuple[str, str]] = {
+    "lockstep": ("repro.comm.backends.lockstep", "LockstepBackend"),
+    "mpi": ("repro.comm.backends.mpi", "MPIBackend"),
+    "process": ("repro.comm.backends.process", "ProcessBackend"),
+    "socket": ("repro.comm.backends.socket", "SocketBackend"),
+    "thread": ("repro.comm.backends.thread", "ThreadBackend"),
+}
 
-#: Backends that exist but cannot run here (missing optional dependency),
-#: mapped to a human-readable reason.  Resolving such a name raises the
-#: reason instead of the generic "unknown backend" error, and the name is
-#: excluded from :func:`available_backends`.
-_UNAVAILABLE: Dict[str, str] = {}
+#: What asking for ``"mpi"`` says where ``mpi4py`` does not import.
+_MPI_MISSING = (
+    "mpi4py is not installed; install an MPI implementation and mpi4py "
+    "(e.g. `apt-get install libopenmpi-dev openmpi-bin && pip install "
+    "mpi4py`) and launch under `mpirun -n <ranks>`"
+)
 
 
-def register_backend(name: str, cls: Type[Backend]) -> None:
-    """Register a backend class under ``name`` (overwrites any previous entry)."""
-    if not isinstance(name, str) or not name:
-        raise CommunicatorError(f"backend name must be a non-empty string, got {name!r}")
-    if not (isinstance(cls, type) and issubclass(cls, Backend)):
-        raise CommunicatorError(f"backend class must subclass Backend, got {cls!r}")
-    _UNAVAILABLE.pop(name, None)
-    _REGISTRY[name] = cls
+def _mpi_available() -> bool:
+    """Whether ``mpi4py`` imports in this interpreter (read at lookup time)."""
+    from repro.comm.backends.mpi import MPI4PY_AVAILABLE
 
-
-def register_unavailable_backend(name: str, reason: str) -> None:
-    """Declare that backend ``name`` exists but cannot run in this environment.
-
-    ``reason`` should tell the user what to install or change; it becomes the
-    error message when the name is selected.  A later successful
-    :func:`register_backend` for the same name clears the entry.
-    """
-    if name not in _REGISTRY:
-        _UNAVAILABLE[name] = reason
+    return MPI4PY_AVAILABLE
 
 
 def available_backends() -> List[str]:
-    """Names of all registered backends, sorted."""
-    _ensure_builtin_backends()
-    return sorted(_REGISTRY)
+    """Names of the backends that can run here, sorted."""
+    return sorted(name for name in _BACKENDS if name != "mpi" or _mpi_available())
 
 
 def get_backend_class(name: str) -> Type[Backend]:
-    """Look up a backend class by registry name."""
-    _ensure_builtin_backends()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        if name in _UNAVAILABLE:
-            raise CommunicatorError(
-                f"backend {name!r} is not available in this environment: "
-                f"{_UNAVAILABLE[name]} (available backends: "
-                f"{', '.join(sorted(_REGISTRY))})"
-            ) from None
-        close = difflib.get_close_matches(str(name), list(_REGISTRY), n=1)
+    """Look up a backend class by name, importing only its own module."""
+    if name not in _BACKENDS:
+        close = difflib.get_close_matches(str(name), available_backends(), n=1)
         hint = f"did you mean {close[0]!r}? " if close else ""
         raise CommunicatorError(
             f"unknown backend {name!r}; {hint}available backends: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-def make_backend(spec: BackendSpec, n_ranks: int, name: str = "spmd") -> Backend:
-    """Resolve ``spec`` (name, class, or instance) into a Backend instance."""
-    if isinstance(spec, Backend):
-        if spec.n_ranks != n_ranks:
-            raise CommunicatorError(
-                f"backend instance is sized for {spec.n_ranks} ranks, "
-                f"but {n_ranks} were requested"
-            )
-        return spec
-    if isinstance(spec, type) and issubclass(spec, Backend):
-        return spec(n_ranks, name=name)
-    if isinstance(spec, str):
-        return get_backend_class(spec)(n_ranks, name=name)
-    raise CommunicatorError(
-        f"backend must be a name, Backend class or Backend instance, got {spec!r}"
-    )
+            f"{', '.join(available_backends())}"
+        )
+    if name == "mpi" and not _mpi_available():
+        raise CommunicatorError(
+            f"backend 'mpi' is not available in this environment: {_MPI_MISSING} "
+            f"(available backends: {', '.join(available_backends())})"
+        )
+    module, cls = _BACKENDS[name]
+    return getattr(importlib.import_module(module), cls)
 
 
 def run_spmd(
@@ -313,22 +286,11 @@ def run_spmd(
     program: Callable[..., Any],
     *args: Any,
     name: str = "spmd",
-    backend: BackendSpec = "thread",
+    backend: str = "thread",
     **kwargs: Any,
 ) -> List[Any]:
     """Convenience wrapper: run ``program(comm, *args, **kwargs)`` on ``n_ranks`` ranks.
 
-    ``backend`` selects the execution substrate by registry name (default
-    ``"thread"``); it also accepts a Backend class or instance.
+    ``backend`` names the execution substrate (default ``"thread"``).
     """
-    return make_backend(backend, n_ranks, name=name).run(program, *args, **kwargs)
-
-
-def _ensure_builtin_backends() -> None:
-    """Import the built-in backend modules so they self-register."""
-    # Deferred so `import repro.comm.backends.base` alone stays cycle-free.
-    import repro.comm.backends.lockstep  # noqa: F401
-    import repro.comm.backends.mpi  # noqa: F401
-    import repro.comm.backends.process  # noqa: F401
-    import repro.comm.backends.socket  # noqa: F401
-    import repro.comm.backends.thread  # noqa: F401
+    return get_backend_class(backend)(n_ranks, name=name).run(program, *args, **kwargs)

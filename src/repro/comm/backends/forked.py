@@ -453,7 +453,7 @@ class ForkedBackend(Backend):
     the driver never asks which backend it is running.
     """
 
-    #: The name this backend registers under (used in diagnostics).
+    #: The name this backend has in the backend table (used in diagnostics).
     registry_name: str
     def __init__(self, n_ranks: int, name: str, timeout: float):
         super().__init__(n_ranks, name=name)

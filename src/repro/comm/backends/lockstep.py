@@ -35,7 +35,6 @@ from repro.comm.backends.base import (
     SharedGroupState,
     _RankFailure,
     raise_first_failure,
-    register_backend,
 )
 from repro.util.errors import CommunicatorError
 
@@ -311,6 +310,3 @@ class LockstepBackend(Backend):
         self.schedule_trace = scheduler.schedule_trace
         raise_first_failure(results)
         return results
-
-
-register_backend("lockstep", LockstepBackend)

@@ -1,10 +1,10 @@
 """The MPI wire backend: the Backend ABC mapped onto real MPI via ``mpi4py``.
 
 Import-guarded: when ``mpi4py`` is not installed the module still imports
-cleanly, sets :data:`MPI4PY_AVAILABLE` to ``False`` and registers the name
-as *unavailable* — ``--backend mpi`` then fails with an actionable message
-instead of a generic "unknown backend", and ``available_backends()`` simply
-omits it.
+cleanly and sets :data:`MPI4PY_AVAILABLE` to ``False``.  The backend table
+(:mod:`repro.comm.backends.base`) reads that flag when ``"mpi"`` is looked
+up: ``available_backends()`` then omits it, and ``--backend mpi`` fails with
+an actionable message instead of a generic "unknown backend".
 
 Unlike every other backend, MPI ranks are not launched *by* this process:
 the job is started externally (``mpirun -n 4 python program.py``) and every
@@ -37,12 +37,7 @@ import queue
 import time
 from typing import Any, Callable, List, Optional
 
-from repro.comm.backends.base import (
-    Backend,
-    SharedGroupState,
-    register_backend,
-    register_unavailable_backend,
-)
+from repro.comm.backends.base import Backend, SharedGroupState
 from repro.comm.communicator import Comm
 from repro.util.errors import CommunicatorError
 
@@ -194,14 +189,3 @@ class MPIBackend(Backend):
         # Every rank returns the full rank-ordered result list, so caller
         # code behaves identically regardless of which rank it runs on.
         return list(state.mpicomm.allgather(value))
-
-
-if MPI4PY_AVAILABLE:  # pragma: no cover - exercised by the CI mpi leg
-    register_backend("mpi", MPIBackend)
-else:
-    register_unavailable_backend(
-        "mpi",
-        "mpi4py is not installed; install an MPI implementation and mpi4py "
-        "(e.g. `apt-get install libopenmpi-dev openmpi-bin && pip install "
-        "mpi4py`) and launch under `mpirun -n <ranks>`",
-    )

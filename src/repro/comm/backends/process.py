@@ -58,7 +58,6 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.comm.backends.base import register_backend
 from repro.comm.backends.forked import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_TIMEOUT,
@@ -449,6 +448,3 @@ class ProcessBackend(ForkedBackend):
         return _SharedMemoryRuntime(
             self.n_ranks, self.timeout, DEFAULT_CONNECT_TIMEOUT, self.slot_bytes
         )
-
-
-register_backend(ProcessBackend.registry_name, ProcessBackend)

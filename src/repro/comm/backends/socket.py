@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.comm.backends.base import register_backend
 from repro.comm.backends.forked import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_TIMEOUT,
@@ -82,6 +81,3 @@ class SocketBackend(ForkedBackend):
         import repro.comm.collectives  # noqa: F401
 
         return _WireRuntime(self.n_ranks, self.timeout, self.connect_timeout)
-
-
-register_backend(SocketBackend.registry_name, SocketBackend)

@@ -28,7 +28,6 @@ from repro.comm.backends.base import (
     SharedGroupState,
     _RankFailure,
     raise_first_failure,
-    register_backend,
 )
 
 
@@ -68,6 +67,3 @@ class ThreadBackend(Backend):
         self._launch(worker)
         raise_first_failure(results)
         return results
-
-
-register_backend("thread", ThreadBackend)

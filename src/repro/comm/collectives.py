@@ -11,7 +11,7 @@ point-to-point form of ``Comm``'s two movement primitives:
   a reduce-scatter (``Comm._own_slices``).
 
 The one body of each collective then applies the same rank-order concatenate
-or :meth:`~repro.comm.communicator.ReduceOp.combine` as over slots, so the
+or :func:`~repro.comm.communicator.rank_order_sum` as over slots, so the
 result is bitwise equal on every backend.  The §2.3 costs the ledger books for
 the optimal algorithms live in :mod:`repro.comm.cost`.
 
@@ -90,10 +90,10 @@ def slice_exchange(
     Rank ``r`` sends rank ``t`` only slice ``t`` of its input (the
     ``counts[t]`` entries along ``axis`` that ``t`` will own) and returns the
     ``p`` slices of its own index in rank order, its own a view of ``array``.
-    Reducing them with :meth:`ReduceOp.combine` reduces the values, in the
-    order, that a reduce-scatter over deposit slots reduces — so the result
-    is bitwise equal to it (recursive halving's pairwise partial sums are
-    not).
+    Summing them with :func:`~repro.comm.communicator.rank_order_sum` adds
+    the values, in the order, that a reduce-scatter over deposit slots adds —
+    so the result is bitwise equal to it (recursive halving's pairwise partial
+    sums are not).
 
     Each rank sends ``n - counts[r]·row_words`` words — the §2.3 volume
     ``(p-1)/p · n`` for an even split — in ``p - 1`` messages rather than

@@ -1,19 +1,21 @@
 """The MPI-like communicator used by the parallel NMF algorithms.
 
 :class:`Comm` exposes the subset of MPI that Algorithms 2 and 3 of the paper
-need — the three collectives of §2.3 (``allgather`` plus a concatenating
-``allgatherv``, ``reduce_scatter``, ``allreduce``), two request-handle
-twins complete at issue (``iallgatherv``/``iallreduce``), point-to-point
-``send``/``recv``, ``barrier`` and ``split`` — with numpy-buffer semantics
-matching mpi4py's uppercase, buffer-based API (the fast path the mpi4py
-tutorial recommends for array data).
+need — the three collectives of §2.3 (the concatenating all-gather
+``allgatherv``, ``reduce_scatter`` and ``allreduce``, whose every reduction
+is a sum), two request-handle twins complete at issue
+(``iallgatherv``/``iallreduce``), point-to-point ``send``/``recv``,
+``barrier`` and ``split`` — with numpy-buffer semantics matching mpi4py's
+uppercase, buffer-based API (the fast path the mpi4py tutorial recommends for
+array data).
 
 A collective is *movement* plus a *rank-order combine*, and each is written
 once.  The body validates, moves, and then runs one ``np.concatenate`` or one
-:meth:`ReduceOp.combine` over the contributions in rank order — so every rank,
-on every backend, computes bitwise-identical results.  Movement is one of two private primitives (:meth:`Comm._from_all`:
-every rank's value; :meth:`Comm._own_slices`: the ``p`` slices of my index),
-and a communicator picks how to move from what it can observe:
+:func:`rank_order_sum` over the contributions in rank order — so every rank,
+on every backend, computes bitwise-identical results.  Movement is one of two
+private primitives (:meth:`Comm._from_all`: every rank's value;
+:meth:`Comm._own_slices`: the ``p`` slices of my index), and a communicator
+picks how to move from what it can observe:
 
 * **nothing** — its size is 1 (the row communicator of every ``pr × 1`` grid,
   the paper's HPC-NMF-1D, and the column communicator of ``1 × pc``): the
@@ -37,7 +39,6 @@ quantity the paper's analysis — and our tests — reason about.
 from __future__ import annotations
 
 import contextlib
-import enum
 import queue
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -58,56 +59,41 @@ def _require_safe_cast(src_dtype, out: np.ndarray, what: str) -> None:
         )
 
 
-class ReduceOp(str, enum.Enum):
-    """Reduction operators supported by the reduce-style collectives."""
+def rank_order_sum(
+    arrays: Sequence[np.ndarray], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sum ``arrays`` elementwise in rank order (deterministic).
 
-    SUM = "sum"
-    MAX = "max"
-    MIN = "min"
-    PROD = "prod"
+    Every reduction of Algorithms 2 and 3 is a sum, and every reduce-style
+    collective ends in this one combine.  With ``out`` the sum is written
+    into the provided buffer (which is also returned) instead of a freshly
+    allocated array; ``out`` must match the element shape and must not alias
+    any input.
 
-    def combine(
-        self, arrays: Sequence[np.ndarray], out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Reduce ``arrays`` elementwise in rank order (deterministic).
-
-        With ``out`` the reduction is written into the provided buffer (which
-        is also returned) instead of a freshly allocated array; ``out`` must
-        match the element shape and must not alias any input.
-
-        The first two contributions are combined straight into the result —
-        one pass over it, not a copy of the first followed by an in-place
-        update — in the result's dtype, so the bits equal the two-pass form's.
-        """
-        if not arrays:
-            raise CommunicatorError("cannot reduce an empty sequence")
-        stack = [np.asarray(a) for a in arrays]
-        dtype = np.result_type(*stack)
-        if out is not None:
-            if out.shape != stack[0].shape:
-                raise CommunicatorError(
-                    f"out buffer has shape {out.shape}, expected {stack[0].shape}"
-                )
-            _require_safe_cast(dtype, out, "reduction")
-            dtype = out.dtype
-        else:
-            out = np.empty(stack[0].shape, dtype)
-        if len(stack) == 1:
-            np.copyto(out, stack[0])
-            return out
-        ufunc = _REDUCE_UFUNCS[self]
-        ufunc(stack[0], stack[1], out=out, dtype=dtype)
-        for a in stack[2:]:
-            ufunc(out, a, out=out)
+    The first two contributions are added straight into the result — one
+    pass over it, not a copy of the first followed by an in-place update —
+    in the result's dtype, so the bits equal the two-pass form's.
+    """
+    if not arrays:
+        raise CommunicatorError("cannot reduce an empty sequence")
+    stack = [np.asarray(a) for a in arrays]
+    dtype = np.result_type(*stack)
+    if out is not None:
+        if out.shape != stack[0].shape:
+            raise CommunicatorError(
+                f"out buffer has shape {out.shape}, expected {stack[0].shape}"
+            )
+        _require_safe_cast(dtype, out, "reduction")
+        dtype = out.dtype
+    else:
+        out = np.empty(stack[0].shape, dtype)
+    if len(stack) == 1:
+        np.copyto(out, stack[0])
         return out
-
-
-_REDUCE_UFUNCS = {
-    ReduceOp.SUM: np.add,
-    ReduceOp.MAX: np.maximum,
-    ReduceOp.MIN: np.minimum,
-    ReduceOp.PROD: np.multiply,
-}
+    np.add(stack[0], stack[1], out=out, dtype=dtype)
+    for a in stack[2:]:
+        np.add(out, a, out=out)
+    return out
 
 
 def _nwords(obj: Any) -> float:
@@ -492,17 +478,6 @@ class Comm:
         self._record("all_gather", _nwords(obj) * self.size)
         return gathered
 
-    def allgather(self, array: np.ndarray) -> List[np.ndarray]:
-        """All-gather: every rank receives the list of all ranks' arrays."""
-        array = np.asarray(array)
-        with self._from_all(array) as parts:
-            gathered = [
-                array if r == self.rank else self._detach(part)
-                for r, part in enumerate(parts)
-            ]
-        self._record("all_gather", sum(_nwords(g) for g in gathered))
-        return gathered
-
     def allgatherv(
         self, array: np.ndarray, axis: int = 0, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -540,13 +515,8 @@ class Comm:
         self._record("all_gather", words)
         return result
 
-    def allreduce(
-        self,
-        array: np.ndarray,
-        op: ReduceOp = ReduceOp.SUM,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """All-reduce: every rank receives the elementwise reduction over ranks.
+    def allreduce(self, array: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """All-reduce: every rank receives the elementwise sum over ranks.
 
         With ``out`` the reduction is computed into the provided buffer
         (which is returned) instead of a fresh allocation; ``out`` must not
@@ -562,27 +532,26 @@ class Comm:
         if self.size == 1:
             return array
         with self._from_all(array) as parts:
-            result = op.combine(parts, out=out)
+            result = rank_order_sum(parts, out=out)
         self._record("all_reduce", _nwords(array))
         return result
 
-    def allreduce_scalar(self, value: float, op: ReduceOp = ReduceOp.SUM) -> float:
-        """All-reduce a single scalar (used for objective values and norms)."""
-        return float(self.allreduce(np.asarray([float(value)]), op=op)[0])
+    def allreduce_scalar(self, value: float) -> float:
+        """All-reduce (sum) a single scalar (used for objective values and norms)."""
+        return float(self.allreduce(np.asarray([float(value)]))[0])
 
     def reduce_scatter(
         self,
         array: np.ndarray,
         counts: Optional[Sequence[int]] = None,
         axis: int = 0,
-        op: ReduceOp = ReduceOp.SUM,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Reduce-scatter: sum arrays over ranks, split the sum along ``axis``.
 
         Every rank contributes an identically shaped ``array``; after the
         call, rank ``r`` owns the ``r``-th block (of size ``counts[r]`` along
-        ``axis``) of the elementwise reduction.  If ``counts`` is omitted the
+        ``axis``) of the elementwise sum.  If ``counts`` is omitted the
         axis is split as evenly as possible (first ``remainder`` blocks one
         element larger), matching
         :func:`repro.dist.partition.block_counts` — so a count-less
@@ -597,7 +566,7 @@ class Comm:
         if self.size == 1:
             return array
         with self._own_slices(array, counts, axis) as pieces:
-            result = op.combine(pieces, out=out)
+            result = rank_order_sum(pieces, out=out)
         self._record("reduce_scatter", _nwords(array))
         return result
 
@@ -624,14 +593,9 @@ class Comm:
         """:meth:`allgatherv` behind a :class:`CommHandle` (complete on return)."""
         return self._issue("iallgatherv", lambda: self.allgatherv(array, axis=axis, out=out))
 
-    def iallreduce(
-        self,
-        array: np.ndarray,
-        op: ReduceOp = ReduceOp.SUM,
-        out: Optional[np.ndarray] = None,
-    ) -> CommHandle:
+    def iallreduce(self, array: np.ndarray, out: Optional[np.ndarray] = None) -> CommHandle:
         """:meth:`allreduce` behind a :class:`CommHandle` (complete on return)."""
-        return self._issue("iallreduce", lambda: self.allreduce(array, op=op, out=out))
+        return self._issue("iallreduce", lambda: self.allreduce(array, out=out))
 
     # -- communicator management --------------------------------------------
     def split(self, color: int, key: Optional[int] = None) -> "Comm":

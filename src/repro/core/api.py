@@ -102,12 +102,12 @@ def fit(
         ``"auto"`` to have the planner score **all** factorizations of ``p``
         and run the cheapest.
     backend:
-        Execution backend registry name (``"thread"``, ``"lockstep"``,
+        Execution backend name (``"thread"``, ``"lockstep"``,
         ``"process"``, ...); overrides ``config.backend``.  ``"process"``
         and ``"socket"`` fork one OS process per rank, so they escape the
         GIL and show real speedups; ``"process"`` moves collective payloads
         through shared memory, ``"socket"`` over TCP.  Unknown names raise
-        immediately with the registry's suggestion list.  Ignored by
+        immediately with the backend table's suggestion.  Ignored by
         sequential-only variants.
     config:
         Full :class:`NMFConfig`; keyword ``options`` override single fields.
@@ -151,7 +151,7 @@ def fit(
     """
     if isinstance(backend, str):
         # Fail fast, before any planning or data movement, with the backend
-        # registry's suggestion list ("did you mean 'process'?").
+        # table's suggestion ("did you mean 'process'?").
         from repro.comm.backends import get_backend_class
 
         get_backend_class(backend)

@@ -50,7 +50,7 @@ class NMFConfig:
         small all-reduce, as discussed in §5's communication-optimality
         argument).
     backend:
-        Execution backend for the parallel algorithms, by registry name:
+        Execution backend for the parallel algorithms, by name:
         ``"thread"`` (default; one thread per rank, running in parallel
         where BLAS releases the GIL), ``"lockstep"`` (deterministic rank-ordered
         scheduling, scales to hundreds of simulated ranks), ``"process"``
@@ -64,9 +64,9 @@ class NMFConfig:
         parallel loops' collectives in the background (a helper thread per
         communicator) and at their issue point; the background engine never
         measured a win and is gone, so every collective is a blocking call
-        on every backend (:mod:`repro.core.spmd_loop`).  The field — and
-        the CLI's ``--no-overlap`` — stay until the benchmark harness stops
-        passing ``overlap=``.
+        on every backend (:mod:`repro.core.spmd_loop`).  The field stays
+        until the benchmark harness stops passing ``overlap=``; the CLI has
+        no flag for it.
 
     Where each rank's block of ``A`` lives is not an option: it follows the
     input (see :meth:`repro.dist.distmatrix.DistMatrix2D.from_global`).
@@ -94,7 +94,7 @@ class NMFConfig:
             raise ShapeError(f"n_ranks must be >= 1, got {self.n_ranks}")
         if not isinstance(self.backend, str) or not self.backend:
             raise ShapeError(
-                f"backend must be a backend registry name, got {self.backend!r}"
+                f"backend must be a backend name, got {self.backend!r}"
             )
         if not isinstance(self.overlap, bool):
             raise ShapeError(f"overlap must be a bool, got {self.overlap!r}")

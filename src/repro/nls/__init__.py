@@ -19,9 +19,10 @@ Implemented solvers:
 * :class:`~repro.nls.hals.HALSUpdate` — hierarchical ALS (Eq. 4).
 
 These are the three solvers the paper's framework and MPI-FAUN evaluate.
-The registry keeps a solver only while it is the fastest to BPP's error on
-some input, or a benchmark workload runs it: ``docs/ARCHITECTURE.md``
-("Solver census") has the measurement, ``examples/solver_census.py`` makes it.
+The literal table ``_SOLVERS`` below is the whole registry: a solver stays
+in it only while it is the fastest to BPP's error on some input, or a
+benchmark workload runs it — ``docs/ARCHITECTURE.md`` ("Solver census") has
+the measurement, ``examples/solver_census.py`` makes it.
 
 BPP's inner engine comes from the kernels registry (:mod:`repro.nls.kernels`):
 ``batched`` (the default: vectorized pivot rules, stacked Cholesky and
@@ -32,7 +33,9 @@ of *algorithm* is ``NMFConfig.solver``, and every fit runs the default
 engine.
 """
 
-from repro.nls.base import NLSSolver, NLSState, make_solver, available_solvers
+from typing import List
+
+from repro.nls.base import NLSSolver, NLSState
 from repro.nls.kernels import (
     NLSKernel,
     available_kernels,
@@ -42,6 +45,26 @@ from repro.nls.kernels import (
 from repro.nls.bpp import BlockPrincipalPivoting
 from repro.nls.mu import MultiplicativeUpdate
 from repro.nls.hals import HALSUpdate
+
+#: Every local NLS solver, by the name ``NMFConfig.solver`` takes.
+_SOLVERS = {"bpp": BlockPrincipalPivoting, "hals": HALSUpdate, "mu": MultiplicativeUpdate}
+
+
+def available_solvers() -> List[str]:
+    """Names accepted by :func:`make_solver` (and by ``NMFConfig.solver``)."""
+    return sorted(_SOLVERS)
+
+
+def make_solver(name: str, **kwargs) -> NLSSolver:
+    """Instantiate a solver by name ('bpp', 'hals' or 'mu')."""
+    try:
+        cls = _SOLVERS[name.lower()]
+    except KeyError:
+        raise KeyError(
+            f"unknown NLS solver {name!r}; available: {available_solvers()}"
+        ) from None
+    return cls(**kwargs)
+
 
 __all__ = [
     "NLSSolver",

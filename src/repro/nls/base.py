@@ -17,13 +17,17 @@ alternating framework.  Every solver writes its solution into ``out`` when
 one is given, and ``out`` may be the warm start itself: the fit loops pass
 their persistent iterate as both, so a half-iteration allocates no factor.
 HALS sweeps in ``out`` directly; the other solvers copy into it.
+
+The solvers themselves are one literal table in :mod:`repro.nls`
+(``bpp`` / ``hals`` / ``mu``), which :func:`repro.nls.make_solver` and
+:func:`repro.nls.available_solvers` read.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Type
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -49,7 +53,7 @@ class NLSSolver(abc.ABC):
     argument of BPP alone, and the element-wise solvers have none.
     """
 
-    #: registry name; subclasses override
+    #: the name :func:`repro.nls.make_solver` takes; subclasses override
     name: str = "abstract"
 
     def __init__(self) -> None:
@@ -120,33 +124,3 @@ class NLSSolver(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-_REGISTRY: Dict[str, Type[NLSSolver]] = {}
-
-
-def register_solver(cls: Type[NLSSolver]) -> Type[NLSSolver]:
-    """Class decorator adding a solver to the ``make_solver`` registry."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_solvers() -> list[str]:
-    """Names accepted by :func:`make_solver` (and by ``NMFConfig.solver``)."""
-    # Import for side effects so the registry is populated even if the caller
-    # only imported repro.nls.base.
-    from repro.nls import bpp, hals, mu  # noqa: F401
-
-    return sorted(_REGISTRY)
-
-
-def make_solver(name: str, **kwargs) -> NLSSolver:
-    """Instantiate a registered solver by name ('bpp', 'hals' or 'mu')."""
-    from repro.nls import bpp, hals, mu  # noqa: F401
-
-    try:
-        cls = _REGISTRY[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown NLS solver {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return cls(**kwargs)

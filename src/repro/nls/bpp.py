@@ -32,12 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nls.base import NLSSolver, register_solver
+from repro.nls.base import NLSSolver
 from repro.nls.kernels import make_kernel
 from repro.util.errors import SolverError
 
 
-@register_solver
 class BlockPrincipalPivoting(NLSSolver):
     """Multi-right-hand-side block principal pivoting NLS solver.
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nls.base import NLSSolver, NLSState, register_solver
+from repro.nls.base import NLSSolver, NLSState
 
 EPS = 1e-16
 
@@ -37,7 +37,6 @@ EPS = 1e-16
 _BLOCK_COLUMNS = 4096
 
 
-@register_solver
 class HALSUpdate(NLSSolver):
     """HALS block-coordinate-descent solver for the normal-equations NLS problem.
 

@@ -22,14 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nls.base import NLSSolver, NLSState, register_solver
+from repro.nls.base import NLSSolver, NLSState
 
 #: Floor added to denominators to avoid division by zero, the customary
 #: epsilon of MU implementations.
 EPS = 1e-16
 
 
-@register_solver
 class MultiplicativeUpdate(NLSSolver):
     """Multiplicative-update solver for the normal-equations NLS problem."""
 

@@ -1,7 +1,8 @@
 """Performance model: closed-form costs and the machine they are priced on.
 
 :mod:`repro.perf.model` holds the per-iteration, per-task closed forms of
-Naive / HPC-NMF-1D / HPC-NMF-2D (the formulas of §4.3, §5 and Table 2);
+Naive / HPC-NMF-1D / HPC-NMF-2D (the formulas of §4.3 and §5), each priced
+from one :class:`~repro.plan.problem.ProblemSpec`;
 :mod:`repro.perf.machine` the alpha-beta-gamma :class:`MachineSpec` they are
 evaluated under (Edison constants, or this host via
 ``MachineSpec.calibrate()``).
@@ -27,7 +28,6 @@ from repro.perf.model import (
     naive_words_per_iteration,
     hpc_breakdown,
     hpc_words_per_iteration,
-    table2_costs,
 )
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "naive_words_per_iteration",
     "hpc_breakdown",
     "hpc_words_per_iteration",
-    "table2_costs",
 ]

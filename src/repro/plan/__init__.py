@@ -31,14 +31,13 @@ from repro.plan.planner import (
     make_plan,
     plan_candidates,
 )
-from repro.plan.problem import ProblemSpec, as_problem
+from repro.plan.problem import ProblemSpec
 from repro.plan.report import render_plan_table
 
 __all__ = [
     "ExecutionPlan",
     "PLANNER_VARIANT_ORDER",
     "ProblemSpec",
-    "as_problem",
     "make_plan",
     "plan_candidates",
     "render_plan_table",

@@ -155,17 +155,16 @@ def _priced(name: str, problem: ProblemSpec, p: int, grid, machine):
         naive_words_per_iteration,
     )
 
-    k = problem.k
     if name == "sequential":
-        return naive_breakdown(problem, k, 1, machine=machine), 0.0
+        return naive_breakdown(problem, 1, machine=machine), 0.0
     if name == "naive":
         return (
-            naive_breakdown(problem, k, p, machine=machine),
-            naive_words_per_iteration(problem, k, p),
+            naive_breakdown(problem, p, machine=machine),
+            naive_words_per_iteration(problem, p),
         )
     return (
-        hpc_breakdown(problem, k, p, grid=grid, machine=machine),
-        hpc_words_per_iteration(problem, k, p, grid=grid),
+        hpc_breakdown(problem, p, grid=grid, machine=machine),
+        hpc_words_per_iteration(problem, p, grid=grid),
     )
 
 

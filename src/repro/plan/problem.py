@@ -15,13 +15,13 @@ those five numbers and nothing else, and is derivable from
   datasets through,
 * bare dimensions via the constructor (the CLI's ``repro plan --shape``).
 
-:func:`as_problem` is the coercion helper the cost functions use so they
-accept any of the three spellings.
+The cost functions of :mod:`repro.perf.model` take a :class:`ProblemSpec`
+and nothing else, and read the rank ``k`` from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.util.errors import ShapeError
@@ -81,10 +81,6 @@ class ProblemSpec:
     def density(self) -> float:
         return self.nnz_estimate / (float(self.m) * float(self.n))
 
-    def with_rank(self, k: int) -> "ProblemSpec":
-        """The same problem at a different target rank."""
-        return self if k == self.k else replace(self, k=k)
-
     def describe(self) -> str:
         """One-line form used by plan tables and summaries."""
         label = f"{self.name} " if self.name else ""
@@ -138,25 +134,3 @@ class ProblemSpec:
     def from_dict(cls, payload: dict) -> "ProblemSpec":
         return cls(**payload)
 
-
-def as_problem(spec, k: Optional[int] = None) -> ProblemSpec:
-    """Coerce a :class:`ProblemSpec`, dataset spec or matrix into a ProblemSpec.
-
-    ``k`` must be given unless ``spec`` is already a :class:`ProblemSpec`
-    carrying it; when both are present and disagree, ``k`` wins (the cost
-    functions historically took the rank as a separate argument).
-    """
-    if isinstance(spec, ProblemSpec):
-        return spec if k is None else spec.with_rank(int(k))
-    if hasattr(spec, "nnz_estimate") and hasattr(spec, "is_sparse"):
-        if k is None:
-            raise ShapeError("a target rank k is required to cost a dataset spec")
-        return ProblemSpec.from_dataset(spec, k)
-    if hasattr(spec, "shape"):
-        if k is None:
-            raise ShapeError("a target rank k is required to cost a matrix")
-        return ProblemSpec.from_matrix(spec, k)
-    raise TypeError(
-        f"cannot derive a ProblemSpec from {type(spec).__name__!r}; expected a "
-        "ProblemSpec, a DatasetSpec-like object or a dense/sparse matrix"
-    )

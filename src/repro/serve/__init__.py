@@ -11,7 +11,7 @@ loops use.
 Public surface:
 
 * :class:`ModelStore` / :class:`ModelEntry` — named, versioned, validated
-  model artifacts with cached Gram + Cholesky and hot reload
+  model artifacts with a cached, load-time-checked Gram and hot reload
   (:mod:`repro.serve.store`);
 * :func:`project` / :func:`validate_columns` / :class:`ModelRefresher` — the
   projection engine and the incremental-refresh hook

@@ -63,7 +63,7 @@ import json
 import re
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,7 +143,6 @@ class _Pending:
     future: asyncio.Future
     deadline: float            # absolute, in loop.time() terms
     admitted: float = 0.0
-    done_event: Optional[asyncio.Event] = field(default=None, repr=False)
 
 
 class ProjectionService:

@@ -6,10 +6,10 @@ deployed*.  Each registered model is held as an immutable
 version:
 
 * ``W`` — the frozen basis (read-only, C-contiguous float64);
-* ``gram`` — the cached ``WᵀW`` (the ``m·k²`` matmul no request should pay);
-* ``cholesky`` — the Cholesky factor of a ridge-stabilised Gram, computed at
-  load time both as an SPD validity check and as the warm-start/diagnostic
-  factor for the refresh path;
+* ``gram`` — the cached ``WᵀW`` (the ``m·k²`` matmul no request should pay),
+  checked at load time by a Cholesky factorization of its ridge-stabilised
+  form: a basis whose columns are numerically dependent is refused with
+  :class:`~repro.serve.errors.ModelLoadError` (the factor is not kept);
 * per-kernel BPP solvers with a *persistent* passive-pattern cache
   (:class:`~repro.nls.bpp.BlockPrincipalPivoting` with
   ``persistent_cache=True``): micro-batches that revisit a passive-set
@@ -19,7 +19,7 @@ version:
 **Gram-cache invalidation rule** (also documented in
 ``docs/ARCHITECTURE.md``): caches belong to the entry, never to the store.
 :meth:`ModelStore.swap` / :meth:`ModelStore.reload` build a complete new
-entry (fresh Gram, fresh Cholesky, empty pattern caches) and then atomically
+entry (fresh Gram, fresh check, empty pattern caches) and then atomically
 replace the name binding; they never mutate an existing entry.  A server
 worker process takes each new version from its primary through
 :meth:`ModelStore.install` (same arrays, empty caches, same rebind).  In-flight
@@ -68,7 +68,6 @@ class ModelEntry:
     result: Optional[NMFResult]
     W: np.ndarray
     gram: np.ndarray
-    cholesky: np.ndarray
     metadata: dict
     source: Optional[Path] = None
     _solvers: Dict[str, BlockPrincipalPivoting] = field(
@@ -104,7 +103,7 @@ class ModelEntry:
         # ones, as every new entry does), and no ``result``, whose H only the
         # publishing process's refresher reads.
         return (ModelEntry, (self.name, self.version, None, self.W, self.gram,
-                             self.cholesky, self.metadata, self.source))
+                             self.metadata, self.source))
 
     def describe(self) -> dict:
         """JSON-able summary for listings and the ``/stats`` endpoint."""
@@ -180,7 +179,7 @@ class ModelStore:
     def reload(self, name: str) -> ModelEntry:
         """Re-read ``name`` from its backing file; atomically swap versions.
 
-        The new entry is fully built (validated, Gram + Cholesky recomputed,
+        The new entry is fully built (validated, Gram recomputed and checked,
         caches empty) *before* the name binding changes, so a corrupt file on
         disk raises :class:`ModelLoadError` and leaves the previous version
         serving.  In-flight batches finish on whichever entry they resolved.
@@ -203,11 +202,11 @@ class ModelStore:
         """Bind a version another process's store built; returns the serving entry.
 
         This is how a server worker takes a version its primary published:
-        the arrays arrive with the publisher's bytes (Gram and Cholesky are
-        not recomputed) and are made read-only here.  A version no newer than
+        the arrays arrive with the publisher's bytes (the Gram is not
+        recomputed) and are made read-only here.  A version no newer than
         the one serving is ignored, so a model never rolls back.
         """
-        for array in (entry.W, entry.gram, entry.cholesky):
+        for array in (entry.W, entry.gram):
             array.setflags(write=False)
         with self._lock:
             current = self._models.get(entry.name)
@@ -229,7 +228,6 @@ class ModelStore:
                     result=entry.result,
                     W=entry.W,
                     gram=entry.gram,
-                    cholesky=entry.cholesky,
                     metadata=entry.metadata,
                     source=entry.source,
                 )
@@ -268,7 +266,7 @@ class ModelStore:
         gram.setflags(write=False)
         k = W.shape[1]
         try:
-            cholesky = np.linalg.cholesky(
+            np.linalg.cholesky(
                 gram + np.eye(k) * (_RIDGE * float(gram.diagonal().max()))
             )
         except np.linalg.LinAlgError as exc:
@@ -277,14 +275,12 @@ class ModelStore:
                 "stabilisation; the basis columns are numerically dependent",
                 path=source,
             ) from exc
-        cholesky.setflags(write=False)
         return ModelEntry(
             name=name,
             version=1,
             result=result,
             W=W,
             gram=gram,
-            cholesky=cholesky,
             metadata=result.model_metadata(),
             source=source,
         )

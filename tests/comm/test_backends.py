@@ -1,4 +1,4 @@
-"""The pluggable execution backends: registry, thread, and lockstep."""
+"""The execution backends: the name table, thread, and lockstep."""
 
 import threading
 
@@ -11,18 +11,16 @@ from repro.comm.backends import (
     ThreadBackend,
     available_backends,
     get_backend_class,
-    make_backend,
-    register_backend,
     run_spmd,
 )
+from repro.comm.backends.mpi import MPI4PY_AVAILABLE
 from repro.util.errors import CommunicatorError
 
 
 class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        names = available_backends()
-        assert "thread" in names
-        assert "lockstep" in names
+    @pytest.mark.skipif(MPI4PY_AVAILABLE, reason="mpi4py is installed")
+    def test_every_backend_but_mpi_is_available_here(self):
+        assert available_backends() == ["lockstep", "process", "socket", "thread"]
 
     def test_get_backend_class(self):
         assert get_backend_class("thread") is ThreadBackend
@@ -32,28 +30,16 @@ class TestRegistry:
         with pytest.raises(CommunicatorError, match="lockstep.*thread"):
             get_backend_class("carrier-pigeon")
 
-    def test_make_backend_from_name_class_and_instance(self):
-        assert isinstance(make_backend("lockstep", 3), LockstepBackend)
-        assert isinstance(make_backend(ThreadBackend, 3), ThreadBackend)
-        instance = LockstepBackend(3)
-        assert make_backend(instance, 3) is instance
+    @pytest.mark.parametrize("typo,meant", [("proces", "process"), ("lockstp", "lockstep"),
+                                            ("sockets", "socket"), ("thred", "thread")])
+    def test_a_typo_gets_a_did_you_mean_hint(self, typo, meant):
+        with pytest.raises(CommunicatorError, match=f"did you mean '{meant}'"):
+            get_backend_class(typo)
 
-    def test_make_backend_rejects_mismatched_instance(self):
-        with pytest.raises(CommunicatorError, match="sized for 2 ranks"):
-            make_backend(LockstepBackend(2), 4)
-
-    def test_register_custom_backend(self):
-        class EagerBackend(ThreadBackend):
-            pass
-
-        register_backend("eager-test", EagerBackend)
-        try:
-            results = run_spmd(2, lambda comm: comm.rank, backend="eager-test")
-            assert results == [0, 1]
-        finally:
-            from repro.comm.backends import base
-
-            base._REGISTRY.pop("eager-test", None)
+    def test_run_spmd_takes_a_name_only(self):
+        assert run_spmd(2, lambda comm: comm.rank, backend="lockstep") == [0, 1]
+        with pytest.raises(CommunicatorError, match="unknown backend"):
+            run_spmd(2, lambda comm: comm.rank, backend="eager-test")
 
     def test_invalid_n_ranks(self):
         with pytest.raises(CommunicatorError):

@@ -7,7 +7,8 @@ input: ``"thread"`` moves through deposit slots, ``"socket"`` point-to-point.
 import numpy as np
 import pytest
 
-from repro.comm import ReduceOp, run_spmd
+from repro.comm import run_spmd
+from repro.comm.communicator import rank_order_sum
 from repro.comm.cost import CostLedger
 from repro.util.errors import CommunicatorError
 
@@ -32,7 +33,7 @@ def movements(*sizes):
 def test_allgather_returns_all_blocks_in_rank_order(backend, p):
     def program(comm):
         local = np.full((2, 3), float(comm.rank))
-        gathered = comm.allgather(local)
+        gathered = comm.allgather_object(local)
         assert len(gathered) == comm.size
         for r, block in enumerate(gathered):
             np.testing.assert_array_equal(block, np.full((2, 3), float(r)))
@@ -70,23 +71,21 @@ def test_allreduce_sum_matches_numpy(backend, p):
     assert all(run_spmd(p, program, backend=backend))
 
 
-@pytest.mark.parametrize("op,npfunc", [
-    (ReduceOp.MAX, np.maximum),
-    (ReduceOp.MIN, np.minimum),
-])
-def test_allreduce_max_min(op, npfunc):
+@movements(1, 2, 3, 4, 5)
+def test_allreduce_signed_integers(backend, p):
+    """Every rank's entries land in their own positions: integer-valued
+    floats of both signs sum exactly, so the check is bitwise."""
+
     def program(comm):
-        local = np.array([float(comm.rank), float(-comm.rank)])
-        out = comm.allreduce(local, op=op)
-        contributions = [np.array([float(r), float(-r)]) for r in range(comm.size)]
-        expected = contributions[0]
-        for c in contributions[1:]:
-            expected = npfunc(expected, c)
+        local = np.array([float(comm.rank), float(-comm.rank), float(10 ** comm.rank)])
+        out = comm.allreduce(local)
+        expected = np.sum(
+            [[float(r), float(-r), float(10 ** r)] for r in range(comm.size)], axis=0
+        )
         np.testing.assert_array_equal(out, expected)
         return True
 
-    for backend in MOVEMENTS:
-        assert all(run_spmd(4, program, backend=backend))
+    assert all(run_spmd(p, program, backend=backend))
 
 
 @movements(1, 2, 3, 4)
@@ -162,10 +161,10 @@ def test_split_into_rows_and_columns():
         assert row_comm.size == pc and row_comm.rank == j
         assert col_comm.size == pr and col_comm.rank == i
         # Collectives on the sub-communicators see only group members.
-        row_vals = row_comm.allgather(np.array([float(comm.rank)]))
-        assert [int(v[0]) for v in row_vals] == [i * pc + jj for jj in range(pc)]
-        col_vals = col_comm.allgather(np.array([float(comm.rank)]))
-        assert [int(v[0]) for v in col_vals] == [ii * pc + j for ii in range(pr)]
+        row_vals = row_comm.allgatherv(np.array([float(comm.rank)]))
+        assert [int(v) for v in row_vals] == [i * pc + jj for jj in range(pc)]
+        col_vals = col_comm.allgatherv(np.array([float(comm.rank)]))
+        assert [int(v) for v in col_vals] == [ii * pc + j for ii in range(pr)]
         return True
 
     assert all(run_spmd(pr * pc, program))
@@ -218,7 +217,7 @@ def test_ledger_records_collective_volume():
         ledger = CostLedger()
         comm.attach_ledger(ledger)
         comm.allreduce(np.zeros((5, 5)))
-        comm.allgather(np.zeros(10))
+        comm.allgatherv(np.zeros(10))
         comm.reduce_scatter(np.zeros(8))
         return ledger
 
@@ -244,26 +243,32 @@ def test_allreduce_scalar():
 
 # -- the copies the one path does not make --------------------------------------
 
-def _two_pass_combine(op, arrays, out=None):
-    """``ReduceOp.combine`` as it was: copy the first, then update in place."""
+def _two_pass_sum(arrays, out=None):
+    """The rank-order sum as it once was: copy the first, then add in place."""
     stack = [np.asarray(a) for a in arrays]
     if out is None:
         out = stack[0].astype(np.result_type(*stack), copy=True)
     else:
         np.copyto(out, stack[0])
     for a in stack[1:]:
-        if op is ReduceOp.SUM:
-            out += a
-        elif op is ReduceOp.MAX:
-            np.maximum(out, a, out=out)
-        elif op is ReduceOp.MIN:
-            np.minimum(out, a, out=out)
-        else:
-            out *= a
+        out += a
     return out
 
 
-@pytest.mark.parametrize("op", list(ReduceOp))
+def _laid_out(a, layout):
+    """``a``'s values in one memory layout: the sum must not depend on it."""
+    if layout == "c":
+        return np.ascontiguousarray(a)
+    if layout == "f":
+        return np.asfortranarray(a)
+    if layout == "strided":  # every other column of a wider buffer
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]), a.dtype)
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return np.ascontiguousarray(a[::-1])[::-1]  # "reversed": negative row stride
+
+
+@pytest.mark.parametrize("layout", ["c", "f", "strided", "reversed"])
 @pytest.mark.parametrize("n_arrays", [1, 2, 3, 5])
 @pytest.mark.parametrize(
     "dtypes, out_dtype",
@@ -275,17 +280,20 @@ def _two_pass_combine(op, arrays, out=None):
         (("i4",), None),
     ],
 )
-def test_one_pass_combine_equals_copy_then_update(op, n_arrays, dtypes, out_dtype):
+def test_one_pass_combine_equals_copy_then_update(n_arrays, dtypes, out_dtype, layout):
+    """Same dtype and bits as the two-pass form, whatever the inputs' and
+    ``out``'s memory layout (an ``out`` may be a strided view)."""
     rng = np.random.default_rng(n_arrays)
     arrays = [
-        (rng.standard_normal((3, 5)) * 7).astype(dtypes[i % len(dtypes)])
+        _laid_out((rng.standard_normal((3, 5)) * 7).astype(dtypes[i % len(dtypes)]), layout)
         for i in range(n_arrays)
     ]
-    expected = _two_pass_combine(
-        op, arrays, None if out_dtype is None else np.empty((3, 5), out_dtype)
+    expected = _two_pass_sum(
+        [np.ascontiguousarray(a) for a in arrays],
+        None if out_dtype is None else np.empty((3, 5), out_dtype),
     )
-    out = None if out_dtype is None else np.empty((3, 5), out_dtype)
-    got = op.combine(arrays, out=out)
+    out = None if out_dtype is None else _laid_out(np.zeros((3, 5), out_dtype), layout)
+    got = rank_order_sum(arrays, out=out)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert out is None or got is out
     assert all(got is not a for a in arrays)
@@ -306,7 +314,7 @@ def test_size_one_collectives_hand_back_their_input(backend):
             comm.allgatherv(x, axis=1, out=out),
             comm.allgatherv(x, axis=0),
             comm.allreduce(x, out=out),
-            comm.allreduce(x, op=ReduceOp.MAX),
+            comm.allreduce(x),
             comm.reduce_scatter(x, counts=[3], out=out),
             comm.reduce_scatter(x, axis=1),
             comm.iallgatherv(x, out=out).wait(),

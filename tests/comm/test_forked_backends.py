@@ -475,7 +475,7 @@ class TestSharedMemorySlots:
         def program(comm):
             base = np.arange(24.0).reshape(4, 6) + 100 * comm.rank
             views = [base.T, base[::2, 1::2], base[::-1], np.asfortranarray(base)]
-            gathered = [comm.allgather(v) for v in views]
+            gathered = [comm.allgather_object(v) for v in views]
             return [[part.tolist() for part in parts] for parts in gathered]
 
         results = run_spmd(2, program, backend="process")

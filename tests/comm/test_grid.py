@@ -70,8 +70,8 @@ class TestProcessGrid:
             assert grid.row_comm.rank == j
             assert grid.col_comm.rank == i
             # Row communicator sees exactly the ranks of this grid row.
-            gathered = grid.row_comm.allgather(np.array([float(grid.rank)]))
-            assert [int(g[0]) for g in gathered] == [i * pc + jj for jj in range(pc)]
+            gathered = grid.row_comm.allgatherv(np.array([float(grid.rank)]))
+            assert [int(g) for g in gathered] == [i * pc + jj for jj in range(pc)]
             return True
 
         assert all(run_spmd(pr * pc, program))

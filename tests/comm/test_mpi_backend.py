@@ -1,17 +1,24 @@
-"""The mpi backend's registry contract, with and without mpi4py installed.
+"""The mpi backend's row of the backend table, with and without mpi4py.
 
-The module always imports and exposes ``MPI4PY_AVAILABLE``; when mpi4py
-is absent the backend degrades to a
-*reason-bearing* registry entry — ``available_backends()`` excludes it and
-asking for it by name raises a :class:`CommunicatorError` that says what to
-install and how to launch, instead of the unknown-backend typo message.
+The module always imports and exposes ``MPI4PY_AVAILABLE``, which the table
+reads when ``"mpi"`` is looked up; when mpi4py is absent
+``available_backends()`` excludes it and asking for it by name raises a
+:class:`CommunicatorError` that says what to install and how to launch,
+instead of the unknown-backend typo message.
 
 The real 4-rank wire run cannot happen inside pytest (ranks come from
 ``mpirun``, not fork); CI's mpi leg replays the byte-parity suite via
 ``mpirun -n 4 python tests/comm/mpi_parity_program.py``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.comm.backends import available_backends, get_backend_class
 from repro.comm.backends.mpi import MPI4PY_AVAILABLE, MPIBackend
@@ -63,3 +70,22 @@ class TestWithMpi4py:
             pytest.skip("already inside an mpirun world")
         with pytest.raises(CommunicatorError, match="mpirun -n 4"):
             MPIBackend(4).run(lambda comm: None)
+
+
+def test_availability_is_read_when_the_name_is_looked_up(tmp_path):
+    """A stub ``mpi4py`` on a fresh interpreter's path makes ``mpi`` available
+    there: nothing about it is fixed before the name is looked up."""
+    (tmp_path / "mpi4py").mkdir()
+    (tmp_path / "mpi4py" / "__init__.py").write_text("MPI = None\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    program = (
+        "from repro.comm.backends import available_backends, get_backend_class\n"
+        "print(available_backends(), get_backend_class('mpi').__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "['lockstep',", "'mpi',", "'process',", "'socket',", "'thread']", "MPIBackend"
+    ]

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.comm import ReduceOp, run_spmd
+from repro.comm import run_spmd
 from repro.comm.backends.mpi import MPI4PY_AVAILABLE
 from repro.comm.cost import CostLedger
 from repro.comm.communicator import CommHandle
@@ -74,15 +74,20 @@ def test_handles_are_done_at_issue_and_match_blocking(backend, p):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_out_buffers_and_max_reduction(backend):
+def test_out_buffers_of_an_integer_sum(backend):
     def program(comm):
-        rng = np.random.default_rng(7 + comm.rank)
-        local = rng.standard_normal((4, 4))
+        # Integer-valued floats sum exactly: the result must equal np.sum's.
+        draws = [np.random.default_rng(7 + r).integers(-99, 99, (4, 4)) for r in range(comm.size)]
+        local = draws[comm.rank].astype(float)
         out = np.empty((4, 4))
-        blocking = comm.allreduce(local, op=ReduceOp.MAX)
-        result = comm.iallreduce(local, op=ReduceOp.MAX, out=out).wait()
+        blocking = comm.allreduce(local)
+        result = comm.iallreduce(local, out=out).wait()
         # A size-1 communicator hands back its input; anything larger fills out.
-        return result is (out if comm.size > 1 else local) and np.array_equal(blocking, result)
+        return (
+            result is (out if comm.size > 1 else local)
+            and np.array_equal(blocking, result)
+            and np.array_equal(result, np.sum(draws, axis=0))
+        )
 
     assert all(run_spmd(_ranks(backend, 4), program, backend=backend))
 

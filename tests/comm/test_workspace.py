@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.comm import CollectiveWorkspace, ReduceOp, run_spmd
+from repro.comm import CollectiveWorkspace, run_spmd
+from repro.comm.communicator import rank_order_sum
 from repro.util.errors import CommunicatorError
 
 
@@ -72,9 +73,9 @@ class TestOutBuffers:
         def program(comm):
             rng = np.random.default_rng(comm.rank)
             local = rng.random((p * 2, 3))
-            plain = comm.reduce_scatter(local, op=ReduceOp.SUM)
+            plain = comm.reduce_scatter(local)
             out = comm.workspace.get("piece", plain.shape)
-            buffered = comm.reduce_scatter(local, op=ReduceOp.SUM, out=out)
+            buffered = comm.reduce_scatter(local, out=out)
             return buffered is (out if comm.size > 1 else local), np.allclose(plain, buffered)
 
         for was_out, close in run_spmd(p, program, backend="lockstep"):
@@ -96,7 +97,7 @@ class TestOutBuffers:
 
     def test_combine_out_shape_checked(self):
         with pytest.raises(CommunicatorError, match="shape"):
-            ReduceOp.SUM.combine([np.ones((2, 2))], out=np.empty((3, 3)))
+            rank_order_sum([np.ones((2, 2))], out=np.empty((3, 3)))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_lossy_out_dtype_rejected_at_any_size(self, p):
@@ -120,12 +121,12 @@ class TestOutBuffers:
 
     def test_combine_out_lossy_dtype_rejected(self):
         with pytest.raises(CommunicatorError, match="dtype"):
-            ReduceOp.SUM.combine(
+            rank_order_sum(
                 [np.ones((2, 2))], out=np.empty((2, 2), dtype=np.float32)
             )
         # Widening casts are fine (int contributions into a float buffer).
         out = np.empty((2,), dtype=np.float64)
-        result = ReduceOp.SUM.combine([np.array([1, 2]), np.array([3, 4])], out=out)
+        result = rank_order_sum([np.array([1, 2]), np.array([3, 4])], out=out)
         assert result is out
         np.testing.assert_array_equal(out, [4.0, 6.0])
 

@@ -252,7 +252,7 @@ def test_history_seconds_tile_the_loop(variant, mode, monkeypatch):
 
     monkeypatch.setattr(LoopControl, "record", record)
     monkeypatch.setattr(loop_mod.SpmdLoop, "end_iteration", end_iteration)
-    for name in ("allgatherv", "allreduce", "reduce_scatter", "allgather", "barrier"):
+    for name in ("allgatherv", "allreduce", "reduce_scatter", "barrier"):
         stamped(name)
     A = sparse_synthetic(30000, 40000, density=1e-4, seed=3)
     res = fit(A, 32, variant=variant, backend="lockstep", n_ranks=2, max_iters=6,

@@ -165,11 +165,18 @@ class TestFlopAccounting:
         assert measured >= 0.01 * estimate
 
     def test_estimate_matches_perf_model(self):
-        from repro.perf.model import bpp_flops
+        from repro.perf.machine import edison_machine
+        from repro.perf.model import hpc_breakdown
+        from repro.plan import ProblemSpec
 
-        assert bpp_flops(16, 300, iterations=7) == pytest.approx(
-            bpp_flops_estimate(16, 300, iterations=7)
+        # The model's NLS term is this estimate over a rank's local columns.
+        machine, problem, p = edison_machine(), ProblemSpec(m=600, n=300, k=16), 4
+        flops = bpp_flops_estimate(
+            16, (600 + 300) / p, iterations=machine.bpp_iterations,
+            grouping_factor=machine.bpp_grouping_factor,
         )
+        nls = hpc_breakdown(problem, p, machine=machine).get("NLS")
+        assert nls == machine.nls_seconds(flops)
         # The documented closed form: iterations * (gf * c * k^3/3 + 2 c k^2).
         assert bpp_flops_estimate(10, 50, iterations=3, grouping_factor=0.4) == (
             pytest.approx(3 * (0.4 * 50 * 1000 / 3.0 + 2.0 * 50 * 100))

@@ -37,7 +37,7 @@ class TestAutoVariant:
         machine = edison_machine()
         problem = ProblemSpec.from_matrix(tall, 3)
         brute_force = min(
-            hpc_breakdown(problem, 3, 4, grid=grid, machine=machine).total
+            hpc_breakdown(problem, 4, grid=grid, machine=machine).total
             for grid in factor_pairs(4)
         )
         assert result.plan.breakdown.total == pytest.approx(brute_force, rel=1e-12)

@@ -90,16 +90,15 @@ class TestCandidateEnumeration:
 
 def _closed_forms(problem, p, machine):
     """Every modeled candidate, straight from perf.model, in variant order."""
-    k = problem.k
     rows = {
-        "sequential": [(None, naive_breakdown(problem, k, 1, machine=machine), 0.0)]
+        "sequential": [(None, naive_breakdown(problem, 1, machine=machine), 0.0)]
         if p == 1 else [],
-        "naive": [(None, naive_breakdown(problem, k, p, machine=machine),
-                   naive_words_per_iteration(problem, k, p))],
-        "hpc1d": [((p, 1), hpc_breakdown(problem, k, p, grid=(p, 1), machine=machine),
-                   hpc_words_per_iteration(problem, k, p, grid=(p, 1)))],
-        "hpc2d": [(g, hpc_breakdown(problem, k, p, grid=g, machine=machine),
-                   hpc_words_per_iteration(problem, k, p, grid=g)) for g in factor_pairs(p)],
+        "naive": [(None, naive_breakdown(problem, p, machine=machine),
+                   naive_words_per_iteration(problem, p))],
+        "hpc1d": [((p, 1), hpc_breakdown(problem, p, grid=(p, 1), machine=machine),
+                   hpc_words_per_iteration(problem, p, grid=(p, 1)))],
+        "hpc2d": [(g, hpc_breakdown(problem, p, grid=g, machine=machine),
+                   hpc_words_per_iteration(problem, p, grid=g)) for g in factor_pairs(p)],
     }
     return [(name, *row) for name in PLANNER_VARIANT_ORDER for row in rows[name]]
 
@@ -135,7 +134,7 @@ class TestOptimality:
         problem = ProblemSpec(m=m, n=n, k=k)
         plan = make_plan(problem, p, machine=machine, variants=["hpc2d"])
         brute_force = min(
-            hpc_breakdown(problem, k, p, grid=grid, machine=machine).total
+            hpc_breakdown(problem, p, grid=grid, machine=machine).total
             for grid in factor_pairs(p)
         )
         assert plan.breakdown.total == pytest.approx(brute_force, rel=1e-12)

@@ -1,11 +1,11 @@
-"""Tests for ProblemSpec and the spec-coercion helper."""
+"""Tests for ProblemSpec: its constructor and its two adapters."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.data.registry import paper_scale
-from repro.plan.problem import ProblemSpec, as_problem
+from repro.plan.problem import ProblemSpec
 from repro.util.errors import ShapeError
 
 
@@ -35,11 +35,6 @@ class TestConstruction:
     def test_invalid_dimensions_rejected(self, kwargs):
         with pytest.raises(ShapeError):
             ProblemSpec(**kwargs)
-
-    def test_with_rank(self):
-        problem = ProblemSpec(m=10, n=10, k=2)
-        assert problem.with_rank(2) is problem
-        assert problem.with_rank(5).k == 5
 
     def test_round_trips_through_dict(self):
         problem = ProblemSpec(m=7, n=9, k=3, nnz=12.0, name="toy")
@@ -79,20 +74,3 @@ class TestDatasetAdapter:
             assert problem.nnz_estimate == pytest.approx(spec.nnz_estimate)
             assert problem.name == spec.name
 
-
-class TestAsProblem:
-    def test_passthrough_and_rerank(self):
-        problem = ProblemSpec(m=10, n=10, k=2)
-        assert as_problem(problem) is problem
-        assert as_problem(problem, 5).k == 5
-
-    def test_dataset_requires_k(self):
-        with pytest.raises(ShapeError, match="rank"):
-            as_problem(paper_scale("SSYN"))
-
-    def test_matrix_coercion(self):
-        assert as_problem(np.ones((6, 4)), 2).m == 6
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            as_problem(object(), 2)

@@ -99,15 +99,23 @@ class TestValidation:
 
 
 class TestEntry:
-    def test_gram_and_cholesky_cached_and_frozen(self):
+    def test_gram_cached_and_frozen_and_checked_at_load(self):
         entry = ModelStore().swap("m", _result())
         assert np.array_equal(entry.gram, entry.W.T @ entry.W)
         assert not entry.W.flags.writeable
         assert not entry.gram.flags.writeable
-        assert not entry.cholesky.flags.writeable
-        # the Cholesky factor reproduces the (ridge-stabilised) Gram
-        rebuilt = entry.cholesky @ entry.cholesky.T
-        assert np.allclose(rebuilt, entry.gram, rtol=1e-8, atol=1e-10)
+        # The load-time Cholesky of the ridge-stabilised Gram refuses a basis
+        # whose columns are numerically dependent: two equal columns at a
+        # scale where the ridge underflows.  The same basis without the
+        # repeated column is accepted, so the dependence is what is refused.
+        independent = _result()
+        independent.W *= 1e-160
+        ModelStore().swap("tiny", independent)
+        dependent = _result()
+        dependent.W[:, 1] = dependent.W[:, 0]
+        dependent.W *= 1e-160
+        with pytest.raises(ModelLoadError, match="numerically dependent"):
+            ModelStore().swap("bad", dependent)
 
     def test_solver_for_memoises_per_kernel(self):
         entry = ModelStore().swap("m", _result())
@@ -191,7 +199,7 @@ class TestInstall:
         newest = primary.get("m")
         installed = worker.install(self._pushed(newest))
         assert worker.get("m") is installed and installed.version == 2
-        for name in ("W", "gram", "cholesky"):
+        for name in ("W", "gram"):
             array = getattr(installed, name)
             assert array.tobytes() == getattr(newest, name).tobytes()
             assert not array.flags.writeable

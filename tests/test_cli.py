@@ -72,6 +72,14 @@ def test_removed_spellings_are_rejected():
         assert excinfo.value.code == 2  # argparse usage error
 
 
+def test_factorize_has_no_overlap_flag(capsys):
+    # Every collective is a blocking call, so there is nothing to switch off.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["factorize", "video-small", "-k", "2", "--no-overlap"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --no-overlap" in capsys.readouterr().err
+
+
 def test_factorize_missing_input_errors():
     with pytest.raises(SystemExit):
         main(["factorize", "definitely-not-a-dataset", "-k", "2"])
@@ -265,7 +273,7 @@ def test_top_level_help_lists_the_five_subcommands(capsys):
 def _registries() -> dict:
     from repro.comm.backends import available_backends
     from repro.core.variants import available_variants
-    from repro.nls.base import available_solvers
+    from repro.nls import available_solvers
     from repro.nls.kernels import available_kernels
 
     return {

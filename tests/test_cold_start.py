@@ -91,6 +91,20 @@ def test_a_sparse_fit_with_each_solver_loads_scipy_sparse_alone(solver):
     assert _loaded_after(program, *_SCIPY) == {"scipy.sparse"}
 
 
+def test_a_lockstep_fit_imports_only_its_own_backend():
+    """The backend table imports the module of the row a fit names, and no
+    other backend's."""
+    program = (
+        "import numpy as np\n"
+        "from repro import fit\n"
+        "A = np.abs(np.random.default_rng(0).standard_normal((48, 36)))\n"
+        "fit(A, 4, variant='hpc2d', n_ranks=2, backend='lockstep', max_iters=3, seed=1)\n"
+    )
+    backends = [f"repro.comm.backends.{name}"
+                for name in ("lockstep", "process", "socket", "mpi", "thread", "forked")]
+    assert _loaded_after(program, *backends) == {"repro.comm.backends.lockstep"}
+
+
 def test_importing_the_cli_loads_neither_scipy_nor_the_server():
     assert _loaded_after("import repro.cli", *_SCIPY, "repro.serve.server", "asyncio", "orjson") == set()
 
