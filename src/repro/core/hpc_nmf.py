@@ -177,14 +177,23 @@ def hpc_nmf(
     # Line 5 gathers H_j for line 6.  A dense block multiplies it as gathered;
     # a sparse block's kernel reads H_jᵀ, so each rank sends its (H_j)_iᵀ and
     # the gather assembles H_jᵀ where the kernel reads it (the same words).
-    # The send copy is live from line 5 to line 7 and W's C-ordered home —
-    # the line-8 solution (W_i)_jᵀ transposed — from line 8 to the end of
-    # the iteration, so the two share one flat buffer.
+    # The send copy is read until line 5 returns (until line 7 on pr = 1,
+    # where the gather hands it back as H_jᵀ) and W's C-ordered home — the
+    # line-8 solution (W_i)_jᵀ transposed — from line 8 to the end of the
+    # iteration, so the two share one flat buffer.  It also holds any line-6
+    # panel's k × rows (W's sub-block is one of those panels).
+    #
+    # With pr > 1 that buffer is free during lines 6-7 and the gathered H_jᵀ
+    # during lines 12-13: each is lent to its product as the full-height
+    # accumulator of its column panels (repro.core.local_ops).  On pr = 1
+    # nothing is free and both products run as one panel.
     if mm.sparse:
-        home = ws.get("ht_w_home", k * max(h_sub_cols, w_sub_rows))
+        home = ws.get("ht_w_home", k * max(h_sub_cols, *w_scatter_counts))
         ht_local_buf = home[:h_sub_cols * k].reshape(h_sub_cols, k)
         w_local_buf = home[:w_sub_rows * k].reshape(w_sub_rows, k)
         Ht_j_buf = recv_buffer(grid.col_comm, "H_jt", (local_cols, k))
+        if grid.col_comm.size > 1:
+            mm.lend(home, Ht_j_buf.reshape(-1))
     else:
         w_local_buf = ws.get("w_local", (w_sub_rows, k))
         H_j_buf = recv_buffer(grid.col_comm, "H_j", (k, local_cols))

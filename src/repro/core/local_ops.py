@@ -15,15 +15,36 @@ is the orientation BLAS runs fastest (measured on ``dense_mm``'s 3000 × 4000
 block at k = 32: 21 ms k-leading against 29 ms for ``A @ Hᵀ``, same bits).
 
 A sparse block has no BLAS: scipy's CSR kernel ``csr_matvecs`` computes
-``A X`` one output row at a time, reading a row-major ``X``, so its natural
-result is ``rows × k``.  :func:`csr_product_t` calls it on ~2048 rows at a
-time into a cache-resident ``2048 × k`` scratch block and turns each block
-straight into its columns of the caller's ``k × rows`` output, so neither a
-``rows × k`` product nor its transpose is ever allocated.  Line 6 runs it on
-the CSR of ``A`` against a C-ordered copy of ``Hᵀ``, line 12 on the CSR of
-``Aᵀ`` (held once per fit, the CSC of ``A``) against ``W`` itself.  Every
-output row sums its nonzeros in scipy's order, so the bits are scipy's
-``(A @ Hᵀ)ᵀ`` and ``(Aᵀ @ W)ᵀ``.  :class:`BlockProducts` holds those
+``S X`` one output row at a time, reading a row-major ``X``, so its natural
+result is ``rows × k``.  :func:`csr_product_t` turns each finished block of
+that result straight into its columns of the caller's ``k × rows`` output,
+so neither a ``rows × k`` product nor its transpose is ever allocated.  Line
+6 runs it on the CSR of ``A`` against a C-ordered copy of ``Hᵀ``, line 12 on
+the CSR of ``Aᵀ`` against ``W`` itself.  Every output row sums its nonzeros
+in scipy's order, so the bits are scipy's ``(A @ Hᵀ)ᵀ`` and ``(Aᵀ @ W)ᵀ``.
+
+Each nonzero reads one random ``k``-double row of ``X``, and ``X`` is as
+tall as the block is wide: 20 MB on a ``sparse_wire`` rank, far past one
+core's 4 MiB L2.  There a nonzero costs 110-120 ns, against 30-40 ns when
+``X`` fits in L2 (docs/ARCHITECTURE.md, "Sparse products in column
+panels").  So the products run in column panels: ``S``'s
+columns are cut into panels whose rows of ``X`` take :data:`PANEL_BYTES`
+(:func:`panel_width` rows), and ``csr_matvecs`` adds panel after panel into
+one full-height ``rows × k`` accumulator, which is then turned into ``out``
+:data:`SPARSE_BLOCK_ROWS` rows at a time.  A canonical block lists each
+row's columns in order, so every output entry receives the same additions
+in the same order as from one panel: the bits do not change.  Line 6's
+panels are a copy of the block reordered by panel (12 bytes per nonzero),
+line 12's are the transposes of the block's row slices, which together
+replace the one transpose.
+
+The accumulator is borrowed, never allocated: :meth:`BlockProducts.lend`
+takes a loop buffer that is dead while the product runs (on a grid with
+``pr > 1``, :func:`~repro.core.hpc_nmf.hpc_nmf` lends W's home to line 6 and
+the gathered ``H_jᵀ`` to line 12).  Without one — the sequential fit, any
+``1 × pc`` grid, the naive loop — or when ``X`` fits one panel, a product
+runs as one panel over a :data:`SPARSE_BLOCK_ROWS` × k scratch block, one
+cache-resident block of rows at a time.  :class:`BlockProducts` holds those
 operands for a fit's loop, so in steady state the products allocate nothing.
 """
 
@@ -49,9 +70,17 @@ def gram(X: np.ndarray, transpose_first: bool) -> np.ndarray:
 
 
 #: Rows of the sparse operand per call of scipy's kernel in
-#: :func:`csr_product_t`: a 2048 × k block of doubles stays in a 2 MB L2 for
-#: k up to 128, so turning it into the ``k × rows`` output costs little.
+#: :func:`csr_product_t` over one panel, and rows per turn of an accumulator
+#: into the ``k × rows`` output: a 2048 × k block of doubles stays in a 2 MB
+#: L2 for k up to 128, so turning it costs little.
 SPARSE_BLOCK_ROWS = 2048
+
+#: Bytes of the dense right operand one column panel of a sparse product
+#: reads (its ``PANEL_BYTES / (8 k)`` rows): one core's L2.  A safety valve
+#: like ``repro.nls.kernels.WORKSPACE_BYTES``, not a knob: measured with two
+#: ranks at once on ``sparse_wire``'s blocks, where 3-4 MiB were fastest
+#: (docs/ARCHITECTURE.md, "Sparse products in column panels").
+PANEL_BYTES = 4 << 20
 
 
 def _csr64(A):
@@ -60,26 +89,79 @@ def _csr64(A):
     return A if A.dtype == np.float64 else A.astype(np.float64)
 
 
+def panel_width(k: int) -> int:
+    """Rows of a ``k``-column dense operand that one column panel reads."""
+    return max(1, PANEL_BYTES // (8 * k))
+
+
+def column_panels(block, width: Optional[int]) -> list:
+    """``block``'s columns in panels of ``width``: ``[(csr, first column)]``.
+
+    Each panel is a CSR copy of a column range (together 12 bytes per
+    nonzero).  ``width=None``, a width that spans every column, or a block
+    whose rows are not sorted by column (splitting those would reorder their
+    sums) give one panel, the CSR of ``block`` itself.
+    """
+    csr = _csr64(block)
+    n = csr.shape[1]
+    if width is None or width >= n or not csr.has_sorted_indices:
+        return [(csr, 0)]
+    return [(csr[:, c:c + width], c) for c in range(0, n, width)]
+
+
+def transposed_panels(block, width: Optional[int]) -> list:
+    """The columns of ``blockᵀ`` in panels of ``width``: ``[(csr, first column)]``.
+
+    Panel ``q`` is the CSR of the transpose of ``block``'s rows
+    ``[q·width, (q + 1)·width)``, so together the panels hold ``blockᵀ``
+    once; ``width=None`` (or one spanning every row) gives the CSR of
+    ``blockᵀ`` as one panel.  Every row of a transpose lists its columns in
+    order, so the panels keep each row's order.
+    """
+    m = block.shape[0]
+    if width is None or width >= m:
+        return [(_csr64(block.T), 0)]
+    csr = _csr64(block)
+    return [(_csr64(_row_view(csr, r, min(r + width, m)).T), r) for r in range(0, m, width)]
+
+
+def _row_view(csr, r0: int, r1: int):
+    """Rows ``[r0, r1)`` of ``csr`` over views of its value and index arrays."""
+    s, e = csr.indptr[r0], csr.indptr[r1]
+    return type(csr)(
+        (csr.data[s:e], csr.indices[s:e], csr.indptr[r0:r1 + 1] - s),
+        shape=(r1 - r0, csr.shape[1]), copy=False,
+    )
+
+
 def csr_product_t(
-    csr,
+    panels,
     X: np.ndarray,
     out: Optional[np.ndarray] = None,
     lo: int = 0,
     hi: Optional[int] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Write ``(csr[lo:hi] @ X)ᵀ`` into ``out`` (``k × (hi − lo)``) and return it.
+    """Write ``(S[lo:hi] @ X)ᵀ`` into ``out`` (``k × (hi − lo)``) and return it.
 
-    ``csr`` is a float64 CSR matrix and ``X`` its C-ordered float64 dense
-    right operand (``csr.shape[1] × k``).  Rows ``[lo, hi)`` are a range of
-    ``csr``'s row pointer, so a panel of the block costs no copy.  Each block
-    of :data:`SPARSE_BLOCK_ROWS` rows is summed by scipy's ``csr_matvecs``
-    into ``scratch`` (at least ``SPARSE_BLOCK_ROWS × k``, C-ordered; one is
-    allocated when omitted) and transposed into its columns of ``out``.
+    ``S`` is a float64 sparse matrix given as its column panels, a list of
+    ``(csr, first)`` pairs whose ``csr`` holds ``S``'s columns from ``first``
+    on (:func:`column_panels`, :func:`transposed_panels`; ``[(S, 0)]`` is one
+    panel).  ``X`` is the dense right operand (``S.shape[1] × k``, C-ordered
+    or copied so).  Rows ``[lo, hi)`` are a range of each panel's row
+    pointer, so a row range of ``S`` costs no copy.
+
+    Rows are summed ``scratch.shape[0]`` at a time (at least that many × k,
+    C-ordered; a :data:`SPARSE_BLOCK_ROWS` one is allocated when omitted):
+    scipy's ``csr_matvecs`` adds each panel's nonzeros into the zeroed rows,
+    panel after panel, and the rows are turned into their columns of ``out``
+    :data:`SPARSE_BLOCK_ROWS` at a time.  With sorted column indices in every
+    row, each output entry receives its additions in the order one panel
+    would give them, so the bits do not depend on the panels.
     """
     from scipy.sparse import _sparsetools
 
-    hi = csr.shape[0] if hi is None else hi
+    hi = panels[0][0].shape[0] if hi is None else hi
     k = X.shape[1]
     if out is None:
         out = np.empty((k, hi - lo))
@@ -87,17 +169,23 @@ def csr_product_t(
         raise ValueError(f"out has shape {out.shape}, expected {(k, hi - lo)}")
     if scratch is None:
         scratch = np.empty((max(1, min(SPARSE_BLOCK_ROWS, hi - lo)), k))
-    step = scratch.shape[0]
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    x, n_col = X.ravel(), csr.shape[1]
+    step = max(1, scratch.shape[0])  # an empty range has an empty accumulator
+    operands = [
+        (csr.indptr, csr.indices, csr.data, csr.shape[1],
+         X[first:first + csr.shape[1]].ravel())
+        for csr, first in panels
+    ]
     for row in range(lo, hi, step):
         end = min(row + step, hi)
         block = scratch[: end - row]
         block.fill(0.0)  # csr_matvecs accumulates into its output
-        _sparsetools.csr_matvecs(
-            end - row, n_col, k, indptr[row:end + 1], indices, data, x, block.ravel()
-        )
-        out[:, row - lo:end - lo] = block.T
+        for indptr, indices, data, n_col, x in operands:
+            _sparsetools.csr_matvecs(
+                end - row, n_col, k, indptr[row:end + 1], indices, data, x, block.ravel()
+            )
+        for turn in range(row, end, SPARSE_BLOCK_ROWS):
+            stop = min(turn + SPARSE_BLOCK_ROWS, end)
+            out[:, turn - lo:stop - lo] = block[turn - row:stop - row].T
     return out
 
 
@@ -111,19 +199,47 @@ class BlockProducts:
     straight to BLAS (``np.matmul`` with ``out=``, the call
     :func:`matmul_h_at` makes).  Sparse blocks keep what
     :func:`csr_product_t` reads, each built on first use and reused after:
-    the CSR of the block (line 6), the CSR of its transpose (line 12), the
-    scratch block, and one C-ordered home for ``Hᵀ`` (line 6).  Line 12 reads
-    the caller's ``W`` in place: every loop gathers it C-ordered (a strided
-    ``W`` is still right, at the cost of the copy ``csr_product_t`` makes).
+    the column panels of the block (line 6) and of its transpose (line 12),
+    the scratch block, and one C-ordered home for ``Hᵀ`` (line 6).  Line 12
+    reads the caller's ``W`` in place: every loop gathers it C-ordered (a
+    strided ``W`` is still right, at the cost of the copy ``csr_product_t``
+    makes).
+
+    Each product runs as one panel over the scratch block unless the loop
+    lends it a full-height accumulator (:meth:`lend`): then the block's
+    columns (line 6) or rows (line 12) are cut into :func:`panel_width`
+    panels, built on first use (line 6's are a 12-byte-per-nonzero copy of
+    the block; line 12's replace the one-panel transpose).
     """
 
     def __init__(self, block, k: int):
         self.block = block
         self.sparse = is_sparse(block)
         self.k = int(k)
-        self._csr = self._csr_t = self._operand = None
-        self._h = self._ht = None
+        self._operand = self._h = self._ht = None
         self._scratch = np.empty((SPARSE_BLOCK_ROWS, self.k)) if self.sparse else None
+        self._lent = [None, None]     # line 6, line 12
+        self._panels = [None, None]
+
+    def lend(self, h_at: Optional[np.ndarray], wt_a: Optional[np.ndarray]) -> None:
+        """Take flat buffers that are dead while :meth:`h_at` / :meth:`wt_a` run.
+
+        Each is its product's full-height accumulator: at least
+        ``k × (hi − lo)`` doubles for every range the loop asks for.  ``None``
+        keeps that product on the scratch block.  Call before the first
+        product.
+        """
+        self._lent = [h_at, wt_a]
+
+    def _sparse_product(self, line, build, X, out, lo, hi) -> np.ndarray:
+        lent = self._lent[line]
+        if self._panels[line] is None:
+            width = None if lent is None else panel_width(self.k)
+            self._panels[line] = build(self.block, width)
+        panels = self._panels[line]
+        rows = hi - lo
+        scratch = self._scratch if len(panels) == 1 else lent[:rows * self.k].reshape(rows, self.k)
+        return csr_product_t(panels, X, out, lo, hi, scratch)
 
     def set_h(self, H: np.ndarray) -> None:
         """Take this iteration's ``H`` (``k × n_local``) for :meth:`h_at`."""
@@ -147,9 +263,7 @@ class BlockProducts:
             return np.matmul(self._h, self.block[lo:hi].T, out=out)
         if self._ht is None:
             raise RuntimeError("h_at needs set_h or set_ht first")
-        if self._csr is None:
-            self._csr = _csr64(self.block)
-        return csr_product_t(self._csr, self._ht, out, lo, hi, self._scratch)
+        return self._sparse_product(0, column_panels, self._ht, out, lo, hi)
 
     def wt_a(self, W: np.ndarray, out: np.ndarray, lo: int = 0,
              hi: Optional[int] = None) -> np.ndarray:
@@ -157,9 +271,7 @@ class BlockProducts:
         hi = self.block.shape[1] if hi is None else hi
         if not self.sparse:
             return np.matmul(W.T, self.block[:, lo:hi], out=out)
-        if self._csr_t is None:
-            self._csr_t = _csr64(self.block.T)
-        return csr_product_t(self._csr_t, W, out, lo, hi, self._scratch)
+        return self._sparse_product(1, transposed_panels, W, out, lo, hi)
 
 
 def matmul_h_at(H: np.ndarray, A_block, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -174,7 +286,8 @@ def matmul_h_at(H: np.ndarray, A_block, out: Optional[np.ndarray] = None) -> np.
     """
     H = np.asarray(H)
     if is_sparse(A_block):
-        return csr_product_t(_csr64(A_block), np.ascontiguousarray(H.T, dtype=np.float64), out)
+        Ht = np.ascontiguousarray(H.T, dtype=np.float64)
+        return csr_product_t([(_csr64(A_block), 0)], Ht, out)
     return np.matmul(H, A_block.T, out=out)
 
 
@@ -200,7 +313,7 @@ def matmul_wt_a(W_block: np.ndarray, A_block, out: Optional[np.ndarray] = None) 
     W_block = np.asarray(W_block)
     if is_sparse(A_block):
         return csr_product_t(
-            _csr64(A_block.T), np.ascontiguousarray(W_block, dtype=np.float64), out
+            [(_csr64(A_block.T), 0)], np.ascontiguousarray(W_block, dtype=np.float64), out
         )
     return np.matmul(W_block.T, A_block, out=out)
 

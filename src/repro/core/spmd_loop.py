@@ -40,7 +40,7 @@ from repro.core.observers import IterationObserver, LoopControl, notify_finish
 from repro.core.regularized import Penalty, Regularization
 from repro.core.result import NMFResult
 from repro.util.errors import PartitionError
-from repro.util.validation import check_matrix, check_nonnegative, check_rank
+from repro.util.validation import check_nonnegative_matrix, check_rank
 
 logger = logging.getLogger("repro.core")
 
@@ -191,8 +191,7 @@ def assemble_result(per_rank: list[dict], config: NMFConfig) -> NMFResult:
 
 
 def _checked(A, config: NMFConfig):
-    A = check_matrix(A, "A")
-    check_nonnegative(A, "A")
+    A = check_nonnegative_matrix(A, "A")
     check_rank(config.k, *A.shape)
     return A
 

@@ -41,7 +41,7 @@ from repro.core.spmd_loop import run_in_process, run_on_backend, run_on_self
 from repro.core.streaming import StreamingNMF
 from repro.core.symmetric import SymmetryPenalty, SymNMFResult
 from repro.util.errors import ShapeError
-from repro.util.validation import check_matrix, check_nonnegative, check_rank
+from repro.util.validation import check_nonnegative_matrix, check_rank
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def _symmetric(A, config: NMFConfig, observers=(), alpha: Optional[float] = None
     symmetry penalty; ``None`` applies the ``max(S)²`` heuristic of the
     SymNMF literature.
     """
-    S = check_matrix(A, "A")
-    check_nonnegative(S, "A")
+    S = check_nonnegative_matrix(A, "A")
     if S.shape[0] != S.shape[1]:
         S = S.T @ S
         if not isinstance(S, np.ndarray):
@@ -146,8 +145,7 @@ def _streaming(
     sums the refreshes' profiles.  For a live feed, drive
     :class:`StreamingNMF` directly.
     """
-    A = check_matrix(A, "A")
-    check_nonnegative(A, "A")
+    A = check_nonnegative_matrix(A, "A")
     m, n = A.shape
     if n < 2:
         raise ShapeError(f"streaming needs at least 2 frames (columns), got {n}")

@@ -262,7 +262,14 @@ class ModelStore:
                 path=source,
             )
         W.setflags(write=False)
-        gram = W.T @ W
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            gram = W.T @ W
+        if not np.isfinite(gram).all():
+            raise ModelLoadError(
+                f"{described}: WᵀW overflows; the basis entries are too large "
+                "to project with",
+                path=source,
+            )
         gram.setflags(write=False)
         k = W.shape[1]
         try:

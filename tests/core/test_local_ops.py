@@ -98,8 +98,9 @@ def test_blocked_panels_are_scipys_bits(case, k):
 
 
 def test_block_products_reuse_their_operands():
-    """The CSR twins, the scratch block and the home of the copied Hᵀ are
-    built once; a strided W multiplies correctly and leaves that home alone."""
+    """The panels of both products, the scratch block and the home of the
+    copied Hᵀ are built once; a strided W multiplies correctly and leaves
+    that home alone."""
     A = _ragged(np.int32)
     k = 5
     products = BlockProducts(A, k)
@@ -113,7 +114,7 @@ def test_block_products_reuse_their_operands():
         products.h_at(out_h)
         assert np.shares_memory(products._ht, products._operand)
         products.wt_a(np.asfortranarray(W), out_w)
-        now = (products._csr, products._csr_t, products._operand, products._scratch)
+        now = (*products._panels, products._operand, products._scratch)
         assert all(x is not None for x in now)
         if held is not None:
             assert all(a is b for a, b in zip(now, held))
@@ -139,7 +140,7 @@ def test_csr_product_t_writes_through_a_strided_destination():
     A = _ragged(np.int32)
     W = np.random.default_rng(5).random((A.shape[0], 3))
     wide = np.zeros((3, A.shape[1] + 200))
-    csr_product_t(A.T.tocsr(), W, wide[:, 100:-100])
+    csr_product_t([(A.T.tocsr(), 0)], W, wide[:, 100:-100])
     assert wide[:, 100:-100].tobytes() == np.ascontiguousarray((A.T @ W).T).tobytes()
     assert not wide[:, :100].any() and not wide[:, -100:].any()
 
@@ -147,7 +148,7 @@ def test_csr_product_t_writes_through_a_strided_destination():
 def test_csr_product_t_rejects_a_mismatched_destination():
     A = sp.csr_matrix(np.ones((6, 4)))
     with pytest.raises(ValueError, match="expected"):
-        csr_product_t(A, np.ones((4, 2)), np.zeros((6, 2)))
+        csr_product_t([(A, 0)], np.ones((4, 2)), np.zeros((6, 2)))
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])

@@ -82,6 +82,15 @@ class TestValidation:
         with pytest.raises(ModelLoadError, match="non-finite"):
             ModelStore().swap("bad", res)
 
+    def test_basis_whose_gram_overflows_rejected(self):
+        """Finite, nonnegative entries near 1e160 square past the float range:
+        the Gram is refused by name, not served as inf."""
+        res = _result()
+        res.W = np.abs(np.random.default_rng(3).standard_normal((40, 3))) * 1e160
+        assert np.isfinite(res.W).all()
+        with pytest.raises(ModelLoadError, match="'huge'.*WᵀW overflows"):
+            ModelStore().swap("huge", res)
+
     def test_zero_column_rejected(self):
         res = _result()
         res.W[:, 2] = 0.0

@@ -8,6 +8,7 @@ from repro.util.errors import NonNegativityError, ShapeError
 from repro.util.validation import (
     check_matrix,
     check_nonnegative,
+    check_nonnegative_matrix,
     check_rank,
     is_sparse,
 )
@@ -116,6 +117,121 @@ class TestCheckNonnegative:
 
     def test_accepts_empty_sparse(self):
         check_nonnegative(sp.csr_matrix((5, 5)))
+
+
+SPECIAL = {
+    "+0": 0.0, "-0": -0.0, "+tiny": 5e-324, "-tiny": -5e-324, "+max": 1.7976931348623157e308,
+    "-max": -1.7976931348623157e308, "+inf": np.inf, "-inf": -np.inf, "nan": np.nan,
+    "-nan": -np.nan, "-1": -1.0,
+}
+
+
+def _two_checks(A):
+    """The pair the single pass replaces: what it must raise, or None."""
+    try:
+        check_nonnegative(check_matrix(A))
+    except (ShapeError, NonNegativityError) as exc:
+        return type(exc)
+    return None
+
+
+def _outcome(A):
+    try:
+        check_nonnegative_matrix(A)
+    except (ShapeError, NonNegativityError) as exc:
+        return type(exc)
+    return None
+
+
+def _layouts(A):
+    """C-ordered, Fortran-ordered, strided (every other row and column), sparse."""
+    wide = np.zeros((2 * A.shape[0], 2 * A.shape[1]))
+    wide[::2, ::2] = A
+    return {"C": A, "F": np.asfortranarray(A), "strided": wide[::2, ::2],
+            "csr": sp.csr_matrix(A), "csc": sp.csc_matrix(A)}
+
+
+class TestCheckNonnegativeMatrix:
+    """One unsigned maximum over the bits, the exact checks only when it fails."""
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL))
+    def test_every_special_value_ends_as_the_two_checks_do(self, name):
+        A = np.random.default_rng(0).random((30, 20))
+        A[17, 3] = SPECIAL[name]
+        for layout, X in _layouts(A).items():
+            assert _outcome(X) == _two_checks(X), layout
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_minus_zero_is_accepted_and_kept(self, layout):
+        A = np.random.default_rng(1).random((30, 20))
+        A[5, 5] = -0.0
+        got = check_nonnegative_matrix(_layouts(A)[layout])
+        assert np.signbit(got[5, 5]) and got.tobytes() == A.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_a_stored_minus_zero_is_accepted_and_kept(self, fmt):
+        S = sp.random(30, 20, density=0.3, random_state=1, format=fmt)
+        S.data[4] = -0.0
+        got = check_nonnegative_matrix(S)
+        assert np.signbit(got.data).sum() == 1
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "csr", "csc"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_raises_shape_error(self, value, layout):
+        A = np.random.default_rng(2).random((30, 20))
+        A[29, 19] = value
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            check_nonnegative_matrix(_layouts(A)[layout])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "csr", "csc"])
+    def test_negative_raises_non_negativity_error(self, layout):
+        A = np.random.default_rng(3).random((30, 20))
+        A[0, 7] = -1e-300
+        with pytest.raises(NonNegativityError, match="nonnegative"):
+            check_nonnegative_matrix(_layouts(A)[layout])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "csr", "csc"])
+    def test_nan_is_reported_before_a_negative(self, layout):
+        A = np.random.default_rng(4).random((30, 20))
+        A[0, 0] = -2.0
+        A[20, 10] = np.nan
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            check_nonnegative_matrix(_layouts(A)[layout])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "csr", "csc"])
+    def test_valid_input_comes_back_canonical(self, layout):
+        A = np.random.default_rng(5).random((30, 20))
+        got = check_nonnegative_matrix(_layouts(A)[layout])
+        if layout in ("csr", "csc"):
+            assert got.format == "csr" and got.dtype == np.float64
+            got = got.toarray()
+        assert got.flags["C_CONTIGUOUS"] and got.tobytes() == A.tobytes()
+
+    def test_c_ordered_float64_input_is_returned_as_is(self):
+        A = np.random.default_rng(6).random((20, 10))
+        assert check_nonnegative_matrix(A) is A
+
+    def test_shape_errors_come_first(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            check_nonnegative_matrix(-np.arange(5.0))
+        with pytest.raises(ShapeError, match="zero dimension"):
+            check_nonnegative_matrix(np.zeros((0, 4)))
+
+    def test_an_empty_sparse_matrix_passes(self):
+        assert check_nonnegative_matrix(sp.csr_matrix((5, 5))).nnz == 0
+
+    def test_allocates_no_matrix_sized_temporary(self):
+        import tracemalloc
+
+        A = np.random.default_rng(7).random((2000, 1000))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert check_nonnegative_matrix(A) is A
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCheckRank:
