@@ -129,10 +129,11 @@ def hpc_nmf(
     grid = ProcessGrid(comm, pr, pc)
     data = DistMatrix2D.from_global(grid, A)
 
-    # Factor sub-blocks (Figure 2).  H is seeded identically to the sequential
-    # reference; W starts empty (the first half-iteration computes it).
-    H_fac = DistributedFactorH.zeros(grid, k, n)
-    W_fac = DistributedFactorW.zeros(grid, m, k)
+    # Factor sub-blocks (Figure 2), each built around its real block: H is
+    # seeded identically to the sequential reference, and W is its home
+    # buffer below, which line 8 fills before anything reads it.
+    H_fac = DistributedFactorH(grid, k, n)
+    W_fac = DistributedFactorW(grid, m, k)
     if initial is None:
         H_fac.local = init_h_slice(k, n, config.seed, H_fac.global_range)
     else:
@@ -153,11 +154,13 @@ def hpc_nmf(
     # columns of V_ijᵀ bound for row-comm rank t come from the matching row
     # panel of A_ij, the columns of Y_ij for col-comm rank t from the matching
     # column panel.  A panel is a row or column range of the block's operands
-    # (see repro.core.local_ops.BlockProducts), never a copy, and each is
-    # reduce-scattered the moment it is computed (see repro.comm.panels).
-    mm = BlockProducts(data.block, k)
+    # (see repro.core.local_ops.BlockProducts), and each is reduce-scattered
+    # the moment it is computed (see repro.comm.panels).  A sparse block's
+    # cache-sized column panels are cut inside the line-12 ranges, so each
+    # range is a run of whole panels.
     w_panels = panel_slices(w_scatter_counts)
     h_panels = panel_slices(h_scatter_counts)
+    mm = BlockProducts(data.block, k, h_panels)
 
     # Reusable collective workspaces: every iteration runs the same
     # collectives on the same shapes, so their results are written into
@@ -183,19 +186,19 @@ def hpc_nmf(
     # iteration, so the two share one flat buffer.  It also holds any line-6
     # panel's k × rows (W's sub-block is one of those panels).
     #
-    # With pr > 1 that buffer is free during lines 6-7 and the gathered H_jᵀ
-    # during lines 12-13: each is lent to its product as the full-height
-    # accumulator of its column panels (repro.core.local_ops).  On pr = 1
-    # nothing is free and both products run as one panel.
+    # With pr > 1 that buffer is free during lines 6-7: it is lent to line 6
+    # as the full-height accumulator of its column panels
+    # (repro.core.local_ops).  On pr = 1 nothing is free and line 6 runs as
+    # one panel; line 12 needs no accumulator.
     if mm.sparse:
         home = ws.get("ht_w_home", k * max(h_sub_cols, *w_scatter_counts))
         ht_local_buf = home[:h_sub_cols * k].reshape(h_sub_cols, k)
-        w_local_buf = home[:w_sub_rows * k].reshape(w_sub_rows, k)
+        W_fac.local = home[:w_sub_rows * k].reshape(w_sub_rows, k)
         Ht_j_buf = recv_buffer(grid.col_comm, "H_jt", (local_cols, k))
         if grid.col_comm.size > 1:
-            mm.lend(home, Ht_j_buf.reshape(-1))
+            mm.lend(home)
     else:
-        w_local_buf = ws.get("w_local", (w_sub_rows, k))
+        W_fac.local = ws.get("w_local", (w_sub_rows, k))
         H_j_buf = recv_buffer(grid.col_comm, "H_j", (k, local_cols))
 
     # Both reduce-scatters land in the C-ordered k × (m/p) / k × (n/p) buffer
@@ -213,8 +216,9 @@ def hpc_nmf(
 
     # The line-8 NLS warm-starts from its own previous (W_i)_jᵀ, C-ordered
     # like its right-hand side, and writes its solution over it; line 14 does
-    # the same with H's sub-block.
-    Wt_local = np.zeros((k, w_sub_rows))
+    # the same with H's sub-block.  Iteration 0 warm-starts only from a
+    # nonzero ``initial`` block, and an all-zero W always cold-starts.
+    Wt_local = np.empty((k, w_sub_rows))
     if initial is not None:
         Wt_local[:] = initial[0][slice(*W_fac.global_range)].T
 
@@ -258,11 +262,9 @@ def hpc_nmf(
         )
         with profiler.task(TaskCategory.NLS):
             normal = regularization.normal_equations(gram_h, aht_block, H_fac.local)
-            solver.solve(                                        # line 8
-                *normal, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
-            )
-        np.copyto(w_local_buf, Wt_local.T)
-        W_fac.local = w_local_buf
+            warm = (iteration or initial is not None) and np.any(Wt_local)
+            solver.solve(*normal, x0=Wt_local if warm else None, out=Wt_local)  # line 8
+        np.copyto(W_fac.local, Wt_local.T)
 
         # ---------------- Compute H given W (lines 9-14) ---------------
         with profiler.task(TaskCategory.GRAM):

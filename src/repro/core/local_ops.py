@@ -14,43 +14,41 @@ layout the NLS solvers read, so the loops never transpose a product, and it
 is the orientation BLAS runs fastest (measured on ``dense_mm``'s 3000 × 4000
 block at k = 32: 21 ms k-leading against 29 ms for ``A @ Hᵀ``, same bits).
 
-A sparse block has no BLAS: scipy's CSR kernel ``csr_matvecs`` computes
-``S X`` one output row at a time, reading a row-major ``X``, so its natural
-result is ``rows × k``.  :func:`csr_product_t` turns each finished block of
-that result straight into its columns of the caller's ``k × rows`` output,
-so neither a ``rows × k`` product nor its transpose is ever allocated.  Line
-6 runs it on the CSR of ``A`` against a C-ordered copy of ``Hᵀ``, line 12 on
-the CSR of ``Aᵀ`` against ``W`` itself.  Every output row sums its nonzeros
-in scipy's order, so the bits are scipy's ``(A @ Hᵀ)ᵀ`` and ``(Aᵀ @ W)ᵀ``.
+A sparse block has no BLAS, and one copy of it serves both products, as in
+the authors' MPI-FAUN.  Each nonzero reads one random ``k``-double row of the
+dense operand, which is as tall as the block is wide (line 6) or high (line
+12): 20 MB on a ``sparse_wire`` rank, far past one core's 4 MiB L2.  There a
+nonzero costs 110-120 ns, against 30-40 ns when the operand fits in L2
+(docs/ARCHITECTURE.md, "Sparse products in column panels").  So the block's
+columns are cut into panels whose rows of ``Hᵀ`` take :data:`PANEL_BYTES`
+(:func:`panel_width` columns), and also at line 12's reduce-scatter
+boundaries (:func:`column_panels`, one pass over the block):
 
-Each nonzero reads one random ``k``-double row of ``X``, and ``X`` is as
-tall as the block is wide: 20 MB on a ``sparse_wire`` rank, far past one
-core's 4 MiB L2.  There a nonzero costs 110-120 ns, against 30-40 ns when
-``X`` fits in L2 (docs/ARCHITECTURE.md, "Sparse products in column
-panels").  So the products run in column panels: ``S``'s
-columns are cut into panels whose rows of ``X`` take :data:`PANEL_BYTES`
-(:func:`panel_width` rows), and ``csr_matvecs`` adds panel after panel into
-one full-height ``rows × k`` accumulator, which is then turned into ``out``
-:data:`SPARSE_BLOCK_ROWS` rows at a time.  A canonical block lists each
-row's columns in order, so every output entry receives the same additions
-in the same order as from one panel: the bits do not change.  Line 6's
-panels are a copy of the block reordered by panel (12 bytes per nonzero),
-line 12's are the transposes of the block's row slices, which together
-replace the one transpose.
+- line 6 is scipy's CSR kernel ``csr_matvecs``, which computes ``A Hᵀ`` one
+  output row at a time (:func:`csr_product_t`).  It reads the block as one
+  panel over a :data:`SPARSE_BLOCK_ROWS` × k scratch block, or, where the
+  loop lends it a full-height ``rows × k`` accumulator, adds the column panels
+  into it one after the other.  A canonical block lists each row's columns in
+  order, so every output entry receives the same additions in the same order
+  either way;
+- line 12 reads each column panel's CSR arrays as the CSC of its transpose:
+  scipy's ``csc_matvecs`` scatters row after row of ``W`` into the panel's
+  ``width × k`` rows of ``Aᵀ W`` (:func:`csc_product_t`), which are turned
+  into their columns of the ``k × rows`` output in L2-sized turns.  Every
+  output entry adds its nonzeros in increasing row order, the order of the
+  transposed CSR this replaced.
 
-The accumulator is borrowed, never allocated: :meth:`BlockProducts.lend`
-takes a loop buffer that is dead while the product runs (on a grid with
-``pr > 1``, :func:`~repro.core.hpc_nmf.hpc_nmf` lends W's home to line 6 and
-the gathered ``H_jᵀ`` to line 12).  Without one — the sequential fit, any
-``1 × pc`` grid, the naive loop — or when ``X`` fits one panel, a product
-runs as one panel over a :data:`SPARSE_BLOCK_ROWS` × k scratch block, one
-cache-resident block of rows at a time.  :class:`BlockProducts` holds those
-operands for a fit's loop, so in steady state the products allocate nothing.
+So the bits are scipy's ``(A @ Hᵀ)ᵀ`` and ``(Aᵀ @ W)ᵀ``.  :class:`BlockProducts`
+holds the panels, the scratch and ``Hᵀ``'s home for a fit's loop, so in
+steady state the products allocate nothing; the line-6 accumulator is
+borrowed, never allocated (:meth:`BlockProducts.lend`: on a grid with
+``pr > 1``, :func:`~repro.core.hpc_nmf.hpc_nmf` lends W's home, which is dead
+during lines 6-7).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,16 +69,23 @@ def gram(X: np.ndarray, transpose_first: bool) -> np.ndarray:
 
 #: Rows of the sparse operand per call of scipy's kernel in
 #: :func:`csr_product_t` over one panel, and rows per turn of an accumulator
-#: into the ``k × rows`` output: a 2048 × k block of doubles stays in a 2 MB
-#: L2 for k up to 128, so turning it costs little.
+#: or a panel's rows into the ``k × rows`` output: a 2048 × k block of
+#: doubles stays in a 2 MB L2 for k up to 128, so turning it costs little.
 SPARSE_BLOCK_ROWS = 2048
 
-#: Bytes of the dense right operand one column panel of a sparse product
-#: reads (its ``PANEL_BYTES / (8 k)`` rows): one core's L2.  A safety valve
-#: like ``repro.nls.kernels.WORKSPACE_BYTES``, not a knob: measured with two
-#: ranks at once on ``sparse_wire``'s blocks, where 3-4 MiB were fastest
-#: (docs/ARCHITECTURE.md, "Sparse products in column panels").
+#: Bytes of the dense operand one column panel of a sparse product reads
+#: (its ``PANEL_BYTES / (8 k)`` rows of ``Hᵀ``): one core's L2.  A safety
+#: valve like ``repro.nls.kernels.WORKSPACE_BYTES``, not a knob: measured
+#: with two ranks at once on ``sparse_wire``'s blocks, where 3-4 MiB were
+#: fastest (docs/ARCHITECTURE.md, "Sparse products in column panels").
 PANEL_BYTES = 4 << 20
+
+#: Nonzeros per row chunk while :func:`column_panels` builds the panels: its
+#: temporaries (16 bytes per nonzero of a chunk) stay about 1 MiB.  Built
+#: over the whole block at once, they are large enough that the allocator
+#: keeps later arrays off the heap it returned: the ``sparse_wire``
+#: sequential fit's resident set grew by 10.8 MiB that way.
+_BUILD_NONZEROS = 1 << 16
 
 
 def _csr64(A):
@@ -90,48 +95,85 @@ def _csr64(A):
 
 
 def panel_width(k: int) -> int:
-    """Rows of a ``k``-column dense operand that one column panel reads."""
+    """Columns of one column panel: the rows of a ``k``-column dense operand
+    that take :data:`PANEL_BYTES`."""
     return max(1, PANEL_BYTES // (8 * k))
 
 
-def column_panels(block, width: Optional[int]) -> list:
-    """``block``'s columns in panels of ``width``: ``[(csr, first column)]``.
+def _destination(out: Optional[np.ndarray], k: int, cols: int) -> np.ndarray:
+    """``out``, or a new ``k × cols`` array; ``ValueError`` on another shape."""
+    if out is None:
+        return np.empty((k, cols))
+    if out.shape != (k, cols):
+        raise ValueError(f"out has shape {out.shape}, expected {(k, cols)}")
+    return out
 
-    Each panel is a CSR copy of a column range (together 12 bytes per
-    nonzero).  ``width=None``, a width that spans every column, or a block
-    whose rows are not sorted by column (splitting those would reorder their
-    sums) give one panel, the CSR of ``block`` itself.
+
+def _check_scratch(scratch: np.ndarray, rows: int, k: int) -> None:
+    """scipy's kernels write through a flat view of ``scratch``: anything
+    shorter than ``rows × k``, narrower or not C-ordered is a ``ValueError``,
+    not memory written past its end."""
+    if scratch.shape[0] < rows or scratch.shape[1:] != (k,) or not scratch.flags.c_contiguous:
+        raise ValueError(f"scratch must be a C-ordered array of at least {rows} × {k}, "
+                         f"got {scratch.shape}")
+
+
+def _panel_cuts(n: int, width: int, ranges: Optional[Sequence[slice]]) -> list:
+    """First columns of the panels of :func:`column_panels`, then ``n``."""
+    ranges = [slice(0, n)] if ranges is None else ranges
+    return sorted({0, n}.union(*(range(r.start, r.stop, width) for r in ranges)))
+
+
+def column_panels(block, width: int, ranges: Optional[Sequence[slice]] = None) -> list:
+    """``block``'s columns in panels: ``[(csr, first column)]``.
+
+    Panels are cut every ``width`` columns inside each of ``ranges`` (slices
+    that tile the columns in order; one range by default), so each range is
+    a run of whole panels.  One panel is the CSR of ``block`` itself.  More
+    are one copy of the block split by panel (values, panel-local column
+    indices and one row pointer per panel), equal to the slices
+    ``csr[:, first:first + width]``.  They are built from a lookup of each
+    column's panel, over :data:`_BUILD_NONZEROS`-nonzero row chunks of the
+    block: one sweep counts each panel's entries per row (a ``bincount`` over
+    panel and row), the next sorts each chunk's nonzeros by panel (a stable
+    sort, so every panel keeps the block's row order and each row's entry
+    order) and copies them into place.
     """
     csr = _csr64(block)
-    n = csr.shape[1]
-    if width is None or width >= n or not csr.has_sorted_indices:
+    m, n = csr.shape
+    cuts = _panel_cuts(n, width, ranges)
+    if len(cuts) <= 2:
         return [(csr, 0)]
-    return [(csr[:, c:c + width], c) for c in range(0, n, width)]
-
-
-def transposed_panels(block, width: Optional[int]) -> list:
-    """The columns of ``blockᵀ`` in panels of ``width``: ``[(csr, first column)]``.
-
-    Panel ``q`` is the CSR of the transpose of ``block``'s rows
-    ``[q·width, (q + 1)·width)``, so together the panels hold ``blockᵀ``
-    once; ``width=None`` (or one spanning every row) gives the CSR of
-    ``blockᵀ`` as one panel.  Every row of a transpose lists its columns in
-    order, so the panels keep each row's order.
-    """
-    m = block.shape[0]
-    if width is None or width >= m:
-        return [(_csr64(block.T), 0)]
-    csr = _csr64(block)
-    return [(_csr64(_row_view(csr, r, min(r + width, m)).T), r) for r in range(0, m, width)]
-
-
-def _row_view(csr, r0: int, r1: int):
-    """Rows ``[r0, r1)`` of ``csr`` over views of its value and index arrays."""
-    s, e = csr.indptr[r0], csr.indptr[r1]
-    return type(csr)(
-        (csr.data[s:e], csr.indices[s:e], csr.indptr[r0:r1 + 1] - s),
-        shape=(r1 - r0, csr.shape[1]), copy=False,
-    )
+    count = len(cuts) - 1
+    index = np.int32 if max(csr.nnz, n) <= np.iinfo(np.int32).max else np.int64
+    lookup = np.repeat(np.arange(count, dtype=np.min_scalar_type(count - 1)), np.diff(cuts))
+    edges = np.searchsorted(csr.indptr, np.arange(_BUILD_NONZEROS, csr.nnz, _BUILD_NONZEROS))
+    edges = np.unique(np.concatenate(([0], edges, [m])))
+    chunks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    indptr = np.zeros((count, m + 1), dtype=index)
+    for r0, r1 in chunks:
+        # Each nonzero's (panel, row) cell of the chunk.
+        key = np.repeat(np.arange(r1 - r0), np.diff(csr.indptr[r0:r1 + 1]))
+        key += lookup[csr.indices[csr.indptr[r0]:csr.indptr[r1]]] * np.intp(r1 - r0)
+        indptr[:, r0 + 1:r1 + 1] = np.bincount(key, minlength=count * (r1 - r0)).reshape(count, -1)
+    np.cumsum(indptr, axis=1, out=indptr)
+    indices = [np.empty(indptr[q, -1], dtype=index) for q in range(count)]
+    data = [np.empty(indptr[q, -1]) for q in range(count)]
+    for r0, r1 in chunks:
+        s, e = csr.indptr[r0], csr.indptr[r1]
+        order = np.argsort(lookup[csr.indices[s:e]], kind="stable") + s
+        taken = 0
+        for q in range(count):
+            a, b = indptr[q, r0], indptr[q, r1]
+            picked = order[taken:taken + b - a]
+            indices[q][a:b] = csr.indices[picked] - cuts[q]
+            data[q][a:b] = csr.data[picked]
+            taken += b - a
+    return [
+        (type(csr)((data[q], indices[q], indptr[q]), shape=(m, cuts[q + 1] - cuts[q]), copy=False),
+         cuts[q])
+        for q in range(count)
+    ]
 
 
 def csr_product_t(
@@ -144,12 +186,11 @@ def csr_product_t(
 ) -> np.ndarray:
     """Write ``(S[lo:hi] @ X)ᵀ`` into ``out`` (``k × (hi − lo)``) and return it.
 
-    ``S`` is a float64 sparse matrix given as its column panels, a list of
-    ``(csr, first)`` pairs whose ``csr`` holds ``S``'s columns from ``first``
-    on (:func:`column_panels`, :func:`transposed_panels`; ``[(S, 0)]`` is one
-    panel).  ``X`` is the dense right operand (``S.shape[1] × k``, C-ordered
-    or copied so).  Rows ``[lo, hi)`` are a range of each panel's row
-    pointer, so a row range of ``S`` costs no copy.
+    ``S`` is a float64 sparse matrix given as its column panels
+    (:func:`column_panels`; ``[(S, 0)]`` is one panel), ``X`` the dense
+    right operand (``S.shape[1] × k``, C-ordered or copied so).  Rows
+    ``[lo, hi)`` are a range of each panel's row pointer, so a row range of
+    ``S`` costs no copy.
 
     Rows are summed ``scratch.shape[0]`` at a time (at least that many × k,
     C-ordered; a :data:`SPARSE_BLOCK_ROWS` one is allocated when omitted):
@@ -163,12 +204,10 @@ def csr_product_t(
 
     hi = panels[0][0].shape[0] if hi is None else hi
     k = X.shape[1]
-    if out is None:
-        out = np.empty((k, hi - lo))
-    elif out.shape != (k, hi - lo):
-        raise ValueError(f"out has shape {out.shape}, expected {(k, hi - lo)}")
+    out = _destination(out, k, hi - lo)
     if scratch is None:
         scratch = np.empty((max(1, min(SPARSE_BLOCK_ROWS, hi - lo)), k))
+    _check_scratch(scratch, min(1, hi - lo), k)
     step = max(1, scratch.shape[0])  # an empty range has an empty accumulator
     operands = [
         (csr.indptr, csr.indices, csr.data, csr.shape[1],
@@ -189,57 +228,103 @@ def csr_product_t(
     return out
 
 
+def csc_product_t(
+    panels,
+    X: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Write ``(S[:, lo:hi]ᵀ @ X)ᵀ`` into ``out`` (``k × (hi − lo)``) and return it.
+
+    ``S`` is a float64 sparse matrix given as its column panels
+    (:func:`column_panels`), ``X`` the dense left factor (``S.shape[0] × k``,
+    C-ordered or copied so).  Each panel's CSR arrays are the CSC of its
+    transpose, so scipy's ``csc_matvecs`` adds each nonzero's row of ``X``
+    into the panel's rows of ``Sᵀ X``, in increasing row order of ``S``,
+    within ``scratch`` (C-ordered, at least as tall as the widest panel; one
+    is allocated when omitted).  Those rows are then turned into their
+    columns of ``out`` :data:`SPARSE_BLOCK_ROWS` at a time (a whole 4 MiB
+    panel turned at once made a ``sparse_wire`` rank's line 12 about 40 %
+    slower).  A range that cuts a panel costs the whole panel.
+    """
+    from scipy.sparse import _sparsetools
+
+    m = panels[0][0].shape[0]
+    hi = panels[-1][1] + panels[-1][0].shape[1] if hi is None else hi
+    k = X.shape[1]
+    if X.shape[0] != m:
+        raise ValueError(f"X has {X.shape[0]} rows, the sparse operand {m}")
+    out = _destination(out, k, hi - lo)
+    touched = [(csr, first) for csr, first in panels if first < hi and first + csr.shape[1] > lo]
+    widest = max((csr.shape[1] for csr, _ in touched), default=0)
+    if scratch is None:
+        scratch = np.empty((widest, k))
+    _check_scratch(scratch, widest, k)
+    x = X.ravel()
+    for csr, first in touched:
+        width = csr.shape[1]
+        rows = scratch[:width]
+        rows.fill(0.0)  # csc_matvecs accumulates into its output
+        _sparsetools.csc_matvecs(
+            width, m, k, csr.indptr, csr.indices, csr.data, x, rows.ravel()
+        )
+        for turn in range(max(first, lo), min(first + width, hi), SPARSE_BLOCK_ROWS):
+            stop = min(turn + SPARSE_BLOCK_ROWS, first + width, hi)
+            out[:, turn - lo:stop - lo] = rows[turn - first:stop - first].T
+    return out
+
+
 class BlockProducts:
     """Lines 6 and 12 on one local data block, into caller-provided buffers.
 
     A fit's loop builds one per block and, every iteration, calls
     :meth:`set_h` (or :meth:`set_ht`) and then :meth:`h_at` and
-    :meth:`wt_a`.  ``lo``/``hi`` select a row panel (line 6) or a column
-    panel (line 12) of the block without copying it.  Dense blocks go
+    :meth:`wt_a`.  ``lo``/``hi`` select a row range (line 6) or a column
+    range (line 12) of the block without copying it.  Dense blocks go
     straight to BLAS (``np.matmul`` with ``out=``, the call
-    :func:`matmul_h_at` makes).  Sparse blocks keep what
-    :func:`csr_product_t` reads, each built on first use and reused after:
-    the column panels of the block (line 6) and of its transpose (line 12),
-    the scratch block, and one C-ordered home for ``Hᵀ`` (line 6).  Line 12
+    :func:`matmul_h_at` makes).  A sparse block keeps its CSR, a scratch
+    block as tall as its widest column panel (at least
+    :data:`SPARSE_BLOCK_ROWS` rows), its column panels
+    (:func:`column_panels`, cut inside each of ``ranges``, the line-12 ranges
+    the loop asks for; one range by default), built on first use, and one
+    C-ordered home for ``Hᵀ`` (line 6).  Line 12
     reads the caller's ``W`` in place: every loop gathers it C-ordered (a
-    strided ``W`` is still right, at the cost of the copy ``csr_product_t``
-    makes).
+    strided ``W`` is still right, at the cost of the copy
+    :func:`csc_product_t` makes).
 
-    Each product runs as one panel over the scratch block unless the loop
-    lends it a full-height accumulator (:meth:`lend`): then the block's
-    columns (line 6) or rows (line 12) are cut into :func:`panel_width`
-    panels, built on first use (line 6's are a 12-byte-per-nonzero copy of
-    the block; line 12's replace the one-panel transpose).
+    Line 12 runs over the column panels.  Line 6 reads the block as one panel
+    over the scratch block's first :data:`SPARSE_BLOCK_ROWS` rows, unless the
+    loop lends it a full-height accumulator (:meth:`lend`) and the block is
+    wider than one panel with each row's columns in order: then it adds the
+    column panels into that.
     """
 
-    def __init__(self, block, k: int):
+    def __init__(self, block, k: int, ranges: Optional[Sequence[slice]] = None):
         self.block = block
         self.sparse = is_sparse(block)
         self.k = int(k)
-        self._operand = self._h = self._ht = None
-        self._scratch = np.empty((SPARSE_BLOCK_ROWS, self.k)) if self.sparse else None
-        self._lent = [None, None]     # line 6, line 12
-        self._panels = [None, None]
+        self.ranges = ranges
+        self._operand = self._h = self._ht = self._lent = self._panels = None
+        if self.sparse:
+            self._csr = _csr64(block)
+            cuts = _panel_cuts(block.shape[1], panel_width(self.k), ranges)
+            self._scratch = np.empty((max([SPARSE_BLOCK_ROWS, *np.diff(cuts)]), self.k))
 
-    def lend(self, h_at: Optional[np.ndarray], wt_a: Optional[np.ndarray]) -> None:
-        """Take flat buffers that are dead while :meth:`h_at` / :meth:`wt_a` run.
+    def lend(self, accumulator: Optional[np.ndarray]) -> None:
+        """Take a flat buffer that is dead while :meth:`h_at` runs.
 
-        Each is its product's full-height accumulator: at least
-        ``k × (hi − lo)`` doubles for every range the loop asks for.  ``None``
-        keeps that product on the scratch block.  Call before the first
-        product.
+        It is line 6's full-height accumulator: at least ``k × (hi − lo)``
+        doubles for every range the loop asks for.  ``None`` keeps line 6 on
+        the scratch block.  Call before the first product.
         """
-        self._lent = [h_at, wt_a]
+        self._lent = accumulator
 
-    def _sparse_product(self, line, build, X, out, lo, hi) -> np.ndarray:
-        lent = self._lent[line]
-        if self._panels[line] is None:
-            width = None if lent is None else panel_width(self.k)
-            self._panels[line] = build(self.block, width)
-        panels = self._panels[line]
-        rows = hi - lo
-        scratch = self._scratch if len(panels) == 1 else lent[:rows * self.k].reshape(rows, self.k)
-        return csr_product_t(panels, X, out, lo, hi, scratch)
+    def _column_panels(self) -> list:
+        if self._panels is None:
+            self._panels = column_panels(self._csr, panel_width(self.k), self.ranges)
+        return self._panels
 
     def set_h(self, H: np.ndarray) -> None:
         """Take this iteration's ``H`` (``k × n_local``) for :meth:`h_at`."""
@@ -263,7 +348,14 @@ class BlockProducts:
             return np.matmul(self._h, self.block[lo:hi].T, out=out)
         if self._ht is None:
             raise RuntimeError("h_at needs set_h or set_ht first")
-        return self._sparse_product(0, column_panels, self._ht, out, lo, hi)
+        csr = self._csr
+        if (self._lent is None or csr.shape[1] <= panel_width(self.k)
+                or not csr.has_sorted_indices):
+            scratch = self._scratch[:SPARSE_BLOCK_ROWS]
+            return csr_product_t([(csr, 0)], self._ht, out, lo, hi, scratch)
+        rows = hi - lo
+        accumulator = self._lent[:rows * self.k].reshape(rows, self.k)
+        return csr_product_t(self._column_panels(), self._ht, out, lo, hi, accumulator)
 
     def wt_a(self, W: np.ndarray, out: np.ndarray, lo: int = 0,
              hi: Optional[int] = None) -> np.ndarray:
@@ -271,7 +363,7 @@ class BlockProducts:
         hi = self.block.shape[1] if hi is None else hi
         if not self.sparse:
             return np.matmul(W.T, self.block[:, lo:hi], out=out)
-        return self._sparse_product(1, transposed_panels, W, out, lo, hi)
+        return csc_product_t(self._column_panels(), W, out, lo, hi, self._scratch)
 
 
 def matmul_h_at(H: np.ndarray, A_block, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -308,13 +400,12 @@ def matmul_wt_a(W_block: np.ndarray, A_block, out: Optional[np.ndarray] = None) 
     """``W_blockᵀ @ A_block`` giving a (k, n_local) dense array.
 
     This is ``Y_ij = W_iᵀ A_ij`` (line 12 of Algorithm 3); a sparse block is
-    multiplied through the CSR of its transpose (free for a CSC block).
+    multiplied over its column panels (:func:`csc_product_t`).
     """
     W_block = np.asarray(W_block)
     if is_sparse(A_block):
-        return csr_product_t(
-            [(_csr64(A_block.T), 0)], np.ascontiguousarray(W_block, dtype=np.float64), out
-        )
+        W_block = np.ascontiguousarray(W_block, dtype=np.float64)
+        return csc_product_t(column_panels(A_block, panel_width(W_block.shape[1])), W_block, out)
     return np.matmul(W_block.T, A_block, out=out)
 
 

@@ -78,7 +78,6 @@ def naive_parallel_nmf(
 
     # Same-seed initialisation (§6.1.3): every rank slices the same global H.
     H_local = init_h_slice(k, n, config.seed, (col_lo, col_hi))
-    W_local = np.zeros((row_hi - row_lo, k))
 
     norm_a_sq_local = (
         float(data.row_block.data @ data.row_block.data)
@@ -98,12 +97,12 @@ def naive_parallel_nmf(
     # The W-update NLS gets C-ordered k × (m/p) operands (see hpc_nmf): the MM
     # writes (A_i Hᵀ)ᵀ into the front of the flat rhs buffer (which holds
     # Wᵀ Aⁱ later in the iteration) and its own previous W_iᵀ is the warm
-    # start and the solution's home; the solution is turned into W's
-    # persistent C-ordered home.
+    # start (from iteration 1 on, unless all zero) and the solution's home;
+    # the solution is turned into W's persistent C-ordered home.
     rows, cols = row_hi - row_lo, col_hi - col_lo
     rhs_buf = ws.get("rhs", k * max(rows, cols))
-    w_local_buf = ws.get("w_local", (rows, k))
-    Wt_local = np.zeros((k, rows))
+    W_local = ws.get("w_local", (rows, k))
+    Wt_local = np.empty((k, rows))
     mm_rows = BlockProducts(data.row_block, k)   # line 6: A_i Hᵀ
     mm_cols = BlockProducts(data.col_block, k)   # line 12: Wᵀ Aⁱ
 
@@ -130,11 +129,9 @@ def naive_parallel_nmf(
             mm_rows.set_h(H)
             h_at = mm_rows.h_at(rhs_buf[:k * rows].reshape(k, rows))  # k × (m/p)
         with profiler.task(TaskCategory.NLS):
-            solver.solve(
-                gram_h, h_at, x0=Wt_local if np.any(Wt_local) else None, out=Wt_local
-            )
-        np.copyto(w_local_buf, Wt_local.T)
-        W_local = w_local_buf
+            warm = iteration and np.any(Wt_local)
+            solver.solve(gram_h, h_at, x0=Wt_local if warm else None, out=Wt_local)
+        np.copyto(W_local, Wt_local.T)
 
         # --- Compute H given W (lines 5-6) ----------------------------
         with profiler.collective(TaskCategory.ALL_GATHER, comm):

@@ -223,10 +223,10 @@ class DoublePartitioned1D:
                 # block.  Copy first so the caller's matrix is not mutated.
                 A = A.copy()
                 A.sum_duplicates()
+            # Both blocks stay CSR: line 12's kernel reads the column block's
+            # column panels (repro.core.local_ops), as it does A_ij's.
             row_block = A[r0:r1, :]
-            # CSC keeps the column slice cheap, and its transpose is the
-            # CSR that line 12's kernel reads (repro.core.local_ops), free.
-            col_block = A[:, c0:c1].tocsc()
+            col_block = A[:, c0:c1]
         else:
             A = np.asarray(A)
             row_block = np.ascontiguousarray(A[r0:r1, :])

@@ -27,11 +27,15 @@ Ownership invariant: the ``global_range`` intervals of all ``p`` ranks tile
 ``[0, m)`` (for ``W``) / ``[0, n)`` (for ``H``) without gaps or overlap, so
 concatenating every rank's ``local`` reassembles the global factor exactly
 (this is what :func:`repro.core.spmd_loop.assemble_result` does).
+
+An object is built from its layout alone and then given its real block: the
+fit seeds ``H``'s and points ``W``'s at the home buffer line 8 fills, so no
+placeholder block is ever allocated.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +55,9 @@ class DistributedFactorW:
     Attributes
     ----------
     local:
-        The ``(W_i)_j`` block, shape ``(global_range[1] - global_range[0], k)``.
-        Assignable: the NLS solve of line 8 overwrites it every iteration.
+        The ``(W_i)_j`` block, shape ``(global_range[1] - global_range[0], k)``:
+        ``None`` until the owner assigns it (the fit assigns W's home, which
+        the NLS solve of line 8 overwrites every iteration).
     global_range:
         Half-open global *row* range of ``local`` within ``W``.
     block_range_in_row:
@@ -69,12 +74,7 @@ class DistributedFactorW:
         self.global_range = _nested_range(self.row_block_range, grid.pc, j)
         lo, hi = self.global_range
         self.block_range_in_row = (lo - self.row_block_range[0], hi - self.row_block_range[0])
-        self.local = np.zeros((hi - lo, self.k))
-
-    @classmethod
-    def zeros(cls, grid, m: int, k: int) -> "DistributedFactorW":
-        """An all-zero ``(W_i)_j`` (W needs no initialisation; see §6.1.3)."""
-        return cls(grid, m, k)
+        self.local: Optional[np.ndarray] = None
 
     def row_block(self, out: np.ndarray = None) -> np.ndarray:
         """All-gather ``W_i (m/pr × k)`` over the grid row (line 11).
@@ -101,9 +101,10 @@ class DistributedFactorH:
     Attributes
     ----------
     local:
-        The ``(H_j)_i`` block, shape ``(k, global_range[1] - global_range[0])``.
-        Assignable: seeded by ``init_h_slice`` and overwritten by the NLS
-        solve of line 14 every iteration.
+        The ``(H_j)_i`` block, shape ``(k, global_range[1] - global_range[0])``:
+        ``None`` until the owner assigns it (the fit seeds it with
+        ``init_h_slice``; the NLS solve of line 14 overwrites it every
+        iteration).
     global_range:
         Half-open global *column* range of ``local`` within ``H``.
     block_range_in_col:
@@ -119,12 +120,7 @@ class DistributedFactorH:
         self.global_range = _nested_range(self.col_block_range, grid.pr, i)
         lo, hi = self.global_range
         self.block_range_in_col = (lo - self.col_block_range[0], hi - self.col_block_range[0])
-        self.local = np.zeros((self.k, hi - lo))
-
-    @classmethod
-    def zeros(cls, grid, k: int, n: int) -> "DistributedFactorH":
-        """An all-zero ``(H_j)_i`` (callers seed it with ``init_h_slice``)."""
-        return cls(grid, k, n)
+        self.local: Optional[np.ndarray] = None
 
     def col_block(self, out: np.ndarray = None) -> np.ndarray:
         """All-gather ``H_j (k × n/pc)`` over the grid column (line 5).

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from repro.core.local_ops import (
     SPARSE_BLOCK_ROWS,
     BlockProducts,
+    column_panels,
+    csc_product_t,
     csr_product_t,
     matmul_a_ht,
     matmul_h_at,
@@ -149,6 +151,20 @@ def test_csr_product_t_rejects_a_mismatched_destination():
     A = sp.csr_matrix(np.ones((6, 4)))
     with pytest.raises(ValueError, match="expected"):
         csr_product_t([(A, 0)], np.ones((4, 2)), np.zeros((6, 2)))
+
+
+def test_sparse_kernels_reject_what_they_would_write_past():
+    """The kernels write through flat views: a scratch block too short,
+    too narrow or strided, or an ``X`` of the wrong height, is refused."""
+    A = sp.csr_matrix(np.ones((6, 4)))
+    panels = column_panels(A, 2)
+    for scratch in (np.empty((1, 3)), np.empty((2, 2)), np.empty((2, 6))[:, ::2]):
+        with pytest.raises(ValueError, match="scratch"):
+            csc_product_t(panels, np.ones((6, 3)), scratch=scratch)
+    with pytest.raises(ValueError, match="scratch"):
+        csr_product_t([(A, 0)], np.ones((4, 3)), scratch=np.empty((4, 2)))
+    with pytest.raises(ValueError, match="rows"):
+        csc_product_t(panels, np.ones((5, 3)))
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])

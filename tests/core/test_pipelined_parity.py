@@ -420,9 +420,10 @@ def test_one_rank_workspace_holds_only_the_homes(kind, buffers):
 def test_dense_fit_never_calls_the_sparse_kernel(variant, monkeypatch):
     """Dense blocks go to BLAS, k-leading, with nothing to turn."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("a dense fit called csr_product_t")
+        raise AssertionError("a dense fit called a sparse kernel")
 
     monkeypatch.setattr(local_ops_mod, "csr_product_t", forbidden)
+    monkeypatch.setattr(local_ops_mod, "csc_product_t", forbidden)
     parallel = dict(backend="thread", n_ranks=4) if variant != "sequential" else {}
     res = fit(_dense(seed=8), 5, variant=variant, max_iters=3, seed=11, **parallel)
     assert res.iterations == 3
@@ -534,26 +535,32 @@ def test_sequential_line8_rhs_is_c_contiguous(monkeypatch):
 
 
 @pytest.mark.parametrize("variant, p, grid, per_rank_per_iter", [
-    ("naive", 3, None, 2),       # A_i Hᵀ and Wᵀ Aⁱ
-    ("hpc1d", 3, None, 4),       # pc = 1 row panel + pr = 3 column panels
-    ("hpc2d", 2, (2, 1), 3),     # sparse_wire's grid
+    ("naive", 3, None, (1, 1)),       # A_i Hᵀ and Wᵀ Aⁱ
+    ("hpc1d", 3, None, (1, 3)),       # pc = 1 row panel + pr = 3 column panels
+    ("hpc2d", 2, (2, 1), (1, 2)),     # sparse_wire's grid
 ])
 def test_sparse_fit_runs_the_kernel_once_per_panel(variant, p, grid, per_rank_per_iter,
                                                    monkeypatch):
-    """One blocked CSR product per SpMM panel, pc + pr of them per rank and
-    iteration on a pr × pc grid."""
+    """One sparse product per SpMM panel, pc + pr of them per rank and
+    iteration on a pr × pc grid: line 6's CSR kernel pc times, line 12's
+    CSC kernel pr times."""
     calls = []
-    real = local_ops_mod.csr_product_t
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(real):
+        def kernel(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return kernel
 
-    monkeypatch.setattr(local_ops_mod, "csr_product_t", counting)
+    for name in ("csr_product_t", "csc_product_t"):
+        monkeypatch.setattr(local_ops_mod, name, counting(getattr(local_ops_mod, name)))
     extra = {"grid": grid} if grid else {}
     fit(_sparse(seed=9), 5, variant=variant, backend="thread", n_ranks=p,
         max_iters=3, seed=11, **extra)
-    assert len(calls) == per_rank_per_iter * p * 3
+    line_6, line_12 = per_rank_per_iter
+    assert calls.count("csr_product_t") == line_6 * p * 3
+    assert calls.count("csc_product_t") == line_12 * p * 3
+    assert len(calls) == (line_6 + line_12) * p * 3
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])

@@ -29,7 +29,7 @@ def test_w_ranges_tile_rows(p, pr, pc):
     m, k = 23, 4
 
     def program(grid):
-        return grid.coords, DistributedFactorW.zeros(grid, m, k).global_range
+        return grid.coords, DistributedFactorW(grid, m, k).global_range
 
     out = spmd(p, pr, pc, program)
     covered = np.zeros(m, dtype=int)
@@ -47,7 +47,7 @@ def test_h_ranges_tile_columns(p, pr, pc):
     k, n = 3, 17
 
     def program(grid):
-        return grid.coords, DistributedFactorH.zeros(grid, k, n).global_range
+        return grid.coords, DistributedFactorH(grid, k, n).global_range
 
     out = spmd(p, pr, pc, program)
     covered = np.zeros(n, dtype=int)
@@ -65,7 +65,7 @@ def test_row_block_allgather_reconstructs_w_i(p, pr, pc):
     W_global = np.random.default_rng(0).random((m, k))
 
     def program(grid):
-        fac = DistributedFactorW.zeros(grid, m, k)
+        fac = DistributedFactorW(grid, m, k)
         lo, hi = fac.global_range
         fac.local = W_global[lo:hi]
         W_i = fac.row_block()
@@ -82,7 +82,7 @@ def test_col_block_allgather_reconstructs_h_j(p, pr, pc):
     H_global = np.random.default_rng(1).random((k, n))
 
     def program(grid):
-        fac = DistributedFactorH.zeros(grid, k, n)
+        fac = DistributedFactorH(grid, k, n)
         lo, hi = fac.global_range
         fac.local = H_global[:, lo:hi]
         H_j = fac.col_block()
@@ -104,14 +104,14 @@ def test_subblocking_matches_reduce_scatter_counts(p, pr, pc):
     m, k, n = 21, 3, 16
 
     def program(grid):
-        W = DistributedFactorW.zeros(grid, m, k)
-        H = DistributedFactorH.zeros(grid, k, n)
+        W = DistributedFactorW(grid, m, k)
+        H = DistributedFactorH(grid, k, n)
         local_rows = block_range(m, pr, grid.coords[0])
         local_cols = block_range(n, pc, grid.coords[1])
         w_counts = block_counts(local_rows[1] - local_rows[0], pc)
         h_counts = block_counts(local_cols[1] - local_cols[0], pr)
-        assert W.local.shape == (w_counts[grid.coords[1]], k)
-        assert H.local.shape == (k, h_counts[grid.coords[0]])
+        assert W.global_range[1] - W.global_range[0] == w_counts[grid.coords[1]]
+        assert H.global_range[1] - H.global_range[0] == h_counts[grid.coords[0]]
         # The in-row/in-column offsets agree with the scatter boundaries.
         assert W.block_range_in_row[0] == sum(w_counts[: grid.coords[1]])
         assert H.block_range_in_col[0] == sum(h_counts[: grid.coords[0]])
@@ -120,11 +120,16 @@ def test_subblocking_matches_reduce_scatter_counts(p, pr, pc):
     assert all(spmd(p, pr, pc, program))
 
 
-def test_zeros_start_empty_and_assignable():
+def test_factors_hold_the_block_they_are_given():
+    """Built as the fit builds them: the layout allocates no block, and the
+    block assigned is the one held (no copy)."""
     def program(grid):
-        fac = DistributedFactorW.zeros(grid, 12, 2)
-        assert not np.any(fac.local)
-        fac.local = np.ones_like(fac.local)
+        fac = DistributedFactorW(grid, 12, 2)
+        assert fac.local is None
+        lo, hi = fac.global_range
+        block = np.ones((hi - lo, 2))
+        fac.local = block
+        assert fac.local is block
         return float(fac.local.sum())
 
     totals = spmd(4, 2, 2, program)
