@@ -97,9 +97,7 @@ def slice_exchange(
 
     Each rank sends ``n - counts[r]·row_words`` words — the §2.3 volume
     ``(p-1)/p · n`` for an even split — in ``p - 1`` messages rather than
-    recursive halving's ``log p``.  An empty slice is not sent at all, so a
-    one-hot ``counts`` (one panel of :func:`repro.comm.panels.
-    stream_reduce_scatter`) travels only to the rank that owns it.
+    recursive halving's ``log p``.  An empty slice is not sent at all.
 
     ``counts`` must already be validated (one entry per rank, summing to the
     axis length).

@@ -172,8 +172,7 @@ class Comm:
         # How collectives move (see the module docstring): point-to-point when
         # the state has no deposit slots.
         self._p2p = state.slots is None
-        # The byte movers' own send/recv and the streamed panels (see
-        # repro.comm.panels) must not hit the ledger.
+        # The byte movers' own send/recv must not hit the ledger.
         self._silent = False
 
     # -- identity ----------------------------------------------------------
@@ -338,19 +337,6 @@ class Comm:
         ledger = self.ledger
         if ledger is not None:
             ledger.record(operation, self.size, n_words)
-
-    def record_collective(self, operation: str, n_words: float) -> None:
-        """Record one modeled §2.3 collective on the attached ledger.
-
-        This is the explicit booking entry used by callers that *silence* a
-        group of physical collectives standing in for one modeled operation —
-        the panel-streamed reduce-scatter runs one ``reduce_scatter`` per
-        panel under :meth:`_silenced` and then books a single monolithic entry
-        here, so the ledger carries exactly the call/word/message totals the
-        blocking call would have recorded (nothing, on a singleton
-        communicator).
-        """
-        self._record(operation, n_words)
 
     @contextlib.contextmanager
     def _silenced(self):

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.comm.communicator import Comm
 from repro.comm.grid import ProcessGrid, choose_grid
-from repro.comm.panels import panel_slices, stream_reduce_scatter
 from repro.comm.profiler import TaskCategory
 from repro.core.config import NMFConfig
 from repro.core.initialization import init_h_slice
@@ -150,17 +149,7 @@ def hpc_nmf(
     w_scatter_counts = block_counts(local_rows, pc)
     h_scatter_counts = block_counts(local_cols, pr)
 
-    # The scatter boundaries also tile the line-6/line-12 matmuls: the
-    # columns of V_ijᵀ bound for row-comm rank t come from the matching row
-    # panel of A_ij, the columns of Y_ij for col-comm rank t from the matching
-    # column panel.  A panel is a row or column range of the block's operands
-    # (see repro.core.local_ops.BlockProducts), and each is reduce-scattered
-    # the moment it is computed (see repro.comm.panels).  A sparse block's
-    # cache-sized column panels are cut inside the line-12 ranges, so each
-    # range is a run of whole panels.
-    w_panels = panel_slices(w_scatter_counts)
-    h_panels = panel_slices(h_scatter_counts)
-    mm = BlockProducts(data.block, k, h_panels)
+    mm = BlockProducts(data.block, k)
 
     # Reusable collective workspaces: every iteration runs the same
     # collectives on the same shapes, so their results are written into
@@ -183,20 +172,18 @@ def hpc_nmf(
     # The send copy is read until line 5 returns (until line 7 on pr = 1,
     # where the gather hands it back as H_jᵀ) and W's C-ordered home — the
     # line-8 solution (W_i)_jᵀ transposed — from line 8 to the end of the
-    # iteration, so the two share one flat buffer.  It also holds any line-6
-    # panel's k × rows (W's sub-block is one of those panels).
+    # iteration, so the two share one flat buffer.
     #
     # With pr > 1 that buffer is free during lines 6-7: it is lent to line 6
-    # as the full-height accumulator of its column panels
+    # as the full-height (local_rows × k) accumulator of its column panels
     # (repro.core.local_ops).  On pr = 1 nothing is free and line 6 runs as
     # one panel; line 12 needs no accumulator.
     if mm.sparse:
-        home = ws.get("ht_w_home", k * max(h_sub_cols, *w_scatter_counts))
+        home = ws.get("ht_w_home", k * max(h_sub_cols, local_rows if pr > 1 else w_sub_rows))
         ht_local_buf = home[:h_sub_cols * k].reshape(h_sub_cols, k)
         W_fac.local = home[:w_sub_rows * k].reshape(w_sub_rows, k)
         Ht_j_buf = recv_buffer(grid.col_comm, "H_jt", (local_cols, k))
-        if grid.col_comm.size > 1:
-            mm.lend(home)
+        mm.lend(home if pr > 1 else None)
     else:
         W_fac.local = ws.get("w_local", (w_sub_rows, k))
         H_j_buf = recv_buffer(grid.col_comm, "H_j", (k, local_cols))
@@ -205,14 +192,13 @@ def hpc_nmf(
     # the NLS after them reads.
     aht_buf = recv_buffer(grid.row_comm, "aht_block", (k, w_sub_rows))
     wta_buf = recv_buffer(grid.col_comm, "wta_block", (k, h_sub_cols))
-    # Every MM panel of both half-iterations is written to the front of one
-    # flat buffer: a panel is free once its reduce-scatter returns, line 6's
-    # last one (the line-8 right-hand side on a size-1 row communicator) once
-    # line 8 has solved, and line 12's last one is read until the next line 6.
-    rhs_buf = ws.get("rhs", k * max(max(w_scatter_counts), max(h_scatter_counts)))
-
-    def panel_out(s: slice) -> np.ndarray:
-        return rhs_buf[:k * (s.stop - s.start)].reshape(k, s.stop - s.start)
+    # Both MM products are written to the front of one flat buffer: line 6's
+    # V_ijᵀ is free once line 7 returns (the line-8 right-hand side on a
+    # size-1 row communicator, free once line 8 has solved), and line 12's
+    # Y_ij is read until the next line 6.
+    rhs_buf = ws.get("rhs", k * max(local_rows, local_cols))
+    V_buf = rhs_buf[:k * local_rows].reshape(k, local_rows)
+    Y_buf = rhs_buf[:k * local_cols].reshape(k, local_cols)
 
     # The line-8 NLS warm-starts from its own previous (W_i)_jᵀ, C-ordered
     # like its right-hand side, and writes its solution over it; line 14 does
@@ -252,14 +238,12 @@ def hpc_nmf(
                 H_j = H_fac.col_block(out=H_j_buf)               # line 5
             with profiler.task(TaskCategory.MM):
                 mm.set_h(H_j)
-        aht_block = stream_reduce_scatter(                       # lines 6-7
-            grid.row_comm,
-            lambda t: mm.h_at(panel_out(w_panels[t]), w_panels[t].start, w_panels[t].stop),
-            w_scatter_counts,
-            axis=1,
-            out=aht_buf,
-            profiler=profiler,
-        )
+        with profiler.task(TaskCategory.MM):
+            V = mm.h_at(V_buf)                                   # line 6
+        with profiler.collective(TaskCategory.REDUCE_SCATTER, grid.row_comm):
+            aht_block = grid.row_comm.reduce_scatter(            # line 7
+                V, counts=w_scatter_counts, axis=1, out=aht_buf
+            )
         with profiler.task(TaskCategory.NLS):
             normal = regularization.normal_equations(gram_h, aht_block, H_fac.local)
             warm = (iteration or initial is not None) and np.any(Wt_local)
@@ -273,14 +257,12 @@ def hpc_nmf(
             gram_w = comm.allreduce(X_ij, out=gram_w_buf)        # line 10
         with profiler.collective(TaskCategory.ALL_GATHER, grid.row_comm):
             W_i = W_fac.row_block(out=W_i_buf)                   # line 11
-        wta_block = stream_reduce_scatter(                       # lines 12-13
-            grid.col_comm,
-            lambda t: mm.wt_a(W_i, panel_out(h_panels[t]), h_panels[t].start, h_panels[t].stop),
-            h_scatter_counts,
-            axis=1,
-            out=wta_buf,
-            profiler=profiler,
-        )
+        with profiler.task(TaskCategory.MM):
+            Y = mm.wt_a(W_i, Y_buf)                              # line 12
+        with profiler.collective(TaskCategory.REDUCE_SCATTER, grid.col_comm):
+            wta_block = grid.col_comm.reduce_scatter(            # line 13
+                Y, counts=h_scatter_counts, axis=1, out=wta_buf
+            )
         with profiler.task(TaskCategory.NLS):
             normal = regularization.normal_equations(gram_w, wta_block, W_fac.local.T)
             solver.solve(*normal, x0=H_fac.local, out=H_fac.local)  # line 14

@@ -21,8 +21,8 @@ dense operand, which is as tall as the block is wide (line 6) or high (line
 nonzero costs 110-120 ns, against 30-40 ns when the operand fits in L2
 (docs/ARCHITECTURE.md, "Sparse products in column panels").  So the block's
 columns are cut into panels whose rows of ``Hᵀ`` take :data:`PANEL_BYTES`
-(:func:`panel_width` columns), and also at line 12's reduce-scatter
-boundaries (:func:`column_panels`, one pass over the block):
+(:func:`panel_width` columns; :func:`column_panels`, one pass over the
+block):
 
 - line 6 is scipy's CSR kernel ``csr_matvecs``, which computes ``A Hᵀ`` one
   output row at a time (:func:`csr_product_t`).  It reads the block as one
@@ -34,7 +34,7 @@ boundaries (:func:`column_panels`, one pass over the block):
 - line 12 reads each column panel's CSR arrays as the CSC of its transpose:
   scipy's ``csc_matvecs`` scatters row after row of ``W`` into the panel's
   ``width × k`` rows of ``Aᵀ W`` (:func:`csc_product_t`), which are turned
-  into their columns of the ``k × rows`` output in L2-sized turns.  Every
+  into their columns of the ``k × cols`` output in L2-sized turns.  Every
   output entry adds its nonzeros in increasing row order, the order of the
   transposed CSR this replaced.
 
@@ -48,7 +48,7 @@ during lines 6-7).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -118,30 +118,22 @@ def _check_scratch(scratch: np.ndarray, rows: int, k: int) -> None:
                          f"got {scratch.shape}")
 
 
-def _panel_cuts(n: int, width: int, ranges: Optional[Sequence[slice]]) -> list:
-    """First columns of the panels of :func:`column_panels`, then ``n``."""
-    ranges = [slice(0, n)] if ranges is None else ranges
-    return sorted({0, n}.union(*(range(r.start, r.stop, width) for r in ranges)))
+def column_panels(block, width: int) -> list:
+    """``block``'s columns in panels of ``width``: ``[(csr, first column)]``.
 
-
-def column_panels(block, width: int, ranges: Optional[Sequence[slice]] = None) -> list:
-    """``block``'s columns in panels: ``[(csr, first column)]``.
-
-    Panels are cut every ``width`` columns inside each of ``ranges`` (slices
-    that tile the columns in order; one range by default), so each range is
-    a run of whole panels.  One panel is the CSR of ``block`` itself.  More
-    are one copy of the block split by panel (values, panel-local column
-    indices and one row pointer per panel), equal to the slices
-    ``csr[:, first:first + width]``.  They are built from a lookup of each
-    column's panel, over :data:`_BUILD_NONZEROS`-nonzero row chunks of the
-    block: one sweep counts each panel's entries per row (a ``bincount`` over
-    panel and row), the next sorts each chunk's nonzeros by panel (a stable
-    sort, so every panel keeps the block's row order and each row's entry
-    order) and copies them into place.
+    One panel is the CSR of ``block`` itself.  More are one copy of the block
+    split by panel (values, panel-local column indices and one row pointer
+    per panel), equal to the slices ``csr[:, first:first + width]``.  They
+    are built from a lookup of each column's panel, over
+    :data:`_BUILD_NONZEROS`-nonzero row chunks of the block: one sweep counts
+    each panel's entries per row (a ``bincount`` over panel and row), the
+    next sorts each chunk's nonzeros by panel (a stable sort, so every panel
+    keeps the block's row order and each row's entry order) and copies them
+    into place.
     """
     csr = _csr64(block)
     m, n = csr.shape
-    cuts = _panel_cuts(n, width, ranges)
+    cuts = [*range(0, n, width), n]
     if len(cuts) <= 2:
         return [(csr, 0)]
     count = len(cuts) - 1
@@ -180,17 +172,13 @@ def csr_product_t(
     panels,
     X: np.ndarray,
     out: Optional[np.ndarray] = None,
-    lo: int = 0,
-    hi: Optional[int] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Write ``(S[lo:hi] @ X)ᵀ`` into ``out`` (``k × (hi − lo)``) and return it.
+    """Write ``(S @ X)ᵀ`` into ``out`` (``k × rows``) and return it.
 
     ``S`` is a float64 sparse matrix given as its column panels
     (:func:`column_panels`; ``[(S, 0)]`` is one panel), ``X`` the dense
-    right operand (``S.shape[1] × k``, C-ordered or copied so).  Rows
-    ``[lo, hi)`` are a range of each panel's row pointer, so a row range of
-    ``S`` costs no copy.
+    right operand (``S.shape[1] × k``, C-ordered or copied so).
 
     Rows are summed ``scratch.shape[0]`` at a time (at least that many × k,
     C-ordered; a :data:`SPARSE_BLOCK_ROWS` one is allocated when omitted):
@@ -202,20 +190,20 @@ def csr_product_t(
     """
     from scipy.sparse import _sparsetools
 
-    hi = panels[0][0].shape[0] if hi is None else hi
+    m = panels[0][0].shape[0]
     k = X.shape[1]
-    out = _destination(out, k, hi - lo)
+    out = _destination(out, k, m)
     if scratch is None:
-        scratch = np.empty((max(1, min(SPARSE_BLOCK_ROWS, hi - lo)), k))
-    _check_scratch(scratch, min(1, hi - lo), k)
-    step = max(1, scratch.shape[0])  # an empty range has an empty accumulator
+        scratch = np.empty((max(1, min(SPARSE_BLOCK_ROWS, m)), k))
+    _check_scratch(scratch, min(1, m), k)
+    step = max(1, scratch.shape[0])  # an empty block has an empty accumulator
     operands = [
         (csr.indptr, csr.indices, csr.data, csr.shape[1],
          X[first:first + csr.shape[1]].ravel())
         for csr, first in panels
     ]
-    for row in range(lo, hi, step):
-        end = min(row + step, hi)
+    for row in range(0, m, step):
+        end = min(row + step, m)
         block = scratch[: end - row]
         block.fill(0.0)  # csr_matvecs accumulates into its output
         for indptr, indices, data, n_col, x in operands:
@@ -224,7 +212,7 @@ def csr_product_t(
             )
         for turn in range(row, end, SPARSE_BLOCK_ROWS):
             stop = min(turn + SPARSE_BLOCK_ROWS, end)
-            out[:, turn - lo:stop - lo] = block[turn - row:stop - row].T
+            out[:, turn:stop] = block[turn - row:stop - row].T
     return out
 
 
@@ -232,11 +220,9 @@ def csc_product_t(
     panels,
     X: np.ndarray,
     out: Optional[np.ndarray] = None,
-    lo: int = 0,
-    hi: Optional[int] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Write ``(S[:, lo:hi]ᵀ @ X)ᵀ`` into ``out`` (``k × (hi − lo)``) and return it.
+    """Write ``(Sᵀ @ X)ᵀ`` into ``out`` (``k × cols``) and return it.
 
     ``S`` is a float64 sparse matrix given as its column panels
     (:func:`column_panels`), ``X`` the dense left factor (``S.shape[0] × k``,
@@ -247,32 +233,30 @@ def csc_product_t(
     is allocated when omitted).  Those rows are then turned into their
     columns of ``out`` :data:`SPARSE_BLOCK_ROWS` at a time (a whole 4 MiB
     panel turned at once made a ``sparse_wire`` rank's line 12 about 40 %
-    slower).  A range that cuts a panel costs the whole panel.
+    slower).
     """
     from scipy.sparse import _sparsetools
 
     m = panels[0][0].shape[0]
-    hi = panels[-1][1] + panels[-1][0].shape[1] if hi is None else hi
     k = X.shape[1]
     if X.shape[0] != m:
         raise ValueError(f"X has {X.shape[0]} rows, the sparse operand {m}")
-    out = _destination(out, k, hi - lo)
-    touched = [(csr, first) for csr, first in panels if first < hi and first + csr.shape[1] > lo]
-    widest = max((csr.shape[1] for csr, _ in touched), default=0)
+    out = _destination(out, k, panels[-1][1] + panels[-1][0].shape[1])
+    widest = max(csr.shape[1] for csr, _ in panels)
     if scratch is None:
         scratch = np.empty((widest, k))
     _check_scratch(scratch, widest, k)
     x = X.ravel()
-    for csr, first in touched:
+    for csr, first in panels:
         width = csr.shape[1]
         rows = scratch[:width]
         rows.fill(0.0)  # csc_matvecs accumulates into its output
         _sparsetools.csc_matvecs(
             width, m, k, csr.indptr, csr.indices, csr.data, x, rows.ravel()
         )
-        for turn in range(max(first, lo), min(first + width, hi), SPARSE_BLOCK_ROWS):
-            stop = min(turn + SPARSE_BLOCK_ROWS, first + width, hi)
-            out[:, turn - lo:stop - lo] = rows[turn - first:stop - first].T
+        for turn in range(0, width, SPARSE_BLOCK_ROWS):
+            stop = min(turn + SPARSE_BLOCK_ROWS, width)
+            out[:, first + turn:first + stop] = rows[turn:stop].T
     return out
 
 
@@ -281,18 +265,16 @@ class BlockProducts:
 
     A fit's loop builds one per block and, every iteration, calls
     :meth:`set_h` (or :meth:`set_ht`) and then :meth:`h_at` and
-    :meth:`wt_a`.  ``lo``/``hi`` select a row range (line 6) or a column
-    range (line 12) of the block without copying it.  Dense blocks go
+    :meth:`wt_a`, each the product of the whole block.  Dense blocks go
     straight to BLAS (``np.matmul`` with ``out=``, the call
     :func:`matmul_h_at` makes).  A sparse block keeps its CSR, a scratch
     block as tall as its widest column panel (at least
     :data:`SPARSE_BLOCK_ROWS` rows), its column panels
-    (:func:`column_panels`, cut inside each of ``ranges``, the line-12 ranges
-    the loop asks for; one range by default), built on first use, and one
-    C-ordered home for ``Hᵀ`` (line 6).  Line 12
-    reads the caller's ``W`` in place: every loop gathers it C-ordered (a
-    strided ``W`` is still right, at the cost of the copy
-    :func:`csc_product_t` makes).
+    (:func:`column_panels`, every :func:`panel_width` columns), built on
+    first use, and one C-ordered home for ``Hᵀ`` (line 6).  Line 12 reads
+    the caller's ``W`` in place: every loop gathers it C-ordered (a strided
+    ``W`` is still right, at the cost of the copy :func:`csc_product_t`
+    makes).
 
     Line 12 runs over the column panels.  Line 6 reads the block as one panel
     over the scratch block's first :data:`SPARSE_BLOCK_ROWS` rows, unless the
@@ -301,29 +283,28 @@ class BlockProducts:
     column panels into that.
     """
 
-    def __init__(self, block, k: int, ranges: Optional[Sequence[slice]] = None):
+    def __init__(self, block, k: int):
         self.block = block
         self.sparse = is_sparse(block)
         self.k = int(k)
-        self.ranges = ranges
         self._operand = self._h = self._ht = self._lent = self._panels = None
         if self.sparse:
             self._csr = _csr64(block)
-            cuts = _panel_cuts(block.shape[1], panel_width(self.k), ranges)
-            self._scratch = np.empty((max([SPARSE_BLOCK_ROWS, *np.diff(cuts)]), self.k))
+            width = min(block.shape[1], panel_width(self.k))
+            self._scratch = np.empty((max(SPARSE_BLOCK_ROWS, width), self.k))
 
     def lend(self, accumulator: Optional[np.ndarray]) -> None:
         """Take a flat buffer that is dead while :meth:`h_at` runs.
 
-        It is line 6's full-height accumulator: at least ``k × (hi − lo)``
-        doubles for every range the loop asks for.  ``None`` keeps line 6 on
-        the scratch block.  Call before the first product.
+        It is line 6's full-height accumulator: at least ``k × rows``
+        doubles.  ``None`` keeps line 6 on the scratch block.  Call before
+        the first product.
         """
         self._lent = accumulator
 
     def _column_panels(self) -> list:
         if self._panels is None:
-            self._panels = column_panels(self._csr, panel_width(self.k), self.ranges)
+            self._panels = column_panels(self._csr, panel_width(self.k))
         return self._panels
 
     def set_h(self, H: np.ndarray) -> None:
@@ -341,29 +322,26 @@ class BlockProducts:
         (sparse blocks only; it is read in place)."""
         self._ht = Ht
 
-    def h_at(self, out: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """``H A[lo:hi]ᵀ`` (``k × (hi − lo)``) into ``out``, for the last :meth:`set_h`."""
-        hi = self.block.shape[0] if hi is None else hi
+    def h_at(self, out: np.ndarray) -> np.ndarray:
+        """``H Aᵀ`` (``k × m_local``) into ``out``, for the last :meth:`set_h`."""
         if not self.sparse:
-            return np.matmul(self._h, self.block[lo:hi].T, out=out)
+            return np.matmul(self._h, self.block.T, out=out)
         if self._ht is None:
             raise RuntimeError("h_at needs set_h or set_ht first")
         csr = self._csr
         if (self._lent is None or csr.shape[1] <= panel_width(self.k)
                 or not csr.has_sorted_indices):
             scratch = self._scratch[:SPARSE_BLOCK_ROWS]
-            return csr_product_t([(csr, 0)], self._ht, out, lo, hi, scratch)
-        rows = hi - lo
+            return csr_product_t([(csr, 0)], self._ht, out, scratch)
+        rows = csr.shape[0]
         accumulator = self._lent[:rows * self.k].reshape(rows, self.k)
-        return csr_product_t(self._column_panels(), self._ht, out, lo, hi, accumulator)
+        return csr_product_t(self._column_panels(), self._ht, out, accumulator)
 
-    def wt_a(self, W: np.ndarray, out: np.ndarray, lo: int = 0,
-             hi: Optional[int] = None) -> np.ndarray:
-        """``Wᵀ A[:, lo:hi]`` (``k × (hi − lo)``) into ``out``; ``W`` is ``m_local × k``."""
-        hi = self.block.shape[1] if hi is None else hi
+    def wt_a(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``Wᵀ A`` (``k × n_local``) into ``out``; ``W`` is ``m_local × k``."""
         if not self.sparse:
-            return np.matmul(W.T, self.block[:, lo:hi], out=out)
-        return csc_product_t(self._column_panels(), W, out, lo, hi, self._scratch)
+            return np.matmul(W.T, self.block, out=out)
+        return csc_product_t(self._column_panels(), W, out, self._scratch)
 
 
 def matmul_h_at(H: np.ndarray, A_block, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -32,7 +32,8 @@ from repro.core.initialization import init_h_slice
 from repro.core.local_ops import BlockProducts, gram
 from repro.core.observers import IterationObserver
 from repro.core.spmd_loop import SpmdLoop
-from repro.dist.distmatrix import DoublePartitioned1D
+from repro.dist.distmatrix import _local_norm_squared, cut_block
+from repro.dist.partition import block_range
 
 
 def naive_parallel_nmf(
@@ -72,19 +73,17 @@ def naive_parallel_nmf(
 
     solver = config.make_solver()
 
-    data = DoublePartitioned1D.from_global(rank, p, A)
-    row_lo, row_hi = data.row_range
-    col_lo, col_hi = data.col_range
+    # Rank i's row block A_i and column block Aⁱ: the data is deliberately
+    # stored twice, one of the inefficiencies HPC-NMF removes.
+    row_lo, row_hi = block_range(m, p, rank)
+    col_lo, col_hi = block_range(n, p, rank)
+    row_block = cut_block(A, (row_lo, row_hi), (0, n))
+    col_block = cut_block(A, (0, m), (col_lo, col_hi))
 
     # Same-seed initialisation (§6.1.3): every rank slices the same global H.
     H_local = init_h_slice(k, n, config.seed, (col_lo, col_hi))
 
-    norm_a_sq_local = (
-        float(data.row_block.data @ data.row_block.data)
-        if data.is_sparse
-        else float(np.vdot(data.row_block, data.row_block))
-    )
-    norm_a_sq = comm.allreduce_scalar(norm_a_sq_local)
+    norm_a_sq = comm.allreduce_scalar(_local_norm_squared(row_block))
 
     # Reusable collective workspaces: the two factor all-gathers hit the same
     # shapes every iteration, so their results land in persistent per-rank
@@ -103,8 +102,8 @@ def naive_parallel_nmf(
     rhs_buf = ws.get("rhs", k * max(rows, cols))
     W_local = ws.get("w_local", (rows, k))
     Wt_local = np.empty((k, rows))
-    mm_rows = BlockProducts(data.row_block, k)   # line 6: A_i Hᵀ
-    mm_cols = BlockProducts(data.col_block, k)   # line 12: Wᵀ Aⁱ
+    mm_rows = BlockProducts(row_block, k)   # line 6: A_i Hᵀ
+    mm_cols = BlockProducts(col_block, k)   # line 12: Wᵀ Aⁱ
 
     # Attaches the ledger after the setup-phase reduction, so it records only
     # the per-iteration communication (§4.3's (m+n)k words of all-gather).

@@ -116,12 +116,9 @@ class SpmdLoop:
         with profiler.collective(TaskCategory.ALL_REDUCE, comm):
             cross_local = local_cross_term(wta, H_local)
             scalars = self.penalty.local_scalars(W_local, H_local)
-            if scalars:
-                cross, *scalars = (
-                    float(v) for v in comm.allreduce(np.array([cross_local, *scalars]))
-                )
-            else:
-                cross = comm.allreduce_scalar(cross_local)
+            cross, *scalars = (
+                float(v) for v in comm.allreduce(np.array([cross_local, *scalars]))
+            )
         with profiler.collective(TaskCategory.ALL_REDUCE, comm):
             self.gram_h = comm.allreduce(local_gram_h, out=self._gram_h_buf)
         seconds = time.perf_counter() - iter_start

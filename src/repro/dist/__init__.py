@@ -6,10 +6,10 @@ answer to "which rank holds which indices":
 
 * :mod:`repro.dist.partition` — the remainder-spreading contiguous block
   layout every distributed object uses (``block_counts``, ``block_range``);
-* :mod:`repro.dist.distmatrix` — :class:`~repro.dist.distmatrix.DistMatrix2D`
-  (Algorithm 3's ``A_ij`` blocks, file-backed when ``A`` is an
-  ``np.memmap``) and :class:`~repro.dist.distmatrix.DoublePartitioned1D` (Algorithm
-  2's twice-stored row/column blocks);
+* :mod:`repro.dist.distmatrix` — :func:`~repro.dist.distmatrix.cut_block`,
+  the one block cut of both parallel algorithms (file-backed when ``A`` is an
+  ``np.memmap``), and :class:`~repro.dist.distmatrix.DistMatrix2D`
+  (Algorithm 3's ``A_ij`` blocks);
 * :mod:`repro.dist.factors` — the ``p``-way partitioned factors
   :class:`~repro.dist.factors.DistributedFactorW` / ``(W_i)_j`` and
   :class:`~repro.dist.factors.DistributedFactorH` / ``(H_j)_i``, whose
@@ -30,7 +30,7 @@ from repro._lazy import lazy_exports
 # Re-exported on first access, like ``repro.core`` and ``repro.comm``:
 # importing the package loads no layout until one is named.
 _EXPORTS = {
-    "repro.dist.distmatrix": ("DistMatrix2D", "DoublePartitioned1D"),
+    "repro.dist.distmatrix": ("DistMatrix2D", "cut_block"),
     "repro.dist.factors": ("DistributedFactorH", "DistributedFactorW"),
     "repro.dist.partition": ("block_counts", "block_offsets", "block_range"),
 }

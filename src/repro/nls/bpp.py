@@ -37,21 +37,27 @@ from repro.nls.kernels import make_kernel
 from repro.util.errors import SolverError
 
 
+#: Failed full exchanges tolerated per column before the single-variable
+#: backup rule (the parameter "α" of Kim & Park).
+MAX_BACKUP = 3
+
+#: Hard cap on pivoting iterations: a safeguard, since BPP terminates
+#: finitely with the backup rule, typically in far fewer iterations.
+MAX_ITERS = 1000
+
+#: Feasibility tolerance: entries of x and y above ``-TOL`` count as
+#: nonnegative.
+TOL = 1e-12
+
+
 class BlockPrincipalPivoting(NLSSolver):
     """Multi-right-hand-side block principal pivoting NLS solver.
 
+    The pivoting rule's settings are the module constants
+    :data:`MAX_BACKUP`, :data:`MAX_ITERS` and :data:`TOL`.
+
     Parameters
     ----------
-    max_backup:
-        Number of failed full exchanges tolerated per column before switching
-        to the single-variable backup rule (the parameter "α" of Kim & Park,
-        default 3).
-    max_iters:
-        Hard cap on pivoting iterations (a safeguard; BPP terminates finitely
-        with the backup rule, typically in far fewer iterations).
-    tol:
-        Feasibility tolerance: entries of x and y above ``-tol`` count as
-        nonnegative.
     kernel:
         Inner-engine selection: ``'batched'`` (what ``None``, the default,
         means, as does ``'auto'``) or ``'scalar'`` (the reference oracle).
@@ -74,18 +80,8 @@ class BlockPrincipalPivoting(NLSSolver):
     #: serving workload revisits a handful of patterns).
     CACHE_LIMIT = 4096
 
-    def __init__(
-        self,
-        max_backup: int = 3,
-        max_iters: int = 1000,
-        tol: float = 1e-12,
-        kernel: Optional[str] = None,
-        persistent_cache: bool = False,
-    ):
+    def __init__(self, kernel: Optional[str] = None, persistent_cache: bool = False):
         super().__init__()
-        self.max_backup = int(max_backup)
-        self.max_iters = int(max_iters)
-        self.tol = float(tol)
         self.kernel = make_kernel(kernel)
         self._cache = self.kernel.make_cache() if persistent_cache else None
 
@@ -116,15 +112,15 @@ class BlockPrincipalPivoting(NLSSolver):
             gram,
             rhs,
             x0,
-            max_backup=self.max_backup,
-            max_iters=self.max_iters,
-            tol=self.tol,
+            max_backup=MAX_BACKUP,
+            max_iters=MAX_ITERS,
+            tol=TOL,
             cache=self._cache,
         )
         self.last_state = state
         if not state.converged:
             raise SolverError(
-                f"BPP did not converge within {self.max_iters} pivoting iterations"
+                f"BPP did not converge within {MAX_ITERS} pivoting iterations"
             )
 
         # Clamp tiny negatives introduced by finite precision.

@@ -61,12 +61,6 @@ def _factors(A, k, seed=0):
     return rng.random((k, n)), rng.random((m, k))
 
 
-def _panel_edges(extent):
-    """Ranges ending at the edges of a 3-way panel split, one of them empty."""
-    cuts = sorted({0, extent // 3, extent // 3, (2 * extent) // 3, extent})
-    return list(zip(cuts, cuts[1:])) + [(cuts[1], cuts[1])]
-
-
 @pytest.mark.parametrize("k", [1, 7, 32])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_blocked_products_are_scipys_bits(case, k):
@@ -81,22 +75,32 @@ def test_blocked_products_are_scipys_bits(case, k):
     assert wt_a.tobytes() == np.ascontiguousarray((A.T @ W).T).tobytes()
 
 
+def _panel_edges(extent):
+    """Ranges ending at the edges of a 3-way panel split, one of them empty."""
+    cuts = sorted({0, extent // 3, extent // 3, (2 * extent) // 3, extent})
+    return list(zip(cuts, cuts[1:])) + [(cuts[1], cuts[1])]
+
+
 @pytest.mark.parametrize("k", [1, 7, 32])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_blocked_panels_are_scipys_bits(case, k):
-    """Row panels of line 6 and column panels of line 12 are ranges, not copies,
-    and each equals scipy's product of the sliced block."""
+    """Each range of the whole line-6 and line-12 product (the segment one
+    rank of a reduce-scatter receives) equals scipy's product of the sliced
+    block byte for byte, so one reduce-scatter of the whole sparse product
+    sums the bits that a product per range would."""
     A = CASES[case]()
     H, W = _factors(A, k, seed=1)
     products = BlockProducts(A, k)
     products.set_h(H)
     m, n = A.shape
+    h_at = products.h_at(np.full((k, m), np.nan))
+    wt_a = products.wt_a(W, np.full((k, n), np.nan))
     for lo, hi in _panel_edges(m):
-        got = products.h_at(np.full((k, hi - lo), np.nan), lo, hi)
-        assert got.tobytes() == np.ascontiguousarray((A[lo:hi] @ H.T).T).tobytes()
+        want = np.ascontiguousarray((A[lo:hi] @ H.T).T)
+        assert np.ascontiguousarray(h_at[:, lo:hi]).tobytes() == want.tobytes()
     for lo, hi in _panel_edges(n):
-        got = products.wt_a(W, np.full((k, hi - lo), np.nan), lo, hi)
-        assert got.tobytes() == np.ascontiguousarray((A[:, lo:hi].T @ W).T).tobytes()
+        want = np.ascontiguousarray((A[:, lo:hi].T @ W).T)
+        assert np.ascontiguousarray(wt_a[:, lo:hi]).tobytes() == want.tobytes()
 
 
 def test_block_products_reuse_their_operands():

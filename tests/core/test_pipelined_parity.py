@@ -5,10 +5,8 @@ their results — on every backend.  ``overlap`` is accepted and must be
 inert.  The contract: every backend × ``overlap`` value × variant
 produces byte-identical factors, the same error history and identical cost
 ledgers, all matching the lockstep oracle bit for bit, and no fit ever starts
-a helper thread or books hidden communication.
-
-Streamed vs monolithic reduce-scatter is compared where it belongs, in
-``tests/comm/test_panels.py``.
+a helper thread or books hidden communication.  Each of Algorithm 3's
+reduce-scatter lines (7 and 13) is one physical call, as the ledger books it.
 """
 
 import functools
@@ -35,7 +33,7 @@ from repro.core.observers import IterationObserver
 VARIANTS = ("naive", "hpc1d", "hpc2d")
 BACKENDS = ("lockstep", "thread", "process", "socket")
 # p = 6 as 2×3 with m = 62 makes every block_counts split ragged (31 rows
-# three ways, 15/14 columns two ways): uneven panel boundaries.
+# three ways, 15/14 columns two ways): uneven reduce-scatter counts.
 GRIDS = {4: (2, 2), 6: (2, 3)}
 MODES = {
     "default": dict(max_iters=4),
@@ -93,14 +91,14 @@ def test_schedule_parity(variant, backend, kind, p, mode):
 @pytest.mark.parametrize("grid", [(2, 3), (3, 2)])
 @settings(max_examples=8, deadline=None)
 @given(m=st.integers(min_value=13, max_value=34), n=st.integers(min_value=11, max_value=30))
-def test_uneven_panel_boundaries_stay_byte_identical(grid, m, n):
+def test_uneven_scatter_counts_stay_byte_identical(grid, m, n):
     """Non-power-of-two grids make block_counts uneven (m % pr != 0 etc.),
-    driving zero-padding-free ragged panel splits through the stream."""
+    driving ragged reduce-scatter splits through lines 7 and 13."""
     A = np.abs(np.random.default_rng(m * 100 + n).standard_normal((m, n)))
     common = dict(variant="hpc2d", n_ranks=6, grid=grid, max_iters=2, seed=17)
     oracle = fit(A, 3, backend="lockstep", overlap=False, **common)
-    streamed = fit(A, 3, backend="thread", **common)
-    _assert_same_run(oracle, streamed)
+    thread = fit(A, 3, backend="thread", **common)
+    _assert_same_run(oracle, thread)
 
 
 # -- the facts the one-mode design rests on ------------------------------------
@@ -122,8 +120,8 @@ def test_no_fit_starts_a_helper_thread_or_books_hidden_comm(
 def test_exception_inside_the_loop_surfaces_as_itself_on_every_rank(
     monkeypatch, refuse_helper_threads
 ):
-    """The line-6 product raises on the second panel of iteration 1, after
-    panel 0's reduce-scatter completed: nothing is in flight to clean up, the
+    """The line-6 product raises in iteration 1, after iteration 0's
+    reduce-scatters completed: nothing is in flight to clean up, the
     exception surfaces as itself on every rank and from ``fit``."""
     calls = threading.local()
     real = local_ops_mod.BlockProducts.h_at
@@ -131,11 +129,11 @@ def test_exception_inside_the_loop_surfaces_as_itself_on_every_rank(
     class Boom(RuntimeError):
         pass
 
-    def failing(self, out, lo=0, hi=None):
+    def failing(self, out):
         calls.n = getattr(calls, "n", 0) + 1
-        if calls.n == 4:  # pc = 2 panels per iteration → iteration 1, panel 1
-            raise Boom("panel GEMM failed")
-        return real(self, out, lo, hi)
+        if calls.n == 2:  # one line-6 product per iteration → iteration 1
+            raise Boom("line-6 GEMM failed")
+        return real(self, out)
 
     monkeypatch.setattr(local_ops_mod.BlockProducts, "h_at", failing)
     config = NMFConfig(k=4, max_iters=3, seed=1, grid=(2, 2))
@@ -273,8 +271,8 @@ def test_history_seconds_tile_the_loop(variant, mode, monkeypatch):
     assert covered <= wall
 
 
-# (variant, n_ranks, grid): hpc2d's 2 × 3 grid has pc = 3 line-6 panels and
-# pr = 2 line-12 panels; hpc1d's 3 × 1 grid runs its line-5/line-7
+# (variant, n_ranks, grid): hpc2d's 2 × 3 grid reduce-scatters over 3-rank
+# rows and 2-rank columns; hpc1d's 3 × 1 grid runs its line-7/line-11
 # collectives on a size-1 row communicator (they hand back their input).
 LINE_ORDER_CASES = [("naive", 3, None), ("hpc1d", 3, None), ("hpc2d", 6, (2, 3))]
 
@@ -285,15 +283,14 @@ def _expected_line_order(variant, grid, iteration):
     if variant == "naive":
         # Algorithm 2: gather H, gather W (H Hᵀ comes from the error path).
         return [("allgatherv", "world"), ("allgatherv", "world")] + error_path
-    pr, pc = grid
     line4 = [("allreduce", "world")] if iteration == 0 else []  # later: cached
     return (
         line4
         + [("allgatherv", "col")]                        # line 5: H_j
-        + [("reduce_scatter", "row")] * pc               # lines 6-7, one per panel
+        + [("reduce_scatter", "row")]                    # line 7: (A Hᵀ)_i
         + [("allreduce", "world")]                       # line 10: Wᵀ W
         + [("allgatherv", "row")]                        # line 11: W_i
-        + [("reduce_scatter", "col")] * pr               # lines 12-13, one per panel
+        + [("reduce_scatter", "col")]                    # line 13: (Wᵀ A)_j
         + error_path
     )
 
@@ -490,13 +487,13 @@ def test_one_d_grid_rhs_is_the_array_the_mm_wrote(grid, kind, monkeypatch):
     products = local_ops_mod.BlockProducts
     real_h_at, real_wt_a = products.h_at, products.wt_a
 
-    def h_at(self, out, lo=0, hi=None):
-        result = real_h_at(self, out, lo, hi)
+    def h_at(self, out):
+        result = real_h_at(self, out)
         made.__dict__.setdefault("h_at", []).append(result)
         return result
 
-    def wt_a(self, W, out, lo=0, hi=None):
-        result = real_wt_a(self, W, out, lo, hi)
+    def wt_a(self, W, out):
+        result = real_wt_a(self, W, out)
         made.__dict__.setdefault("wt_a", []).append(result)
         return result
 
@@ -534,16 +531,15 @@ def test_sequential_line8_rhs_is_c_contiguous(monkeypatch):
     assert all(r.flags.c_contiguous for r in seen.rhs)
 
 
-@pytest.mark.parametrize("variant, p, grid, per_rank_per_iter", [
-    ("naive", 3, None, (1, 1)),       # A_i Hᵀ and Wᵀ Aⁱ
-    ("hpc1d", 3, None, (1, 3)),       # pc = 1 row panel + pr = 3 column panels
-    ("hpc2d", 2, (2, 1), (1, 2)),     # sparse_wire's grid
+@pytest.mark.parametrize("variant, p, grid", [
+    ("naive", 3, None),       # A_i Hᵀ and Wᵀ Aⁱ
+    ("hpc1d", 3, None),
+    ("hpc2d", 2, (2, 1)),     # sparse_wire's grid
+    ("hpc2d", 6, (2, 3)),
 ])
-def test_sparse_fit_runs_the_kernel_once_per_panel(variant, p, grid, per_rank_per_iter,
-                                                   monkeypatch):
-    """One sparse product per SpMM panel, pc + pr of them per rank and
-    iteration on a pr × pc grid: line 6's CSR kernel pc times, line 12's
-    CSC kernel pr times."""
+def test_sparse_fit_runs_each_kernel_once_per_line(variant, p, grid, monkeypatch):
+    """One sparse product per MM line and rank and iteration, whatever the
+    grid: line 6's CSR kernel once, line 12's CSC kernel once."""
     calls = []
 
     def counting(real):
@@ -557,57 +553,108 @@ def test_sparse_fit_runs_the_kernel_once_per_panel(variant, p, grid, per_rank_pe
     extra = {"grid": grid} if grid else {}
     fit(_sparse(seed=9), 5, variant=variant, backend="thread", n_ranks=p,
         max_iters=3, seed=11, **extra)
-    line_6, line_12 = per_rank_per_iter
-    assert calls.count("csr_product_t") == line_6 * p * 3
-    assert calls.count("csc_product_t") == line_12 * p * 3
-    assert len(calls) == (line_6 + line_12) * p * 3
+    assert calls.count("csr_product_t") == p * 3
+    assert calls.count("csc_product_t") == p * 3
+    assert len(calls) == 2 * p * 3
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 @pytest.mark.parametrize("grid", [(3, 1), (1, 3)])
-def test_panels_are_ranges_of_the_block(grid, kind, monkeypatch):
-    """No panel is cut out of the block: every MM panel is a row (line 6) or
-    column (line 12) range of ``A_ij`` itself, the ranges of one product tile
-    its extent in order, and a one-part split is the whole block."""
+def test_products_are_of_the_block_itself(grid, kind, monkeypatch):
+    """No operand is cut out of the block: lines 6 and 12 each multiply
+    ``A_ij`` itself, once per iteration, into a ``k × rows`` / ``k × cols``
+    product."""
     seen = threading.local()
+    real_from_global = hpc_mod.DistMatrix2D.from_global
 
-    class SpyMatrix(hpc_mod.DistMatrix2D):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            seen.block = self.block
+    def spy(grid_, A_):
+        data = real_from_global(grid_, A_)
+        seen.block = data.block
+        return data
 
-    monkeypatch.setattr(hpc_mod, "DistMatrix2D", SpyMatrix)
+    monkeypatch.setattr(hpc_mod.DistMatrix2D, "from_global", spy)
     products = local_ops_mod.BlockProducts
     real_h_at, real_wt_a = products.h_at, products.wt_a
 
-    def h_at(self, out, lo=0, hi=None):
-        seen.ranges.append(("h_at", self.block is seen.block, lo, hi))
-        return real_h_at(self, out, lo, hi)
+    def h_at(self, out):
+        seen.calls.append(("h_at", self.block is seen.block, out.shape))
+        return real_h_at(self, out)
 
-    def wt_a(self, W, out, lo=0, hi=None):
-        seen.ranges.append(("wt_a", self.block is seen.block, lo, hi))
-        return real_wt_a(self, W, out, lo, hi)
+    def wt_a(self, W, out):
+        seen.calls.append(("wt_a", self.block is seen.block, out.shape))
+        return real_wt_a(self, W, out)
 
     monkeypatch.setattr(products, "h_at", h_at)
     monkeypatch.setattr(products, "wt_a", wt_a)
     A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
     config = NMFConfig(k=4, max_iters=2, seed=1, grid=grid)
-    pr, pc = grid
 
     def rank_program(comm):
-        seen.ranges = []
+        seen.calls = []
         hpc_mod.hpc_nmf(comm, A, config)
         rows, cols = seen.block.shape
-        ok = all(is_block for _, is_block, _, _ in seen.ranges)
-        for name, extent, parts in (("h_at", rows, pc), ("wt_a", cols, pr)):
-            ranges = [(lo, hi) for kind_, _, lo, hi in seen.ranges if kind_ == name]
-            edges = [lo for lo, _ in ranges[:parts]] + [ranges[parts - 1][1]]
-            ok &= len(ranges) == 2 * parts and ranges[:parts] == ranges[parts:]
-            ok &= edges[0] == 0 and edges[-1] == extent
-            ok &= all(a[1] == b[0] for a, b in zip(ranges, ranges[1:parts]))
-        return ok
+        one_iteration = [("h_at", True, (4, rows)), ("wt_a", True, (4, cols))]
+        return seen.calls == one_iteration * 2
 
     assert run_spmd(3, rank_program, backend="thread") == [True] * 3
+
+
+_LEDGER_NAMES = {"allgatherv": "all_gather", "reduce_scatter": "reduce_scatter",
+                 "allreduce": "all_reduce"}
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("variant, p, grid", [
+    ("naive", 4, None), ("naive", 6, None),
+    ("hpc1d", 4, None), ("hpc1d", 6, None),
+    ("hpc2d", 4, (2, 2)), ("hpc2d", 6, (2, 3)), ("hpc2d", 6, (3, 2)),
+])
+def test_every_booked_collective_is_one_physical_call(variant, p, grid, kind, monkeypatch):
+    """The ledger books one entry per §2.3 collective, and the loop runs one
+    physical call for it: a rank's collectives on communicators of more than
+    one rank, from the loop's start on, are its ledger's calls per
+    operation."""
+    from repro.comm.communicator import Comm
+    from repro.core.observers import LoopControl
+
+    seen = threading.local()
+
+    def spy(name):
+        real = getattr(Comm, name)
+
+        def call(self, *args, **kwargs):  # allreduce_scalar calls allreduce
+            counts = getattr(seen, "counts", None)
+            if counts is not None and self.size > 1:
+                counts[_LEDGER_NAMES[name]] = counts.get(_LEDGER_NAMES[name], 0) + 1
+            return real(self, *args, **kwargs)
+
+        return call
+
+    real_start = LoopControl.start
+
+    def start(self):
+        seen.counts = {}
+        return real_start(self)
+
+    for name in _LEDGER_NAMES:
+        monkeypatch.setattr(Comm, name, spy(name))
+    monkeypatch.setattr(LoopControl, "start", start)
+    config = NMFConfig(k=4, max_iters=3, seed=1, grid=grid or (p, 1))
+    program = naive_mod.naive_parallel_nmf if variant == "naive" else hpc_mod.hpc_nmf
+    A = _dense(seed=4, m=26, n=19) if kind == "dense" else _sparse(seed=9)
+
+    def rank_program(comm):
+        out = program(comm, A, config, variant=variant)
+        booked = {op: entry["calls"] for op, entry in out["ledger"].summary().items()}
+        return seen.counts, booked
+
+    # (one operation's calls per iteration: hpc1d's line 7 is on a
+    # one-rank row communicator, so it moves and books nothing)
+    operation, per_iteration = {"naive": ("all_gather", 2), "hpc1d": ("reduce_scatter", 1),
+                                "hpc2d": ("reduce_scatter", 2)}[variant]
+    for physical, booked in run_spmd(p, rank_program, backend="thread"):
+        assert physical == booked
+        assert booked[operation] == per_iteration * 3
 
 
 def test_overlap_flag_is_noop_for_sequential():

@@ -29,7 +29,8 @@ from repro.core.local_ops import (
     csr_product_t,
 )
 from repro.data import sparse_synthetic
-from repro.dist.distmatrix import DistMatrix2D, DoublePartitioned1D
+from repro.dist.distmatrix import DistMatrix2D, cut_block
+from repro.dist.partition import block_range
 
 B = SPARSE_BLOCK_ROWS
 WIDTH = 37
@@ -93,64 +94,51 @@ CASES = {
 }
 
 
-def _ranges(extent):
-    """The whole extent, three reduce-scatter-like sub-ranges, and an empty one."""
-    cuts = [0, extent // 3, (2 * extent) // 3, extent]
-    return [(0, extent)] + list(zip(cuts, cuts[1:])) + [(cuts[1], cuts[1])]
+def _one_panel(csr, X):
+    return csr_product_t([(csr, 0)], X, np.full((X.shape[1], csr.shape[0]), np.nan))
 
 
-def _thirds(extent):
-    """Three line-12 ranges as slices, off the ``WIDTH`` grid."""
-    return [slice(lo, hi) for lo, hi in _ranges(extent)[1:4]]
+def _paneled(panels, X):
+    k, m = X.shape[1], panels[0][0].shape[0]
+    accumulator = np.full((m, k), np.nan)
+    return csr_product_t(panels, X, np.full((k, m), np.nan), accumulator)
 
 
-def _one_panel(csr, X, lo, hi):
-    return csr_product_t([(csr, 0)], X, np.full((X.shape[1], hi - lo), np.nan), lo, hi)
-
-
-def _paneled(panels, X, lo, hi):
-    k = X.shape[1]
-    accumulator = np.full((hi - lo, k), np.nan)
-    return csr_product_t(panels, X, np.full((k, hi - lo), np.nan), lo, hi, accumulator)
-
-
-def _gathered_over_transpose(S, W, lo, hi):
+def _gathered_over_transpose(S, W):
     """Line 12 as the loop computed it before the column panels: each output
     row gathers its nonzeros from the CSR of ``Sᵀ``."""
-    return _one_panel(sp.csr_matrix(S.T), W, lo, hi)
+    return _one_panel(sp.csr_matrix(S.T), W)
 
 
-def _scattered(panels, W, lo, hi):
-    return csc_product_t(panels, W, np.full((W.shape[1], hi - lo), np.nan), lo, hi)
+def _scattered(panels, W):
+    n = panels[-1][1] + panels[-1][0].shape[1]
+    return csc_product_t(panels, W, np.full((W.shape[1], n), np.nan))
 
 
 @pytest.mark.parametrize("chunk", [None, 5, 1000])
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("on_grid", [True, False])
-def test_column_panels_are_the_column_slices(index_dtype, on_grid, chunk, monkeypatch):
+@pytest.mark.parametrize("width", [WIDTH, 49], ids=["ragged", "exact"])
+def test_column_panels_are_the_column_slices(width, index_dtype, chunk, monkeypatch):
     """The build equals the column slices: every panel's row pointer, column
     indices and values are ``csr[:, first:first + width]``'s, whether the
     block is one build chunk or many (with rows longer than a chunk), and it
-    is cut every ``WIDTH`` columns inside each range (an empty range cuts
-    nothing)."""
+    is cut every ``width`` columns, whether the last panel is narrower
+    (``WIDTH``) or the width divides the block (49 of its 196 columns)."""
     if chunk is not None:
         monkeypatch.setattr(local_ops_mod, "_BUILD_NONZEROS", chunk)
     S = _ragged_last_panel(index_dtype)
     n = S.shape[1]
-    ranges = None if on_grid else _thirds(n) + [slice(n, n)]
-    panels = column_panels(S, WIDTH, ranges)
-    bounds = [(0, n)] if on_grid else [(r.start, r.stop) for r in ranges]
-    assert [first for _, first in panels] == [
-        c for lo, hi in bounds for c in range(lo, hi, WIDTH)
-    ]
+    panels = column_panels(S, width)
+    assert [first for _, first in panels] == list(range(0, n, width))
     assert sum(csr.shape[1] for csr, _ in panels) == n
+    assert all(csr.shape[1] == width for csr, _ in panels[:-1])
     for csr, first in panels:
         want = S[:, first:first + csr.shape[1]]
         assert csr.shape == want.shape
         assert np.array_equal(csr.indptr, want.indptr)
         assert np.array_equal(csr.indices, want.indices)
         assert np.array_equal(csr.data, want.data)
-    assert column_panels(S, n, None)[0][0] is S      # one panel is the block
+    assert column_panels(S, n)[0][0] is S      # one panel is the block
 
 
 @pytest.mark.parametrize("shape", [(0, 100), (50, 100)])
@@ -164,52 +152,46 @@ def test_column_panels_of_an_empty_block(shape):
 @pytest.mark.parametrize("k", [1, 7, 32, 33])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_panels_give_the_one_panel_bits(case, k):
-    """Line 6 (the column panels in CSR form) over full-height accumulators
-    equals the one-panel loop byte for byte on every row range, and that loop
-    equals scipy.  Line 12 (the same panels read as the CSC of their
-    transposes) equals the gather over ``Sᵀ`` and scipy on every column range,
-    with the panels cut on the width grid or inside reduce-scatter ranges."""
+    """Line 6 (the column panels in CSR form) over a full-height accumulator
+    equals the one-panel loop byte for byte, and that loop equals scipy.
+    Line 12 (the same panels read as the CSC of their transposes) equals the
+    gather over ``Sᵀ`` and scipy."""
     S = CASES[case]()
     rng = np.random.default_rng(k)
     m, n = S.shape
     Ht, W = rng.random((n, k)), rng.random((m, k))
     panels = column_panels(S, WIDTH)
     assert len(panels) == -(-n // WIDTH)
-    for lo, hi in _ranges(m):
-        want = _one_panel(S, Ht, lo, hi)
-        assert _paneled(panels, Ht, lo, hi).tobytes() == want.tobytes()
-        assert want.tobytes() == np.ascontiguousarray((S[lo:hi] @ Ht).T).tobytes()
-    for cut in (panels, column_panels(S, WIDTH, _thirds(n))):
-        for lo, hi in _ranges(n):
-            want = _gathered_over_transpose(S, W, lo, hi)
-            assert _scattered(cut, W, lo, hi).tobytes() == want.tobytes()
-            assert want.tobytes() == np.ascontiguousarray((S[:, lo:hi].T @ W).T).tobytes()
+    want = _one_panel(S, Ht)
+    assert _paneled(panels, Ht).tobytes() == want.tobytes()
+    assert want.tobytes() == np.ascontiguousarray((S @ Ht).T).tobytes()
+    want = _gathered_over_transpose(S, W)
+    assert _scattered(panels, W).tobytes() == want.tobytes()
+    assert want.tobytes() == np.ascontiguousarray((S.T @ W).T).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 7, 32, 33])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_block_products_give_the_one_panel_bits(case, k, monkeypatch):
     """Through :class:`BlockProducts`, with ``PANEL_BYTES`` set to ``WIDTH``
-    rows of ``X`` and the line-12 ranges off that grid: a lent accumulator
-    cuts line 6 into the column panels and changes no bit, and line 12 over
-    the same panels is the gather over ``Sᵀ``.  One panel set is built."""
+    rows of ``X``: a lent accumulator cuts line 6 into the column panels and
+    changes no bit, and line 12 over the same panels is the gather over
+    ``Sᵀ``.  One panel set is built."""
     monkeypatch.setattr(local_ops_mod, "PANEL_BYTES", 8 * k * WIDTH)
     S = CASES[case]()
     rng = np.random.default_rng(k + 1)
     m, n = S.shape
     H, W = rng.random((k, n)), rng.random((m, k))
-    plain, lent = BlockProducts(S, k, _thirds(n)), BlockProducts(S, k, _thirds(n))
+    plain, lent = BlockProducts(S, k), BlockProducts(S, k)
     lent.lend(np.empty(k * m))
     plain.set_h(H)
     lent.set_h(H)
-    for lo, hi in _ranges(m):
-        want = plain.h_at(np.empty((k, hi - lo)), lo, hi)
-        assert lent.h_at(np.empty((k, hi - lo)), lo, hi).tobytes() == want.tobytes()
+    want = plain.h_at(np.empty((k, m)))
+    assert lent.h_at(np.empty((k, m))).tobytes() == want.tobytes()
+    want = _gathered_over_transpose(S, W)
     for products in (plain, lent):
-        for lo, hi in _ranges(n):
-            want = _gathered_over_transpose(S, W, lo, hi)
-            assert products.wt_a(W, np.empty((k, hi - lo)), lo, hi).tobytes() == want.tobytes()
-        assert len(products._panels) == sum(-(-(r.stop - r.start) // WIDTH) for r in _thirds(n))
+        assert products.wt_a(W, np.empty((k, n))).tobytes() == want.tobytes()
+        assert len(products._panels) == -(-n // WIDTH)
 
 
 def test_unsorted_rows_keep_line_6_on_one_panel(monkeypatch):
@@ -236,10 +218,9 @@ def test_unsorted_rows_keep_line_6_on_one_panel(monkeypatch):
     got = products.h_at(np.empty((k, 300)))
     assert counts == [1]
     assert got.tobytes() == np.ascontiguousarray((S @ Ht).T).tobytes()
-    for lo, hi in _ranges(200):
-        got = products.wt_a(W, np.empty((k, hi - lo)), lo, hi)
-        assert got.tobytes() == _gathered_over_transpose(S, W, lo, hi).tobytes()
-        assert got.tobytes() == np.ascontiguousarray((S[:, lo:hi].T @ W).T).tobytes()
+    got = products.wt_a(W, np.empty((k, 200)))
+    assert got.tobytes() == _gathered_over_transpose(S, W).tobytes()
+    assert got.tobytes() == np.ascontiguousarray((S.T @ W).T).tobytes()
     assert len(products._panels) == -(-200 // WIDTH)
 
 
@@ -250,14 +231,14 @@ def test_naive_column_block_is_csr_and_multiplies_over_panels(rank, monkeypatch)
     k = 7
     monkeypatch.setattr(local_ops_mod, "PANEL_BYTES", 8 * k * WIDTH)
     A = _empty_panel()
-    block = DoublePartitioned1D.from_global(rank, 3, A).col_block
+    block = cut_block(A, (0, A.shape[0]), block_range(A.shape[1], 3, rank))
     assert block.format == "csr"
     W = np.random.default_rng(rank).random((A.shape[0], k))
     products = BlockProducts(block, k)
     n = block.shape[1]
     got = products.wt_a(W, np.empty((k, n)))
     assert len(products._panels) == -(-n // WIDTH)
-    assert got.tobytes() == _gathered_over_transpose(block, W, 0, n).tobytes()
+    assert got.tobytes() == _gathered_over_transpose(block, W).tobytes()
 
 
 # -- fits --------------------------------------------------------------------
@@ -267,7 +248,7 @@ K = 32
 
 def _wide_input():
     """Wider than one 4 MiB panel at k = 32 (16 384 columns) on each rank of a
-    2 × 1 grid, and each of its two line-12 ranges too."""
+    2 × 1 grid."""
     return sparse_synthetic(40000, 40000, density=2e-4, seed=9)
 
 
@@ -276,9 +257,8 @@ def _fit(A, grid=(2, 1)):
                solver="hals", max_iters=3, seed=5)
 
 
-def _panels_only_at_ranges(monkeypatch):
-    """A panel as wide as anything: line 6 runs as one panel, and line 12's
-    panels are its reduce-scatter ranges."""
+def _whole_block_panels(monkeypatch):
+    """A panel as wide as anything: both products read the block as one panel."""
     monkeypatch.setattr(local_ops_mod, "PANEL_BYTES", 1 << 62)
 
 
@@ -305,7 +285,7 @@ def test_a_paneled_fit_has_the_one_panel_fits_bits(grid, panel_rows, monkeypatch
     monkeypatch.setattr(local_ops_mod, "csr_product_t", counting)
     paneled = _fit(A, grid)
     assert (max(counts) > 1) == (grid[0] > 1), counts
-    _panels_only_at_ranges(monkeypatch)
+    _whole_block_panels(monkeypatch)
     counts.clear()
     reference = _fit(A, grid)
     assert max(counts) == 1
@@ -325,25 +305,27 @@ def _traced_peak(A) -> int:
 
 
 def test_a_paneled_fit_borrows_its_accumulator(monkeypatch):
-    """Against the same fit with panels cut only at line 12's two ranges, the
-    whole traced peak of a pr = 2 sparse fit grows by no more than its extra
-    panels' row pointers (4 bytes per row; its scratch block, as tall as its
-    widest panel, is the shorter one).  So line 6's full-height accumulator
-    is borrowed, and cutting more panels costs nothing but their row
-    pointers (``test_a_sparse_block_keeps_one_panel_set`` bounds what the
-    panels cost in the first place)."""
+    """Against the same fit with half-width panels and nothing lent (line 6
+    on its scratch block), the whole traced peak of a pr = 2 sparse fit
+    grows by no more than its extra panels' row pointers (4 bytes per row;
+    its scratch block, as tall as its widest panel, is the shorter one).
+    So line 6's full-height accumulator is borrowed, and cutting more panels
+    costs nothing but their row pointers
+    (``test_a_sparse_block_keeps_one_panel_set`` bounds what the panels cost
+    in the first place)."""
     A = _wide_input()
     width = local_ops_mod.panel_width(K)
     extra = 0
+    halves = []
     for r0, r1 in ((0, A.shape[0] // 2), (A.shape[0] // 2, A.shape[0])):
         rows, cols = A[r0:r1].shape
-        ranges = (cols // 2, cols - cols // 2)          # block_counts(cols, 2)
-        panels = sum(-(-extent // width) for extent in ranges)
-        extra += 4 * (rows + 1) * (panels - len(ranges))
+        halves.append(-(-cols // 2))
+        extra += 4 * (rows + 1) * (-(-cols // width) - 2)
     paneled = _traced_peak(A)
-    _panels_only_at_ranges(monkeypatch)
-    at_ranges = _traced_peak(A)
-    assert paneled <= at_ranges + extra, (paneled, at_ranges, extra)
+    monkeypatch.setattr(local_ops_mod, "PANEL_BYTES", 8 * K * max(halves))
+    monkeypatch.setattr(BlockProducts, "lend", lambda self, accumulator: None)
+    unlent = _traced_peak(A)
+    assert paneled <= unlent + extra, (paneled, unlent, extra)
 
 
 @pytest.mark.parametrize("lent", [True, False])
@@ -356,25 +338,23 @@ def test_a_sparse_block_keeps_one_panel_set(lent):
     A = _wide_input()
     block = DistMatrix2D.from_global(ProcessGrid(SelfComm(), 1, 1), A[:A.shape[0] // 2]).block
     rows, cols = block.shape
-    ranges = [slice(0, cols // 2), slice(cols // 2, cols)]
     rng = np.random.default_rng(3)
     Ht, W = rng.random((cols, K)), rng.random((rows, K))
-    out6, out12 = np.empty((K, rows)), np.empty((K, cols // 2))
+    out6, out12 = np.empty((K, rows)), np.empty((K, cols))
     accumulator = np.empty(K * rows)
     tracemalloc.start()
     try:
-        products = BlockProducts(block, K, ranges)
+        products = BlockProducts(block, K)
         if lent:
             products.lend(accumulator)
         products.set_ht(Ht)
         products.h_at(out6)
-        for r in ranges:
-            products.wt_a(W, out12[:, :r.stop - r.start], r.start, r.stop)
+        products.wt_a(W, out12)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     width = local_ops_mod.panel_width(K)
-    panels = sum(-(-(r.stop - r.start) // width) for r in ranges)
+    panels = -(-cols // width)
     assert len(products._panels) == panels
     kept = 12 * block.nnz + 4 * (rows + 1) * panels + 8 * K * width
     assert held <= kept + (64 << 10), (held, kept)

@@ -1,7 +1,7 @@
 """Tests for the distributed data-matrix containers.
 
 The key guarantees: every global entry lands in exactly one 2D block
-(round-trip reassembly), and the 1D double partition hands each rank
+(round-trip reassembly), and the one block cut hands Algorithm 2's ranks
 consistent row/column blocks.
 """
 
@@ -11,7 +11,9 @@ import scipy.sparse as sp
 
 from repro.comm.backends import run_spmd
 from repro.comm.grid import ProcessGrid
-from repro.dist.distmatrix import DistMatrix2D, DoublePartitioned1D
+from repro.core.api import fit
+from repro.dist.distmatrix import DistMatrix2D, cut_block
+from repro.dist.partition import block_range
 
 
 def spmd_blocks(p, pr, pc, program):
@@ -83,10 +85,8 @@ class TestDistMatrix2D:
 
         for coo_block, csr_block in spmd_blocks(4, 2, 2, program):
             np.testing.assert_array_equal(coo_block, csr_block)
-        d = DoublePartitioned1D.from_global(1, 3, A)
-        np.testing.assert_array_equal(
-            np.asarray(d.row_block.todense()), A.toarray()[7:14]
-        )
+        row_block = cut_block(A, (7, 14), (0, 15))
+        np.testing.assert_array_equal(row_block.toarray(), A.toarray()[7:14])
 
     def test_duplicate_entries_are_canonicalised(self):
         # Two stored entries at one position (value 1+2=3): the norms both
@@ -96,8 +96,8 @@ class TestDistMatrix2D:
             (np.array([1.0, 2.0]), np.array([0, 0]), np.array([0, 2, 2, 2, 2])),
             shape=(4, 4),
         )
-        d1 = DoublePartitioned1D.from_global(0, 2, A)
-        assert float(d1.row_block.data @ d1.row_block.data) == 9.0
+        row_block = cut_block(A, (0, 2), (0, 4))
+        assert float(row_block.data @ row_block.data) == 9.0
         assert A.nnz == 2, "caller's matrix must stay untouched"
 
         def program(grid):
@@ -132,35 +132,68 @@ class TestDistMatrix2D:
             assert got == pytest.approx(expected, rel=1e-12)
 
 
-class TestDoublePartitioned1D:
+def _naive_blocks(A, rank, p):
+    """Rank ``rank``-of-``p``'s row and column blocks, as Algorithm 2 cuts them."""
+    m, n = A.shape
+    rows, cols = block_range(m, p, rank), block_range(n, p, rank)
+    return cut_block(A, rows, (0, n)), cut_block(A, (0, m), cols), rows, cols
+
+
+class TestAlgorithm2Blocks:
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_row_and_col_blocks_reassemble(self, p):
         A = np.random.default_rng(5).random((17, 13))
-        by_rows = np.vstack(
-            [DoublePartitioned1D.from_global(r, p, A).row_block for r in range(p)]
-        )
-        by_cols = np.hstack(
-            [DoublePartitioned1D.from_global(r, p, A).col_block for r in range(p)]
-        )
-        np.testing.assert_array_equal(by_rows, A)
-        np.testing.assert_array_equal(by_cols, A)
+        blocks = [_naive_blocks(A, r, p) for r in range(p)]
+        np.testing.assert_array_equal(np.vstack([b[0] for b in blocks]), A)
+        np.testing.assert_array_equal(np.hstack([b[1] for b in blocks]), A)
 
     def test_sparse_blocks_consistent_with_dense(self):
         A = sp.random(20, 14, density=0.25, random_state=6, format="csr")
         for rank in range(4):
-            d = DoublePartitioned1D.from_global(rank, 4, A)
-            assert d.is_sparse
-            dd = DoublePartitioned1D.from_global(rank, 4, A.toarray())
-            np.testing.assert_array_equal(np.asarray(d.row_block.todense()), dd.row_block)
-            np.testing.assert_array_equal(np.asarray(d.col_block.todense()), dd.col_block)
-            assert d.row_range == dd.row_range
-            assert d.col_range == dd.col_range
+            row_block, col_block, _, _ = _naive_blocks(A, rank, 4)
+            assert row_block.format == col_block.format == "csr"
+            dense_row, dense_col, _, _ = _naive_blocks(A.toarray(), rank, 4)
+            np.testing.assert_array_equal(row_block.toarray(), dense_row)
+            np.testing.assert_array_equal(col_block.toarray(), dense_col)
 
     def test_ranges_are_independent_per_axis(self):
         # A 10 x 4 matrix on 3 ranks: row and column partitions differ.
         A = np.arange(40, dtype=float).reshape(10, 4)
-        d = DoublePartitioned1D.from_global(1, 3, A)
-        assert d.row_range == (4, 7)
-        assert d.col_range == (2, 3)
-        assert d.row_block.shape == (3, 4)
-        assert d.col_block.shape == (10, 1)
+        row_block, col_block, rows, cols = _naive_blocks(A, 1, 3)
+        assert rows == (4, 7)
+        assert cols == (2, 3)
+        assert row_block.shape == (3, 4)
+        assert col_block.shape == (10, 1)
+
+
+def _split_in_three(A):
+    """Every stored entry of ``A`` stored three times at a third of its value,
+    each row's entries reversed: a CSR that is neither summed nor sorted."""
+    reps = 3
+    indptr = reps * A.indptr
+    indices, data = np.repeat(A.indices, reps), np.repeat(A.data, reps) / reps
+    for r in range(A.shape[0]):
+        s, e = indptr[r], indptr[r + 1]
+        indices[s:e], data[s:e] = indices[s:e][::-1].copy(), data[s:e][::-1].copy()
+    raw = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    assert not raw.has_canonical_format
+    return raw
+
+
+@pytest.mark.parametrize("variant,p", [("naive", 2), ("naive", 3), ("hpc1d", 3), ("hpc2d", 4)])
+def test_a_duplicate_coordinate_input_fits_its_summed_bits(variant, p):
+    """Every block cut sums a block's duplicates after slicing it, so a fit of
+    a duplicate-coordinate CSR reads the same bytes as the fit of that CSR
+    with its duplicates summed: sha256(``W‖H``), the history and the ledger."""
+    raw = _split_in_three(sp.random(60, 40, density=0.1, random_state=8, format="csr"))
+    summed = raw.copy()
+    summed.sum_duplicates()
+    assert summed.nnz * 3 == raw.nnz
+    kwargs = dict(variant=variant, backend="thread", n_ranks=p, max_iters=3, seed=9)
+    got, want = fit(raw, 3, **kwargs), fit(summed, 3, **kwargs)
+    assert got.W.tobytes() == want.W.tobytes()
+    assert got.H.tobytes() == want.H.tobytes()
+    assert [(s.objective, s.relative_error) for s in got.history] == \
+        [(s.objective, s.relative_error) for s in want.history]
+    assert got.ledger_summary == want.ledger_summary
+    assert raw.nnz == summed.nnz * 3, "the caller's matrix must stay untouched"

@@ -1,7 +1,8 @@
 """Where a rank's block of ``A`` lives follows the input, with identical bytes.
 
-``DistMatrix2D.from_global`` copies a dense block cut from a file-backed
-``A`` (an ``np.memmap``, such as ``np.load(path, mmap_mode="r")``, or a view
+The one block cut (``cut_block``: Algorithm 3's ``DistMatrix2D.from_global``
+and Algorithm 2's row and column blocks) copies a dense block cut from a
+file-backed ``A`` (an ``np.memmap``, such as ``np.load(path, mmap_mode="r")``, or a view
 of one) onto an ``np.memmap`` over an unlinked temporary file, so an ``A``
 larger than RAM streams through the never-materialize-``A`` loop block by
 block.  Every other block (in-memory dense, sparse, zero-size) is held in
@@ -20,7 +21,8 @@ from repro.comm.backends import run_spmd
 from repro.comm.grid import ProcessGrid
 from repro.core.api import fit
 from repro.data.lowrank import planted_lowrank
-from repro.dist.distmatrix import DistMatrix2D, DoublePartitioned1D
+import repro.core.naive as naive_mod
+from repro.dist.distmatrix import DistMatrix2D
 
 
 @pytest.fixture(autouse=True)
@@ -99,20 +101,25 @@ class TestBlocksFollowTheInput:
             assert isinstance(on_disk, np.memmap)
             assert on_disk.tobytes() == resident.tobytes()
 
-    def test_algorithm2_blocks_of_a_memmapped_input_stay_in_memory(self, tmp_path):
-        # DoublePartitioned1D stores A twice and never followed the input.
+    def test_algorithm2_blocks_of_a_memmapped_input_are_memmaps(self, tmp_path, monkeypatch):
+        """Naive cuts its row and column blocks with the same function, so
+        both follow a memmapped input onto file-backed storage."""
         A = np.random.default_rng(6).random((23, 17))
-        mapped = _on_disk(tmp_path, A)
+        cuts = []
+        real = naive_mod.cut_block
 
-        def program(comm):
-            d = DoublePartitioned1D.from_global(comm.rank, comm.size, mapped)
-            return d.row_block, d.col_block, d.row_range, d.col_range
+        def spy(A_, row_range, col_range):
+            block = real(A_, row_range, col_range)
+            cuts.append((row_range, col_range, block))
+            return block
 
-        for row_block, col_block, (r0, r1), (c0, c1) in run_spmd(3, program):
-            assert not isinstance(row_block, np.memmap)
-            assert not isinstance(col_block, np.memmap)
-            assert row_block.tobytes() == np.ascontiguousarray(A[r0:r1]).tobytes()
-            assert col_block.tobytes() == np.ascontiguousarray(A[:, c0:c1]).tobytes()
+        monkeypatch.setattr(naive_mod, "cut_block", spy)
+        fit(_on_disk(tmp_path, A), 3, variant="naive", backend="thread", n_ranks=3,
+            max_iters=1, seed=9)
+        assert len(cuts) == 6
+        for (r0, r1), (c0, c1), block in cuts:
+            assert isinstance(block, np.memmap)
+            assert block.tobytes() == np.ascontiguousarray(A[r0:r1, c0:c1]).tobytes()
 
     def test_in_memory_dense_blocks_are_not_memmaps(self):
         A = np.random.default_rng(3).random((23, 17))
@@ -150,7 +157,10 @@ class TestEndToEndParity:
         dict(variant="hpc2d", backend="thread", n_ranks=4),
         dict(variant="hpc2d", backend="process", n_ranks=4),
         dict(variant="hpc2d", backend="socket", n_ranks=2),
-    ], ids=["sequential", "thread-p4", "process-p4", "socket-p2"])
+        dict(variant="naive", backend="thread", n_ranks=3),
+        dict(variant="naive", backend="process", n_ranks=3),
+    ], ids=["sequential", "thread-p4", "process-p4", "socket-p2", "naive-thread-p3",
+            "naive-process-p3"])
     def test_memmapped_dense_input_fits_the_same_bytes(self, tmp_path, cell):
         """The out-of-core pin: a fit reads the same bytes whether ``A`` is
         resident or memmapped — in process, on shared memory and over the
