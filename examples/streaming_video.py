@@ -8,9 +8,8 @@ into :class:`repro.core.streaming.StreamingNMF` and reports, per frame, how
 much of the residual energy the moving objects carry — i.e. live moving-object
 detection without ever re-factorizing the whole window from scratch.
 
-(For batch replay of a pre-recorded matrix the same model is reachable as
-``repro.fit(A, k, variant="streaming", window=...)``; this example drives the
-frame-by-frame interface directly because the feed is "live".)
+:class:`StreamingNMF` is not a ``repro.fit`` variant: a stream is driven
+frame by frame, here and in ``repro serve``'s ``/ingest`` refresh.
 
 Run with::
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import importlib
 import sys
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence
 
 
 def lazy_exports(
     package: str, exports: Dict[str, Sequence[str]]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """Module ``__getattr__`` and ``__dir__`` for ``package``.
+) -> Callable[[str], Any]:
+    """Module ``__getattr__`` for ``package``.
 
     ``exports`` maps a defining module to the names it re-exports.
     """
@@ -31,7 +31,4 @@ def lazy_exports(
         setattr(sys.modules[package], name, value)
         return value
 
-    def __dir__() -> List[str]:
-        return sorted(set(vars(sys.modules[package])) | set(home))
-
-    return __getattr__, __dir__
+    return __getattr__

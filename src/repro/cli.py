@@ -159,15 +159,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_variants(_args: argparse.Namespace) -> int:
     from repro.core.variants import VARIANTS
 
-    flags = ("parallelizable", "sparse_ok")
-    header = f"{'name':>12}  " + "  ".join(flags) + "  summary"
-    print(header)
+    print(f"{'name':>12}  parallelizable  summary")
     for name, variant in sorted(VARIANTS.items()):
-        cells = "  ".join(
-            f"{'yes' if getattr(variant, f) else '-':>{len(f)}}" for f in flags
-        )
+        parallel = "yes" if variant.parallelizable else "-"
         options = f" (options: {', '.join(variant.options)})" if variant.options else ""
-        print(f"{name:>12}  {cells}  {variant.summary}{options}")
+        print(f"{name:>12}  {parallel:>14}  {variant.summary}{options}")
     return 0
 
 
@@ -232,9 +228,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def self_test(server: ProjectionServer) -> None:
         summary = await run_self_test(server, n_requests=args.self_test)
+        deployed, published, reloaded = summary["versions"]
         print(
             f"self-test passed: {summary['requests']} concurrent "
-            f"requests against model {summary['model']!r}"
+            f"requests against model {summary['model']!r}; version "
+            f"{deployed} -> {published} (ingest) -> {reloaded} (reload)"
         )
         print(json.dumps(summary["stats"], indent=2))
 
@@ -379,8 +377,10 @@ def _serve_arguments(serve: argparse.ArgumentParser) -> None:
                        default=None, metavar="N",
                        help="start the server, fire N concurrent projections "
                             "at it through a stdlib HTTP client (default 8), "
-                            "verify 200s + finite residuals, then exit — the "
-                            "CI smoke mode")
+                            "verify 200s + finite residuals, ingest "
+                            "--refresh-every columns and reload the model, "
+                            "verify the serving version moved, then exit — "
+                            "the CI smoke mode")
 
 
 def _no_arguments(_parser: argparse.ArgumentParser) -> None:

@@ -52,4 +52,4 @@ _EXPORTS = {
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

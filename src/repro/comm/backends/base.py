@@ -98,8 +98,11 @@ class SharedGroupState:
       exactly once during ``split``.
 
     Subclasses (the lockstep backend's group state) override :meth:`wait`,
-    :meth:`abort`, :meth:`make_subgroup` and :meth:`_new_mailbox` to swap the
+    :meth:`make_subgroup` and :meth:`_new_mailbox` to swap the
     synchronization mechanism while keeping the deposit-slot protocol.
+    :meth:`abort` is the thread backend's: its failed rank's peers wait on
+    these barriers (lockstep ranks are released by the scheduler, forked
+    ranks by the runtime's abort broadcast).
     """
 
     #: Seconds ``Comm.recv`` waits when the caller names no ``timeout``.
@@ -228,9 +231,6 @@ class Backend(abc.ABC):
             t.start()
         for t in threads:
             t.join()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n_ranks={self.n_ranks}, name={self.name!r})"
 
 
 #: Every backend by name: the module that defines it and the class's name.  A

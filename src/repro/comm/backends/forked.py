@@ -404,11 +404,6 @@ class ForkedGroupState(SharedGroupState):
     def wait(self) -> None:
         self.runtime.barrier(self.uid, self.members)
 
-    def abort(self) -> None:
-        self.runtime.broadcast_abort(
-            f"rank {self.runtime.rank} failed; peers aborted"
-        )
-
 
 def _picklable_exception(rank: int, exc: BaseException) -> BaseException:
     """The exception itself if it survives pickling, else a faithful stand-in."""
@@ -525,7 +520,7 @@ class ForkedBackend(Backend):
                 states = None
                 if rank == 0 and observers:
                     # Ship rank 0's observer state home so stateful observers
-                    # (history recorders, checkpointers) behave as they do on
+                    # (history recorders) behave as they do on
                     # the in-process backends.  Best-effort: unpicklable
                     # observers simply keep their parent-side state.
                     try:

@@ -171,10 +171,6 @@ class _LockstepScheduler:
             if self._aborted:
                 self._raise_abort_locked()
 
-    def abort(self) -> None:
-        with self._mutex:
-            self._abort_locked()
-
     def finish(self, rank: int, failed: bool) -> None:
         """Retire the calling rank and hand the baton onward."""
         with self._mutex:
@@ -229,7 +225,7 @@ class LockstepGroupState(SharedGroupState):
     """Group state whose synchronization goes through the lockstep scheduler.
 
     The deposit-slot movement of ``Comm``'s collectives is inherited
-    unchanged; only ``wait``/``abort`` (barriers), the mailboxes (receive
+    unchanged; only ``wait`` (barriers), the mailboxes (receive
     suspends instead of polling) and ``make_subgroup`` (sub-communicators
     share the scheduler) differ from the thread backend's state.
     """
@@ -261,9 +257,6 @@ class LockstepGroupState(SharedGroupState):
         else:
             self._barrier_parked.append(sched.this_rank)
             sched.suspend(f"barrier(group_size={self.size})")
-
-    def abort(self) -> None:
-        self.scheduler.abort()
 
 
 class LockstepBackend(Backend):

@@ -110,9 +110,6 @@ class MPIGroupState(SharedGroupState):
     def wait(self) -> None:
         self.mpicomm.Barrier()
 
-    def abort(self) -> None:  # pragma: no cover - only reached on rank failure
-        self.mpicomm.Abort(1)
-
 
 class MPIComm(Comm):
     """A :class:`~repro.comm.communicator.Comm` whose gathers are ``MPI_Allgather``.

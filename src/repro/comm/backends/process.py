@@ -405,12 +405,6 @@ class _ProcessSlots:
     def __getitem__(self, local_rank: int) -> Any:
         return self._runtime.read_slot(self._members[local_rank])
 
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self._members)))
-
 
 class ProcessBackend(ForkedBackend):
     """Launches an SPMD program on ``n_ranks`` OS processes (fork + shared memory).

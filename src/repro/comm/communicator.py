@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import queue
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,35 +111,21 @@ class CommHandle:
     """Request handle of a collective that completed when it was issued.
 
     The MPI request-object surface of :meth:`Comm.iallgatherv` /
-    :meth:`Comm.iallreduce`; :meth:`Comm._issue` is the only code that makes
-    one.  There is one completion mode, on every backend: the blocking
+    :meth:`Comm.iallreduce`, the only code that makes one.  There is one completion mode, on every backend: the blocking
     collective runs at issue, on the issuing communicator, and books its own
     ledger entry there — nothing is ever in flight, so there is no helper
     thread, no input snapshot and no buffer to protect from reuse
     (``docs/ARCHITECTURE.md`` has the measurements behind that).  ``wait()``
     returns the result array (idempotent: every call returns the same array,
-    none blocks) and ``test()`` / ``done`` report completion, which is
-    immediate.  A collective that fails raises from the issuing call; no
+    none blocks).  A collective that fails raises from the issuing call; no
     handle is created for it.
     """
 
-    def __init__(self, op: str, result: Any):
-        self.op = op
+    def __init__(self, result: Any):
         self._result = result
-
-    @property
-    def done(self) -> bool:
-        """Whether the operation has completed (always, since issue)."""
-        return True
-
-    def test(self) -> bool:
-        return True
 
     def wait(self) -> Any:
         return self._result
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(op={self.op!r}, done)"
 
 
 class Comm:
@@ -185,14 +171,6 @@ class Comm:
     def size(self) -> int:
         """Number of ranks in the communicator."""
         return self._state.size
-
-    @property
-    def group_ranks(self) -> Tuple[int, ...]:
-        """World ranks of the members of this communicator, in local-rank order."""
-        return self._group_ranks
-
-    def __repr__(self) -> str:
-        return f"Comm(rank={self.rank}, size={self.size})"
 
     @property
     def ledger(self) -> Optional[CostLedger]:
@@ -569,19 +547,15 @@ class Comm:
     def shutdown_nonblocking(self) -> None:
         """Nothing to stop (see :meth:`ensure_nonblocking`).  Idempotent."""
 
-    def _issue(self, op: str, collective: Callable[[], np.ndarray]) -> CommHandle:
-        """Run the blocking body ``collective`` now and wrap its result."""
-        return CommHandle(op, collective())
-
     def iallgatherv(
         self, array: np.ndarray, axis: int = 0, out: Optional[np.ndarray] = None
     ) -> CommHandle:
         """:meth:`allgatherv` behind a :class:`CommHandle` (complete on return)."""
-        return self._issue("iallgatherv", lambda: self.allgatherv(array, axis=axis, out=out))
+        return CommHandle(self.allgatherv(array, axis=axis, out=out))
 
     def iallreduce(self, array: np.ndarray, out: Optional[np.ndarray] = None) -> CommHandle:
         """:meth:`allreduce` behind a :class:`CommHandle` (complete on return)."""
-        return self._issue("iallreduce", lambda: self.allreduce(array, out=out))
+        return CommHandle(self.allreduce(array, out=out))
 
     # -- communicator management --------------------------------------------
     def split(self, color: int, key: Optional[int] = None) -> "Comm":

@@ -137,19 +137,5 @@ class ProcessGrid:
         return self.shape.pc
 
     @property
-    def size(self) -> int:
-        return self.shape.size
-
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
-
-    @property
     def coords(self) -> Tuple[int, int]:
         return (self.row_index, self.col_index)
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessGrid(rank={self.rank}, coords=({self.row_index},{self.col_index}), "
-            f"shape={self.pr}x{self.pc})"
-        )

@@ -126,7 +126,6 @@ class Profiler:
 
     clock: WallClock = field(default_factory=WallClock)
     _seconds: Dict[str, float] = field(default_factory=dict)
-    _calls: Dict[str, int] = field(default_factory=dict)
 
     @contextmanager
     def task(self, category: TaskCategory) -> Iterator[None]:
@@ -137,7 +136,6 @@ class Profiler:
             elapsed = self.clock.now() - start
             key = category.value
             self._seconds[key] = self._seconds.get(key, 0.0) + elapsed
-            self._calls[key] = self._calls.get(key, 0) + 1
 
     @contextmanager
     def collective(self, category: TaskCategory, comm) -> Iterator[None]:
@@ -153,18 +151,6 @@ class Profiler:
             return
         with self.task(category):
             yield
-
-    def add(self, category: TaskCategory, seconds: float) -> None:
-        """Add pre-measured seconds under ``category``."""
-        key = category.value
-        self._seconds[key] = self._seconds.get(key, 0.0) + seconds
-        self._calls[key] = self._calls.get(key, 0) + 1
-
-    def seconds(self, category: TaskCategory) -> float:
-        return self._seconds.get(category.value, 0.0)
-
-    def calls(self, category: TaskCategory) -> int:
-        return self._calls.get(category.value, 0)
 
     def snapshot(self) -> TimeBreakdown:
         return TimeBreakdown(dict(self._seconds))

@@ -51,18 +51,3 @@ class CollectiveWorkspace:
             buf = np.empty(shape, dtype=dtype)
             self._buffers[name] = buf
         return buf
-
-    def __len__(self) -> int:
-        return len(self._buffers)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by the workspace."""
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def clear(self) -> None:
-        """Drop all buffers (they are reallocated on next use)."""
-        self._buffers.clear()
-
-    def __repr__(self) -> str:
-        return f"CollectiveWorkspace(buffers={len(self)}, nbytes={self.nbytes})"

@@ -14,8 +14,8 @@
   Algorithm 3 on a 1 × 1 grid).  The variant name is the only spelling of
   "which algorithm";
 * :mod:`repro.core.observers` — the per-iteration observer protocol threaded
-  through every variant's outer loop, plus two built-in observers (history
-  capture and checkpointing).
+  through every variant's outer loop, plus a built-in observer (history
+  capture).
 
 Extensions beyond the paper's headline algorithms (motivated by its use cases
 and future-work discussion):
@@ -43,7 +43,6 @@ _EXPORTS = {
         "IterationObserver",
         "IterationEvent",
         "HistoryRecorder",
-        "CheckpointEvery",
     ),
     "repro.core.variants": ("Variant", "available_variants", "get_variant"),
     "repro.core.objective": ("frobenius_error", "relative_error", "objective_from_grams"),
@@ -53,4 +52,4 @@ _EXPORTS = {
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,11 +1,11 @@
 """User-facing entry points: the one front door.
 
 :func:`fit` runs any variant — ``sequential`` (Algorithm 1), ``naive``
-(Algorithm 2), ``hpc1d``/``hpc2d`` (Algorithm 3), ``symmetric``,
-``regularized``, ``streaming`` — through one code path: look up its row in
-the variant table (:mod:`repro.core.variants`), build the
+(Algorithm 2), ``hpc1d``/``hpc2d`` (Algorithm 3), ``symmetric`` and
+``regularized`` — through one code path: look up its row in the variant
+table (:mod:`repro.core.variants`), build the
 :class:`~repro.core.config.NMFConfig`, enforce the row's ``parallelizable``
-and ``sparse_ok`` flags and its ``options``, and call its
+flag and its ``options``, and call its
 ``run(A, config, observers, **options)``.  :class:`NMF` is the
 estimator-style spelling of the same thing.
 
@@ -36,7 +36,6 @@ from repro.core.observers import IterationObserver
 from repro.core.result import NMFResult
 from repro.core.variants import VARIANTS, get_variant
 from repro.util.errors import ShapeError
-from repro.util.validation import is_sparse
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclass_fields(NMFConfig))
 
@@ -83,8 +82,8 @@ def fit(
     Parameters
     ----------
     A:
-        Nonnegative ``m × n`` matrix (dense ndarray or scipy sparse; sparse
-        input requires a variant with the ``sparse_ok`` capability).
+        Nonnegative ``m × n`` matrix (dense ndarray or scipy sparse; every
+        variant accepts both).
     k:
         Target rank.  May be omitted when ``config`` carries it; a ``k`` that
         contradicts ``config.k`` raises :class:`~repro.util.errors.ShapeError`.
@@ -124,8 +123,7 @@ def fit(
         Remaining keywords are split by name: :class:`NMFConfig` fields
         (``max_iters``, ``tol``, ``solver``, ``seed``, ...) configure the
         run; anything else must be an extra option of the chosen variant
-        (e.g. ``alpha`` for ``symmetric``, ``l1`` for ``regularized``,
-        ``window`` for ``streaming``).
+        (e.g. ``alpha`` for ``symmetric``, ``l1`` for ``regularized``).
 
     When the planner ran, the chosen :class:`~repro.plan.planner.
     ExecutionPlan` (variant, grid, predicted per-iteration breakdown and
@@ -219,10 +217,6 @@ def fit(
             f"variant {row.name!r} is sequential-only and cannot run on "
             f"n_ranks={cfg.n_ranks}; parallelizable variants: {parallel}"
         )
-    if is_sparse(A) and not row.sparse_ok:
-        raise ShapeError(
-            f"variant {row.name!r} does not accept scipy sparse input"
-        )
 
     result = row.run(A, cfg, observers, **extras)
     if plan is not None:
@@ -234,9 +228,9 @@ class NMF:
     """Estimator-style front door: configure once, fit many matrices.
 
     Mirrors the scikit-learn convention: ``fit`` stores the fitted factors
-    on the instance (``W_``, ``H_``, full ``result_``) and returns ``self``;
-    ``fit_transform`` returns ``W``; ``transform`` projects *new* data onto
-    the fitted basis with one NLS solve.
+    on the instance (``W_``, ``components_``, full ``result_``) and returns
+    ``self``; ``fit_transform`` returns ``W``; ``transform`` projects *new*
+    data onto the fitted basis exactly as ``repro serve`` does.
 
     Examples
     --------
@@ -247,6 +241,8 @@ class NMF:
     ((30, 4), (4, 20))
     >>> model.result_.variant
     'sequential'
+    >>> model.transform(A[:, :3]).shape, model.fit_transform(A).shape
+    ((4, 3), (30, 4))
     """
 
     def __init__(
@@ -272,7 +268,7 @@ class NMF:
         self.result_: Optional[NMFResult] = None
 
     def fit(self, A, observers: Sequence[IterationObserver] = ()) -> "NMF":
-        """Factorize ``A``; stores ``result_``/``W_``/``H_`` and returns ``self``."""
+        """Factorize ``A``; stores ``result_`` and returns ``self``."""
         self.result_ = fit(
             A,
             self.k,
@@ -293,28 +289,23 @@ class NMF:
     def transform(self, A) -> np.ndarray:
         """Coefficients of (possibly new) columns under the fitted basis ``W_``.
 
-        Solves ``min_{H >= 0} ||A - W_ H||`` with the configured NLS solver;
-        ``A`` must have the same number of rows the model was fitted on.
+        The exact solution of ``min_{H >= 0} ||A - W_ H||`` by BPP, whatever
+        solver fitted the model: :func:`repro.serve.project.project`, the
+        bytes ``repro serve`` answers for the same columns.  ``A`` (dense or
+        scipy sparse) must have the rows the model was fitted on.
         """
-        result = self._fitted()
-        W = result.W
+        from repro.serve.project import project
+
+        W = self._fitted().W
         if A.shape[0] != W.shape[0]:
             raise ShapeError(
                 f"transform expects {W.shape[0]} rows (the fitted basis), got {A.shape[0]}"
             )
-        solver = result.config.make_solver()
-        gram_w = W.T @ W
-        rhs = W.T @ A
-        rhs = np.asarray(rhs)  # sparse A yields a matrix; solvers want ndarray
-        return solver.solve(gram_w, rhs)
+        return project(W, A)
 
     @property
     def W_(self) -> np.ndarray:
         return self._fitted().W
-
-    @property
-    def H_(self) -> np.ndarray:
-        return self._fitted().H
 
     @property
     def components_(self) -> np.ndarray:
@@ -325,9 +316,3 @@ class NMF:
         if self.result_ is None:
             raise ShapeError("this NMF instance is not fitted yet; call fit(A) first")
         return self.result_
-
-    def __repr__(self) -> str:
-        # An unset variant means "library default" (sequential/hpc2d by rank
-        # count), which is distinct from variant="auto" (planner mode).
-        variant = self.variant if self.variant is not None else "default"
-        return f"NMF(k={self.k}, variant={variant!r})"

@@ -2,13 +2,12 @@
 
 Every variant's outer loop — the SPMD loops of Algorithms 2 and 3
 (Algorithm 1, ``symmetric`` and ``regularized`` at ``p = 1`` are Algorithm 3
-over a one-rank communicator) and the streaming variant's per-frame loop —
-reports each iteration to a list of :class:`IterationObserver` objects and
-honours their stop requests.  That
-makes cross-cutting concerns (watching the history live, checkpointing, an
-early stop of your own) *composable*: pass any mix of the built-in
-observers below, or any object with the same three methods, to
-:func:`repro.fit`.  ``config.tol`` is the loop's own stopping rule.
+over a one-rank communicator) — reports each iteration to a list of
+:class:`IterationObserver` objects and honours their stop requests.  That
+makes cross-cutting concerns (watching the history live, an early stop of
+your own) *composable*: pass :class:`HistoryRecorder`, or any object with
+the same three methods, to :func:`repro.fit`.  ``config.tol`` is the loop's
+own stopping rule.
 
 Dispatch rules
 --------------
@@ -34,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +55,7 @@ class IterationEvent:
     ``W`` and ``H`` are the loop's live iterates, not copies: each solve
     writes its solution over the previous one in place, so they are valid
     only during ``on_iteration``.  An observer that keeps factors must copy
-    them there (as :class:`CheckpointEvery` does by saving at once).
+    them there.
     """
 
     iteration: int
@@ -70,15 +68,6 @@ class IterationEvent:
     W: Optional[np.ndarray] = None
     H: Optional[np.ndarray] = None
 
-    @property
-    def has_error(self) -> bool:
-        """True when this event carries a real relative-error measurement."""
-        return not math.isnan(self.relative_error)
-
-    @property
-    def has_factors(self) -> bool:
-        """True when the event carries the current global factors."""
-        return self.W is not None and self.H is not None
 
 
 class IterationObserver:
@@ -107,7 +96,7 @@ class IterationObserver:
 
 
 # ---------------------------------------------------------------------------
-# built-in observers
+# the built-in observer
 # ---------------------------------------------------------------------------
 
 class HistoryRecorder(IterationObserver):
@@ -141,39 +130,6 @@ class HistoryRecorder(IterationObserver):
         return [s.relative_error for s in self.history]
 
 
-class CheckpointEvery(IterationObserver):
-    """Write an ``.npz`` checkpoint every ``every`` iterations.
-
-    ``path_template`` is formatted with ``{iteration}``.  When the event
-    carries global factors (any run on one rank) they are stored; SPMD events
-    on more ranks carry none, so the checkpoint holds the scalar progress
-    metrics only.
-    ``paths`` lists everything written, newest last.
-    """
-
-    def __init__(self, every: int, path_template: Union[str, Path]) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = int(every)
-        self.path_template = str(path_template)
-        self.paths: List[Path] = []
-
-    def on_iteration(self, event: IterationEvent) -> None:
-        if (event.iteration + 1) % self.every != 0:
-            return
-        path = Path(self.path_template.format(iteration=event.iteration))
-        arrays = {
-            "iteration": np.asarray(event.iteration),
-            "objective": np.asarray(event.objective),
-            "relative_error": np.asarray(event.relative_error),
-        }
-        if event.has_factors:
-            arrays["W"] = event.W
-            arrays["H"] = event.H
-        np.savez(path, **arrays)
-        self.paths.append(path if path.suffix == ".npz" else path.with_name(path.name + ".npz"))
-
-
 # ---------------------------------------------------------------------------
 # the shared loop-control helper
 # ---------------------------------------------------------------------------
@@ -194,10 +150,10 @@ class LoopControl:
     def __init__(
         self,
         config: NMFConfig,
-        observers: Optional[Sequence[IterationObserver]] = None,
+        observers: Optional[Sequence[IterationObserver]],
         *,
-        comm=None,
-        variant: str = "sequential",
+        comm,
+        variant: str,
     ):
         self.config = config
         self.history: List[IterationStats] = []
@@ -206,8 +162,8 @@ class LoopControl:
         self.variant = variant
         self._observers = tuple(observers or ())
         self._comm = comm
-        self._root = comm is None or comm.rank == 0
-        self._n_ranks = comm.size if comm is not None else 1
+        self._root = comm.rank == 0
+        self._n_ranks = comm.size
         self._previous = math.inf
 
     def start(self) -> "LoopControl":
@@ -260,12 +216,9 @@ class LoopControl:
                 for observer in self._observers:
                     if observer.on_iteration(event):
                         requested = True
-            if self._comm is not None:
-                # Rank 0 contributes the observer votes; the tol decision is
-                # already replicated.  SUM > 0 means someone asked to stop.
-                stop = self._comm.allreduce_scalar(1.0 if (stop or requested) else 0.0) > 0.0
-            else:
-                stop = stop or requested
+            # Rank 0 contributes the observer votes; the tol decision is
+            # already replicated.  SUM > 0 means someone asked to stop.
+            stop = self._comm.allreduce_scalar(1.0 if (stop or requested) else 0.0) > 0.0
         return stop
 
 

@@ -101,33 +101,13 @@ class NMFResult:
             self.backend = self.config.backend
 
     @property
-    def objective(self) -> float:
-        """Final objective value ``||A - WH||_F²`` (NaN if never computed)."""
-        return self.history[-1].objective if self.history else float("nan")
-
-    @property
     def relative_error(self) -> float:
         """Final relative error ``||A - WH||_F / ||A||_F`` (NaN if never computed)."""
         return self.history[-1].relative_error if self.history else float("nan")
 
     @property
-    def objective_history(self) -> List[float]:
-        return [s.objective for s in self.history]
-
-    @property
     def relative_error_history(self) -> List[float]:
         return [s.relative_error for s in self.history]
-
-    @property
-    def seconds_per_iteration(self) -> float:
-        """Mean wall-clock seconds per outer iteration (total breakdown / iterations)."""
-        if self.iterations == 0:
-            return 0.0
-        return self.breakdown.total / self.iterations
-
-    def reconstruction(self) -> np.ndarray:
-        """The dense low-rank approximation ``W @ H``."""
-        return self.W @ self.H
 
     def summary(self) -> str:
         """Human-readable one-paragraph summary (used by the examples)."""

@@ -140,12 +140,6 @@ class StreamingNMF:
 
         return np.maximum(frame - self.W @ h, 0.0)
 
-    def background(self) -> np.ndarray:
-        """The current background estimate for the newest frame."""
-        if not self._coeffs:
-            return np.zeros(self.n_pixels)
-        return self.W @ self._coeffs[-1]
-
     def window_error(self) -> float:
         """Relative reconstruction error over the current window."""
         A = self.current_window()

@@ -57,9 +57,9 @@ class SymmetryPenalty:
 class SymNMFResult(NMFResult):
     """Result of a symmetric NMF run: an :class:`NMFResult` with ``H = Gᵀ``.
 
-    The factors satisfy ``W = G`` and ``H = Gᵀ``, so ``reconstruction()`` is
-    the symmetric model ``G Gᵀ``; :attr:`G`, :attr:`labels` and
-    :meth:`cluster_sizes` expose the clustering view.  ``history`` is that of
+    The factors satisfy ``W = G`` and ``H = Gᵀ``, so ``W @ H`` is the
+    symmetric model ``G Gᵀ``; :attr:`G` and :attr:`labels` expose the
+    clustering view.  ``history`` is that of
     the ``(W, H)`` iterates (see the module docstring).
     """
 
@@ -74,6 +74,3 @@ class SymNMFResult(NMFResult):
     def labels(self) -> np.ndarray:
         """Hard cluster assignment: the dominant column of G per node."""
         return np.argmax(self.G, axis=1)
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.G.shape[1])

@@ -2,7 +2,7 @@
 
 Algorithms 1–3 are one ANLS framework that differs only in how products and
 factors are distributed (§3–§4), so a variant is a row, not a class: a name,
-what it runs, and the two capabilities the front door enforces.  Seven rows:
+what it runs, and the capability the front door enforces.  Six rows:
 
 * ``sequential`` — Algorithm 1, the ANLS reference: Algorithm 3 on a 1 × 1
   grid over :class:`~repro.comm.communicator.SelfComm`, in process;
@@ -12,20 +12,18 @@ what it runs, and the two capabilities the front door enforces.  Seven rows:
 * ``regularized`` — Algorithm 3 with ridge / L1 penalties at lines 8 and 14,
   at any ``p``;
 * ``symmetric`` — SymNMF ``S ≈ G Gᵀ``: Algorithm 3 on a 1 × 1 grid with a
-  symmetry penalty;
-* ``streaming`` — sliding-window incremental NMF over the columns of ``A``.
+  symmetry penalty.
 
 Each ``run`` is a plain function ``run(A, config, observers, **options)``
 returning an :class:`~repro.core.result.NMFResult`; ``options`` lists the
 keywords beyond the :class:`~repro.core.config.NMFConfig` fields it accepts.
-``parallelizable`` rows run on ``n_ranks > 1``; ``sparse_ok`` rows accept
+``parallelizable`` rows run on ``n_ranks > 1``; every row accepts
 ``scipy.sparse`` input.  The planner (:mod:`repro.plan.planner`) prices
 ``sequential``, ``naive``, ``hpc1d`` and ``hpc2d`` itself.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -34,11 +32,10 @@ import numpy as np
 from repro.core.config import NMFConfig
 from repro.core.hpc_nmf import hpc_nmf
 from repro.core.naive import naive_parallel_nmf
-from repro.core.observers import LoopControl, notify_finish
+from repro.core.observers import notify_finish
 from repro.core.regularized import Regularization
 from repro.core.result import NMFResult
 from repro.core.spmd_loop import run_in_process, run_on_backend, run_on_self
-from repro.core.streaming import StreamingNMF
 from repro.core.symmetric import SymmetryPenalty, SymNMFResult
 from repro.util.errors import ShapeError
 from repro.util.validation import check_nonnegative_matrix, check_rank
@@ -53,7 +50,6 @@ class Variant:
     summary: str
     run: Callable[..., NMFResult]
     parallelizable: bool
-    sparse_ok: bool
     options: Tuple[str, ...] = ()
 
 
@@ -125,85 +121,24 @@ def _symmetric(A, config: NMFConfig, observers=(), alpha: Optional[float] = None
     return notify_finish(observers, sym)
 
 
-def _streaming(
-    A,
-    config: NMFConfig,
-    observers=(),
-    window: Optional[int] = None,
-    refresh_every: int = 10,
-    refresh_iters: int = 2,
-) -> NMFResult:
-    """Replay the columns of ``A`` as a frame stream through :class:`StreamingNMF`.
-
-    Each column is one frame and one observer event; the result's ``W`` is
-    the final basis and ``H`` the coefficients of the last ``window`` frames
-    (default ``min(n, 60)``).  The stream length is the data, so
-    ``config.max_iters`` does not apply (``refresh_iters`` is the depth of the
-    warm-started ANLS refresh run every ``refresh_every`` frames);
-    ``config.tol`` and observers still stop it early, and
-    ``compute_error=False`` skips the per-frame window error.  ``breakdown``
-    sums the refreshes' profiles.  For a live feed, drive
-    :class:`StreamingNMF` directly.
-    """
-    A = check_nonnegative_matrix(A, "A")
-    m, n = A.shape
-    if n < 2:
-        raise ShapeError(f"streaming needs at least 2 frames (columns), got {n}")
-    model = StreamingNMF(
-        n_pixels=m,
-        k=config.k,
-        window=min(window if window is not None else 60, n),
-        refresh_every=refresh_every,
-        refresh_iters=refresh_iters,
-        solver=config.solver,
-        seed=config.seed,
-    )
-    control = LoopControl(config, observers, variant="streaming").start()
-    for frame_idx in range(n):
-        start = time.perf_counter()
-        model.push_frame(A[:, frame_idx])
-        rel_error = model.window_error() if config.compute_error else float("nan")
-        if control.record(
-            frame_idx,
-            relative_error=rel_error,
-            seconds=time.perf_counter() - start,
-            factors=(model.W, model.current_coefficients()),
-        ):
-            break
-    result = NMFResult(
-        W=np.ascontiguousarray(model.W),
-        H=np.ascontiguousarray(model.current_coefficients()),
-        config=config,
-        iterations=control.iterations,
-        history=control.history,
-        converged=control.converged,
-        variant="streaming",
-        breakdown=model.breakdown,
-    )
-    return notify_finish(observers, result)
-
-
 VARIANTS: Dict[str, Variant] = {
     v.name: v
     for v in (
         Variant("sequential", "Sequential", "Algorithm 1: sequential ANLS reference",
-                _sequential, parallelizable=False, sparse_ok=True),
+                _sequential, parallelizable=False),
         Variant("naive", "Naive",
                 "Algorithm 2: Naive-Parallel-NMF baseline ((m+n)k words/iter)",
-                _naive, parallelizable=True, sparse_ok=True),
+                _naive, parallelizable=True),
         Variant("hpc1d", "HPC-NMF-1D", "Algorithm 3 on a 1D grid (pr = p, pc = 1)",
-                _hpc1d, parallelizable=True, sparse_ok=True),
+                _hpc1d, parallelizable=True),
         Variant("hpc2d", "HPC-NMF-2D", "Algorithm 3: HPC-NMF on the §5-selected pr x pc grid",
-                _hpc2d, parallelizable=True, sparse_ok=True),
+                _hpc2d, parallelizable=True),
         Variant("regularized", "regularized",
                 "Ridge/L1-regularized ANLS (Algorithm 3's communication at any p)",
-                _regularized, parallelizable=True, sparse_ok=True,
+                _regularized, parallelizable=True,
                 options=("regularization", "frobenius", "l1")),
         Variant("symmetric", "symmetric", "Symmetric NMF (S = G G^T) for graph clustering",
-                _symmetric, parallelizable=False, sparse_ok=True, options=("alpha",)),
-        Variant("streaming", "streaming", "Sliding-window incremental NMF over the columns of A",
-                _streaming, parallelizable=False, sparse_ok=False,
-                options=("window", "refresh_every", "refresh_iters")),
+                _symmetric, parallelizable=False, options=("alpha",)),
     )
 }
 
@@ -212,7 +147,7 @@ def available_variants() -> List[str]:
     """Names accepted by :func:`get_variant` (and by ``repro.fit(variant=...)``).
 
     >>> available_variants()
-    ['hpc1d', 'hpc2d', 'naive', 'regularized', 'sequential', 'streaming', 'symmetric']
+    ['hpc1d', 'hpc2d', 'naive', 'regularized', 'sequential', 'symmetric']
     """
     return sorted(VARIANTS)
 

@@ -32,8 +32,8 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.dist.distmatrix": ("DistMatrix2D", "cut_block"),
     "repro.dist.factors": ("DistributedFactorH", "DistributedFactorW"),
-    "repro.dist.partition": ("block_counts", "block_offsets", "block_range"),
+    "repro.dist.partition": ("block_counts", "block_range"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

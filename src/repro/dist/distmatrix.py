@@ -154,12 +154,6 @@ class DistMatrix2D:
         row_range, col_range = block_range(m, grid.pr, i), block_range(n, grid.pc, j)
         return cls(grid, cut_block(A, row_range, col_range), row_range, col_range, (m, n))
 
-    # -- properties ---------------------------------------------------------
-    @property
-    def is_sparse(self) -> bool:
-        """True when the local block is a scipy sparse matrix."""
-        return is_sparse(self.block)
-
     # -- collective operations ---------------------------------------------
     def frobenius_norm_squared(self) -> float:
         """Global ``||A||_F²`` via an all-reduce of the local contributions.
@@ -169,10 +163,3 @@ class DistMatrix2D:
         needs ``||A||²`` but never ``A`` itself).
         """
         return self.grid.comm.allreduce_scalar(_local_norm_squared(self.block))
-
-    def __repr__(self) -> str:
-        kind = "sparse" if self.is_sparse else "dense"
-        return (
-            f"DistMatrix2D(rank={self.grid.rank}, coords={self.grid.coords}, "
-            f"rows={self.row_range}, cols={self.col_range}, {kind})"
-        )

@@ -88,12 +88,6 @@ class DistributedFactorW:
         """
         return self.grid.row_comm.allgatherv(self.local, axis=0, out=out)
 
-    def __repr__(self) -> str:
-        return (
-            f"DistributedFactorW(rank={self.grid.rank}, rows={self.global_range}, "
-            f"k={self.k})"
-        )
-
 
 class DistributedFactorH:
     """This rank's sub-block ``(H_j)_i`` of the column-partitioned ``H (k × n)``.
@@ -133,9 +127,3 @@ class DistributedFactorH:
         alone.
         """
         return self.grid.col_comm.allgatherv(self.local, axis=1, out=out)
-
-    def __repr__(self) -> str:
-        return (
-            f"DistributedFactorH(rank={self.grid.rank}, cols={self.global_range}, "
-            f"k={self.k})"
-        )

@@ -47,18 +47,6 @@ def block_counts(n: int, p: int) -> List[int]:
     return [base + (1 if r < rem else 0) for r in range(p)]
 
 
-def block_offsets(n: int, p: int) -> List[int]:
-    """The ``p + 1`` block boundaries: ``offsets[r] .. offsets[r+1]`` is block ``r``.
-
-    >>> block_offsets(10, 3)
-    [0, 4, 7, 10]
-    """
-    offsets = [0]
-    for count in block_counts(n, p):
-        offsets.append(offsets[-1] + count)
-    return offsets
-
-
 def block_range(n: int, p: int, rank: int) -> Tuple[int, int]:
     """Half-open index range ``[lo, hi)`` owned by ``rank``.
 

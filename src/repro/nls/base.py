@@ -121,6 +121,3 @@ class NLSSolver(abc.ABC):
         np.copyto(out, x)
         return out
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-

@@ -241,9 +241,6 @@ class NLSKernel:
     def _fresh_state() -> NLSState:
         return NLSState(extra={"cholesky_flops": 0.0, "triangular_solve_flops": 0.0})
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
 
 # -- kernels -----------------------------------------------------------------
 class ScalarKernel(NLSKernel):

@@ -81,11 +81,6 @@ class ExecutionPlan:
     def schedule(self) -> str:
         return "blocking"
 
-    @property
-    def seconds_per_iteration(self) -> float:
-        """Predicted per-iteration seconds (the planner's objective)."""
-        return self.breakdown.total
-
     def summary(self) -> str:
         grid = f"{self.grid[0]}x{self.grid[1]}" if self.grid else "-"
         words = (

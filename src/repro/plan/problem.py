@@ -77,10 +77,6 @@ class ProblemSpec:
             return float(self.nnz)
         return float(self.m) * float(self.n)
 
-    @property
-    def density(self) -> float:
-        return self.nnz_estimate / (float(self.m) * float(self.n))
-
     def describe(self) -> str:
         """One-line form used by plan tables and summaries."""
         label = f"{self.name} " if self.name else ""

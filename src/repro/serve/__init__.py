@@ -70,4 +70,4 @@ __all__ = [
     "ServeStats",
     "validate_columns",
 ]
-__getattr__, __dir__ = lazy_exports(__name__, {"repro.serve.server": _SERVER_EXPORTS})
+__getattr__ = lazy_exports(__name__, {"repro.serve.server": _SERVER_EXPORTS})

@@ -196,8 +196,8 @@ def projection_residuals(
 class ModelRefresher:
     """Incremental model refresh: fold served columns back into the basis.
 
-    Wraps the streaming variant (:class:`~repro.core.streaming.StreamingNMF`)
-    seeded from the deployed basis: every ingested column updates the sliding
+    Wraps :class:`~repro.core.streaming.StreamingNMF` seeded from the
+    deployed basis: every ingested column updates the sliding
     window of the last :data:`REFRESH_WINDOW` columns, every
     ``refresh_every`` columns the basis drifts via one warm-started ANLS
     sweep (:data:`REFRESH_ITERS`) and the refreshed model
@@ -238,7 +238,7 @@ class ModelRefresher:
     def ingest(self, column: np.ndarray) -> np.ndarray:
         """Fold one validated column into the model; returns its residual.
 
-        Publishing happens on the streaming variant's refresh cadence: after
+        Publishing happens on the stream's refresh cadence: after
         every ``refresh_every``-th column the drifted basis replaces the
         deployed model as a new store version.
         """

@@ -766,13 +766,18 @@ def _reject_non_numbers(columns: list, key: str) -> None:
 async def run_self_test(
     server: ProjectionServer, *, n_requests: int = 8, seed: int = 0
 ) -> dict:
-    """Fire concurrent stdlib-client projections at a running server.
+    """Fire concurrent stdlib-client projections at a running server, then
+    drive its write path.
 
     Used by ``repro serve --self-test`` (the CI smoke): picks the first
     registered model, sends ``n_requests`` concurrent single-column POSTs
-    through ``urllib`` worker threads, asserts every response is a 200 with a
-    finite residual, and returns a summary including the server's own
-    ``/stats`` snapshot.
+    through ``urllib`` worker threads and asserts every response is a 200
+    with a finite residual.  Then it ingests ``server.refresh_every``
+    columns, so the refresher publishes a new model version, reloads the
+    model from its file, and asserts that the serving version moved each
+    time and that a projection is answered from the reloaded version (every
+    worker installed it).  Returns a summary including the versions and the
+    server's own ``/stats`` snapshot.
     """
     import urllib.request
 
@@ -809,6 +814,27 @@ async def run_self_test(
         residuals = payload.get("residuals", [])
         if not residuals or not all(np.isfinite(residuals)):
             raise ServeError(f"projection residuals not finite: {payload}")
+
+    versions = [entry.version]
+    for column in np.abs(rng.standard_normal((server.refresh_every, entry.m))):
+        _, ingested = await loop.run_in_executor(
+            None, call, f"/v1/models/{name}/ingest",
+            json.dumps({"column": column.tolist()}).encode(),
+        )
+    versions.append(ingested["serving_version"])
+    _, reloaded = await loop.run_in_executor(None, call, f"/v1/models/{name}/reload", b"")
+    versions.append(reloaded["version"])
+    _, projected = await loop.run_in_executor(
+        None, call, f"/v1/models/{name}/project",
+        json.dumps({"column": columns[0].tolist()}).encode(),
+    )
+    if not versions[0] < versions[1] < versions[2] == projected["version"]:
+        raise ServeError(
+            f"the serving version did not move: {versions[0]} deployed, "
+            f"{versions[1]} after {server.refresh_every} ingests, {versions[2]} "
+            f"after the reload, {projected['version']} served after it"
+        )
+
     status, stats = await loop.run_in_executor(None, call, "/stats")
     if status != 200:
         raise ServeError(f"/stats failed: {status}")
@@ -816,5 +842,6 @@ async def run_self_test(
         "model": name,
         "requests": n_requests,
         "responses": [payload for _, payload in results],
+        "versions": versions,
         "stats": stats,
     }

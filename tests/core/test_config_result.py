@@ -80,26 +80,14 @@ class TestNMFResult:
 
     def test_final_metrics(self):
         res = self._result()
-        assert res.objective == 4.0
         assert res.relative_error == 0.5
-        assert res.objective_history == [10.0, 4.0]
         assert res.relative_error_history == [0.9, 0.5]
-
-    def test_reconstruction(self):
-        res = self._result()
-        np.testing.assert_array_equal(res.reconstruction(), np.full((6, 5), 2.0))
-
-    def test_seconds_per_iteration(self):
-        res = self._result()
-        assert res.seconds_per_iteration == pytest.approx(1.5 / 2)
 
     def test_empty_history_gives_nan(self):
         res = NMFResult(
             W=np.zeros((3, 1)), H=np.zeros((1, 3)), config=NMFConfig(k=1), iterations=0
         )
-        assert np.isnan(res.objective)
         assert np.isnan(res.relative_error)
-        assert res.seconds_per_iteration == 0.0
 
     def test_summary_mentions_key_facts(self):
         text = self._result().summary()

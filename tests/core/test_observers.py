@@ -6,7 +6,6 @@ import pytest
 from repro.core.api import fit
 from repro.core.config import NMFConfig
 from repro.core.observers import (
-    CheckpointEvery,
     HistoryRecorder,
     IterationEvent,
     IterationObserver,
@@ -74,8 +73,7 @@ class TestSequentialDispatch:
         event = rec.events[-1]
         assert event.k == 2
         assert event.n_ranks == 1
-        assert event.has_error
-        assert event.has_factors
+        assert np.isfinite(event.relative_error)
         assert event.W.shape == (24, 2) and event.H.shape == (2, 18)
         assert event.seconds >= 0
 
@@ -117,7 +115,7 @@ class TestSequentialDispatch:
         rec = Recorder()
         res = fit(_matrix(), 2, max_iters=4, compute_error=False, observers=[rec])
         assert len(rec.events) == 4
-        assert not rec.events[0].has_error
+        assert np.isnan(rec.events[0].relative_error)
         assert res.history == []
 
     def test_observers_do_not_change_factors(self):
@@ -127,19 +125,13 @@ class TestSequentialDispatch:
         assert plain.W.tobytes() == watched.W.tobytes()
         assert plain.H.tobytes() == watched.H.tobytes()
 
-    @pytest.mark.parametrize("variant", ["regularized", "symmetric", "streaming"])
+    @pytest.mark.parametrize("variant", ["regularized", "symmetric"])
     def test_extension_variants_dispatch_observers(self, variant):
         rec = Recorder()
         res = fit(_matrix(), 2, variant=variant, max_iters=4, seed=1, observers=[rec])
         assert rec.variant == variant
         assert len(rec.events) == res.iterations
         assert rec.finished_results[0] is res
-
-    def test_streaming_fires_one_event_per_frame(self):
-        rec = Recorder()
-        res = fit(_matrix(), 2, variant="streaming", window=6, observers=[rec])
-        assert res.iterations == 18  # one per column
-        assert len(rec.events) == 18
 
 
 class TestSPMDDispatch:
@@ -151,7 +143,7 @@ class TestSPMDDispatch:
         assert rec.started == 1
         assert len(rec.events) == 4          # not 4 ranks x 4 iterations
         assert rec.events[0].n_ranks == 4
-        assert not rec.events[0].has_factors  # blocks live on the ranks
+        assert rec.events[0].W is None and rec.events[0].H is None  # blocks live on the ranks
         assert rec.finished_results[0] is res
 
     @pytest.mark.parametrize("variant", ["naive", "hpc2d"])
@@ -189,22 +181,6 @@ class TestBuiltinObservers:
         assert rec.relative_errors == res.relative_error_history
         assert [s.iteration for s in rec.history] == [0, 1, 2, 3, 4]
 
-    def test_checkpoint_every_writes_factors(self, tmp_path):
-        ckpt = CheckpointEvery(2, tmp_path / "ck_{iteration}.npz")
-        fit(_matrix(), 2, max_iters=5, seed=1, observers=[ckpt])
-        assert len(ckpt.paths) == 2  # after iterations 1 and 3
-        with np.load(ckpt.paths[-1]) as data:
-            assert data["W"].shape == (24, 2)
-            assert int(data["iteration"]) == 3
-
-    def test_checkpoint_without_factors_keeps_metrics_only(self, tmp_path):
-        ckpt = CheckpointEvery(1, tmp_path / "spmd_{iteration}.npz")
-        fit(_matrix(), 2, variant="hpc2d", n_ranks=4, max_iters=2, seed=1,
-            observers=[ckpt])
-        with np.load(ckpt.paths[0]) as data:
-            assert "W" not in data.files
-            assert np.isfinite(float(data["relative_error"]))
-
     def test_stateful_observers_reset_between_runs(self):
         # The NMF estimator passes the same observer objects to every fit;
         # a second run must not inherit the first run's state.
@@ -236,8 +212,8 @@ class TestBuiltinObservers:
 class TestEventDefaults:
     def test_nan_event_reports_no_error(self):
         event = IterationEvent(iteration=0, variant="sequential")
-        assert not event.has_error
-        assert not event.has_factors
+        assert np.isnan(event.relative_error)
+        assert event.W is None and event.H is None
 
     def test_base_observer_is_a_no_op(self):
         obs = IterationObserver()

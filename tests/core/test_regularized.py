@@ -44,7 +44,7 @@ class TestRegularizedNMF:
         assert reg.W.tobytes() == plain.W.tobytes()
         assert reg.H.tobytes() == plain.H.tobytes()
         assert reg.relative_error_history == plain.relative_error_history
-        assert reg.objective_history == plain.objective_history
+        assert [s.objective for s in reg.history] == [s.objective for s in plain.history]
 
     def test_l1_increases_factor_sparsity(self):
         A = planted_lowrank(60, 45, 5, seed=1, noise_std=0.05)
@@ -71,7 +71,7 @@ class TestRegularizedNMF:
         cfg = NMFConfig(k=3, max_iters=12, seed=6)
         res = fit(A, config=cfg, variant="regularized",
                   regularization=Regularization(frobenius=0.5, l1=0.1))
-        objectives = res.objective_history
+        objectives = [s.objective for s in res.history]
         assert all(b <= a + 1e-6 * abs(a) for a, b in zip(objectives, objectives[1:]))
 
     def test_factors_nonnegative(self):
@@ -91,7 +91,7 @@ class TestRegularizedNMF:
         reg = Regularization(**weights)
         penalty = reg.frobenius * (np.vdot(W, W) + np.vdot(H, H)) + reg.l1 * (W.sum() + H.sum())
         residual = np.linalg.norm(A - W @ H) ** 2
-        assert res.objective == pytest.approx(residual + penalty, rel=1e-9)
+        assert res.history[-1].objective == pytest.approx(residual + penalty, rel=1e-9)
 
 
 class TestRegularizedParallel:
@@ -109,7 +109,8 @@ class TestRegularizedParallel:
         np.testing.assert_allclose(par.H, seq.H, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(par.relative_error_history, seq.relative_error_history,
                                    rtol=1e-9)
-        np.testing.assert_allclose(par.objective_history, seq.objective_history, rtol=1e-9)
+        np.testing.assert_allclose([s.objective for s in par.history],
+                                   [s.objective for s in seq.history], rtol=1e-9)
 
     @pytest.mark.parametrize("weights", [{"frobenius": 1.0}, {"l1": 0.5}])
     def test_ledger_is_hpc2ds(self, weights):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.comm.profiler import TaskCategory
-from repro.core.api import fit
 from repro.core.streaming import StreamingNMF
 from repro.data.video import VideoSceneConfig, video_matrix
 from repro.util.errors import ShapeError
@@ -23,8 +22,6 @@ class TestStreamingNMFBasics:
     def test_refresh_iters_below_one_rejected(self, refresh_iters):
         with pytest.raises(ShapeError, match="refresh_iters"):
             StreamingNMF(n_pixels=100, k=5, window=10, refresh_iters=refresh_iters)
-        with pytest.raises(ShapeError, match="refresh_iters"):
-            fit(np.ones((20, 8)), 2, variant="streaming", refresh_iters=refresh_iters)
 
     def test_frame_shape_validated(self):
         model = StreamingNMF(n_pixels=50, k=3, window=8)
@@ -40,13 +37,12 @@ class TestStreamingNMFBasics:
         assert model.current_window().shape == (20, 5)
         assert model.current_coefficients().shape == (2, 5)
 
-    def test_residual_nonnegative_and_background_shape(self):
+    def test_residual_nonnegative(self):
         model = StreamingNMF(n_pixels=30, k=3, window=6, seed=1)
         rng = np.random.default_rng(1)
         residual = model.push_frame(rng.random(30))
         assert residual.shape == (30,)
         assert np.all(residual >= 0)
-        assert model.background().shape == (30,)
 
 
 class TestStreamingOnVideo:

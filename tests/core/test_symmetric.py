@@ -44,7 +44,7 @@ class TestSymmetricNMF:
     def test_objective_decreases(self):
         A, _ = block_diagonal_graph(20, 3, seed=2)
         res = fit(A, 3, variant="symmetric", max_iters=25, seed=3)
-        assert res.objective_history[-1] <= res.objective_history[0]
+        assert res.history[-1].objective <= res.history[0].objective
 
     def test_recovers_planted_communities(self):
         A, labels = block_diagonal_graph(30, 3, p_in=0.7, p_out=0.01, seed=4)
@@ -63,12 +63,7 @@ class TestSymmetricNMF:
         A, _ = block_diagonal_graph(20, 2, seed=6)
         res_sparse = fit(sp.csr_matrix(A), 2, variant="symmetric", max_iters=10, seed=7)
         assert res_sparse.G.shape == (40, 2)
-        assert np.isfinite(res_sparse.objective_history[-1])
-
-    def test_cluster_sizes_sum_to_n(self):
-        A, _ = block_diagonal_graph(12, 2, seed=8)
-        res = fit(A, 2, variant="symmetric", max_iters=10, seed=9)
-        assert res.cluster_sizes().sum() == 24
+        assert np.isfinite(res_sparse.history[-1].objective)
 
     def test_directed_input_is_symmetrized(self):
         rng = np.random.default_rng(10)
@@ -112,7 +107,7 @@ class TestSymmetryPenaltyHook:
     @pytest.mark.parametrize("seed", range(6))
     def test_bpp_objective_never_increases(self, seed):
         _, res, _ = self._run(seed=seed, solver="bpp")
-        history = np.array(res.objective_history)
+        history = np.array([s.objective for s in res.history])
         assert np.all(np.diff(history) <= 0.0)
 
     def test_observers_finish_with_the_symmetric_result(self):

@@ -16,7 +16,7 @@ from repro.core.variants import VARIANTS, available_variants, get_variant
 from repro.data.lowrank import planted_lowrank
 from repro.util.errors import ShapeError
 
-ALL_VARIANTS = ["hpc1d", "hpc2d", "naive", "regularized", "sequential", "streaming", "symmetric"]
+ALL_VARIANTS = ["hpc1d", "hpc2d", "naive", "regularized", "sequential", "symmetric"]
 
 #: A value for every option some row lists.
 OPTION_VALUES = {
@@ -24,9 +24,6 @@ OPTION_VALUES = {
     "frobenius": 0.1,
     "l1": 0.1,
     "alpha": 2.0,
-    "window": 6,
-    "refresh_every": 3,
-    "refresh_iters": 1,
 }
 
 
@@ -35,7 +32,7 @@ def _matrix():
 
 
 class TestRegistry:
-    def test_seven_builtin_variants_registered(self):
+    def test_six_builtin_variants_registered(self):
         assert available_variants() == ALL_VARIANTS == sorted(VARIANTS)
 
     def test_get_variant_returns_singleton(self):
@@ -45,18 +42,21 @@ class TestRegistry:
         with pytest.raises(KeyError, match="hpc2d"):
             get_variant("definitely-not-a-variant")
 
+    def test_the_streaming_row_is_gone(self):
+        """StreamingNMF is driven directly (the example, the refresher); as a
+        fit variant it is an unknown name, and the error lists the rest."""
+        with pytest.raises(KeyError, match=r"unknown variant 'streaming'.*'symmetric'"):
+            fit(_matrix(), 2, variant="streaming")
+
     def test_capability_flags(self):
         assert get_variant("hpc2d").parallelizable
         assert get_variant("naive").parallelizable
         assert not get_variant("sequential").parallelizable
         assert get_variant("regularized").parallelizable
         assert not get_variant("symmetric").parallelizable
-        assert not get_variant("streaming").sparse_ok
-        assert get_variant("hpc1d").sparse_ok
 
     def test_options_are_listed_per_row(self):
         assert get_variant("symmetric").options == ("alpha",)
-        assert get_variant("streaming").options == ("window", "refresh_every", "refresh_iters")
         assert get_variant("regularized").options == ("regularization", "frobenius", "l1")
         assert get_variant("hpc2d").options == ()
 
@@ -82,13 +82,9 @@ class TestVariantMatrix:
                 fit(_matrix(), 2, variant=name, n_ranks=2, max_iters=2, seed=3)
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
-    def test_sparse_input_raises_iff_not_sparse_ok(self, name):
+    def test_sparse_input_is_accepted(self, name):
         A = sp.csr_matrix(_matrix())
-        if VARIANTS[name].sparse_ok:
-            assert fit(A, 2, variant=name, max_iters=2, seed=3).variant == name
-        else:
-            with pytest.raises(ShapeError, match=f"{name!r} does not accept scipy sparse"):
-                fit(A, 2, variant=name, max_iters=2, seed=3)
+        assert fit(A, 2, variant=name, max_iters=2, seed=3).variant == name
 
     @pytest.mark.parametrize(
         "name, option",
@@ -165,9 +161,8 @@ class TestFitFrontDoor:
         assert silent.history == []
         assert silent.iterations == 3
 
-    @pytest.mark.parametrize("variant", ["symmetric", "streaming"])
-    def test_in_process_extensions_report_a_breakdown(self, variant):
-        res = fit(_matrix(), 2, variant=variant, max_iters=4, seed=1)
+    def test_in_process_extension_reports_a_breakdown(self):
+        res = fit(_matrix(), 2, variant="symmetric", max_iters=4, seed=1)
         assert res.breakdown.total > 0
         assert res.breakdown.get(TaskCategory.NLS) > 0
         assert res.breakdown.get(TaskCategory.MM) > 0
@@ -181,11 +176,6 @@ class TestFitFrontDoor:
     def test_sequential_only_variant_rejects_ranks(self):
         with pytest.raises(ShapeError, match="sequential-only"):
             fit(_matrix(), 2, variant="symmetric", n_ranks=4)
-
-    def test_sparse_rejected_by_streaming(self):
-        A = sp.random(20, 16, density=0.2, random_state=0, format="csr")
-        with pytest.raises(ShapeError, match="sparse"):
-            fit(A, 2, variant="streaming")
 
     def test_symmetric_on_rectangular_uses_column_similarity(self):
         A = _matrix()  # 24 x 18
@@ -214,8 +204,8 @@ class TestEstimator:
         model = NMF(k=2, max_iters=3, seed=1)
         assert model.fit(A) is model
         assert model.W_.shape == (24, 2)
-        assert model.H_.shape == (2, 18)
-        assert model.components_ is model.H_
+        assert model.components_.shape == (2, 18)
+        assert model.components_ is model.result_.H
         assert model.result_.variant == "sequential"
 
     def test_fit_transform_returns_w(self):
@@ -230,6 +220,20 @@ class TestEstimator:
         H_new = model.transform(A[:, :5])
         assert H_new.shape == (2, 5)
         assert np.all(H_new >= 0)
+
+    @pytest.mark.parametrize("solver", ["bpp", "hals", "mu"])
+    def test_transform_is_the_served_projection(self, solver):
+        """One projection path: exact BPP whatever solver fitted the model,
+        byte for byte what ``repro serve`` answers, dense or sparse."""
+        from repro.serve.project import project
+
+        A = np.abs(np.random.default_rng(0).standard_normal((60, 40)))
+        model = NMF(k=5, solver=solver, max_iters=30, seed=0).fit(A)
+        assert model.transform(A).tobytes() == project(model.W_, A).tobytes()
+        sparse = sp.csr_matrix(A)
+        H = model.transform(sparse)
+        assert H.tobytes() == project(model.W_, sparse).tobytes()
+        np.testing.assert_allclose(H, model.transform(A), rtol=1e-9, atol=1e-12)
 
     def test_transform_shape_mismatch_raises(self):
         model = NMF(k=2, max_iters=2, seed=1).fit(_matrix())

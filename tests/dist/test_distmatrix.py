@@ -50,7 +50,7 @@ class TestDistMatrix2D:
 
         def program(grid):
             d = DistMatrix2D.from_global(grid, A)
-            assert d.is_sparse
+            assert sp.issparse(d.block)
             return d.row_range, d.col_range, d.block
 
         out = spmd_blocks(p, pr, pc, program)
@@ -68,7 +68,7 @@ class TestDistMatrix2D:
 
         def program(grid):
             d = DistMatrix2D.from_global(grid, A)
-            assert d.is_sparse
+            assert sp.issparse(d.block)
             return d.block.toarray(), DistMatrix2D.from_global(grid, dense).block
 
         for sparse_block, dense_block in spmd_blocks(p, pr, pc, program):

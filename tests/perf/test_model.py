@@ -95,7 +95,7 @@ class TestBreakdowns:
         assert b1d.as_dict() == hpc_breakdown(problem, 24, grid=(24, 1), machine=machine).as_dict()
         assert b2d.as_dict() == hpc_breakdown(problem, 24, machine=machine).as_dict()
 
-    @pytest.mark.parametrize("variant", ["streaming", "symmetric", "regularized"])
+    @pytest.mark.parametrize("variant", ["symmetric", "regularized"])
     def test_dispatch_rejects_unmodeled_variant(self, machine, variant):
         # No analytic model: the planner refuses.
         problem = ProblemSpec.from_dataset(paper_scale("SSYN"), 10)

@@ -72,10 +72,10 @@ class TestCandidateEnumeration:
             )
 
     def test_unplannable_problem_raises(self, machine):
-        # streaming has no cost model; restricting to it leaves nothing.
+        # symmetric has no cost model; restricting to it leaves nothing.
         with pytest.raises(ValueError, match="no registered variant"):
             plan_candidates(
-                ProblemSpec(m=100, n=50, k=3), 4, machine=machine, variants=["streaming"]
+                ProblemSpec(m=100, n=50, k=3), 4, machine=machine, variants=["symmetric"]
             )
 
     def test_invalid_rank_count(self, machine):

@@ -14,13 +14,11 @@ class TestConstruction:
         problem = ProblemSpec(m=100, n=60, k=5)
         assert not problem.is_sparse
         assert problem.nnz_estimate == 100 * 60
-        assert problem.density == 1.0
 
     def test_sparse_carries_nnz(self):
         problem = ProblemSpec(m=100, n=60, k=5, nnz=120)
         assert problem.is_sparse
         assert problem.nnz_estimate == 120
-        assert problem.density == pytest.approx(120 / 6000)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -31,6 +31,7 @@ from repro.nls import available_kernels
 from repro.serve import (
     DeadlineExceededError,
     ModelNotFoundError,
+    ModelRefresher,
     ModelStore,
     ProjectionRequestError,
     ProjectionServer,
@@ -725,12 +726,13 @@ class TestHttpServer:
         assert status == 500
         assert body["type"] == "ModelLoadError"
 
-    def test_run_self_test_round_trip(self):
-        store = _store()
+    def test_run_self_test_round_trip(self, tmp_path):
+        store = ModelStore()
+        store.load(_store().get("m").result.save(tmp_path / "m.npz"))
 
         async def main():
             service = ProjectionService(store, kernel="batched")
-            server = ProjectionServer(service, port=0)
+            server = ProjectionServer(service, port=0, refresh_every=4)
             await server.start()
             try:
                 return await run_self_test(server, n_requests=5)
@@ -739,9 +741,30 @@ class TestHttpServer:
 
         summary = asyncio.run(main())
         assert summary["requests"] == 5
-        assert summary["stats"]["responses_total"] == 5
+        # The write path: 4 ingests publish version 2, the reload reads the
+        # file into version 3, and one more projection is served from it.
+        assert summary["versions"] == [1, 2, 3]
+        assert store.get("m").version == 3 and store.get("m").result.variant == ""
+        assert summary["stats"]["responses_total"] == 6
         assert all(np.isfinite(r["residuals"]).all()
                    for r in summary["responses"])
+
+    def test_run_self_test_refuses_a_model_that_stays_put(self, tmp_path, monkeypatch):
+        """A write path that publishes nothing fails the self-test."""
+        store = ModelStore()
+        store.load(_store().get("m").result.save(tmp_path / "m.npz"))
+        monkeypatch.setattr(ModelRefresher, "_publish", lambda self: None)
+
+        async def main():
+            server = ProjectionServer(ProjectionService(store), port=0, refresh_every=2)
+            await server.start()
+            try:
+                return await run_self_test(server, n_requests=2)
+            finally:
+                await server.stop()
+
+        with pytest.raises(ServeError, match="the serving version did not move"):
+            asyncio.run(main())
 
 
 @pytest.fixture(params=["admm", "pgrad"])

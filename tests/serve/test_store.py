@@ -35,7 +35,7 @@ class TestLoading:
         assert entry.name == "model"
         assert entry.version == 1
         assert entry.m == 40 and entry.k == 3
-        assert "model" in store and len(store) == 1
+        assert store.names() == ["model"] and len(store) == 1
 
     def test_load_with_explicit_name(self, saved_model):
         entry = ModelStore().load(saved_model, name="prod")
@@ -61,6 +61,19 @@ class TestLoading:
     def test_missing_file_raises_model_load_error(self, tmp_path):
         with pytest.raises(ModelLoadError, match="nope"):
             ModelStore().load(tmp_path / "nope.npz")
+
+    def test_a_refreshed_models_artifact_loads_and_projects(self, tmp_path):
+        """The refresher publishes results whose variant is "streaming", a name
+        the variant table no longer has; saved, such a model still serves."""
+        from repro.serve import project
+
+        refreshed = _result()
+        refreshed.variant = "streaming"
+        entry = ModelStore().load(refreshed.save(tmp_path / "refreshed.npz"))
+        assert entry.result.variant == entry.metadata["variant"] == "streaming"
+        X = np.abs(np.random.default_rng(1).standard_normal((40, 2)))
+        H = project(entry.W, X, gram=entry.gram)
+        assert H.tobytes() == project(refreshed.W, X).tobytes()
 
     def test_add_in_memory_result(self):
         store = ModelStore()

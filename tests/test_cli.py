@@ -207,7 +207,8 @@ def test_serve_self_test_round_trip(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "serving" in out
     assert "self-test passed" in out
-    assert '"responses_total": 4' in out
+    assert "version 1 -> 2 (ingest) -> 3 (reload)" in out
+    assert '"responses_total": 5' in out  # 4, then one from the reloaded version
 
 
 def test_serve_on_localhost(capsys, tmp_path):
